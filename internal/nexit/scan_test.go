@@ -1,28 +1,39 @@
 package nexit
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/traffic"
 )
 
-// TestScanFastMatchesReference drives the engine across randomized
-// preference tables and every policy combination with debugScanChecks
-// enabled, so every propose scan cross-checks the cached fast path
-// against the direct reference loop and every stop check cross-checks
-// the histogram against the O(items) scan. Any divergence panics inside
-// the engine, failing the test.
-//
-// The trials deliberately cover the regimes the cache must survive:
-// vetoes (via AcceptHook and VetoIfLoss), batched planning with partial
-// accepts, preference reassignment, extra deficit allowances, and
-// preference tables whose default class is nonzero (the engine clamps
-// but does not normalize evaluator output).
-func TestScanFastMatchesReference(t *testing.T) {
-	debugScanChecks = true
-	defer func() { debugScanChecks = false }()
+var update = flag.Bool("update", false, "rewrite testdata goldens from the current engine")
 
+// gridTrial is one negotiation of the policy grid: fresh evaluators per
+// call (mk), the table it runs on, and its configuration.
+type gridTrial struct {
+	cfg      Config
+	mk       func() *StaticEvaluator
+	items    []Item
+	defaults []int
+	numAlts  int
+}
+
+// forEachGridTrial generates the 400-trial policy grid — randomized
+// preference tables under every turn/propose/accept/stop combination —
+// and hands each trial to fn. The trials deliberately cover the regimes
+// proposal selection must survive: vetoes (via AcceptHook and
+// VetoIfLoss), batched planning with partial accepts, preference
+// reassignment, extra deficit allowances, P = 3, and preference tables
+// whose default class is nonzero (the engine clamps but does not
+// normalize evaluator output). Generation is sequential over one seeded
+// stream, so every caller sees the same 400 negotiations.
+func forEachGridTrial(fn func(trial int, g gridTrial)) {
 	turns := []TurnPolicy{Alternate, LowerGain, CoinToss}
 	proposes := []ProposePolicy{MaxSum, BestLocal}
 	accepts := []AcceptPolicy{AlwaysAccept, VetoIfLoss}
@@ -72,29 +83,79 @@ func TestScanFastMatchesReference(t *testing.T) {
 		}
 		switch trial % 7 {
 		case 2:
-			// Deterministic vetoes exercise scanCache invalidation.
+			// Deterministic vetoes.
 			cfg.AcceptHook = func(acceptor Side, pr Proposal) bool {
 				return (pr.ItemID+pr.Alt)%3 != 0
 			}
 		case 3:
-			// Random accepted prefixes exercise planBatch's simulated
-			// commits and the histogram restore path.
+			// Random accepted prefixes: batches are planned, partly
+			// applied and their tails put back on the table.
 			hookRng := rand.New(rand.NewSource(int64(trial) * 31))
 			cfg.BatchAcceptHook = func(batch []Proposal) int {
 				return hookRng.Intn(len(batch) + 1)
 			}
 		}
-		res, err := Negotiate(cfg, mk(), mk(), items, defaults, na)
+		fn(trial, gridTrial{cfg: cfg, mk: mk, items: items, defaults: defaults, numAlts: na})
+	}
+}
+
+// TestEngineGridGolden pins the engine's behaviour on the policy grid
+// byte for byte: every Result (assignment, gains, rounds, negotiated,
+// reverted, stop reason, full transcript) is rendered canonically and
+// the sha256 of the whole rendering must equal the digest recorded in
+// testdata/engine_grid.sha256. The digest was generated before the
+// engine's scans, caches and loops were collapsed into the proposal
+// index; regenerate it (-update) only for a deliberate protocol change.
+func TestEngineGridGolden(t *testing.T) {
+	h := sha256.New()
+	forEachGridTrial(func(trial int, g gridTrial) {
+		res, err := Negotiate(g.cfg, g.mk(), g.mk(), g.items, g.defaults, g.numAlts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i, a := range res.Assign {
-			if a < 0 || a >= na {
-				t.Fatalf("trial %d: item %d assigned %d (na=%d)", trial, i, a, na)
+			if a < 0 || a >= g.numAlts {
+				t.Fatalf("trial %d: item %d assigned %d (na=%d)", trial, i, a, g.numAlts)
 			}
 		}
-		if res.Rounds > n*na*6+32 {
-			t.Fatalf("trial %d: %d rounds for %d items (runaway)", trial, res.Rounds, n)
+		if res.Rounds > len(g.items)*g.numAlts*6+32 {
+			t.Fatalf("trial %d: %d rounds for %d items (runaway)", trial, res.Rounds, len(g.items))
 		}
+		fmt.Fprintf(h, "trial %d assign %v gains %d %d rounds %d negotiated %d reverted %d stopped %v\n",
+			trial, res.Assign, res.GainA, res.GainB, res.Rounds, res.Negotiated, res.Reverted, res.Stopped)
+		for _, p := range res.Transcript {
+			fmt.Fprintf(h, "  %+v\n", p)
+		}
+	})
+	got := fmt.Sprintf("%x\n", h.Sum(nil))
+	const golden = "testdata/engine_grid.sha256"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	if strings.TrimSpace(string(want)) != strings.TrimSpace(got) {
+		t.Fatalf("engine grid digest %s, golden %s: the engine's behaviour changed",
+			strings.TrimSpace(got), strings.TrimSpace(string(want)))
+	}
+}
+
+// TestScanFastMatchesReference drives the engine across the policy grid
+// with debugScanChecks enabled, so every propose scan cross-checks the
+// cached fast path against the direct reference loop and every stop
+// check cross-checks the histogram against the O(items) scan. Any
+// divergence panics inside the engine, failing the test.
+func TestScanFastMatchesReference(t *testing.T) {
+	debugScanChecks = true
+	defer func() { debugScanChecks = false }()
+	forEachGridTrial(func(trial int, g gridTrial) {
+		if _, err := Negotiate(g.cfg, g.mk(), g.mk(), g.items, g.defaults, g.numAlts); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	})
 }
