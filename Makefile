@@ -15,7 +15,7 @@ smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
 	go test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapshot/
 
-# Regenerate BENCH_runner.json the way its comment describes and append
-# a PR-tagged history entry: make bench PR=4
+# The one measurement path: seven named workloads, end-to-end and
+# per-layer metrics, one JSON document on stdout (bench/README.md).
 bench:
-	./scripts/bench.sh $(PR)
+	go run ./bench

@@ -3,8 +3,7 @@
 // experiment driver on a deterministic slice of the synthetic dataset
 // and reports the figure's headline statistics as custom metrics, so
 // `go test -bench . -benchmem` reproduces the paper end to end. The
-// full-dataset series (exact CDF rows) are printed by cmd/nexitsim; the
-// recorded output lives in EXPERIMENTS.md.
+// full-dataset series (exact CDF rows) are printed by cmd/nexitsim.
 package main
 
 import (

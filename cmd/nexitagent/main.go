@@ -74,7 +74,6 @@ import (
 	"repro/internal/pairsim"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // peerSpec is one -peer flag: a dataset index, an optional per-peer
@@ -199,12 +198,10 @@ func main() {
 		}
 		key := agentd.PairKey(lo, hi, len(dataset))
 		peer := agentd.Peer{
-			Name: agentd.AgentName(spec.index),
-			Side: side,
-			Ctl:  ctl,
-			Workloads: func(epoch int) (*traffic.Workload, *traffic.Workload) {
-				return agentd.EpochWorkloads(pair, *seed, key, epoch, *volatility)
-			},
+			Name:      agentd.AgentName(spec.index),
+			Side:      side,
+			Ctl:       ctl,
+			Workloads: agentd.EpochWorkloads(pair, *seed, key, *volatility),
 		}
 		if side == nexit.SideA {
 			if spec.addr == "" {

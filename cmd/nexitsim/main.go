@@ -11,7 +11,7 @@
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each printed block corresponds to one figure panel of the paper; the
-// x-grid matches the paper's axes. EXPERIMENTS.md records a full run.
+// x-grid matches the paper's axes.
 //
 // With -stream (or -out), nexitsim switches to the streaming pipeline
 // (DESIGN.md §8): per-pair / per-failure-case results are emitted

@@ -21,44 +21,31 @@ func AgentName(i int) string { return fmt.Sprintf("isp%03d", i) }
 // reference — must use the same key.
 func PairKey(i, j, numISPs int) int { return i*numISPs + j }
 
-// baseWorkloads memoizes each pair's undrifted gravity workloads. The
-// base traffic is deterministic in the pair alone (epoch independent),
-// yet EpochWorkloads used to rebuild it every epoch on every endpoint
-// — a top allocation site in the session profile (DESIGN.md §9). The
-// sync.Map slot plus per-pair sync.Once make the derivation
-// exactly-once even when both endpoints of a pair race; the cached
+// EpochWorkloads returns the WorkloadFunc of one neighbor pair: each
+// epoch's directional workloads are the gravity-model base traffic
+// perturbed by the epoch's private drift stream. The stream depends only
+// on (seed, key, epoch) — never on scheduling — which is what lets
+// concurrent sessions reproduce a serial reference exactly, and what
+// stands in for both ISPs observing the same traffic in deployment.
+//
+// The base traffic is deterministic in the pair alone, so the returned
+// function derives it once, on first use, and keeps it (rebuilding it per
+// epoch was a top allocation site in the session profile, DESIGN.md §9).
+// The memo lives and dies with the function: hand the same function to
+// both endpoints of a pair and the derivation is exactly-once per pair
+// per run even when they race, and nothing outlives the run. The cached
 // workloads are shared read-only (Drift copies the flows it perturbs).
-var baseWorkloads sync.Map // *topology.Pair -> *basePairWorkloads
-
-// basePairWorkloads is one pair's slot in the base-workload cache.
-type basePairWorkloads struct {
-	once   sync.Once
-	ab, ba *traffic.Workload
-}
-
-// pairBaseWorkloads returns the pair's undrifted gravity workloads in
-// both directions, computing them on first use.
-func pairBaseWorkloads(pair *topology.Pair) (ab, ba *traffic.Workload) {
-	e, ok := baseWorkloads.Load(pair)
-	if !ok {
-		e, _ = baseWorkloads.LoadOrStore(pair, new(basePairWorkloads))
+func EpochWorkloads(pair *topology.Pair, seed int64, key int, volatility float64) WorkloadFunc {
+	var (
+		once           sync.Once
+		baseAB, baseBA *traffic.Workload
+	)
+	return func(epoch int) (wAB, wBA *traffic.Workload) {
+		once.Do(func() {
+			baseAB = traffic.New(pair.A, pair.B, traffic.Gravity, nil)
+			baseBA = traffic.New(pair.B, pair.A, traffic.Gravity, nil)
+		})
+		rng := runner.PairRand(seed, key*1_000_003+epoch)
+		return continuous.Drift(baseAB, volatility, rng), continuous.Drift(baseBA, volatility, rng)
 	}
-	w := e.(*basePairWorkloads)
-	w.once.Do(func() {
-		w.ab = traffic.New(pair.A, pair.B, traffic.Gravity, nil)
-		w.ba = traffic.New(pair.B, pair.A, traffic.Gravity, nil)
-	})
-	return w.ab, w.ba
-}
-
-// EpochWorkloads deterministically derives one epoch's directional
-// workloads for a pair: the gravity-model base traffic perturbed by the
-// epoch's private drift stream. The stream depends only on (seed, key,
-// epoch) — never on scheduling — which is what lets concurrent
-// sessions reproduce a serial reference exactly, and what stands in
-// for both ISPs observing the same traffic in deployment.
-func EpochWorkloads(pair *topology.Pair, seed int64, key, epoch int, volatility float64) (wAB, wBA *traffic.Workload) {
-	baseAB, baseBA := pairBaseWorkloads(pair)
-	rng := runner.PairRand(seed, key*1_000_003+epoch)
-	return continuous.Drift(baseAB, volatility, rng), continuous.Drift(baseBA, volatility, rng)
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/pairsim"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 )
 
 // Options configures a mesh run.
@@ -183,9 +182,7 @@ func buildPairs(opt Options) ([]*topology.ISP, []meshPair, error) {
 		key := agentd.PairKey(i, j, opt.NumISPs)
 		pairs = append(pairs, meshPair{
 			i: i, j: j, pair: p,
-			wl: func(epoch int) (*traffic.Workload, *traffic.Workload) {
-				return agentd.EpochWorkloads(p, opt.Seed, key, epoch, opt.Volatility)
-			},
+			wl: agentd.EpochWorkloads(p, opt.Seed, key, opt.Volatility),
 		})
 	}
 	if len(pairs) == 0 {

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/agentd"
 	"repro/internal/continuous"
+	"repro/internal/topology"
 )
 
 // testOptions is the shared mesh configuration: a 10-ISP dataset yields
@@ -339,4 +341,30 @@ func TestMeshNeighborGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkParity(t, serial, wire)
+}
+
+// TestPairsCollectableAfterRun pins the lifetime of the base-workload
+// memo behind agentd.EpochWorkloads: it belongs to the run's pairs, so
+// once a run's wiring is dropped its pairs (and the gravity workloads
+// derived from them) are garbage. A process-wide memo keyed by the pair
+// kept every run's pairs alive for good — 52 MB against 23 MB peak RSS
+// over a few hundred mesh runs in one process (bench/README.md).
+func TestPairsCollectableAfterRun(t *testing.T) {
+	opt := testOptions().withDefaults()
+	_, pairs, err := buildPairs(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]weak.Pointer[topology.Pair], len(pairs))
+	for k, mp := range pairs {
+		held[k] = weak.Make(mp.pair)
+		mp.wl(0) // a run's first epoch: derives and memoizes the base workloads
+	}
+	pairs = nil
+	runtime.GC()
+	for k, w := range held {
+		if w.Value() != nil {
+			t.Errorf("pair %d of a dropped run is still reachable", k)
+		}
+	}
 }

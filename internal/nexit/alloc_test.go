@@ -52,3 +52,49 @@ func TestEvaluatorSteadyStateDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestNegotiateAllocationsIndependentOfRounds pins the engine's sizing
+// rule: the proposal index, the plan buffer and the transcript are sized
+// once per Negotiate, so on a static table the allocation count does not
+// depend on how many rounds the negotiation runs — serially or in
+// batches. The same 64-item table — four trades A gains on, sixty it
+// concedes a class on — is negotiated to the end (64 rounds) and under
+// full termination, which stops when A's cumulative gain would turn
+// negative (12 rounds).
+func TestNegotiateAllocationsIndependentOfRounds(t *testing.T) {
+	const n, na = 64, 3
+	evA := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
+	evB := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
+	for i := 0; i < n; i++ {
+		a, b := make([]int, na), make([]int, na)
+		a[(i+1)%na], b[(i+1)%na] = -1, 5
+		if i < 4 {
+			a[(i+1)%na], b[(i+1)%na] = 2, 8
+		}
+		evA.Table[i], evB.Table[i] = a, b
+	}
+	items, defaults := unitItems(n, na)
+	measure := func(cfg Config) (allocs float64, rounds int) {
+		cfg.PrefBound = 10
+		allocs = testing.AllocsPerRun(20, func() {
+			res, err := Negotiate(cfg, evA, evB, items, defaults, na)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = res.Rounds
+		})
+		return allocs, rounds
+	}
+	all := func(batch []Proposal) int { return len(batch) }
+	for _, hook := range []func([]Proposal) int{nil, all} {
+		long, longRounds := measure(Config{Stop: StopNever, BatchAcceptHook: hook})
+		short, shortRounds := measure(Config{Stop: StopWhilePositive, BatchAcceptHook: hook})
+		if shortRounds == 0 || longRounds < 4*shortRounds {
+			t.Fatalf("fixture lost its spread: %d vs %d rounds", shortRounds, longRounds)
+		}
+		if long != short {
+			t.Errorf("batched=%v: %d rounds allocated %.0f times, %d rounds %.0f times; want equal",
+				hook != nil, longRounds, long, shortRounds, short)
+		}
+	}
+}

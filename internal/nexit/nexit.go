@@ -20,7 +20,7 @@ package nexit
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/traffic"
 )
@@ -111,8 +111,9 @@ type Config struct {
 	Rng *rand.Rand
 
 	// AcceptHook, when non-nil, replaces the accept policy: it is asked
-	// whether the given side accepts the proposal. The wire protocol
-	// uses this to forward accept/veto decisions to the remote agent.
+	// whether the given side accepts the proposal. This is the
+	// batch-of-one case of the round loop below, not a second path: the
+	// engine plans one proposal, asks, and applies the answer.
 	AcceptHook func(acceptor Side, p Proposal) bool
 
 	// BatchAcceptHook, when non-nil, takes precedence over AcceptHook
@@ -204,8 +205,10 @@ type Result struct {
 	// default until neither side is below zero. With floor-rounded
 	// classes this guarantees no real loss for either ISP.
 	Reverted int
-	// Transcript lists every proposal in order. Nil unless
-	// Config.RecordTranscript was set... recorded always (small).
+	// Transcript lists every proposal put to the counterpart, accepted or
+	// vetoed, in round order. It is always recorded (the terminal unwind
+	// reads the accepted classes back from it) and is nil only when no
+	// proposal was made.
 	Transcript []Proposal
 	// Stopped describes why negotiation ended.
 	Stopped StopReason
@@ -266,185 +269,52 @@ type Reverter interface {
 
 // negotiation is the engine's mutable state.
 type negotiation struct {
-	cfg      Config
-	items    []Item
-	defaults []int
-	evalA    Evaluator
-	evalB    Evaluator
+	cfg          Config
+	items        []Item
+	defaults     []int
+	evalA, evalB Evaluator
+	numAlts      int
 
-	prefsA, prefsB [][]int
-	remaining      []bool
-	vetoed         map[[2]int]bool // (itemID, alt) pairs rejected by veto
-	nVetoed        int             // live veto count; skips map lookups when zero
-	numAlts        int
+	// prefsA and prefsB hold both sides' clamped classes and vetoed the
+	// (item, alt) pairs rejected by veto, all flat: index id*numAlts+k is
+	// alternative k of item id.
+	prefsA, prefsB []int
+	vetoed         []bool
+	// remaining marks the items on the table: neither committed nor taken
+	// by the plan in flight.
+	remaining    []bool
+	numRemaining int
+	idx          proposalIndex
 
-	// order holds remaining item IDs sorted by best combined gain,
-	// descending; rebuilt after reassignment or veto.
-	order []int
-
-	// bestCache memoizes bestAlt per item ID: proposal scans call it
-	// O(order) times per round but its inputs (prefs, vetoes) only
-	// change on reassignment or veto, so entries survive whole runs of
-	// commits. Invalidated per ID on veto, wholesale on refreshPrefs.
-	bestCache []bestEntry
-
-	// scanCache memoizes, per item, the gain-independent outcome of the
-	// propose scan's inner alternative loop (see scanEntry); zeroPaBuf/
-	// zeroKBuf hold each item's sum-zero candidates in segment
-	// [id*numAlts, id*numAlts+zeroLen). Invalidated like bestCache.
-	scanCache []scanEntry
-	zeroPaBuf []int32
-	zeroKBuf  []int32
-
-	// Selected-class histograms back maxSelectedPref: selA/selB record
-	// each remaining item's class at its currently selected (bestAlt)
-	// alternative, histA/histB count them per class (index p+PrefBound),
-	// and selCount tracks how many items are in. Maintained across
-	// commits so the per-round stop check is O(P) instead of O(items).
-	selA, selB   []int
-	selIn        []bool
-	histA, histB []int32
-	selCount     int
-	// orderSums is rebuildOrder's per-ID sort-key scratch.
-	orderSums []int
-	// remScratch and defScratch are refreshPrefs' working sets.
-	remScratch []Item
+	tally                 // the state as of the last applied round
+	batch      []Proposal // the plan in flight
+	transcript []Proposal // every round so far; the Result gets a copy at its final size
+	result     *Result
+	totalSize  float64
+	remScratch []Item // refreshPrefs' working sets
 	defScratch []int
-
-	// commits records accepted trades with their historical classes for
-	// the terminal unwind.
-	commits []commitRecord
-
-	result *Result
-
-	totalSize      float64
-	negotiatedSize float64
-	sinceReassign  float64
-	lastTurn       Side
-	haveTurn       bool
 }
 
-// bestEntry caches one bestAlt result.
-type bestEntry struct {
-	alt, sum int
-	ok       bool
+// tally is the state one round reads and the next inherits. plan advances
+// a copy of it, apply the negotiation's own.
+type tally struct {
+	gainA, gainB  int
+	rounds        int
+	sinceReassign float64 // traffic agreed since preferences were last collected
+	lastTurn      Side
+	haveTurn      bool
 }
 
-// scanEntry caches the gain-independent part of one item's inner loop in
-// scanMaxSum. The admissible alternatives split into:
-//
-//   - the strict set — the default alternative plus every k with
-//     combined sum > 0. Its best (sum, own-pref) under the scan's
-//     selection rule depends only on prefs and vetoes, never on the
-//     cumulative gains, so it is cached per proposer side (the own-pref
-//     tie-break differs between sides).
-//   - the zero set — non-default alternatives with combined sum == 0.
-//     Their admissibility DOES depend on the gains (both cumulative
-//     gains must stay non-negative), but with prefA + prefB == 0 the
-//     condition collapses to -GainA <= prefA <= GainB, so the scan
-//     evaluates the cached (prefA, k) list against the current gains in
-//     O(list) with no prefs-table loads.
-//
-// The deficit-recovery scan (propose's filtered pass when one side's
-// cumulative gain is negative) gets its own cached strict sets dA/dB:
-// the best strict candidate restricted to alternatives the deficit side
-// strictly gains on (prefsA[k] > 0 for dA, prefsB[k] > 0 for dB). The
-// zero list is shared — when the deficit side's gain is negative, the
-// sum-zero admission window -GainA <= prefA <= GainB already implies the
-// deficit side's preference is positive, so no filtered copy is needed.
-//
-// Entries are exact only in the regimes scanFastEligible (or the
-// deficit-scan eligibility in scanMaxSumDeficit) admits; any other state
-// falls back to the reference loop.
-type scanEntry struct {
-	ok       bool
-	strictOK bool
-	strictS  int
-	ownA     int
-	ownB     int
-	kA, kB   int32
-	zeroLen  int32
-
-	dAOK, dBOK     bool
-	dAS, dBS       int
-	dAOwnA, dAOwnB int
-	dBOwnA, dBOwnB int
-	dAKA, dAKB     int32
-	dBKA, dBKB     int32
-}
-
-// buildScanEntry fills the cache entry for one item from the current
-// preference tables and veto set.
-func (n *negotiation) buildScanEntry(id int) *scanEntry {
-	e := &n.scanCache[id]
-	def := n.defaults[id]
-	pa, pb := n.prefsA[id], n.prefsB[id]
-	e.strictOK, e.dAOK, e.dBOK = false, false, false
-	e.strictS, e.dAS, e.dBS = -1<<30, -1<<30, -1<<30
-	zo := id * n.numAlts
-	zl := 0
-	for k := 0; k < n.numAlts; k++ {
-		if n.nVetoed > 0 && n.vetoed[[2]int{id, k}] {
-			continue
-		}
-		s := pa[k] + pb[k]
-		switch {
-		case k == def || s > 0:
-			if !e.strictOK || s > e.strictS {
-				e.strictOK = true
-				e.strictS = s
-				e.ownA, e.kA = pa[k], int32(k)
-				e.ownB, e.kB = pb[k], int32(k)
-			} else if s == e.strictS {
-				// Ascending k with strictly-greater updates keeps the
-				// first alternative attaining the per-side maximum —
-				// the reference loop's tie-break.
-				if pa[k] > e.ownA {
-					e.ownA, e.kA = pa[k], int32(k)
-				}
-				if pb[k] > e.ownB {
-					e.ownB, e.kB = pb[k], int32(k)
-				}
-			}
-			if pa[k] > 0 {
-				if !e.dAOK || s > e.dAS {
-					e.dAOK = true
-					e.dAS = s
-					e.dAOwnA, e.dAKA = pa[k], int32(k)
-					e.dAOwnB, e.dAKB = pb[k], int32(k)
-				} else if s == e.dAS {
-					if pa[k] > e.dAOwnA {
-						e.dAOwnA, e.dAKA = pa[k], int32(k)
-					}
-					if pb[k] > e.dAOwnB {
-						e.dAOwnB, e.dAKB = pb[k], int32(k)
-					}
-				}
-			}
-			if pb[k] > 0 {
-				if !e.dBOK || s > e.dBS {
-					e.dBOK = true
-					e.dBS = s
-					e.dBOwnA, e.dBKA = pa[k], int32(k)
-					e.dBOwnB, e.dBKB = pb[k], int32(k)
-				} else if s == e.dBS {
-					if pa[k] > e.dBOwnA {
-						e.dBOwnA, e.dBKA = pa[k], int32(k)
-					}
-					if pb[k] > e.dBOwnB {
-						e.dBOwnB, e.dBKB = pb[k], int32(k)
-					}
-				}
-			}
-		case s == 0:
-			n.zeroPaBuf[zo+zl] = int32(pa[k])
-			n.zeroKBuf[zo+zl] = int32(k)
-			zl++
-		}
+// advance records proposal p, which settled size units of traffic if it
+// was accepted, into the tally.
+func (t *tally) advance(p Proposal, size float64) {
+	t.rounds++
+	t.lastTurn, t.haveTurn = p.Proposer, true
+	if p.Accepted {
+		t.gainA += p.PrefA
+		t.gainB += p.PrefB
+		t.sinceReassign += size
 	}
-	e.zeroLen = int32(zl)
-	e.ok = true
-	return e
 }
 
 // Negotiate runs the protocol and returns the result. numAlts is the
@@ -470,135 +340,188 @@ func Negotiate(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int,
 	}
 
 	n := &negotiation{
-		cfg:      cfg,
-		items:    items,
-		defaults: defaults,
-		evalA:    evalA,
-		evalB:    evalB,
-		numAlts:  numAlts,
-		vetoed:   make(map[[2]int]bool),
-		result:   &Result{Assign: append([]int(nil), defaults...)},
+		cfg:          cfg,
+		items:        items,
+		defaults:     defaults,
+		evalA:        evalA,
+		evalB:        evalB,
+		numAlts:      numAlts,
+		prefsA:       make([]int, len(items)*numAlts),
+		prefsB:       make([]int, len(items)*numAlts),
+		vetoed:       make([]bool, len(items)*numAlts),
+		remaining:    make([]bool, len(items)),
+		numRemaining: len(items),
+		transcript:   make([]Proposal, 0, len(items)),
+		result:       &Result{Assign: append([]int(nil), defaults...)},
 	}
-	n.remaining = make([]bool, len(items))
-	for i := range n.remaining {
+	for i, it := range items {
 		n.remaining[i] = true
-	}
-	n.bestCache = make([]bestEntry, len(items))
-	n.scanCache = make([]scanEntry, len(items))
-	n.zeroPaBuf = make([]int32, len(items)*numAlts)
-	n.zeroKBuf = make([]int32, len(items)*numAlts)
-	n.selA = make([]int, len(items))
-	n.selB = make([]int, len(items))
-	n.selIn = make([]bool, len(items))
-	n.histA = make([]int32, 2*cfg.PrefBound+1)
-	n.histB = make([]int32, 2*cfg.PrefBound+1)
-	for _, it := range items {
 		n.totalSize += it.Flow.Size
 	}
+	n.newIndex()
 	n.refreshPrefs()
-	if cfg.BatchAcceptHook != nil {
-		n.runBatched()
-	} else {
-		n.run()
-	}
+	n.roundLoop()
 	n.unwindDeficits()
+	n.result.GainA, n.result.GainB, n.result.Rounds = n.gainA, n.gainB, n.rounds
+	if len(n.transcript) > 0 {
+		n.result.Transcript = slices.Clone(n.transcript)
+	}
 	return n.result, nil
 }
 
-// commitRecord pairs a committed item with the classes it was accepted
-// at (preferences may be reassigned later, so gains must be reverted at
-// their historical values).
-type commitRecord struct {
-	id, alt  int
-	pA, pB   int
-	reverted bool
-}
-
-// unwindDeficits rolls back trades at termination while either side's
-// cumulative gain is negative: the deficit side's most harmful committed
-// trade (ties: cheapest for the other side) reverts to the default. Each
-// record reverts at most once, so the loop terminates; afterwards both
-// gains are >= 0 because a negative cumulative gain always contains a
-// negative-class trade. Combined with floor-rounded classes (every class
-// is a lower bound on the real improvement), non-negative final class
-// gains imply neither ISP's real metric ends worse than the default.
-func (n *negotiation) unwindDeficits() {
-	if n.cfg.Stop == StopNever {
-		return // all-flows mode trades social welfare deliberately
+// roundLoop runs the rounds: plan the proposals the protocol makes next,
+// ask the counterpart about them, apply its answer. Asking one proposal at a
+// time is the batch-of-one case of the same loop, not a second path: a
+// plan is a pure function of the current preferences, vetoes and tally,
+// so the accepted prefix of a longer plan is exactly the rounds that
+// asking one by one would have produced.
+//
+// Plans stay at one proposal without a BatchAcceptHook, and under
+// CoinToss turns with one: planning ahead would draw turn decisions from
+// the Rng for proposals a veto may discard.
+func (n *negotiation) roundLoop() {
+	maxBatch := 1
+	if n.cfg.BatchAcceptHook != nil && n.cfg.Turn != CoinToss {
+		maxBatch = max(1, len(n.items))
 	}
+	n.batch = make([]Proposal, 0, maxBatch)
 	for {
-		var deficit *int
-		sideA := false
-		switch {
-		case n.result.GainA < -n.cfg.ExtraDeficitA:
-			deficit, sideA = &n.result.GainA, true
-		case n.result.GainB < -n.cfg.ExtraDeficitB:
-			deficit, sideA = &n.result.GainB, false
-		default:
+		reason, stopped := n.plan(maxBatch)
+		accepted := n.ask()
+		n.apply(accepted)
+		if stopped && accepted == len(n.batch) {
+			// The stop condition fired on the round after the plan, and the
+			// state after applying all of it is the state plan saw.
+			n.result.Stopped = reason
 			return
 		}
-		_ = deficit
-		best := -1
-		for i, rec := range n.commits {
-			if rec.reverted || n.result.Assign[rec.id] != rec.alt || rec.alt == n.defaults[rec.id] {
-				continue
-			}
-			own, other := rec.pA, rec.pB
-			if !sideA {
-				own, other = rec.pB, rec.pA
-			}
-			if own >= 0 {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			bOwn, bOther := n.commits[best].pA, n.commits[best].pB
-			if !sideA {
-				bOwn, bOther = n.commits[best].pB, n.commits[best].pA
-			}
-			if own < bOwn || (own == bOwn && other < bOther) {
-				best = i
+	}
+}
+
+// plan fills n.batch with the rounds that follow if every proposal is
+// accepted, taking each proposed item off the table, until a stop
+// condition fires (returned with stopped = true), a reassignment falls
+// due (preferences must be recollected before another round can be
+// planned) or maxBatch proposals are planned. Only the index and a copy
+// of the tally move; evaluators, assignments and the transcript are
+// apply's.
+func (n *negotiation) plan(maxBatch int) (reason StopReason, stopped bool) {
+	n.batch = n.batch[:0]
+	t := n.tally
+	for {
+		if n.numRemaining == 0 {
+			return StopAllNegotiated, true
+		}
+		proposer := n.decideTurn(&t)
+		id, alt, ok := n.propose(&t, proposer)
+		if !ok {
+			// The proposer has nothing it can afford to propose; give the
+			// other side one chance before concluding.
+			proposer = proposer.Other()
+			if id, alt, ok = n.propose(&t, proposer); !ok {
+				return StopNoJointGain, true
 			}
 		}
-		if best == -1 {
-			return // no revertible harmful trade (cannot happen with gains < 0 over non-reverted trades)
+		if reason, stop := n.shouldStop(&t, id, alt); stop {
+			return reason, true
 		}
-		rec := &n.commits[best]
-		rec.reverted = true
-		n.result.Assign[rec.id] = n.defaults[rec.id]
-		n.result.GainA -= rec.pA
-		n.result.GainB -= rec.pB
-		n.result.Reverted++
-		it := n.items[rec.id]
-		if r, ok := n.evalA.(Reverter); ok {
-			r.Revert(it, rec.alt, n.defaults[rec.id])
+		e := id*n.numAlts + alt
+		p := Proposal{
+			Round: t.rounds, Proposer: proposer, ItemID: id, Alt: alt,
+			PrefA: n.prefsA[e], PrefB: n.prefsB[e], Accepted: true,
 		}
-		if r, ok := n.evalB.(Reverter); ok {
-			r.Revert(it, rec.alt, n.defaults[rec.id])
+		n.batch = append(n.batch, p)
+		n.take(id)
+		t.advance(p, n.items[id].Flow.Size)
+		if n.reassignDue(&t) || len(n.batch) == maxBatch {
+			return 0, false
 		}
 	}
+}
+
+// ask puts the plan to the counterpart and returns how many leading
+// proposals it accepted; one short of the plan means the next was vetoed.
+func (n *negotiation) ask() int {
+	if len(n.batch) == 0 {
+		return 0
+	}
+	if n.cfg.BatchAcceptHook != nil {
+		return min(max(n.cfg.BatchAcceptHook(n.batch), 0), len(n.batch))
+	}
+	p := n.batch[0]
+	acceptor := p.Proposer.Other()
+	var ok bool
+	switch {
+	case n.cfg.AcceptHook != nil:
+		p.Accepted = false // not decided yet
+		ok = n.cfg.AcceptHook(acceptor, p)
+	case n.cfg.Accept == VetoIfLoss:
+		// Reject if acceptance would push the acceptor's cumulative gain
+		// negative. n.tally is still the state before the proposal.
+		if acceptor == SideA {
+			ok = n.gainA+p.PrefA >= 0
+		} else {
+			ok = n.gainB+p.PrefB >= 0
+		}
+	default: // AlwaysAccept
+		ok = true
+	}
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// apply finalizes the accepted prefix of the plan, records the veto of
+// the proposal after it, if any, and puts the rest back on the table.
+func (n *negotiation) apply(accepted int) {
+	for _, p := range n.batch[:accepted] {
+		n.transcript = append(n.transcript, p)
+		n.result.Assign[p.ItemID] = p.Alt
+		n.result.Negotiated++
+		it := n.items[p.ItemID]
+		n.evalA.Commit(it, p.Alt)
+		n.evalB.Commit(it, p.Alt)
+		n.advance(p, it.Flow.Size)
+		if n.reassignDue(&n.tally) {
+			n.sinceReassign = 0
+			n.refreshPrefs()
+		}
+	}
+	if accepted < len(n.batch) {
+		// Veto: the vetoed item and the unasked tail return to the table,
+		// this (item, alt) pair is excluded, and the rebuild re-evaluates.
+		for _, p := range n.batch[accepted:] {
+			n.remaining[p.ItemID] = true
+			n.numRemaining++
+		}
+		p := n.batch[accepted]
+		p.Accepted = false
+		n.transcript = append(n.transcript, p)
+		n.advance(p, 0)
+		n.vetoed[p.ItemID*n.numAlts+p.Alt] = true
+		n.build()
+	}
+}
+
+// reassignDue reports whether enough traffic has been agreed since the
+// last preference collection to trigger the next.
+func (n *negotiation) reassignDue(t *tally) bool {
+	return n.cfg.ReassignFraction > 0 && n.totalSize > 0 &&
+		t.sinceReassign >= n.cfg.ReassignFraction*n.totalSize
 }
 
 // refreshPrefs (re)collects preference lists from both evaluators for
-// the remaining items and rebuilds the selection order.
+// the items on the table and rebuilds the proposal index.
 func (n *negotiation) refreshPrefs() {
-	rem := n.remScratch[:0]
+	rem, defaults := n.remScratch[:0], n.defScratch[:0]
 	for _, it := range n.items {
 		if n.remaining[it.ID] {
 			rem = append(rem, it)
+			defaults = append(defaults, n.defaults[it.ID])
 		}
 	}
-	defaults := n.defScratch[:0]
-	for _, it := range rem {
-		defaults = append(defaults, n.defaults[it.ID])
-	}
 	n.remScratch, n.defScratch = rem, defaults
-	if n.prefsA == nil {
-		n.prefsA = make([][]int, len(n.items))
-		n.prefsB = make([][]int, len(n.items))
-	}
 	// Clamp each side's rows into negotiation-owned storage before the
 	// counterpart evaluator runs: evaluators hand out views of reusable
 	// scratch (see the Evaluator ownership contract), so the returned
@@ -606,426 +529,39 @@ func (n *negotiation) refreshPrefs() {
 	// Prefs call that might share their backing.
 	pa := n.evalA.Prefs(rem, defaults)
 	for i, it := range rem {
-		n.prefsA[it.ID] = clampPrefsInto(n.prefsA[it.ID], pa[i], n.cfg.PrefBound)
+		clampPrefsInto(n.prefsA[it.ID*n.numAlts:][:n.numAlts], pa[i], n.cfg.PrefBound)
 	}
 	pb := n.evalB.Prefs(rem, defaults)
 	for i, it := range rem {
-		n.prefsB[it.ID] = clampPrefsInto(n.prefsB[it.ID], pb[i], n.cfg.PrefBound)
+		clampPrefsInto(n.prefsB[it.ID*n.numAlts:][:n.numAlts], pb[i], n.cfg.PrefBound)
 	}
-	for i := range n.bestCache {
-		n.bestCache[i].ok = false
-		n.scanCache[i].ok = false
-	}
-	n.selRebuild()
-	n.rebuildOrder()
+	n.build()
 }
 
-// selRebuild repopulates the selected-class histograms for the remaining
-// items from scratch (after a wholesale preference refresh).
-func (n *negotiation) selRebuild() {
-	for i := range n.histA {
-		n.histA[i] = 0
-		n.histB[i] = 0
+// clampPrefsInto copies one alternative-indexed row of classes into dst,
+// clamped to [-bound, bound].
+func clampPrefsInto(dst, p []int, bound int) {
+	for k := range dst {
+		dst[k] = min(max(p[k], -bound), bound)
 	}
-	for i := range n.selIn {
-		n.selIn[i] = false
-	}
-	n.selCount = 0
-	for id := range n.items {
-		if n.remaining[id] {
-			n.selAdd(id)
-		}
-	}
-}
-
-// selAdd counts item id into the selected-class histograms at its
-// current bestAlt classes.
-func (n *negotiation) selAdd(id int) {
-	alt, _ := n.bestAlt(id)
-	a, b := n.prefsA[id][alt], n.prefsB[id][alt]
-	n.selA[id], n.selB[id] = a, b
-	n.histA[a+n.cfg.PrefBound]++
-	n.histB[b+n.cfg.PrefBound]++
-	n.selIn[id] = true
-	n.selCount++
-}
-
-// selRemove removes item id from the histograms (no-op if absent).
-func (n *negotiation) selRemove(id int) {
-	if !n.selIn[id] {
-		return
-	}
-	n.histA[n.selA[id]+n.cfg.PrefBound]--
-	n.histB[n.selB[id]+n.cfg.PrefBound]--
-	n.selIn[id] = false
-	n.selCount--
-}
-
-func clampPrefsInto(dst, p []int, bound int) []int {
-	if cap(dst) < len(p) {
-		dst = make([]int, len(p))
-	}
-	dst = dst[:len(p)]
-	for i, v := range p {
-		if v > bound {
-			v = bound
-		}
-		if v < -bound {
-			v = -bound
-		}
-		dst[i] = v
-	}
-	return dst
-}
-
-// bestAlt returns the best non-vetoed alternative of an item under the
-// max-sum criterion and its combined gain.
-func (n *negotiation) bestAlt(id int) (alt, sum int) {
-	if e := n.bestCache[id]; e.ok {
-		return e.alt, e.sum
-	}
-	alt, sum = n.defaults[id], 0
-	bestSum := -1 << 30
-	for k := 0; k < n.numAlts; k++ {
-		if n.nVetoed > 0 && n.vetoed[[2]int{id, k}] {
-			continue
-		}
-		s := n.prefsA[id][k] + n.prefsB[id][k]
-		if s > bestSum {
-			bestSum, alt = s, k
-		}
-	}
-	n.bestCache[id] = bestEntry{alt: alt, sum: bestSum, ok: true}
-	return alt, bestSum
-}
-
-// rebuildOrder sorts remaining item IDs by best combined gain descending
-// (ties by ID for determinism).
-func (n *negotiation) rebuildOrder() {
-	n.order = n.order[:0]
-	for id := range n.items {
-		if n.remaining[id] {
-			n.order = append(n.order, id)
-		}
-	}
-	if n.orderSums == nil {
-		n.orderSums = make([]int, len(n.items))
-	}
-	for _, id := range n.order {
-		_, s := n.bestAlt(id)
-		n.orderSums[id] = s
-	}
-	sort.SliceStable(n.order, func(i, j int) bool {
-		if n.orderSums[n.order[i]] != n.orderSums[n.order[j]] {
-			return n.orderSums[n.order[i]] > n.orderSums[n.order[j]]
-		}
-		return n.order[i] < n.order[j]
-	})
-}
-
-// run executes rounds until a stop condition fires or everything is
-// negotiated.
-func (n *negotiation) run() {
-	for {
-		n.compactOrder()
-		if len(n.order) == 0 {
-			n.result.Stopped = StopAllNegotiated
-			return
-		}
-		proposer := n.decideTurn()
-		id, alt, ok := n.propose(proposer)
-		if !ok {
-			// The proposer has nothing it can afford to propose; give
-			// the other side one chance before concluding.
-			proposer = proposer.Other()
-			n.lastTurn = proposer
-			id, alt, ok = n.propose(proposer)
-		}
-		if !ok {
-			// No proposable alternative left on either side.
-			n.result.Stopped = StopNoJointGain
-			return
-		}
-		if reason, stop := n.shouldStop(id, alt); stop {
-			n.result.Stopped = reason
-			return
-		}
-		pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
-		accepted := n.accept(proposer.Other(), id, alt)
-		n.result.Transcript = append(n.result.Transcript, Proposal{
-			Round: n.result.Rounds, Proposer: proposer, ItemID: id, Alt: alt,
-			PrefA: pA, PrefB: pB, Accepted: accepted,
-		})
-		n.result.Rounds++
-		if !accepted {
-			// Veto: exclude this (item, alt) pair and re-evaluate.
-			n.veto(id, alt)
-			continue
-		}
-		n.commit(id, alt, pA, pB)
-	}
-}
-
-// veto excludes an (item, alt) pair and re-evaluates the order.
-func (n *negotiation) veto(id, alt int) {
-	n.vetoed[[2]int{id, alt}] = true
-	n.nVetoed++
-	n.selRemove(id)
-	n.bestCache[id].ok = false
-	n.scanCache[id].ok = false
-	n.selAdd(id) // re-count at the post-veto selected alternative
-	n.rebuildOrder()
-}
-
-// engineSnap captures the engine state planBatch mutates while
-// simulating rounds, so runBatched can restore it before applying the
-// counterpart's decisions for real.
-type engineSnap struct {
-	gainA, gainB, rounds          int
-	negotiatedSize, sinceReassign float64
-	lastTurn                      Side
-	haveTurn                      bool
-}
-
-func (n *negotiation) snapshot() engineSnap {
-	return engineSnap{
-		gainA: n.result.GainA, gainB: n.result.GainB, rounds: n.result.Rounds,
-		negotiatedSize: n.negotiatedSize, sinceReassign: n.sinceReassign,
-		lastTurn: n.lastTurn, haveTurn: n.haveTurn,
-	}
-}
-
-func (n *negotiation) restore(s engineSnap, committed, orderSnap []int) {
-	n.result.GainA, n.result.GainB, n.result.Rounds = s.gainA, s.gainB, s.rounds
-	n.negotiatedSize, n.sinceReassign = s.negotiatedSize, s.sinceReassign
-	n.lastTurn, n.haveTurn = s.lastTurn, s.haveTurn
-	for _, id := range committed {
-		n.remaining[id] = true
-		// Prefs, vetoes, and bestAlt are untouched by planning, so
-		// re-counting restores the histograms to the pre-plan state.
-		n.selAdd(id)
-	}
-	n.order = append(n.order[:0], orderSnap...)
-}
-
-// runBatched is run() when Config.BatchAcceptHook is set: instead of
-// asking the counterpart about one proposal per round, the engine plans
-// the maximal run of proposals it would make if every one were accepted
-// and submits them as a batch. The plan is a faithful simulation of the
-// round loop (same decideTurn/propose/shouldStop code over the same
-// state), so applying the accepted prefix reproduces the unbatched
-// negotiation exactly; a veto truncates the batch at the vetoed
-// proposal, which is recorded and replanned around just as in run().
-//
-// A batch ends early at a reassignment boundary (preferences must be
-// recollected before further rounds can be planned) and is capped at
-// one proposal under CoinToss turns: planning ahead would draw turn
-// decisions from the Rng for proposals a veto may discard, desyncing
-// the stream from the serial reference.
-func (n *negotiation) runBatched() {
-	maxBatch := 0 // unlimited
-	if n.cfg.Turn == CoinToss {
-		maxBatch = 1
-	}
-	var (
-		batch     []Proposal
-		committed []int
-		orderSnap []int
-	)
-	for {
-		n.compactOrder()
-		if len(n.order) == 0 {
-			n.result.Stopped = StopAllNegotiated
-			return
-		}
-		snap := n.snapshot()
-		orderSnap = append(orderSnap[:0], n.order...)
-		batch, committed = batch[:0], committed[:0]
-		reason, stopped := n.planBatch(&batch, &committed, maxBatch)
-		n.restore(snap, committed, orderSnap)
-		if len(batch) == 0 {
-			// The very next round stops; no proposal ever reaches the
-			// counterpart.
-			n.result.Stopped = reason
-			return
-		}
-		accepted := n.cfg.BatchAcceptHook(batch)
-		if accepted > len(batch) {
-			accepted = len(batch)
-		}
-		if accepted < 0 {
-			accepted = 0
-		}
-		for _, p := range batch[:accepted] {
-			n.result.Transcript = append(n.result.Transcript, p)
-			n.result.Rounds++
-			n.lastTurn, n.haveTurn = p.Proposer, true
-			n.commit(p.ItemID, p.Alt, p.PrefA, p.PrefB)
-		}
-		if accepted < len(batch) {
-			// Proposal [accepted] was vetoed and the tail discarded.
-			p := batch[accepted]
-			p.Accepted = false
-			n.result.Transcript = append(n.result.Transcript, p)
-			n.result.Rounds++
-			n.lastTurn, n.haveTurn = p.Proposer, true
-			n.veto(p.ItemID, p.Alt)
-			continue
-		}
-		if stopped {
-			// Fully accepted and the simulation saw the stop condition
-			// fire on the round after the batch; the state after apply
-			// equals the simulated state, so the stop holds as derived.
-			n.result.Stopped = reason
-			return
-		}
-	}
-}
-
-// planBatch simulates rounds assuming every proposal is accepted,
-// appending to batch, until a stop condition fires (returned with
-// stopped=true), a reassignment boundary is crossed, or maxBatch
-// proposals are planned (stopped=false: more rounds may follow once the
-// batch is applied). Simulated commits touch only the bookkeeping that
-// decideTurn/propose/shouldStop read — gains, rounds, remaining, order,
-// traffic counters — never evaluators, assignments, or the transcript;
-// committed collects the IDs taken off the table so restore can put
-// them back.
-func (n *negotiation) planBatch(batch *[]Proposal, committed *[]int, maxBatch int) (StopReason, bool) {
-	for {
-		n.compactOrder()
-		if len(n.order) == 0 {
-			return StopAllNegotiated, true
-		}
-		proposer := n.decideTurn()
-		id, alt, ok := n.propose(proposer)
-		if !ok {
-			proposer = proposer.Other()
-			n.lastTurn = proposer
-			id, alt, ok = n.propose(proposer)
-		}
-		if !ok {
-			return StopNoJointGain, true
-		}
-		if reason, stop := n.shouldStop(id, alt); stop {
-			return reason, true
-		}
-		pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
-		*batch = append(*batch, Proposal{
-			Round: n.result.Rounds, Proposer: proposer, ItemID: id, Alt: alt,
-			PrefA: pA, PrefB: pB, Accepted: true,
-		})
-		n.result.Rounds++
-		n.remaining[id] = false
-		n.selRemove(id)
-		*committed = append(*committed, id)
-		n.result.GainA += pA
-		n.result.GainB += pB
-		size := n.items[id].Flow.Size
-		n.negotiatedSize += size
-		n.sinceReassign += size
-		if n.cfg.ReassignFraction > 0 && n.totalSize > 0 &&
-			n.sinceReassign >= n.cfg.ReassignFraction*n.totalSize {
-			// The real commit of this proposal refreshes preferences;
-			// nothing past it can be planned from the current tables.
-			return 0, false
-		}
-		if maxBatch > 0 && len(*batch) >= maxBatch {
-			return 0, false
-		}
-	}
-}
-
-// compactOrder drops already-negotiated IDs from the head of the order.
-func (n *negotiation) compactOrder() {
-	live := n.order[:0]
-	for _, id := range n.order {
-		if n.remaining[id] {
-			live = append(live, id)
-		}
-	}
-	n.order = live
-}
-
-// maxSelectedPref returns each side's highest preference class over the
-// alternatives that WOULD be selected for the remaining items under the
-// agreed (max-sum) criterion. This is what an ISP "perceives" about the
-// rest of the negotiation: alternatives the criterion will never pick do
-// not count as potential gain. With a cheating counterpart this is what
-// makes the truthful ISP walk away — its favorable alternatives are
-// still on the table but the distorted sums ensure they are never
-// selected (paper §5.4: "the negotiation terminates prematurely as the
-// truthful ISP stops when it sees no benefit for itself").
-// The histograms are maintained incrementally over exactly the items in
-// n.order (order is compacted to the remaining set before every caller),
-// so the scan is O(P) per round instead of O(remaining items).
-func (n *negotiation) maxSelectedPref() (maxA, maxB int) {
-	maxA, maxB = n.maxSelectedPrefHist()
-	if debugScanChecks {
-		wantA, wantB := n.maxSelectedPrefRef()
-		if maxA != wantA || maxB != wantB {
-			panic(fmt.Sprintf("nexit: maxSelectedPref mismatch: hist (%d,%d) ref (%d,%d)", maxA, maxB, wantA, wantB))
-		}
-	}
-	return maxA, maxB
-}
-
-func (n *negotiation) maxSelectedPrefHist() (maxA, maxB int) {
-	maxA, maxB = -1<<30, -1<<30
-	if n.selCount == 0 {
-		return maxA, maxB
-	}
-	for p := len(n.histA) - 1; p >= 0; p-- {
-		if n.histA[p] > 0 {
-			maxA = p - n.cfg.PrefBound
-			break
-		}
-	}
-	for p := len(n.histB) - 1; p >= 0; p-- {
-		if n.histB[p] > 0 {
-			maxB = p - n.cfg.PrefBound
-			break
-		}
-	}
-	return maxA, maxB
-}
-
-// maxSelectedPrefRef is the direct reference implementation, retained
-// for the debugScanChecks cross-verification.
-func (n *negotiation) maxSelectedPrefRef() (maxA, maxB int) {
-	maxA, maxB = -1<<30, -1<<30
-	for _, id := range n.order {
-		alt, _ := n.bestAlt(id)
-		if p := n.prefsA[id][alt]; p > maxA {
-			maxA = p
-		}
-		if p := n.prefsB[id][alt]; p > maxB {
-			maxB = p
-		}
-	}
-	return maxA, maxB
 }
 
 // shouldStop applies the stop policy to the concrete next proposal
 // (id, alt). See policies.go for the semantics.
-func (n *negotiation) shouldStop(id, alt int) (StopReason, bool) {
+func (n *negotiation) shouldStop(t *tally, id, alt int) (StopReason, bool) {
 	if n.cfg.Stop == StopNever {
 		return 0, false
 	}
-	pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
+	p := n.cfg.PrefBound
+	pA, pB := n.prefsA[id*n.numAlts+alt], n.prefsB[id*n.numAlts+alt]
 	// If even the best remaining combined gain is strictly negative, no
 	// joint gain remains. (Neutral, sum-zero proposals are allowed
 	// through: the default alternative always sums to zero, and with
 	// reassignment a neutral commitment can unlock later gains — the
 	// paper's Figure 3 walkthrough starts with exactly such a proposal.)
 	bestSum := pA + pB
-	if n.cfg.Propose != MaxSum && len(n.order) > 0 {
-		_, bestSum = n.bestAlt(n.order[0])
-		for _, cand := range n.order[1:] {
-			if _, s := n.bestAlt(cand); s > bestSum {
-				bestSum = s
-			}
-		}
+	if n.cfg.Propose != MaxSum {
+		bestSum = top(n.idx.histSum) - 2*p
 	}
 	if bestSum < 0 {
 		return StopNoJointGain, true
@@ -1037,17 +573,27 @@ func (n *negotiation) shouldStop(id, alt int) (StopReason, bool) {
 		// table stops rather than absorb a strictly negative proposal.
 		// Neutral proposals (class 0) are let through — the paper's
 		// Figure 3 walkthrough depends on an indifferent ISP accepting.
-		maxA, maxB := n.maxSelectedPref()
-		walkA := maxA <= 0 && pA < 0
+		//
+		// "Anywhere on the table" means over the alternatives that WOULD
+		// be selected for the remaining items under the agreed (max-sum)
+		// criterion — the index's class histograms. This is what an ISP
+		// "perceives" about the rest of the negotiation: alternatives the
+		// criterion will never pick do not count as potential gain. With
+		// a cheating counterpart this is what makes the truthful ISP walk
+		// away — its favorable alternatives are still on the table but
+		// the distorted sums ensure they are never selected (paper §5.4:
+		// "the negotiation terminates prematurely as the truthful ISP
+		// stops when it sees no benefit for itself").
+		walkA := top(n.idx.histA)-p <= 0 && pA < 0
 		if walkA && n.cfg.ExtraDeficitA > 0 {
 			// The side is repaying credit banked in earlier sessions
 			// (internal/credits): it keeps conceding down to its
 			// extended deficit bound instead of stopping at its peak.
-			walkA = n.result.GainA+pA < -n.cfg.ExtraDeficitA
+			walkA = t.gainA+pA < -n.cfg.ExtraDeficitA
 		}
-		walkB := maxB <= 0 && pB < 0
+		walkB := top(n.idx.histB)-p <= 0 && pB < 0
 		if walkB && n.cfg.ExtraDeficitB > 0 {
-			walkB = n.result.GainB+pB < -n.cfg.ExtraDeficitB
+			walkB = t.gainB+pB < -n.cfg.ExtraDeficitB
 		}
 		if walkA || walkB {
 			return StopSideCannotGain, true
@@ -1055,30 +601,67 @@ func (n *negotiation) shouldStop(id, alt int) (StopReason, bool) {
 	case StopWhilePositive:
 		// Full termination: continue while both cumulative gains would
 		// stay non-negative after this proposal.
-		if n.result.GainA+pA < 0 || n.result.GainB+pB < 0 {
+		if t.gainA+pA < 0 || t.gainB+pB < 0 {
 			return StopCumulativeLoss, true
 		}
 	}
 	return 0, false
 }
 
-// commit finalizes an accepted proposal.
-func (n *negotiation) commit(id, alt, pA, pB int) {
-	n.commits = append(n.commits, commitRecord{id: id, alt: alt, pA: pA, pB: pB})
-	n.remaining[id] = false
-	n.selRemove(id)
-	n.result.Assign[id] = alt
-	n.result.GainA += pA
-	n.result.GainB += pB
-	n.result.Negotiated++
-	it := n.items[id]
-	n.evalA.Commit(it, alt)
-	n.evalB.Commit(it, alt)
-	n.negotiatedSize += it.Flow.Size
-	n.sinceReassign += it.Flow.Size
-	if n.cfg.ReassignFraction > 0 && n.totalSize > 0 &&
-		n.sinceReassign >= n.cfg.ReassignFraction*n.totalSize {
-		n.sinceReassign = 0
-		n.refreshPrefs()
+// unwindDeficits rolls back trades at termination while either side's
+// cumulative gain is negative: the deficit side's most harmful committed
+// trade (ties: cheapest for the other side) reverts to the default, at
+// the classes the transcript recorded for it (preferences may have been
+// reassigned since). A reverted item sits at its default, so each trade
+// reverts at most once and the loop terminates; afterwards both gains
+// are >= 0 because a negative cumulative gain always contains a
+// negative-class trade. Combined with floor-rounded classes (every class
+// is a lower bound on the real improvement), non-negative final class
+// gains imply neither ISP's real metric ends worse than the default.
+func (n *negotiation) unwindDeficits() {
+	if n.cfg.Stop == StopNever {
+		return // all-flows mode trades social welfare deliberately
+	}
+	for {
+		sideA := false
+		switch {
+		case n.gainA < -n.cfg.ExtraDeficitA:
+			sideA = true
+		case n.gainB < -n.cfg.ExtraDeficitB:
+		default:
+			return
+		}
+		best := -1
+		var bestOwn, bestOther int
+		for i, p := range n.transcript {
+			if !p.Accepted || n.result.Assign[p.ItemID] != p.Alt || p.Alt == n.defaults[p.ItemID] {
+				continue
+			}
+			own, other := p.PrefA, p.PrefB
+			if !sideA {
+				own, other = p.PrefB, p.PrefA
+			}
+			if own >= 0 {
+				continue
+			}
+			if best == -1 || own < bestOwn || (own == bestOwn && other < bestOther) {
+				best, bestOwn, bestOther = i, own, other
+			}
+		}
+		if best == -1 {
+			return // no revertible harmful trade (cannot happen with gains < 0 over non-reverted trades)
+		}
+		p := n.transcript[best]
+		def := n.defaults[p.ItemID]
+		n.result.Assign[p.ItemID] = def
+		n.gainA -= p.PrefA
+		n.gainB -= p.PrefB
+		n.result.Reverted++
+		if r, ok := n.evalA.(Reverter); ok {
+			r.Revert(n.items[p.ItemID], p.Alt, def)
+		}
+		if r, ok := n.evalB.(Reverter); ok {
+			r.Revert(n.items[p.ItemID], p.Alt, def)
+		}
 	}
 }

@@ -120,18 +120,18 @@ func (p StopPolicy) String() string {
 }
 
 // decideTurn applies the turn policy.
-func (n *negotiation) decideTurn() Side {
+func (n *negotiation) decideTurn(t *tally) Side {
 	var s Side
 	switch n.cfg.Turn {
 	case LowerGain:
 		switch {
-		case n.result.GainA < n.result.GainB:
+		case t.gainA < t.gainB:
 			s = SideA
-		case n.result.GainB < n.result.GainA:
+		case t.gainB < t.gainA:
 			s = SideB
 		default:
-			if n.haveTurn {
-				s = n.lastTurn.Other()
+			if t.haveTurn {
+				s = t.lastTurn.Other()
 			} else {
 				s = SideA
 			}
@@ -143,388 +143,131 @@ func (n *negotiation) decideTurn() Side {
 			s = SideB
 		}
 	default: // Alternate
-		if n.haveTurn {
-			s = n.lastTurn.Other()
+		if t.haveTurn {
+			s = t.lastTurn.Other()
 		} else {
 			s = SideA
 		}
 	}
-	n.lastTurn, n.haveTurn = s, true
+	t.lastTurn, t.haveTurn = s, true
 	return s
 }
 
-// affordable reports whether (item, alt) may be proposed given the
-// cumulative-gain protections in force.
-//
-// Under early termination, a side may dip into a bounded cumulative
-// deficit — at most one full class unit (-P) below the default — and the
-// propose scan then prioritizes its recovery. The dip-and-recover
-// pattern is the paper's "trade minor losses on some flows for
-// significant gains on others" realized with alternating turns; the
-// bound keeps the worst case at one class unit, which in real-metric
-// terms is a single q90 delta — negligible against a whole workload, so
-// "negotiating carries no risk" holds in practice even though proposals
-// are always accepted.
-//
-// Under VetoIfLoss the proposer additionally self-censors candidates it
-// cannot strictly afford (the acceptor protects itself in accept()).
-func (n *negotiation) affordable(proposer Side, id, alt int) bool {
+// gate decides which cells of the proposal index a proposer may draw
+// from, given the cumulative gains: a cell is admitted when both classes
+// reach the side's floor and, for an off-default max-sum move, the joint
+// gain allows it.
+type gate struct {
+	// floorA and floorB are the lowest class each side can take.
+	//
+	// Under early termination, a side may dip into a bounded cumulative
+	// deficit — at most one full class unit (-P) below the default, plus
+	// its ExtraDeficit — and proposals then prioritize its recovery (see
+	// propose). The dip-and-recover pattern is the paper's "trade minor
+	// losses on some flows for significant gains on others" realized with
+	// alternating turns; the bound keeps the worst case at one class
+	// unit, which in real-metric terms is a single q90 delta — negligible
+	// against a whole workload, so "negotiating carries no risk" holds in
+	// practice even though proposals are always accepted.
+	//
+	// Under VetoIfLoss the proposer additionally self-censors candidates
+	// it cannot strictly afford (the acceptor protects itself in ask).
+	floorA, floorB int
+	// maxSum applies the max-sum policy's rules for moving a flow off its
+	// default: the move needs non-negative joint gain (with the
+	// asymmetric cardinal rounding, a class is never an underestimate of
+	// a loss, so a sum-zero move is at worst marginally harmful and
+	// usually beneficial); and a sum-zero move brings no joint class
+	// gain, so unlike a positive-sum one it may not dip either side into
+	// a deficit: each class must reach evenA / evenB, the class that
+	// leaves the side's cumulative gain at zero. The default alternative
+	// itself is exempt from both — staying put is always on offer.
+	maxSum       bool
+	evenA, evenB int
+}
+
+func (n *negotiation) gate(t *tally, proposer Side) gate {
+	g := gate{
+		floorA: -n.cfg.PrefBound, floorB: -n.cfg.PrefBound,
+		maxSum: n.cfg.Propose != BestLocal, evenA: -t.gainA, evenB: -t.gainB,
+	}
 	if n.cfg.Stop == StopEarly {
-		pa, pb := n.prefsA[id][alt], n.prefsB[id][alt]
-		boundA := -n.cfg.PrefBound - n.cfg.ExtraDeficitA
-		boundB := -n.cfg.PrefBound - n.cfg.ExtraDeficitB
-		if n.result.GainA+pa < boundA || n.result.GainB+pb < boundB {
-			return false
-		}
+		g.floorA = -n.cfg.PrefBound - n.cfg.ExtraDeficitA - t.gainA
+		g.floorB = -n.cfg.PrefBound - n.cfg.ExtraDeficitB - t.gainB
 	}
 	if n.cfg.Accept == VetoIfLoss {
 		if proposer == SideA {
-			return n.result.GainA+n.prefsA[id][alt] >= 0
+			g.floorA = max(g.floorA, g.evenA)
+		} else {
+			g.floorB = max(g.floorB, g.evenB)
 		}
-		return n.result.GainB+n.prefsB[id][alt] >= 0
 	}
-	return true
+	return g
+}
+
+// admits reports whether the gate lets classes (a, b) through, as the
+// default alternative or as a move off it.
+func (g *gate) admits(a, b int, isDefault bool) bool {
+	if a < g.floorA || b < g.floorB {
+		return false
+	}
+	return isDefault || !g.maxSum || a+b > 0 || (a+b == 0 && a >= g.evenA && b >= g.evenB)
 }
 
 // propose applies the propose policy for the given proposer and returns
 // the chosen (item, alternative). ok is false when nothing proposable
-// remains.
-func (n *negotiation) propose(proposer Side) (id, alt int, ok bool) {
-	own, other := n.prefsA, n.prefsB
-	if proposer == SideB {
-		own, other = n.prefsB, n.prefsA
-	}
-	switch n.cfg.Propose {
-	case BestLocal:
-		// Maximize own preference; break ties by minimizing harm to the
-		// other ISP, then by item/alternative index.
-		bestOwn, bestOther := -1<<30, -1<<30
-		id, alt = -1, -1
-		for _, cand := range n.order {
-			for k := 0; k < n.numAlts; k++ {
-				if (n.nVetoed > 0 && n.vetoed[[2]int{cand, k}]) || !n.affordable(proposer, cand, k) {
-					continue
-				}
-				o, t := own[cand][k], other[cand][k]
-				if o > bestOwn || (o == bestOwn && t > bestOther) {
-					bestOwn, bestOther, id, alt = o, t, cand, k
-				}
-			}
-		}
-		return id, alt, id >= 0
-	default: // MaxSum
-		// When a side is in cumulative deficit (it dipped to enable a
-		// large joint win), recovery comes first: restrict the scan to
-		// candidates strictly positive for the deficit side so its gain
-		// is repaired before further trades. Fall back to the normal
-		// scan if no recovery candidate is proposable.
-		if n.cfg.Stop == StopEarly {
-			if n.result.GainA < 0 {
-				if id, alt, ok := n.scanMaxSumDeficit(proposer, own, other, SideA); ok {
-					return id, alt, true
-				}
-			} else if n.result.GainB < 0 {
-				if id, alt, ok := n.scanMaxSumDeficit(proposer, own, other, SideB); ok {
-					return id, alt, true
-				}
-			}
-		}
-		return n.scanMaxSum(proposer, own, other, nil)
-	}
-}
-
-// debugScanChecks enables cross-verification of the cached fast scan and
-// the histogram-backed stop check against their direct reference loops,
-// panicking on any divergence. Tests flip it on; it stays false in
-// normal runs.
-var debugScanChecks = false
-
-// scanFastEligible reports whether the cached fast scan is exact in the
-// current gain state. With both cumulative gains non-negative, clamped
-// preferences (|p| <= P) can never trip the StopEarly deficit bounds in
-// affordable, and under VetoIfLoss gains of at least P make the
-// proposer's self-censoring vacuous — so affordability holds for every
-// candidate and the scan outcome depends on the gains only through the
-// sum-zero admission rule, which the cache evaluates exactly. Outside
-// these regimes scanMaxSum falls back to the reference loop.
-func (n *negotiation) scanFastEligible() bool {
-	if n.result.GainA < 0 || n.result.GainB < 0 {
-		return false
-	}
-	if n.cfg.Accept == VetoIfLoss &&
-		(n.result.GainA < n.cfg.PrefBound || n.result.GainB < n.cfg.PrefBound) {
-		return false
-	}
-	return true
-}
-
-// scanMaxSum finds the affordable, non-vetoed candidate maximizing the
-// combined preference sum, breaking ties with the proposer's own
-// preference, then the lowest item/alternative index. An optional extra
-// filter restricts the candidate set.
-//
-// The unfiltered scan in the common gain regimes dispatches to the
-// cached fast path; anything else runs the direct reference loop.
-func (n *negotiation) scanMaxSum(proposer Side, own, other [][]int, filter func(cand, k int) bool) (id, alt int, ok bool) {
-	if filter == nil && n.scanFastEligible() {
-		id, alt, ok = n.scanMaxSumFast(proposer)
-		if debugScanChecks {
-			wantID, wantAlt, wantOK := n.scanMaxSumRef(proposer, own, other, nil)
-			if id != wantID || alt != wantAlt || ok != wantOK {
-				panic(fmt.Sprintf("nexit: scanMaxSum mismatch: fast (%d,%d,%v) ref (%d,%d,%v)",
-					id, alt, ok, wantID, wantAlt, wantOK))
-			}
-		}
-		return id, alt, ok
-	}
-	return n.scanMaxSumRef(proposer, own, other, filter)
-}
-
-// scanMaxSumFast evaluates each candidate from its scanEntry: an O(1)
-// lookup of the cached strict-set best plus a walk of the (typically
-// empty) sum-zero list against the current gains, instead of an
-// O(numAlts) pass over both preference tables. Selection rule and
-// tie-breaks replicate the reference loop exactly; see scanEntry for the
-// argument.
-func (n *negotiation) scanMaxSumFast(proposer Side) (id, alt int, ok bool) {
-	id, alt = -1, -1
-	bestSum, bestOwn := -1<<30, -1<<30
-	ga, gb := n.result.GainA, n.result.GainB
-	for _, cand := range n.order {
-		if id >= 0 {
-			if _, s := n.bestAlt(cand); s < bestSum {
-				break
-			}
-		}
-		e := &n.scanCache[cand]
-		if !e.ok {
-			e = n.buildScanEntry(cand)
-		}
-		cOK, cs, cOwn, ck := e.strictOK, e.strictS, e.ownA, e.kA
-		if proposer == SideB {
-			cOwn, ck = e.ownB, e.kB
-		}
-		// Sum-zero candidates only matter while the strict best is not
-		// strictly positive. With prefA + prefB == 0 the both-gains-stay-
-		// non-negative admission collapses to -GainA <= prefA <= GainB.
-		if e.zeroLen > 0 && cs <= 0 {
-			zo := cand * n.numAlts
-			for i := 0; i < int(e.zeroLen); i++ {
-				pa := int(n.zeroPaBuf[zo+i])
-				if pa < -ga || pa > gb {
-					continue
-				}
-				zOwn, zk := pa, n.zeroKBuf[zo+i]
-				if proposer == SideB {
-					zOwn = -pa
-				}
-				switch {
-				case !cOK || cs < 0:
-					cOK, cs, cOwn, ck = true, 0, zOwn, zk
-				case zOwn > cOwn || (zOwn == cOwn && zk < ck):
-					// Equal (sum, own) resolves to the lowest k, matching
-					// the reference loop's first-wins updates.
-					cOwn, ck = zOwn, zk
-				}
-			}
-		}
-		if cOK && (cs > bestSum || (cs == bestSum && cOwn > bestOwn)) {
-			bestSum, bestOwn, id, alt = cs, cOwn, cand, int(ck)
-		}
-	}
-	return id, alt, id >= 0
-}
-
-// scanMaxSumDeficit is the recovery pass of propose: the max-sum scan
-// restricted to candidates the deficit side (dside, whose cumulative
-// gain is negative) strictly gains on. It dispatches to a cached fast
-// path when that is exact:
-//
-//   - the filter p_deficit > 0 plus the invariant that the deficit
-//     side's gain never fell below its own bound make the StopEarly
-//     affordability check vacuous for the deficit side;
-//   - the OTHER side's bound is vacuous whenever its gain is
-//     non-negative (clamped preferences cannot dip it past -P);
-//   - sum-zero candidates are admitted by the same gain window as the
-//     unfiltered scan, and with the deficit gain negative that window
-//     already forces the deficit side's preference positive — so the
-//     shared zero list applies unchanged.
-//
-// VetoIfLoss self-censoring and a doubly-negative gain state are not
-// covered by the cache; those run the reference loop.
-func (n *negotiation) scanMaxSumDeficit(proposer Side, own, other [][]int, dside Side) (id, alt int, ok bool) {
-	deficit := n.prefsA
-	otherGain := n.result.GainB
-	if dside == SideB {
-		deficit = n.prefsB
-		otherGain = n.result.GainA
-	}
-	if n.cfg.Accept == VetoIfLoss || otherGain < 0 {
-		return n.scanMaxSumRef(proposer, own, other, func(cand, k int) bool {
-			return deficit[cand][k] > 0
-		})
-	}
-	id, alt, ok = n.scanMaxSumDeficitFast(proposer, dside)
-	if debugScanChecks {
-		wantID, wantAlt, wantOK := n.scanMaxSumRef(proposer, own, other, func(cand, k int) bool {
-			return deficit[cand][k] > 0
-		})
-		if id != wantID || alt != wantAlt || ok != wantOK {
-			panic(fmt.Sprintf("nexit: scanMaxSumDeficit mismatch: fast (%d,%d,%v) ref (%d,%d,%v)",
-				id, alt, ok, wantID, wantAlt, wantOK))
-		}
-	}
-	return id, alt, ok
-}
-
-// scanMaxSumDeficitFast is scanMaxSumFast for the deficit-filtered scan,
-// reading the dA/dB strict tuples of the cache instead of the unfiltered
-// ones.
-func (n *negotiation) scanMaxSumDeficitFast(proposer Side, dside Side) (id, alt int, ok bool) {
-	id, alt = -1, -1
-	bestSum, bestOwn := -1<<30, -1<<30
-	ga, gb := n.result.GainA, n.result.GainB
-	for _, cand := range n.order {
-		if id >= 0 {
-			if _, s := n.bestAlt(cand); s < bestSum {
-				break
-			}
-		}
-		e := &n.scanCache[cand]
-		if !e.ok {
-			e = n.buildScanEntry(cand)
-		}
-		var (
-			cOK      bool
-			cs, cOwn int
-			ck       int32
-		)
-		if dside == SideA {
-			cOK, cs, cOwn, ck = e.dAOK, e.dAS, e.dAOwnA, e.dAKA
-			if proposer == SideB {
-				cOwn, ck = e.dAOwnB, e.dAKB
-			}
+// remains. MaxSum proposes from the set that maximizes the combined
+// class sum, breaking ties with the proposer's own class; BestLocal
+// maximizes the proposer's own class and breaks ties by the least harm
+// to the other ISP. Both then prefer the item with the higher best
+// combined sum, the lower ID and the lower alternative, which is the
+// order inside the index's cells.
+func (n *negotiation) propose(t *tally, proposer Side) (id, alt int, ok bool) {
+	g := n.gate(t, proposer)
+	// When a side is in cumulative deficit (it dipped to enable a large
+	// joint win), recovery comes first: restrict the choice to candidates
+	// strictly positive for the deficit side so its gain is repaired
+	// before further trades. Fall back to the plain choice if no recovery
+	// candidate is proposable.
+	if g.maxSum && n.cfg.Stop == StopEarly && (t.gainA < 0 || t.gainB < 0) {
+		r := g
+		if t.gainA < 0 {
+			r.floorA = max(r.floorA, 1)
 		} else {
-			cOK, cs, cOwn, ck = e.dBOK, e.dBS, e.dBOwnA, e.dBKA
-			if proposer == SideB {
-				cOwn, ck = e.dBOwnB, e.dBKB
-			}
+			r.floorB = max(r.floorB, 1)
 		}
-		if e.zeroLen > 0 && cs <= 0 {
-			zo := cand * n.numAlts
-			for i := 0; i < int(e.zeroLen); i++ {
-				pa := int(n.zeroPaBuf[zo+i])
-				if pa < -ga || pa > gb {
-					continue
-				}
-				zOwn, zk := pa, n.zeroKBuf[zo+i]
-				if proposer == SideB {
-					zOwn = -pa
-				}
-				switch {
-				case !cOK || cs < 0:
-					cOK, cs, cOwn, ck = true, 0, zOwn, zk
-				case zOwn > cOwn || (zOwn == cOwn && zk < ck):
-					cOwn, ck = zOwn, zk
-				}
-			}
-		}
-		if cOK && (cs > bestSum || (cs == bestSum && cOwn > bestOwn)) {
-			bestSum, bestOwn, id, alt = cs, cOwn, cand, int(ck)
+		if id, alt, ok = n.pick(proposer, &r); ok {
+			return id, alt, true
 		}
 	}
-	return id, alt, id >= 0
+	return n.pick(proposer, &g)
 }
 
-// scanMaxSumRef is the direct scan over the preference tables — the
-// reference semantics for scanMaxSumFast and the fallback for filtered
-// scans and uncommon gain regimes. The affordability conditions (see
-// affordable) are inlined with their gain- and config-derived bounds
-// hoisted out of the loop; the per-candidate preference rows are loaded
-// once. Check order within an iteration is immaterial — every clause is
-// a pure filter — so this computes exactly what the method-call form
-// did, just without re-deriving invariants per (candidate, alternative).
-func (n *negotiation) scanMaxSumRef(proposer Side, own, other [][]int, filter func(cand, k int) bool) (id, alt int, ok bool) {
-	// The order slice is sorted by best combined gain; once a candidate
-	// group can no longer match the best affordable sum found, stop
-	// scanning.
-	id, alt = -1, -1
-	bestSum, bestOwn := -1<<30, -1<<30
-	gA, gB := n.result.GainA, n.result.GainB
-	stopEarly := n.cfg.Stop == StopEarly
-	boundA := -n.cfg.PrefBound - n.cfg.ExtraDeficitA
-	boundB := -n.cfg.PrefBound - n.cfg.ExtraDeficitB
-	vetoIfLoss := n.cfg.Accept == VetoIfLoss
-	for _, cand := range n.order {
-		if id >= 0 {
-			if _, s := n.bestAlt(cand); s < bestSum {
-				break
+// pick walks the index's cells in the proposer's order of preference and
+// returns the first live entry of the first cell the gate admits. The
+// off-default and default cells of one class pair rank equally, so the
+// earlier of their two heads in the tie-break order wins.
+func (n *negotiation) pick(proposer Side, g *gate) (id, alt int, ok bool) {
+	x := &n.idx
+	for i := x.from[proposer]; i < len(x.walk[proposer]); i++ {
+		a, b := int(x.walk[proposer][i].a), int(x.walk[proposer][i].b)
+		c := n.cell(a, b)
+		off, hasOff := n.first(c)
+		def, hasDef := n.first(c + 1)
+		if !hasOff && !hasDef {
+			if i == x.from[proposer] {
+				x.from[proposer]++ // nothing comes back before the next build
 			}
+			continue
 		}
-		pa, pb, po := n.prefsA[cand], n.prefsB[cand], own[cand]
-		def := n.defaults[cand]
-		for k := 0; k < n.numAlts; k++ {
-			if n.nVetoed > 0 && n.vetoed[[2]int{cand, k}] {
-				continue
-			}
-			pak, pbk := pa[k], pb[k]
-			if stopEarly && (gA+pak < boundA || gB+pbk < boundB) {
-				continue
-			}
-			if vetoIfLoss {
-				// The proposer self-censors candidates it cannot afford.
-				if proposer == SideA {
-					if gA+pak < 0 {
-						continue
-					}
-				} else if gB+pbk < 0 {
-					continue
-				}
-			}
-			if filter != nil && !filter(cand, k) {
-				continue
-			}
-			s := pak + pbk
-			// Moving a flow off its default requires non-negative joint
-			// gain. (With the asymmetric cardinal rounding, a class is
-			// never an underestimate of a loss, so a sum-zero move is
-			// at worst marginally harmful and usually beneficial.)
-			if k != def && s < 0 {
-				continue
-			}
-			// Sum-zero trades bring no joint class gain, so unlike
-			// positive-sum trades they may not dip either side into a
-			// deficit: both cumulative gains must stay non-negative.
-			if k != def && s == 0 && (gA+pak < 0 || gB+pbk < 0) {
-				continue
-			}
-			if s > bestSum || (s == bestSum && po[k] > bestOwn) {
-				bestSum, bestOwn, id, alt = s, po[k], cand, k
-			}
+		hasOff = hasOff && g.admits(a, b, false)
+		hasDef = hasDef && g.admits(a, b, true)
+		if hasOff && (!hasDef || n.before(off, def)) {
+			return int(off.item), int(off.alt), true
+		}
+		if hasDef {
+			return int(def.item), int(def.alt), true
 		}
 	}
-	return id, alt, id >= 0
-}
-
-// accept applies the accept policy for the given acceptor.
-func (n *negotiation) accept(acceptor Side, id, alt int) bool {
-	if n.cfg.AcceptHook != nil {
-		return n.cfg.AcceptHook(acceptor, Proposal{
-			Round: n.result.Rounds, ItemID: id, Alt: alt,
-			Proposer: acceptor.Other(),
-			PrefA:    n.prefsA[id][alt], PrefB: n.prefsB[id][alt],
-		})
-	}
-	if n.cfg.Accept == AlwaysAccept {
-		return true
-	}
-	// VetoIfLoss: reject if acceptance would push cumulative gain
-	// negative.
-	var pref, gain int
-	if acceptor == SideA {
-		pref, gain = n.prefsA[id][alt], n.result.GainA
-	} else {
-		pref, gain = n.prefsB[id][alt], n.result.GainB
-	}
-	return gain+pref >= 0
+	return -1, -1, false
 }

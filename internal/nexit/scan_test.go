@@ -144,18 +144,3 @@ func TestEngineGridGolden(t *testing.T) {
 			strings.TrimSpace(got), strings.TrimSpace(string(want)))
 	}
 }
-
-// TestScanFastMatchesReference drives the engine across the policy grid
-// with debugScanChecks enabled, so every propose scan cross-checks the
-// cached fast path against the direct reference loop and every stop
-// check cross-checks the histogram against the O(items) scan. Any
-// divergence panics inside the engine, failing the test.
-func TestScanFastMatchesReference(t *testing.T) {
-	debugScanChecks = true
-	defer func() { debugScanChecks = false }()
-	forEachGridTrial(func(trial int, g gridTrial) {
-		if _, err := Negotiate(g.cfg, g.mk(), g.mk(), g.items, g.defaults, g.numAlts); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	})
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -779,7 +780,10 @@ func (s *session) sendEnc(t MsgType, payload []byte) error {
 func (s *session) recv() (MsgType, []byte, error) {
 	now := time.Now()
 	if now.Sub(s.armedRead) > s.timeout>>2 {
-		if err := s.conn.SetReadDeadline(now.Add(s.timeout)); err != nil {
+		// net.Pipe refuses a deadline once either end is closed. The read
+		// below cannot block then, and it tells the two apart: a peer that
+		// hung up between sessions must surface as io.EOF.
+		if err := s.conn.SetReadDeadline(now.Add(s.timeout)); err != nil && !errors.Is(err, io.ErrClosedPipe) {
 			return 0, nil, err
 		}
 		s.armedRead = now
