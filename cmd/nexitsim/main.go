@@ -108,9 +108,11 @@ func main() {
 	// effectively-full runs: a biting -max-pairs subset touches few
 	// ISPs, and warming all of them would make cold start O(dataset)
 	// again — the lazy TableCache computes exactly the tables the
-	// subset needs. A cap at or above every eligible pair count selects
-	// everything, so warm then too.
-	if n := *maxPairs; n <= 0 || (n >= len(ds.DistancePairs()) && n >= len(ds.BandwidthPairs())) {
+	// subset needs. A cap at or above the distance pair count selects
+	// everything, so warm then too; the bandwidth pairs are a subset of
+	// the distance pairs, so one comparison decides. The enumeration is
+	// not spent: the Dataset keeps it for the drivers.
+	if n := *maxPairs; n <= 0 || n >= len(ds.DistancePairs()) {
 		ds.Warm(*workers)
 	}
 

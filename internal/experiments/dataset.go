@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/gen"
 	"repro/internal/pairsim"
@@ -16,9 +17,18 @@ import (
 )
 
 // Dataset is the loaded ISP dataset plus a shared routing-table cache.
+// The zero value of the unexported fields is ready to use, so a literal
+// &Dataset{ISPs: ..., Cache: ...} works; ISPs must not change after the
+// first DistancePairs or BandwidthPairs call, and a Dataset must not be
+// copied after it.
 type Dataset struct {
 	ISPs  []*topology.ISP
 	Cache *pairsim.TableCache
+
+	// The pair universe is enumerated once per Dataset: every driver,
+	// Inventory and nexitsim's warm decision share these two lists.
+	distanceOnce, bandwidthOnce sync.Once
+	distance, bandwidth         []*topology.Pair
 }
 
 // LoadDefault generates the default 65-ISP dataset (DESIGN.md §4).
@@ -50,16 +60,30 @@ func FromISPs(isps []*topology.ISP) *Dataset {
 
 // DistancePairs returns the pairs eligible for the distance experiments:
 // at least two interconnections, logical-mesh topologies excluded
-// (paper §5.1; 229 pairs in the measured dataset).
+// (paper §5.1; 229 pairs in the measured dataset). The list is computed
+// on the first call and every call returns the same slice: it is shared
+// and read-only — callers must not reorder, overwrite or append to it,
+// nor modify the pairs it points to.
 func (d *Dataset) DistancePairs() []*topology.Pair {
-	return topology.AllPairs(d.ISPs, 2, true)
+	d.distanceOnce.Do(func() { d.distance = topology.AllPairs(d.ISPs, 2, true) })
+	return d.distance
 }
 
 // BandwidthPairs returns the pairs eligible for the failure experiments:
 // at least three interconnections, so at least two survive a failure
-// (paper §5.2; 247 pairs in the measured dataset).
+// (paper §5.2; 247 pairs in the measured dataset). It is the subsequence
+// of DistancePairs with three or more — the same *Pair values in the
+// same order, so the list equals topology.AllPairs(ISPs, 3, true) index
+// for index — computed on the first call, shared and read-only like it.
 func (d *Dataset) BandwidthPairs() []*topology.Pair {
-	return topology.AllPairs(d.ISPs, 3, true)
+	d.bandwidthOnce.Do(func() {
+		for _, p := range d.DistancePairs() {
+			if p.NumInterconnections() >= 3 {
+				d.bandwidth = append(d.bandwidth, p)
+			}
+		}
+	})
+	return d.bandwidth
 }
 
 // Options bounds an experiment run.
@@ -104,38 +128,76 @@ func (d *Dataset) Warm(workers int) { d.Cache.Warm(d.ISPs, workers) }
 
 // selectPairs applies MaxPairs subsampling. Selection is keyed rather
 // than shuffled: each pair index draws a deterministic key from
-// (Seed, index) via the runner's splitmix64 mix — computed across
-// Options.Workers goroutines — and the MaxPairs smallest keys win, in
-// dataset order. Like the historical seeded shuffle, subsets are
-// unbiased and reproducible in Seed alone; unlike it, key derivation
-// has no serial RNG stream, so cold-start scales with cores, and
-// subsets nest (the MaxPairs=k selection is a prefix-by-key of the
-// MaxPairs=k+1 selection).
+// (Seed, index) via the runner's splitmix64 mix and the MaxPairs
+// smallest (key, index) win, in dataset order. Like the historical
+// seeded shuffle, subsets are unbiased and reproducible in Seed alone;
+// unlike it, subsets nest (the MaxPairs=k selection is a prefix-by-key
+// of the MaxPairs=k+1 selection) and selecting costs one pass over the
+// list plus O(MaxPairs) memory: the winners are held in a max-heap of
+// MaxPairs entries whose root is the largest key still selected, and a
+// later index displaces it only when its key is smaller. The input is
+// never reordered (it is the Dataset's shared list); pairs itself is
+// returned when the cap does not bite.
 func selectPairs(pairs []*topology.Pair, opt Options) []*topology.Pair {
-	if opt.MaxPairs <= 0 || opt.MaxPairs >= len(pairs) {
+	k := opt.MaxPairs
+	if k <= 0 || k >= len(pairs) {
 		return pairs
 	}
-	keys := make([]int64, len(pairs))
-	runner.ForEachIndex(len(pairs), opt.Workers, func(i int) {
-		keys[i] = runner.PairSeed(opt.Seed, i)
-	})
-	order := make([]int, len(pairs))
-	for i := range order {
-		order[i] = i
+	heap := make([]keyedIndex, k)
+	for i := range heap {
+		heap[i] = keyedIndex{runner.PairSeed(opt.Seed, i), i}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for i := k; i < len(pairs); i++ {
+		if e := (keyedIndex{runner.PairSeed(opt.Seed, i), i}); e.less(heap[0]) {
+			heap[0] = e
+			siftDown(heap, 0)
 		}
-		return order[a] < order[b]
-	})
-	sel := append([]int(nil), order[:opt.MaxPairs]...)
+	}
+	sel := make([]int, k)
+	for i, e := range heap {
+		sel[i] = e.index
+	}
 	sort.Ints(sel) // present the subset in dataset order
-	out := make([]*topology.Pair, len(sel))
+	out := make([]*topology.Pair, k)
 	for i, idx := range sel {
 		out[i] = pairs[idx]
 	}
 	return out
+}
+
+// keyedIndex is a pair index under its selection key; indices break
+// key ties, so the order is total.
+type keyedIndex struct {
+	key   int64
+	index int
+}
+
+func (a keyedIndex) less(b keyedIndex) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.index < b.index
+}
+
+// siftDown restores the max-heap property of h below position i.
+func siftDown(h []keyedIndex, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c].less(h[c+1]) {
+			c++
+		}
+		if !h[i].less(h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Inventory summarizes the dataset, mirroring the counts the paper
