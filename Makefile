@@ -9,11 +9,12 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and a short snapshot-decode fuzz burst.
+# snapshot-based) and short snapshot decode and restore fuzz bursts.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
 	go test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapshot/
+	go test -run '^$$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 20s ./internal/continuous/
 
 # The one measurement path: seven named workloads, end-to-end and
 # per-layer metrics, one JSON document on stdout (bench/README.md).

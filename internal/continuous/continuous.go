@@ -115,9 +115,11 @@ type Controller struct {
 	// evaluators (NewEvaluator), as the simulations do.
 	Negotiate Negotiator
 
-	// applied is the currently installed interconnection per flow key.
-	applied map[key]int
-	epoch   int
+	// slots is the pair's flow table, one entry per (dir, src, dst) at
+	// slotIndex: the A->B flows (src in A, dst in B) then the B->A flows,
+	// so index order is the snapshot's canonical (Dir, Src, Dst) order.
+	slots []slot
+	epoch int
 
 	// capA and capB are the per-link capacities of each ISP's own
 	// network (A's links, B's links), derived once from the pair's base
@@ -140,23 +142,58 @@ type Controller struct {
 	// serialization guarantee. The engine and wire layer never retain
 	// these past the epoch's session.
 	obsScratch      []obs
-	negotiableSet   map[flowid.Signature]bool
 	itemsScratch    []nexit.Item
 	defaultsScratch []int
-	keysScratch     []key
+	slotScratch     []int
+}
+
+// slot is one flow's state across epochs. flow is the registry's handle,
+// tracked at the first observation and again when the registry has
+// dropped the entry (idle expiry, snapshot restore) and the flow returns.
+// alt is the installed interconnection, -1 while never negotiated; it
+// outlives the registry entry, so a returning flow resumes from the path
+// it was left on.
+type slot struct {
+	flow *flowid.Flow
+	alt  int32
 }
 
 // obs is one observed flow of an epoch (see Epoch step 1).
 type obs struct {
-	k    key
+	slot int
+	dir  nexit.Direction
 	flow traffic.Flow
-	sig  flowid.Signature
 }
 
-// key identifies a flow across epochs.
-type key struct {
-	dir      nexit.Direction
-	src, dst int
+// newSlots returns the empty flow table of a pair.
+func newSlots(sys *pairsim.System) []slot {
+	slots := make([]slot, 2*len(sys.Pair.A.PoPs)*len(sys.Pair.B.PoPs))
+	for i := range slots {
+		slots[i].alt = -1
+	}
+	return slots
+}
+
+// slotIndex locates a flow in the table, or reports that (dir, src, dst)
+// is not a flow of this pair.
+func (c *Controller) slotIndex(dir nexit.Direction, src, dst int) (int, error) {
+	nSrc, nDst, base := len(c.Sys.Pair.A.PoPs), len(c.Sys.Pair.B.PoPs), 0
+	if dir == nexit.BtoA {
+		nSrc, nDst, base = nDst, nSrc, nSrc*nDst
+	}
+	if dir > nexit.BtoA || uint(src) >= uint(nSrc) || uint(dst) >= uint(nDst) {
+		return 0, fmt.Errorf("flow (dir %d, src %d, dst %d) is not between PoPs of %v", dir, src, dst, c.Sys.Pair)
+	}
+	return base + src*nDst + dst, nil
+}
+
+// slotKey is slotIndex's inverse.
+func (c *Controller) slotKey(i int) (dir nexit.Direction, src, dst int) {
+	nDst := len(c.Sys.Pair.B.PoPs)
+	if half := len(c.slots) / 2; i >= half {
+		dir, i, nDst = nexit.BtoA, i-half, len(c.Sys.Pair.A.PoPs)
+	}
+	return dir, i / nDst, i % nDst
 }
 
 // EpochReport summarizes one controller epoch.
@@ -260,7 +297,7 @@ func NewWithMetricShared(sys *pairsim.System, p int, metric Metric, caps *Capaci
 		Metric:   metric,
 		Registry: flowid.NewRegistry(0.5, 1, 3),
 		Ledger:   credits.NewLedger(2 * p),
-		applied:  make(map[key]int),
+		slots:    newSlots(sys),
 	}
 	if metric != MetricDistance {
 		c.capA, c.capB = caps.get(c.Sys, c.Rev)
@@ -335,53 +372,55 @@ func (c *Controller) NewEvaluator(side nexit.Side) nexit.Evaluator {
 // ones, and leaves the rest on their current (or early-exit) path.
 func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 	rep := &EpochReport{Epoch: c.epoch}
+	systems := [2]*pairsim.System{nexit.AtoB: c.Sys, nexit.BtoA: c.Rev}
 
-	// 1. Observe traffic; the registry decides which flows are stable
-	// enough to negotiate.
+	// 1. Observe traffic through each flow's slot; the registry decides
+	// which flows are stable enough to negotiate.
 	all := c.obsScratch[:0]
-	record := func(f traffic.Flow, dir nexit.Direction) {
-		k := key{dir: dir, src: f.Src, dst: f.Dst}
-		sig := flowid.Signature{
-			Src:     flowid.Prefix{Addr: uint32(f.Src) << 16, Bits: 16},
-			Dst:     flowid.Prefix{Addr: 0x80000000 | uint32(f.Dst)<<16, Bits: 16},
-			Ingress: uint64(dir)<<32 | uint64(f.Src)<<16 | uint64(f.Dst),
+	for d, w := range [2]*traffic.Workload{wAB, wBA} {
+		dir := nexit.Direction(d)
+		for _, f := range w.Flows {
+			i, err := c.slotIndex(dir, f.Src, f.Dst)
+			if err != nil {
+				return nil, fmt.Errorf("continuous: epoch %d: %w", c.epoch, err)
+			}
+			sl := &c.slots[i]
+			if !sl.flow.Live() {
+				sl.flow = c.Registry.Track(flowid.Signature{
+					Src:     flowid.Prefix{Addr: uint32(f.Src) << 16, Bits: 16},
+					Dst:     flowid.Prefix{Addr: 0x80000000 | uint32(f.Dst)<<16, Bits: 16},
+					Ingress: uint64(dir)<<32 | uint64(f.Src)<<16 | uint64(f.Dst),
+				})
+			}
+			c.Registry.ObserveFlow(sl.flow, f.Size, c.epoch)
+			all = append(all, obs{slot: i, dir: dir, flow: f})
 		}
-		c.Registry.Observe(sig, f.Size, c.epoch)
-		all = append(all, obs{k: k, flow: f, sig: sig})
-	}
-	for _, f := range wAB.Flows {
-		record(f, nexit.AtoB)
-	}
-	for _, f := range wBA.Flows {
-		record(f, nexit.BtoA)
 	}
 	c.obsScratch = all
 	rep.Observed = len(all)
 	rep.Expired = len(c.Registry.Expire(c.epoch))
 
-	// 2. Build the negotiation table from the stable flows.
-	if c.negotiableSet == nil {
-		c.negotiableSet = make(map[flowid.Signature]bool)
-	}
-	negotiable := c.negotiableSet
-	clear(negotiable)
-	for _, fi := range c.Registry.Negotiable() {
-		negotiable[fi.Sig] = true
-	}
+	// 2. Build the negotiation table from the stable flows, each
+	// defaulting to its installed path (early-exit before the first).
 	items := c.itemsScratch[:0]
 	defaults := c.defaultsScratch[:0]
-	keys := c.keysScratch[:0]
+	slotOf := c.slotScratch[:0]
 	for _, o := range all {
-		if !negotiable[o.sig] {
+		sl := c.slots[o.slot]
+		if !sl.flow.Negotiable() {
 			continue
 		}
 		f := o.flow
 		f.ID = len(items)
-		items = append(items, nexit.Item{ID: f.ID, Flow: f, Dir: o.k.dir})
-		defaults = append(defaults, c.currentChoice(o.k, f))
-		keys = append(keys, o.k)
+		alt := int(sl.alt)
+		if alt < 0 {
+			alt = systems[o.dir].EarlyExit(f)
+		}
+		items = append(items, nexit.Item{ID: f.ID, Flow: f, Dir: o.dir})
+		defaults = append(defaults, alt)
+		slotOf = append(slotOf, o.slot)
 	}
-	c.itemsScratch, c.defaultsScratch, c.keysScratch = items, defaults, keys
+	c.itemsScratch, c.defaultsScratch, c.slotScratch = items, defaults, slotOf
 	rep.Negotiated = len(items)
 
 	// 3. Negotiate with the ledger-adjusted configuration. A remote
@@ -410,11 +449,11 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 			rep.Assign = append([]int(nil), res.Assign...)
 		}
 		rep.GainA, rep.GainB = res.GainA, res.GainB
-		for i, k := range keys {
+		for i, si := range slotOf {
 			if res.Assign[i] != defaults[i] {
 				rep.Moved++
 			}
-			c.applied[k] = res.Assign[i]
+			c.slots[si].alt = int32(res.Assign[i])
 		}
 	}
 	rep.LedgerBalance = c.Ledger.Balance
@@ -422,13 +461,13 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 	// 4. Account the epoch: distance under pure early-exit vs under the
 	// applied assignments.
 	for _, o := range all {
-		f := o.flow
-		sys := c.Sys
-		if o.k.dir == nexit.BtoA {
-			sys = c.Rev
+		sys := systems[o.dir]
+		km := sys.TotalDistKm(o.flow, sys.EarlyExit(o.flow))
+		rep.DistanceDefault += km
+		if alt := c.slots[o.slot].alt; alt >= 0 {
+			km = sys.TotalDistKm(o.flow, int(alt))
 		}
-		rep.DistanceDefault += sys.TotalDistKm(f, sys.EarlyExit(f))
-		rep.DistanceApplied += sys.TotalDistKm(f, c.currentChoice(o.k, f))
+		rep.DistanceApplied += km
 	}
 	c.epoch++
 	return rep, nil
@@ -462,18 +501,6 @@ func (c *Controller) SeekEpoch(n int, workloads WorkloadFunc) error {
 		}
 	}
 	return nil
-}
-
-// currentChoice returns the installed interconnection for a flow, or its
-// early-exit default when it has never been negotiated.
-func (c *Controller) currentChoice(k key, f traffic.Flow) int {
-	if alt, ok := c.applied[k]; ok {
-		return alt
-	}
-	if k.dir == nexit.AtoB {
-		return c.Sys.EarlyExit(f)
-	}
-	return c.Rev.EarlyExit(f)
 }
 
 // Drift returns a copy of the workload with flow sizes perturbed

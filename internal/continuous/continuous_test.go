@@ -3,6 +3,7 @@ package continuous
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 	"repro/internal/traffic"
 )
 
-func testSystem(t *testing.T) *pairsim.System {
+// testISPs generates the 10-ISP universe the package's tests share.
+func testISPs(t testing.TB) []*topology.ISP {
 	t.Helper()
 	cfg := gen.DefaultConfig()
 	cfg.NumISPs = 10
@@ -21,7 +23,12 @@ func testSystem(t *testing.T) *pairsim.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := topology.AllPairs(isps, 2, true)
+	return isps
+}
+
+func testSystem(t testing.TB) *pairsim.System {
+	t.Helper()
+	pairs := topology.AllPairs(testISPs(t), 2, true)
 	if len(pairs) == 0 {
 		t.Fatal("no pairs")
 	}
@@ -352,5 +359,178 @@ func TestCapacityCacheShared(t *testing.T) {
 	// Distance controllers don't touch the cache (no capacities).
 	if c, err := NewWithMetricShared(sys, 10, MetricDistance, caps); err != nil || c.capA != nil {
 		t.Fatalf("distance controller built capacities (err=%v)", err)
+	}
+}
+
+// TestEpochRejectsForeignFlow: a workload naming a PoP the pair does not
+// have is a labelled error and the epoch does not advance; the
+// controller carries on with the next good workload.
+func TestEpochRejectsForeignFlow(t *testing.T) {
+	sys := testSystem(t)
+	wAB := traffic.New(sys.Pair.A, sys.Pair.B, traffic.Gravity, nil)
+	wBA := traffic.New(sys.Pair.B, sys.Pair.A, traffic.Gravity, nil)
+	nA, nB := len(sys.Pair.A.PoPs), len(sys.Pair.B.PoPs)
+	if nA == nB {
+		t.Fatal("test pair is square; a swapped direction would go unnoticed")
+	}
+	for name, f := range map[string]traffic.Flow{
+		"src past A":   {Src: nA, Dst: 0, Size: 1},
+		"dst past B":   {Src: 0, Dst: nB, Size: 1},
+		"negative src": {Src: -1, Dst: 0, Size: 1},
+		"negative dst": {Src: 0, Dst: -1, Size: 1},
+	} {
+		c := New(sys, 10)
+		if _, err := c.Epoch(wAB, wBA); err != nil {
+			t.Fatal(err)
+		}
+		bad := &traffic.Workload{Flows: append(append([]traffic.Flow(nil), wAB.Flows...), f)}
+		_, err := c.Epoch(bad, wBA)
+		if err == nil || !strings.Contains(err.Error(), "continuous: epoch 1:") {
+			t.Errorf("%s: Epoch error = %v, want a labelled epoch-1 error", name, err)
+		}
+		if c.EpochIndex() != 1 {
+			t.Errorf("%s: epoch advanced to %d on a rejected workload", name, c.EpochIndex())
+		}
+		if rep, err := c.Epoch(wAB, wBA); err != nil || rep.Epoch != 1 {
+			t.Errorf("%s: controller did not carry on: %+v, %v", name, rep, err)
+		}
+	}
+	// The B->A half of the table is B x A, not A x B: its corner flow is
+	// accepted there and, the pair not being square, nowhere else.
+	last := traffic.Flow{Src: nB - 1, Dst: nA - 1, Size: 1}
+	c := New(sys, 10)
+	if _, err := c.Epoch(&traffic.Workload{}, &traffic.Workload{Flows: []traffic.Flow{last}}); err != nil {
+		t.Errorf("legal B->A corner flow rejected: %v", err)
+	}
+	if _, err := c.Epoch(&traffic.Workload{Flows: []traffic.Flow{last}}, &traffic.Workload{}); err == nil {
+		t.Error("B->A corner flow accepted in the A->B direction")
+	}
+}
+
+// TestExpiredFlowIsRetracked: a flow that idles past IdleTimeout drops
+// out of the registry, and when it returns it is tracked afresh — it
+// waits out the stability window again — while its installed path
+// survives. The same history with the controller restored from its own
+// snapshot mid-idle, after the expiry, and after the return must be
+// report-for-report identical.
+func TestExpiredFlowIsRetracked(t *testing.T) {
+	sys := testSystem(t)
+	wAB := traffic.New(sys.Pair.A, sys.Pair.B, traffic.Gravity, nil)
+	wBA := traffic.New(sys.Pair.B, sys.Pair.A, traffic.Gravity, nil)
+	big := 0
+	for i, f := range wAB.Flows {
+		if f.Size > wAB.Flows[big].Size {
+			big = i
+		}
+	}
+	idle := &traffic.Workload{Upstream: wAB.Upstream, Downstream: wAB.Downstream}
+	idle.Flows = append(append(idle.Flows, wAB.Flows[:big]...), wAB.Flows[big+1:]...)
+	// Seen through epoch 2, away for 3..7 (expires at 6, when 6-2 exceeds
+	// the timeout of 3), back from 8.
+	const away, expiry, back, total = 3, 6, 8, 11
+	workloads := func(epoch int) (*traffic.Workload, *traffic.Workload) {
+		if epoch >= away && epoch < back {
+			return idle, wBA
+		}
+		return wAB, wBA
+	}
+	run := func(restoreAt int) ([]*EpochReport, []int) {
+		c := New(sys, 10)
+		var reps []*EpochReport
+		var tracked []int
+		for epoch := 0; epoch < total; epoch++ {
+			if epoch == restoreAt {
+				if err := c.RestoreSnapshot(c.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := c.Epoch(workloads(epoch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+			tracked = append(tracked, c.Registry.Len())
+			if applied := len(c.Snapshot().Applied); epoch >= away && applied != reps[away-1].Negotiated {
+				t.Errorf("restore at %d, epoch %d: %d installed paths, want the %d negotiated before the flow left",
+					restoreAt, epoch, applied, reps[away-1].Negotiated)
+			}
+		}
+		return reps, tracked
+	}
+
+	reps, tracked := run(-1)
+	all := len(wAB.Flows) + len(wBA.Flows)
+	full := reps[away-1].Negotiated
+	for epoch, rep := range reps {
+		wantExpired, wantTracked, wantNegotiated := 0, all, full
+		switch {
+		case epoch == 0:
+			wantNegotiated = 0 // nothing is stable yet
+		case epoch >= away && epoch < expiry:
+			wantNegotiated = full - 1 // idle but still tracked
+		case epoch >= expiry && epoch < back:
+			wantTracked, wantNegotiated = all-1, full-1
+		case epoch == back:
+			wantNegotiated = full - 1 // tracked afresh: not yet stable again
+		}
+		if epoch == expiry {
+			wantExpired = 1
+		}
+		if rep.Expired != wantExpired || tracked[epoch] != wantTracked || rep.Negotiated != wantNegotiated {
+			t.Errorf("epoch %d: expired %d, tracked %d, negotiated %d; want %d, %d, %d",
+				epoch, rep.Expired, tracked[epoch], rep.Negotiated, wantExpired, wantTracked, wantNegotiated)
+		}
+	}
+	for _, restoreAt := range []int{away + 1, expiry + 1, back + 1} {
+		got, gotTracked := run(restoreAt)
+		if !reflect.DeepEqual(got, reps) || !reflect.DeepEqual(gotTracked, tracked) {
+			t.Errorf("restoring at epoch %d changed the history", restoreAt)
+		}
+	}
+}
+
+// TestEpochAllocsIndependentOfFlows guards the flow table: with the
+// negotiation stubbed out, what an epoch allocates (its report, the
+// report's assignment copy, ledger history growth) does not depend on
+// how many flows it observed — no per-flow map entry, set or sort.
+func TestEpochAllocsIndependentOfFlows(t *testing.T) {
+	sys := testSystem(t)
+	wAB := traffic.New(sys.Pair.A, sys.Pair.B, traffic.Gravity, nil)
+	wBA := traffic.New(sys.Pair.B, sys.Pair.A, traffic.Gravity, nil)
+	few, none := &traffic.Workload{}, &traffic.Workload{}
+	for _, f := range wAB.Flows {
+		if f.Size >= 1 && len(few.Flows) < 8 { // above the registry's threshold
+			few.Flows = append(few.Flows, f)
+		}
+	}
+	if len(wAB.Flows)+len(wBA.Flows) < 40*len(few.Flows) {
+		t.Fatalf("test pair has only %d flows", len(wAB.Flows)+len(wBA.Flows))
+	}
+	perEpoch := func(wAB, wBA *traffic.Workload) float64 {
+		c := New(sys, 10)
+		res := &nexit.Result{}
+		negotiated := 0
+		c.Negotiate = func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
+			negotiated = len(items)
+			res.Assign = defaults
+			return res, nil
+		}
+		epoch := func() {
+			if _, err := c.Epoch(wAB, wBA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // track and promote every flow, size the scratch
+			epoch()
+		}
+		if negotiated == 0 {
+			t.Fatal("no flow reached the table")
+		}
+		return testing.AllocsPerRun(50, epoch)
+	}
+	small, large := perEpoch(few, none), perEpoch(wAB, wBA)
+	if large > small+1 { // +1: the ledger history's amortised growth can round either way
+		t.Errorf("an epoch over %d flows allocates %.0f times, over %d flows %.0f times",
+			len(wAB.Flows)+len(wBA.Flows), large, len(few.Flows), small)
 	}
 }

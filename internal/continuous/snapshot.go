@@ -3,7 +3,6 @@ package continuous
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/credits"
 	"repro/internal/flowid"
@@ -67,22 +66,13 @@ func (c *Controller) Snapshot() *snapshot.State {
 			}
 		}
 	}
-	if len(c.applied) > 0 {
-		st.Applied = make([]snapshot.Assignment, 0, len(c.applied))
-		for k, alt := range c.applied {
-			st.Applied = append(st.Applied, snapshot.Assignment{
-				Dir: uint8(k.dir), Src: int64(k.src), Dst: int64(k.dst), Alt: int64(alt),
-			})
+	for i, sl := range c.slots { // index order is canonical (Dir, Src, Dst) order
+		if sl.alt < 0 {
+			continue
 		}
-		sort.Slice(st.Applied, func(i, j int) bool {
-			a, b := st.Applied[i], st.Applied[j]
-			if a.Dir != b.Dir {
-				return a.Dir < b.Dir
-			}
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.Dst < b.Dst
+		dir, src, dst := c.slotKey(i)
+		st.Applied = append(st.Applied, snapshot.Assignment{
+			Dir: uint8(dir), Src: int64(src), Dst: int64(dst), Alt: int64(sl.alt),
 		})
 	}
 	return st
@@ -92,9 +82,11 @@ func (c *Controller) Snapshot() *snapshot.State {
 // previously captured snapshot, leaving everything derived from
 // (system, metric) — capacities, cached evaluators, scratch — alone.
 // The snapshot must have been captured under the same configuration:
-// metric, registry policy knobs, and credit cap are all validated, and
-// a mismatch is rejected without touching any state (the caller falls
-// back to an older snapshot or epoch-0 replay).
+// metric, registry policy knobs, and credit cap are all validated, as
+// is every applied assignment against the pair (a flow between its PoPs,
+// an alternative it has), and a mismatch is rejected without touching
+// any state (the caller falls back to an older snapshot or epoch-0
+// replay).
 func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 	switch {
 	case st == nil:
@@ -112,6 +104,18 @@ func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 			st.Ledger.MaxCredit, c.Ledger.MaxCredit)
 	case st.Epoch > math.MaxInt/2:
 		return fmt.Errorf("continuous: snapshot epoch %d out of range", st.Epoch)
+	}
+	slots := newSlots(c.Sys)
+	for _, a := range st.Applied {
+		i, err := c.slotIndex(nexit.Direction(a.Dir), int(a.Src), int(a.Dst))
+		if err != nil {
+			return fmt.Errorf("continuous: snapshot assignment: %w", err)
+		}
+		if a.Alt < 0 || a.Alt >= int64(c.Sys.NumAlternatives()) {
+			return fmt.Errorf("continuous: snapshot assigns flow (dir %d, src %d, dst %d) alternative %d of %d",
+				a.Dir, a.Src, a.Dst, a.Alt, c.Sys.NumAlternatives())
+		}
+		slots[i].alt = int32(a.Alt)
 	}
 
 	flows := make([]flowid.FlowRecord, len(st.Registry.Flows))
@@ -143,10 +147,9 @@ func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 		})
 	}
 
-	c.applied = make(map[key]int, len(st.Applied))
-	for _, a := range st.Applied {
-		c.applied[key{dir: nexit.Direction(a.Dir), src: int(a.Src), dst: int(a.Dst)}] = int(a.Alt)
-	}
+	// Restore killed every handle the old table held; flows re-Track at
+	// their next observation.
+	c.slots = slots
 	c.epoch = int(st.Epoch)
 	return nil
 }

@@ -3,6 +3,7 @@ package continuous
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -194,6 +195,67 @@ func TestRestoreSnapshotRejectsMismatch(t *testing.T) {
 	// And a nil source is a clean no-op.
 	if restored, err := New(sys, 10).RestoreLatest(10, nil); err != nil || restored != -1 {
 		t.Errorf("nil source restore = (%d, %v), want (-1, nil)", restored, err)
+	}
+}
+
+// TestRestoreSnapshotRejectsBadAssignment: an applied assignment that
+// names a flow the pair does not have, or an alternative it does not
+// have, is refused at restore time with a labelled error and leaves the
+// controller exactly as it was — not accepted and tripped over epochs
+// later inside the engine.
+func TestRestoreSnapshotRejectsBadAssignment(t *testing.T) {
+	sys := testSystem(t)
+	wl := epochWorkloads(sys)
+	src := New(sys, 10)
+	if err := src.SeekEpoch(4, wl); err != nil {
+		t.Fatal(err)
+	}
+	nA, nB, alts := int64(len(sys.Pair.A.PoPs)), int64(len(sys.Pair.B.PoPs)), int64(sys.NumAlternatives())
+	if nA >= nB {
+		t.Fatalf("test pair is %d x %d; the cases below need A smaller than B", nA, nB)
+	}
+	for name, bad := range map[string]snapshot.Assignment{
+		"direction":         {Dir: 2},
+		"A->B src past A":   {Dir: 0, Src: nA},
+		"A->B dst past B":   {Dir: 0, Dst: nB},
+		"B->A src past B":   {Dir: 1, Src: nB},
+		"B->A dst past A":   {Dir: 1, Dst: nA},
+		"negative src":      {Src: -1},
+		"negative dst":      {Dst: -1},
+		"src wraps int32":   {Src: 1 << 32},
+		"alt past the pair": {Alt: alts},
+		"negative alt":      {Alt: -1},
+	} {
+		st := src.Snapshot()
+		st.Applied = append(st.Applied, bad)
+		c := New(sys, 10)
+		if err := c.SeekEpoch(2, wl); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Snapshot()
+		err := c.RestoreSnapshot(st)
+		if err == nil || !strings.HasPrefix(err.Error(), "continuous: snapshot assign") {
+			t.Errorf("%s: RestoreSnapshot error = %v, want a labelled assignment error", name, err)
+		}
+		if !reflect.DeepEqual(c.Snapshot(), before) {
+			t.Errorf("%s: rejected restore changed the controller", name)
+		}
+		if _, err := c.Epoch(wl(2)); err != nil {
+			t.Errorf("%s: controller unusable after the rejected restore: %v", name, err)
+		}
+	}
+	// The corners of both halves of the table are legal.
+	st := src.Snapshot()
+	st.Applied = []snapshot.Assignment{
+		{Dir: 0, Src: nA - 1, Dst: nB - 1, Alt: alts - 1},
+		{Dir: 1, Src: nB - 1, Dst: nA - 1, Alt: 0},
+	}
+	c := New(sys, 10)
+	if err := c.RestoreSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Snapshot(), st) {
+		t.Error("corner assignments did not survive a restore")
 	}
 }
 

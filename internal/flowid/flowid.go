@@ -12,8 +12,9 @@
 package flowid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -61,9 +62,8 @@ func (p Prefix) ContainsPrefix(q Prefix) bool {
 // ISPs of a pair would "agree on a common set of prefixes, for instance
 // the union of the prefixes they announce to each other through BGP".
 type Plan struct {
-	ISP      *topology.ISP
-	ByPoP    []Prefix
-	byPrefix map[Prefix]int
+	ISP   *topology.ISP
+	ByPoP []Prefix
 }
 
 // NewPlan builds the prefix plan for an ISP. It fails if the ISP has
@@ -73,24 +73,23 @@ func NewPlan(isp *topology.ISP) (*Plan, error) {
 		return nil, fmt.Errorf("flowid: ISP %s has %d PoPs; plan supports at most 256", isp.Name, len(isp.PoPs))
 	}
 	base := uint32(10+isp.ASN%200) << 24 // deterministic per-ISP /8
-	p := &Plan{ISP: isp, byPrefix: make(map[Prefix]int)}
+	p := &Plan{ISP: isp}
 	for i := range isp.PoPs {
-		pre := Prefix{Addr: base | uint32(i)<<16, Bits: 16}
-		p.ByPoP = append(p.ByPoP, pre)
-		p.byPrefix[pre] = i
+		p.ByPoP = append(p.ByPoP, Prefix{Addr: base | uint32(i)<<16, Bits: 16})
 	}
 	return p, nil
 }
 
 // PoPFor returns the PoP announcing the most specific plan prefix
-// containing the given prefix.
+// containing the given prefix (the lowest such PoP on a tie).
 func (p *Plan) PoPFor(q Prefix) (int, bool) {
-	for pre, pop := range p.byPrefix {
-		if pre.ContainsPrefix(q) {
-			return pop, true
+	best := -1
+	for pop, pre := range p.ByPoP {
+		if pre.ContainsPrefix(q) && (best < 0 || pre.Bits > p.ByPoP[best].Bits) {
+			best = pop
 		}
 	}
-	return -1, false
+	return best, best >= 0
 }
 
 // Signature uniquely identifies a negotiable flow (paper §6): the most
@@ -126,18 +125,30 @@ type Registry struct {
 	// flow is expired.
 	IdleTimeout int
 
-	flows     map[Signature]*flowState
+	flows     map[Signature]*Flow
 	nextNonce uint64
 }
 
-type flowState struct {
+// Flow is the registry's handle on one tracked flow: Track finds or
+// creates it once, then ObserveFlow and Negotiable go through it without
+// hashing the signature again. A handle is good while Live holds; Expire
+// and Restore mark the entries they drop dead, and a holder Tracks again.
+type Flow struct {
 	size        float64
 	lastSeen    int
 	aboveSince  int
 	everStable  bool
 	negotiable  bool
+	dead        bool
 	announcedAt int
 }
+
+// Negotiable reports whether the flow is tracked and promoted.
+func (f *Flow) Negotiable() bool { return f.negotiable && !f.dead }
+
+// Live reports whether the registry still tracks this entry; a nil
+// handle does not, so a holder's zero value means "Track first".
+func (f *Flow) Live() bool { return f != nil && !f.dead }
 
 // FlowInfo is the externally visible state of a tracked flow.
 type FlowInfo struct {
@@ -152,7 +163,7 @@ func NewRegistry(sizeThreshold float64, stableTicks, idleTimeout int) *Registry 
 		SizeThreshold: sizeThreshold,
 		StableTicks:   stableTicks,
 		IdleTimeout:   idleTimeout,
-		flows:         make(map[Signature]*flowState),
+		flows:         make(map[Signature]*Flow),
 	}
 }
 
@@ -162,55 +173,62 @@ func (r *Registry) NewNonce() uint64 {
 	return r.nextNonce
 }
 
-// Observe records traffic for a signature at the given tick and returns
-// true when the observation promotes the flow to negotiable (the moment
-// the upstream would signal "the arrival of a new flow" to the
-// downstream).
-func (r *Registry) Observe(sig Signature, size float64, tick int) bool {
-	st, ok := r.flows[sig]
+// Track returns the live handle for a signature, creating the entry on
+// first sight.
+func (r *Registry) Track(sig Signature) *Flow {
+	f, ok := r.flows[sig]
 	if !ok {
-		st = &flowState{aboveSince: -1}
-		r.flows[sig] = st
+		f = &Flow{aboveSince: -1}
+		r.flows[sig] = f
 	}
-	st.size = size
-	st.lastSeen = tick
+	return f
+}
+
+// Observe is ObserveFlow(Track(sig), size, tick).
+func (r *Registry) Observe(sig Signature, size float64, tick int) bool {
+	return r.ObserveFlow(r.Track(sig), size, tick)
+}
+
+// ObserveFlow records traffic for a tracked flow at the given tick and
+// returns true when the observation promotes the flow to negotiable
+// (the moment the upstream would signal "the arrival of a new flow" to
+// the downstream). f must be a live handle from this registry's Track:
+// a dead one is a caller bug and panics rather than lose the observation.
+func (r *Registry) ObserveFlow(f *Flow, size float64, tick int) bool {
+	if f.dead {
+		panic("flowid: ObserveFlow through a dead handle; Track the signature again")
+	}
+	f.size = size
+	f.lastSeen = tick
 	if size >= r.SizeThreshold {
-		if st.aboveSince < 0 {
-			st.aboveSince = tick
+		if f.aboveSince < 0 {
+			f.aboveSince = tick
 		}
-		if !st.negotiable && tick-st.aboveSince >= r.StableTicks {
-			st.negotiable = true
-			st.everStable = true
-			st.announcedAt = tick
+		if !f.negotiable && tick-f.aboveSince >= r.StableTicks {
+			f.negotiable = true
+			f.everStable = true
+			f.announcedAt = tick
 			return true
 		}
 	} else {
-		st.aboveSince = -1
+		f.aboveSince = -1
 	}
 	return false
 }
 
 // Expire removes flows idle for longer than IdleTimeout and returns
-// their signatures ("flows that are inactive for a certain period are
-// timed out").
+// their signatures in canonical order ("flows that are inactive for a
+// certain period are timed out"). Their handles go dead.
 func (r *Registry) Expire(tick int) []Signature {
 	var expired []Signature
-	for sig, st := range r.flows {
-		if tick-st.lastSeen > r.IdleTimeout {
+	for sig, f := range r.flows {
+		if tick-f.lastSeen > r.IdleTimeout {
 			expired = append(expired, sig)
+			f.dead = true
 			delete(r.flows, sig)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool {
-		a, b := expired[i], expired[j]
-		if a.Src.Addr != b.Src.Addr {
-			return a.Src.Addr < b.Src.Addr
-		}
-		if a.Dst.Addr != b.Dst.Addr {
-			return a.Dst.Addr < b.Dst.Addr
-		}
-		return a.Ingress < b.Ingress
-	})
+	slices.SortFunc(expired, sigCompare)
 	return expired
 }
 
@@ -228,21 +246,15 @@ type FlowRecord struct {
 	AnnouncedAt int
 }
 
-// sigLess orders signatures canonically (src, dst, ingress).
-func sigLess(a, b Signature) bool {
-	if a.Src.Addr != b.Src.Addr {
-		return a.Src.Addr < b.Src.Addr
-	}
-	if a.Src.Bits != b.Src.Bits {
-		return a.Src.Bits < b.Src.Bits
-	}
-	if a.Dst.Addr != b.Dst.Addr {
-		return a.Dst.Addr < b.Dst.Addr
-	}
-	if a.Dst.Bits != b.Dst.Bits {
-		return a.Dst.Bits < b.Dst.Bits
-	}
-	return a.Ingress < b.Ingress
+// sigCompare orders signatures canonically (src, dst, ingress).
+func sigCompare(a, b Signature) int {
+	return cmp.Or(
+		cmp.Compare(a.Src.Addr, b.Src.Addr),
+		cmp.Compare(a.Src.Bits, b.Src.Bits),
+		cmp.Compare(a.Dst.Addr, b.Dst.Addr),
+		cmp.Compare(a.Dst.Bits, b.Dst.Bits),
+		cmp.Compare(a.Ingress, b.Ingress),
+	)
 }
 
 // Export returns every tracked flow in canonical signature order plus
@@ -251,29 +263,33 @@ func sigLess(a, b Signature) bool {
 // always exports the same slice, whatever map iteration order did.
 func (r *Registry) Export() ([]FlowRecord, uint64) {
 	out := make([]FlowRecord, 0, len(r.flows))
-	for sig, st := range r.flows {
+	for sig, f := range r.flows {
 		out = append(out, FlowRecord{
 			Sig:         sig,
-			Size:        st.size,
-			LastSeen:    st.lastSeen,
-			AboveSince:  st.aboveSince,
-			EverStable:  st.everStable,
-			Negotiable:  st.negotiable,
-			AnnouncedAt: st.announcedAt,
+			Size:        f.size,
+			LastSeen:    f.lastSeen,
+			AboveSince:  f.aboveSince,
+			EverStable:  f.everStable,
+			Negotiable:  f.negotiable,
+			AnnouncedAt: f.announcedAt,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return sigLess(out[i].Sig, out[j].Sig) })
+	slices.SortFunc(out, func(a, b FlowRecord) int { return sigCompare(a.Sig, b.Sig) })
 	return out, r.nextNonce
 }
 
 // Restore replaces the registry's tracked flows and nonce counter with
 // the given exported state: after Restore(Export()) the registry is
 // observationally identical to the original (snapshot recovery's
-// requirement). Duplicate signatures keep the last record.
+// requirement). Duplicate signatures keep the last record. Every handle
+// handed out before the call goes dead.
 func (r *Registry) Restore(flows []FlowRecord, nonce uint64) {
-	r.flows = make(map[Signature]*flowState, len(flows))
+	for _, f := range r.flows {
+		f.dead = true
+	}
+	r.flows = make(map[Signature]*Flow, len(flows))
 	for _, f := range flows {
-		r.flows[f.Sig] = &flowState{
+		r.flows[f.Sig] = &Flow{
 			size:        f.Size,
 			lastSeen:    f.LastSeen,
 			aboveSince:  f.AboveSince,
@@ -285,20 +301,20 @@ func (r *Registry) Restore(flows []FlowRecord, nonce uint64) {
 	r.nextNonce = nonce
 }
 
+// bySizeDesc orders flows largest first, ties by ingress identifier.
+func bySizeDesc(a, b FlowInfo) int {
+	return cmp.Or(cmp.Compare(b.Size, a.Size), cmp.Compare(a.Sig.Ingress, b.Sig.Ingress))
+}
+
 // Negotiable lists the currently negotiable flows, largest first.
 func (r *Registry) Negotiable() []FlowInfo {
 	var out []FlowInfo
-	for sig, st := range r.flows {
-		if st.negotiable {
-			out = append(out, FlowInfo{Sig: sig, Size: st.size, Negotiable: true})
+	for sig, f := range r.flows {
+		if f.negotiable {
+			out = append(out, FlowInfo{Sig: sig, Size: f.size, Negotiable: true})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size != out[j].Size {
-			return out[i].Size > out[j].Size
-		}
-		return out[i].Sig.Ingress < out[j].Sig.Ingress
-	})
+	slices.SortFunc(out, bySizeDesc)
 	return out
 }
 
@@ -310,13 +326,7 @@ func (r *Registry) Len() int { return len(r.flows) }
 // observation that "optimizing the small fraction of high-bandwidth
 // flows can optimize most of the traffic".
 func TopFraction(flows []FlowInfo, fraction float64) []FlowInfo {
-	sorted := append([]FlowInfo(nil), flows...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Size != sorted[j].Size {
-			return sorted[i].Size > sorted[j].Size
-		}
-		return sorted[i].Sig.Ingress < sorted[j].Sig.Ingress
-	})
+	sorted := slices.SortedFunc(slices.Values(flows), bySizeDesc)
 	var total float64
 	for _, f := range sorted {
 		total += f.Size

@@ -2,6 +2,7 @@ package flowid
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -315,5 +316,109 @@ func TestRegistryExportRestore(t *testing.T) {
 	// same tick in both registries.
 	if got, want := fresh.Expire(5), r.Expire(5); !reflect.DeepEqual(got, want) {
 		t.Fatalf("expiry after restore = %v, want %v", got, want)
+	}
+}
+
+// TestFlowHandleLifetime: a handle reads and writes the entry Observe
+// would, Track returns the same handle while the entry lives, and
+// Expire and Restore kill the handles they drop so a holder knows to
+// Track again.
+func TestFlowHandleLifetime(t *testing.T) {
+	r := NewRegistry(1.0, 1, 2)
+	sig := Signature{Src: Prefix{Addr: 0x0A000000, Bits: 16}, Dst: Prefix{Addr: 0x0B000000, Bits: 16}, Ingress: 7}
+	var none *Flow
+	if none.Live() {
+		t.Error("a nil handle reports live")
+	}
+	f := r.Track(sig)
+	if !f.Live() || f.Negotiable() || r.Len() != 1 || r.Track(sig) != f {
+		t.Fatalf("fresh handle: live %v negotiable %v, %d tracked", f.Live(), f.Negotiable(), r.Len())
+	}
+	r.ObserveFlow(f, 2.0, 0)
+	if promoted := r.Observe(sig, 2.0, 1); !promoted || !f.Negotiable() {
+		t.Error("Observe and the handle disagree about the same entry")
+	}
+
+	if got := r.Expire(4); len(got) != 1 || got[0] != sig {
+		t.Fatalf("Expire = %v", got)
+	}
+	if f.Live() || f.Negotiable() {
+		t.Error("expired handle still live or negotiable")
+	}
+	g := r.Track(sig)
+	if g == f || !g.Live() || g.Negotiable() {
+		t.Error("Track after expiry did not start a fresh entry")
+	}
+
+	r.Restore(r.Export())
+	if g.Live() {
+		t.Error("handle survived Restore")
+	}
+	if h := r.Track(sig); h == g || !h.Live() || r.Len() != 1 {
+		t.Error("Track after Restore did not find the restored entry")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ObserveFlow through a dead handle did not panic")
+		}
+	}()
+	r.ObserveFlow(g, 1, 5)
+}
+
+// TestRegistryHandleParity drives one random interleaving of
+// observations, expiries and restores into two registries — one by
+// signature through Observe, one through cached handles re-Tracked only
+// when dead, as the continuous controller holds them — and requires the
+// same promotions, expiries and Export() at every step.
+func TestRegistryHandleParity(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sigs := make([]Signature, 12)
+		for i := range sigs {
+			sigs[i] = Signature{
+				Src:     Prefix{Addr: uint32(rng.Intn(3)) << 16, Bits: 16 + 8*rng.Intn(2)},
+				Dst:     Prefix{Addr: 0x80000000 | uint32(rng.Intn(3))<<16, Bits: 16 + 8*rng.Intn(2)},
+				Ingress: uint64(rng.Intn(4)),
+			}
+		}
+		bySig, byHandle := NewRegistry(1.0, 2, 3), NewRegistry(1.0, 2, 3)
+		handles := make([]*Flow, len(sigs))
+		tick := 0
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				i, size := rng.Intn(len(sigs)), 2*rng.Float64()
+				if !handles[i].Live() {
+					handles[i] = byHandle.Track(sigs[i])
+				}
+				if a, b := bySig.Observe(sigs[i], size, tick), byHandle.ObserveFlow(handles[i], size, tick); a != b {
+					t.Fatalf("seed %d step %d: promotion by signature %v, by handle %v", seed, step, a, b)
+				}
+			case op < 8:
+				tick += rng.Intn(3)
+				if a, b := bySig.Expire(tick), byHandle.Expire(tick); !reflect.DeepEqual(a, b) {
+					t.Fatalf("seed %d step %d: expired %v by signature, %v by handle", seed, step, a, b)
+				}
+			case op < 9:
+				tick++
+			default:
+				// Restore each from the other's export: state crosses over
+				// and every cached handle must notice it went stale.
+				fa, na := bySig.Export()
+				fb, nb := byHandle.Export()
+				bySig.Restore(fb, nb)
+				byHandle.Restore(fa, na)
+			}
+			fa, na := bySig.Export()
+			fb, nb := byHandle.Export()
+			if !reflect.DeepEqual(fa, fb) || na != nb {
+				t.Fatalf("seed %d step %d: registries diverged:\n by signature %v\n by handle    %v", seed, step, fa, fb)
+			}
+			for i, h := range handles {
+				if h.Live() && h != byHandle.Track(sigs[i]) {
+					t.Fatalf("seed %d step %d: a live handle is not the tracked entry", seed, step)
+				}
+			}
+		}
 	}
 }

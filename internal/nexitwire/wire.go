@@ -3,7 +3,6 @@ package nexitwire
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"net"
@@ -67,14 +66,17 @@ func peerError(reason string) error {
 // WorkloadHash fingerprints the negotiation universe (items, defaults,
 // alternative count) so two agents configured differently fail fast at
 // Hello time instead of negotiating nonsense.
+//
+// The value is 64-bit FNV-1a (hash/fnv's New64a) over each field as
+// eight big-endian bytes, folded inline; it travels in the Hello, so
+// the bytes hashed are part of the wire format.
 func WorkloadHash(items []nexit.Item, defaults []int, numAlts int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (56 - 8*i))
+		for shift := 56; shift >= 0; shift -= 8 {
+			h = (h ^ uint64(byte(v>>shift))) * prime64
 		}
-		h.Write(buf[:])
 	}
 	put(uint64(numAlts))
 	put(uint64(len(items)))
@@ -86,7 +88,7 @@ func WorkloadHash(items []nexit.Item, defaults []int, numAlts int) uint64 {
 		put(uint64(it.Dir))
 		put(uint64(defaults[i]))
 	}
-	return h.Sum64()
+	return h
 }
 
 // SessionResult is what the responder learns from a completed session.
@@ -150,12 +152,13 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 	}
 	s := c.s.reset(in.timeout())
 
+	hash := WorkloadHash(items, defaults, numAlts)
 	if err := s.sendEnc(MsgHello, appendHello(s.enc[:0], &Hello{
 		Version:      Version,
 		Name:         in.Name,
 		NumAlts:      uint16(numAlts),
 		NumItems:     uint32(len(items)),
-		WorkloadHash: WorkloadHash(items, defaults, numAlts),
+		WorkloadHash: hash,
 		Metric:       metricName(in.Metric),
 		Epoch:        uint32(in.Epoch),
 	})); err != nil {
@@ -189,7 +192,7 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 		return nil, s.abort(fmt.Errorf("nexitwire: peer acked %d alternatives, we have %d", ack.NumAlts, numAlts))
 	case int(ack.NumItems) != len(items):
 		return nil, s.abort(fmt.Errorf("nexitwire: peer acked %d items, we have %d", ack.NumItems, len(items)))
-	case ack.WorkloadHash != WorkloadHash(items, defaults, numAlts):
+	case ack.WorkloadHash != hash:
 		return nil, s.abort(fmt.Errorf("nexitwire: workload hash mismatch in ack"))
 	}
 

@@ -2,7 +2,11 @@ package nexitwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -662,6 +666,48 @@ func TestWorkloadHash(t *testing.T) {
 	mutated[0].Flow.Size = 9
 	if h2 := WorkloadHash(mutated, defaults, 3); h1 == h2 {
 		t.Error("hash ignores flow sizes")
+	}
+}
+
+// TestWorkloadHashMatchesFNV pins the inline fold to hash/fnv's 64-bit
+// FNV-1a over the same bytes — every field as eight big-endian bytes —
+// on random tables and the empty one: the value travels in the Hello,
+// so a peer built before the fold must compute the same number.
+func TestWorkloadHashMatchesFNV(t *testing.T) {
+	reference := func(items []nexit.Item, defaults []int, numAlts int) uint64 {
+		h := fnv.New64a()
+		put := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
+		put(uint64(numAlts))
+		put(uint64(len(items)))
+		for i, it := range items {
+			put(uint64(it.ID))
+			put(uint64(it.Flow.Src))
+			put(uint64(it.Flow.Dst))
+			put(math.Float64bits(it.Flow.Size))
+			put(uint64(it.Dir))
+			put(uint64(defaults[i]))
+		}
+		return h.Sum64()
+	}
+	if got, want := WorkloadHash(nil, nil, 0), reference(nil, nil, 0); got != want {
+		t.Errorf("empty table: WorkloadHash = %#x, hash/fnv gives %#x", got, want)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		items := make([]nexit.Item, rng.Intn(40))
+		defaults := make([]int, len(items))
+		for i := range items {
+			items[i] = nexit.Item{
+				ID:   rng.Intn(1 << 20),
+				Flow: traffic.Flow{Src: rng.Intn(1 << 16), Dst: rng.Intn(1 << 16), Size: rng.NormFloat64() * 1e3},
+				Dir:  nexit.Direction(rng.Intn(2)),
+			}
+			defaults[i] = rng.Intn(8) - 1 // a negative default sign-extends to eight 0xFF bytes
+		}
+		numAlts := rng.Intn(9)
+		if got, want := WorkloadHash(items, defaults, numAlts), reference(items, defaults, numAlts); got != want {
+			t.Fatalf("trial %d (%d items): WorkloadHash = %#x, hash/fnv gives %#x", trial, len(items), got, want)
+		}
 	}
 }
 
