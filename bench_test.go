@@ -7,24 +7,14 @@
 package main
 
 import (
-	"fmt"
-	"net"
-	"reflect"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/continuous"
 	"repro/internal/experiments"
 	"repro/internal/gen"
-	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/nexit"
-	"repro/internal/nexitwire"
 	"repro/internal/pairsim"
-	"repro/internal/runner"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -303,26 +293,6 @@ func BenchmarkAblationScaleMode(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughput measures the raw negotiation engine on one
-// large pair (flows negotiated per second).
-func BenchmarkEngineThroughput(b *testing.B) {
-	ds := dataset(b)
-	pairs := ds.DistancePairs()
-	// Pick the pair with the most flows.
-	best := pairs[0]
-	bestFlows := 0
-	for _, p := range pairs {
-		if f := p.A.NumPoPs() * p.B.NumPoPs() * 2; f > bestFlows {
-			best, bestFlows = p, f
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		negotiatedGainWithScale(b, ds, best, nexit.ScaleGlobal)
-	}
-	b.ReportMetric(float64(bestFlows), "flows-per-op")
-}
-
 // negotiatedGainWithScale runs one distance negotiation over a pair with
 // the given cardinal scale mode and returns the total gain percentage.
 func negotiatedGainWithScale(b *testing.B, ds *experiments.Dataset, pair *topology.Pair, scale nexit.Scale) float64 {
@@ -359,370 +329,6 @@ func negotiatedGainWithScale(b *testing.B, ds *experiments.Dataset, pair *topolo
 		return t
 	}
 	return metrics.GainPercent(dist(defaults), dist(res.Assign))
-}
-
-// BenchmarkEvaluatorPrefs measures the evaluator hot path in isolation:
-// steady-state Prefs calls (full preference-table recomputation for
-// every item on the table) per metric on the dataset's largest pair.
-// prefs/s counts preference rows (items) evaluated per second.
-// ReportAllocs tracks the scratch-reuse contract (DESIGN.md §12): after
-// the first call warms the evaluator's buffers, Prefs must not allocate,
-// so allocs/op stays near zero. Tracked across PRs in BENCH_runner.json.
-func BenchmarkEvaluatorPrefs(b *testing.B) {
-	ds := dataset(b)
-	pairs := ds.DistancePairs()
-	best := pairs[0]
-	bestFlows := 0
-	for _, p := range pairs {
-		if f := p.A.NumPoPs() * p.B.NumPoPs() * 2; f > bestFlows {
-			best, bestFlows = p, f
-		}
-	}
-	s := pairsim.New(best, ds.Cache)
-	rev := s.Reverse()
-	wAB := traffic.New(best.A, best.B, traffic.Identical, nil)
-	wBA := traffic.New(best.B, best.A, traffic.Identical, nil)
-	items := nexit.Items(wAB.Flows, wBA.Flows)
-	defaults := make([]int, len(items))
-	for i, it := range items {
-		if it.Dir == nexit.AtoB {
-			defaults[i] = s.EarlyExit(it.Flow)
-		} else {
-			defaults[i] = rev.EarlyExit(it.Flow)
-		}
-	}
-	nl := len(best.A.Links)
-	ones := make([]float64, nl)
-	for i := range ones {
-		ones[i] = 1
-	}
-	for _, m := range []struct {
-		name string
-		eval nexit.Evaluator
-	}{
-		{"distance", nexit.NewDistanceEvaluator(s, nexit.SideA, 10)},
-		{"bandwidth", nexit.NewBandwidthEvaluator(s, nexit.SideA, 10, make([]float64, nl), ones)},
-		{"fortz-thorup", nexit.NewFortzThorupEvaluator(s, nexit.SideA, 10, make([]float64, nl), ones)},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			m.eval.Prefs(items, defaults) // warm the evaluator scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				prefs := m.eval.Prefs(items, defaults)
-				if len(prefs) != len(items) {
-					b.Fatalf("%d pref rows for %d items", len(prefs), len(items))
-				}
-			}
-			b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "prefs/s")
-		})
-	}
-}
-
-// BenchmarkGenerate measures dataset-format-v2 generation throughput
-// (ISPs generated per second) on a 1000-ISP universe at 1, 2, and 8
-// workers. Per-ISP streams make generation embarrassingly parallel:
-// every worker count yields byte-identical output
-// (TestGenerateParallelParity), so the spread between the worker counts
-// is pure sharding speedup — near-linear on multi-core hardware, flat
-// on a single-core runner. Tracked across PRs in BENCH_runner.json.
-func BenchmarkGenerate(b *testing.B) {
-	cfg := gen.DefaultConfig()
-	cfg.NumISPs = 1000
-	for _, w := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				isps, err := gen.GenerateWorkers(cfg, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(isps) != cfg.NumISPs {
-					b.Fatalf("generated %d ISPs, want %d", len(isps), cfg.NumISPs)
-				}
-			}
-			b.ReportMetric(float64(cfg.NumISPs)*float64(b.N)/b.Elapsed().Seconds(), "isps/s")
-		})
-	}
-}
-
-// BenchmarkRunnerWorkers measures the concurrent pair-runner's
-// experiment throughput (ISP pairs negotiated per second) at 1, 2, and
-// GOMAXPROCS workers, so later PRs have a perf trajectory for the
-// parallel layer. Every worker count produces identical results; only
-// wall-clock changes.
-func BenchmarkRunnerWorkers(b *testing.B) {
-	ds := dataset(b)
-	// Warm the shared routing-table cache so the benchmark measures
-	// negotiation throughput, not one-time Dijkstra cost.
-	if _, err := experiments.Distance(ds, distanceOpts); err != nil {
-		b.Fatal(err)
-	}
-	counts := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		counts = append(counts, p)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opt := distanceOpts
-			opt.Workers = w
-			pairs := 0
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.Distance(ds, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pairs += res.Pairs
-			}
-			b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// BenchmarkRunnerStream measures the streaming pipeline's experiment
-// throughput (pairs/s) at 1, 2, and GOMAXPROCS workers: the same
-// Distance workload as BenchmarkRunnerWorkers, but delivered through
-// DistanceStream into a constant-memory digest instead of a batch
-// result — so the two benchmarks bracket the cost of the streaming
-// path. ReportAllocs tracks that per-pair allocation stays flat.
-// Tracked across PRs in BENCH_runner.json.
-func BenchmarkRunnerStream(b *testing.B) {
-	ds := dataset(b)
-	ds.Warm(0) // measure negotiation throughput, not Dijkstra cold start
-	counts := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		counts = append(counts, p)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opt := distanceOpts
-			opt.Workers = w
-			b.ReportAllocs()
-			pairs := 0
-			for i := 0; i < b.N; i++ {
-				digest := stats.NewDigest()
-				err := experiments.DistanceStream(ds, opt, func(_ int, r *experiments.DistancePairResult) error {
-					digest.Add(r.GainNeg)
-					pairs++
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if digest.Stream.N() == 0 {
-					b.Fatal("stream delivered nothing")
-				}
-			}
-			b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// BenchmarkMeshSessions measures the daemon layer's negotiation
-// throughput: a 14-ISP all-pairs mesh of agentd daemons (17 pairs, 4
-// epochs = 68 wire sessions per iteration) at 1, 2, and GOMAXPROCS
-// concurrent sessions per agent. sessions/s is computed over the
-// negotiation window only (daemon startup and Dijkstra cold start
-// excluded); every bound produces identical pair outcomes, only
-// wall-clock changes. Tracked across PRs in BENCH_runner.json alongside
-// BenchmarkRunnerWorkers.
-func BenchmarkMeshSessions(b *testing.B) {
-	counts := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		counts = append(counts, p)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			var sessions int64
-			var window time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := mesh.Run(mesh.Options{
-					NumISPs:  14,
-					Seed:     1,
-					Epochs:   4,
-					Sessions: w,
-					Timeout:  30 * time.Second,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sessions += res.Sessions
-				window += res.Elapsed
-			}
-			b.ReportMetric(float64(sessions)/window.Seconds(), "sessions/s")
-		})
-	}
-}
-
-// BenchmarkWireSession measures one wire session end to end over an
-// in-memory pipe: a single initiator/responder pair renegotiating the
-// same distance table, connection reused across sessions exactly as the
-// daemons reuse theirs. It isolates the protocol hot path — framing,
-// codec, batched proposals, per-session state — from the mesh
-// scheduler, so allocs/op here is the wire layer's own budget (tracked
-// in BENCH_runner.json; the buffer-reuse contract is DESIGN.md §9).
-func BenchmarkWireSession(b *testing.B) {
-	ds := dataset(b)
-	pair := ds.DistancePairs()[0]
-	s := pairsim.New(pair, ds.Cache)
-	rev := s.Reverse()
-	wAB := traffic.New(pair.A, pair.B, traffic.Identical, nil)
-	wBA := traffic.New(pair.B, pair.A, traffic.Identical, nil)
-	items := nexit.Items(wAB.Flows, wBA.Flows)
-	defaults := make([]int, len(items))
-	for i, it := range items {
-		if it.Dir == nexit.AtoB {
-			defaults[i] = s.EarlyExit(it.Flow)
-		} else {
-			defaults[i] = rev.EarlyExit(it.Flow)
-		}
-	}
-	numAlts := s.NumAlternatives()
-
-	connA, connB := net.Pipe()
-	defer connA.Close()
-	defer connB.Close()
-	cA, cB := nexitwire.NewConn(connA), nexitwire.NewConn(connB)
-
-	// Distance evaluators are stateless across sessions, so both sides
-	// reuse one — the same shape as a daemon pair with cached
-	// controllers.
-	resp := &nexitwire.Responder{
-		Name:     "agent-b",
-		Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		Items:    items,
-		Defaults: defaults,
-		NumAlts:  numAlts,
-		Timeout:  30 * time.Second,
-	}
-	ini := &nexitwire.Initiator{
-		Name:    "agent-a",
-		Cfg:     nexit.DefaultDistanceConfig(),
-		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
-		Timeout: 30 * time.Second,
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			hello, err := nexitwire.AcceptHelloConn(cB, 30*time.Second)
-			if err != nil {
-				done <- err
-				return
-			}
-			if _, err := resp.ServeSessionConn(cB, hello); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	for i := 0; i < b.N; i++ {
-		if _, err := ini.RunConn(cA, items, defaults, numAlts); err != nil {
-			b.Fatalf("initiator: %v", err)
-		}
-	}
-	if err := <-done; err != nil {
-		b.Fatalf("responder: %v", err)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
-}
-
-// BenchmarkSeekEpochFromSnapshot measures crash recovery at the
-// controller layer: fast-forwarding a fresh controller to epoch 200
-// by full deterministic replay (SeekEpoch) versus restoring the newest
-// on-disk snapshot and replaying only the tail (SeekEpochFrom,
-// DESIGN.md §11). The store holds snapshots every 20 epochs up to 180,
-// so the snapshot path decodes one file and replays 20 epochs where
-// the full path replays 200 — recovery cost is O(epochs since the
-// last snapshot), not O(controller lifetime). The acceptance bar is
-// from-snapshot ≥5× the full-replay seeks/s; tracked across PRs in
-// BENCH_runner.json.
-func BenchmarkSeekEpochFromSnapshot(b *testing.B) {
-	const (
-		target   = 200
-		interval = 20
-		newest   = 180
-	)
-	cfg := gen.DefaultConfig()
-	cfg.NumISPs = 10
-	cfg.Seed = 1
-	isps, err := gen.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := topology.AllPairs(isps, 2, true)
-	if len(pairs) == 0 {
-		b.Fatal("no pairs")
-	}
-	sys := pairsim.New(pairs[0], nil)
-	wl := func(epoch int) (*traffic.Workload, *traffic.Workload) {
-		baseAB := traffic.New(sys.Pair.A, sys.Pair.B, traffic.Gravity, nil)
-		baseBA := traffic.New(sys.Pair.B, sys.Pair.A, traffic.Gravity, nil)
-		rng := runner.PairRand(1, epoch)
-		return continuous.Drift(baseAB, 0.25, rng), continuous.Drift(baseBA, 0.25, rng)
-	}
-
-	// A lived controller runs to the target, persisting a snapshot every
-	// interval epochs but none past the newest — exactly the on-disk
-	// state a daemon killed shortly before epoch 200 leaves behind.
-	store, err := snapshot.NewStore(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lived := continuous.New(sys, 10)
-	for epoch := 0; epoch < target; epoch++ {
-		if _, err := lived.Epoch(wl(epoch)); err != nil {
-			b.Fatal(err)
-		}
-		if idx := lived.EpochIndex(); idx%interval == 0 && idx <= newest {
-			if err := store.Save("bench", lived.Snapshot()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	src := store.Peer("bench")
-
-	// Both recovery paths must land on the lived controller's exact
-	// state before their cost is worth comparing.
-	full := continuous.New(sys, 10)
-	if err := full.SeekEpoch(target, wl); err != nil {
-		b.Fatal(err)
-	}
-	fast := continuous.New(sys, 10)
-	if restored, err := fast.SeekEpochFrom(target, wl, src); err != nil {
-		b.Fatal(err)
-	} else if restored != newest {
-		b.Fatalf("restored from epoch %d, want %d", restored, newest)
-	}
-	if want := lived.Snapshot(); !reflect.DeepEqual(full.Snapshot(), want) ||
-		!reflect.DeepEqual(fast.Snapshot(), want) {
-		b.Fatal("recovery paths diverged from the lived controller")
-	}
-
-	b.Run("full-replay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := continuous.New(sys, 10)
-			if err := c.SeekEpoch(target, wl); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "seeks/s")
-	})
-	b.Run("from-snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := continuous.New(sys, 10)
-			if restored, err := c.SeekEpochFrom(target, wl, src); err != nil {
-				b.Fatal(err)
-			} else if restored != newest {
-				b.Fatalf("restored from epoch %d, want %d", restored, newest)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "seeks/s")
-	})
 }
 
 // BenchmarkExtraScalability regenerates the §6 claim that negotiating

@@ -505,7 +505,7 @@ func (a *Agent) serveSession(p *peerState, conn *nexitwire.Conn, hello *nexitwir
 	defer a.sessionsActive.Add(-1)
 
 	// The epoch in the Hello moves controller state (the fast-forward),
-	// so unlike the other universe checks — which ServeSession re-runs
+	// so unlike the other universe checks — which ServeSessionConn re-runs
 	// — version and metric must be vetted before the epoch is trusted.
 	if hello.Version != nexitwire.Version {
 		err := fmt.Errorf("nexitwire: peer version %d, want %d", hello.Version, nexitwire.Version)
@@ -534,14 +534,40 @@ func (a *Agent) serveSession(p *peerState, conn *nexitwire.Conn, hello *nexitwir
 		}
 	}
 
-	wAB, wBA := p.Workloads(p.Ctl.EpochIndex())
-	var rounds int
-	var stopped nexit.StopReason
-	p.Ctl.Negotiate = func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
+	_, err := a.runSession(p, conn, hello, start)
+	return err
+}
+
+// runSession runs the wire session of the peer's current epoch in this
+// agent's role — initiating it on conn, or serving the one hello opened
+// on conn — as the negotiator of the controller's epoch, and folds a
+// successful epoch into the peer's statistics, snapshots and latency
+// histogram (measured from start, so a resync replay or a dial counts).
+// A failed session is recorded on the peer and leaves the controller as
+// it was (continuous.Controller.EpochVia); conn is the caller's to drop.
+// Callers hold p.mu.
+func (a *Agent) runSession(p *peerState, conn *nexitwire.Conn, hello *nexitwire.Hello, start time.Time) (*continuous.EpochReport, error) {
+	epoch := p.Ctl.EpochIndex()
+	wAB, wBA := p.Workloads(epoch)
+	var res *nexit.Result // the session's outcome, kept for the statistics
+	negotiate := func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
+		if p.initiate {
+			ini := &nexitwire.Initiator{
+				Name:    a.cfg.Name,
+				Cfg:     cfg,
+				Metric:  string(p.Ctl.Metric),
+				Epoch:   epoch,
+				Eval:    p.Ctl.NewEvaluator(p.Side),
+				Timeout: a.timeout(),
+			}
+			var err error
+			res, err = ini.RunConn(conn, items, defaults, numAlts)
+			return res, err
+		}
 		resp := &nexitwire.Responder{
 			Name:     a.cfg.Name,
 			Metric:   string(p.Ctl.Metric),
-			Epoch:    int(hello.Epoch),
+			Epoch:    epoch,
 			Eval:     p.Ctl.NewEvaluator(p.Side),
 			Items:    items,
 			Defaults: defaults,
@@ -552,28 +578,32 @@ func (a *Agent) serveSession(p *peerState, conn *nexitwire.Conn, hello *nexitwir
 		if err != nil {
 			return nil, err
 		}
-		rounds, stopped = sess.Rounds, sess.StopReason
-		return &nexit.Result{
+		res = &nexit.Result{
 			Assign:  sess.Assign,
 			GainA:   sess.GainA,
 			GainB:   sess.GainB,
 			Rounds:  sess.Rounds,
 			Stopped: sess.StopReason,
-		}, nil
+		}
+		return res, nil
 	}
-	rep, err := p.Ctl.Epoch(wAB, wBA)
-	p.Ctl.Negotiate = nil
+	rep, err := p.Ctl.EpochVia(negotiate, wAB, wBA)
 	if err != nil {
 		p.fail(err)
-		return err
+		return nil, err
 	}
-	p.record(rep, rounds, stopped)
+	p.record(rep, res.Rounds, res.Stopped)
 	a.maybeSnapshotLocked(p)
 	// Latency lands exactly where the session counter moves, so a
 	// quiesced agent's histogram totals equal its session counters.
 	p.lat.Observe(time.Since(start).Seconds())
-	a.sessionsServed.Inc()
-	return nil
+	if p.initiate {
+		p.backoff = 0 // a healthy session clears the dial-backoff ladder
+		a.sessionsInitiated.Inc()
+	} else {
+		a.sessionsServed.Inc()
+	}
+	return rep, nil
 }
 
 // RunEpoch drives one renegotiation epoch with every peer this agent
@@ -697,7 +727,7 @@ func (a *Agent) negotiateEpoch(ctx context.Context, p *peerState, epoch int) (*c
 			return nil, err
 		}
 	}
-	rep, err := a.sessionLocked(ctx, p, epoch)
+	rep, err := a.sessionLocked(ctx, p)
 	if err == nil {
 		return rep, nil
 	}
@@ -710,7 +740,7 @@ func (a *Agent) negotiateEpoch(ctx context.Context, p *peerState, epoch int) (*c
 			a.sessionsFailed.Inc()
 			return nil, serr
 		}
-		return a.sessionLocked(ctx, p, skew.Responder)
+		return a.sessionLocked(ctx, p)
 	}
 	return nil, err
 }
@@ -799,10 +829,10 @@ func (a *Agent) maybeSnapshotLocked(p *peerState) {
 	}()
 }
 
-// sessionLocked dials (or reuses) the peer's connection and runs one
-// wire session for the given epoch, with failure bookkeeping. Callers
-// hold p.mu and must have the controller at exactly that epoch.
-func (a *Agent) sessionLocked(ctx context.Context, p *peerState, epoch int) (*continuous.EpochReport, error) {
+// sessionLocked dials (or reuses) the peer's connection and initiates
+// the wire session of the controller's current epoch on it, with the
+// connection's failure bookkeeping. Callers hold p.mu.
+func (a *Agent) sessionLocked(ctx context.Context, p *peerState) (*continuous.EpochReport, error) {
 	start := time.Now()
 	conn, err := a.ensureConnLocked(ctx, p)
 	if err != nil {
@@ -810,42 +840,16 @@ func (a *Agent) sessionLocked(ctx context.Context, p *peerState, epoch int) (*co
 		a.sessionsFailed.Inc()
 		return nil, err
 	}
-	wAB, wBA := p.Workloads(epoch)
-	var rounds int
-	var stopped nexit.StopReason
-	p.Ctl.Negotiate = func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
-		ini := &nexitwire.Initiator{
-			Name:    a.cfg.Name,
-			Cfg:     cfg,
-			Metric:  string(p.Ctl.Metric),
-			Epoch:   epoch,
-			Eval:    p.Ctl.NewEvaluator(p.Side),
-			Timeout: a.timeout(),
-		}
-		res, err := ini.RunConn(conn, items, defaults, numAlts)
-		if err != nil {
-			return nil, err
-		}
-		rounds, stopped = res.Rounds, res.Stopped
-		return res, nil
-	}
-	rep, err := p.Ctl.Epoch(wAB, wBA)
-	p.Ctl.Negotiate = nil
+	rep, err := a.runSession(p, conn, nil, start)
 	a.foldWire(conn) // drain the session's frames before any Close
 	if err != nil {
 		// The connection's session state is unknown; drop it so the next
 		// epoch redials from scratch.
 		conn.Close()
 		p.conn = nil
-		p.fail(err)
 		a.sessionsFailed.Inc()
 		return nil, err
 	}
-	p.record(rep, rounds, stopped)
-	a.maybeSnapshotLocked(p)
-	p.lat.Observe(time.Since(start).Seconds())
-	p.backoff = 0 // a healthy session clears the dial-backoff ladder
-	a.sessionsInitiated.Inc()
 	return rep, nil
 }
 

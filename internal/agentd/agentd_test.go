@@ -551,7 +551,7 @@ func TestResyncBoundRejected(t *testing.T) {
 		Eval:    nexit.NewDistanceEvaluator(sys, nexit.SideA, 10),
 		Timeout: 5 * time.Second,
 	}
-	_, err = ini.Run(conn, nil, nil, sys.NumAlternatives())
+	_, err = ini.RunConn(nexitwire.NewConn(conn), nil, nil, sys.NumAlternatives())
 	if err == nil {
 		t.Fatal("an absurd epoch fast-forward was served")
 	}

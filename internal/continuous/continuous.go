@@ -106,15 +106,6 @@ type Controller struct {
 	// Ledger carries gain imbalances across epochs.
 	Ledger *credits.Ledger
 
-	// Negotiate, when non-nil, replaces the in-process engine call for
-	// each epoch: agentd points it at a nexitwire session so the other
-	// ISP's preferences come from a remote evaluator instead of a local
-	// one. It is invoked even for an empty table, so two daemons driving
-	// the same pair stay in epoch lockstep (the empty session doubles as
-	// a heartbeat). Nil negotiates in-process with both sides' metric
-	// evaluators (NewEvaluator), as the simulations do.
-	Negotiate Negotiator
-
 	// slots is the pair's flow table, one entry per (dir, src, dst) at
 	// slotIndex: the A->B flows (src in A, dst in B) then the B->A flows,
 	// so index order is the snapshot's canonical (Dir, Src, Dst) order.
@@ -158,7 +149,7 @@ type slot struct {
 	alt  int32
 }
 
-// obs is one observed flow of an epoch (see Epoch step 1).
+// obs is one observed flow of an epoch (see EpochVia step 1).
 type obs struct {
 	slot int
 	dir  nexit.Direction
@@ -367,15 +358,45 @@ func (c *Controller) NewEvaluator(side nexit.Side) nexit.Evaluator {
 	return eval
 }
 
-// Epoch processes one epoch's workloads (both directions) and returns
-// the report. The controller observes every flow, negotiates the stable
-// ones, and leaves the rest on their current (or early-exit) path.
+// Epoch processes one epoch's workloads (both directions) in-process,
+// negotiating with both sides' metric evaluators (NewEvaluator) as the
+// simulations do, and returns the report. It is EpochVia with no remote
+// negotiator.
 func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
+	return c.EpochVia(nil, wAB, wBA)
+}
+
+// signature identifies a flow of the pair to the registry.
+func signature(dir nexit.Direction, src, dst int) flowid.Signature {
+	return flowid.Signature{
+		Src:     flowid.Prefix{Addr: uint32(src) << 16, Bits: 16},
+		Dst:     flowid.Prefix{Addr: 0x80000000 | uint32(dst)<<16, Bits: 16},
+		Ingress: uint64(dir)<<32 | uint64(src)<<16 | uint64(dst),
+	}
+}
+
+// EpochVia processes one epoch's workloads (both directions) and
+// returns the report. The controller observes every flow, negotiates
+// the stable ones, and leaves the rest on their current (or early-exit)
+// path.
+//
+// negotiate, when non-nil, replaces the in-process engine call: agentd
+// passes a nexitwire session so the other ISP's preferences come from a
+// remote evaluator instead of a local one. It is invoked even for an
+// empty table, so two daemons driving the same pair stay in epoch
+// lockstep (the empty session doubles as a heartbeat).
+//
+// An epoch that fails — a flow that is not the pair's, a negotiator
+// error — leaves the controller exactly as it was (its Snapshot encodes
+// to the same bytes): everything fallible runs before the first write.
+// Both daemon roles retry, resync or restore on top of that.
+func (c *Controller) EpochVia(negotiate Negotiator, wAB, wBA *traffic.Workload) (*EpochReport, error) {
 	rep := &EpochReport{Epoch: c.epoch}
 	systems := [2]*pairsim.System{nexit.AtoB: c.Sys, nexit.BtoA: c.Rev}
 
-	// 1. Observe traffic through each flow's slot; the registry decides
-	// which flows are stable enough to negotiate.
+	// 1. Find each observed flow's slot. A slot without a live handle
+	// picks up the registry's entry if it has one (after a restore); a
+	// flow the registry has never seen is tracked in step 4.
 	all := c.obsScratch[:0]
 	for d, w := range [2]*traffic.Workload{wAB, wBA} {
 		dir := nexit.Direction(d)
@@ -384,30 +405,24 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("continuous: epoch %d: %w", c.epoch, err)
 			}
-			sl := &c.slots[i]
-			if !sl.flow.Live() {
-				sl.flow = c.Registry.Track(flowid.Signature{
-					Src:     flowid.Prefix{Addr: uint32(f.Src) << 16, Bits: 16},
-					Dst:     flowid.Prefix{Addr: 0x80000000 | uint32(f.Dst)<<16, Bits: 16},
-					Ingress: uint64(dir)<<32 | uint64(f.Src)<<16 | uint64(f.Dst),
-				})
+			if sl := &c.slots[i]; !sl.flow.Live() {
+				sl.flow = c.Registry.Lookup(signature(dir, f.Src, f.Dst))
 			}
-			c.Registry.ObserveFlow(sl.flow, f.Size, c.epoch)
 			all = append(all, obs{slot: i, dir: dir, flow: f})
 		}
 	}
 	c.obsScratch = all
 	rep.Observed = len(all)
-	rep.Expired = len(c.Registry.Expire(c.epoch))
 
-	// 2. Build the negotiation table from the stable flows, each
-	// defaulting to its installed path (early-exit before the first).
+	// 2. Build the negotiation table from the flows this epoch's
+	// observation leaves stable enough to negotiate, each defaulting to
+	// its installed path (early-exit before the first).
 	items := c.itemsScratch[:0]
 	defaults := c.defaultsScratch[:0]
 	slotOf := c.slotScratch[:0]
 	for _, o := range all {
 		sl := c.slots[o.slot]
-		if !sl.flow.Negotiable() {
+		if !c.Registry.NegotiableAfter(sl.flow, o.flow.Size, c.epoch) {
 			continue
 		}
 		f := o.flow
@@ -424,11 +439,10 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 	rep.Negotiated = len(items)
 
 	// 3. Negotiate with the ledger-adjusted configuration. A remote
-	// Negotiator runs even over an empty table (epoch lockstep); the
+	// negotiator runs even over an empty table (epoch lockstep); the
 	// in-process default skips the no-op session.
-	if len(items) > 0 || c.Negotiate != nil {
-		cfg := c.Ledger.Apply(c.Cfg)
-		negotiate := c.Negotiate
+	var res *nexit.Result
+	if len(items) > 0 || negotiate != nil {
 		if negotiate == nil {
 			negotiate = func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
 				evalA := c.NewEvaluator(nexit.SideA)
@@ -436,7 +450,8 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 				return nexit.Negotiate(cfg, evalA, evalB, items, defaults, numAlts)
 			}
 		}
-		res, err := negotiate(cfg, items, defaults, c.Sys.NumAlternatives())
+		var err error
+		res, err = negotiate(c.Ledger.Apply(c.Cfg), items, defaults, c.Sys.NumAlternatives())
 		if err != nil {
 			return nil, fmt.Errorf("continuous: epoch %d: %w", c.epoch, err)
 		}
@@ -444,6 +459,19 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 			return nil, fmt.Errorf("continuous: epoch %d: negotiator returned %d assignments for %d items",
 				c.epoch, len(res.Assign), len(items))
 		}
+	}
+
+	// 4. The epoch stands: record the observations, expire what went
+	// idle, settle the ledger and install the outcome.
+	for _, o := range all {
+		sl := &c.slots[o.slot]
+		if sl.flow == nil {
+			sl.flow = c.Registry.Track(signature(o.dir, o.flow.Src, o.flow.Dst))
+		}
+		c.Registry.ObserveFlow(sl.flow, o.flow.Size, c.epoch)
+	}
+	rep.Expired = len(c.Registry.Expire(c.epoch))
+	if res != nil {
 		if len(items) > 0 {
 			c.Ledger.Settle(c.epoch, res)
 			rep.Assign = append([]int(nil), res.Assign...)
@@ -458,7 +486,7 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 	}
 	rep.LedgerBalance = c.Ledger.Balance
 
-	// 4. Account the epoch: distance under pure early-exit vs under the
+	// 5. Account the epoch: distance under pure early-exit vs under the
 	// applied assignments.
 	for _, o := range all {
 		sys := systems[o.dir]
@@ -491,9 +519,6 @@ func (c *Controller) SeekEpoch(n int, workloads WorkloadFunc) error {
 	if n < c.epoch {
 		return fmt.Errorf("continuous: cannot seek backwards from epoch %d to %d", c.epoch, n)
 	}
-	saved := c.Negotiate
-	c.Negotiate = nil
-	defer func() { c.Negotiate = saved }()
 	for c.epoch < n {
 		wAB, wBA := workloads(c.epoch)
 		if _, err := c.Epoch(wAB, wBA); err != nil {

@@ -1,6 +1,9 @@
 package continuous
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/nexit"
 	"repro/internal/pairsim"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -210,8 +214,7 @@ func TestSeekEpochReplaysExactly(t *testing.T) {
 }
 
 // TestSeekEpochGuards pins the edges: seeking to the current epoch is a
-// no-op, seeking backwards is an error, and a seek never leaves a
-// Negotiate hook clobbered.
+// no-op and seeking backwards is an error.
 func TestSeekEpochGuards(t *testing.T) {
 	sys := testSystem(t)
 	c := New(sys, 10)
@@ -219,22 +222,66 @@ func TestSeekEpochGuards(t *testing.T) {
 	if err := c.SeekEpoch(0, wl); err != nil || c.EpochIndex() != 0 {
 		t.Errorf("seek to current epoch: err=%v, index=%d", err, c.EpochIndex())
 	}
-	marker := func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
-		t.Error("SeekEpoch replay invoked the wire negotiator")
-		return nil, nil
-	}
-	c.Negotiate = marker
 	if err := c.SeekEpoch(2, wl); err != nil {
 		t.Fatal(err)
 	}
 	if c.EpochIndex() != 2 {
 		t.Errorf("seek stopped at epoch %d, want 2", c.EpochIndex())
 	}
-	if c.Negotiate == nil {
-		t.Error("SeekEpoch cleared the Negotiate hook instead of restoring it")
-	}
 	if err := c.SeekEpoch(1, wl); err == nil {
 		t.Error("seek backwards succeeded")
+	}
+}
+
+// encoded is the controller's whole mutable state as snapshot bytes.
+func encoded(t *testing.T, c *Controller) []byte {
+	t.Helper()
+	b, err := snapshot.Encode(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestFailedNegotiatorLeavesControllerUnchanged passes EpochVia a
+// negotiator that fails, as a wire session does when the peer stalls,
+// aborts or is rejected: the error surfaces labelled with the epoch, and
+// the controller — registry, ledger, installed paths, epoch index — is
+// byte for byte what it was, at an epoch with nothing tracked yet, with
+// flows tracked, and with flows installed. agentd's runSession relies on
+// this in both roles: it retries, resyncs or restores on top of a failed
+// session without repairing anything first. The retry then reports what
+// a controller that never failed reports.
+func TestFailedNegotiatorLeavesControllerUnchanged(t *testing.T) {
+	sys := testSystem(t)
+	wl := epochWorkloads(sys)
+	boom := errors.New("peer went away")
+	failing := func(nexit.Config, []nexit.Item, []int, int) (*nexit.Result, error) { return nil, boom }
+	lived := New(sys, 10)
+	for at := 0; at < 4; at++ {
+		c := New(sys, 10)
+		if err := c.SeekEpoch(at, wl); err != nil {
+			t.Fatal(err)
+		}
+		before := encoded(t, c)
+		wAB, wBA := wl(at)
+		_, err := c.EpochVia(failing, wAB, wBA)
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), fmt.Sprintf("continuous: epoch %d:", at)) {
+			t.Fatalf("epoch %d: error = %v, want the negotiator's, labelled", at, err)
+		}
+		if c.EpochIndex() != at {
+			t.Errorf("epoch %d advanced to %d on a failed negotiation", at, c.EpochIndex())
+		}
+		if !bytes.Equal(encoded(t, c), before) {
+			t.Errorf("epoch %d: a failed negotiation changed the controller's state", at)
+		}
+		want, err := lived.Epoch(wAB, wBA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.Epoch(wAB, wBA); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("epoch %d retried after the failure:\n  got  %+v (%v)\n  want %+v", at, got, err, want)
+		}
 	}
 }
 
@@ -384,9 +431,13 @@ func TestEpochRejectsForeignFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad := &traffic.Workload{Flows: append(append([]traffic.Flow(nil), wAB.Flows...), f)}
+		before := encoded(t, c)
 		_, err := c.Epoch(bad, wBA)
 		if err == nil || !strings.Contains(err.Error(), "continuous: epoch 1:") {
 			t.Errorf("%s: Epoch error = %v, want a labelled epoch-1 error", name, err)
+		}
+		if !bytes.Equal(encoded(t, c), before) {
+			t.Errorf("%s: a rejected workload changed the controller's state", name)
 		}
 		if c.EpochIndex() != 1 {
 			t.Errorf("%s: epoch advanced to %d on a rejected workload", name, c.EpochIndex())
@@ -510,13 +561,13 @@ func TestEpochAllocsIndependentOfFlows(t *testing.T) {
 		c := New(sys, 10)
 		res := &nexit.Result{}
 		negotiated := 0
-		c.Negotiate = func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
+		stub := func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
 			negotiated = len(items)
 			res.Assign = defaults
 			return res, nil
 		}
 		epoch := func() {
-			if _, err := c.Epoch(wAB, wBA); err != nil {
+			if _, err := c.EpochVia(stub, wAB, wBA); err != nil {
 				t.Fatal(err)
 			}
 		}

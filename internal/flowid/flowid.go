@@ -15,8 +15,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"repro/internal/topology"
 )
 
 // Prefix is an IPv4 CIDR block.
@@ -55,41 +53,6 @@ func (p Prefix) Contains(addr uint32) bool {
 // ContainsPrefix reports whether q is a (non-strict) subprefix of p.
 func (p Prefix) ContainsPrefix(q Prefix) bool {
 	return q.Bits >= p.Bits && p.Contains(q.Addr)
-}
-
-// Plan assigns prefixes to an ISP's PoPs: each PoP gets one /16 out of a
-// per-ISP /8-like block derived from the ASN. This mirrors how the two
-// ISPs of a pair would "agree on a common set of prefixes, for instance
-// the union of the prefixes they announce to each other through BGP".
-type Plan struct {
-	ISP   *topology.ISP
-	ByPoP []Prefix
-}
-
-// NewPlan builds the prefix plan for an ISP. It fails if the ISP has
-// more than 256 PoPs (one /16 each inside a /8).
-func NewPlan(isp *topology.ISP) (*Plan, error) {
-	if len(isp.PoPs) > 256 {
-		return nil, fmt.Errorf("flowid: ISP %s has %d PoPs; plan supports at most 256", isp.Name, len(isp.PoPs))
-	}
-	base := uint32(10+isp.ASN%200) << 24 // deterministic per-ISP /8
-	p := &Plan{ISP: isp}
-	for i := range isp.PoPs {
-		p.ByPoP = append(p.ByPoP, Prefix{Addr: base | uint32(i)<<16, Bits: 16})
-	}
-	return p, nil
-}
-
-// PoPFor returns the PoP announcing the most specific plan prefix
-// containing the given prefix (the lowest such PoP on a tie).
-func (p *Plan) PoPFor(q Prefix) (int, bool) {
-	best := -1
-	for pop, pre := range p.ByPoP {
-		if pre.ContainsPrefix(q) && (best < 0 || pre.Bits > p.ByPoP[best].Bits) {
-			best = pop
-		}
-	}
-	return best, best >= 0
 }
 
 // Signature uniquely identifies a negotiable flow (paper §6): the most
@@ -184,6 +147,10 @@ func (r *Registry) Track(sig Signature) *Flow {
 	return f
 }
 
+// Lookup returns the live handle for a signature, or nil when the
+// registry does not track it. Unlike Track it never creates an entry.
+func (r *Registry) Lookup(sig Signature) *Flow { return r.flows[sig] }
+
 // Observe is ObserveFlow(Track(sig), size, tick).
 func (r *Registry) Observe(sig Signature, size float64, tick int) bool {
 	return r.ObserveFlow(r.Track(sig), size, tick)
@@ -198,22 +165,38 @@ func (r *Registry) ObserveFlow(f *Flow, size float64, tick int) bool {
 	if f.dead {
 		panic("flowid: ObserveFlow through a dead handle; Track the signature again")
 	}
-	f.size = size
-	f.lastSeen = tick
-	if size >= r.SizeThreshold {
-		if f.aboveSince < 0 {
-			f.aboveSince = tick
-		}
-		if !f.negotiable && tick-f.aboveSince >= r.StableTicks {
-			f.negotiable = true
-			f.everStable = true
-			f.announcedAt = tick
-			return true
-		}
-	} else {
-		f.aboveSince = -1
+	aboveSince, negotiable := r.stability(f, size, tick)
+	promoted := negotiable && !f.negotiable
+	f.size, f.lastSeen, f.aboveSince = size, tick, aboveSince
+	if promoted {
+		f.negotiable, f.everStable, f.announcedAt = true, true, tick
 	}
-	return false
+	return promoted
+}
+
+// NegotiableAfter reports whether ObserveFlow(f, size, tick) would leave
+// the flow negotiable, without recording the observation. A handle that
+// is not live stands for a flow the registry first sees at tick.
+func (r *Registry) NegotiableAfter(f *Flow, size float64, tick int) bool {
+	if !f.Live() {
+		f = &Flow{aboveSince: -1}
+	}
+	_, negotiable := r.stability(f, size, tick)
+	return negotiable
+}
+
+// stability is the promotion rule: the tick since which the flow has
+// stayed above the size threshold (-1 when it is below), and whether it
+// is negotiable, once size is observed at tick.
+func (r *Registry) stability(f *Flow, size float64, tick int) (aboveSince int, negotiable bool) {
+	if size < r.SizeThreshold {
+		return -1, f.negotiable
+	}
+	aboveSince = f.aboveSince
+	if aboveSince < 0 {
+		aboveSince = tick
+	}
+	return aboveSince, f.negotiable || tick-aboveSince >= r.StableTicks
 }
 
 // Expire removes flows idle for longer than IdleTimeout and returns

@@ -6,9 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/geo"
-	"repro/internal/topology"
 )
 
 func TestPrefixString(t *testing.T) {
@@ -80,57 +77,6 @@ func TestPrefixContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func testISP(n int) *topology.ISP {
-	isp := &topology.ISP{Name: "t", ASN: 7042}
-	for i := 0; i < n; i++ {
-		isp.PoPs = append(isp.PoPs, topology.PoP{ID: i, City: string(rune('a' + i)), Loc: geo.Point{Lat: float64(i)}})
-	}
-	for i := 0; i+1 < n; i++ {
-		isp.Links = append(isp.Links, topology.Link{A: i, B: i + 1, Weight: 1, LengthKm: 1})
-	}
-	return isp
-}
-
-func TestPlan(t *testing.T) {
-	isp := testISP(4)
-	plan, err := NewPlan(isp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.ByPoP) != 4 {
-		t.Fatalf("plan has %d prefixes", len(plan.ByPoP))
-	}
-	seen := map[Prefix]bool{}
-	for i, p := range plan.ByPoP {
-		if !p.Valid() || p.Bits != 16 {
-			t.Errorf("PoP %d prefix %v invalid", i, p)
-		}
-		if seen[p] {
-			t.Errorf("duplicate prefix %v", p)
-		}
-		seen[p] = true
-		// A /24 inside the PoP's /16 resolves back to the PoP.
-		sub := Prefix{Addr: p.Addr | 0x100, Bits: 24}
-		pop, ok := plan.PoPFor(sub)
-		if !ok || pop != i {
-			t.Errorf("PoPFor(%v) = %d,%v want %d", sub, pop, ok, i)
-		}
-	}
-	if _, ok := plan.PoPFor(Prefix{Addr: 0x01000000, Bits: 8}); ok {
-		t.Error("foreign prefix resolved to a PoP")
-	}
-}
-
-func TestPlanTooManyPoPs(t *testing.T) {
-	isp := &topology.ISP{Name: "big", ASN: 1}
-	for i := 0; i < 300; i++ {
-		isp.PoPs = append(isp.PoPs, topology.PoP{ID: i})
-	}
-	if _, err := NewPlan(isp); err == nil {
-		t.Error("oversized ISP accepted")
 	}
 }
 
@@ -367,9 +313,11 @@ func TestFlowHandleLifetime(t *testing.T) {
 
 // TestRegistryHandleParity drives one random interleaving of
 // observations, expiries and restores into two registries — one by
-// signature through Observe, one through cached handles re-Tracked only
-// when dead, as the continuous controller holds them — and requires the
-// same promotions, expiries and Export() at every step.
+// signature through Observe, one through cached handles looked up again
+// only when dead and tracked only after NegotiableAfter was asked, as
+// the continuous controller holds them — and requires the same
+// promotions, expiries and Export() at every step, and every
+// NegotiableAfter answer to be what the observation then produced.
 func TestRegistryHandleParity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -389,10 +337,17 @@ func TestRegistryHandleParity(t *testing.T) {
 			case op < 6:
 				i, size := rng.Intn(len(sigs)), 2*rng.Float64()
 				if !handles[i].Live() {
+					handles[i] = byHandle.Lookup(sigs[i])
+				}
+				predicted := byHandle.NegotiableAfter(handles[i], size, tick)
+				if handles[i] == nil {
 					handles[i] = byHandle.Track(sigs[i])
 				}
 				if a, b := bySig.Observe(sigs[i], size, tick), byHandle.ObserveFlow(handles[i], size, tick); a != b {
 					t.Fatalf("seed %d step %d: promotion by signature %v, by handle %v", seed, step, a, b)
+				}
+				if got := handles[i].Negotiable(); got != predicted {
+					t.Fatalf("seed %d step %d: NegotiableAfter said %v, the observation left %v", seed, step, predicted, got)
 				}
 			case op < 8:
 				tick += rng.Intn(3)

@@ -37,7 +37,7 @@ func TestReadFrameIntoReuse(t *testing.T) {
 		struct {
 			typ     MsgType
 			payload []byte
-		}{MsgCommit, big},
+		}{MsgDone, big},
 		struct {
 			typ     MsgType
 			payload []byte
@@ -45,7 +45,7 @@ func TestReadFrameIntoReuse(t *testing.T) {
 	)
 
 	typ, body, scratch, err := readFrameInto(buf, nil)
-	if err != nil || typ != MsgCommit || !bytes.Equal(body, big) {
+	if err != nil || typ != MsgDone || !bytes.Equal(body, big) {
 		t.Fatalf("first frame = %v %v (%v)", typ, body, err)
 	}
 	first := &scratch[0]
@@ -86,11 +86,11 @@ func TestDecodedMessagesDoNotAliasScratch(t *testing.T) {
 		struct {
 			typ     MsgType
 			payload []byte
-		}{MsgHello, encodeHello(hello)},
+		}{MsgHello, appendHello(nil, hello)},
 		struct {
 			typ     MsgType
 			payload []byte
-		}{MsgPrefsResponse, encodePrefsResponse(prefs)},
+		}{MsgPrefsResponse, appendPrefsResponse(nil, prefs)},
 		struct {
 			typ     MsgType
 			payload []byte

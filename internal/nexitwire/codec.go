@@ -7,9 +7,9 @@
 // The protocol is asymmetric, like a BGP session: the initiator runs the
 // contractually agreed deterministic round engine (internal/nexit) and
 // the responder serves its private preferences and accept/veto decisions
-// over the wire. Because the full preference lists are exchanged, the
-// responder can re-verify the entire transcript afterwards with
-// VerifyTranscript — a mis-computing (or cheating) initiator is caught.
+// over the wire. The responder audits the closing Done against the
+// commits and reverts it observed — a mis-computing (or cheating)
+// initiator is caught.
 //
 // Wire format: length-prefixed frames over any net.Conn. Each frame is
 //
@@ -68,9 +68,12 @@ const (
 	MsgHelloAck
 	MsgPrefsRequest
 	MsgPrefsResponse
-	MsgAcceptRequest
-	MsgAcceptResponse
-	MsgCommit
+	// 5, 6 and 7 were v3's per-item accept-request, accept-response and
+	// commit. No v4 peer sends them; the numbers stay reserved and are
+	// never reused, and a frame carrying one is an unexpected frame.
+	_
+	_
+	_
 	MsgRevert
 	MsgDone
 	MsgError
@@ -90,12 +93,6 @@ func (t MsgType) String() string {
 		return "prefs-request"
 	case MsgPrefsResponse:
 		return "prefs-response"
-	case MsgAcceptRequest:
-		return "accept-request"
-	case MsgAcceptResponse:
-		return "accept-response"
-	case MsgCommit:
-		return "commit"
 	case MsgRevert:
 		return "revert"
 	case MsgDone:
@@ -148,7 +145,8 @@ type PrefsResponse struct {
 	Prefs [][]int8
 }
 
-// AcceptRequest asks the responder whether it accepts a proposal.
+// AcceptRequest is one proposal put to the responder: an element of a
+// ProposeBatch, and the argument of Responder.Accept.
 type AcceptRequest struct {
 	Round  uint32
 	ItemID uint32
@@ -156,17 +154,6 @@ type AcceptRequest struct {
 	// PrefInitiator is the initiator's disclosed class for the proposed
 	// alternative (the responder already knows its own).
 	PrefInitiator int8
-}
-
-// AcceptResponse answers an AcceptRequest.
-type AcceptResponse struct {
-	Accepted bool
-}
-
-// Commit informs the responder that an item was agreed.
-type Commit struct {
-	ItemID uint32
-	Alt    uint16
 }
 
 // Revert informs the responder that the terminal unwind moved an item
@@ -194,10 +181,9 @@ type ErrorMsg struct {
 
 // ProposeBatch (v4) carries a run of proposals the initiator's engine
 // would make if each preceding one is accepted. The responder decides
-// them in order — committing accepted proposals as if an AcceptRequest
-// and a Commit had arrived back to back — and stops at its first veto,
-// discarding the tail (those proposals were planned assuming the vetoed
-// one stood, so they are void).
+// them in order, committing each one it accepts, and stops at its first
+// veto, discarding the tail (those proposals were planned assuming the
+// vetoed one stood, so they are void).
 type ProposeBatch struct {
 	Proposals []AcceptRequest
 }
@@ -278,13 +264,6 @@ func (e *enc) str(s string) {
 	e.u16(uint16(len(s)))
 	e.b = append(e.b, s...)
 }
-func (e *enc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
 
 // dec is the matching decoder; it records the first error and returns
 // zero values afterwards.
@@ -345,7 +324,6 @@ func (d *dec) str() string {
 	d.b = d.b[n:]
 	return v
 }
-func (d *dec) boolean() bool { return d.u8() != 0 }
 func (d *dec) done() error {
 	if d.err != nil {
 		return d.err
@@ -357,8 +335,6 @@ func (d *dec) done() error {
 }
 
 // Message marshaling.
-
-func encodeHello(h *Hello) []byte { return appendHello(nil, h) }
 
 func appendHello(b []byte, h *Hello) []byte {
 	e := enc{b: b}
@@ -404,8 +380,6 @@ func decodeHello(b []byte) (*Hello, error) {
 	return h, d.done()
 }
 
-func encodePrefsRequest(m *PrefsRequest) []byte { return appendPrefsRequest(nil, m) }
-
 func appendPrefsRequest(b []byte, m *PrefsRequest) []byte {
 	e := enc{b: b}
 	e.u32(uint32(len(m.ItemIDs)))
@@ -432,8 +406,6 @@ func decodePrefsRequest(b []byte) (*PrefsRequest, error) {
 	}
 	return m, d.done()
 }
-
-func encodePrefsResponse(m *PrefsResponse) []byte { return appendPrefsResponse(nil, m) }
 
 func appendPrefsResponse(b []byte, m *PrefsResponse) []byte {
 	e := enc{b: b}
@@ -474,59 +446,6 @@ func decodePrefsResponse(b []byte) (*PrefsResponse, error) {
 	return m, d.done()
 }
 
-func encodeAcceptRequest(m *AcceptRequest) []byte { return appendAcceptRequest(nil, m) }
-
-func appendAcceptRequest(b []byte, m *AcceptRequest) []byte {
-	e := enc{b: b}
-	e.u32(m.Round)
-	e.u32(m.ItemID)
-	e.u16(m.Alt)
-	e.i8(m.PrefInitiator)
-	return e.b
-}
-
-func decodeAcceptRequest(b []byte) (*AcceptRequest, error) {
-	d := dec{b: b}
-	m := &AcceptRequest{
-		Round:         d.u32(),
-		ItemID:        d.u32(),
-		Alt:           d.u16(),
-		PrefInitiator: d.i8(),
-	}
-	return m, d.done()
-}
-
-func encodeAcceptResponse(m *AcceptResponse) []byte { return appendAcceptResponse(nil, m) }
-
-func appendAcceptResponse(b []byte, m *AcceptResponse) []byte {
-	e := enc{b: b}
-	e.boolean(m.Accepted)
-	return e.b
-}
-
-func decodeAcceptResponse(b []byte) (*AcceptResponse, error) {
-	d := dec{b: b}
-	m := &AcceptResponse{Accepted: d.boolean()}
-	return m, d.done()
-}
-
-func encodeCommit(m *Commit) []byte { return appendCommit(nil, m) }
-
-func appendCommit(b []byte, m *Commit) []byte {
-	e := enc{b: b}
-	e.u32(m.ItemID)
-	e.u16(m.Alt)
-	return e.b
-}
-
-func decodeCommit(b []byte) (*Commit, error) {
-	d := dec{b: b}
-	m := &Commit{ItemID: d.u32(), Alt: d.u16()}
-	return m, d.done()
-}
-
-func encodeRevert(m *Revert) []byte { return appendRevert(nil, m) }
-
 func appendRevert(b []byte, m *Revert) []byte {
 	e := enc{b: b}
 	e.u32(m.ItemID)
@@ -540,8 +459,6 @@ func decodeRevert(b []byte) (*Revert, error) {
 	m := &Revert{ItemID: d.u32(), Alt: d.u16(), Def: d.u16()}
 	return m, d.done()
 }
-
-func encodeDone(m *Done) []byte { return appendDone(nil, m) }
 
 func appendDone(b []byte, m *Done) []byte {
 	e := enc{b: b}
@@ -576,8 +493,6 @@ func decodeDone(b []byte) (*Done, error) {
 	return m, d.done()
 }
 
-func encodeError(m *ErrorMsg) []byte { return appendError(nil, m) }
-
 func appendError(b []byte, m *ErrorMsg) []byte {
 	e := enc{b: b}
 	e.str(m.Reason)
@@ -593,8 +508,6 @@ func decodeError(b []byte) (*ErrorMsg, error) {
 // proposalWireSize is the encoded size of one batched proposal: round
 // u32 + item u32 + alt u16 + class i8.
 const proposalWireSize = 11
-
-func encodeProposeBatch(m *ProposeBatch) []byte { return appendProposeBatch(nil, m) }
 
 func appendProposeBatch(b []byte, m *ProposeBatch) []byte {
 	e := enc{b: b}
@@ -631,8 +544,6 @@ func decodeProposeBatch(b []byte) (*ProposeBatch, error) {
 	}
 	return m, d.done()
 }
-
-func encodeBatchAccept(m *BatchAccept) []byte { return appendBatchAccept(nil, m) }
 
 func appendBatchAccept(b []byte, m *BatchAccept) []byte {
 	e := enc{b: b}

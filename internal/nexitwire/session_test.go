@@ -2,6 +2,7 @@ package nexitwire
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -35,7 +36,7 @@ func TestWireStalledPeerTimeout(t *testing.T) {
 			return
 		}
 		fw := frameWriter{w: connB}
-		if err := fw.writeFrame(MsgHelloAck, encodeHello(hello)); err != nil {
+		if err := fw.writeFrame(MsgHelloAck, appendHello(nil, hello)); err != nil {
 			return
 		}
 		for {
@@ -52,7 +53,7 @@ func TestWireStalledPeerTimeout(t *testing.T) {
 		Timeout: 100 * time.Millisecond,
 	}
 	start := time.Now()
-	_, err := ini.Run(connA, items, defaults, numAlts)
+	_, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("session against a stalled peer succeeded")
@@ -86,7 +87,7 @@ func TestWireResponderStallTimeout(t *testing.T) {
 			NumAlts:  numAlts,
 			Timeout:  100 * time.Millisecond,
 		}
-		_, err := resp.ServeConn(connB)
+		_, err := serveOne(connB, resp)
 		errCh <- err
 	}()
 
@@ -98,7 +99,7 @@ func TestWireResponderStallTimeout(t *testing.T) {
 		NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
 		WorkloadHash: WorkloadHash(items, defaults, numAlts),
 	}
-	if err := fw.writeFrame(MsgHello, encodeHello(hello)); err != nil {
+	if err := fw.writeFrame(MsgHello, appendHello(nil, hello)); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
@@ -154,8 +155,9 @@ func TestWireSessionReuse(t *testing.T) {
 			NumAlts:  numAlts,
 			Timeout:  5 * time.Second,
 		}
+		c := NewConn(connB)
 		for {
-			hello, err := AcceptHello(connB, resp.Timeout)
+			hello, err := AcceptHelloConn(c, resp.Timeout)
 			if err != nil {
 				ch <- out{nil, err}
 				return
@@ -163,7 +165,7 @@ func TestWireSessionReuse(t *testing.T) {
 			if hello.Name != "agent-a" {
 				t.Errorf("hello names peer %q", hello.Name)
 			}
-			r, err := resp.ServeSession(connB, hello)
+			r, err := resp.ServeSessionConn(c, hello)
 			ch <- out{r, err}
 			if err != nil {
 				return
@@ -177,8 +179,9 @@ func TestWireSessionReuse(t *testing.T) {
 		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
 		Timeout: 5 * time.Second,
 	}
+	cA := NewConn(connA)
 	for e := 0; e < epochs; e++ {
-		res, err := ini.Run(connA, items, defaults, numAlts)
+		res, err := ini.RunConn(cA, items, defaults, numAlts)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
@@ -200,5 +203,163 @@ func TestWireSessionReuse(t *testing.T) {
 	last := <-ch
 	if !errors.Is(last.err, io.EOF) {
 		t.Errorf("responder loop ended with %v, want io.EOF", last.err)
+	}
+}
+
+// commitCounter counts the commits that reach an evaluator.
+type commitCounter struct {
+	nexit.Evaluator
+	commits int
+}
+
+func (c *commitCounter) Commit(it nexit.Item, alt int) {
+	c.commits++
+	c.Evaluator.Commit(it, alt)
+}
+
+// TestRetiredFrameTypesRejected sends the three frame types v4 retired
+// (5 accept-request, 6 accept-response, 7 commit), well-formed as v3
+// framed them, to a Responder mid-session and to an Initiator awaiting a
+// BatchAccept. Each must end the session inside the timeout with the
+// labelled protocol violation, on the receiver and as an Error frame on
+// the wire, and the retired commit must not reach the evaluator.
+func TestRetiredFrameTypesRejected(t *testing.T) {
+	retired := []struct {
+		typ     MsgType
+		payload []byte
+	}{
+		{5, []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 3}}, // round, item, alt, class
+		{6, []byte{1}},                // accepted
+		{7, []byte{0, 0, 0, 0, 0, 1}}, // item, alt
+	}
+	items, defaults := staticItems(2)
+	table := map[int][]int{0: {0, 3}, 1: {0, 2}}
+	const timeout = 2 * time.Second
+	// expectError reads the next frame on conn and requires the Error
+	// frame carrying the labelled violation.
+	expectError := func(t *testing.T, conn net.Conn, want string) {
+		t.Helper()
+		typ, body, err := readFrame(conn)
+		if err != nil || typ != MsgError {
+			t.Errorf("peer saw %v frame (%v), want error", typ, err)
+			return
+		}
+		if em, err := decodeError(body); err != nil || !strings.Contains(em.Reason, want) {
+			t.Errorf("error frame carries %+v (%v), want %q", em, err, want)
+		}
+	}
+
+	for _, f := range retired {
+		want := fmt.Sprintf("unexpected msg(%d) frame", f.typ)
+
+		t.Run(fmt.Sprintf("responder/%d", f.typ), func(t *testing.T) {
+			connA, connB := net.Pipe()
+			defer connA.Close()
+			defer connB.Close()
+			eval := &commitCounter{Evaluator: &nexit.StaticEvaluator{NumAlts: 2, Table: table}}
+			resp := &Responder{Eval: eval, Items: items, Defaults: defaults, NumAlts: 2, Timeout: timeout}
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := serveOne(connB, resp)
+				errCh <- err
+			}()
+
+			fw := frameWriter{w: connA}
+			send := func(typ MsgType, payload []byte) {
+				t.Helper()
+				if err := fw.writeFrame(typ, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send(MsgHello, appendHello(nil, &Hello{
+				Version: Version, NumAlts: 2, NumItems: uint32(len(items)),
+				WorkloadHash: WorkloadHash(items, defaults, 2),
+			}))
+			if typ, _, err := readFrame(connA); err != nil || typ != MsgHelloAck {
+				t.Fatalf("hello answered with %v (%v)", typ, err)
+			}
+			send(MsgPrefsRequest, appendPrefsRequest(nil, &PrefsRequest{ItemIDs: []uint32{0, 1}, Defaults: []uint16{0, 0}}))
+			if typ, _, err := readFrame(connA); err != nil || typ != MsgPrefsResponse {
+				t.Fatalf("prefs request answered with %v (%v)", typ, err)
+			}
+			send(f.typ, f.payload)
+			expectError(t, connA, want)
+			select {
+			case err := <-errCh:
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("responder ended with %v, want %q", err, want)
+				}
+			case <-time.After(timeout):
+				t.Fatal("responder hung on a retired frame")
+			}
+			if eval.commits != 0 {
+				t.Errorf("a retired frame committed %d items on the responder's evaluator", eval.commits)
+			}
+		})
+
+		t.Run(fmt.Sprintf("initiator/%d", f.typ), func(t *testing.T) {
+			connA, connB := net.Pipe()
+			defer connA.Close()
+			defer connB.Close()
+			// The stand-in responder is compliant up to the first
+			// ProposeBatch, which it answers with the retired frame.
+			standIn := make(chan struct{})
+			go func() {
+				defer close(standIn)
+				evalB := &nexit.StaticEvaluator{NumAlts: 2, Table: table}
+				fw := frameWriter{w: connB}
+				for {
+					typ, body, err := readFrame(connB)
+					if err != nil {
+						return
+					}
+					switch typ {
+					case MsgHello:
+						err = fw.writeFrame(MsgHelloAck, body)
+					case MsgPrefsRequest:
+						rows := evalB.Prefs(items, defaults)
+						resp := &PrefsResponse{}
+						for _, row := range rows {
+							resp.Prefs = append(resp.Prefs, []int8{int8(row[0]), int8(row[1])})
+						}
+						err = fw.writeFrame(MsgPrefsResponse, appendPrefsResponse(nil, resp))
+					case MsgProposeBatch:
+						if err := fw.writeFrame(f.typ, f.payload); err != nil {
+							t.Error(err)
+							return
+						}
+						expectError(t, connB, want)
+						return
+					default:
+						t.Errorf("stand-in responder saw %v frame", typ)
+						return
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+
+			ini := &Initiator{
+				Cfg:     nexit.DefaultDistanceConfig(),
+				Eval:    &nexit.StaticEvaluator{NumAlts: 2, Table: table},
+				Timeout: timeout,
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := ini.RunConn(NewConn(connA), items, defaults, 2)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("initiator ended with %v, want %q", err, want)
+				}
+			case <-time.After(timeout):
+				t.Fatal("initiator hung on a retired frame")
+			}
+			<-standIn
+		})
 	}
 }

@@ -26,11 +26,10 @@ type WireStats struct {
 	HelloNanos int64
 	// PrefsNanos counts preference disclosure: PrefsRequest/Response.
 	PrefsNanos int64
-	// ProposeNanos counts the accept path: ProposeBatch/BatchAccept and
-	// the legacy per-proposal AcceptRequest/Response.
+	// ProposeNanos counts the accept path: ProposeBatch/BatchAccept.
 	ProposeNanos int64
-	// CommitNanos counts state installation and teardown: Commit,
-	// Revert, Done, and Error frames.
+	// CommitNanos counts state installation and teardown: Revert, Done,
+	// and Error frames.
 	CommitNanos int64
 }
 
@@ -53,9 +52,9 @@ func (w *WireStats) phaseNanos(t MsgType) *int64 {
 		return &w.HelloNanos
 	case MsgPrefsRequest, MsgPrefsResponse:
 		return &w.PrefsNanos
-	case MsgProposeBatch, MsgBatchAccept, MsgAcceptRequest, MsgAcceptResponse:
+	case MsgProposeBatch, MsgBatchAccept:
 		return &w.ProposeNanos
-	default: // Commit, Revert, Done, Error
+	default: // Revert, Done, Error
 		return &w.CommitNanos
 	}
 }

@@ -102,9 +102,9 @@ func unwindFixture() (evalA, evalB nexit.Evaluator, items []nexit.Item, defaults
 // can send: the distance session of TestWireMatchesInProcess, the
 // bandwidth session of TestWireBandwidthMatchesInProcess under
 // bandwidthConfig (repeated PrefsRequest), the TestWireUnwind session
-// (Revert) and the TestWireVeto session (truncated batch). A change that leaves
-// testdata/session_transcript.sha256 alone changed no valid v4 byte
-// stream and needs no version bump; regenerate it (-update) only
+// (Revert) and the TestWireVeto session (truncated batch). A change that
+// leaves testdata/session_transcript.sha256 alone changed no valid v4
+// byte stream and needs no version bump; regenerate it (-update) only
 // together with one.
 func TestSessionTranscriptGolden(t *testing.T) {
 	s, items, defaults, numAlts := testUniverse(t)

@@ -131,21 +131,15 @@ func (in *Initiator) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// Run negotiates the items over conn and returns the engine result. The
-// responder must be configured with the same items, defaults, and
+// RunConn negotiates the items over c and returns the engine result.
+// The responder must be configured with the same items, defaults, and
 // alternative count.
 //
-// A connection may carry many sessions back to back: every Run opens
-// with a fresh Hello and ends with Done, so a long-running agent reuses
-// one connection across negotiation epochs instead of redialing (the
-// responder answers each Hello with ServeConn/ServeSession in turn).
-func (in *Initiator) Run(conn net.Conn, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
-	return in.RunConn(NewConn(conn), items, defaults, numAlts)
-}
-
-// RunConn is Run over a reusable Conn: a long-lived agent wraps each
-// peer connection once and amortizes the frame buffers across all the
-// sessions (epochs) it initiates on it.
+// A connection may carry many sessions back to back: every RunConn
+// opens with a fresh Hello and ends with Done, so a long-running agent
+// wraps each peer connection in one Conn and reuses it, and its frame
+// buffers, across negotiation epochs instead of redialing (the responder
+// answers each Hello with AcceptHelloConn/ServeSessionConn in turn).
 func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
 	if in.Cfg.PrefBound > 127 {
 		return nil, fmt.Errorf("nexitwire: preference bound %d exceeds the wire format's int8 classes", in.Cfg.PrefBound)
@@ -196,15 +190,15 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 		return nil, s.abort(fmt.Errorf("nexitwire: workload hash mismatch in ack"))
 	}
 
-	remote := &remoteEvaluator{s: s, own: in.Eval, numAlts: numAlts}
+	remote := &remoteEvaluator{s: s, numAlts: numAlts}
 	cfg := in.Cfg
 	cfg.BatchAcceptHook = func(batch []nexit.Proposal) int {
 		// The remote agent ratifies every proposal: when it is the
 		// acceptor this is the paper's veto; when the engine proposed on
 		// its behalf, ratification confirms the simulated turn. The whole
-		// planned run travels in one ProposeBatch frame; the responder
-		// commits the prefix it accepts, so the echoes of those commits
-		// from the engine are suppressed.
+		// planned run travels in one ProposeBatch frame and the responder
+		// commits the prefix it accepts, which is why remoteEvaluator's
+		// Commit has nothing to send.
 		limit := len(batch)
 		if remote.err != nil {
 			// The session is already dead and the result will be
@@ -233,11 +227,7 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 			remote.err = err
 			return limit // dead session: wind down, result is discarded
 		}
-		remote.suppress += accepted
-		if accepted < limit {
-			return accepted
-		}
-		return limit
+		return accepted
 	}
 
 	res, err := nexit.Negotiate(cfg, in.Eval, remote, items, defaults, numAlts)
@@ -265,18 +255,11 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 	return res, nil
 }
 
-// remoteEvaluator proxies the responder's evaluator over the wire. Its
-// Prefs call also discloses the initiator's own preferences for the same
-// items, mirroring the paper's two-way information exchange and letting
-// the responder audit the session.
+// remoteEvaluator proxies the responder's evaluator over the wire.
 type remoteEvaluator struct {
 	s       *session
-	own     nexit.Evaluator
 	numAlts int
 	err     error
-	// suppress counts engine commits already applied responder-side by
-	// a fused ProposeBatch, so they are not echoed as Commit frames.
-	suppress int
 	// scratch buffers reused across the session's wire calls. The rows
 	// returned by Prefs alias prefRows; that is safe because the engine
 	// clamps them into its own tables before the next call.
@@ -343,22 +326,11 @@ func (r *remoteEvaluator) Prefs(items []nexit.Item, defaults []int) [][]int {
 	return out
 }
 
-// Commit implements nexit.Evaluator. Commits the responder already
-// applied as part of an accepted batch are consumed silently; anything
-// else (none today, but the per-item frames remain in the protocol) is
-// forwarded.
-func (r *remoteEvaluator) Commit(it nexit.Item, alt int) {
-	if r.suppress > 0 {
-		r.suppress--
-		return
-	}
-	if r.err != nil {
-		return
-	}
-	if err := r.s.sendEnc(MsgCommit, appendCommit(r.s.enc[:0], &Commit{ItemID: uint32(it.ID), Alt: uint16(alt)})); err != nil {
-		r.err = err
-	}
-}
+// Commit implements nexit.Evaluator and sends nothing: RunConn always
+// installs the BatchAcceptHook, so every commit the engine makes is the
+// prefix of a ProposeBatch the responder accepted — and committed as it
+// did — or belongs to a dead session whose result is discarded.
+func (r *remoteEvaluator) Commit(nexit.Item, int) {}
 
 // Revert implements nexit.Reverter, forwarding terminal unwinds so the
 // responder's assignment view and gain accounting stay in sync.
@@ -442,19 +414,14 @@ func (r *Responder) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// AcceptHello reads the opening Hello of an inbound session without
+// AcceptHelloConn reads the opening Hello of an inbound session without
 // committing to a negotiation universe. A daemon serving several
 // neighbors uses it to identify the calling peer (Hello.Name,
 // Hello.WorkloadHash) before choosing which universe — and which
 // Responder — handles the session; pass the hello on to
-// Responder.ServeSession to continue. A zero timeout selects
-// DefaultTimeout. io.EOF is returned unwrapped when the peer closes the
-// connection cleanly between sessions.
-func AcceptHello(conn net.Conn, timeout time.Duration) (*Hello, error) {
-	return AcceptHelloConn(NewConn(conn), timeout)
-}
-
-// AcceptHelloConn is AcceptHello over a reusable Conn.
+// Responder.ServeSessionConn on the same Conn to continue. A zero
+// timeout selects DefaultTimeout. io.EOF is returned unwrapped when the
+// peer closes the connection cleanly between sessions.
 func AcceptHelloConn(c *Conn, timeout time.Duration) (*Hello, error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -470,14 +437,9 @@ func AcceptHelloConn(c *Conn, timeout time.Duration) (*Hello, error) {
 	return decodeHello(body)
 }
 
-// Reject answers an inbound session with an error frame and reason; a
-// daemon uses it when the Hello names a peer it is not configured for.
+// RejectConn answers an inbound session with an error frame and reason;
+// a daemon uses it when the Hello names a peer it is not configured for.
 // A zero timeout selects DefaultTimeout.
-func Reject(conn net.Conn, timeout time.Duration, reason string) error {
-	return RejectConn(NewConn(conn), timeout, reason)
-}
-
-// RejectConn is Reject over a reusable Conn.
 func RejectConn(c *Conn, timeout time.Duration, reason string) error {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -486,29 +448,12 @@ func RejectConn(c *Conn, timeout time.Duration, reason string) error {
 	return s.sendEnc(MsgError, appendError(s.enc[:0], &ErrorMsg{Reason: reason}))
 }
 
-// ServeConn handles one session and returns the final result. It
-// validates the Hello against the locally configured universe, then
-// serves preference, accept, and commit frames until Done. Like
-// Initiator.Run, it may be called repeatedly on one connection: each
-// call consumes exactly one Hello...Done session.
-func (r *Responder) ServeConn(conn net.Conn) (*SessionResult, error) {
-	hello, err := AcceptHello(conn, r.timeout())
-	if err != nil {
-		return nil, err
-	}
-	return r.ServeSession(conn, hello)
-}
-
-// ServeSession handles one session whose opening Hello has already been
-// read (see AcceptHello). It validates the hello against the locally
-// configured universe and serves the rest of the session.
-func (r *Responder) ServeSession(conn net.Conn, hello *Hello) (*SessionResult, error) {
-	return r.ServeSessionConn(NewConn(conn), hello)
-}
-
-// ServeSessionConn is ServeSession over a reusable Conn; pair it with
-// AcceptHelloConn on the same Conn so the whole inbound side of a
-// long-lived connection shares one set of frame buffers.
+// ServeSessionConn handles one session whose opening Hello has already
+// been read by AcceptHelloConn on the same Conn, and returns the final
+// result: it validates the hello against the locally configured
+// universe, then serves preference, batch and revert frames until Done.
+// It may be called repeatedly on one Conn; each call consumes exactly one
+// Hello...Done session.
 func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, error) {
 	s := c.s.reset(r.timeout())
 	wantHash := WorkloadHash(r.Items, r.Defaults, r.NumAlts)
@@ -549,15 +494,6 @@ func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, err
 	// row contributes nothing" accounting.
 	lastPrefs := make([]int, len(r.Items)*r.NumAlts)
 	lastSeen := make([]bool, len(r.Items))
-	// commit fuses the bookkeeping a Commit frame (or an accepted
-	// batched proposal) triggers.
-	commit := func(itemID, alt int) {
-		assign[itemID] = alt
-		if lastSeen[itemID] && alt < r.NumAlts {
-			gainB += lastPrefs[itemID*r.NumAlts+alt]
-		}
-		r.Eval.Commit(r.Items[itemID], alt)
-	}
 	// Per-request scratch, reused across the session's serve loop.
 	var (
 		items    []nexit.Item
@@ -618,27 +554,14 @@ func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, err
 			if err := s.sendEnc(MsgPrefsResponse, appendPrefsResponse(s.enc[:0], &resp)); err != nil {
 				return nil, err
 			}
-		case MsgAcceptRequest:
-			req, err := decodeAcceptRequest(body)
-			if err != nil {
-				return nil, err
-			}
-			accepted := true
-			if r.Accept != nil {
-				accepted = r.Accept(*req)
-			}
-			if err := s.sendEnc(MsgAcceptResponse, appendAcceptResponse(s.enc[:0], &AcceptResponse{Accepted: accepted})); err != nil {
-				return nil, err
-			}
 		case MsgProposeBatch:
 			pb, err := decodeProposeBatch(body)
 			if err != nil {
 				return nil, err
 			}
-			// Decide the run in order, committing accepted proposals as
-			// an AcceptRequest + Commit would have, and stop at the
-			// first veto: the discarded tail was planned assuming the
-			// vetoed proposal stood, so it is void.
+			// Decide the run in order, committing each accepted proposal,
+			// and stop at the first veto: the discarded tail was planned
+			// assuming the vetoed proposal stood, so it is void.
 			accepted := 0
 			for i := range pb.Proposals {
 				req := &pb.Proposals[i]
@@ -648,21 +571,16 @@ func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, err
 				if r.Accept != nil && !r.Accept(*req) {
 					break
 				}
-				commit(int(req.ItemID), int(req.Alt))
+				assign[req.ItemID] = int(req.Alt)
+				if lastSeen[req.ItemID] {
+					gainB += lastPrefs[int(req.ItemID)*r.NumAlts+int(req.Alt)]
+				}
+				r.Eval.Commit(r.Items[req.ItemID], int(req.Alt))
 				accepted++
 			}
 			if err := s.sendEnc(MsgBatchAccept, appendBatchAccept(s.enc[:0], &BatchAccept{Accepted: uint32(accepted)})); err != nil {
 				return nil, err
 			}
-		case MsgCommit:
-			c, err := decodeCommit(body)
-			if err != nil {
-				return nil, err
-			}
-			if int(c.ItemID) >= len(r.Items) || int(c.Alt) >= r.NumAlts {
-				return nil, s.abort(fmt.Errorf("nexitwire: commit out of range"))
-			}
-			commit(int(c.ItemID), int(c.Alt))
 		case MsgRevert:
 			c, err := decodeRevert(body)
 			if err != nil {
@@ -850,9 +768,8 @@ func (s *session) abort(err error) error {
 // reallocated for every session a long-lived connection carries. A
 // daemon that keeps one connection per peer direction should create one
 // Conn per connection and pass it to RunConn / AcceptHelloConn /
-// ServeSessionConn; the net.Conn-based entry points remain as
-// single-session conveniences. A Conn serves one session at a time,
-// like the underlying protocol.
+// ServeSessionConn. A Conn serves one session at a time, like the
+// underlying protocol.
 type Conn struct {
 	s session
 }
@@ -862,9 +779,6 @@ type Conn struct {
 func NewConn(c net.Conn) *Conn {
 	return &Conn{s: session{conn: c, fw: frameWriter{w: c}}}
 }
-
-// NetConn returns the wrapped connection.
-func (c *Conn) NetConn() net.Conn { return c.s.conn }
 
 // Close closes the wrapped connection.
 func (c *Conn) Close() error { return c.s.conn.Close() }

@@ -28,14 +28,14 @@ func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := frameWriter{w: &buf}
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := fw.writeFrame(MsgCommit, payload); err != nil {
+	if err := fw.writeFrame(MsgRevert, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgCommit || !bytes.Equal(body, payload) {
+	if typ != MsgRevert || !bytes.Equal(body, payload) {
 		t.Errorf("roundtrip = %v %v", typ, body)
 	}
 }
@@ -70,7 +70,7 @@ func TestHelloRoundtrip(t *testing.T) {
 		{Version: 2, Name: "isp-a agent", NumAlts: 5, NumItems: 1234, WorkloadHash: 0xDEADBEEF12345678, Metric: "bandwidth"},
 		{Version: 3, Name: "isp-a agent", NumAlts: 5, NumItems: 1234, WorkloadHash: 0xDEADBEEF12345678, Metric: "distance", Epoch: 97},
 	} {
-		got, err := decodeHello(encodeHello(h))
+		got, err := decodeHello(appendHello(nil, h))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestHelloRoundtrip(t *testing.T) {
 // check can reject it cleanly), while same-version trailing garbage is
 // a framing error.
 func TestHelloVersionCompat(t *testing.T) {
-	future := append(encodeHello(&Hello{
+	future := append(appendHello(nil, &Hello{
 		Version: Version + 1, Name: "isp-z", NumAlts: 3, NumItems: 9,
 		WorkloadHash: 42, Metric: "distance", Epoch: 7,
 	}), 0xAB, 0xCD) // a hypothetical v4 field we do not know
@@ -97,7 +97,7 @@ func TestHelloVersionCompat(t *testing.T) {
 		t.Errorf("decoded %+v from the future hello", h)
 	}
 
-	current := append(encodeHello(&Hello{Version: Version, Name: "isp-a", Metric: "distance"}), 0xAB)
+	current := append(appendHello(nil, &Hello{Version: Version, Name: "isp-a", Metric: "distance"}), 0xAB)
 	if _, err := decodeHello(current); err == nil {
 		t.Error("same-version hello with trailing bytes decoded")
 	}
@@ -124,7 +124,7 @@ func TestWireMetricMismatch(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := resp.ServeConn(connB)
+		_, err := serveOne(connB, resp)
 		errCh <- err
 	}()
 	ini := &Initiator{
@@ -133,7 +133,7 @@ func TestWireMetricMismatch(t *testing.T) {
 		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
 		Timeout: 2 * time.Second,
 	}
-	_, err := ini.Run(connA, items, defaults, numAlts)
+	_, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
 	if err == nil {
 		t.Fatal("initiator negotiated across a metric mismatch")
 	}
@@ -172,7 +172,7 @@ func TestWireEpochSkewRejected(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := resp.ServeConn(connB)
+		_, err := serveOne(connB, resp)
 		errCh <- err
 	}()
 	ini := &Initiator{
@@ -181,7 +181,7 @@ func TestWireEpochSkewRejected(t *testing.T) {
 		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
 		Timeout: 2 * time.Second,
 	}
-	_, err := ini.Run(connA, items, defaults, numAlts)
+	_, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
 	if err == nil {
 		t.Fatal("initiator negotiated across an epoch skew")
 	}
@@ -236,12 +236,12 @@ func TestWireVersionMismatchRejected(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := resp.ServeConn(connB)
+		_, err := serveOne(connB, resp)
 		errCh <- err
 	}()
 
 	fw := frameWriter{w: connA}
-	if err := fw.writeFrame(MsgHello, encodeHello(&Hello{
+	if err := fw.writeFrame(MsgHello, appendHello(nil, &Hello{
 		Version: 1, Name: "old-agent",
 		NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
 		WorkloadHash: WorkloadHash(items, defaults, numAlts),
@@ -269,7 +269,7 @@ func TestWireVersionMismatchRejected(t *testing.T) {
 
 func TestPrefsRoundtrip(t *testing.T) {
 	req := &PrefsRequest{ItemIDs: []uint32{3, 9, 12}, Defaults: []uint16{0, 2, 1}}
-	gotReq, err := decodePrefsRequest(encodePrefsRequest(req))
+	gotReq, err := decodePrefsRequest(appendPrefsRequest(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPrefsRoundtrip(t *testing.T) {
 		t.Errorf("request roundtrip: %+v", gotReq)
 	}
 	resp := &PrefsResponse{Prefs: [][]int8{{0, -3, 10}, {5, 0, -10}, {1, 2, 3}}}
-	gotResp, err := decodePrefsResponse(encodePrefsResponse(resp))
+	gotResp, err := decodePrefsResponse(appendPrefsResponse(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestPrefsResponseProperty(t *testing.T) {
 			rows = append(rows, row)
 		}
 		m := &PrefsResponse{Prefs: rows}
-		got, err := decodePrefsResponse(encodePrefsResponse(m))
+		got, err := decodePrefsResponse(appendPrefsResponse(nil, m))
 		if err != nil {
 			return false
 		}
@@ -317,26 +317,16 @@ func TestPrefsResponseProperty(t *testing.T) {
 }
 
 func TestOtherMessageRoundtrips(t *testing.T) {
-	ar := &AcceptRequest{Round: 7, ItemID: 42, Alt: 3, PrefInitiator: -9}
-	if got, err := decodeAcceptRequest(encodeAcceptRequest(ar)); err != nil || !reflect.DeepEqual(ar, got) {
-		t.Errorf("accept request: %+v %v", got, err)
-	}
-	for _, accepted := range []bool{true, false} {
-		resp := &AcceptResponse{Accepted: accepted}
-		if got, err := decodeAcceptResponse(encodeAcceptResponse(resp)); err != nil || got.Accepted != accepted {
-			t.Errorf("accept response: %+v %v", got, err)
-		}
-	}
-	c := &Commit{ItemID: 9, Alt: 2}
-	if got, err := decodeCommit(encodeCommit(c)); err != nil || !reflect.DeepEqual(c, got) {
-		t.Errorf("commit: %+v %v", got, err)
+	r := &Revert{ItemID: 9, Alt: 2, Def: 1}
+	if got, err := decodeRevert(appendRevert(nil, r)); err != nil || !reflect.DeepEqual(r, got) {
+		t.Errorf("revert: %+v %v", got, err)
 	}
 	d := &Done{Assign: []uint16{0, 1, 2}, GainA: -5, GainB: 12, StopReason: 2, Rounds: 99}
-	if got, err := decodeDone(encodeDone(d)); err != nil || !reflect.DeepEqual(d, got) {
+	if got, err := decodeDone(appendDone(nil, d)); err != nil || !reflect.DeepEqual(d, got) {
 		t.Errorf("done: %+v %v", got, err)
 	}
 	e := &ErrorMsg{Reason: "mismatch"}
-	if got, err := decodeError(encodeError(e)); err != nil || got.Reason != "mismatch" {
+	if got, err := decodeError(appendError(nil, e)); err != nil || got.Reason != "mismatch" {
 		t.Errorf("error: %+v %v", got, err)
 	}
 }
@@ -351,8 +341,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := decodePrefsResponse([]byte{0, 0, 1, 0, 0, 8}); err == nil {
 		t.Error("lying prefs response accepted")
 	}
-	if _, err := decodeCommit([]byte{1, 2, 3, 4, 5, 6, 7}); err == nil {
-		t.Error("commit with trailing bytes accepted")
+	if _, err := decodeRevert([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
+		t.Error("revert with trailing bytes accepted")
 	}
 }
 
@@ -406,7 +396,7 @@ func runWireSession(t *testing.T, connA, connB net.Conn, s *pairsim.System, item
 	}
 	ch := make(chan respOut, 1)
 	go func() {
-		r, err := resp.ServeConn(connB)
+		r, err := serveOne(connB, resp)
 		ch <- respOut{r, err}
 	}()
 
@@ -416,7 +406,7 @@ func runWireSession(t *testing.T, connA, connB net.Conn, s *pairsim.System, item
 		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
 		Timeout: 5 * time.Second,
 	}
-	res, err := ini.Run(connA, items, defaults, numAlts)
+	res, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
 	if err != nil {
 		t.Fatalf("initiator: %v", err)
 	}
@@ -433,21 +423,8 @@ func runWireSession(t *testing.T, connA, connB net.Conn, s *pairsim.System, item
 // non-distance wire path the daemon layer builds on.
 func TestWireBandwidthMatchesInProcess(t *testing.T) {
 	s, items, defaults, numAlts := testUniverse(t)
-	// Fresh stateful evaluator per use: capacities sized so that flows
-	// contend (each link fits a handful of unit flows).
-	mk := func(side nexit.Side) nexit.Evaluator {
-		tbl := s.Up
-		if side == nexit.SideB {
-			tbl = s.Down
-		}
-		n := len(tbl.ISP.Links)
-		load, capv := make([]float64, n), make([]float64, n)
-		for i := range capv {
-			capv[i] = 5
-		}
-		return nexit.NewBandwidthEvaluator(s, side, 10, load, capv)
-	}
-	cfg := nexit.DefaultBandwidthConfig()
+	mk := func(side nexit.Side) nexit.Evaluator { return bandwidthEvaluator(s, side) }
+	cfg := bandwidthConfig()
 	ref, err := nexit.Negotiate(cfg, mk(nexit.SideA), mk(nexit.SideB), items, defaults, numAlts)
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +445,7 @@ func TestWireBandwidthMatchesInProcess(t *testing.T) {
 	}
 	ch := make(chan respOut, 1)
 	go func() {
-		r, err := resp.ServeConn(connB)
+		r, err := serveOne(connB, resp)
 		ch <- respOut{r, err}
 	}()
 	ini := &Initiator{
@@ -476,7 +453,7 @@ func TestWireBandwidthMatchesInProcess(t *testing.T) {
 		Cfg:  cfg,
 		Eval: mk(nexit.SideA), Timeout: 5 * time.Second,
 	}
-	res, err := ini.Run(connA, items, defaults, numAlts)
+	res, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
 	if err != nil {
 		t.Fatalf("initiator: %v", err)
 	}
@@ -573,7 +550,7 @@ func TestWireHelloMismatch(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := resp.ServeConn(connB)
+		_, err := serveOne(connB, resp)
 		errCh <- err
 	}()
 	ini := &Initiator{
@@ -581,7 +558,7 @@ func TestWireHelloMismatch(t *testing.T) {
 		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
 		Timeout: 2 * time.Second,
 	}
-	if _, err := ini.Run(connA, items, defaults, numAlts); err == nil {
+	if _, err := ini.RunConn(NewConn(connA), items, defaults, numAlts); err == nil {
 		t.Error("initiator succeeded despite universe mismatch")
 	}
 	if err := <-errCh; err == nil {
@@ -608,7 +585,7 @@ func TestWireVeto(t *testing.T) {
 	}
 	done := make(chan *SessionResult, 1)
 	go func() {
-		r, err := resp.ServeConn(connB)
+		r, err := serveOne(connB, resp)
 		if err != nil {
 			t.Error(err)
 		}
@@ -619,7 +596,7 @@ func TestWireVeto(t *testing.T) {
 		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
 		Timeout: 5 * time.Second,
 	}
-	res, err := ini.Run(connA, items, defaults, numAlts)
+	res, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +617,7 @@ func TestWireVeto(t *testing.T) {
 
 func TestWirePrefBoundTooLarge(t *testing.T) {
 	ini := &Initiator{Cfg: nexit.Config{PrefBound: 1000}}
-	if _, err := ini.Run(nil, nil, nil, 1); err == nil ||
+	if _, err := ini.RunConn(nil, nil, nil, 1); err == nil ||
 		!strings.Contains(err.Error(), "int8") {
 		t.Errorf("oversized bound not rejected: %v", err)
 	}
@@ -744,14 +721,7 @@ func staticItems(n int) ([]nexit.Item, []int) {
 // B never recovers, so they revert) and checks the responder's audited
 // view ends back at the defaults.
 func TestWireUnwind(t *testing.T) {
-	items, defaults := staticItems(3)
-	// Item 0 dips B (-2) against A's +3 while B still has hope (+1 on
-	// item 2); after B banks the +1, only another (+3,-2) remains, so B
-	// walks away at -1 and the terminal unwind reverts item 0.
-	tableA := map[int][]int{0: {0, 3}, 1: {0, 3}, 2: {0, 0}}
-	tableB := map[int][]int{0: {0, -2}, 1: {0, -2}, 2: {0, 1}}
-	evalA := &nexit.StaticEvaluator{NumAlts: 2, Table: tableA}
-	evalB := &nexit.StaticEvaluator{NumAlts: 2, Table: tableB}
+	evalA, evalB, items, defaults := unwindFixture()
 
 	ref, err := nexit.Negotiate(nexit.DefaultDistanceConfig(), evalA, evalB, items, defaults, 2)
 	if err != nil {
@@ -777,7 +747,7 @@ func TestWireUnwind(t *testing.T) {
 		err error
 	}, 1)
 	go func() {
-		r, err := resp.ServeConn(connB)
+		r, err := serveOne(connB, resp)
 		ch <- struct {
 			res *SessionResult
 			err error
@@ -787,7 +757,7 @@ func TestWireUnwind(t *testing.T) {
 		Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(),
 		Eval: evalA, Timeout: 5 * time.Second,
 	}
-	res, err := ini.Run(connA, items, defaults, 2)
+	res, err := ini.RunConn(NewConn(connA), items, defaults, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

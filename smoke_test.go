@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// TestCommandsAndExamplesRun builds every cmd/ main and every example
+// into a temporary directory and runs each once on a small input: a
+// clean exit and some output, inside a bounded time. It is the only test
+// the mains have; what they print is pinned elsewhere (the experiment,
+// plot and mesh suites). Needs the go tool, no network.
+func TestCommandsAndExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs nine binaries")
+	}
+	bin := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	if out, err := exec.CommandContext(ctx, "go", "build", "-o", bin+string(filepath.Separator),
+		"./cmd/...", "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	stream := filepath.Join(bin, "fig4.ndjson")
+
+	for _, c := range []struct {
+		name string
+		args []string
+		// stdout, when set, receives the command's standard output for a
+		// later row to read.
+		stdout string
+	}{
+		{name: "continuousnegotiation"},
+		{name: "diversecriteria"},
+		{name: "failover"},
+		{name: "meshnegotiation"},
+		{name: "quickstart"},
+		{name: "nexitsim", args: []string{"-isps", "12", "-inventory"}},
+		{name: "nexitsim", args: []string{"-isps", "12", "-max-pairs", "2", "-stream", "-fig", "4"}, stdout: stream},
+		{name: "nexitplot", args: []string{stream}},
+		{name: "topogen", args: []string{"-isps", "12", "-inventory"}},
+		{name: "nexitagent", args: []string{"-h"}},
+	} {
+		ok := t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, c.name), c.args...)
+			cmd.Dir = bin // whatever a main writes stays out of the repository
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s %v: %v\n%s%s", c.name, c.args, err, stdout.Bytes(), stderr.Bytes())
+			}
+			if stdout.Len()+stderr.Len() == 0 {
+				t.Errorf("%s %v printed nothing", c.name, c.args)
+			}
+			if c.stdout != "" {
+				if err := os.WriteFile(c.stdout, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if !ok && c.stdout != "" {
+			t.Fatalf("%s produced no %s for the rows after it", c.name, filepath.Base(c.stdout))
+		}
+	}
+}
