@@ -507,34 +507,24 @@ func (a *Agent) serveSession(p *peerState, conn *nexitwire.Conn, hello *nexitwir
 	// The epoch in the Hello moves controller state (the fast-forward),
 	// so unlike the other universe checks — which ServeSessionConn re-runs
 	// — version and metric must be vetted before the epoch is trusted.
-	if hello.Version != nexitwire.Version {
-		err := fmt.Errorf("nexitwire: peer version %d, want %d", hello.Version, nexitwire.Version)
+	err := nexitwire.CheckHello(hello, string(p.Ctl.Metric))
+	at := p.Ctl.EpochIndex()
+	if err == nil && at > int(hello.Epoch) {
+		err = &nexitwire.EpochSkewError{Initiator: int(hello.Epoch), Responder: at}
+	}
+	if err != nil {
 		_ = nexitwire.RejectConn(conn, a.timeout(), err.Error())
 		p.fail(err)
 		return fmt.Errorf("agentd: rejected session from %s: %w", p.Name, err)
 	}
-	if metric := hello.Metric; metric != string(p.Ctl.Metric) &&
-		!(metric == "" && p.Ctl.Metric == continuous.MetricDistance) {
-		err := fmt.Errorf("nexitwire: metric mismatch: peer negotiates %q, we negotiate %q",
-			metric, p.Ctl.Metric)
-		_ = nexitwire.RejectConn(conn, a.timeout(), err.Error())
-		p.fail(err)
-		return fmt.Errorf("agentd: rejected session from %s: %w", p.Name, err)
-	}
-
-	if at := p.Ctl.EpochIndex(); at > int(hello.Epoch) {
-		err := &nexitwire.EpochSkewError{Initiator: int(hello.Epoch), Responder: at}
-		_ = nexitwire.RejectConn(conn, a.timeout(), err.Error())
-		p.fail(err)
-		return fmt.Errorf("agentd: rejected session from %s: %w", p.Name, err)
-	} else if at < int(hello.Epoch) {
+	if at < int(hello.Epoch) {
 		if err := a.seekLocked(p, int(hello.Epoch)); err != nil {
 			_ = nexitwire.RejectConn(conn, a.timeout(), err.Error())
 			return err
 		}
 	}
 
-	_, err := a.runSession(p, conn, hello, start)
+	_, err = a.runSession(p, conn, hello, start)
 	return err
 }
 

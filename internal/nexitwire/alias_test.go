@@ -2,10 +2,17 @@ package nexitwire
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// readFrame reads one frame from r into a fresh buffer.
+func readFrame(r io.Reader) (MsgType, []byte, error) {
+	t, body, _, err := readFrameInto(r, nil)
+	return t, body, err
+}
 
 // writeFrames serializes the given (type, payload) frames back to back
 // the way a session would see them on the wire.

@@ -214,12 +214,6 @@ func (fw *frameWriter) writeFrame(t MsgType, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame from r into a fresh buffer.
-func readFrame(r io.Reader) (MsgType, []byte, error) {
-	t, body, _, err := readFrameInto(r, nil)
-	return t, body, err
-}
-
 // readFrameInto reads one frame from r, reusing scratch as the read
 // buffer when it is large enough. It returns the (possibly grown)
 // scratch for the caller to keep for the next frame. The returned body
@@ -431,9 +425,10 @@ func decodePrefsResponse(b []byte) (*PrefsResponse, error) {
 		return nil, d.err
 	}
 	// Guard allocations against lying headers: every row costs at least
-	// max(cols, 1) payload bytes' worth of memory, and a zero-column
-	// response can only legitimately have zero rows.
-	if rows > len(b) || (rows > 0 && cols == 0) || (cols > 0 && rows > len(b)/cols) {
+	// max(cols, 1) payload bytes' worth of memory. The encoder writes a
+	// column count exactly when there are rows, so a response with rows
+	// but no columns, or columns but no rows, is not one it made.
+	if rows > len(b) || (rows > 0) != (cols > 0) || (cols > 0 && rows > len(b)/cols) {
 		return nil, fmt.Errorf("nexitwire: prefs response claims %dx%d classes", rows, cols)
 	}
 	m := &PrefsResponse{Prefs: make([][]int8, rows)}

@@ -2,6 +2,7 @@ package nexitwire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -89,4 +90,147 @@ func TestEncodeDecodeIdentityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// canonicalCodecs re-encodes what each of the eight decoders accepts;
+// nil means the decoder refused the bytes, or, for a Hello from a newer
+// version, tolerated what it cannot re-encode by design (its unknown
+// trailing fields are skipped so the version check can reject it).
+var canonicalCodecs = []func([]byte) []byte{
+	func(b []byte) []byte {
+		if m, err := decodeHello(b); err == nil && m.Version <= Version {
+			return appendHello(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodePrefsRequest(b); err == nil {
+			return appendPrefsRequest(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodePrefsResponse(b); err == nil {
+			return appendPrefsResponse(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodeRevert(b); err == nil {
+			return appendRevert(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodeDone(b); err == nil {
+			return appendDone(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodeError(b); err == nil {
+			return appendError(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodeProposeBatch(b); err == nil {
+			return appendProposeBatch(nil, m)
+		}
+		return nil
+	},
+	func(b []byte) []byte {
+		if m, err := decodeBatchAccept(b); err == nil {
+			return appendBatchAccept(nil, m)
+		}
+		return nil
+	},
+}
+
+// FuzzFrameDecode feeds arbitrary payloads to the decoder which picks
+// (mod 8). Every payload a decoder accepts must re-encode to the same
+// bytes: one message, one encoding.
+func FuzzFrameDecode(f *testing.F) {
+	for i, b := range [][]byte{
+		appendHello(nil, &Hello{Version: Version, Name: "isp-a", NumAlts: 3, NumItems: 9, WorkloadHash: 42, Metric: "distance", Epoch: 7}),
+		appendPrefsRequest(nil, &PrefsRequest{ItemIDs: []uint32{3, 9}, Defaults: []uint16{0, 2}}),
+		appendPrefsResponse(nil, &PrefsResponse{Prefs: [][]int8{{0, -3, 10}, {5, 0, -10}}}),
+		appendRevert(nil, &Revert{ItemID: 9, Alt: 2, Def: 1}),
+		appendDone(nil, &Done{Assign: []uint16{0, 1, 2}, GainA: -5, GainB: 12, StopReason: 2, Rounds: 99}),
+		appendError(nil, &ErrorMsg{Reason: "mismatch"}),
+		appendProposeBatch(nil, &ProposeBatch{Proposals: []AcceptRequest{{Round: 1, ItemID: 2, Alt: 3, PrefInitiator: -4}}}),
+		appendBatchAccept(nil, &BatchAccept{Accepted: 42}),
+	} {
+		f.Add(byte(i), b)
+	}
+	f.Add(byte(2), []byte{0, 0, 0, 0, 0x30, 0x30}) // no rows, 0x3030 columns
+	f.Fuzz(func(t *testing.T, which byte, b []byte) {
+		if got := canonicalCodecs[int(which)%len(canonicalCodecs)](b); got != nil && !bytes.Equal(got, b) {
+			t.Fatalf("decoder %d accepted %x, which re-encodes as %x", int(which)%len(canonicalCodecs), b, got)
+		}
+	})
+}
+
+// FuzzResponderSession opens the responder of one of the four
+// transcript-golden sessions (the first byte picks it, mod 4) and feeds
+// the rest of the input to its step function as frames. step must never
+// panic, every error it returns must be labelled, and once it has
+// failed, nothing may reach the evaluator. The corpus is seeded with the
+// initiator's frames of the four golden sessions.
+func FuzzResponderSession(f *testing.F) {
+	fixtures := transcriptFixtures(f)
+	for i, fx := range fixtures {
+		p, _, err := fx.run(untampered, 1<<20)
+		if err != nil || p.err != nil {
+			f.Fatalf("%s: %v / %v", fx.name, err, p.err)
+		}
+		// The frames after the Hello, up to 8 KiB: the fuzzer mutates
+		// and minimizes small inputs far faster.
+		var stream bytes.Buffer
+		fw := frameWriter{w: &stream}
+		for _, fr := range p.wire[0][1:] {
+			if stream.Len() > 0 && stream.Len()+frameOverhead+len(fr.payload) > 8<<10 {
+				break
+			}
+			if err := fw.writeFrame(fr.t, fr.payload); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(byte(i), stream.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, which byte, stream []byte) {
+		fx := fixtures[int(which)%len(fixtures)]
+		_, resp := fx.pair()
+		eval := &countingEval{Evaluator: resp.Eval}
+		resp.Eval = eval
+		var m serving
+		if _, _, _, err := m.open(resp, &Hello{
+			Version: Version, NumAlts: uint16(fx.numAlts), NumItems: uint32(len(fx.items)),
+			WorkloadHash: WorkloadHash(fx.items, fx.defaults, fx.numAlts), Metric: metricName(resp.Metric),
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		var failed error
+		calls := 0
+		for r := bytes.NewReader(stream); ; {
+			typ, body, err := readFrame(r)
+			if err != nil {
+				return
+			}
+			_, _, res, err := m.step(typ, body, nil)
+			switch {
+			case failed != nil:
+				if err != failed || eval.calls != calls {
+					t.Fatalf("step after %v returned %v and called the evaluator %d times", failed, err, eval.calls-calls)
+				}
+			case err != nil:
+				if !strings.HasPrefix(err.Error(), "nexitwire:") {
+					t.Fatalf("unlabelled error: %v", err)
+				}
+				failed, calls = err, eval.calls
+			case res != nil:
+				return
+			}
+		}
+	})
 }

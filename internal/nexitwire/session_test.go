@@ -206,160 +206,49 @@ func TestWireSessionReuse(t *testing.T) {
 	}
 }
 
-// commitCounter counts the commits that reach an evaluator.
-type commitCounter struct {
-	nexit.Evaluator
-	commits int
-}
-
-func (c *commitCounter) Commit(it nexit.Item, alt int) {
-	c.commits++
-	c.Evaluator.Commit(it, alt)
-}
-
 // TestRetiredFrameTypesRejected sends the three frame types v4 retired
 // (5 accept-request, 6 accept-response, 7 commit), well-formed as v3
-// framed them, to a Responder mid-session and to an Initiator awaiting a
-// BatchAccept. Each must end the session inside the timeout with the
-// labelled protocol violation, on the receiver and as an Error frame on
-// the wire, and the retired commit must not reach the evaluator.
+// framed them, to a Responder mid-session in place of its first
+// ProposeBatch and to an Initiator in place of its first BatchAccept,
+// on the in-process pipe. Each must end the session with the labelled
+// protocol violation, on the receiver and in one Error frame to the
+// peer, and the retired commit must not reach the evaluator.
+// TestSessionTamperSweep checks the same at every frame position.
 func TestRetiredFrameTypesRejected(t *testing.T) {
-	retired := []struct {
-		typ     MsgType
-		payload []byte
-	}{
-		{5, []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 3}}, // round, item, alt, class
-		{6, []byte{1}},                // accepted
-		{7, []byte{0, 0, 0, 0, 0, 1}}, // item, alt
-	}
 	items, defaults := staticItems(2)
 	table := map[int][]int{0: {0, 3}, 1: {0, 2}}
-	const timeout = 2 * time.Second
-	// expectError reads the next frame on conn and requires the Error
-	// frame carrying the labelled violation.
-	expectError := func(t *testing.T, conn net.Conn, want string) {
-		t.Helper()
-		typ, body, err := readFrame(conn)
-		if err != nil || typ != MsgError {
-			t.Errorf("peer saw %v frame (%v), want error", typ, err)
-			return
-		}
-		if em, err := decodeError(body); err != nil || !strings.Contains(em.Reason, want) {
-			t.Errorf("error frame carries %+v (%v), want %q", em, err, want)
-		}
-	}
-
-	for _, f := range retired {
-		want := fmt.Sprintf("unexpected msg(%d) frame", f.typ)
-
-		t.Run(fmt.Sprintf("responder/%d", f.typ), func(t *testing.T) {
-			connA, connB := net.Pipe()
-			defer connA.Close()
-			defer connB.Close()
-			eval := &commitCounter{Evaluator: &nexit.StaticEvaluator{NumAlts: 2, Table: table}}
-			resp := &Responder{Eval: eval, Items: items, Defaults: defaults, NumAlts: 2, Timeout: timeout}
-			errCh := make(chan error, 1)
-			go func() {
-				_, err := serveOne(connB, resp)
-				errCh <- err
-			}()
-
-			fw := frameWriter{w: connA}
-			send := func(typ MsgType, payload []byte) {
-				t.Helper()
-				if err := fw.writeFrame(typ, payload); err != nil {
-					t.Fatal(err)
+	for _, f := range retiredFrames {
+		want := fmt.Sprintf("unexpected msg(%d) frame", f.t)
+		for dir, role := range []string{"responder", "initiator"} {
+			t.Run(fmt.Sprintf("%s/%d", role, f.t), func(t *testing.T) {
+				ini := &Initiator{Cfg: nexit.DefaultDistanceConfig(), Eval: &nexit.StaticEvaluator{NumAlts: 2, Table: table}}
+				resp := &Responder{Eval: &nexit.StaticEvaluator{NumAlts: 2, Table: table}, Items: items, Defaults: defaults, NumAlts: 2}
+				sub := f
+				p, _, iniErr := runPipe(ini, resp, items, defaults, 2, tamper{dir: dir, pos: 2, sub: &sub}, 16)
+				if orig := p.n[dir]; orig < 3 {
+					t.Fatalf("the session carried %d frames that way, the retired frame replaces the third", orig)
 				}
-			}
-			send(MsgHello, appendHello(nil, &Hello{
-				Version: Version, NumAlts: 2, NumItems: uint32(len(items)),
-				WorkloadHash: WorkloadHash(items, defaults, 2),
-			}))
-			if typ, _, err := readFrame(connA); err != nil || typ != MsgHelloAck {
-				t.Fatalf("hello answered with %v (%v)", typ, err)
-			}
-			send(MsgPrefsRequest, appendPrefsRequest(nil, &PrefsRequest{ItemIDs: []uint32{0, 1}, Defaults: []uint16{0, 0}}))
-			if typ, _, err := readFrame(connA); err != nil || typ != MsgPrefsResponse {
-				t.Fatalf("prefs request answered with %v (%v)", typ, err)
-			}
-			send(f.typ, f.payload)
-			expectError(t, connA, want)
-			select {
-			case err := <-errCh:
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Errorf("responder ended with %v, want %q", err, want)
+				recvErr := []error{p.err, iniErr}[dir]
+				if recvErr == nil || !strings.Contains(recvErr.Error(), want) {
+					t.Errorf("%s ended with %v, want %q", role, recvErr, want)
 				}
-			case <-time.After(timeout):
-				t.Fatal("responder hung on a retired frame")
-			}
-			if eval.commits != 0 {
-				t.Errorf("a retired frame committed %d items on the responder's evaluator", eval.commits)
-			}
-		})
-
-		t.Run(fmt.Sprintf("initiator/%d", f.typ), func(t *testing.T) {
-			connA, connB := net.Pipe()
-			defer connA.Close()
-			defer connB.Close()
-			// The stand-in responder is compliant up to the first
-			// ProposeBatch, which it answers with the retired frame.
-			standIn := make(chan struct{})
-			go func() {
-				defer close(standIn)
-				evalB := &nexit.StaticEvaluator{NumAlts: 2, Table: table}
-				fw := frameWriter{w: connB}
-				for {
-					typ, body, err := readFrame(connB)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case MsgHello:
-						err = fw.writeFrame(MsgHelloAck, body)
-					case MsgPrefsRequest:
-						rows := evalB.Prefs(items, defaults)
-						resp := &PrefsResponse{}
-						for _, row := range rows {
-							resp.Prefs = append(resp.Prefs, []int8{int8(row[0]), int8(row[1])})
+				var aborts []string
+				for _, fr := range p.wire[1-dir] {
+					if fr.t == MsgError {
+						em, err := decodeError(fr.payload)
+						if err != nil {
+							t.Fatal(err)
 						}
-						err = fw.writeFrame(MsgPrefsResponse, appendPrefsResponse(nil, resp))
-					case MsgProposeBatch:
-						if err := fw.writeFrame(f.typ, f.payload); err != nil {
-							t.Error(err)
-							return
-						}
-						expectError(t, connB, want)
-						return
-					default:
-						t.Errorf("stand-in responder saw %v frame", typ)
-						return
-					}
-					if err != nil {
-						t.Error(err)
-						return
+						aborts = append(aborts, em.Reason)
 					}
 				}
-			}()
-
-			ini := &Initiator{
-				Cfg:     nexit.DefaultDistanceConfig(),
-				Eval:    &nexit.StaticEvaluator{NumAlts: 2, Table: table},
-				Timeout: timeout,
-			}
-			done := make(chan error, 1)
-			go func() {
-				_, err := ini.RunConn(NewConn(connA), items, defaults, 2)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Errorf("initiator ended with %v, want %q", err, want)
+				if len(aborts) != 1 || !strings.Contains(aborts[0], want) {
+					t.Errorf("%s sent Error frames %q, want one carrying %q", role, aborts, want)
 				}
-			case <-time.After(timeout):
-				t.Fatal("initiator hung on a retired frame")
-			}
-			<-standIn
-		})
+				if dir == 0 && p.eval.commits != 0 {
+					t.Errorf("a retired frame committed %d items on the responder's evaluator", p.eval.commits)
+				}
+			})
+		}
 	}
 }

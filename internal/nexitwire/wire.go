@@ -54,13 +54,87 @@ func parseEpochSkew(reason string) (*EpochSkewError, bool) {
 	return &e, true
 }
 
-// peerError surfaces a peer's abort reason, re-typing the canonical
-// epoch-skew rendering so callers can errors.As it.
-func peerError(reason string) error {
-	if skew, ok := parseEpochSkew(reason); ok {
+// peerError decodes an Error frame the peer sent — both roles do it
+// here — re-typing the canonical epoch-skew reason for errors.As.
+func peerError(body []byte) error {
+	em, err := decodeError(body)
+	if err != nil {
+		return err
+	}
+	if skew, ok := parseEpochSkew(em.Reason); ok {
 		return fmt.Errorf("nexitwire: peer error: %w", skew)
 	}
-	return fmt.Errorf("nexitwire: peer error: %s", reason)
+	return fmt.Errorf("nexitwire: peer error: %s", em.Reason)
+}
+
+// abort appends to out the Error frame telling the peer why the session
+// failed; an epoch skew travels in its canonical rendering.
+func abort(out []byte, err error) (MsgType, []byte) {
+	reason := err.Error()
+	if skew := (*EpochSkewError)(nil); errors.As(err, &skew) {
+		reason = skew.Error()
+	}
+	return MsgError, appendError(out, &ErrorMsg{Reason: reason})
+}
+
+// unexpected reports a frame the session has no use for at this point.
+func unexpected(t MsgType) error {
+	return fmt.Errorf("nexitwire: unexpected %v frame", t)
+}
+
+// hungUp labels a peer's hang-up mid-session with what the session
+// awaited; errors.Is(err, io.EOF) still holds. Other errors pass.
+func hungUp(err error, awaiting string) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("nexitwire: peer closed the connection awaiting %s: %w", awaiting, err)
+	}
+	return err
+}
+
+// CheckHello vets a peer's Hello against this endpoint's protocol
+// version and metric, in DESIGN.md §7's order. It is the one place
+// either is compared: both roles run it on the Hello they receive, and
+// a daemon runs it before it trusts the Hello's epoch.
+func CheckHello(h *Hello, metric string) error {
+	if h.Version != Version {
+		return fmt.Errorf("nexitwire: peer version %d, want %d", h.Version, Version)
+	}
+	if metricName(h.Metric) != metricName(metric) {
+		return fmt.Errorf("nexitwire: metric mismatch: peer negotiates %q, we negotiate %q",
+			metricName(h.Metric), metricName(metric))
+	}
+	return nil
+}
+
+// newHello is the Hello, or HelloAck, an endpoint sends.
+func newHello(name, metric string, epoch int, items []nexit.Item, defaults []int, numAlts int) Hello {
+	return Hello{Version: Version, Name: name, NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
+		WorkloadHash: WorkloadHash(items, defaults, numAlts), Metric: metricName(metric), Epoch: uint32(epoch)}
+}
+
+// checkPeer vets the peer's Hello against ours in DESIGN.md §7's order:
+// CheckHello, then the epoch (oriented by which side we are), the
+// universe's shape and its workload hash.
+func checkPeer(peer, ours *Hello, initiating bool) error {
+	if err := CheckHello(peer, ours.Metric); err != nil {
+		return err
+	}
+	if peer.Epoch != ours.Epoch {
+		skew := &EpochSkewError{Initiator: int(peer.Epoch), Responder: int(ours.Epoch)}
+		if initiating {
+			skew.Initiator, skew.Responder = skew.Responder, skew.Initiator
+		}
+		return fmt.Errorf("nexitwire: %w", skew)
+	}
+	switch {
+	case peer.NumAlts != ours.NumAlts:
+		return fmt.Errorf("nexitwire: peer has %d alternatives, we have %d", peer.NumAlts, ours.NumAlts)
+	case peer.NumItems != ours.NumItems:
+		return fmt.Errorf("nexitwire: peer has %d items, we have %d", peer.NumItems, ours.NumItems)
+	case peer.WorkloadHash != ours.WorkloadHash:
+		return fmt.Errorf("nexitwire: workload hash mismatch")
+	}
+	return nil
 }
 
 // WorkloadHash fingerprints the negotiation universe (items, defaults,
@@ -100,6 +174,14 @@ type SessionResult struct {
 	StopReason nexit.StopReason
 }
 
+// link carries the initiator's frames: a *session, or a responder run
+// in-process in tests. send may keep payload's array as encode scratch;
+// a received body is valid until the next recv.
+type link interface {
+	send(t MsgType, payload []byte) error
+	recv() (MsgType, []byte, error)
+}
+
 // Initiator drives a negotiation session over a connection. It runs the
 // contractually agreed round engine locally, fetching the responder's
 // preferences and accept decisions over the wire.
@@ -124,142 +206,100 @@ type Initiator struct {
 	Timeout time.Duration
 }
 
-func (in *Initiator) timeout() time.Duration {
-	if in.Timeout > 0 {
-		return in.Timeout
-	}
-	return DefaultTimeout
-}
-
 // RunConn negotiates the items over c and returns the engine result.
 // The responder must be configured with the same items, defaults, and
-// alternative count.
-//
-// A connection may carry many sessions back to back: every RunConn
-// opens with a fresh Hello and ends with Done, so a long-running agent
-// wraps each peer connection in one Conn and reuses it, and its frame
-// buffers, across negotiation epochs instead of redialing (the responder
-// answers each Hello with AcceptHelloConn/ServeSessionConn in turn).
+// alternative count. Every RunConn opens with a Hello and ends with
+// Done, so one Conn carries a peer's sessions epoch after epoch (the
+// responder answers each with AcceptHelloConn and ServeSessionConn).
 func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
 	if in.Cfg.PrefBound > 127 {
 		return nil, fmt.Errorf("nexitwire: preference bound %d exceeds the wire format's int8 classes", in.Cfg.PrefBound)
 	}
-	s := c.s.reset(in.timeout())
-
-	hash := WorkloadHash(items, defaults, numAlts)
-	if err := s.sendEnc(MsgHello, appendHello(s.enc[:0], &Hello{
-		Version:      Version,
-		Name:         in.Name,
-		NumAlts:      uint16(numAlts),
-		NumItems:     uint32(len(items)),
-		WorkloadHash: hash,
-		Metric:       metricName(in.Metric),
-		Epoch:        uint32(in.Epoch),
-	})); err != nil {
-		return nil, err
-	}
-	body, err := s.expect(MsgHelloAck)
-	if err != nil {
-		return nil, err
-	}
-	ack, err := decodeHello(body)
-	if err != nil {
-		return nil, err
-	}
-	if ack.Version != Version {
-		return nil, s.abort(fmt.Errorf("nexitwire: peer version %d, want %d", ack.Version, Version))
-	}
-	if metricName(ack.Metric) != metricName(in.Metric) {
-		return nil, s.abort(fmt.Errorf("nexitwire: metric mismatch: peer negotiates %q, we negotiate %q",
-			metricName(ack.Metric), metricName(in.Metric)))
-	}
-	if int(ack.Epoch) != in.Epoch {
-		skew := &EpochSkewError{Initiator: in.Epoch, Responder: int(ack.Epoch)}
-		_ = s.abort(skew)
-		return nil, fmt.Errorf("nexitwire: %w", skew)
-	}
-	// Re-check the universe symmetrically: a responder that skipped its
-	// own validation cannot drag us into a mismatched session that
-	// would only surface later as a framing or audit error.
-	switch {
-	case int(ack.NumAlts) != numAlts:
-		return nil, s.abort(fmt.Errorf("nexitwire: peer acked %d alternatives, we have %d", ack.NumAlts, numAlts))
-	case int(ack.NumItems) != len(items):
-		return nil, s.abort(fmt.Errorf("nexitwire: peer acked %d items, we have %d", ack.NumItems, len(items)))
-	case ack.WorkloadHash != hash:
-		return nil, s.abort(fmt.Errorf("nexitwire: workload hash mismatch in ack"))
-	}
-
-	remote := &remoteEvaluator{s: s, numAlts: numAlts}
-	cfg := in.Cfg
-	cfg.BatchAcceptHook = func(batch []nexit.Proposal) int {
-		// The remote agent ratifies every proposal: when it is the
-		// acceptor this is the paper's veto; when the engine proposed on
-		// its behalf, ratification confirms the simulated turn. The whole
-		// planned run travels in one ProposeBatch frame and the responder
-		// commits the prefix it accepts, which is why remoteEvaluator's
-		// Commit has nothing to send.
-		limit := len(batch)
-		if remote.err != nil {
-			// The session is already dead and the result will be
-			// discarded (RunConn returns remote.err) — accept everything
-			// so the engine winds down on the cheap all-accept path
-			// instead of replanning after a veto per proposal.
-			return limit
-		}
-		if in.Accept != nil {
-			// The initiator's own accept policy vetoes proposals made on
-			// the responder's turn before they are put on the wire; the
-			// batch is truncated there so the responder never commits
-			// past our own veto.
-			for i := range batch {
-				if batch[i].Proposer == nexit.SideB && !in.Accept(batch[i]) {
-					limit = i
-					break
-				}
-			}
-		}
-		if limit == 0 {
-			return 0
-		}
-		accepted, err := remote.proposeBatch(batch[:limit])
-		if err != nil {
-			remote.err = err
-			return limit // dead session: wind down, result is discarded
-		}
-		return accepted
-	}
-
-	res, err := nexit.Negotiate(cfg, in.Eval, remote, items, defaults, numAlts)
-	if err != nil {
-		_ = s.abort(err)
-		return nil, err
-	}
-	if remote.err != nil {
-		return nil, remote.err
-	}
-
-	done := &Done{
-		Assign:     make([]uint16, len(res.Assign)),
-		GainA:      int32(res.GainA),
-		GainB:      int32(res.GainB),
-		StopReason: uint8(res.Stopped),
-		Rounds:     uint32(res.Rounds),
-	}
-	for i, a := range res.Assign {
-		done.Assign[i] = uint16(a)
-	}
-	if err := s.sendEnc(MsgDone, appendDone(s.enc[:0], done)); err != nil {
-		return nil, err
-	}
-	return res, nil
+	s := c.s.reset(in.Timeout)
+	return in.run(s, s.enc, items, defaults, numAlts)
 }
 
-// remoteEvaluator proxies the responder's evaluator over the wire.
+// run is the initiator's side of one session over l, building payloads
+// on out, and its one abort site: a failure the peer can still hear
+// about is sent to it in an Error frame.
+func (in *Initiator) run(l link, out []byte, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
+	r := &remoteEvaluator{l: l, out: out, numAlts: numAlts}
+	res := in.negotiate(r, items, defaults, numAlts)
+	if r.err == nil {
+		return res, nil
+	}
+	if !r.gone {
+		_ = l.send(abort(r.out[:0], r.err))
+	}
+	return nil, r.err
+}
+
+// negotiate runs the Hello exchange, the engine and the closing Done
+// over r; it returns nil once r.err is set.
+func (in *Initiator) negotiate(r *remoteEvaluator, items []nexit.Item, defaults []int, numAlts int) *nexit.Result {
+	ours := newHello(in.Name, in.Metric, in.Epoch, items, defaults, numAlts)
+	body := r.exchange(MsgHello, appendHello(r.out[:0], &ours), MsgHelloAck)
+	if r.err != nil {
+		return nil
+	}
+	// Re-check the ack symmetrically: a responder that skipped its own
+	// validation cannot drag us into a mismatched session.
+	ack, err := decodeHello(body)
+	if err == nil {
+		err = checkPeer(ack, &ours, true)
+	}
+	if err != nil {
+		r.err = err
+		return nil
+	}
+
+	cfg := in.Cfg
+	cfg.BatchAcceptHook = func(batch []nexit.Proposal) int {
+		// The remote agent ratifies every proposal (the paper's veto, or
+		// confirming a turn the engine simulated for it); the planned run
+		// travels in one ProposeBatch and the responder commits the prefix
+		// it accepts. Our own Accept truncates the batch at its first veto
+		// of a responder-turn proposal before it goes on the wire. A dead
+		// session accepts everything: the all-accept path winds the engine
+		// down cheapest, and the result is discarded.
+		limit := len(batch)
+		for i := range batch {
+			if in.Accept != nil && r.err == nil && batch[i].Proposer == nexit.SideB && !in.Accept(batch[i]) {
+				limit = i
+				break
+			}
+		}
+		if limit == 0 || r.err != nil {
+			return limit
+		}
+		return r.proposeBatch(batch[:limit])
+	}
+	res, err := nexit.Negotiate(cfg, in.Eval, r, items, defaults, numAlts)
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+	if r.err != nil {
+		return nil
+	}
+	assign := make([]uint16, len(res.Assign))
+	for i, a := range res.Assign {
+		assign[i] = uint16(a)
+	}
+	r.exchange(MsgDone, appendDone(r.out[:0], &Done{Assign: assign, GainA: int32(res.GainA), GainB: int32(res.GainB),
+		StopReason: uint8(res.Stopped), Rounds: uint32(res.Rounds)}), 0)
+	return res
+}
+
+// remoteEvaluator proxies the responder's evaluator over the link.
 type remoteEvaluator struct {
-	s       *session
+	l       link
+	out     []byte // encode scratch, handed to l.send and reused
 	numAlts int
-	err     error
+	// err is the session's first failure; nothing is sent after it.
+	// gone means it came from the link or the peer's own Error frame,
+	// so there is no one left to tell.
+	err  error
+	gone bool
 	// scratch buffers reused across the session's wire calls. The rows
 	// returned by Prefs alias prefRows; that is safe because the engine
 	// clamps them into its own tables before the next call.
@@ -269,114 +309,113 @@ type remoteEvaluator struct {
 	batch    []AcceptRequest
 }
 
-// Prefs implements nexit.Evaluator. The returned rows are scratch,
-// valid until the next Prefs call; the engine (the only caller) copies
-// them immediately.
-func (r *remoteEvaluator) Prefs(items []nexit.Item, defaults []int) [][]int {
-	need := len(items) * r.numAlts
-	if cap(r.prefFlat) < need {
-		r.prefFlat = make([]int, need)
-	}
-	flat := r.prefFlat[:need]
-	for i := range flat {
-		flat[i] = 0
-	}
-	out := r.prefRows[:0]
-	for i := 0; i < len(items); i++ {
-		out = append(out, flat[i*r.numAlts:(i+1)*r.numAlts])
-	}
-	r.prefRows = out
+// exchange sends one frame and, unless want is zero, returns the reply,
+// which must be of type want. A failure lands in r.err, which callers
+// check instead of the body.
+func (r *remoteEvaluator) exchange(t MsgType, payload []byte, want MsgType) []byte {
 	if r.err != nil {
-		return out
+		return nil
 	}
-	req := &r.req
-	req.ItemIDs = req.ItemIDs[:0]
-	req.Defaults = req.Defaults[:0]
-	for i, it := range items {
-		req.ItemIDs = append(req.ItemIDs, uint32(it.ID))
-		req.Defaults = append(req.Defaults, uint16(defaults[i]))
+	r.out = payload[:0]
+	if err := r.l.send(t, payload); err != nil {
+		r.err, r.gone = err, true
+		return nil
 	}
-	if err := r.s.sendEnc(MsgPrefsRequest, appendPrefsRequest(r.s.enc[:0], req)); err != nil {
-		r.err = err
-		return out
+	if want == 0 {
+		return nil
 	}
-	body, err := r.s.expect(MsgPrefsResponse)
-	if err != nil {
-		r.err = err
-		return out
+	got, body, err := r.l.recv()
+	switch {
+	case err != nil:
+		r.err, r.gone = hungUp(err, want.String()), true
+	case got == MsgError:
+		r.err, r.gone = peerError(body), true
+	case got != want:
+		r.err = unexpected(got)
 	}
-	resp, err := decodePrefsResponse(body)
-	if err != nil {
-		r.err = err
-		return out
-	}
-	if len(resp.Prefs) != len(items) {
-		r.err = fmt.Errorf("nexitwire: peer sent %d pref rows for %d items", len(resp.Prefs), len(items))
-		return out
-	}
-	for i, row := range resp.Prefs {
-		if len(row) != r.numAlts {
-			r.err = fmt.Errorf("nexitwire: peer sent %d classes for %d alternatives", len(row), r.numAlts)
-			return out
-		}
-		for k, p := range row {
-			out[i][k] = int(p)
-		}
-	}
-	return out
+	return body
 }
 
-// Commit implements nexit.Evaluator and sends nothing: RunConn always
-// installs the BatchAcceptHook, so every commit the engine makes is the
-// prefix of a ProposeBatch the responder accepted — and committed as it
-// did — or belongs to a dead session whose result is discarded.
+// Prefs implements nexit.Evaluator. The returned rows are scratch,
+// valid until the next Prefs call; the engine (the only caller) copies
+// them immediately. A dead session's rows are all zero.
+func (r *remoteEvaluator) Prefs(items []nexit.Item, defaults []int) [][]int {
+	na := r.numAlts
+	if cap(r.prefFlat) < len(items)*na {
+		r.prefFlat = make([]int, len(items)*na)
+	}
+	flat := r.prefFlat[:len(items)*na]
+	clear(flat)
+	rows := r.prefRows[:0]
+	for i := range items {
+		rows = append(rows, flat[i*na:(i+1)*na])
+	}
+	r.prefRows = rows
+	if r.err != nil {
+		return rows
+	}
+	r.req.ItemIDs, r.req.Defaults = r.req.ItemIDs[:0], r.req.Defaults[:0]
+	for i, it := range items {
+		r.req.ItemIDs = append(r.req.ItemIDs, uint32(it.ID))
+		r.req.Defaults = append(r.req.Defaults, uint16(defaults[i]))
+	}
+	body := r.exchange(MsgPrefsRequest, appendPrefsRequest(r.out[:0], &r.req), MsgPrefsResponse)
+	if r.err != nil {
+		return rows
+	}
+	resp, err := decodePrefsResponse(body)
+	switch {
+	case err != nil:
+		r.err = err
+	case len(resp.Prefs) != len(items):
+		r.err = fmt.Errorf("nexitwire: peer sent %d pref rows for %d items", len(resp.Prefs), len(items))
+	case len(resp.Prefs) > 0 && len(resp.Prefs[0]) != na:
+		r.err = fmt.Errorf("nexitwire: peer sent %d classes for %d alternatives", len(resp.Prefs[0]), na)
+	default:
+		for i, row := range resp.Prefs {
+			for k, p := range row {
+				rows[i][k] = int(p)
+			}
+		}
+	}
+	return rows
+}
+
+// Commit implements nexit.Evaluator and sends nothing: every commit the
+// engine makes is the prefix of a ProposeBatch the responder accepted —
+// and committed as it did — or belongs to a dead session.
 func (r *remoteEvaluator) Commit(nexit.Item, int) {}
 
 // Revert implements nexit.Reverter, forwarding terminal unwinds so the
 // responder's assignment view and gain accounting stay in sync.
 func (r *remoteEvaluator) Revert(it nexit.Item, alt, def int) {
-	if r.err != nil {
-		return
-	}
-	if err := r.s.sendEnc(MsgRevert, appendRevert(r.s.enc[:0], &Revert{
+	r.exchange(MsgRevert, appendRevert(r.out[:0], &Revert{
 		ItemID: uint32(it.ID), Alt: uint16(alt), Def: uint16(def),
-	})); err != nil {
-		r.err = err
-	}
+	}), 0)
 }
 
 // proposeBatch submits a planned run of proposals and returns how many
-// leading ones the responder accepted (and committed).
-func (r *remoteEvaluator) proposeBatch(batch []nexit.Proposal) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
+// leading ones the responder accepted (and committed); all of them when
+// the session dies, so the engine winds down.
+func (r *remoteEvaluator) proposeBatch(batch []nexit.Proposal) int {
 	pb := r.batch[:0]
-	for i := range batch {
-		p := &batch[i]
-		pb = append(pb, AcceptRequest{
-			Round:         uint32(p.Round),
-			ItemID:        uint32(p.ItemID),
-			Alt:           uint16(p.Alt),
-			PrefInitiator: int8(p.PrefA),
-		})
+	for _, p := range batch {
+		pb = append(pb, AcceptRequest{Round: uint32(p.Round), ItemID: uint32(p.ItemID), Alt: uint16(p.Alt), PrefInitiator: int8(p.PrefA)})
 	}
 	r.batch = pb
-	if err := r.s.sendEnc(MsgProposeBatch, appendProposeBatch(r.s.enc[:0], &ProposeBatch{Proposals: pb})); err != nil {
-		return 0, err
-	}
-	body, err := r.s.expect(MsgBatchAccept)
-	if err != nil {
-		return 0, err
+	body := r.exchange(MsgProposeBatch, appendProposeBatch(r.out[:0], &ProposeBatch{Proposals: pb}), MsgBatchAccept)
+	if r.err != nil {
+		return len(batch)
 	}
 	resp, err := decodeBatchAccept(body)
+	if err == nil && int(resp.Accepted) > len(batch) {
+		err = fmt.Errorf("nexitwire: peer accepted %d of %d batched proposals", resp.Accepted, len(batch))
+	}
 	if err != nil {
-		return 0, err
+		r.err = err
+		return len(batch)
 	}
-	if int(resp.Accepted) > len(batch) {
-		return 0, fmt.Errorf("nexitwire: peer accepted %d of %d batched proposals", resp.Accepted, len(batch))
-	}
-	return int(resp.Accepted), nil
+	return int(resp.Accepted)
 }
 
 // Responder serves one side of a negotiation: it answers preference and
@@ -407,32 +446,24 @@ type Responder struct {
 	NumAlts  int
 }
 
-func (r *Responder) timeout() time.Duration {
-	if r.Timeout > 0 {
-		return r.Timeout
-	}
-	return DefaultTimeout
-}
-
 // AcceptHelloConn reads the opening Hello of an inbound session without
-// committing to a negotiation universe. A daemon serving several
-// neighbors uses it to identify the calling peer (Hello.Name,
-// Hello.WorkloadHash) before choosing which universe — and which
-// Responder — handles the session; pass the hello on to
-// Responder.ServeSessionConn on the same Conn to continue. A zero
-// timeout selects DefaultTimeout. io.EOF is returned unwrapped when the
-// peer closes the connection cleanly between sessions.
+// committing to a universe, so a daemon serving several neighbors can
+// pick the Responder by Hello.Name; pass the hello on to
+// Responder.ServeSessionConn on the same Conn. A zero timeout selects
+// DefaultTimeout. io.EOF is returned unwrapped when the peer closes the
+// connection cleanly between sessions.
 func AcceptHelloConn(c *Conn, timeout time.Duration) (*Hello, error) {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	s := c.s.reset(timeout)
-	t, body, err := s.recv()
+	t, body, err := c.s.reset(timeout).recv()
 	if err != nil {
 		return nil, err
 	}
+	return openingHello(t, body)
+}
+
+// openingHello decodes a session's first frame, which must be a Hello.
+func openingHello(t MsgType, body []byte) (*Hello, error) {
 	if t != MsgHello {
-		return nil, s.unexpected(t)
+		return nil, unexpected(t)
 	}
 	return decodeHello(body)
 }
@@ -441,210 +472,215 @@ func AcceptHelloConn(c *Conn, timeout time.Duration) (*Hello, error) {
 // a daemon uses it when the Hello names a peer it is not configured for.
 // A zero timeout selects DefaultTimeout.
 func RejectConn(c *Conn, timeout time.Duration, reason string) error {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
 	s := c.s.reset(timeout)
-	return s.sendEnc(MsgError, appendError(s.enc[:0], &ErrorMsg{Reason: reason}))
+	return s.send(MsgError, appendError(s.enc[:0], &ErrorMsg{Reason: reason}))
 }
 
-// ServeSessionConn handles one session whose opening Hello has already
-// been read by AcceptHelloConn on the same Conn, and returns the final
-// result: it validates the hello against the locally configured
-// universe, then serves preference, batch and revert frames until Done.
-// It may be called repeatedly on one Conn; each call consumes exactly one
-// Hello...Done session.
+// ServeSessionConn serves one Hello...Done session whose Hello
+// AcceptHelloConn has read on c, and returns the audited result. It may
+// be called again on c for the next session. It is serving's I/O loop:
+// it owns the deadlines, the stats and the buffers.
 func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, error) {
-	s := c.s.reset(r.timeout())
-	wantHash := WorkloadHash(r.Items, r.Defaults, r.NumAlts)
-	switch {
-	case hello.Version != Version:
-		return nil, s.abort(fmt.Errorf("nexitwire: peer version %d, want %d", hello.Version, Version))
-	case metricName(hello.Metric) != metricName(r.Metric):
-		return nil, s.abort(fmt.Errorf("nexitwire: metric mismatch: peer negotiates %q, we negotiate %q",
-			metricName(hello.Metric), metricName(r.Metric)))
-	case int(hello.Epoch) != r.Epoch:
-		return nil, s.abort(&EpochSkewError{Initiator: int(hello.Epoch), Responder: r.Epoch})
-	case int(hello.NumAlts) != r.NumAlts:
-		return nil, s.abort(fmt.Errorf("nexitwire: peer has %d alternatives, we have %d", hello.NumAlts, r.NumAlts))
-	case int(hello.NumItems) != len(r.Items):
-		return nil, s.abort(fmt.Errorf("nexitwire: peer has %d items, we have %d", hello.NumItems, len(r.Items)))
-	case hello.WorkloadHash != wantHash:
-		return nil, s.abort(fmt.Errorf("nexitwire: workload hash mismatch"))
-	}
-	if err := s.sendEnc(MsgHelloAck, appendHello(s.enc[:0], &Hello{
-		Version: Version, Name: r.Name,
-		NumAlts: uint16(r.NumAlts), NumItems: uint32(len(r.Items)),
-		WorkloadHash: wantHash,
-		Metric:       metricName(r.Metric),
-		Epoch:        uint32(r.Epoch),
-	})); err != nil {
-		return nil, err
-	}
-
-	assign := append([]int(nil), r.Defaults...)
-	gainB := 0
-	// lastPrefs remembers the classes most recently disclosed per item,
-	// for accounting the cumulative gain as commits arrive. Evaluator
-	// Prefs rows live on reusable scratch (see the nexit.Evaluator
-	// ownership contract), so the classes are COPIED into this flat
-	// session-owned buffer — a retained row pointer would be clobbered
-	// by the next reassignment's Prefs call. Undisclosed or
-	// out-of-range entries stay zero, matching the old map's "missing
-	// row contributes nothing" accounting.
-	lastPrefs := make([]int, len(r.Items)*r.NumAlts)
-	lastSeen := make([]bool, len(r.Items))
-	// Per-request scratch, reused across the session's serve loop.
-	var (
-		items    []nexit.Item
-		defaults []int
-		resp     PrefsResponse
-		respFlat []int8
-	)
-
+	s := c.s.reset(r.Timeout)
+	var m serving
+	t, reply, res, err := m.open(r, hello, s.enc[:0])
 	for {
-		t, body, err := s.recv()
-		if err != nil {
-			return nil, err
+		if t != 0 {
+			if serr := s.send(t, reply); serr != nil && err == nil {
+				return nil, serr
+			}
 		}
-		switch t {
-		case MsgPrefsRequest:
-			req, err := decodePrefsRequest(body)
-			if err != nil {
-				return nil, err
-			}
-			items = items[:0]
-			defaults = defaults[:0]
-			for i, id := range req.ItemIDs {
-				if int(id) >= len(r.Items) {
-					return nil, s.abort(fmt.Errorf("nexitwire: peer referenced unknown item %d", id))
-				}
-				items = append(items, r.Items[id])
-				defaults = append(defaults, int(req.Defaults[i]))
-			}
-			prefs := r.Eval.Prefs(items, defaults)
-			if need := len(prefs) * r.NumAlts; cap(respFlat) < need {
-				respFlat = make([]int8, need)
-			}
-			resp.Prefs = resp.Prefs[:0]
-			for i, row := range prefs {
-				out := respFlat[i*r.NumAlts : (i+1)*r.NumAlts]
-				for k := range out {
-					out[k] = 0
-				}
-				for k := 0; k < r.NumAlts && k < len(row); k++ {
-					p := row[k]
-					if p > 127 {
-						p = 127
-					}
-					if p < -128 {
-						p = -128
-					}
-					out[k] = int8(p)
-				}
-				resp.Prefs = append(resp.Prefs, out)
-				id := items[i].ID
-				keep := lastPrefs[id*r.NumAlts : (id+1)*r.NumAlts]
-				for k := range keep {
-					keep[k] = 0
-				}
-				copy(keep, row)
-				lastSeen[id] = true
-			}
-			if err := s.sendEnc(MsgPrefsResponse, appendPrefsResponse(s.enc[:0], &resp)); err != nil {
-				return nil, err
-			}
-		case MsgProposeBatch:
-			pb, err := decodeProposeBatch(body)
-			if err != nil {
-				return nil, err
-			}
-			// Decide the run in order, committing each accepted proposal,
-			// and stop at the first veto: the discarded tail was planned
-			// assuming the vetoed proposal stood, so it is void.
-			accepted := 0
-			for i := range pb.Proposals {
-				req := &pb.Proposals[i]
-				if int(req.ItemID) >= len(r.Items) || int(req.Alt) >= r.NumAlts {
-					return nil, s.abort(fmt.Errorf("nexitwire: batched proposal out of range"))
-				}
-				if r.Accept != nil && !r.Accept(*req) {
-					break
-				}
-				assign[req.ItemID] = int(req.Alt)
-				if lastSeen[req.ItemID] {
-					gainB += lastPrefs[int(req.ItemID)*r.NumAlts+int(req.Alt)]
-				}
-				r.Eval.Commit(r.Items[req.ItemID], int(req.Alt))
-				accepted++
-			}
-			if err := s.sendEnc(MsgBatchAccept, appendBatchAccept(s.enc[:0], &BatchAccept{Accepted: uint32(accepted)})); err != nil {
-				return nil, err
-			}
-		case MsgRevert:
-			c, err := decodeRevert(body)
-			if err != nil {
-				return nil, err
-			}
-			if int(c.ItemID) >= len(r.Items) || int(c.Alt) >= r.NumAlts || int(c.Def) >= r.NumAlts {
-				return nil, s.abort(fmt.Errorf("nexitwire: revert out of range"))
-			}
-			if assign[c.ItemID] != int(c.Alt) {
-				return nil, s.abort(fmt.Errorf("nexitwire: revert of item %d does not match committed alternative", c.ItemID))
-			}
-			assign[c.ItemID] = int(c.Def)
-			if lastSeen[c.ItemID] {
-				gainB -= lastPrefs[int(c.ItemID)*r.NumAlts+int(c.Alt)]
-			}
-			if rev, ok := r.Eval.(nexit.Reverter); ok {
-				rev.Revert(r.Items[c.ItemID], int(c.Alt), int(c.Def))
-			}
-		case MsgDone:
-			done, err := decodeDone(body)
-			if err != nil {
-				return nil, err
-			}
-			if len(done.Assign) != len(r.Items) {
-				return nil, fmt.Errorf("nexitwire: done carries %d assignments for %d items", len(done.Assign), len(r.Items))
-			}
-			// Audit: the initiator's reported assignment must match the
-			// commits we observed, and its claim of our gain must match
-			// our own accounting.
-			for i, a := range done.Assign {
-				if int(a) != assign[i] {
-					return nil, fmt.Errorf("nexitwire: assignment mismatch at item %d: peer says %d, we committed %d", i, a, assign[i])
-				}
-			}
-			if int(done.GainB) != gainB {
-				return nil, fmt.Errorf("nexitwire: peer reports our gain as %d, we account %d", done.GainB, gainB)
-			}
-			return &SessionResult{
-				Assign: assign,
-				GainA:  int(done.GainA),
-				GainB:  gainB,
-				Rounds: int(done.Rounds),
-
-				StopReason: nexit.StopReason(done.StopReason),
-			}, nil
-		case MsgError:
-			em, err := decodeError(body)
-			if err != nil {
-				return nil, err
-			}
-			return nil, peerError(em.Reason)
-		default:
-			return nil, s.unexpected(t)
+		if err != nil || res != nil {
+			return res, err
 		}
+		var body []byte
+		if t, body, err = s.recv(); err != nil {
+			return nil, m.hangup(err)
+		}
+		t, reply, res, err = m.step(t, body, s.enc[:0])
 	}
+}
+
+// serving is the responder's side of one session as a state machine
+// with no I/O and no clock: open answers the peer's Hello, and step
+// consumes one received frame and returns the frame to send back (type
+// zero for none), the result once Done passes the audit, or the error.
+// step appends its reply to out and does not retain body.
+//
+// A failing step answers with an Error frame saying why — unless the
+// frame was the peer's own Error — and the error is sticky: every later
+// step returns it and touches nothing, the evaluator least of all.
+type serving struct {
+	r     *Responder
+	hello *Hello // the peer's Hello, until open has answered it
+	err   error
+
+	assign []int
+	gainB  int
+	// lastPrefs holds the classes most recently disclosed per item, for
+	// accounting the gain as commits arrive; a row never disclosed is
+	// zero and contributes nothing. Evaluator rows live on reusable
+	// scratch (the nexit.Evaluator ownership contract), so they are
+	// copied here, not retained.
+	lastPrefs []int
+
+	// Per-request scratch, reused across the session.
+	items    []nexit.Item
+	defaults []int
+	resp     PrefsResponse
+	respFlat []int8
+}
+
+// open starts the session for r on the peer's Hello.
+func (m *serving) open(r *Responder, h *Hello, out []byte) (MsgType, []byte, *SessionResult, error) {
+	m.r, m.hello = r, h
+	return m.step(MsgHello, nil, out)
+}
+
+// hangup is the session's error when its frames stop arriving.
+func (m *serving) hangup(err error) error {
+	if m.err == nil {
+		m.err = hungUp(err, "the initiator's next frame")
+	}
+	return m.err
+}
+
+// step consumes one received frame; see serving.
+func (m *serving) step(t MsgType, body, out []byte) (MsgType, []byte, *SessionResult, error) {
+	if m.err != nil {
+		return 0, nil, nil, m.err
+	}
+	reply, payload, res, err := m.apply(t, body, out)
+	if err == nil {
+		return reply, payload, res, nil
+	}
+	if m.err = err; t == MsgError {
+		return 0, nil, nil, err
+	}
+	reply, payload = abort(out, err)
+	return reply, payload, nil, err
+}
+
+// apply is step before its error handling.
+func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionResult, error) {
+	r, na := m.r, m.r.NumAlts
+	switch t {
+	case MsgHello:
+		if m.hello == nil {
+			return 0, nil, nil, unexpected(t) // a Hello only opens a session
+		}
+		ours := newHello(r.Name, r.Metric, r.Epoch, r.Items, r.Defaults, na)
+		if err := checkPeer(m.hello, &ours, false); err != nil {
+			return 0, nil, nil, err
+		}
+		m.hello = nil
+		m.assign = append([]int(nil), r.Defaults...)
+		m.lastPrefs = make([]int, len(r.Items)*na)
+		return MsgHelloAck, appendHello(out, &ours), nil, nil
+
+	case MsgPrefsRequest:
+		req, err := decodePrefsRequest(body)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		m.items, m.defaults = m.items[:0], m.defaults[:0]
+		for i, id := range req.ItemIDs {
+			if int(id) >= len(r.Items) || int(req.Defaults[i]) >= na {
+				return 0, nil, nil, fmt.Errorf("nexitwire: prefs request for item %d, default %d out of range", id, req.Defaults[i])
+			}
+			m.items = append(m.items, r.Items[id])
+			m.defaults = append(m.defaults, int(req.Defaults[i]))
+		}
+		prefs := r.Eval.Prefs(m.items, m.defaults)
+		if cap(m.respFlat) < len(prefs)*na {
+			m.respFlat = make([]int8, len(prefs)*na)
+		}
+		m.resp.Prefs = m.resp.Prefs[:0]
+		for i, row := range prefs {
+			cls := m.respFlat[i*na : (i+1)*na]
+			keep := m.lastPrefs[m.items[i].ID*na : (m.items[i].ID+1)*na]
+			clear(keep)
+			copy(keep, row)
+			for k := range cls {
+				cls[k] = int8(max(-128, min(127, keep[k])))
+			}
+			m.resp.Prefs = append(m.resp.Prefs, cls)
+		}
+		return MsgPrefsResponse, appendPrefsResponse(out, &m.resp), nil, nil
+
+	case MsgProposeBatch:
+		pb, err := decodeProposeBatch(body)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		// Decide the run in order, committing each accepted proposal,
+		// and stop at the first veto: the discarded tail was planned
+		// assuming the vetoed proposal stood, so it is void.
+		accepted := 0
+		for _, p := range pb.Proposals {
+			if int(p.ItemID) >= len(r.Items) || int(p.Alt) >= na {
+				return 0, nil, nil, fmt.Errorf("nexitwire: batched proposal out of range")
+			}
+			if r.Accept != nil && !r.Accept(p) {
+				break
+			}
+			m.assign[p.ItemID] = int(p.Alt)
+			m.gainB += m.lastPrefs[int(p.ItemID)*na+int(p.Alt)]
+			r.Eval.Commit(r.Items[p.ItemID], int(p.Alt))
+			accepted++
+		}
+		return MsgBatchAccept, appendBatchAccept(out, &BatchAccept{Accepted: uint32(accepted)}), nil, nil
+
+	case MsgRevert:
+		c, err := decodeRevert(body)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		if int(c.ItemID) >= len(r.Items) || int(c.Alt) >= na || int(c.Def) >= na {
+			return 0, nil, nil, fmt.Errorf("nexitwire: revert out of range")
+		}
+		if m.assign[c.ItemID] != int(c.Alt) {
+			return 0, nil, nil, fmt.Errorf("nexitwire: revert of item %d does not match committed alternative", c.ItemID)
+		}
+		m.assign[c.ItemID] = int(c.Def)
+		m.gainB -= m.lastPrefs[int(c.ItemID)*na+int(c.Alt)]
+		if rev, ok := r.Eval.(nexit.Reverter); ok {
+			rev.Revert(r.Items[c.ItemID], int(c.Alt), int(c.Def))
+		}
+		return 0, nil, nil, nil
+
+	case MsgDone:
+		done, err := decodeDone(body)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		if len(done.Assign) != len(r.Items) {
+			return 0, nil, nil, fmt.Errorf("nexitwire: done carries %d assignments for %d items", len(done.Assign), len(r.Items))
+		}
+		// Audit: the initiator's reported assignment must match the
+		// commits we observed, and its claim of our gain our accounting.
+		for i, a := range done.Assign {
+			if int(a) != m.assign[i] {
+				return 0, nil, nil, fmt.Errorf("nexitwire: assignment mismatch at item %d: peer says %d, we committed %d", i, a, m.assign[i])
+			}
+		}
+		if int(done.GainB) != m.gainB {
+			return 0, nil, nil, fmt.Errorf("nexitwire: peer reports our gain as %d, we account %d", done.GainB, m.gainB)
+		}
+		return 0, nil, &SessionResult{
+			Assign: m.assign, GainA: int(done.GainA), GainB: m.gainB,
+			Rounds: int(done.Rounds), StopReason: nexit.StopReason(done.StopReason),
+		}, nil
+
+	case MsgError:
+		return 0, nil, nil, peerError(body)
+	}
+	return 0, nil, nil, unexpected(t)
 }
 
 // session wraps a connection with framed, deadline-bounded exchanges.
-// Its buffers — the frame writer's output buffer, the encode scratch,
-// and the read scratch — are reused across frames, and, when the
-// session lives inside a Conn, across every session the connection
-// carries. Received frame bodies alias rbuf and are only valid until
-// the next recv; decoders copy everything they keep (the buffer-
-// ownership contract, DESIGN.md §9).
+// Its buffers live as long as its Conn. Received frame bodies alias rbuf
+// until the next recv; decoders copy what they keep (DESIGN.md §9).
 type session struct {
 	conn    net.Conn
 	fw      frameWriter
@@ -659,15 +695,17 @@ type session struct {
 	armedRead  time.Time
 	armedWrite time.Time
 
-	// stats accumulates frame/byte counts and per-phase wire time for
-	// the connection's owner (Conn.TakeStats). Plain fields: one
-	// session at a time means one writer.
+	// stats accumulates for Conn.TakeStats; one session at a time means
+	// one writer.
 	stats WireStats
 }
 
 // reset prepares the session for a (new) run of exchanges with the
-// given timeout, keeping its buffers.
+// given timeout (DefaultTimeout when zero), keeping its buffers.
 func (s *session) reset(timeout time.Duration) *session {
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
 	if s.timeout != timeout {
 		s.timeout = timeout
 		s.armedRead, s.armedWrite = time.Time{}, time.Time{}
@@ -675,7 +713,10 @@ func (s *session) reset(timeout time.Duration) *session {
 	return s
 }
 
+// send writes one frame. Its payload is normally built on the encode
+// scratch by an appendX encoder; the grown array is kept as the scratch.
 func (s *session) send(t MsgType, payload []byte) error {
+	s.enc = payload[:0]
 	now := time.Now()
 	if now.Sub(s.armedWrite) > s.timeout>>2 {
 		if err := s.conn.SetWriteDeadline(now.Add(s.timeout)); err != nil {
@@ -688,14 +729,6 @@ func (s *session) send(t MsgType, payload []byte) error {
 		s.stats.observeSent(t, len(payload), time.Since(now))
 	}
 	return s.stallErr("send "+t.String(), err)
-}
-
-// sendEnc sends a payload built on the session's encode scratch (via
-// the appendX encoders) and retains the grown buffer for the next
-// message.
-func (s *session) sendEnc(t MsgType, payload []byte) error {
-	s.enc = payload[:0]
-	return s.send(t, payload)
 }
 
 func (s *session) recv() (MsgType, []byte, error) {
@@ -728,48 +761,10 @@ func (s *session) stallErr(op string, err error) error {
 	return err
 }
 
-// expect receives one frame and requires it to be of the given type. A
-// peer abort (MsgError) surfaces as the peer's reason rather than a
-// protocol violation.
-func (s *session) expect(want MsgType) ([]byte, error) {
-	t, body, err := s.recv()
-	if err != nil {
-		return nil, err
-	}
-	switch t {
-	case want:
-		return body, nil
-	case MsgError:
-		em, err := decodeError(body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, peerError(em.Reason)
-	default:
-		return nil, s.unexpected(t)
-	}
-}
-
-// unexpected reports a protocol violation.
-func (s *session) unexpected(t MsgType) error {
-	err := fmt.Errorf("nexitwire: unexpected %v frame", t)
-	_ = s.abort(err)
-	return err
-}
-
-// abort best-effort notifies the peer before failing.
-func (s *session) abort(err error) error {
-	_ = s.sendEnc(MsgError, appendError(s.enc[:0], &ErrorMsg{Reason: err.Error()}))
-	return err
-}
-
-// Conn wraps a net.Conn with the reusable frame machinery — write
-// buffer, encode scratch, read scratch — that would otherwise be
-// reallocated for every session a long-lived connection carries. A
-// daemon that keeps one connection per peer direction should create one
-// Conn per connection and pass it to RunConn / AcceptHelloConn /
-// ServeSessionConn. A Conn serves one session at a time, like the
-// underlying protocol.
+// Conn wraps a net.Conn with the frame buffers every session it carries
+// reuses; a daemon keeps one per peer connection and passes it to
+// RunConn / AcceptHelloConn / ServeSessionConn. A Conn serves one
+// session at a time, like the underlying protocol.
 type Conn struct {
 	s session
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -103,108 +104,13 @@ func TestHelloVersionCompat(t *testing.T) {
 	}
 }
 
-// TestWireMetricMismatch crosses a bandwidth initiator with a
-// distance responder: the responder must answer the Hello with a clean,
-// labelled rejection — surfaced verbatim to the initiator — before any
-// negotiation state exists on either side.
-func TestWireMetricMismatch(t *testing.T) {
-	s, items, defaults, numAlts := testUniverse(t)
-	connA, connB := net.Pipe()
-	defer connA.Close()
-	defer connB.Close()
-
-	resp := &Responder{
-		Name:     "agent-b",
-		Metric:   "distance",
-		Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		Items:    items,
-		Defaults: defaults,
-		NumAlts:  numAlts,
-		Timeout:  2 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := serveOne(connB, resp)
-		errCh <- err
-	}()
-	ini := &Initiator{
-		Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(),
-		Metric:  "bandwidth",
-		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
-		Timeout: 2 * time.Second,
-	}
-	_, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
-	if err == nil {
-		t.Fatal("initiator negotiated across a metric mismatch")
-	}
-	if !strings.Contains(err.Error(), "peer error") || !strings.Contains(err.Error(), "metric mismatch") {
-		t.Errorf("initiator error is not the peer's labelled rejection: %v", err)
-	}
-	respErr := <-errCh
-	if respErr == nil {
-		t.Fatal("responder served a mismatched metric")
-	}
-	if !strings.Contains(respErr.Error(), `peer negotiates "bandwidth"`) ||
-		!strings.Contains(respErr.Error(), `we negotiate "distance"`) {
-		t.Errorf("responder reason does not name both metrics: %v", respErr)
-	}
-}
-
-// TestWireEpochSkewRejected crosses an initiator at epoch 5 with a
-// responder at epoch 9: the session must be rejected before any
-// negotiation state exists, and the rejection must surface on the
-// initiator as a typed *EpochSkewError carrying both indices — the
-// handle a daemon needs to fast-forward and retry.
-func TestWireEpochSkewRejected(t *testing.T) {
-	s, items, defaults, numAlts := testUniverse(t)
-	connA, connB := net.Pipe()
-	defer connA.Close()
-	defer connB.Close()
-
-	resp := &Responder{
-		Name:     "agent-b",
-		Epoch:    9,
-		Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		Items:    items,
-		Defaults: defaults,
-		NumAlts:  numAlts,
-		Timeout:  2 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := serveOne(connB, resp)
-		errCh <- err
-	}()
-	ini := &Initiator{
-		Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(),
-		Epoch:   5,
-		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
-		Timeout: 2 * time.Second,
-	}
-	_, err := ini.RunConn(NewConn(connA), items, defaults, numAlts)
-	if err == nil {
-		t.Fatal("initiator negotiated across an epoch skew")
-	}
-	var skew *EpochSkewError
-	if !errors.As(err, &skew) {
-		t.Fatalf("initiator error is not a typed epoch skew: %v", err)
-	}
-	if skew.Initiator != 5 || skew.Responder != 9 {
-		t.Errorf("skew carries epochs (%d,%d), want (5,9)", skew.Initiator, skew.Responder)
-	}
-	respErr := <-errCh
-	var respSkew *EpochSkewError
-	if !errors.As(respErr, &respSkew) || respSkew.Initiator != 5 || respSkew.Responder != 9 {
-		t.Errorf("responder error is not the typed skew: %v", respErr)
-	}
-}
-
 // TestEpochSkewReasonRoundtrip pins the canonical skew rendering: the
 // reason string a responder sends must parse back into the same typed
 // error on the initiator, or the self-healing retry can never trigger.
 func TestEpochSkewReasonRoundtrip(t *testing.T) {
 	want := &EpochSkewError{Initiator: 3, Responder: 12}
-	err := peerError(want.Error())
+	_, body := abort(nil, fmt.Errorf("nexitwire: %w", want))
+	err := peerError(body)
 	var got *EpochSkewError
 	if !errors.As(err, &got) {
 		t.Fatalf("canonical reason did not re-type: %v", err)
@@ -217,55 +123,121 @@ func TestEpochSkewReasonRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWireVersionMismatchRejected serves a v1 Hello to a current
-// responder and expects the labelled version rejection, not a decode
-// failure or a hung session.
-func TestWireVersionMismatchRejected(t *testing.T) {
-	s, items, defaults, numAlts := testUniverse(t)
-	connA, connB := net.Pipe()
-	defer connA.Close()
-	defer connB.Close()
-
-	resp := &Responder{
-		Name:     "agent-b",
-		Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		Items:    items,
-		Defaults: defaults,
-		NumAlts:  numAlts,
-		Timeout:  2 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := serveOne(connB, resp)
-		errCh <- err
-	}()
-
-	fw := frameWriter{w: connA}
-	if err := fw.writeFrame(MsgHello, appendHello(nil, &Hello{
-		Version: 1, Name: "old-agent",
-		NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
-		WorkloadHash: WorkloadHash(items, defaults, numAlts),
-	})); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := readFrame(connA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError {
-		t.Fatalf("responder answered a v1 hello with %v, want error", typ)
-	}
-	em, err := decodeError(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(em.Reason, "version 1") {
-		t.Errorf("rejection reason does not name the version: %s", em.Reason)
-	}
-	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("responder error: %v", err)
-	}
+// helloRejections crosses endpoint configurations that must not
+// negotiate. On the in-process pipe each session must be refused at
+// the Hello, before the responder's evaluator is asked anything, with
+// the reasons check expects on each side.
+var helloRejections = []struct {
+	name  string
+	setup func(ini *Initiator, resp *Responder)
+	// v1, when set, replaces the initiator's Hello with a v1 one.
+	v1    bool
+	check func(t *testing.T, iniErr, respErr error, respAbort string)
+}{
+	{
+		name: "metric",
+		setup: func(ini *Initiator, resp *Responder) {
+			ini.Metric, resp.Metric = "bandwidth", "distance"
+		},
+		check: func(t *testing.T, iniErr, respErr error, _ string) {
+			if iniErr == nil || !strings.Contains(iniErr.Error(), "peer error") || !strings.Contains(iniErr.Error(), "metric mismatch") {
+				t.Errorf("initiator error is not the peer's labelled rejection: %v", iniErr)
+			}
+			if respErr == nil || !strings.Contains(respErr.Error(), `peer negotiates "bandwidth"`) ||
+				!strings.Contains(respErr.Error(), `we negotiate "distance"`) {
+				t.Errorf("responder reason does not name both metrics: %v", respErr)
+			}
+		},
+	},
+	{
+		// The rejection must surface on the initiator as a typed
+		// *EpochSkewError carrying both indices — the handle a daemon
+		// needs to fast-forward and retry.
+		name: "epoch",
+		setup: func(ini *Initiator, resp *Responder) {
+			ini.Epoch, resp.Epoch = 5, 9
+		},
+		check: func(t *testing.T, iniErr, respErr error, _ string) {
+			for side, err := range []error{iniErr, respErr} {
+				var skew *EpochSkewError
+				if !errors.As(err, &skew) || skew.Initiator != 5 || skew.Responder != 9 {
+					t.Errorf("side %d error is not the typed (5, 9) epoch skew: %v", side, err)
+				}
+			}
+		},
+	},
+	{
+		name: "version",
+		v1:   true,
+		check: func(t *testing.T, _, respErr error, respAbort string) {
+			if !strings.Contains(respAbort, "version 1") {
+				t.Errorf("rejection reason does not name the version: %q", respAbort)
+			}
+			if respErr == nil || !strings.Contains(respErr.Error(), "version") {
+				t.Errorf("responder error: %v", respErr)
+			}
+		},
+	},
+	{
+		name: "universe",
+		setup: func(_ *Initiator, resp *Responder) {
+			// One item short: hash mismatch.
+			resp.Items, resp.Defaults = resp.Items[:len(resp.Items)-1], resp.Defaults[:len(resp.Defaults)-1]
+		},
+		check: func(t *testing.T, iniErr, respErr error, _ string) {
+			if iniErr == nil {
+				t.Error("initiator succeeded despite universe mismatch")
+			}
+			if respErr == nil {
+				t.Error("responder accepted mismatched universe")
+			}
+		},
+	},
 }
+
+// helloRejection runs the helloRejections row with the given name.
+func helloRejection(t *testing.T, name string) {
+	s, items, defaults, numAlts := testUniverse(t)
+	for _, c := range helloRejections {
+		if c.name != name {
+			continue
+		}
+		ini := &Initiator{Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(), Eval: nexit.NewDistanceEvaluator(s, nexit.SideA, 10)}
+		resp := &Responder{
+			Name: "agent-b", Eval: nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
+			Items: items, Defaults: defaults, NumAlts: numAlts,
+		}
+		if c.setup != nil {
+			c.setup(ini, resp)
+		}
+		tp := untampered
+		if c.v1 {
+			tp = tamper{dir: 0, pos: 0, sub: &frame{MsgHello, appendHello(nil, &Hello{
+				Version: 1, Name: "old-agent",
+				NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
+				WorkloadHash: WorkloadHash(items, defaults, numAlts),
+			})}}
+		}
+		p, _, err := runPipe(ini, resp, items, defaults, numAlts, tp, 8)
+		var reason string
+		if len(p.wire[1]) != 1 || p.wire[1][0].t != MsgError {
+			t.Errorf("responder answered the Hello with %d frames, want one Error frame", len(p.wire[1]))
+		} else if em, derr := decodeError(p.wire[1][0].payload); derr == nil {
+			reason = em.Reason
+		}
+		if p.eval.calls != 0 {
+			t.Errorf("a rejected Hello reached the responder's evaluator %d times", p.eval.calls)
+		}
+		c.check(t, err, p.err, reason)
+		return
+	}
+	t.Fatalf("no Hello rejection %q", name)
+}
+
+func TestWireMetricMismatch(t *testing.T)          { helloRejection(t, "metric") }
+func TestWireEpochSkewRejected(t *testing.T)       { helloRejection(t, "epoch") }
+func TestWireVersionMismatchRejected(t *testing.T) { helloRejection(t, "version") }
+func TestWireHelloMismatch(t *testing.T)           { helloRejection(t, "universe") }
 
 func TestPrefsRoundtrip(t *testing.T) {
 	req := &PrefsRequest{ItemIDs: []uint32{3, 9, 12}, Defaults: []uint16{0, 2, 1}}
@@ -341,6 +313,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := decodePrefsResponse([]byte{0, 0, 1, 0, 0, 8}); err == nil {
 		t.Error("lying prefs response accepted")
 	}
+	// Zero rows of 0x3030 columns: the encoder writes zero columns for
+	// zero rows, so these bytes could never re-encode to themselves.
+	if _, err := decodePrefsResponse([]byte{0, 0, 0, 0, 0x30, 0x30}); err == nil {
+		t.Error("prefs response with columns but no rows accepted")
+	}
 	if _, err := decodeRevert([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
 		t.Error("revert with trailing bytes accepted")
 	}
@@ -349,7 +326,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // --- session tests ----------------------------------------------------
 
 // testUniverse builds a small real negotiation setup from the generator.
-func testUniverse(t *testing.T) (*pairsim.System, []nexit.Item, []int, int) {
+func testUniverse(t testing.TB) (*pairsim.System, []nexit.Item, []int, int) {
 	t.Helper()
 	cfg := gen.DefaultConfig()
 	cfg.NumISPs = 10
@@ -531,38 +508,6 @@ func TestWireOverTCP(t *testing.T) {
 	}
 	if len(sess.Assign) != len(items) {
 		t.Error("responder assignment incomplete")
-	}
-}
-
-func TestWireHelloMismatch(t *testing.T) {
-	s, items, defaults, numAlts := testUniverse(t)
-	connA, connB := net.Pipe()
-	defer connA.Close()
-	defer connB.Close()
-
-	resp := &Responder{
-		Name:     "agent-b",
-		Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		Items:    items[:len(items)-1], // one item short: hash mismatch
-		Defaults: defaults[:len(defaults)-1],
-		NumAlts:  numAlts,
-		Timeout:  2 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := serveOne(connB, resp)
-		errCh <- err
-	}()
-	ini := &Initiator{
-		Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(),
-		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
-		Timeout: 2 * time.Second,
-	}
-	if _, err := ini.RunConn(NewConn(connA), items, defaults, numAlts); err == nil {
-		t.Error("initiator succeeded despite universe mismatch")
-	}
-	if err := <-errCh; err == nil {
-		t.Error("responder accepted mismatched universe")
 	}
 }
 
