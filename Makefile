@@ -9,7 +9,7 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and short snapshot and wire fuzz bursts.
+# snapshot-based) and short snapshot, wire and .topo fuzz bursts.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -17,6 +17,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 20s ./internal/continuous/
 	go test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 20s ./internal/nexitwire/
 	go test -run '^$$' -fuzz 'FuzzResponderSession' -fuzztime 20s -fuzzminimizetime 2s ./internal/nexitwire/
+	go test -run '^$$' -fuzz 'FuzzTopologyRead' -fuzztime 20s ./internal/topology/
 
 # The one measurement path: seven named workloads, end-to-end and
 # per-layer metrics, one JSON document on stdout (bench/README.md).

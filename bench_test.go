@@ -268,7 +268,7 @@ func BenchmarkExtraPreferenceRange(b *testing.B) {
 }
 
 // BenchmarkAblationScaleMode compares the cardinal-mapping scale modes
-// called out in DESIGN.md: global (quantile) vs per-flow normalization.
+// called out in DESIGN.md §5: table q90 (global) vs table max (per-flow).
 func BenchmarkAblationScaleMode(b *testing.B) {
 	ds := dataset(b)
 	pairs := ds.DistancePairs()

@@ -78,7 +78,7 @@ func (s FlowLocalStrategy) String() string {
 // alternatives satisfying the strategy's criterion (relative to the
 // item's default). deltasA and deltasB give each ISP's per-item,
 // per-alternative metric improvement over the default (positive =
-// better), as produced by DistanceDeltas.
+// better), as produced by an evaluator's RawDeltas.
 func FlowLocal(strategy FlowLocalStrategy, deltasA, deltasB [][]float64, defaults []int, rng *rand.Rand) []int {
 	out := make([]int, len(defaults))
 	for i := range defaults {
@@ -105,31 +105,13 @@ func FlowLocal(strategy FlowLocalStrategy, deltasA, deltasB [][]float64, default
 	return out
 }
 
-// DistanceDeltas computes, for each item and alternative, each ISP's
+// DistanceDeltas returns, for each item and alternative, each ISP's
 // distance improvement over the item's default alternative (positive =
-// shorter path inside that ISP).
+// shorter path inside that ISP): the RawDeltas of each side's
+// nexit.DistanceEvaluator, in rows no other caller holds.
 func DistanceDeltas(s *pairsim.System, items []nexit.Item, defaults []int) (deltasA, deltasB [][]float64) {
-	rev := s.Reverse()
-	na := s.NumAlternatives()
-	deltasA = make([][]float64, len(items))
-	deltasB = make([][]float64, len(items))
-	for i, it := range items {
-		deltasA[i] = make([]float64, na)
-		deltasB[i] = make([]float64, na)
-		for k := 0; k < na; k++ {
-			var dA, dB, dA0, dB0 float64
-			if it.Dir == nexit.AtoB {
-				dA, dB = s.UpDistKm(it.Flow, k), s.DownDistKm(it.Flow, k)
-				dA0, dB0 = s.UpDistKm(it.Flow, defaults[i]), s.DownDistKm(it.Flow, defaults[i])
-			} else {
-				dB, dA = rev.UpDistKm(it.Flow, k), rev.DownDistKm(it.Flow, k)
-				dB0, dA0 = rev.UpDistKm(it.Flow, defaults[i]), rev.DownDistKm(it.Flow, defaults[i])
-			}
-			deltasA[i][k] = dA0 - dA
-			deltasB[i][k] = dB0 - dB
-		}
-	}
-	return deltasA, deltasB
+	return nexit.NewDistanceEvaluator(s, nexit.SideA, 0).RawDeltas(items, defaults),
+		nexit.NewDistanceEvaluator(s, nexit.SideB, 0).RawDeltas(items, defaults)
 }
 
 // UnilateralUpstream reroutes the flows purely in the upstream's

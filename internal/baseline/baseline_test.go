@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geo"
@@ -86,7 +87,8 @@ func TestDistanceDeltas(t *testing.T) {
 		{ID: 1, Flow: traffic.Flow{ID: 0, Src: 2, Dst: 0, Size: 1}, Dir: nexit.BtoA},
 	}
 	defaults := []int{2, 0}
-	dA, dB := DistanceDeltas(s, items, defaults)
+	dA := nexit.NewDistanceEvaluator(s, nexit.SideA, 10).RawDeltas(items, defaults)
+	dB := nexit.NewDistanceEvaluator(s, nexit.SideB, 10).RawDeltas(items, defaults)
 	// Item 0: for A, west exit is default (delta 0); east exit costs A
 	// the full backbone -> negative; for B east exit saves the full
 	// backbone -> positive.
@@ -100,6 +102,9 @@ func TestDistanceDeltas(t *testing.T) {
 	// entry good for A... west alternative k=2: A delta positive.
 	if dA[1][2] <= 0 || dB[1][2] >= 0 {
 		t.Errorf("item 1 west deltas: A %v B %v", dA[1][2], dB[1][2])
+	}
+	if gotA, gotB := DistanceDeltas(s, items, defaults); !reflect.DeepEqual(gotA, dA) || !reflect.DeepEqual(gotB, dB) {
+		t.Errorf("DistanceDeltas = %v %v, want the evaluators' %v %v", gotA, gotB, dA, dB)
 	}
 }
 

@@ -333,10 +333,7 @@ func (c *Controller) NewEvaluator(side nexit.Side) nexit.Evaluator {
 		cached = &c.evalB
 	}
 	if *cached != nil {
-		switch e := (*cached).(type) {
-		case *nexit.BandwidthEvaluator:
-			e.Reset(nil)
-		case *nexit.FortzThorupEvaluator:
+		if e, ok := (*cached).(interface{ Reset(load []float64) }); ok {
 			e.Reset(nil)
 		}
 		return *cached

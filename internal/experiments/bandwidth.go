@@ -154,9 +154,17 @@ func (fc *failureCase) downDistance(assign pairsim.Assignment) float64 {
 	return sum
 }
 
+// loadEvaluator is a load metric's evaluator. Negotiations commit load
+// into it, so a case reuses it only after a Reset to the case's fixed
+// load, which is exactly the state the constructor builds.
+type loadEvaluator interface {
+	nexit.Evaluator
+	Reset(load []float64)
+}
+
 // newBandwidthEvaluator builds the upstream or downstream bandwidth
 // evaluator for a failure case.
-func (fc *failureCase) newBandwidthEvaluator(side nexit.Side, p int, useFT bool) nexit.Evaluator {
+func (fc *failureCase) newBandwidthEvaluator(side nexit.Side, p int, useFT bool) loadEvaluator {
 	load, capv := fc.fixedUp, fc.capUp
 	if side == nexit.SideB {
 		load, capv = fc.fixedDown, fc.capDown
@@ -246,9 +254,9 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 
 			// Figure 9: diverse criteria — upstream bandwidth,
 			// downstream distance.
-			evalA9 := fc.newBandwidthEvaluator(nexit.SideA, opt.PrefBound, opt.UseFortzThorup)
+			evalA.Reset(fc.fixedUp)
 			evalB9 := nexit.NewDistanceEvaluator(fc.s2, nexit.SideB, opt.PrefBound)
-			div, err := nexit.Negotiate(cfg, evalA9, evalB9, fc.items, fc.defaults, fc.s2.NumAlternatives())
+			div, err := nexit.Negotiate(cfg, evalA, evalB9, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
 				return nil, err
 			}
@@ -260,13 +268,10 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 			// Figure 11: the upstream cheats.
 			// The cheater's "perfect knowledge" reads the victim's live
 			// evaluator, so it stays current as loads change.
-			victim := fc.newBandwidthEvaluator(nexit.SideB, opt.PrefBound, opt.UseFortzThorup)
-			cheater := &nexit.CheatEvaluator{
-				Truthful: fc.newBandwidthEvaluator(nexit.SideA, opt.PrefBound, opt.UseFortzThorup),
-				Other:    victim,
-				P:        opt.PrefBound,
-			}
-			cheat, err := nexit.Negotiate(cfg, cheater, victim, fc.items, fc.defaults, fc.s2.NumAlternatives())
+			evalA.Reset(fc.fixedUp)
+			evalB.Reset(fc.fixedDown)
+			cheater := &nexit.CheatEvaluator{Truthful: evalA, Other: evalB, P: opt.PrefBound}
+			cheat, err := nexit.Negotiate(cfg, cheater, evalB, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
 				return nil, err
 			}

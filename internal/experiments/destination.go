@@ -138,8 +138,8 @@ func DestinationStream(ds *Dataset, opt Options, sink func(idx int, r *Destinati
 				}
 				groupDefaults[gi] = best
 			}
-			gEvalA := &destEvaluator{inner: nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound), groups: groups, p: opt.PrefBound}
-			gEvalB := &destEvaluator{inner: nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound), groups: groups, p: opt.PrefBound}
+			gEvalA := &destEvaluator{inner: evalA, groups: groups, p: opt.PrefBound}
+			gEvalB := &destEvaluator{inner: evalB, groups: groups, p: opt.PrefBound}
 			grouped, err := nexit.Negotiate(cfg, gEvalA, gEvalB, groupItems, groupDefaults, na)
 			if err != nil {
 				return nil, err

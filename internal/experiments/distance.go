@@ -148,6 +148,8 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 			}
 
 			// Negotiated: Nexit with distance evaluators on both sides.
+			// Distance evaluators hold no state between calls, so the
+			// pair's two serve every negotiation below.
 			cfg := nexit.DefaultDistanceConfig()
 			cfg.PrefBound = opt.PrefBound
 			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
@@ -158,16 +160,15 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 			}
 
 			// Flow-local strategies (Figure 5), drawing from the pair's
-			// private RNG.
-			dA, dB := baseline.DistanceDeltas(ps.s, ps.items, ps.defaults)
+			// private RNG. The delta rows live on the evaluators'
+			// scratch, so they are used up before the next negotiation.
+			dA := evalA.RawDeltas(ps.items, ps.defaults)
+			dB := evalB.RawDeltas(ps.items, ps.defaults)
 			paretoAssign := baseline.FlowLocal(baseline.FlowPareto, dA, dB, ps.defaults, job.rng)
 			bothAssign := baseline.FlowLocal(baseline.FlowBothBetter, dA, dB, ps.defaults, job.rng)
 
 			// Group negotiation ablation (4 groups).
-			groupAssign, err := baseline.GroupNegotiate(cfg,
-				nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound),
-				nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound),
-				ps.items, ps.defaults, na, 4)
+			groupAssign, err := baseline.GroupNegotiate(cfg, evalA, evalB, ps.items, ps.defaults, na, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -284,19 +285,18 @@ func DistanceCheatStream(ds *Dataset, opt Options, sink func(idx int, r *CheatPa
 			na := ps.s.NumAlternatives()
 			cfg := nexit.DefaultDistanceConfig()
 			cfg.PrefBound = opt.PrefBound
-			run := func(evalA nexit.Evaluator) (*nexit.Result, error) {
-				evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
-				return nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
-			}
-			honest, err := run(nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound))
+			// Distance evaluators are stateless, so A's serves honestly
+			// and as the cheater's truth, and B's is both the victim and
+			// the cheater's knowledge of it (the engine copies each
+			// side's classes before asking the other).
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			honest, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err
 			}
-			cheat, err := run(&nexit.CheatEvaluator{
-				Truthful: nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound),
-				Other:    nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound),
-				P:        opt.PrefBound,
-			})
+			cheater := &nexit.CheatEvaluator{Truthful: evalA, Other: evalB, P: opt.PrefBound}
+			cheat, err := nexit.Negotiate(cfg, cheater, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err
 			}

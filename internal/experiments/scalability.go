@@ -64,9 +64,11 @@ func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(
 			cfg := nexit.DefaultDistanceConfig()
 			cfg.PrefBound = opt.PrefBound
 
+			// Distance evaluators are stateless: the pair's two serve the
+			// full table and every fraction.
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
 			negotiate := func(items []nexit.Item, defaults []int) ([]int, error) {
-				evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
-				evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
 				r, err := nexit.Negotiate(cfg, evalA, evalB, items, defaults, na)
 				if err != nil {
 					return nil, err

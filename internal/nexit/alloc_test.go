@@ -11,8 +11,8 @@ import (
 // steady-state negotiation hot path — Prefs over the full table plus a
 // Commit — performs zero heap allocations, for all three load/distance
 // evaluators. The fixture is deliberately small so forEachItem stays on
-// its serial path; the parallel path pays a bounded goroutine fan-out
-// cost by design and is exercised elsewhere.
+// its serial path; the sharded path pays a bounded goroutine fan-out
+// cost by design, and TestShardedItemLoopMatchesSerial pins its output.
 //
 // testing.AllocsPerRun is exact under -race too (the race runtime does
 // not add Go-visible allocations to these paths), so the guard holds in

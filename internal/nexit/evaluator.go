@@ -28,21 +28,22 @@ const (
 )
 
 // Scale selects the normalization denominator for the Cardinal mapping.
+// Both modes pick one unit for the whole table a Prefs call maps (every
+// item, every alternative), so within a call one class is the same real
+// quantity for every flow.
 type Scale int
 
 // Scaling modes.
 const (
-	// ScalePerFlow normalizes each flow's deltas by that flow's own
-	// largest absolute delta, so every flow with any improvement at all
-	// gets non-zero classes. This resolution is what lets negotiation
-	// track the global optimum closely (paper Figures 4 and 6) with only
-	// P=10 classes; it is the default. Class magnitudes are comparable
-	// across flows only in relative terms.
+	// ScalePerFlow normalizes by the table's largest absolute delta: the
+	// single biggest gain or loss maps to ±P, and a flow whose deltas are
+	// all small next to it gets small classes, possibly 0. It is the
+	// default. The name is historical; the unit is not chosen per flow.
 	ScalePerFlow Scale = iota
-	// ScaleGlobal normalizes all deltas by the ISP-wide largest absolute
-	// delta, making classes strictly additive across flows (one unit is
-	// the same real quantity everywhere) at the cost of quantizing small
-	// flows' preferences to zero. The ablation bench compares the two.
+	// ScaleGlobal normalizes by the 90th percentile of the table's
+	// non-zero absolute deltas, so outliers saturate at ±P and the bulk
+	// of flows keeps resolution. MapDeltas uses it. The ablation bench
+	// compares the two.
 	ScaleGlobal
 )
 
@@ -128,18 +129,13 @@ func (v view) pathLinks(it Item, k int) []int32 {
 	return v.idx.From(k, it.Flow.Dst)
 }
 
-// cardinalDenominator picks the normalization unit for cardinal classes.
-// ScaleGlobal uses the 90th percentile of the non-zero absolute deltas
-// (outliers saturate at +/-P) so the bulk of flows retain resolution;
-// ScalePerFlow is handled by the caller contract but falls back to the
-// same table-wide unit when a flow has no non-zero delta. buf, when
-// non-nil, is the reusable sort buffer (its backing array is grown once
-// and then reused across calls).
+// cardinalDenominator picks the normalization unit for cardinal classes:
+// the table's largest non-zero absolute delta under ScalePerFlow, the
+// 90th percentile of them under ScaleGlobal (outliers saturate at +/-P)
+// so the bulk of flows retain resolution. buf is the reusable sort
+// buffer (its backing array is grown once and then reused across calls).
 func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float64 {
-	var mags []float64
-	if buf != nil {
-		mags = (*buf)[:0]
-	}
+	mags := (*buf)[:0]
 	for _, ds := range deltas {
 		for _, d := range ds {
 			if a := math.Abs(d); a > 0 {
@@ -147,16 +143,11 @@ func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float6
 			}
 		}
 	}
-	if buf != nil {
-		*buf = mags
-	}
+	*buf = mags
 	if len(mags) == 0 {
 		return 0
 	}
 	if scale == ScalePerFlow {
-		// Retained for the ablation bench: per-flow max magnitude is
-		// applied per item by mapDeltas' caller semantics; as a single
-		// denominator it degenerates to the global max.
 		max := mags[0]
 		for _, m := range mags[1:] {
 			if m > max {
@@ -175,16 +166,11 @@ func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float6
 }
 
 // mapDeltas converts per-item, per-alternative metric deltas (positive =
-// better than default) to preference classes. When s is non-nil the
-// returned rows live on the scratch and are valid only until the next
-// mapDeltas call with the same scratch.
+// better than default) to preference classes. The returned rows live on
+// the scratch and are valid only until the next mapDeltas call with the
+// same scratch.
 func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalScratch) [][]int {
-	var out [][]int
-	if s != nil {
-		out = s.intRows(deltas)
-	} else {
-		out = makeIntRows(deltas)
-	}
+	out := s.intRows(deltas)
 	switch mapping {
 	case Ordinal:
 		for i, ds := range deltas {
@@ -215,11 +201,7 @@ func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalS
 		}
 		return out
 	default: // Cardinal
-		var buf *[]float64
-		if s != nil {
-			buf = &s.mags
-		}
-		denom := cardinalDenominator(deltas, scale, buf)
+		denom := cardinalDenominator(deltas, scale, &s.mags)
 		if denom == 0 {
 			return out
 		}
@@ -249,48 +231,46 @@ func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalS
 	}
 }
 
-// DistanceEvaluator maps alternatives to preferences using the distance
-// a flow travels inside the ISP's own network (§5.1): shorter is better.
-// It is stateless; Commit is a no-op.
-type DistanceEvaluator struct {
+// MapDeltas quantizes raw metric deltas to preference classes with the
+// default cardinal mapping (floor rounding, q90 scaling). It is exported
+// for evaluators composed outside this package and returns freshly
+// allocated rows (a scratch of its own, so no ownership caveats).
+func MapDeltas(deltas [][]float64, p int) [][]int {
+	return mapDeltas(deltas, p, Cardinal, ScaleGlobal, &evalScratch{})
+}
+
+// evaluator is the body the three metric evaluators share: a metric
+// contributes only fn, which fills one item's row of deltas from its
+// per-alternative cost.
+type evaluator struct {
 	view    view
 	P       int
 	Mapping Mapping
 	Scale   Scale
 	scratch evalScratch
-	fn      func(i int)
+	// fn is the metric's row method, bound once as a method value by its
+	// constructor; per-call state flows through the scratch so
+	// steady-state Prefs allocates nothing. A closure built in a helper
+	// shared by the constructors loses the inlining of the cost call in
+	// the item loop (DESIGN.md §12).
+	fn func(i int)
 }
 
-// NewDistanceEvaluator builds the evaluator for the given side of the
-// (A->B oriented) system.
-func NewDistanceEvaluator(s *pairsim.System, side Side, p int) *DistanceEvaluator {
-	e := &DistanceEvaluator{view: newView(s, side), P: p}
-	// One closure for the evaluator's lifetime; per-call state flows
-	// through the scratch so steady-state Prefs allocates nothing.
-	e.fn = func(i int) {
-		it := e.scratch.items[i]
-		row := e.scratch.deltaRows[i]
-		base := e.view.distKm(it, e.scratch.defaults[i])
-		for k := range row {
-			row[k] = base - e.view.distKm(it, k)
-		}
-	}
-	return e
-}
-
-// Prefs implements Evaluator. The returned rows live on the evaluator's
-// scratch: they are valid until the next Prefs or RawDeltas call on this
-// evaluator (see evalScratch).
-func (e *DistanceEvaluator) Prefs(items []Item, defaults []int) [][]int {
+// Prefs implements Evaluator. Metric state is only read here, so the
+// per-item loop is sharded by forEachItem when large. The returned rows
+// live on the evaluator's scratch: they are valid until the next Prefs
+// or RawDeltas call on this evaluator (see evalScratch).
+func (e *evaluator) Prefs(items []Item, defaults []int) [][]int {
 	return mapDeltas(e.RawDeltas(items, defaults), e.P, e.Mapping, e.Scale, &e.scratch)
 }
 
-// RawDeltas returns the unquantized per-alternative distance
-// improvements over each item's default (positive = shorter own-network
-// path). Aggregating evaluators (e.g. destination-based routing) sum
-// these before quantizing. The rows live on the evaluator's scratch and
-// are valid until the next Prefs or RawDeltas call.
-func (e *DistanceEvaluator) RawDeltas(items []Item, defaults []int) [][]float64 {
+// RawDeltas returns the unquantized per-alternative metric improvements
+// over each item's default (positive = better, e.g. a shorter
+// own-network path). Aggregating evaluators (e.g. destination-based
+// routing) sum these before quantizing. The rows live on the
+// evaluator's scratch and are valid until the next Prefs or RawDeltas
+// call.
+func (e *evaluator) RawDeltas(items []Item, defaults []int) [][]float64 {
 	na := len(e.view.ixOwn)
 	deltas := e.scratch.deltas(len(items), na)
 	e.scratch.items, e.scratch.defaults = items, defaults
@@ -298,17 +278,91 @@ func (e *DistanceEvaluator) RawDeltas(items []Item, defaults []int) [][]float64 
 	return deltas
 }
 
-// MapDeltas quantizes raw metric deltas to preference classes with the
-// default cardinal mapping (floor rounding, q90 scaling). It is exported
-// for evaluators composed outside this package and returns freshly
-// allocated rows (no scratch, so no ownership caveats).
-func MapDeltas(deltas [][]float64, p int) [][]int {
-	return mapDeltas(deltas, p, Cardinal, ScaleGlobal, nil)
+// DistanceEvaluator maps alternatives to preferences using the distance
+// a flow travels inside the ISP's own network (§5.1): shorter is better.
+// It is stateless; Commit is a no-op.
+type DistanceEvaluator struct{ evaluator }
+
+// NewDistanceEvaluator builds the evaluator for the given side of the
+// (A->B oriented) system.
+func NewDistanceEvaluator(s *pairsim.System, side Side, p int) *DistanceEvaluator {
+	e := &DistanceEvaluator{evaluator{view: newView(s, side), P: p}}
+	e.fn = e.row
+	return e
+}
+
+// row fills item i's deltas: own-network distance saved against the
+// item's default.
+func (e *DistanceEvaluator) row(i int) {
+	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
+	base := e.view.distKm(it, e.scratch.defaults[i])
+	for k := range row {
+		row[k] = base - e.view.distKm(it, k)
+	}
 }
 
 // Commit implements Evaluator (distance preferences are independent
 // across flows, so there is no state to update).
 func (e *DistanceEvaluator) Commit(Item, int) {}
+
+// loadEvaluator is the state the two load metrics share: the ISP's own
+// link loads, which committed flows move, and the link capacities.
+type loadEvaluator struct {
+	evaluator
+	Load []float64 // current per-link load in the own network
+	Cap  []float64 // per-link capacity
+}
+
+// newLoadEvaluator checks and copies the load and capacity vectors and
+// resolves the path index.
+func newLoadEvaluator(s *pairsim.System, side Side, p int, load, capv []float64) loadEvaluator {
+	v := newView(s, side)
+	if len(load) != len(v.table.ISP.Links) || len(capv) != len(v.table.ISP.Links) {
+		panic(fmt.Sprintf("nexit: load/cap vectors (%d/%d) do not match %d links",
+			len(load), len(capv), len(v.table.ISP.Links)))
+	}
+	v.idx = v.table.PathIndexFor(v.ixOwn)
+	return loadEvaluator{
+		evaluator: evaluator{view: v, P: p},
+		Load:      append([]float64(nil), load...),
+		Cap:       append([]float64(nil), capv...),
+	}
+}
+
+// Reset restores the evaluator to the given pre-session link loads (or
+// all-zero when load is nil), letting callers reuse one evaluator
+// across epochs or negotiations instead of reconstructing it.
+func (e *loadEvaluator) Reset(load []float64) {
+	if load == nil {
+		clear(e.Load)
+		return
+	}
+	if len(load) != len(e.Load) {
+		panic(fmt.Sprintf("nexit: reset load vector has %d entries for %d links", len(load), len(e.Load)))
+	}
+	copy(e.Load, load)
+}
+
+// Commit implements Evaluator: the committed flow's size is added to its
+// own-network path links.
+func (e *loadEvaluator) Commit(it Item, alt int) {
+	e.addLoad(it, alt, it.Flow.Size)
+}
+
+// Revert implements Reverter: the terminal unwind moves the flow back to
+// its default alternative, so its load moves with it.
+func (e *loadEvaluator) Revert(it Item, alt, def int) {
+	e.addLoad(it, alt, -it.Flow.Size)
+	e.addLoad(it, def, it.Flow.Size)
+}
+
+// addLoad adds size to every own-network link of the item's path via
+// interconnection k.
+func (e *loadEvaluator) addLoad(it Item, k int, size float64) {
+	for _, li := range e.view.pathLinks(it, k) {
+		e.Load[li] += size
+	}
+}
 
 // BandwidthEvaluator maps alternatives to preferences using "the maximum
 // increase in link load along the path" (§5.2): the evaluator tracks the
@@ -317,42 +371,24 @@ func (e *DistanceEvaluator) Commit(Item, int) {}
 // and updates loads as flows are committed. With the engine's
 // reassignment policy this reproduces the paper's recomputation of
 // preferences after each 5% of traffic.
-type BandwidthEvaluator struct {
-	view    view
-	P       int
-	Mapping Mapping
-	Scale   Scale
-	Load    []float64 // current per-link load in the own network
-	Cap     []float64 // per-link capacity
-	scratch evalScratch
-	fn      func(i int)
-}
+type BandwidthEvaluator struct{ loadEvaluator }
 
 // NewBandwidthEvaluator builds the evaluator; load is the ISP's current
 // per-link load (copied), capv its link capacities.
 func NewBandwidthEvaluator(s *pairsim.System, side Side, p int, load, capv []float64) *BandwidthEvaluator {
-	v := newView(s, side)
-	if len(load) != len(v.table.ISP.Links) || len(capv) != len(v.table.ISP.Links) {
-		panic(fmt.Sprintf("nexit: load/cap vectors (%d/%d) do not match %d links",
-			len(load), len(capv), len(v.table.ISP.Links)))
-	}
-	v.idx = v.table.PathIndexFor(v.ixOwn)
-	e := &BandwidthEvaluator{
-		view: v, P: p,
-		Load: append([]float64(nil), load...),
-		Cap:  append([]float64(nil), capv...),
-	}
-	// One closure for the evaluator's lifetime; per-call state flows
-	// through the scratch so steady-state Prefs allocates nothing.
-	e.fn = func(i int) {
-		it := e.scratch.items[i]
-		row := e.scratch.deltaRows[i]
-		base := e.alternativeCost(it, e.scratch.defaults[i])
-		for k := range row {
-			row[k] = base - e.alternativeCost(it, k)
-		}
-	}
+	e := &BandwidthEvaluator{newLoadEvaluator(s, side, p, load, capv)}
+	e.fn = e.row
 	return e
+}
+
+// row fills item i's deltas: cost of the default minus cost of each
+// alternative.
+func (e *BandwidthEvaluator) row(i int) {
+	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
+	base := e.alternativeCost(it, e.scratch.defaults[i])
+	for k := range row {
+		row[k] = base - e.alternativeCost(it, k)
+	}
 }
 
 // alternativeCost is the worst post-placement load ratio on the item's
@@ -366,82 +402,28 @@ func (e *BandwidthEvaluator) alternativeCost(it Item, k int) float64 {
 	return metrics.MaxIncreaseOnPath32(e.Load, e.Cap, links, it.Flow.Size)
 }
 
-// Prefs implements Evaluator. Link loads are only read here, so the
-// per-item loop is sharded by forEachItem when large. The returned rows
-// live on the evaluator's scratch: valid until the next Prefs call.
-func (e *BandwidthEvaluator) Prefs(items []Item, defaults []int) [][]int {
-	na := len(e.view.ixOwn)
-	deltas := e.scratch.deltas(len(items), na)
-	e.scratch.items, e.scratch.defaults = items, defaults
-	forEachItem(len(items), na, e.fn)
-	return mapDeltas(deltas, e.P, e.Mapping, e.Scale, &e.scratch)
-}
-
-// Reset restores the evaluator to the given pre-session link loads (or
-// all-zero when load is nil), letting callers reuse one evaluator
-// across epochs instead of reconstructing it.
-func (e *BandwidthEvaluator) Reset(load []float64) {
-	setLoad(e.Load, load)
-}
-
-// Commit implements Evaluator: the committed flow's size is added to its
-// own-network path links.
-func (e *BandwidthEvaluator) Commit(it Item, alt int) {
-	for _, li := range e.view.pathLinks(it, alt) {
-		e.Load[li] += it.Flow.Size
-	}
-}
-
-// Revert implements Reverter: the terminal unwind moves the flow back to
-// its default alternative, so its load moves with it.
-func (e *BandwidthEvaluator) Revert(it Item, alt, def int) {
-	for _, li := range e.view.pathLinks(it, alt) {
-		e.Load[li] -= it.Flow.Size
-	}
-	for _, li := range e.view.pathLinks(it, def) {
-		e.Load[li] += it.Flow.Size
-	}
-}
-
 // FortzThorupEvaluator scores alternatives by the increase in total
 // Fortz–Thorup link cost on the ISP's own network — the paper's alternate
 // bandwidth metric ("a metric based on a linear programming formulation
 // of optimal routing [10] ... the sum of link costs, where the cost is a
 // piecewise linear function of load with increasing slope").
-type FortzThorupEvaluator struct {
-	view    view
-	P       int
-	Mapping Mapping
-	Scale   Scale
-	Load    []float64
-	Cap     []float64
-	scratch evalScratch
-	fn      func(i int)
-}
+type FortzThorupEvaluator struct{ loadEvaluator }
 
 // NewFortzThorupEvaluator builds the evaluator.
 func NewFortzThorupEvaluator(s *pairsim.System, side Side, p int, load, capv []float64) *FortzThorupEvaluator {
-	v := newView(s, side)
-	if len(load) != len(v.table.ISP.Links) || len(capv) != len(v.table.ISP.Links) {
-		panic("nexit: load/cap vectors do not match link count")
-	}
-	v.idx = v.table.PathIndexFor(v.ixOwn)
-	e := &FortzThorupEvaluator{
-		view: v, P: p,
-		Load: append([]float64(nil), load...),
-		Cap:  append([]float64(nil), capv...),
-	}
-	// One closure for the evaluator's lifetime; per-call state flows
-	// through the scratch so steady-state Prefs allocates nothing.
-	e.fn = func(i int) {
-		it := e.scratch.items[i]
-		row := e.scratch.deltaRows[i]
-		base := e.alternativeCost(it, e.scratch.defaults[i])
-		for k := range row {
-			row[k] = base - e.alternativeCost(it, k)
-		}
-	}
+	e := &FortzThorupEvaluator{newLoadEvaluator(s, side, p, load, capv)}
+	e.fn = e.row
 	return e
+}
+
+// row fills item i's deltas: cost of the default minus cost of each
+// alternative.
+func (e *FortzThorupEvaluator) row(i int) {
+	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
+	base := e.alternativeCost(it, e.scratch.defaults[i])
+	for k := range row {
+		row[k] = base - e.alternativeCost(it, k)
+	}
 }
 
 // alternativeCost is the marginal Fortz–Thorup cost of placing the flow
@@ -453,55 +435,6 @@ func (e *FortzThorupEvaluator) alternativeCost(it Item, k int) float64 {
 			metrics.FortzThorupLink(e.Load[li], e.Cap[li])
 	}
 	return cost
-}
-
-// Prefs implements Evaluator. Link loads are only read here, so the
-// per-item loop is sharded by forEachItem when large. The returned rows
-// live on the evaluator's scratch: valid until the next Prefs call.
-func (e *FortzThorupEvaluator) Prefs(items []Item, defaults []int) [][]int {
-	na := len(e.view.ixOwn)
-	deltas := e.scratch.deltas(len(items), na)
-	e.scratch.items, e.scratch.defaults = items, defaults
-	forEachItem(len(items), na, e.fn)
-	return mapDeltas(deltas, e.P, e.Mapping, e.Scale, &e.scratch)
-}
-
-// Reset restores the evaluator to the given pre-session link loads (or
-// all-zero when load is nil), letting callers reuse one evaluator
-// across epochs instead of reconstructing it.
-func (e *FortzThorupEvaluator) Reset(load []float64) {
-	setLoad(e.Load, load)
-}
-
-// Commit implements Evaluator.
-func (e *FortzThorupEvaluator) Commit(it Item, alt int) {
-	for _, li := range e.view.pathLinks(it, alt) {
-		e.Load[li] += it.Flow.Size
-	}
-}
-
-// Revert implements Reverter.
-func (e *FortzThorupEvaluator) Revert(it Item, alt, def int) {
-	for _, li := range e.view.pathLinks(it, alt) {
-		e.Load[li] -= it.Flow.Size
-	}
-	for _, li := range e.view.pathLinks(it, def) {
-		e.Load[li] += it.Flow.Size
-	}
-}
-
-// setLoad copies src into dst, zero-filling when src is nil.
-func setLoad(dst, src []float64) {
-	if src == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("nexit: reset load vector has %d entries for %d links", len(src), len(dst)))
-	}
-	copy(dst, src)
 }
 
 // StaticEvaluator discloses fixed preference lists; it is used by tests

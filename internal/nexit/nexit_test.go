@@ -492,7 +492,7 @@ func TestDistanceEvaluatorReverseDirection(t *testing.T) {
 
 func TestOrdinalMapping(t *testing.T) {
 	deltas := [][]float64{{0, -3, 5, 2, -8}}
-	prefs := mapDeltas(deltas, 10, Ordinal, ScalePerFlow, nil)
+	prefs := mapDeltas(deltas, 10, Ordinal, ScalePerFlow, &evalScratch{})
 	want := []int{0, -1, 2, 1, -2}
 	for k, w := range want {
 		if prefs[0][k] != w {
@@ -500,7 +500,7 @@ func TestOrdinalMapping(t *testing.T) {
 		}
 	}
 	// Clamped at P.
-	prefs = mapDeltas([][]float64{{0, 1, 2, 3}}, 2, Ordinal, ScalePerFlow, nil)
+	prefs = mapDeltas([][]float64{{0, 1, 2, 3}}, 2, Ordinal, ScalePerFlow, &evalScratch{})
 	if prefs[0][3] != 2 {
 		t.Errorf("ordinal clamp = %d, want 2", prefs[0][3])
 	}
@@ -511,24 +511,30 @@ func TestCardinalMappingScale(t *testing.T) {
 	// +50 maps to the full +10, -100 saturates at -10 (outliers clamp),
 	// and +25 maps to +5.
 	deltas := [][]float64{{0, 50, -100}, {0, 25, 0}}
-	prefs := mapDeltas(deltas, 10, Cardinal, ScaleGlobal, nil)
+	prefs := mapDeltas(deltas, 10, Cardinal, ScaleGlobal, &evalScratch{})
 	if prefs[0][1] != 10 || prefs[0][2] != -10 || prefs[1][1] != 5 {
 		t.Errorf("cardinal mapping = %v", prefs)
 	}
 	// All-zero deltas map to all-zero prefs.
-	zero := mapDeltas([][]float64{{0, 0}}, 10, Cardinal, ScaleGlobal, nil)
+	zero := mapDeltas([][]float64{{0, 0}}, 10, Cardinal, ScaleGlobal, &evalScratch{})
 	if zero[0][0] != 0 || zero[0][1] != 0 {
 		t.Error("zero deltas should map to zero prefs")
 	}
 	// Asymmetric rounding: losses are never underestimated (floor), so
 	// any strictly negative delta gets a class <= -1, while a tiny gain
 	// rounds to 0.
-	asym := mapDeltas([][]float64{{0, -1, 100, 4}, {0, 100, 100, 100}, {0, 100, 100, 100}, {0, 100, 100, 100}}, 10, Cardinal, ScaleGlobal, nil)
+	asym := mapDeltas([][]float64{{0, -1, 100, 4}, {0, 100, 100, 100}, {0, 100, 100, 100}, {0, 100, 100, 100}}, 10, Cardinal, ScaleGlobal, &evalScratch{})
 	if asym[0][1] != -1 {
 		t.Errorf("tiny loss mapped to class %d, want -1", asym[0][1])
 	}
 	if asym[0][3] != 0 {
 		t.Errorf("tiny gain mapped to class %d, want 0", asym[0][3])
+	}
+	// ScalePerFlow's unit is the table's largest magnitude, not each
+	// flow's own: the flow whose best gain is 1 gets class 1, not P.
+	tableMax := mapDeltas([][]float64{{0, 1}, {0, 10}}, 10, Cardinal, ScalePerFlow, &evalScratch{})
+	if tableMax[0][1] != 1 || tableMax[1][1] != 10 {
+		t.Errorf("table-max classes = %v, want [[0 1] [0 10]]", tableMax)
 	}
 }
 

@@ -65,12 +65,11 @@ type evalScratch struct {
 	intRows_  [][]int
 	mags      []float64
 
-	// items/defaults are the per-call view read by the evaluators'
-	// construction-time item closures (see e.g. NewDistanceEvaluator):
-	// allocating the closure once and passing call state through the
-	// scratch keeps steady-state Prefs free of the per-call capture
-	// allocation a fresh closure would cost. Set before the item loop,
-	// read (never written) by its shards.
+	// items/defaults are the per-call view read by the metric's row
+	// method (evaluator.fn): binding it once at construction and passing
+	// call state through the scratch keeps steady-state Prefs free of
+	// the per-call capture allocation a fresh closure would cost. Set
+	// before the item loop, read (never written) by its shards.
 	items    []Item
 	defaults []int
 }
@@ -112,32 +111,6 @@ func (s *evalScratch) intRows(deltas [][]float64) [][]int {
 		s.intRows_ = make([][]int, len(deltas))
 	}
 	rows := s.intRows_[:len(deltas)]
-	for i, ds := range deltas {
-		rows[i], flat = flat[:len(ds):len(ds)], flat[len(ds):]
-	}
-	return rows
-}
-
-// makeDeltaRows carves an items x alts delta matrix out of one backing
-// allocation.
-func makeDeltaRows(items, alts int) [][]float64 {
-	rows := make([][]float64, items)
-	flat := make([]float64, items*alts)
-	for i := range rows {
-		rows[i], flat = flat[:alts:alts], flat[alts:]
-	}
-	return rows
-}
-
-// makeIntRows carves a zeroed class matrix matching the shape of deltas
-// out of one backing allocation.
-func makeIntRows(deltas [][]float64) [][]int {
-	total := 0
-	for _, ds := range deltas {
-		total += len(ds)
-	}
-	flat := make([]int, total)
-	rows := make([][]int, len(deltas))
 	for i, ds := range deltas {
 		rows[i], flat = flat[:len(ds):len(ds)], flat[len(ds):]
 	}

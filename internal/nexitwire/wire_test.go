@@ -15,7 +15,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/gen"
 	"repro/internal/nexit"
 	"repro/internal/pairsim"
@@ -633,23 +632,21 @@ func TestWorkloadHashMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestWireDistanceDeltasUnused silences a potential unused import if the
-// baseline package stops being needed; it also sanity-checks that the
-// wire universe produces meaningful deltas.
+// TestWireUniverseHasTrades checks that the wire tests' universe gives
+// them something to negotiate: for some item, some alternative shortens
+// the two ISPs' summed own-network distance.
 func TestWireUniverseHasTrades(t *testing.T) {
 	s, items, defaults, _ := testUniverse(t)
-	dA, dB := baseline.DistanceDeltas(s, items, defaults)
-	any := false
+	dA := nexit.NewDistanceEvaluator(s, nexit.SideA, 10).RawDeltas(items, defaults)
+	dB := nexit.NewDistanceEvaluator(s, nexit.SideB, 10).RawDeltas(items, defaults)
 	for i := range dA {
 		for k := range dA[i] {
 			if dA[i][k]+dB[i][k] > 0 {
-				any = true
+				return
 			}
 		}
 	}
-	if !any {
-		t.Skip("test universe has no joint gains; wire tests still valid")
-	}
+	t.Fatal("test universe has no joint gains: the wire tests would negotiate nothing")
 }
 
 // staticItems builds n unit items with defaults at alternative 0.

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geo"
@@ -88,9 +89,9 @@ type Edge struct {
 
 // Validate checks structural invariants: PoP IDs equal their positions,
 // cities are unique, coordinates are valid, link endpoints are in range
-// and canonical, there are no self-loops or duplicate links, weights and
-// lengths are non-negative, and the graph is connected (for ISPs with
-// more than one PoP).
+// and canonical, there are no self-loops or duplicate links, weights,
+// lengths and populations are finite and non-negative, and the graph is
+// connected (for ISPs with more than one PoP).
 func (n *ISP) Validate() error {
 	if n.Name == "" {
 		return fmt.Errorf("topology: ISP has empty name")
@@ -116,6 +117,9 @@ func (n *ISP) Validate() error {
 		if p.Population < 0 {
 			return fmt.Errorf("topology: ISP %s PoP %s has negative population", n.Name, p.City)
 		}
+		if !finite(p.Population) {
+			return fmt.Errorf("topology: ISP %s PoP %s has non-finite population %v", n.Name, p.City, p.Population)
+		}
 	}
 	seenLink := make(map[[2]int]bool, len(n.Links))
 	for i, l := range n.Links {
@@ -136,12 +140,18 @@ func (n *ISP) Validate() error {
 		if l.Weight < 0 || l.LengthKm < 0 {
 			return fmt.Errorf("topology: ISP %s link %d has negative weight or length", n.Name, i)
 		}
+		if !finite(l.Weight) || !finite(l.LengthKm) {
+			return fmt.Errorf("topology: ISP %s link %d has non-finite weight %v or length %v", n.Name, i, l.Weight, l.LengthKm)
+		}
 	}
 	if !n.Connected() {
 		return fmt.Errorf("topology: ISP %s is not connected", n.Name)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Connected reports whether every PoP is reachable from PoP 0.
 func (n *ISP) Connected() bool {

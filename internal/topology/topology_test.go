@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +52,10 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"non-canonical link", func(n *ISP) { n.Links[0] = Link{A: 2, B: 0, Weight: 1} }},
 		{"duplicate link", func(n *ISP) { n.Links[1] = n.Links[0] }},
 		{"negative weight", func(n *ISP) { n.Links[0].Weight = -2 }},
+		{"NaN population", func(n *ISP) { n.PoPs[0].Population = math.NaN() }},
+		{"infinite population", func(n *ISP) { n.PoPs[0].Population = math.Inf(1) }},
+		{"NaN weight", func(n *ISP) { n.Links[0].Weight = math.NaN() }},
+		{"infinite length", func(n *ISP) { n.Links[0].LengthKm = math.Inf(1) }},
 		{"disconnected", func(n *ISP) { n.Links = n.Links[:2] }},
 	}
 	for _, c := range cases {
@@ -310,6 +315,8 @@ func TestCodecErrors(t *testing.T) {
 		{"unterminated", "isp a 1\npop 0 x 0 0 0\n"},
 		{"invalid topology", "isp a 1\npop 0 x 0 0 0\npop 1 y 0 1 0\nend\n"}, // disconnected
 		{"unknown pop field", "isp a 1\npop z x 0 0 0\nend\n"},
+		{"non-finite values", "isp x 1\npop 0 a 1 1 NaN\npop 1 b 2 2 5\nlink 0 1 NaN Inf\nend\n"},
+		{"infinite weight", "isp x 1\npop 0 a 1 1 1\npop 1 b 2 2 5\nlink 0 1 +Inf 1\nend\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.input)); err == nil {
