@@ -82,27 +82,42 @@ func (s FlowLocalStrategy) String() string {
 func FlowLocal(strategy FlowLocalStrategy, deltasA, deltasB [][]float64, defaults []int, rng *rand.Rand) []int {
 	out := make([]int, len(defaults))
 	for i := range defaults {
-		var candidates []int
+		// Count the candidates, draw one, then find it: the same draw as
+		// indexing a list of them, without building the list.
+		candidates := 0
 		for k := range deltasA[i] {
-			dA, dB := deltasA[i][k], deltasB[i][k]
-			ok := false
-			switch strategy {
-			case FlowPareto:
-				ok = !(dA < 0 && dB < 0)
-			case FlowBothBetter:
-				ok = dA >= 0 && dB >= 0
-			}
-			if ok {
-				candidates = append(candidates, k)
+			if strategy.allows(deltasA[i][k], deltasB[i][k]) {
+				candidates++
 			}
 		}
-		if len(candidates) == 0 {
-			out[i] = defaults[i]
+		out[i] = defaults[i]
+		if candidates == 0 {
 			continue
 		}
-		out[i] = candidates[rng.Intn(len(candidates))]
+		pick := rng.Intn(candidates)
+		for k := range deltasA[i] {
+			if strategy.allows(deltasA[i][k], deltasB[i][k]) {
+				if pick == 0 {
+					out[i] = k
+					break
+				}
+				pick--
+			}
+		}
 	}
 	return out
+}
+
+// allows reports whether the strategy lets a flow take an alternative
+// that changes the two ISPs' metrics by dA and dB.
+func (s FlowLocalStrategy) allows(dA, dB float64) bool {
+	switch s {
+	case FlowPareto:
+		return !(dA < 0 && dB < 0)
+	case FlowBothBetter:
+		return dA >= 0 && dB >= 0
+	}
+	return false
 }
 
 // DistanceDeltas returns, for each item and alternative, each ISP's

@@ -78,6 +78,26 @@ func TestFlowLocalStrategies(t *testing.T) {
 	}
 }
 
+// TestFlowLocalAllocatesOnlyItsResult pins FlowLocal to one allocation
+// per call, the returned slice, however many items and alternatives it
+// draws among.
+func TestFlowLocalAllocatesOnlyItsResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	deltasA, deltasB := make([][]float64, 200), make([][]float64, 200)
+	for i := range deltasA {
+		deltasA[i], deltasB[i] = make([]float64, 12), make([]float64, 12)
+		for k := range deltasA[i] {
+			deltasA[i][k], deltasB[i][k] = rng.NormFloat64(), rng.NormFloat64()
+		}
+	}
+	defaults := make([]int, len(deltasA))
+	for _, s := range []FlowLocalStrategy{FlowPareto, FlowBothBetter} {
+		if n := testing.AllocsPerRun(20, func() { FlowLocal(s, deltasA, deltasB, defaults, rng) }); n > 1 {
+			t.Errorf("%v: %.1f allocations per call, want 1", s, n)
+		}
+	}
+}
+
 func TestDistanceDeltas(t *testing.T) {
 	_, s := linePair(t)
 	// A->B flow west->east; default = west exit (early).

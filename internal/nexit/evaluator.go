@@ -135,6 +135,13 @@ func (v view) pathLinks(it Item, k int) []int32 {
 // so the bulk of flows retain resolution. buf is the reusable sort
 // buffer (its backing array is grown once and then reused across calls).
 func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float64 {
+	size := 0
+	for _, ds := range deltas {
+		size += len(ds)
+	}
+	if cap(*buf) < size {
+		*buf = make([]float64, 0, size)
+	}
 	mags := (*buf)[:0]
 	for _, ds := range deltas {
 		for _, d := range ds {

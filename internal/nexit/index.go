@@ -1,5 +1,7 @@
 package nexit
 
+import "math/bits"
+
 // proposalIndex is the one structure proposal selection and the stop
 // check read. Whether an (item, alternative) entry may be proposed is a
 // function of its two classes, of whether it is the item's default
@@ -14,17 +16,41 @@ package nexit
 // first live entry of the first admitted cell" the proposal a direct scan
 // over all entries would choose.
 //
+// Which cell is first is read from occupancy bitsets. Each proposer
+// ranks the class pairs in rows of bits, both in its order of
+// preference (see rank): under MaxSum a row is a combined sum s and a
+// bit the proposer's own class o (the other's is s − o); under BestLocal
+// a row is the own class and a bit the other side's. Per proposer and
+// row there is one bitset for off-default cells and one for default
+// cells, with a bit set while its cell holds a live entry. The gate is
+// one interval of bits per row:
+//
+//   - MaxSum: a default cell is admitted iff o ∈ [floorOwn, s − floorOther].
+//     An off-default cell needs the same, and also s > 0, or else s = 0
+//     with o ∈ [evenOwn, −evenOther]; so s < 0 admits off-default cells
+//     nowhere, and no cell below s = floorOwn + floorOther at all.
+//   - BestLocal: a row is admitted iff its own class is ≥ floorOwn, a bit
+//     iff the other side's class is ≥ floorOther.
+//
+// So the first admitted live cell of a row is the lowest set bit of its
+// occupancy inside the interval, and the first row that has one holds
+// the proposal. When its off-default and default cells are the same
+// class pair, the tie-break order (before) decides between their first
+// live entries. A recovery pick (floor 1 on the deficit side) is just a
+// narrower interval.
+//
 // Two operations maintain it. build recomputes everything from the
 // preference tables, the veto set and the items on the table, after a
 // preference refresh or a veto (a veto moves an item's best sum and with
 // it the item's place in every cell). take marks an item as off the
-// table, planned or committed; its entries die lazily — head cursors step
-// over them. Nothing ever comes back between two builds: the planned
-// items a counterpart did not accept return to the table only behind the
-// veto that cut the plan short, and that veto rebuilds. The same two
-// operations keep the stop check's histograms: the classes each item on
-// the table has at its selected (best-sum) alternative, and the best
-// sums themselves.
+// table, planned or committed: it decrements the live count of each of
+// the item's cells and clears the bits of those it empties, while the
+// entries themselves die lazily — head cursors step over them. Nothing
+// ever comes back between two builds: the planned items a counterpart
+// did not accept return to the table only behind the veto that cut the
+// plan short, and that veto rebuilds. The same two operations keep the
+// stop check's histograms: the classes each item on the table has at its
+// selected (best-sum) alternative, and the best sums themselves.
 type proposalIndex struct {
 	width int // 2P+1: classes per side
 
@@ -34,17 +60,17 @@ type proposalIndex struct {
 	bestAlt, bestSum []int32
 
 	// CSR cells: ents[start[c]:start[c+1]] are cell c's entries in
-	// tie-break order and head[c] is the first position not known dead.
-	start, head []int32
-	ents        []entry
+	// tie-break order, head[c] is the first position not known dead and
+	// live[c] the number of entries whose item is on the table.
+	start, head, live []int32
+	ents              []entry
 
-	// order lists every (own, other) class pair in the order a proposer
-	// prefers them; walk[side] is that order as (classA, classB) for
-	// proposer side, cut down to the pairs that hold entries, and
-	// from[side] is the first of them not yet found exhausted.
-	order []classes
-	walk  [2][]classes
-	from  [2]int
+	// occ holds the occupancy bitsets: for each proposer side, rows rows,
+	// each an off-default and a default bitset of words words (see
+	// occRow). firstRow[side] is the first row not yet found empty.
+	rows, words int
+	occ         []uint64
+	firstRow    [2]int
 
 	// histA/histB count items on the table by class at bestAlt (index
 	// class+P), histSum by bestSum (index sum+2P).
@@ -55,8 +81,6 @@ type proposalIndex struct {
 
 type entry struct{ item, alt int32 }
 
-type classes struct{ a, b int32 }
-
 const noSum = -1 << 30
 
 // newIndex sizes the index once for a negotiation; every build reuses it.
@@ -66,28 +90,16 @@ func (n *negotiation) newIndex() {
 	x.width = 2*p + 1
 	x.bestAlt, x.bestSum = make([]int32, len(n.items)), make([]int32, len(n.items))
 	x.start, x.head = make([]int32, 2*x.width*x.width+1), make([]int32, 2*x.width*x.width)
+	x.live = make([]int32, 2*x.width*x.width)
 	x.ents = make([]entry, size)
 	x.histA, x.histB = make([]int32, x.width), make([]int32, x.width)
 	x.histSum, x.sumOff = make([]int32, 4*p+1), make([]int32, 4*p+1)
 	x.byRank = make([]int32, len(n.items))
-	// The proposer's preference order over cells: max-sum walks combined
-	// sums downwards and, within a sum, its own class downwards;
-	// best-local walks its own class downwards, then the other side's.
-	x.order = make([]classes, 0, x.width*x.width)
+	x.rows, x.words = 4*p+1, (x.width+63)/64
 	if n.cfg.Propose == BestLocal {
-		for own := p; own >= -p; own-- {
-			for other := p; other >= -p; other-- {
-				x.order = append(x.order, classes{int32(own), int32(other)})
-			}
-		}
-	} else {
-		for s := 2 * p; s >= -2*p; s-- {
-			for own := min(p, s+p); own >= max(-p, s-p); own-- {
-				x.order = append(x.order, classes{int32(own), int32(s - own)})
-			}
-		}
+		x.rows = x.width
 	}
-	x.walk[SideA], x.walk[SideB] = make([]classes, 0, len(x.order)), make([]classes, 0, len(x.order))
+	x.occ = make([]uint64, 2*2*x.rows*x.words)
 }
 
 // cell returns the cell of classes (a, b): the off-default one, with the
@@ -105,13 +117,67 @@ func (n *negotiation) cellOf(e int, isDefault bool) int {
 	return c
 }
 
+// rank places the class pair (a, b) in proposer side's order of
+// preference, as a row and a bit within it; lower is preferred. MaxSum
+// ranks by combined sum, then own class; BestLocal by own class, then
+// the other side's.
+func (n *negotiation) rank(side Side, a, b int) (row, bit int) {
+	p, own, other := n.cfg.PrefBound, a, b
+	if side == SideB {
+		own, other = b, a
+	}
+	if n.cfg.Propose == BestLocal {
+		return p - own, p - other
+	}
+	return 2*p - own - other, p - own
+}
+
+// classesAt inverts rank.
+func (n *negotiation) classesAt(side Side, row, bit int) (a, b int) {
+	p := n.cfg.PrefBound
+	own, other := p-bit, p-row+bit
+	if n.cfg.Propose == BestLocal {
+		own, other = p-row, p-bit
+	}
+	if side == SideB {
+		return other, own
+	}
+	return own, other
+}
+
+// occRow returns proposer side's occupancy row r: the off-default
+// cells' bitset, then the default cells'.
+func (x *proposalIndex) occRow(side Side, r int) (off, def []uint64) {
+	i := (int(side)*x.rows + r) * 2 * x.words
+	return x.occ[i : i+x.words], x.occ[i+x.words : i+2*x.words]
+}
+
+// mark sets (on) or clears cell c's bit in both proposers' rows.
+func (n *negotiation) mark(c int, on bool) {
+	x, p := &n.idx, n.cfg.PrefBound
+	a, b := c/2/x.width-p, c/2%x.width-p
+	for _, side := range [2]Side{SideA, SideB} {
+		r, bit := n.rank(side, a, b)
+		row, def := x.occRow(side, r)
+		if c%2 == 1 {
+			row = def
+		}
+		if on {
+			row[bit/64] |= 1 << (bit % 64)
+		} else {
+			row[bit/64] &^= 1 << (bit % 64)
+		}
+	}
+}
+
 // build indexes every non-vetoed alternative of every item on the table.
 func (n *negotiation) build() {
 	x, na := &n.idx, n.numAlts
 	clear(x.histA)
 	clear(x.histB)
 	clear(x.histSum)
-	clear(x.start)
+	clear(x.live)
+	clear(x.occ)
 	for id, live := range n.remaining {
 		if !live {
 			continue
@@ -125,7 +191,10 @@ func (n *negotiation) build() {
 			if s := n.prefsA[base+k] + n.prefsB[base+k]; s > sum {
 				best, sum = k, s
 			}
-			x.start[n.cellOf(base+k, k == def)+1]++
+			c := n.cellOf(base+k, k == def)
+			if x.live[c]++; x.live[c] == 1 {
+				n.mark(c, true)
+			}
 		}
 		x.bestAlt[id], x.bestSum[id] = int32(best), int32(sum)
 		n.count(id, 1)
@@ -145,8 +214,8 @@ func (n *negotiation) build() {
 		}
 	}
 	// CSR fill in that order; head doubles as the fill cursor.
-	for c := 1; c < len(x.start); c++ {
-		x.start[c] += x.start[c-1]
+	for c, l := range x.live {
+		x.start[c+1] = x.start[c] + l
 	}
 	copy(x.head, x.start)
 	for _, id := range x.byRank[:ranked] {
@@ -161,19 +230,7 @@ func (n *negotiation) build() {
 		}
 	}
 	copy(x.head, x.start)
-	holds := func(a, b int32) bool {
-		c := n.cell(int(a), int(b))
-		return x.start[c+2] > x.start[c]
-	}
-	x.walk[SideA], x.walk[SideB], x.from = x.walk[SideA][:0], x.walk[SideB][:0], [2]int{}
-	for _, c := range x.order {
-		if holds(c.a, c.b) {
-			x.walk[SideA] = append(x.walk[SideA], c)
-		}
-		if holds(c.b, c.a) {
-			x.walk[SideB] = append(x.walk[SideB], classes{c.b, c.a})
-		}
-	}
+	x.firstRow = [2]int{}
 }
 
 // count adds item id to (d = 1) or removes it from (d = -1) the
@@ -193,6 +250,16 @@ func (n *negotiation) take(id int) {
 	n.remaining[id] = false
 	n.numRemaining--
 	n.count(id, -1)
+	x, base, def := &n.idx, id*n.numAlts, n.defaults[id]
+	for k := 0; k < n.numAlts; k++ {
+		if n.vetoed[base+k] {
+			continue
+		}
+		c := n.cellOf(base+k, k == def)
+		if x.live[c]--; x.live[c] == 0 {
+			n.mark(c, false)
+		}
+	}
 }
 
 // first returns cell c's first live entry.
@@ -218,6 +285,36 @@ func (n *negotiation) before(e, f entry) bool {
 		return e.item < f.item
 	}
 	return e.alt < f.alt
+}
+
+// lowest returns the lowest set bit of row within [lo, hi], -1 if none.
+func lowest(row []uint64, lo, hi int) int {
+	lo, hi = max(lo, 0), min(hi, 64*len(row)-1)
+	if lo > hi {
+		return -1
+	}
+	last, mask := uint(hi)/64, ^uint64(0)<<(uint(lo)%64)
+	for w := uint(lo) / 64; w <= last; w++ {
+		word := row[w] & mask
+		if w == last {
+			word &= ^uint64(0) >> (63 - uint(hi)%64)
+		}
+		if word != 0 {
+			return int(64*w) + bits.TrailingZeros64(word)
+		}
+		mask = ^uint64(0)
+	}
+	return -1
+}
+
+// empty reports whether no bit of row is set.
+func empty(row []uint64) bool {
+	for _, w := range row {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // top returns the highest index of hist with a positive count, -1 if

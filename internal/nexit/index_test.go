@@ -1,0 +1,134 @@
+package nexit
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// admits is the gate's rule written out cell by cell: whether classes
+// (a, b) may be proposed, as the default alternative or as a move off it.
+func (g *gate) admits(a, b int, isDefault bool) bool {
+	if a < g.floorA || b < g.floorB {
+		return false
+	}
+	return isDefault || !g.maxSum || a+b > 0 || (a+b == 0 && a >= g.evenA && b >= g.evenB)
+}
+
+// bruteForcePick is pick's oracle: a scan over every live entry, keeping
+// the admitted one that ranks first for the proposer — (sum, own class)
+// descending for MaxSum, (own, other) descending for BestLocal, then the
+// item's best sum descending; scanning IDs and alternatives upwards and
+// replacing only on a strictly better key leaves the ascending tie-breaks.
+func bruteForcePick(n *negotiation, proposer Side, g *gate) (id, alt int, ok bool) {
+	var best [3]int
+	id, alt = -1, -1
+	for i, live := range n.remaining {
+		if !live {
+			continue
+		}
+		itemBest := noSum
+		for k := 0; k < n.numAlts; k++ {
+			if e := i*n.numAlts + k; !n.vetoed[e] {
+				itemBest = max(itemBest, n.prefsA[e]+n.prefsB[e])
+			}
+		}
+		for k := 0; k < n.numAlts; k++ {
+			e := i*n.numAlts + k
+			a, b := n.prefsA[e], n.prefsB[e]
+			if n.vetoed[e] || !g.admits(a, b, k == n.defaults[i]) {
+				continue
+			}
+			own, other := a, b
+			if proposer == SideB {
+				own, other = b, a
+			}
+			key := [3]int{own + other, own, itemBest}
+			if n.cfg.Propose == BestLocal {
+				key = [3]int{own, other, itemBest}
+			}
+			if id < 0 || key[0] > best[0] || (key[0] == best[0] && (key[1] > best[1] || (key[1] == best[1] && key[2] > best[2]))) {
+				best, id, alt = key, i, k
+			}
+		}
+	}
+	return id, alt, id >= 0
+}
+
+// TestPickMatchesBruteForce holds pick to bruteForcePick over random
+// index states — classes drawn from a few values so cells hold many
+// entries, nonzero default classes, vetoes, items taken between picks,
+// rebuilds — under random gates, recovery gates (floor 1 on one side)
+// included, at bounds from 1 to the wide ones.
+func TestPickMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bounds := append([]int{1, 3, 10}, wideBounds...)
+	picks := 0
+	for trial := 0; trial < 400; trial++ {
+		p := bounds[trial%len(bounds)]
+		na, items := 1+rng.Intn(6), 1+rng.Intn(60)
+		palette := make([]int, 2+rng.Intn(6))
+		for i := range palette {
+			palette[i] = rng.Intn(2*p+1) - p
+		}
+		n := &negotiation{
+			cfg:     Config{PrefBound: p, Propose: []ProposePolicy{MaxSum, BestLocal}[trial/len(bounds)%2]},
+			numAlts: na, defaults: make([]int, items),
+			prefsA: make([]int, items*na), prefsB: make([]int, items*na),
+			vetoed: make([]bool, items*na), remaining: make([]bool, items),
+		}
+		n.items = make([]Item, items)
+		for i := range n.items {
+			n.items[i].ID, n.defaults[i] = i, rng.Intn(na)
+			n.remaining[i] = rng.Intn(5) != 0
+			if n.remaining[i] {
+				n.numRemaining++
+			}
+		}
+		for e := range n.prefsA {
+			n.prefsA[e], n.prefsB[e] = palette[rng.Intn(len(palette))], palette[rng.Intn(len(palette))]
+			n.vetoed[e] = rng.Intn(10) == 0
+		}
+		n.newIndex()
+		n.build()
+		for step := 0; step < 3*items; step++ {
+			switch r := rng.Intn(8); {
+			case r < 2 && n.numRemaining > 0:
+				id := rng.Intn(items)
+				for !n.remaining[id] {
+					id = (id + 1) % items
+				}
+				n.take(id)
+			case r == 2:
+				n.vetoed[rng.Intn(len(n.vetoed))] = true
+				n.build()
+			default:
+				g := gate{
+					floorA: rng.Intn(2*p+4) - p - 3, floorB: rng.Intn(2*p+4) - p - 3,
+					evenA: rng.Intn(4*p+5) - 2*p - 2, evenB: rng.Intn(4*p+5) - 2*p - 2,
+					maxSum: n.cfg.Propose != BestLocal,
+				}
+				switch rng.Intn(4) {
+				case 0:
+					g.floorA = max(g.floorA, 1)
+				case 1:
+					g.floorB = max(g.floorB, 1)
+				case 2:
+					g.floorA, g.floorB = -1<<20, -1<<20
+				}
+				proposer := Side(rng.Intn(2))
+				wantID, wantAlt, wantOK := bruteForcePick(n, proposer, &g)
+				id, alt, ok := n.pick(proposer, &g)
+				if id != wantID || alt != wantAlt || ok != wantOK {
+					t.Fatalf("trial %d step %d (P=%d %v, proposer %v, gate %+v): pick = (%d, %d, %v), brute force (%d, %d, %v)",
+						trial, step, p, n.cfg.Propose, proposer, g, id, alt, ok, wantID, wantAlt, wantOK)
+				}
+				if ok {
+					picks++
+				}
+			}
+		}
+	}
+	if picks < 1000 {
+		t.Fatalf("only %d picks found an entry; the states no longer exercise pick", picks)
+	}
+}

@@ -514,14 +514,21 @@ func (n *negotiation) reassignDue(t *tally) bool {
 // refreshPrefs (re)collects preference lists from both evaluators for
 // the items on the table and rebuilds the proposal index.
 func (n *negotiation) refreshPrefs() {
-	rem, defaults := n.remScratch[:0], n.defScratch[:0]
-	for _, it := range n.items {
-		if n.remaining[it.ID] {
-			rem = append(rem, it)
-			defaults = append(defaults, n.defaults[it.ID])
+	rem, defaults := n.items, n.defaults
+	if n.numRemaining < len(n.items) {
+		// Refreshes only ever see fewer items on the table, so the first
+		// sizes the scratch for all of them.
+		if n.remScratch == nil {
+			n.remScratch, n.defScratch = make([]Item, 0, n.numRemaining), make([]int, 0, n.numRemaining)
+		}
+		rem, defaults = n.remScratch[:0], n.defScratch[:0]
+		for _, it := range n.items {
+			if n.remaining[it.ID] {
+				rem = append(rem, it)
+				defaults = append(defaults, n.defaults[it.ID])
+			}
 		}
 	}
-	n.remScratch, n.defScratch = rem, defaults
 	// Clamp each side's rows into negotiation-owned storage before the
 	// counterpart evaluator runs: evaluators hand out views of reusable
 	// scratch (see the Evaluator ownership contract), so the returned

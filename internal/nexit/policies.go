@@ -154,9 +154,10 @@ func (n *negotiation) decideTurn(t *tally) Side {
 }
 
 // gate decides which cells of the proposal index a proposer may draw
-// from, given the cumulative gains: a cell is admitted when both classes
-// reach the side's floor and, for an off-default max-sum move, the joint
-// gain allows it.
+// from, given the cumulative gains: a cell of classes (a, b) is admitted
+// when a ≥ floorA and b ≥ floorB and, for an off-default max-sum move,
+// the joint gain allows it (a+b > 0, or a+b = 0 with a ≥ evenA and
+// b ≥ evenB). pick reads this rule as one interval per index row.
 type gate struct {
 	// floorA and floorB are the lowest class each side can take.
 	//
@@ -205,15 +206,6 @@ func (n *negotiation) gate(t *tally, proposer Side) gate {
 	return g
 }
 
-// admits reports whether the gate lets classes (a, b) through, as the
-// default alternative or as a move off it.
-func (g *gate) admits(a, b int, isDefault bool) bool {
-	if a < g.floorA || b < g.floorB {
-		return false
-	}
-	return isDefault || !g.maxSum || a+b > 0 || (a+b == 0 && a >= g.evenA && b >= g.evenB)
-}
-
 // propose applies the propose policy for the given proposer and returns
 // the chosen (item, alternative). ok is false when nothing proposable
 // remains. MaxSum proposes from the set that maximizes the combined
@@ -243,31 +235,62 @@ func (n *negotiation) propose(t *tally, proposer Side) (id, alt int, ok bool) {
 	return n.pick(proposer, &g)
 }
 
-// pick walks the index's cells in the proposer's order of preference and
-// returns the first live entry of the first cell the gate admits. The
-// off-default and default cells of one class pair rank equally, so the
-// earlier of their two heads in the tie-break order wins.
+// pick returns the first live entry of the first cell the gate admits,
+// in the proposer's order of preference. It visits the index's rows in
+// that order and, in each, intersects the occupancy bitsets with the
+// gate's interval for the row (see proposalIndex); the first row with a
+// bit left holds the answer. The off-default and default cells of one
+// class pair rank equally, so the earlier of their two heads in the
+// tie-break order wins.
 func (n *negotiation) pick(proposer Side, g *gate) (id, alt int, ok bool) {
-	x := &n.idx
-	for i := x.from[proposer]; i < len(x.walk[proposer]); i++ {
-		a, b := int(x.walk[proposer][i].a), int(x.walk[proposer][i].b)
-		c := n.cell(a, b)
-		off, hasOff := n.first(c)
-		def, hasDef := n.first(c + 1)
-		if !hasOff && !hasDef {
-			if i == x.from[proposer] {
-				x.from[proposer]++ // nothing comes back before the next build
-			}
+	x, p := &n.idx, n.cfg.PrefBound
+	floorOwn, floorOther, evenOwn, evenOther := g.floorA, g.floorB, g.evenA, g.evenB
+	if proposer == SideB {
+		floorOwn, floorOther, evenOwn, evenOther = g.floorB, g.floorA, g.evenB, g.evenA
+	}
+	last := min(x.rows-1, 2*p-floorOwn-floorOther)
+	if !g.maxSum {
+		last = min(x.rows-1, p-floorOwn)
+	}
+	for r := x.firstRow[proposer]; r <= last; r++ {
+		off, def := x.occRow(proposer, r)
+		if r == x.firstRow[proposer] && empty(off) && empty(def) {
+			x.firstRow[proposer]++ // nothing comes back before the next build
 			continue
 		}
-		hasOff = hasOff && g.admits(a, b, false)
-		hasDef = hasDef && g.admits(a, b, true)
-		if hasOff && (!hasDef || n.before(off, def)) {
-			return int(off.item), int(off.alt), true
+		// The gate's intervals of bits (P minus a class; see rank) for
+		// the row's default and off-default cells.
+		lo, hi := 0, p-floorOther
+		offLo, offHi := lo, hi
+		if g.maxSum {
+			s := 2*p - r
+			lo, hi = p-s+floorOther, p-floorOwn
+			switch {
+			case s > 0:
+				offLo, offHi = lo, hi
+			case s == 0:
+				offLo, offHi = max(lo, p+evenOther), min(hi, p-evenOwn)
+			default:
+				offLo, offHi = 1, 0
+			}
 		}
-		if hasDef {
-			return int(def.item), int(def.alt), true
+		bo, bd := lowest(off, offLo, offHi), lowest(def, lo, hi)
+		var e entry
+		switch {
+		case bo < 0 && bd < 0:
+			continue
+		case bd < 0 || (bo >= 0 && bo < bd):
+			e, _ = n.first(n.cell(n.classesAt(proposer, r, bo)))
+		case bo < 0 || bd < bo:
+			e, _ = n.first(n.cell(n.classesAt(proposer, r, bd)) + 1)
+		default:
+			c := n.cell(n.classesAt(proposer, r, bo))
+			e, _ = n.first(c)
+			if f, _ := n.first(c + 1); n.before(f, e) {
+				e = f
+			}
 		}
+		return int(e.item), int(e.alt), true
 	}
 	return -1, -1, false
 }

@@ -503,15 +503,18 @@ func roundsProposedFrom(tr []Proposal, in func(gainA, gainB int) bool) (rounds i
 }
 
 // TestEngineMatchesReference holds Negotiate to the oracle above on the
-// whole policy grid — reflect.DeepEqual on the whole Result. Batched
-// trials (random accepted prefixes) are compared against the serial
-// oracle driven by the decisions the engine's hook returned.
+// whole policy grid — reflect.DeepEqual on the whole Result — and on a
+// second grid at the wide bounds, where index rows take several words.
+// Batched trials (random accepted prefixes) are compared against the
+// serial oracle driven by the decisions the engine's hook returned.
 func TestEngineMatchesReference(t *testing.T) {
-	forEachGridTrial(func(trial int, g gridTrial) {
+	check := func(trial int, g gridTrial) {
 		evA, evB := g.mk(), g.mk() // static tables: engine and oracle share them
 		engineCfg, oracleCfg := serialTwin(g.cfg, int64(trial))
 		mustMatchReference(t, trial, engineCfg, oracleCfg, evA, evB, g.items, g.defaults, g.numAlts)
-	})
+	}
+	forEachGridTrial(check)
+	gridTrials(78, 210, func(trial int) int { return wideBounds[trial%len(wideBounds)] }, check)
 }
 
 // TestEngineMatchesReferenceDeficitRecovery aims at the regime the
@@ -525,8 +528,9 @@ func TestEngineMatchesReference(t *testing.T) {
 func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	recovering := 0
-	for trial := 0; trial < 300; trial++ {
-		p := []int{10, 3}[trial%2]
+	bounds := append([]int{10, 3}, wideBounds...)
+	for trial := 0; trial < 420; trial++ {
+		p := bounds[trial%len(bounds)]
 		na, n, small := 2+rng.Intn(4), 2+rng.Intn(40), max(1, p/3)
 		evA := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
 		evB := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
@@ -590,8 +594,9 @@ func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var reached [2]int
-	for trial := 0; trial < 400; trial++ {
-		p := []int{10, 3}[trial%2]
+	bounds := append([]int{10, 3}, wideBounds...)
+	for trial := 0; trial < 420; trial++ {
+		p := bounds[trial%len(bounds)]
 		na, n := 1+rng.Intn(4), 2+rng.Intn(30)
 		mk := func() *StaticEvaluator {
 			ev := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
@@ -621,4 +626,72 @@ func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 		t.Fatalf("rounds proposed from a both-sides-negative gain state: %d max-sum, %d best-local, want both > 0",
 			reached[MaxSum], reached[BestLocal])
 	}
+}
+
+// FuzzNegotiateMatchesReference holds Negotiate to the oracle on tables
+// and policies decoded from the input: a preference bound up to the
+// wire's 127, up to 48 items and 8 alternatives, both sides' class
+// tables (raw int8s, so past ±P too, and at nonzero defaults), the
+// policy grid, extra deficits, and a batch hook's accepted prefixes. The
+// whole Results must be deeply equal.
+func FuzzNegotiateMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(41))
+	for _, p := range []byte{0, 2, 9, 30, 31, 49, 63, 99, 126} {
+		for _, policy := range []byte{0x00, 0x84, 0x49, 0xc6} {
+			seed := []byte{p, byte(rng.Intn(48)), byte(rng.Intn(8)), policy, byte(rng.Intn(256)), byte(rng.Intn(256))}
+			for i := rng.Intn(400); i > 0; i-- {
+				seed = append(seed, byte(rng.Intn(2*int(p)+3)-int(p)-1))
+			}
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		p, n, na := 1+int(next()%127), 1+int(next()%48), 1+int(next()%8)
+		policy, extra, seed := next(), next(), next()
+		cfg := Config{
+			PrefBound: p,
+			Turn:      []TurnPolicy{Alternate, LowerGain, CoinToss}[policy%3],
+			Propose:   ProposePolicy(policy >> 2 & 1),
+			Accept:    AcceptPolicy(policy >> 3 & 1),
+			Stop:      []StopPolicy{StopEarly, StopWhilePositive, StopNever}[(policy>>4&3)%3],
+		}
+		if policy&0x40 != 0 {
+			cfg.ReassignFraction = 0.25
+		}
+		if policy&0x80 != 0 {
+			cfg.ExtraDeficitA, cfg.ExtraDeficitB = int(extra&15), int(extra>>4)
+		}
+		mk := func() *StaticEvaluator {
+			ev := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
+			for i := 0; i < n; i++ {
+				ev.Table[i] = make([]int, na)
+				for k := range ev.Table[i] {
+					ev.Table[i][k] = int(int8(next()))
+				}
+			}
+			return ev
+		}
+		evA, evB := mk(), mk()
+		if extra&1 != 0 {
+			// What is left of the input is the counterpart's answers, one
+			// byte per batch; once it runs out every batch is accepted.
+			cfg.BatchAcceptHook = func(batch []Proposal) int {
+				if len(data) == 0 {
+					return len(batch)
+				}
+				return int(next()) % (len(batch) + 1)
+			}
+		}
+		items, defaults := unitItems(n, na)
+		engineCfg, oracleCfg := serialTwin(cfg, int64(seed))
+		mustMatchReference(t, 0, engineCfg, oracleCfg, evA, evB, items, defaults, na)
+	})
 }

@@ -34,18 +34,30 @@ type gridTrial struct {
 // normalize evaluator output). Generation is sequential over one seeded
 // stream, so every caller sees the same 400 negotiations.
 func forEachGridTrial(fn func(trial int, g gridTrial)) {
+	gridTrials(77, 400, func(trial int) int {
+		if trial%3 == 0 {
+			return 3
+		}
+		return 10
+	}, fn)
+}
+
+// wideBounds are preference bounds whose index rows (2P+1 bits) end just
+// below, just past and well past a 64-bit word: one to four words.
+var wideBounds = []int{31, 32, 50, 64, 100}
+
+// gridTrials generates trials of the policy grid from seed, trial i at
+// preference bound bound(i).
+func gridTrials(seed int64, trials int, bound func(trial int) int, fn func(trial int, g gridTrial)) {
 	turns := []TurnPolicy{Alternate, LowerGain, CoinToss}
 	proposes := []ProposePolicy{MaxSum, BestLocal}
 	accepts := []AcceptPolicy{AlwaysAccept, VetoIfLoss}
 	stops := []StopPolicy{StopEarly, StopWhilePositive, StopNever}
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 400; trial++ {
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
 		na := 1 + rng.Intn(5)
 		n := 1 + rng.Intn(40)
-		p := 10
-		if trial%3 == 0 {
-			p = 3
-		}
+		p := bound(trial)
 		mk := func() *StaticEvaluator {
 			ev := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
 			for i := 0; i < n; i++ {
