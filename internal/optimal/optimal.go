@@ -9,6 +9,10 @@
 // tractability; we formulate that LP exactly and solve it with the
 // internal simplex solver. As in the paper, the fractional optimum is an
 // upper bound on the quality of any unsplittable routing.
+//
+// The LP is built as sparse rows straight from the routing tables' path
+// indexes, and its products are written float64(x*y) so that no GOARCH
+// fuses them into an FMA (DESIGN.md §12 "LP tableau").
 package optimal
 
 import (
@@ -55,7 +59,8 @@ type BandwidthResult struct {
 // fixedUp/fixedDown are per-link loads from traffic that is not being
 // rerouted (indexed like the respective ISP's Links slice); capUp/capDown
 // are the link capacities. The LP is formulated in shifted single-phase
-// form (see package simplex) so no artificial variables are needed.
+// form (see package simplex) so no artificial variables are needed, but
+// for a bound that rounds a few ulps below zero.
 func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capUp, capDown []float64) (*BandwidthResult, error) {
 	nf := len(flows)
 	na := s.NumAlternatives()
@@ -91,24 +96,18 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	}
 	ixUp := s.Up.PathIndexFor(apops)
 	ixDown := s.Down.PathIndexFor(bpops)
-	type flowAlt struct{ up, down []int32 } // down links are offset by nUp in the joint link space
-	fa := make([][]flowAlt, nf)
+	fa := make([][]pathLinks, nf)
 	for i, f := range flows {
-		fa[i] = make([]flowAlt, na)
+		fa[i] = make([]pathLinks, na)
 		for k := 0; k < na; k++ {
-			fa[i][k] = flowAlt{up: ixUp.To(k, f.Src), down: ixDown.From(k, f.Dst)}
+			fa[i][k] = pathLinks{up: ixUp.To(k, f.Src), down: ixDown.From(k, f.Dst)}
 		}
 	}
 
 	// Baseline: every flow fully on alternative 0.
 	load0 := make([]float64, nLinks)
 	for i, f := range flows {
-		for _, l := range fa[i][0].up {
-			load0[l] += f.Size
-		}
-		for _, l := range fa[i][0].down {
-			load0[nUp+int(l)] += f.Size
-		}
+		fa[i][0].each(nUp, func(l int) { load0[l] += f.Size })
 	}
 	t0 := 0.0
 	maxFixedRatio := 0.0
@@ -130,53 +129,61 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	tCol := nv - 1
 	xCol := func(i, k int) int { return i*(na-1) + (k - 1) }
 
-	var aub [][]float64
-	var bub []float64
-
 	// Link rows: sum_i sum_{k>0} (c_{l,i,k} - c_{l,i,0}) x + cap_l*tShift
-	// <= cap_l*t0 - fixed_l - load0_l.
-	for l := 0; l < nLinks; l++ {
-		if capAll[l] <= 0 {
-			continue
-		}
-		row := make([]float64, nv)
-		touched := false
-		for i, f := range flows {
-			on0 := onLink(fa[i][0].up, fa[i][0].down, l, nUp)
-			for k := 1; k < na; k++ {
-				onK := onLink(fa[i][k].up, fa[i][k].down, l, nUp)
-				switch {
-				case onK && !on0:
-					row[xCol(i, k)] += f.Size
-					touched = true
-				case !onK && on0:
-					row[xCol(i, k)] -= f.Size
-					touched = true
+	// <= cap_l*t0 - fixed_l - load0_l. Column (i, k) is nonzero exactly on
+	// the symmetric difference of its path and alternative 0's: +size where
+	// only k crosses l, -size where only 0 does. Scattering the columns in
+	// order keeps every row's indices increasing.
+	links := make([]simplex.Row, nLinks)
+	add := func(l, col int, v float64) {
+		links[l].Idx = append(links[l].Idx, int32(col))
+		links[l].Val = append(links[l].Val, v)
+	}
+	on0 := make([]int, nLinks) // i+1 where flow i's alternative 0 crosses l
+	onK := make([]int, nLinks) // col+1 where column col's path crosses l
+	for i, f := range flows {
+		p0 := fa[i][0]
+		p0.each(nUp, func(l int) { on0[l] = i + 1 })
+		for k := 1; k < na; k++ {
+			col, pk := xCol(i, k), fa[i][k]
+			pk.each(nUp, func(l int) { onK[l] = col + 1 })
+			pk.each(nUp, func(l int) {
+				if on0[l] != i+1 {
+					add(l, col, f.Size)
 				}
-			}
+			})
+			p0.each(nUp, func(l int) {
+				if onK[l] != col+1 {
+					add(l, col, -f.Size)
+				}
+			})
 		}
-		if !touched {
-			continue // covered by the global tShift bound below
+	}
+	var aub []simplex.Row
+	var bub []float64
+	for l, row := range links {
+		if capAll[l] <= 0 || len(row.Idx) == 0 {
+			continue // untouched: covered by the global tShift bound below
 		}
-		row[tCol] = capAll[l]
+		row.Idx = append(row.Idx, int32(tCol))
+		row.Val = append(row.Val, capAll[l])
 		aub = append(aub, row)
-		bub = append(bub, capAll[l]*t0-fixedAll[l]-load0[l])
+		bub = append(bub, float64(capAll[l]*t0)-fixedAll[l]-load0[l])
 	}
 
 	// Global bound: t >= maxFixedRatio (links untouched by rerouting
 	// cannot drop below their fixed ratio), i.e. tShift <= t0 - maxFixedRatio.
-	bound := make([]float64, nv)
-	bound[tCol] = 1
-	aub = append(aub, bound)
+	aub = append(aub, simplex.Row{Idx: []int32{int32(tCol)}, Val: []float64{1}})
 	bub = append(bub, t0-maxFixedRatio)
 
-	// Flow rows: sum_{k>0} x[i][k] <= 1.
+	// Flow rows: sum_{k>0} x[i][k] <= 1, over flow i's na-1 adjacent columns.
+	xs, ones := make([]int32, tCol), make([]float64, tCol)
+	for j := range xs {
+		xs[j], ones[j] = int32(j), 1
+	}
 	for i := 0; i < nf; i++ {
-		row := make([]float64, nv)
-		for k := 1; k < na; k++ {
-			row[xCol(i, k)] = 1
-		}
-		aub = append(aub, row)
+		lo, hi := xCol(i, 1), xCol(i, 1)+na-1
+		aub = append(aub, simplex.Row{Idx: xs[lo:hi], Val: ones[lo:hi]})
 		bub = append(bub, 1)
 	}
 
@@ -216,10 +223,10 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 				continue
 			}
 			for _, l := range fa[i][k].up {
-				loadUp[l] += frac * f.Size
+				loadUp[l] += float64(frac * f.Size)
 			}
 			for _, l := range fa[i][k].down {
-				loadDown[l] += frac * f.Size
+				loadDown[l] += float64(frac * f.Size)
 			}
 		}
 	}
@@ -228,24 +235,19 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	return res, nil
 }
 
-// onLink reports whether joint-space link l (down links offset by nUp)
-// lies on the path described by the up/down index rows.
-func onLink(up, down []int32, l, nUp int) bool {
-	if l < nUp {
-		for _, v := range up {
-			if int(v) == l {
-				return true
-			}
-		}
-		return false
+// pathLinks is one (flow, alternative) path as subslices of the two
+// ISPs' path indexes.
+type pathLinks struct{ up, down []int32 }
+
+// each calls fn with every link of the path in the joint link space,
+// where downstream links are offset by nUp.
+func (p pathLinks) each(nUp int, fn func(l int)) {
+	for _, l := range p.up {
+		fn(int(l))
 	}
-	l -= nUp
-	for _, v := range down {
-		if int(v) == l {
-			return true
-		}
+	for _, l := range p.down {
+		fn(nUp + int(l))
 	}
-	return false
 }
 
 func melOf(load, capv []float64) float64 {

@@ -1,18 +1,25 @@
-// Package simplex is a from-scratch dense linear-programming solver used
-// to compute the paper's globally optimal bandwidth routing (§5.2), which
+// Package simplex is a from-scratch linear-programming solver used to
+// compute the paper's globally optimal bandwidth routing (§5.2), which
 // minimizes the maximum increase in link load while allowing flows to be
 // fractionally divided among interconnections.
 //
 // The solver minimizes c·x subject to Aub·x <= bub, Aeq·x = beq, x >= 0,
-// using the two-phase primal simplex method on a dense tableau. Pivoting
+// using the two-phase primal simplex method. Constraint rows arrive
+// sparse and are scattered into one contiguous dense tableau. Pivoting
 // uses Dantzig's rule (most negative reduced cost) and falls back to
 // Bland's anti-cycling rule if the objective stalls, so termination is
 // guaranteed. When the problem has only <= rows with non-negative
 // right-hand sides, phase one is skipped entirely — the optimal-routing
 // LP is formulated that way (see internal/optimal) to keep it fast.
+//
+// Every tableau row update, dst[j] -= f*src[j], goes through one kernel,
+// subScaled: SSE2 on amd64, a portable loop elsewhere. Both multiply,
+// round, then subtract, exactly as scalar amd64 code does; neither fuses
+// the two into an FMA, whose single rounding would move the pivots.
 package simplex
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -48,13 +55,20 @@ type Solution struct {
 	Objective float64
 }
 
+// Row is one sparse constraint row: Val[k] is the coefficient of column
+// Idx[k], indices strictly increasing; absent columns are zero.
+type Row struct {
+	Idx []int32
+	Val []float64
+}
+
 // Problem is an LP in the form: minimize C·x subject to
 // AUb·x <= BUb, AEq·x = BEq, x >= 0.
 type Problem struct {
 	C   []float64
-	AUb [][]float64
+	AUb []Row
 	BUb []float64
-	AEq [][]float64
+	AEq []Row
 	BEq []float64
 }
 
@@ -65,24 +79,33 @@ const (
 
 // Validate checks the problem dimensions.
 func (p *Problem) Validate() error {
-	n := len(p.C)
-	if n == 0 {
+	if len(p.C) == 0 {
 		return fmt.Errorf("simplex: empty objective")
 	}
-	if len(p.AUb) != len(p.BUb) {
-		return fmt.Errorf("simplex: %d inequality rows but %d bounds", len(p.AUb), len(p.BUb))
+	if err := checkRows("inequality", p.AUb, p.BUb, len(p.C)); err != nil {
+		return err
 	}
-	if len(p.AEq) != len(p.BEq) {
-		return fmt.Errorf("simplex: %d equality rows but %d bounds", len(p.AEq), len(p.BEq))
+	return checkRows("equality", p.AEq, p.BEq, len(p.C))
+}
+
+// checkRows checks one family of rows against its bounds and n columns.
+// A repeated index would silently overwrite when scattered, so indices
+// must strictly increase.
+func checkRows(kind string, rows []Row, bounds []float64, n int) error {
+	if len(rows) != len(bounds) {
+		return fmt.Errorf("simplex: %d %s rows but %d bounds", len(rows), kind, len(bounds))
 	}
-	for i, row := range p.AUb {
-		if len(row) != n {
-			return fmt.Errorf("simplex: inequality row %d has %d coefficients, want %d", i, len(row), n)
+	for i, r := range rows {
+		if len(r.Idx) != len(r.Val) {
+			return fmt.Errorf("simplex: %s row %d: %d indices but %d values", kind, i, len(r.Idx), len(r.Val))
 		}
-	}
-	for i, row := range p.AEq {
-		if len(row) != n {
-			return fmt.Errorf("simplex: equality row %d has %d coefficients, want %d", i, len(row), n)
+		for k, j := range r.Idx {
+			if j < 0 || int(j) >= n {
+				return fmt.Errorf("simplex: %s row %d: column %d out of range [0, %d)", kind, i, j, n)
+			}
+			if k > 0 && j <= r.Idx[k-1] {
+				return fmt.Errorf("simplex: %s row %d: column %d follows %d, indices must strictly increase", kind, i, j, r.Idx[k-1])
+			}
 		}
 	}
 	return nil
@@ -92,10 +115,11 @@ func (p *Problem) Validate() error {
 // the right-hand side in the last column; basis[i] is the column basic in
 // row i.
 type tableau struct {
-	a     [][]float64 // m x (cols+1)
-	basis []int
-	m     int
-	cols  int // number of structural+slack+artificial columns (excludes RHS)
+	a      [][]float64 // m x (cols+1), rows of one contiguous array
+	basis  []int
+	m      int
+	cols   int // number of structural+slack+artificial columns (excludes RHS)
+	pivots int // pivots made so far
 }
 
 // Solve runs the two-phase simplex method.
@@ -132,12 +156,13 @@ func Solve(p Problem) (*Solution, error) {
 		numArt++
 	}
 	cols := n + mUb + numArt
-	t := &tableau{m: m, cols: cols, basis: make([]int, m)}
-	t.a = make([][]float64, m)
+	t := &tableau{m: m, cols: cols, basis: make([]int, m), a: make([][]float64, m)}
+	w := cols + 1
+	backing := make([]float64, m*w)
 	artCol := n + mUb
 	for i := 0; i < m; i++ {
-		row := make([]float64, cols+1)
-		var src []float64
+		row := backing[i*w : (i+1)*w : (i+1)*w]
+		var src Row
 		var b float64
 		if i < mUb {
 			src, b = p.AUb[i], p.BUb[i]
@@ -149,8 +174,8 @@ func Solve(p Problem) (*Solution, error) {
 			sign = -1
 			b = -b
 		}
-		for j := 0; j < n; j++ {
-			row[j] = sign * src[j]
+		for k, j := range src.Idx {
+			row[j] = sign * src.Val[k]
 		}
 		if i < mUb {
 			row[n+i] = sign // slack (+1, or -1 for negated rows → surplus)
@@ -172,10 +197,11 @@ func Solve(p Problem) (*Solution, error) {
 		for j := n + mUb; j < cols; j++ {
 			obj[j] = 1
 		}
-		val, status := t.optimize(obj)
-		if status == Unbounded {
-			// Phase-1 objective is bounded below by 0; this indicates a bug.
-			return nil, fmt.Errorf("simplex: phase 1 reported unbounded")
+		// The phase-1 objective is bounded below by 0, so errUnbounded
+		// here, like any error, is a bug.
+		val, err := t.optimize(obj, cols)
+		if err != nil {
+			return nil, err
 		}
 		if val > 1e-7 {
 			return &Solution{Status: Infeasible}, nil
@@ -187,9 +213,12 @@ func Solve(p Problem) (*Solution, error) {
 	obj := make([]float64, cols)
 	copy(obj, p.C)
 	forbidden := n + mUb // artificial columns may not re-enter
-	val, status := t.optimizeRestricted(obj, forbidden)
-	if status == Unbounded {
+	val, err := t.optimize(obj, forbidden)
+	if errors.Is(err, errUnbounded) {
 		return &Solution{Status: Unbounded}, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	x := make([]float64, n)
 	for i, b := range t.basis {
@@ -200,24 +229,18 @@ func Solve(p Problem) (*Solution, error) {
 	return &Solution{Status: Optimal, X: x, Objective: val}, nil
 }
 
-// optimize minimizes obj over all columns. Returns the objective value.
-func (t *tableau) optimize(obj []float64) (float64, Status) {
-	return t.optimizeRestricted(obj, t.cols)
-}
+// errUnbounded is optimize's report that obj decreases without bound.
+var errUnbounded = errors.New("simplex: unbounded")
 
-// optimizeRestricted minimizes obj using only columns < limit as entering
-// candidates.
-func (t *tableau) optimizeRestricted(obj []float64, limit int) (float64, Status) {
+// optimize minimizes obj using only columns < limit as entering
+// candidates, and returns the objective value.
+func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 	// Reduced costs: start from obj, then price out the current basis.
 	red := make([]float64, t.cols+1)
 	copy(red, obj)
 	for i, b := range t.basis {
-		cb := obj[b]
-		if cb == 0 {
-			continue
-		}
-		for j := 0; j <= t.cols; j++ {
-			red[j] -= cb * t.a[i][j]
+		if cb := obj[b]; cb != 0 {
+			subScaled(red, t.a[i], cb)
 		}
 	}
 
@@ -245,7 +268,7 @@ func (t *tableau) optimizeRestricted(obj []float64, limit int) (float64, Status)
 			}
 		}
 		if enter == -1 {
-			return -red[t.cols], Optimal
+			return -red[t.cols], nil
 		}
 		// Leaving row: minimum ratio test, ties to smallest basis index
 		// (harmless normally, required under Bland's rule).
@@ -262,7 +285,7 @@ func (t *tableau) optimizeRestricted(obj []float64, limit int) (float64, Status)
 			}
 		}
 		if leave == -1 {
-			return 0, Unbounded
+			return 0, errUnbounded
 		}
 		t.pivot(leave, enter, red)
 
@@ -278,9 +301,9 @@ func (t *tableau) optimizeRestricted(obj []float64, limit int) (float64, Status)
 			}
 		}
 	}
-	// Iteration limit under Bland's rule should be unreachable; treat as
-	// optimal-so-far to avoid wedging callers.
-	return -red[t.cols], Optimal
+	// Bland's rule cannot cycle, so this means numerical trouble; the
+	// basis in hand is not known to be optimal.
+	return 0, fmt.Errorf("simplex: no optimum after %d iterations (%d rows, %d columns)", maxIter, t.m, t.cols)
 }
 
 // pivot performs a Gauss-Jordan pivot on (row, col) and updates the
@@ -296,27 +319,22 @@ func (t *tableau) pivot(row, col int, red []float64) {
 		if i == row {
 			continue
 		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ai := t.a[i]
-		for j := 0; j <= t.cols; j++ {
-			ai[j] -= f * ar[j]
+		if f := t.a[i][col]; f != 0 {
+			subScaled(t.a[i], ar, f)
 		}
 	}
 	if f := red[col]; f != 0 {
-		for j := 0; j <= t.cols; j++ {
-			red[j] -= f * ar[j]
-		}
+		subScaled(red, ar, f)
 	}
 	t.basis[row] = col
+	t.pivots++
 }
 
 // driveOutArtificials pivots basic artificial variables (value ~0 after a
 // successful phase 1) out of the basis where a non-artificial pivot
 // column exists; rows that cannot pivot are redundant and are zeroed.
 func (t *tableau) driveOutArtificials(firstArt int) {
+	dummy := make([]float64, t.cols+1) // reduced costs nobody reads
 	for i := 0; i < t.m; i++ {
 		if t.basis[i] < firstArt {
 			continue
@@ -337,7 +355,17 @@ func (t *tableau) driveOutArtificials(firstArt int) {
 			}
 			continue
 		}
-		dummy := make([]float64, t.cols+1)
 		t.pivot(i, pivCol, dummy)
+	}
+}
+
+// subScaledGo is the portable subScaled. The float64 conversion rounds
+// the product before the subtraction, so no GOARCH fuses the two into an
+// FMA (DESIGN.md §12 "LP tableau").
+func subScaledGo(dst, src []float64, f float64) {
+	n := min(len(dst), len(src))
+	dst, src = dst[:n], src[:n]
+	for j := range dst {
+		dst[j] -= float64(f * src[j])
 	}
 }

@@ -3,8 +3,24 @@ package simplex
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// rows converts dense constraint rows to the sparse form Problem takes,
+// dropping zero coefficients.
+func rows(dense [][]float64) []Row {
+	out := make([]Row, len(dense))
+	for i, d := range dense {
+		for j, v := range d {
+			if v != 0 {
+				out[i].Idx = append(out[i].Idx, int32(j))
+				out[i].Val = append(out[i].Val, v)
+			}
+		}
+	}
+	return out
+}
 
 func solveOK(t *testing.T, p Problem) *Solution {
 	t.Helper()
@@ -22,7 +38,7 @@ func TestSimple2D(t *testing.T) {
 	// max x+y s.t. x<=2, y<=3  → min -(x+y), optimum -5 at (2,3).
 	s := solveOK(t, Problem{
 		C:   []float64{-1, -1},
-		AUb: [][]float64{{1, 0}, {0, 1}},
+		AUb: rows([][]float64{{1, 0}, {0, 1}}),
 		BUb: []float64{2, 3},
 	})
 	if math.Abs(s.Objective+5) > 1e-6 {
@@ -37,7 +53,7 @@ func TestClassicLP(t *testing.T) {
 	// max 3x+5y s.t. x<=4, 2y<=12, 3x+2y<=18 → optimum 36 at (2,6).
 	s := solveOK(t, Problem{
 		C:   []float64{-3, -5},
-		AUb: [][]float64{{1, 0}, {0, 2}, {3, 2}},
+		AUb: rows([][]float64{{1, 0}, {0, 2}, {3, 2}}),
 		BUb: []float64{4, 12, 18},
 	})
 	if math.Abs(s.Objective+36) > 1e-6 {
@@ -52,9 +68,9 @@ func TestEqualityConstraints(t *testing.T) {
 	// min x+2y s.t. x+y=10, x<=4 → x=4, y=6, obj 16.
 	s := solveOK(t, Problem{
 		C:   []float64{1, 2},
-		AUb: [][]float64{{1, 0}},
+		AUb: rows([][]float64{{1, 0}}),
 		BUb: []float64{4},
-		AEq: [][]float64{{1, 1}},
+		AEq: rows([][]float64{{1, 1}}),
 		BEq: []float64{10},
 	})
 	if math.Abs(s.Objective-16) > 1e-6 {
@@ -66,7 +82,7 @@ func TestNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -5  (i.e. x >= 5) → x=5.
 	s := solveOK(t, Problem{
 		C:   []float64{1},
-		AUb: [][]float64{{-1}},
+		AUb: rows([][]float64{{-1}}),
 		BUb: []float64{-5},
 	})
 	if math.Abs(s.Objective-5) > 1e-6 {
@@ -78,7 +94,7 @@ func TestInfeasible(t *testing.T) {
 	// x <= 1 and x >= 3.
 	s, err := Solve(Problem{
 		C:   []float64{1},
-		AUb: [][]float64{{1}, {-1}},
+		AUb: rows([][]float64{{1}, {-1}}),
 		BUb: []float64{1, -3},
 	})
 	if err != nil {
@@ -93,7 +109,7 @@ func TestUnbounded(t *testing.T) {
 	// min -x with x >= 0 and no upper bound.
 	s, err := Solve(Problem{
 		C:   []float64{-1, 0},
-		AUb: [][]float64{{0, 1}},
+		AUb: rows([][]float64{{0, 1}}),
 		BUb: []float64{1},
 	})
 	if err != nil {
@@ -126,11 +142,11 @@ func TestDegenerate(t *testing.T) {
 	// (Beale's example).
 	s := solveOK(t, Problem{
 		C: []float64{-0.75, 150, -0.02, 6},
-		AUb: [][]float64{
+		AUb: rows([][]float64{
 			{0.25, -60, -0.04, 9},
 			{0.5, -90, -0.02, 3},
 			{0, 0, 1, 0},
-		},
+		}),
 		BUb: []float64{0, 0, 1},
 	})
 	if math.Abs(s.Objective+0.05) > 1e-6 {
@@ -140,11 +156,11 @@ func TestDegenerate(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	cases := []Problem{
-		{},                                       // empty objective
-		{C: []float64{1}, AUb: [][]float64{{1}}}, // missing bound
-		{C: []float64{1}, AUb: [][]float64{{1, 2}}, BUb: []float64{1}}, // bad row width
-		{C: []float64{1}, AEq: [][]float64{{1, 2}}, BEq: []float64{1}}, // bad eq width
-		{C: []float64{1}, AEq: [][]float64{{1}}},                       // missing eq bound
+		{}, // empty objective
+		{C: []float64{1}, AUb: rows([][]float64{{1}})},                       // missing bound
+		{C: []float64{1}, AUb: rows([][]float64{{1, 2}}), BUb: []float64{1}}, // bad row width
+		{C: []float64{1}, AEq: rows([][]float64{{1, 2}}), BEq: []float64{1}}, // bad eq width
+		{C: []float64{1}, AEq: rows([][]float64{{1}})},                       // missing eq bound
 	}
 	for i, p := range cases {
 		if _, err := Solve(p); err == nil {
@@ -289,7 +305,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		if !found {
 			continue
 		}
-		s, err := Solve(Problem{C: c, AUb: aub, BUb: bub})
+		s, err := Solve(Problem{C: c, AUb: rows(aub), BUb: bub})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,20 +327,22 @@ func TestSolutionSatisfiesConstraints(t *testing.T) {
 		for j := range p.C {
 			p.C[j] = rng.Float64()*2 - 1
 		}
+		var aub [][]float64
 		for i := 0; i < m; i++ {
 			row := make([]float64, n)
 			for j := range row {
 				row[j] = rng.Float64()*2 - 0.5
 			}
-			p.AUb = append(p.AUb, row)
+			aub = append(aub, row)
 			p.BUb = append(p.BUb, rng.Float64()*4)
 		}
 		box := make([]float64, n)
 		for j := range box {
 			box[j] = 1
 		}
-		p.AUb = append(p.AUb, box)
+		aub = append(aub, box)
 		p.BUb = append(p.BUb, 20)
+		p.AUb = rows(aub)
 
 		s, err := Solve(p)
 		if err != nil {
@@ -338,7 +356,7 @@ func TestSolutionSatisfiesConstraints(t *testing.T) {
 				t.Errorf("trial %d: x[%d] = %v negative", trial, j, xj)
 			}
 		}
-		for i, row := range p.AUb {
+		for i, row := range aub {
 			var dot float64
 			for j := range row {
 				dot += row[j] * s.X[j]
@@ -356,5 +374,76 @@ func TestStatusString(t *testing.T) {
 	}
 	if Status(9).String() == "" {
 		t.Error("unknown status should stringify")
+	}
+}
+
+// TestBealeCyclesIntoBland solves Beale's classic example, on which
+// Dantzig's rule with this solver's ratio-test tie-break cycles through
+// six degenerate bases forever. The stall detector must hand over to
+// Bland's rule, which reaches the optimum -1/20 at x = (1/25, 0, 1, 0).
+func TestBealeCyclesIntoBland(t *testing.T) {
+	a := [][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}}
+	b := []float64{0, 0, 1}
+	const n, m = 4, 3
+	tb := &tableau{m: m, cols: n + m}
+	for i, row := range a {
+		r := make([]float64, n+m+1)
+		copy(r, row)
+		r[n+i] = 1
+		r[n+m] = b[i]
+		tb.a = append(tb.a, r)
+		tb.basis = append(tb.basis, n+i)
+	}
+	val, err := tb.optimize([]float64{-0.75, 150, -0.02, 6, 0, 0, 0}, tb.cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.pivots <= stallWindow {
+		t.Errorf("%d pivots: solved before the stall window, so Dantzig's rule did not cycle", tb.pivots)
+	}
+	if math.Abs(val+0.05) > 1e-12 {
+		t.Errorf("objective = %v, want -0.05", val)
+	}
+	x := make([]float64, n)
+	for i, col := range tb.basis {
+		if col < n {
+			x[col] = tb.a[i][n+m]
+		}
+	}
+	want := []float64{0.04, 0, 1, 0}
+	for j := range x {
+		if math.Abs(x[j]-want[j]) > 1e-12 {
+			t.Fatalf("x = %v, want %v", x, want)
+		}
+	}
+}
+
+func TestValidateSparseRows(t *testing.T) {
+	row := func(idx []int32, val []float64) []Row { return []Row{{Idx: idx, Val: val}} }
+	cases := []struct {
+		name string
+		p    Problem
+		want string // substring of the error
+	}{
+		{"length mismatch", Problem{C: []float64{1, 1}, AUb: row([]int32{0, 1}, []float64{1}), BUb: []float64{1}},
+			"inequality row 0: 2 indices but 1 values"},
+		{"negative column", Problem{C: []float64{1, 1}, AUb: row([]int32{-1}, []float64{1}), BUb: []float64{1}},
+			"column -1 out of range [0, 2)"},
+		{"column past n", Problem{C: []float64{1, 1}, AEq: row([]int32{0, 2}, []float64{1, 1}), BEq: []float64{1}},
+			"equality row 0: column 2 out of range [0, 2)"},
+		{"duplicate column", Problem{C: []float64{1, 1}, AUb: row([]int32{1, 1}, []float64{1, 2}), BUb: []float64{1}},
+			"column 1 follows 1"},
+		{"decreasing columns", Problem{C: []float64{1, 1}, AUb: row([]int32{1, 0}, []float64{1, 2}), BUb: []float64{1}},
+			"column 0 follows 1"},
+	}
+	for _, c := range cases {
+		_, err := Solve(c.p)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", c.name, err, c.want)
+		}
+	}
+	ok := Problem{C: []float64{1, 1}, AUb: row([]int32{0, 1}, []float64{1, 1}), BUb: []float64{1}, AEq: row(nil, nil), BEq: []float64{0}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid problem rejected: %v", err)
 	}
 }
