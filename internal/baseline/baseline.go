@@ -167,13 +167,12 @@ func GroupNegotiate(cfg nexit.Config, evalA, evalB nexit.Evaluator, items []nexi
 	}
 	assign := append([]int(nil), defaults...)
 	size := (len(items) + groups - 1) / groups
+	// Negotiate keeps no reference to its items, so every group reuses
+	// the first group's buffers.
+	subBuf, subDefBuf := make([]nexit.Item, size), make([]int, size)
 	for start := 0; start < len(items); start += size {
-		end := start + size
-		if end > len(items) {
-			end = len(items)
-		}
-		sub := make([]nexit.Item, end-start)
-		subDef := make([]int, end-start)
+		end := min(start+size, len(items))
+		sub, subDef := subBuf[:end-start], subDefBuf[:end-start]
 		for i := start; i < end; i++ {
 			sub[i-start] = nexit.Item{ID: i - start, Flow: items[i].Flow, Dir: items[i].Dir}
 			subDef[i-start] = defaults[i]

@@ -160,6 +160,7 @@ func (fc *failureCase) downDistance(assign pairsim.Assignment) float64 {
 type loadEvaluator interface {
 	nexit.Evaluator
 	Reset(load []float64)
+	Release()
 }
 
 // newBandwidthEvaluator builds the upstream or downstream bandwidth
@@ -224,7 +225,9 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 
 			// Negotiated: both ISPs use the bandwidth metric.
 			evalA := fc.newBandwidthEvaluator(nexit.SideA, opt.PrefBound, opt.UseFortzThorup)
+			defer evalA.Release()
 			evalB := fc.newBandwidthEvaluator(nexit.SideB, opt.PrefBound, opt.UseFortzThorup)
+			defer evalB.Release()
 			neg, err := nexit.Negotiate(cfg, evalA, evalB, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
 				return nil, err
@@ -256,6 +259,7 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 			// downstream distance.
 			evalA.Reset(fc.fixedUp)
 			evalB9 := nexit.NewDistanceEvaluator(fc.s2, nexit.SideB, opt.PrefBound)
+			defer evalB9.Release()
 			div, err := nexit.Negotiate(cfg, evalA, evalB9, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
 				return nil, err

@@ -86,7 +86,9 @@ func DestinationStream(ds *Dataset, opt Options, sink func(idx int, r *Destinati
 
 			// Source-destination (per-flow) negotiation.
 			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			defer evalA.Release()
 			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			defer evalB.Release()
 			perFlow, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err

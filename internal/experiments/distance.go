@@ -149,11 +149,14 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 
 			// Negotiated: Nexit with distance evaluators on both sides.
 			// Distance evaluators hold no state between calls, so the
-			// pair's two serve every negotiation below.
+			// pair's two serve every negotiation below, and their scratch
+			// then goes to the next pair's.
 			cfg := nexit.DefaultDistanceConfig()
 			cfg.PrefBound = opt.PrefBound
 			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			defer evalA.Release()
 			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			defer evalB.Release()
 			neg, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err
@@ -290,7 +293,9 @@ func DistanceCheatStream(ds *Dataset, opt Options, sink func(idx int, r *CheatPa
 			// the cheater's knowledge of it (the engine copies each
 			// side's classes before asking the other).
 			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			defer evalA.Release()
 			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			defer evalB.Release()
 			honest, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err

@@ -67,7 +67,9 @@ func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(
 			// Distance evaluators are stateless: the pair's two serve the
 			// full table and every fraction.
 			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			defer evalA.Release()
 			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			defer evalB.Release()
 			negotiate := func(items []nexit.Item, defaults []int) ([]int, error) {
 				r, err := nexit.Negotiate(cfg, evalA, evalB, items, defaults, na)
 				if err != nil {

@@ -25,17 +25,28 @@ type CheatEvaluator struct {
 	Other Evaluator
 	// P is the preference class bound.
 	P int
+
+	// flat backs the rows Prefs returns, under the Evaluator ownership
+	// contract: they are valid until the next Prefs call.
+	flat []int
+	rows [][]int
 }
 
 // Prefs implements Evaluator: it discloses the distorted list.
 func (c *CheatEvaluator) Prefs(items []Item, defaults []int) [][]int {
 	own := c.Truthful.Prefs(items, defaults)
 	other := c.Other.Prefs(items, defaults)
-	out := make([][]int, len(items))
-	for i := range items {
-		out[i] = distortPrefs(own[i], other[i], c.P)
+	total := 0
+	for _, row := range own {
+		total += len(row)
 	}
-	return out
+	c.flat, c.rows = resize(c.flat, total), resize(c.rows, len(items))
+	flat := c.flat
+	for i := range items {
+		n := len(own[i])
+		c.rows[i], flat = distortPrefs(flat[:n:n], own[i], other[i], c.P), flat[n:]
+	}
+	return c.rows
 }
 
 // Commit implements Evaluator, keeping the truthful evaluator's internal
@@ -46,10 +57,10 @@ func (c *CheatEvaluator) Commit(it Item, alt int) {
 	// it; committing again here would double-count.
 }
 
-// distortPrefs computes the disclosed preferences for one flow.
-func distortPrefs(own, other []int, p int) []int {
+// distortPrefs writes the disclosed preferences for one flow into out,
+// which has own's length, and returns it.
+func distortPrefs(out, own, other []int, p int) []int {
 	n := len(own)
-	out := make([]int, n)
 	copy(out, own)
 	if n == 0 {
 		return out

@@ -130,11 +130,24 @@ func (v view) pathLinks(it Item, k int) []int32 {
 }
 
 // cardinalDenominator picks the normalization unit for cardinal classes:
-// the table's largest non-zero absolute delta under ScalePerFlow, the
-// 90th percentile of them under ScaleGlobal (outliers saturate at +/-P)
-// so the bulk of flows retain resolution. buf is the reusable sort
-// buffer (its backing array is grown once and then reused across calls).
+// the table's largest absolute delta under ScalePerFlow, the 90th
+// percentile of its non-zero absolute deltas under ScaleGlobal (outliers
+// saturate at +/-P) so the bulk of flows retain resolution. buf is the
+// reusable sort buffer (its backing array is grown once and then reused
+// across calls). NaN deltas count in neither mode: they fail both a > 0
+// and a > max.
 func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float64 {
+	if scale == ScalePerFlow {
+		max := 0.0
+		for _, ds := range deltas {
+			for _, d := range ds {
+				if a := math.Abs(d); a > max {
+					max = a
+				}
+			}
+		}
+		return max
+	}
 	size := 0
 	for _, ds := range deltas {
 		size += len(ds)
@@ -153,15 +166,6 @@ func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float6
 	*buf = mags
 	if len(mags) == 0 {
 		return 0
-	}
-	if scale == ScalePerFlow {
-		max := mags[0]
-		for _, m := range mags[1:] {
-			if m > max {
-				max = m
-			}
-		}
-		return max
 	}
 	sort.Float64s(mags)
 	i := int(0.9 * float64(len(mags)-1))
@@ -254,7 +258,9 @@ type evaluator struct {
 	P       int
 	Mapping Mapping
 	Scale   Scale
-	scratch evalScratch
+	// scratch comes from the free list at construction and goes back to
+	// it on Release; nil after Release.
+	scratch *evalScratch
 	// fn is the metric's row method, bound once as a method value by its
 	// constructor; per-call state flows through the scratch so
 	// steady-state Prefs allocates nothing. A closure built in a helper
@@ -268,7 +274,7 @@ type evaluator struct {
 // live on the evaluator's scratch: they are valid until the next Prefs
 // or RawDeltas call on this evaluator (see evalScratch).
 func (e *evaluator) Prefs(items []Item, defaults []int) [][]int {
-	return mapDeltas(e.RawDeltas(items, defaults), e.P, e.Mapping, e.Scale, &e.scratch)
+	return mapDeltas(e.RawDeltas(items, defaults), e.P, e.Mapping, e.Scale, e.scratch)
 }
 
 // RawDeltas returns the unquantized per-alternative metric improvements
@@ -278,11 +284,32 @@ func (e *evaluator) Prefs(items []Item, defaults []int) [][]int {
 // evaluator's scratch and are valid until the next Prefs or RawDeltas
 // call.
 func (e *evaluator) RawDeltas(items []Item, defaults []int) [][]float64 {
+	if e.scratch == nil {
+		panic("nexit: evaluator used after Release")
+	}
 	na := len(e.view.ixOwn)
 	deltas := e.scratch.deltas(len(items), na)
 	e.scratch.items, e.scratch.defaults = items, defaults
 	forEachItem(len(items), na, e.fn)
 	return deltas
+}
+
+// Release hands the evaluator's scratch to the next evaluator built, so
+// a driver that builds evaluators per pair or case stops allocating
+// their buffers again. Rows the evaluator returned become invalid, and
+// Prefs or RawDeltas after Release panic. An evaluator nobody releases
+// keeps its scratch until it is collected.
+func (e *evaluator) Release() {
+	s := e.scratch
+	if s == nil {
+		panic("nexit: evaluator released twice")
+	}
+	e.scratch = nil
+	s.items, s.defaults = nil, nil
+	select {
+	case scratches <- s:
+	default:
+	}
 }
 
 // DistanceEvaluator maps alternatives to preferences using the distance
@@ -293,7 +320,7 @@ type DistanceEvaluator struct{ evaluator }
 // NewDistanceEvaluator builds the evaluator for the given side of the
 // (A->B oriented) system.
 func NewDistanceEvaluator(s *pairsim.System, side Side, p int) *DistanceEvaluator {
-	e := &DistanceEvaluator{evaluator{view: newView(s, side), P: p}}
+	e := &DistanceEvaluator{evaluator{view: newView(s, side), P: p, scratch: newScratch()}}
 	e.fn = e.row
 	return e
 }
@@ -330,7 +357,7 @@ func newLoadEvaluator(s *pairsim.System, side Side, p int, load, capv []float64)
 	}
 	v.idx = v.table.PathIndexFor(v.ixOwn)
 	return loadEvaluator{
-		evaluator: evaluator{view: v, P: p},
+		evaluator: evaluator{view: v, P: p, scratch: newScratch()},
 		Load:      append([]float64(nil), load...),
 		Cap:       append([]float64(nil), capv...),
 	}

@@ -83,23 +83,25 @@ type entry struct{ item, alt int32 }
 
 const noSum = -1 << 30
 
-// newIndex sizes the index once for a negotiation; every build reuses it.
+// newIndex sizes the index once for a negotiation, reusing the arrays a
+// reused state brings; every build rewrites or clears all of them.
 func (n *negotiation) newIndex() {
 	p, size := n.cfg.PrefBound, len(n.items)*n.numAlts
 	x := &n.idx
 	x.width = 2*p + 1
-	x.bestAlt, x.bestSum = make([]int32, len(n.items)), make([]int32, len(n.items))
-	x.start, x.head = make([]int32, 2*x.width*x.width+1), make([]int32, 2*x.width*x.width)
-	x.live = make([]int32, 2*x.width*x.width)
-	x.ents = make([]entry, size)
-	x.histA, x.histB = make([]int32, x.width), make([]int32, x.width)
-	x.histSum, x.sumOff = make([]int32, 4*p+1), make([]int32, 4*p+1)
-	x.byRank = make([]int32, len(n.items))
+	cells := 2 * x.width * x.width
+	x.bestAlt, x.bestSum = resize(x.bestAlt, len(n.items)), resize(x.bestSum, len(n.items))
+	x.start, x.head, x.live = resize(x.start, cells+1), resize(x.head, cells), resize(x.live, cells)
+	x.start[0] = 0 // build writes only start[1:]
+	x.ents = resize(x.ents, size)
+	x.histA, x.histB = resize(x.histA, x.width), resize(x.histB, x.width)
+	x.histSum, x.sumOff = resize(x.histSum, 4*p+1), resize(x.sumOff, 4*p+1)
+	x.byRank = resize(x.byRank, len(n.items))
 	x.rows, x.words = 4*p+1, (x.width+63)/64
 	if n.cfg.Propose == BestLocal {
 		x.rows = x.width
 	}
-	x.occ = make([]uint64, 2*2*x.rows*x.words)
+	x.occ = resize(x.occ, 2*2*x.rows*x.words)
 }
 
 // cell returns the cell of classes (a, b): the off-default one, with the
@@ -110,7 +112,7 @@ func (n *negotiation) cell(a, b int) int {
 
 // cellOf returns the cell of flat entry e (item*numAlts + alt).
 func (n *negotiation) cellOf(e int, isDefault bool) int {
-	c := n.cell(n.prefsA[e], n.prefsB[e])
+	c := n.cell(int(n.prefsA[e]), int(n.prefsB[e]))
 	if isDefault {
 		c++
 	}
@@ -188,7 +190,7 @@ func (n *negotiation) build() {
 			if n.vetoed[base+k] {
 				continue
 			}
-			if s := n.prefsA[base+k] + n.prefsB[base+k]; s > sum {
+			if s := int(n.prefsA[base+k]) + int(n.prefsB[base+k]); s > sum {
 				best, sum = k, s
 			}
 			c := n.cellOf(base+k, k == def)
@@ -238,8 +240,8 @@ func (n *negotiation) build() {
 func (n *negotiation) count(id int, d int32) {
 	x, p := &n.idx, n.cfg.PrefBound
 	e := id*n.numAlts + int(x.bestAlt[id])
-	x.histA[n.prefsA[e]+p] += d
-	x.histB[n.prefsB[e]+p] += d
+	x.histA[int(n.prefsA[e])+p] += d
+	x.histB[int(n.prefsB[e])+p] += d
 	if x.bestSum[id] != noSum {
 		x.histSum[int(x.bestSum[id])+2*p] += d
 	}

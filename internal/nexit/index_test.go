@@ -29,12 +29,12 @@ func bruteForcePick(n *negotiation, proposer Side, g *gate) (id, alt int, ok boo
 		itemBest := noSum
 		for k := 0; k < n.numAlts; k++ {
 			if e := i*n.numAlts + k; !n.vetoed[e] {
-				itemBest = max(itemBest, n.prefsA[e]+n.prefsB[e])
+				itemBest = max(itemBest, int(n.prefsA[e])+int(n.prefsB[e]))
 			}
 		}
 		for k := 0; k < n.numAlts; k++ {
 			e := i*n.numAlts + k
-			a, b := n.prefsA[e], n.prefsB[e]
+			a, b := int(n.prefsA[e]), int(n.prefsB[e])
 			if n.vetoed[e] || !g.admits(a, b, k == n.defaults[i]) {
 				continue
 			}
@@ -66,14 +66,14 @@ func TestPickMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		p := bounds[trial%len(bounds)]
 		na, items := 1+rng.Intn(6), 1+rng.Intn(60)
-		palette := make([]int, 2+rng.Intn(6))
+		palette := make([]int32, 2+rng.Intn(6))
 		for i := range palette {
-			palette[i] = rng.Intn(2*p+1) - p
+			palette[i] = int32(rng.Intn(2*p+1) - p)
 		}
 		n := &negotiation{
 			cfg:     Config{PrefBound: p, Propose: []ProposePolicy{MaxSum, BestLocal}[trial/len(bounds)%2]},
 			numAlts: na, defaults: make([]int, items),
-			prefsA: make([]int, items*na), prefsB: make([]int, items*na),
+			prefsA: make([]int32, items*na), prefsB: make([]int32, items*na),
 			vetoed: make([]bool, items*na), remaining: make([]bool, items),
 		}
 		n.items = make([]Item, items)

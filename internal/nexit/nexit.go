@@ -20,6 +20,7 @@ package nexit
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"repro/internal/traffic"
@@ -267,7 +268,8 @@ type Reverter interface {
 	Revert(item Item, alt, def int)
 }
 
-// negotiation is the engine's mutable state.
+// negotiation is the engine's mutable state. Negotiate reuses states
+// through a free list (see states), so every field is reset per call.
 type negotiation struct {
 	cfg          Config
 	items        []Item
@@ -277,8 +279,10 @@ type negotiation struct {
 
 	// prefsA and prefsB hold both sides' clamped classes and vetoed the
 	// (item, alt) pairs rejected by veto, all flat: index id*numAlts+k is
-	// alternative k of item id.
-	prefsA, prefsB []int
+	// alternative k of item id. Classes are int32, which halves the
+	// largest arrays a free-listed state retains; a bound past int32
+	// could not size the index's cells anyway.
+	prefsA, prefsB []int32
 	vetoed         []bool
 	// remaining marks the items on the table: neither committed nor taken
 	// by the plan in flight.
@@ -339,34 +343,66 @@ func Negotiate(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int,
 		}
 	}
 
-	n := &negotiation{
-		cfg:          cfg,
-		items:        items,
-		defaults:     defaults,
-		evalA:        evalA,
-		evalB:        evalB,
-		numAlts:      numAlts,
-		prefsA:       make([]int, len(items)*numAlts),
-		prefsB:       make([]int, len(items)*numAlts),
-		vetoed:       make([]bool, len(items)*numAlts),
-		remaining:    make([]bool, len(items)),
-		numRemaining: len(items),
-		transcript:   make([]Proposal, 0, len(items)),
-		result:       &Result{Assign: append([]int(nil), defaults...)},
+	var n *negotiation
+	select {
+	case n = <-states:
+	default:
+		n = new(negotiation)
 	}
+	n.reset(cfg, evalA, evalB, items, defaults, numAlts)
+	n.refreshPrefs()
+	n.roundLoop()
+	n.unwindDeficits()
+	res := n.result
+	res.GainA, res.GainB, res.Rounds = n.gainA, n.gainB, n.rounds
+	if len(n.transcript) > 0 {
+		res.Transcript = slices.Clone(n.transcript)
+	}
+	// Drop every reference the state holds into the caller's data, then
+	// keep the state if the free list has room.
+	n.cfg, n.items, n.defaults, n.evalA, n.evalB, n.result = Config{}, nil, nil, nil, nil, nil
+	select {
+	case states <- n:
+	default:
+	}
+	return res, nil
+}
+
+// states is the engine's free list of working states, Effective Go's
+// "leaky buffer": Negotiate takes a state if one is free and allocates
+// otherwise, and puts it back if there is room and drops it if not.
+// Capping it at GOMAXPROCS retains about what can run at once: every
+// retained buffer is live heap, which the GC's goal doubles.
+var states = make(chan *negotiation, runtime.GOMAXPROCS(0))
+
+// reset readies n, fresh or from the free list, for one negotiation.
+// Buffers are reused when large enough; each is cleared here or fully
+// rewritten before it is read (prefsA and prefsB by the first
+// refreshPrefs, the index by build).
+func (n *negotiation) reset(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int, numAlts int) {
+	size := len(items) * numAlts
+	n.cfg, n.items, n.defaults, n.evalA, n.evalB, n.numAlts = cfg, items, defaults, evalA, evalB, numAlts
+	n.prefsA, n.prefsB = resize(n.prefsA, size), resize(n.prefsB, size)
+	n.vetoed = resize(n.vetoed, size)
+	clear(n.vetoed)
+	n.remaining, n.numRemaining = resize(n.remaining, len(items)), len(items)
+	n.tally, n.totalSize = tally{}, 0
 	for i, it := range items {
 		n.remaining[i] = true
 		n.totalSize += it.Flow.Size
 	}
+	n.transcript = slices.Grow(n.transcript[:0], len(items))
+	n.result = &Result{Assign: append([]int(nil), defaults...)}
 	n.newIndex()
-	n.refreshPrefs()
-	n.roundLoop()
-	n.unwindDeficits()
-	n.result.GainA, n.result.GainB, n.result.Rounds = n.gainA, n.gainB, n.rounds
-	if len(n.transcript) > 0 {
-		n.result.Transcript = slices.Clone(n.transcript)
+}
+
+// resize returns s at length n, on its own backing array when that is
+// large enough. The contents are whatever the array last held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return n.result, nil
+	return s[:n]
 }
 
 // roundLoop runs the rounds: plan the proposals the protocol makes next,
@@ -384,7 +420,7 @@ func (n *negotiation) roundLoop() {
 	if n.cfg.BatchAcceptHook != nil && n.cfg.Turn != CoinToss {
 		maxBatch = max(1, len(n.items))
 	}
-	n.batch = make([]Proposal, 0, maxBatch)
+	n.batch = slices.Grow(n.batch[:0], maxBatch)
 	for {
 		reason, stopped := n.plan(maxBatch)
 		accepted := n.ask()
@@ -428,7 +464,7 @@ func (n *negotiation) plan(maxBatch int) (reason StopReason, stopped bool) {
 		e := id*n.numAlts + alt
 		p := Proposal{
 			Round: t.rounds, Proposer: proposer, ItemID: id, Alt: alt,
-			PrefA: n.prefsA[e], PrefB: n.prefsB[e], Accepted: true,
+			PrefA: int(n.prefsA[e]), PrefB: int(n.prefsB[e]), Accepted: true,
 		}
 		n.batch = append(n.batch, p)
 		n.take(id)
@@ -518,7 +554,7 @@ func (n *negotiation) refreshPrefs() {
 	if n.numRemaining < len(n.items) {
 		// Refreshes only ever see fewer items on the table, so the first
 		// sizes the scratch for all of them.
-		if n.remScratch == nil {
+		if cap(n.remScratch) < n.numRemaining {
 			n.remScratch, n.defScratch = make([]Item, 0, n.numRemaining), make([]int, 0, n.numRemaining)
 		}
 		rem, defaults = n.remScratch[:0], n.defScratch[:0]
@@ -547,9 +583,9 @@ func (n *negotiation) refreshPrefs() {
 
 // clampPrefsInto copies one alternative-indexed row of classes into dst,
 // clamped to [-bound, bound].
-func clampPrefsInto(dst, p []int, bound int) {
+func clampPrefsInto(dst []int32, p []int, bound int) {
 	for k := range dst {
-		dst[k] = min(max(p[k], -bound), bound)
+		dst[k] = int32(min(max(p[k], -bound), bound))
 	}
 }
 
@@ -560,7 +596,7 @@ func (n *negotiation) shouldStop(t *tally, id, alt int) (StopReason, bool) {
 		return 0, false
 	}
 	p := n.cfg.PrefBound
-	pA, pB := n.prefsA[id*n.numAlts+alt], n.prefsB[id*n.numAlts+alt]
+	pA, pB := int(n.prefsA[id*n.numAlts+alt]), int(n.prefsB[id*n.numAlts+alt])
 	// If even the best remaining combined gain is strictly negative, no
 	// joint gain remains. (Neutral, sum-zero proposals are allowed
 	// through: the default alternative always sums to zero, and with

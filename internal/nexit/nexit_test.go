@@ -604,7 +604,7 @@ func TestCheatDistortion(t *testing.T) {
 	// cheater's best alt is 2 (own 5); needs disclosed 10-(-3)=13 > P=10,
 	// so clamp best to 10 and deflate alt 1 to P + other[2] - other[1]
 	// = 10 - 3 - 8 = -1.
-	got := distortPrefs([]int{0, 2, 5}, []int{0, 8, -3}, 10)
+	got := distortPrefs(make([]int, 3), []int{0, 2, 5}, []int{0, 8, -3}, 10)
 	if got[2] != 10 {
 		t.Errorf("best alt disclosed = %d, want 10", got[2])
 	}
@@ -617,13 +617,13 @@ func TestCheatDistortion(t *testing.T) {
 
 	// Small inflation case: own = {0, 1}, other = {3, 0}: best alt 1,
 	// need 3-0 = 3 <= P: disclose {0, 3}.
-	got = distortPrefs([]int{0, 1}, []int{3, 0}, 10)
+	got = distortPrefs(make([]int, 2), []int{0, 1}, []int{3, 0}, 10)
 	if got[1] != 3 || got[0] != 0 {
 		t.Errorf("got %v, want [0 3]", got)
 	}
 
 	// Already maximal: disclose truthfully.
-	got = distortPrefs([]int{0, 5}, []int{0, 0}, 10)
+	got = distortPrefs(make([]int, 2), []int{0, 5}, []int{0, 0}, 10)
 	if got[0] != 0 || got[1] != 5 {
 		t.Errorf("got %v, want [0 5]", got)
 	}

@@ -50,14 +50,15 @@ func forEachItem(n, perItem int, fn func(i int)) {
 // evalScratch is the per-evaluator buffer set reused across Prefs and
 // RawDeltas calls: the delta matrix, the class matrix, and the
 // cardinalDenominator sort buffer. Backing arrays grow to the largest
-// shape seen and are then reused, so steady-state preference evaluation
-// allocates nothing.
+// shape seen and are then reused, also by the next evaluator once this
+// one is released, so steady-state preference evaluation allocates
+// nothing.
 //
 // Ownership contract: rows handed out by Prefs/RawDeltas point into the
 // scratch and stay valid only until the NEXT Prefs or RawDeltas call on
-// the same evaluator. Callers that retain preferences across calls must
-// copy (the engine does, via clampPrefsInto; the wire responder copies
-// into its own per-item buffer).
+// the same evaluator, or its Release. Callers that retain preferences
+// across calls must copy (the engine does, via clampPrefsInto; the wire
+// responder copies into its own per-item buffer).
 type evalScratch struct {
 	deltaFlat []float64
 	deltaRows [][]float64
@@ -72,6 +73,22 @@ type evalScratch struct {
 	// before the item loop, read (never written) by its shards.
 	items    []Item
 	defaults []int
+}
+
+// scratches is the evaluators' free list of scratches, bounded like the
+// engine's (see states): two per GOMAXPROCS, one for each side of a
+// negotiation that can run at once.
+var scratches = make(chan *evalScratch, 2*runtime.GOMAXPROCS(0))
+
+// newScratch takes a scratch from the free list, or allocates an empty
+// one when none is free.
+func newScratch() *evalScratch {
+	select {
+	case s := <-scratches:
+		return s
+	default:
+		return new(evalScratch)
+	}
 }
 
 // deltas returns the items x alts delta matrix, zeroed.

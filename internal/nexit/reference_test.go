@@ -633,7 +633,8 @@ func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 // wire's 127, up to 48 items and 8 alternatives, both sides' class
 // tables (raw int8s, so past ±P too, and at nonzero defaults), the
 // policy grid, extra deficits, and a batch hook's accepted prefixes. The
-// whole Results must be deeply equal.
+// whole Results must be deeply equal. Each input runs on the engine state
+// a warm-up negotiation of another shape left behind (see warmUps).
 func FuzzNegotiateMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for _, p := range []byte{0, 2, 9, 30, 31, 49, 63, 99, 126} {
@@ -691,7 +692,66 @@ func FuzzNegotiateMatchesReference(f *testing.F) {
 			}
 		}
 		items, defaults := unitItems(n, na)
+		warmUp(t, n*na)
 		engineCfg, oracleCfg := serialTwin(cfg, int64(seed))
 		mustMatchReference(t, 0, engineCfg, oracleCfg, evA, evB, items, defaults, na)
 	})
+}
+
+// warmUps are the two negotiations FuzzNegotiateMatchesReference runs
+// before an input: a large one, 48 items × 8 alternatives at P = 50 with
+// a batch hook vetoing every seventh cell, for inputs of at most 96
+// cells, and a small one, one item and one alternative at P = 1, for
+// larger inputs. So the input always runs on a state of another shape,
+// left with vetoes or left too small. Both are fixed, so they add the
+// same coverage to every input.
+var warmUps = func() (w [2]struct {
+	cfg      Config
+	evA, evB Evaluator
+	items    []Item
+	defaults []int
+	numAlts  int
+}) {
+	rng := rand.New(rand.NewSource(7))
+	for i, shape := range [2][3]int{{48, 8, 50}, {1, 1, 1}} {
+		n, na, p := shape[0], shape[1], shape[2]
+		mk := func() *StaticEvaluator {
+			ev := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
+			for i := 0; i < n; i++ {
+				ev.Table[i] = make([]int, na)
+				for k := range ev.Table[i] {
+					ev.Table[i][k] = rng.Intn(2*p+3) - p - 1
+				}
+			}
+			return ev
+		}
+		w[i].cfg = Config{PrefBound: p, Stop: StopNever, BatchAcceptHook: func(batch []Proposal) int {
+			for k, pr := range batch {
+				if (pr.ItemID*na+pr.Alt)%7 == 3 {
+					return k
+				}
+			}
+			return len(batch)
+		}}
+		w[i].evA, w[i].evB, w[i].numAlts = mk(), mk(), na
+		w[i].items, w[i].defaults = unitItems(n, na)
+	}
+	return w
+}()
+
+// warmUp empties the engine's free list and runs the warm-up for an
+// input of cells (item, alternative) cells, so that the next Negotiate
+// on this goroutine reuses the state it leaves behind.
+func warmUp(t *testing.T, cells int) {
+	t.Helper()
+	for len(states) > 0 {
+		<-states
+	}
+	w := warmUps[0]
+	if cells > 96 {
+		w = warmUps[1]
+	}
+	if _, err := Negotiate(w.cfg, w.evA, w.evB, w.items, w.defaults, w.numAlts); err != nil {
+		t.Fatal(err)
+	}
 }
