@@ -9,8 +9,8 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and short snapshot, wire, .topo, engine and LP kernel
-# fuzz bursts.
+# snapshot-based) and short snapshot, wire, .topo, engine, LP kernel and
+# watch-mode status fuzz bursts.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -21,6 +21,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzTopologyRead' -fuzztime 20s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/
+	go test -run '^$$' -fuzz 'FuzzDecodeVars' -fuzztime 20s ./internal/plot/
 
 # The one measurement path: seven named workloads, end-to-end and
 # per-layer metrics, one JSON document on stdout (bench/README.md).

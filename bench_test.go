@@ -71,7 +71,7 @@ func BenchmarkFig4DistanceGain(b *testing.B) {
 	}
 	b.ReportMetric(median(res.PairGainNeg), "negotiated-median-%gain")
 	b.ReportMetric(median(res.PairGainOpt), "optimal-median-%gain")
-	b.ReportMetric(stats.NewCDF(res.IndGainNeg).Min(), "negotiated-worst-ISP-%gain")
+	b.ReportMetric(stats.NewCDF(res.IndGainNeg).Quantile(0), "negotiated-worst-ISP-%gain")
 	losers := 0
 	for _, g := range res.IndGainOpt {
 		if g < 0 {

@@ -306,10 +306,6 @@ func New(cfg Config) *Agent {
 	}
 }
 
-// Metrics returns the agent's telemetry registry — the source for the
-// /metrics exposition and for mesh-wide aggregation.
-func (a *Agent) Metrics() *telemetry.Registry { return a.reg }
-
 // foldWire drains a connection's accumulated wire stats into the
 // agent's counters. Called between sessions (the Conn discipline), so
 // the handles absorb one delta per session, not per frame.
@@ -352,7 +348,7 @@ func (a *Agent) AddPeer(p Peer) error {
 	ps := &peerState{
 		Peer:     p,
 		initiate: p.Side == nexit.SideA,
-		lat:      a.reg.HistogramOf("agentd_session_seconds", nil, telemetry.Label{Key: "peer", Value: p.Name}),
+		lat:      a.reg.HistogramOf("agentd_session_seconds", telemetry.Label{Key: "peer", Value: p.Name}),
 	}
 	a.peers[p.Name] = ps
 	// A freshly registered peer resumes from its newest persisted

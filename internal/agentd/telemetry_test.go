@@ -138,7 +138,7 @@ func TestStatusConcurrentWithFaultySessions(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // registry reader: snapshot + exposition under load
+	go func() { // registry reader: exposition under load
 		defer wg.Done()
 		var sb strings.Builder
 		for {
@@ -147,7 +147,6 @@ func TestStatusConcurrentWithFaultySessions(t *testing.T) {
 				return
 			default:
 			}
-			_ = a.Metrics().Snapshot()
 			sb.Reset()
 			if err := a.WriteMetrics(&sb); err != nil {
 				t.Errorf("WriteMetrics: %v", err)

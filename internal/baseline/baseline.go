@@ -1,9 +1,8 @@
 // Package baseline implements the non-negotiated routing strategies the
-// paper compares against: early-exit (the BGP default), late-exit
-// (consistently honored MEDs, Figure 1b), the flow-local strategies of
-// §5.1 (flow-Pareto and flow-both-better), unilateral upstream
-// optimization (§5.2, Figure 8), and negotiation over separate flow
-// groups (§5.1).
+// paper compares against: early-exit (the BGP default), the flow-local
+// strategies of §5.1 (flow-Pareto and flow-both-better), unilateral
+// upstream optimization (§5.2, Figure 8), and negotiation over separate
+// flow groups (§5.1).
 package baseline
 
 import (
@@ -23,16 +22,6 @@ func EarlyExit(s *pairsim.System, flows []traffic.Flow) pairsim.Assignment {
 	assign := assignmentFor(flows)
 	for _, f := range flows {
 		assign[f.ID] = s.EarlyExit(f)
-	}
-	return assign
-}
-
-// LateExit assigns every flow the interconnection closest to its
-// destination — the result of MEDs honored consistently.
-func LateExit(s *pairsim.System, flows []traffic.Flow) pairsim.Assignment {
-	assign := assignmentFor(flows)
-	for _, f := range flows {
-		assign[f.ID] = s.LateExit(f)
 	}
 	return assign
 }
@@ -61,17 +50,6 @@ const (
 	// only alternatives at least as good for both are allowed.
 	FlowBothBetter
 )
-
-// String names the strategy.
-func (s FlowLocalStrategy) String() string {
-	if s == FlowPareto {
-		return "flow-pareto"
-	}
-	if s == FlowBothBetter {
-		return "flow-both-better"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
 
 // FlowLocal applies a flow-local strategy to the negotiation items:
 // independently for each flow, it picks uniformly at random among the

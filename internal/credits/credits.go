@@ -77,45 +77,8 @@ func (l *Ledger) Settle(session int, res *nexit.Result) {
 	})
 }
 
-// Imbalance returns |cumulative gain difference| across all settled
-// sessions.
-func (l *Ledger) Imbalance() int {
-	if l.Balance < 0 {
-		return -l.Balance
-	}
-	return l.Balance
-}
-
 // String summarizes the ledger.
 func (l *Ledger) String() string {
 	return fmt.Sprintf("credits: balance %+d over %d sessions (cap %d)",
 		l.Balance, len(l.History), l.MaxCredit)
-}
-
-// RunSessions negotiates a sequence of sessions, applying the ledger
-// before each and settling it after. Each element of universes supplies
-// one session's items and defaults; evaluators are built fresh per
-// session by the callbacks (stateful metrics must not leak across
-// sessions unless the caller wants them to).
-func RunSessions(base nexit.Config, ledger *Ledger, universes []Universe) ([]*nexit.Result, error) {
-	var out []*nexit.Result
-	for i, u := range universes {
-		cfg := ledger.Apply(base)
-		res, err := nexit.Negotiate(cfg, u.EvalA(), u.EvalB(), u.Items, u.Defaults, u.NumAlts)
-		if err != nil {
-			return nil, fmt.Errorf("credits: session %d: %w", i, err)
-		}
-		ledger.Settle(i, res)
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// Universe is one session's negotiation setup.
-type Universe struct {
-	Items    []nexit.Item
-	Defaults []int
-	NumAlts  int
-	EvalA    func() nexit.Evaluator
-	EvalB    func() nexit.Evaluator
 }

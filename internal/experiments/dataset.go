@@ -31,11 +31,6 @@ type Dataset struct {
 	distance, bandwidth         []*topology.Pair
 }
 
-// LoadDefault generates the default 65-ISP dataset (DESIGN.md §4).
-func LoadDefault() (*Dataset, error) {
-	return Load(gen.DefaultConfig())
-}
-
 // Load generates a dataset from the given generator configuration,
 // sharding per-ISP generation across GOMAXPROCS cores (dataset format
 // v2; the result is identical at every worker count).

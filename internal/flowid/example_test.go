@@ -14,10 +14,10 @@ func Example() {
 	sig := flowid.Signature{
 		Src:     flowid.Prefix{Addr: 0x0A000000, Bits: 16},
 		Dst:     flowid.Prefix{Addr: 0x0B010000, Bits: 16},
-		Ingress: reg.NewNonce(),
+		Ingress: 1,
 	}
 	for tick := 0; tick < 4; tick++ {
-		if reg.Observe(sig, 2.5, tick) {
+		if reg.ObserveFlow(reg.Track(sig), 2.5, tick) {
 			fmt.Printf("tick %d: flow %v announced for negotiation\n", tick, sig.Src)
 		}
 	}
@@ -26,16 +26,4 @@ func Example() {
 	// Output:
 	// tick 2: flow 10.0.0.0/16 announced for negotiation
 	// after idling: 1 flow(s) timed out
-}
-
-// ExampleTopFraction shows the scalability selection: the biggest flows
-// covering a target share of the traffic.
-func ExampleTopFraction() {
-	flows := []flowid.FlowInfo{
-		{Size: 60}, {Size: 25}, {Size: 10}, {Size: 5},
-	}
-	top := flowid.TopFraction(flows, 0.8)
-	fmt.Printf("flows needed for 80%% of traffic: %d of %d\n", len(top), len(flows))
-	// Output:
-	// flows needed for 80% of traffic: 2 of 4
 }

@@ -29,32 +29,6 @@ func (p Prefix) String() string {
 		byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Bits)
 }
 
-// Valid reports whether the prefix length is legal and the host bits are
-// zero.
-func (p Prefix) Valid() bool {
-	if p.Bits < 0 || p.Bits > 32 {
-		return false
-	}
-	return p.Addr&^p.mask() == 0
-}
-
-func (p Prefix) mask() uint32 {
-	if p.Bits == 0 {
-		return 0
-	}
-	return ^uint32(0) << (32 - p.Bits)
-}
-
-// Contains reports whether addr falls inside the prefix.
-func (p Prefix) Contains(addr uint32) bool {
-	return addr&p.mask() == p.Addr
-}
-
-// ContainsPrefix reports whether q is a (non-strict) subprefix of p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return q.Bits >= p.Bits && p.Contains(q.Addr)
-}
-
 // Signature uniquely identifies a negotiable flow (paper §6): the most
 // specific source and destination prefixes of its packets plus an opaque
 // identifier for its ingress into the upstream. The upstream "chooses
@@ -88,14 +62,17 @@ type Registry struct {
 	// flow is expired.
 	IdleTimeout int
 
-	flows     map[Signature]*Flow
+	flows map[Signature]*Flow
+	// nextNonce is the ingress-nonce position snapshots carry: Export
+	// reports it and Restore sets it.
 	nextNonce uint64
 }
 
 // Flow is the registry's handle on one tracked flow: Track finds or
-// creates it once, then ObserveFlow and Negotiable go through it without
-// hashing the signature again. A handle is good while Live holds; Expire
-// and Restore mark the entries they drop dead, and a holder Tracks again.
+// creates it once, then ObserveFlow and NegotiableAfter go through it
+// without hashing the signature again. A handle is good while Live
+// holds; Expire and Restore mark the entries they drop dead, and a
+// holder Tracks again.
 type Flow struct {
 	size        float64
 	lastSeen    int
@@ -106,19 +83,9 @@ type Flow struct {
 	announcedAt int
 }
 
-// Negotiable reports whether the flow is tracked and promoted.
-func (f *Flow) Negotiable() bool { return f.negotiable && !f.dead }
-
 // Live reports whether the registry still tracks this entry; a nil
 // handle does not, so a holder's zero value means "Track first".
 func (f *Flow) Live() bool { return f != nil && !f.dead }
-
-// FlowInfo is the externally visible state of a tracked flow.
-type FlowInfo struct {
-	Sig        Signature
-	Size       float64
-	Negotiable bool
-}
 
 // NewRegistry returns a registry with the given policy knobs.
 func NewRegistry(sizeThreshold float64, stableTicks, idleTimeout int) *Registry {
@@ -128,12 +95,6 @@ func NewRegistry(sizeThreshold float64, stableTicks, idleTimeout int) *Registry 
 		IdleTimeout:   idleTimeout,
 		flows:         make(map[Signature]*Flow),
 	}
-}
-
-// NewNonce returns a fresh opaque ingress identifier.
-func (r *Registry) NewNonce() uint64 {
-	r.nextNonce++
-	return r.nextNonce
 }
 
 // Track returns the live handle for a signature, creating the entry on
@@ -150,11 +111,6 @@ func (r *Registry) Track(sig Signature) *Flow {
 // Lookup returns the live handle for a signature, or nil when the
 // registry does not track it. Unlike Track it never creates an entry.
 func (r *Registry) Lookup(sig Signature) *Flow { return r.flows[sig] }
-
-// Observe is ObserveFlow(Track(sig), size, tick).
-func (r *Registry) Observe(sig Signature, size float64, tick int) bool {
-	return r.ObserveFlow(r.Track(sig), size, tick)
-}
 
 // ObserveFlow records traffic for a tracked flow at the given tick and
 // returns true when the observation promotes the flow to negotiable
@@ -284,45 +240,5 @@ func (r *Registry) Restore(flows []FlowRecord, nonce uint64) {
 	r.nextNonce = nonce
 }
 
-// bySizeDesc orders flows largest first, ties by ingress identifier.
-func bySizeDesc(a, b FlowInfo) int {
-	return cmp.Or(cmp.Compare(b.Size, a.Size), cmp.Compare(a.Sig.Ingress, b.Sig.Ingress))
-}
-
-// Negotiable lists the currently negotiable flows, largest first.
-func (r *Registry) Negotiable() []FlowInfo {
-	var out []FlowInfo
-	for sig, f := range r.flows {
-		if f.negotiable {
-			out = append(out, FlowInfo{Sig: sig, Size: f.size, Negotiable: true})
-		}
-	}
-	slices.SortFunc(out, bySizeDesc)
-	return out
-}
-
 // Len returns the number of tracked flows.
 func (r *Registry) Len() int { return len(r.flows) }
-
-// TopFraction returns the smallest set of flows (largest first) whose
-// cumulative size reaches the given fraction of the total — the paper's
-// observation that "optimizing the small fraction of high-bandwidth
-// flows can optimize most of the traffic".
-func TopFraction(flows []FlowInfo, fraction float64) []FlowInfo {
-	sorted := slices.SortedFunc(slices.Values(flows), bySizeDesc)
-	var total float64
-	for _, f := range sorted {
-		total += f.Size
-	}
-	if total == 0 {
-		return nil
-	}
-	var acc float64
-	for i, f := range sorted {
-		acc += f.Size
-		if acc >= fraction*total {
-			return sorted[:i+1]
-		}
-	}
-	return sorted
-}

@@ -1,11 +1,9 @@
 package flowid
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestPrefixString(t *testing.T) {
@@ -15,69 +13,24 @@ func TestPrefixString(t *testing.T) {
 	}
 }
 
-func TestPrefixValid(t *testing.T) {
-	valid := []Prefix{
-		{0, 0}, {0x0A000000, 8}, {0xC0A80100, 24}, {0xFFFFFFFF, 32},
-	}
-	for _, p := range valid {
-		if !p.Valid() {
-			t.Errorf("%v should be valid", p)
-		}
-	}
-	invalid := []Prefix{
-		{0x0A000001, 8},  // host bits set
-		{0x0A000000, 33}, // bad length
-		{0x0A000000, -1},
-	}
-	for _, p := range invalid {
-		if p.Valid() {
-			t.Errorf("%v should be invalid", p)
-		}
-	}
+// observe is ObserveFlow(Track(sig), size, tick).
+func observe(r *Registry, sig Signature, size float64, tick int) bool {
+	return r.ObserveFlow(r.Track(sig), size, tick)
 }
 
-func TestPrefixContains(t *testing.T) {
-	p := Prefix{Addr: 0x0A010000, Bits: 16}
-	if !p.Contains(0x0A0100FF) || !p.Contains(0x0A01FFFF) {
-		t.Error("Contains misses in-prefix addresses")
-	}
-	if p.Contains(0x0A020000) {
-		t.Error("Contains accepts out-of-prefix address")
-	}
-	// /0 contains everything.
-	if !(Prefix{0, 0}).Contains(0xDEADBEEF) {
-		t.Error("/0 should contain everything")
-	}
-}
+// negotiable reports whether a handle is tracked and promoted.
+func negotiable(f *Flow) bool { return f.negotiable && !f.dead }
 
-func TestContainsPrefix(t *testing.T) {
-	p16 := Prefix{Addr: 0x0A010000, Bits: 16}
-	p24 := Prefix{Addr: 0x0A010100, Bits: 24}
-	if !p16.ContainsPrefix(p24) {
-		t.Error("/16 should contain its /24")
-	}
-	if p24.ContainsPrefix(p16) {
-		t.Error("/24 must not contain its /16")
-	}
-	if !p16.ContainsPrefix(p16) {
-		t.Error("prefix should contain itself")
-	}
-}
-
-func TestPrefixContainsProperty(t *testing.T) {
-	f := func(addr uint32, bits uint8) bool {
-		b := int(bits % 33)
-		p := Prefix{Addr: addr, Bits: b}
-		p.Addr &= p.mask() // canonicalize
-		if !p.Valid() {
-			return false
+// negotiableSigs lists the signatures Export reports negotiable.
+func negotiableSigs(r *Registry) []Signature {
+	var out []Signature
+	flows, _ := r.Export()
+	for _, f := range flows {
+		if f.Negotiable {
+			out = append(out, f.Sig)
 		}
-		// The network address itself is always contained.
-		return p.Contains(p.Addr)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	return out
 }
 
 func sig(i uint64) Signature {
@@ -90,51 +43,50 @@ func sig(i uint64) Signature {
 
 func TestRegistryPromotion(t *testing.T) {
 	r := NewRegistry(1.0, 3, 10)
-	s := sig(r.NewNonce())
+	s := sig(1)
 	// Below threshold: never promoted.
 	for tick := 0; tick < 5; tick++ {
-		if r.Observe(s, 0.5, tick) {
+		if observe(r, s, 0.5, tick) {
 			t.Fatal("promoted below threshold")
 		}
 	}
 	// Above threshold but not yet stable.
-	if r.Observe(s, 2, 5) || r.Observe(s, 2, 6) || r.Observe(s, 2, 7) {
+	if observe(r, s, 2, 5) || observe(r, s, 2, 6) || observe(r, s, 2, 7) {
 		t.Fatal("promoted before StableTicks elapsed")
 	}
-	if !r.Observe(s, 2, 8) {
+	if !observe(r, s, 2, 8) {
 		t.Fatal("not promoted after staying above threshold")
 	}
-	if r.Observe(s, 2, 9) {
+	if observe(r, s, 2, 9) {
 		t.Fatal("promoted twice")
 	}
-	neg := r.Negotiable()
-	if len(neg) != 1 || neg[0].Sig != s {
-		t.Fatalf("Negotiable = %+v", neg)
+	if neg := negotiableSigs(r); len(neg) != 1 || neg[0] != s {
+		t.Fatalf("negotiable flows %v, want %v", neg, s)
 	}
 }
 
 func TestRegistryThresholdReset(t *testing.T) {
 	r := NewRegistry(1.0, 3, 10)
-	s := sig(r.NewNonce())
-	r.Observe(s, 2, 0)
-	r.Observe(s, 2, 1)
-	r.Observe(s, 0.1, 2) // dips below: stability clock resets
-	r.Observe(s, 2, 3)
-	r.Observe(s, 2, 4)
-	if r.Observe(s, 2, 5) {
+	s := sig(1)
+	observe(r, s, 2, 0)
+	observe(r, s, 2, 1)
+	observe(r, s, 0.1, 2) // dips below: stability clock resets
+	observe(r, s, 2, 3)
+	observe(r, s, 2, 4)
+	if observe(r, s, 2, 5) {
 		t.Fatal("promoted despite reset clock")
 	}
-	if !r.Observe(s, 2, 6) {
+	if !observe(r, s, 2, 6) {
 		t.Fatal("not promoted after full stable window")
 	}
 }
 
 func TestRegistryExpiry(t *testing.T) {
 	r := NewRegistry(1.0, 0, 5)
-	a, b := sig(r.NewNonce()), sig(r.NewNonce())
-	r.Observe(a, 2, 0)
-	r.Observe(b, 2, 0)
-	r.Observe(b, 2, 7)
+	a, b := sig(1), sig(2)
+	observe(r, a, 2, 0)
+	observe(r, b, 2, 0)
+	observe(r, b, 2, 7)
 	expired := r.Expire(8)
 	if len(expired) != 1 || expired[0] != a {
 		t.Fatalf("Expire = %+v", expired)
@@ -144,101 +96,20 @@ func TestRegistryExpiry(t *testing.T) {
 	}
 }
 
-func TestNoncesDistinct(t *testing.T) {
-	r := NewRegistry(1, 0, 1)
-	seen := map[uint64]bool{}
-	for i := 0; i < 100; i++ {
-		n := r.NewNonce()
-		if seen[n] {
-			t.Fatal("nonce repeated")
-		}
-		seen[n] = true
-	}
-}
-
-func TestNegotiableSorted(t *testing.T) {
-	r := NewRegistry(1, 0, 100)
-	sizes := []float64{3, 9, 1.5, 7}
-	for i, s := range sizes {
-		r.Observe(sig(uint64(i+1)), s, 0)
-	}
-	neg := r.Negotiable()
-	if len(neg) != 4 {
-		t.Fatalf("got %d negotiable", len(neg))
-	}
-	for i := 1; i < len(neg); i++ {
-		if neg[i].Size > neg[i-1].Size {
-			t.Fatal("not sorted by size desc")
-		}
-	}
-}
-
-func TestTopFraction(t *testing.T) {
-	flows := []FlowInfo{
-		{Sig: sig(1), Size: 50},
-		{Sig: sig(2), Size: 30},
-		{Sig: sig(3), Size: 15},
-		{Sig: sig(4), Size: 5},
-	}
-	top := TopFraction(flows, 0.8)
-	if len(top) != 2 { // 50+30 = 80% of 100
-		t.Fatalf("TopFraction(0.8) = %d flows, want 2", len(top))
-	}
-	if top[0].Size != 50 || top[1].Size != 30 {
-		t.Errorf("wrong flows selected: %+v", top)
-	}
-	if got := TopFraction(flows, 1.0); len(got) != 4 {
-		t.Errorf("TopFraction(1.0) = %d flows", len(got))
-	}
-	if got := TopFraction(nil, 0.5); got != nil {
-		t.Errorf("TopFraction(empty) = %v", got)
-	}
-	// Zero-size flows: no selection possible.
-	if got := TopFraction([]FlowInfo{{Size: 0}}, 0.5); got != nil {
-		t.Errorf("TopFraction(zero sizes) = %v", got)
-	}
-}
-
-func TestTopFractionProperty(t *testing.T) {
-	f := func(raw []float64, fracRaw float64) bool {
-		flows := make([]FlowInfo, 0, len(raw))
-		var total float64
-		for i, s := range raw {
-			if s < 0 || s != s || s > 1e12 {
-				s = 1
-			}
-			flows = append(flows, FlowInfo{Sig: sig(uint64(i)), Size: s})
-			total += s
-		}
-		frac := math.Abs(math.Mod(fracRaw, 1))
-		if math.IsNaN(frac) {
-			frac = 0.5
-		}
-		top := TopFraction(flows, frac)
-		var acc float64
-		for _, f := range top {
-			acc += f.Size
-		}
-		// Selected set covers at least the requested fraction.
-		return total == 0 || acc >= frac*total-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestRegistryExportRestore: Restore(Export()) reconstructs the
 // registry exactly — same negotiable set, same expiry behavior, same
 // nonce position — and Export is deterministic despite map iteration.
 func TestRegistryExportRestore(t *testing.T) {
 	r := NewRegistry(1.0, 1, 2)
-	sigA := Signature{Src: Prefix{Addr: 0x0A000000, Bits: 16}, Dst: Prefix{Addr: 0x0B000000, Bits: 16}, Ingress: r.NewNonce()}
-	sigB := Signature{Src: Prefix{Addr: 0x0A010000, Bits: 16}, Dst: Prefix{Addr: 0x0B010000, Bits: 16}, Ingress: r.NewNonce()}
+	sigA := Signature{Src: Prefix{Addr: 0x0A000000, Bits: 16}, Dst: Prefix{Addr: 0x0B000000, Bits: 16}, Ingress: 1}
+	sigB := Signature{Src: Prefix{Addr: 0x0A010000, Bits: 16}, Dst: Prefix{Addr: 0x0B010000, Bits: 16}, Ingress: 2}
 	for tick := 0; tick < 3; tick++ {
-		r.Observe(sigA, 2.0, tick)
+		observe(r, sigA, 2.0, tick)
 	}
-	r.Observe(sigB, 0.5, 2) // below threshold, tracked but not negotiable
+	observe(r, sigB, 0.5, 2) // below threshold, tracked but not negotiable
 
+	flows, _ := r.Export()
+	r.Restore(flows, 2) // a nonce position, as a snapshot carries one
 	flows, nonce := r.Export()
 	if len(flows) != 2 || nonce != 2 {
 		t.Fatalf("exported %d flows nonce %d, want 2 flows nonce 2", len(flows), nonce)
@@ -252,11 +123,11 @@ func TestRegistryExportRestore(t *testing.T) {
 	if fresh.Len() != r.Len() {
 		t.Fatalf("restored registry tracks %d flows, want %d", fresh.Len(), r.Len())
 	}
-	if got, want := fresh.Negotiable(), r.Negotiable(); !reflect.DeepEqual(got, want) {
+	if got, want := negotiableSigs(fresh), negotiableSigs(r); !reflect.DeepEqual(got, want) || len(got) != 1 {
 		t.Fatalf("negotiable set after restore = %v, want %v", got, want)
 	}
-	if fresh.NewNonce() != r.NewNonce() {
-		t.Fatal("nonce position diverged after restore")
+	if _, n := fresh.Export(); n != nonce {
+		t.Fatalf("nonce position %d after restore, want %d", n, nonce)
 	}
 	// Lifecycle continues identically: the idle flow expires at the
 	// same tick in both registries.
@@ -265,7 +136,7 @@ func TestRegistryExportRestore(t *testing.T) {
 	}
 }
 
-// TestFlowHandleLifetime: a handle reads and writes the entry Observe
+// TestFlowHandleLifetime: a handle reads and writes the entry observe
 // would, Track returns the same handle while the entry lives, and
 // Expire and Restore kill the handles they drop so a holder knows to
 // Track again.
@@ -277,22 +148,22 @@ func TestFlowHandleLifetime(t *testing.T) {
 		t.Error("a nil handle reports live")
 	}
 	f := r.Track(sig)
-	if !f.Live() || f.Negotiable() || r.Len() != 1 || r.Track(sig) != f {
-		t.Fatalf("fresh handle: live %v negotiable %v, %d tracked", f.Live(), f.Negotiable(), r.Len())
+	if !f.Live() || negotiable(f) || r.Len() != 1 || r.Track(sig) != f {
+		t.Fatalf("fresh handle: live %v negotiable %v, %d tracked", f.Live(), negotiable(f), r.Len())
 	}
 	r.ObserveFlow(f, 2.0, 0)
-	if promoted := r.Observe(sig, 2.0, 1); !promoted || !f.Negotiable() {
-		t.Error("Observe and the handle disagree about the same entry")
+	if promoted := observe(r, sig, 2.0, 1); !promoted || !negotiable(f) {
+		t.Error("observe and the handle disagree about the same entry")
 	}
 
 	if got := r.Expire(4); len(got) != 1 || got[0] != sig {
 		t.Fatalf("Expire = %v", got)
 	}
-	if f.Live() || f.Negotiable() {
+	if f.Live() || negotiable(f) {
 		t.Error("expired handle still live or negotiable")
 	}
 	g := r.Track(sig)
-	if g == f || !g.Live() || g.Negotiable() {
+	if g == f || !g.Live() || negotiable(g) {
 		t.Error("Track after expiry did not start a fresh entry")
 	}
 
@@ -313,7 +184,7 @@ func TestFlowHandleLifetime(t *testing.T) {
 
 // TestRegistryHandleParity drives one random interleaving of
 // observations, expiries and restores into two registries — one by
-// signature through Observe, one through cached handles looked up again
+// signature through observe, one through cached handles looked up again
 // only when dead and tracked only after NegotiableAfter was asked, as
 // the continuous controller holds them — and requires the same
 // promotions, expiries and Export() at every step, and every
@@ -343,10 +214,10 @@ func TestRegistryHandleParity(t *testing.T) {
 				if handles[i] == nil {
 					handles[i] = byHandle.Track(sigs[i])
 				}
-				if a, b := bySig.Observe(sigs[i], size, tick), byHandle.ObserveFlow(handles[i], size, tick); a != b {
+				if a, b := observe(bySig, sigs[i], size, tick), byHandle.ObserveFlow(handles[i], size, tick); a != b {
 					t.Fatalf("seed %d step %d: promotion by signature %v, by handle %v", seed, step, a, b)
 				}
-				if got := handles[i].Negotiable(); got != predicted {
+				if got := negotiable(handles[i]); got != predicted {
 					t.Fatalf("seed %d step %d: NegotiableAfter said %v, the observation left %v", seed, step, predicted, got)
 				}
 			case op < 8:

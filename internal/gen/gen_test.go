@@ -302,17 +302,6 @@ func TestCitiesTable(t *testing.T) {
 	}
 }
 
-func TestRegionString(t *testing.T) {
-	for r := Region(0); r < numRegions; r++ {
-		if r.String() == "unknown" {
-			t.Errorf("region %d has no name", r)
-		}
-	}
-	if Region(99).String() != "unknown" {
-		t.Error("out-of-range region should stringify to unknown")
-	}
-}
-
 // TestSamplePoPsRegionWidening covers the small-region fallback: when the
 // home region has fewer cities than requested, the pool widens to the
 // whole table and still yields n distinct cities.

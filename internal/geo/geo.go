@@ -1,6 +1,5 @@
 // Package geo provides geographic primitives used throughout the Nexit
-// simulator: points on the Earth's surface, great-circle distances, and
-// simple bounding-box queries.
+// simulator: points on the Earth's surface and great-circle distances.
 //
 // The paper estimates intra-ISP link lengths from the geographic distance
 // between PoP city coordinates (Padmanabhan & Subramanian, SIGCOMM 2001),
@@ -54,76 +53,4 @@ func DistanceKm(a, b Point) float64 {
 		h = 1
 	}
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
-}
-
-// Midpoint returns the geographic midpoint of a and b along the great
-// circle connecting them.
-func Midpoint(a, b Point) Point {
-	lat1, lon1 := radians(a.Lat), radians(a.Lon)
-	lat2, lon2 := radians(b.Lat), radians(b.Lon)
-	dLon := lon2 - lon1
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: lat3 * 180 / math.Pi, Lon: normalizeLon(lon3 * 180 / math.Pi)}
-}
-
-// normalizeLon wraps a longitude into [-180, 180].
-func normalizeLon(lon float64) float64 {
-	for lon > 180 {
-		lon -= 360
-	}
-	for lon < -180 {
-		lon += 360
-	}
-	return lon
-}
-
-// Box is an axis-aligned bounding box in latitude/longitude space.
-// It does not handle antimeridian wrap; the embedded city table avoids
-// boxes that cross it.
-type Box struct {
-	MinLat, MaxLat float64
-	MinLon, MaxLon float64
-}
-
-// Contains reports whether p lies inside (or on the border of) the box.
-func (b Box) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
-}
-
-// Expand grows the box to include p and returns the result.
-func (b Box) Expand(p Point) Box {
-	if p.Lat < b.MinLat {
-		b.MinLat = p.Lat
-	}
-	if p.Lat > b.MaxLat {
-		b.MaxLat = p.Lat
-	}
-	if p.Lon < b.MinLon {
-		b.MinLon = p.Lon
-	}
-	if p.Lon > b.MaxLon {
-		b.MaxLon = p.Lon
-	}
-	return b
-}
-
-// BoundingBox returns the smallest Box containing all points.
-// It panics if points is empty.
-func BoundingBox(points []Point) Box {
-	if len(points) == 0 {
-		panic("geo: BoundingBox of empty point set")
-	}
-	b := Box{
-		MinLat: points[0].Lat, MaxLat: points[0].Lat,
-		MinLon: points[0].Lon, MaxLon: points[0].Lon,
-	}
-	for _, p := range points[1:] {
-		b = b.Expand(p)
-	}
-	return b
 }

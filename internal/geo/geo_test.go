@@ -83,20 +83,6 @@ func TestDistanceTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestMidpointBetween(t *testing.T) {
-	a := Point{47.61, -122.33}
-	b := Point{40.71, -74.01}
-	m := Midpoint(a, b)
-	da, db := DistanceKm(a, m), DistanceKm(b, m)
-	if math.Abs(da-db) > 1 {
-		t.Errorf("midpoint not equidistant: %f vs %f", da, db)
-	}
-	full := DistanceKm(a, b)
-	if math.Abs(da+db-full) > 1 {
-		t.Errorf("midpoint off the great circle: %f + %f != %f", da, db, full)
-	}
-}
-
 func TestPointValid(t *testing.T) {
 	valid := []Point{{0, 0}, {90, 180}, {-90, -180}, {47.6, -122.3}}
 	for _, p := range valid {
@@ -108,54 +94,6 @@ func TestPointValid(t *testing.T) {
 	for _, p := range invalid {
 		if p.Valid() {
 			t.Errorf("%v should be invalid", p)
-		}
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	pts := []Point{{1, 2}, {-3, 7}, {5, -8}}
-	b := BoundingBox(pts)
-	want := Box{MinLat: -3, MaxLat: 5, MinLon: -8, MaxLon: 7}
-	if b != want {
-		t.Errorf("BoundingBox = %+v, want %+v", b, want)
-	}
-	for _, p := range pts {
-		if !b.Contains(p) {
-			t.Errorf("box should contain %v", p)
-		}
-	}
-	if b.Contains(Point{6, 0}) {
-		t.Error("box should not contain (6,0)")
-	}
-}
-
-func TestBoundingBoxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for empty point set")
-		}
-	}()
-	BoundingBox(nil)
-}
-
-func TestBoxExpandContains(t *testing.T) {
-	f := func(a, b Point) bool {
-		a, b = clampPoint(a), clampPoint(b)
-		box := BoundingBox([]Point{a}).Expand(b)
-		return box.Contains(a) && box.Contains(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizeLon(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0}, {180, 180}, {-180, -180}, {190, -170}, {-190, 170}, {360, 0}, {540, 180},
-	}
-	for _, c := range cases {
-		if got := normalizeLon(c.in); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("normalizeLon(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"net"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/runner"
 )
 
 // FaultPlan injects deterministic failures into a wire run so tests and
@@ -48,41 +46,6 @@ func faultTarget(idx, n int) int {
 		idx += n
 	}
 	return idx
-}
-
-// RandomFaultPlan derives a seeded fault schedule: the connection kill
-// lands in a seed-chosen epoch on a seed-chosen pair, and the agent
-// restart tears down a seed-chosen pair's responder after an epoch
-// early enough that the mesh must keep negotiating through the
-// recovery. The plan is deterministic in (seed, epochs) alone — the
-// splitmix64 derivation is the runner's — so a failing schedule is
-// replayable from its seed.
-//
-// A single-epoch mesh cannot exercise the restart fault at all: the
-// restart fires after an epoch completes, and with epochs <= 1 the
-// only candidate is the final one, making the restart a no-op (and a
-// wire.Resyncs > 0 expectation unsatisfiable). Use epochs >= 2 for a
-// meaningful schedule.
-func RandomFaultPlan(seed int64, epochs int) *FaultPlan {
-	draw := func(k, n int) int {
-		if n <= 0 {
-			return 0
-		}
-		return int(uint64(runner.PairSeed(seed, k)) % uint64(n))
-	}
-	// Leave at least one epoch after the restart so the restarted agent
-	// actually has to resync and serve again.
-	restartSpan := epochs - 1
-	if restartSpan < 1 {
-		restartSpan = 1
-	}
-	const anyPair = 1 << 20 // normalized modulo the pair count at run time
-	return &FaultPlan{
-		KillConnEpoch: draw(0, epochs),
-		KillPair:      draw(1, anyPair),
-		RestartEpoch:  draw(2, restartSpan),
-		RestartPair:   draw(3, anyPair),
-	}
 }
 
 // faultAttempts bounds how many times a faulted run re-drives one epoch

@@ -10,8 +10,44 @@ import (
 
 	"repro/internal/agentd"
 	"repro/internal/continuous"
+	"repro/internal/runner"
 	"repro/internal/topology"
 )
+
+// randomFaultPlan derives a seeded fault schedule: the connection kill
+// lands in a seed-chosen epoch on a seed-chosen pair, and the agent
+// restart tears down a seed-chosen pair's responder after an epoch
+// early enough that the mesh must keep negotiating through the
+// recovery. The plan is deterministic in (seed, epochs) alone — the
+// splitmix64 derivation is the runner's — so a failing schedule is
+// replayable from its seed.
+//
+// A single-epoch mesh cannot exercise the restart fault at all: the
+// restart fires after an epoch completes, and with epochs <= 1 the
+// only candidate is the final one, making the restart a no-op (and a
+// wire.Resyncs > 0 expectation unsatisfiable). Use epochs >= 2 for a
+// meaningful schedule.
+func randomFaultPlan(seed int64, epochs int) *FaultPlan {
+	draw := func(k, n int) int {
+		if n <= 0 {
+			return 0
+		}
+		return int(uint64(runner.PairSeed(seed, k)) % uint64(n))
+	}
+	// Leave at least one epoch after the restart so the restarted agent
+	// actually has to resync and serve again.
+	restartSpan := epochs - 1
+	if restartSpan < 1 {
+		restartSpan = 1
+	}
+	const anyPair = 1 << 20 // normalized modulo the pair count at run time
+	return &FaultPlan{
+		KillConnEpoch: draw(0, epochs),
+		KillPair:      draw(1, anyPair),
+		RestartEpoch:  draw(2, restartSpan),
+		RestartPair:   draw(3, anyPair),
+	}
+}
 
 // testOptions is the shared mesh configuration: a 10-ISP dataset yields
 // 12 eligible pairs across 9 agents — above the issue's N>=6 floor —
@@ -236,7 +272,7 @@ func TestMeshRecoveryRandomized(t *testing.T) {
 	// seed subtest for replay.
 	targets := map[[2]int]bool{}
 	for _, seed := range seeds {
-		plan := RandomFaultPlan(seed, opt.Epochs)
+		plan := randomFaultPlan(seed, opt.Epochs)
 		targets[[2]int{
 			faultTarget(plan.KillPair, len(serial.Pairs)),
 			faultTarget(plan.RestartPair, len(serial.Pairs)),
@@ -254,7 +290,7 @@ func TestMeshRecoveryRandomized(t *testing.T) {
 			mode := mode
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, mode), func(t *testing.T) {
 				fopt := opt
-				fopt.Faults = RandomFaultPlan(seed, opt.Epochs)
+				fopt.Faults = randomFaultPlan(seed, opt.Epochs)
 				if mode == "snapshots" {
 					fopt.StateDir = t.TempDir()
 					fopt.SnapshotInterval = 2

@@ -41,9 +41,10 @@ type Progress struct {
 }
 
 // AggregateStatuses folds per-agent snapshots into the mesh-wide view.
-// It errors only if latency histograms disagree on bucket bounds —
-// impossible for agents built from this package, but watch mode feeds
-// it snapshots from remote processes.
+// It errors only if latency histograms disagree on bucket bounds or
+// carry counts that do not match them — impossible for agents built
+// from this package, but watch mode feeds it snapshots from remote
+// processes.
 func AggregateStatuses(statuses []agentd.Status) (Progress, error) {
 	var pr Progress
 	pr.Agents = len(statuses)

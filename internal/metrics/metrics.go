@@ -94,15 +94,6 @@ func FortzThorupLink(load, capv float64) float64 {
 	return cost * capv
 }
 
-// FortzThorup sums the link costs over a topology.
-func FortzThorup(load, capv []float64) float64 {
-	var sum float64
-	for i := range load {
-		sum += FortzThorupLink(load[i], capv[i])
-	}
-	return sum
-}
-
 // GainPercent returns the percentage improvement of value over baseline
 // for metrics where smaller is better: 100 * (baseline - value) /
 // baseline. A zero baseline yields zero.

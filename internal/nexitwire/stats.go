@@ -33,18 +33,6 @@ type WireStats struct {
 	CommitNanos int64
 }
 
-// Add folds another accumulation in.
-func (w *WireStats) Add(o WireStats) {
-	w.FramesSent += o.FramesSent
-	w.FramesRecv += o.FramesRecv
-	w.BytesSent += o.BytesSent
-	w.BytesRecv += o.BytesRecv
-	w.HelloNanos += o.HelloNanos
-	w.PrefsNanos += o.PrefsNanos
-	w.ProposeNanos += o.ProposeNanos
-	w.CommitNanos += o.CommitNanos
-}
-
 // phaseNanos returns the accumulator for t's protocol phase.
 func (w *WireStats) phaseNanos(t MsgType) *int64 {
 	switch t {

@@ -3,11 +3,12 @@
 //
 // For the distance metric (§5.1) the optimum decomposes per flow: each
 // flow independently uses the interconnection minimizing its end-to-end
-// distance. For the bandwidth metric (§5.2) the paper minimizes the
-// maximum increase in link load across both ISPs, allowing flows to be
-// fractionally divided among interconnections for computational
-// tractability; we formulate that LP exactly and solve it with the
-// internal simplex solver. As in the paper, the fractional optimum is an
+// distance, pairsim.(*System).BestTotal, so it needs nothing here. For
+// the bandwidth metric (§5.2) the paper minimizes the maximum increase
+// in link load across both ISPs, allowing flows to be fractionally
+// divided among interconnections for computational tractability; we
+// formulate that LP exactly and solve it with the internal simplex
+// solver. As in the paper, the fractional optimum is an
 // upper bound on the quality of any unsplittable routing.
 //
 // The LP is built as sparse rows straight from the routing tables' path
@@ -22,23 +23,6 @@ import (
 	"repro/internal/simplex"
 	"repro/internal/traffic"
 )
-
-// Distance returns the assignment that minimizes the total end-to-end
-// distance of the flows — the globally optimal routing for the §5.1
-// metric. (Each flow's optimum is independent, so this is exact.)
-func Distance(s *pairsim.System, flows []traffic.Flow) pairsim.Assignment {
-	maxID := -1
-	for _, f := range flows {
-		if f.ID > maxID {
-			maxID = f.ID
-		}
-	}
-	assign := pairsim.NewAssignment(maxID + 1)
-	for _, f := range flows {
-		assign[f.ID] = s.BestTotal(f)
-	}
-	return assign
-}
 
 // BandwidthResult is the outcome of the fractional min-max-load LP.
 type BandwidthResult struct {

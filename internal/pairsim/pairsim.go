@@ -10,7 +10,6 @@
 package pairsim
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -124,12 +123,6 @@ func (s *System) UpWeight(f traffic.Flow, k int) float64 {
 	return s.Up.Dist(f.Src, s.Pair.Interconnections[k].APoP)
 }
 
-// DownWeight returns the routing weight from interconnection k's
-// downstream PoP to the flow's destination.
-func (s *System) DownWeight(f traffic.Flow, k int) float64 {
-	return s.Down.Dist(s.Pair.Interconnections[k].BPoP, f.Dst)
-}
-
 // EarlyExit returns the interconnection the upstream picks under
 // early-exit (hot-potato) routing: the one closest to the flow's source
 // by routing weight, ties broken toward the lower interconnection index.
@@ -137,18 +130,6 @@ func (s *System) EarlyExit(f traffic.Flow) int {
 	best, bestW := -1, math.Inf(1)
 	for k := range s.Pair.Interconnections {
 		if w := s.UpWeight(f, k); w < bestW {
-			best, bestW = k, w
-		}
-	}
-	return best
-}
-
-// LateExit returns the interconnection closest to the destination by
-// routing weight — the outcome of consistently honored MEDs (Fig 1b).
-func (s *System) LateExit(f traffic.Flow) int {
-	best, bestW := -1, math.Inf(1)
-	for k := range s.Pair.Interconnections {
-		if w := s.DownWeight(f, k); w < bestW {
 			best, bestW = k, w
 		}
 	}
@@ -181,9 +162,6 @@ func NewAssignment(n int) Assignment {
 	return a
 }
 
-// Clone copies the assignment.
-func (a Assignment) Clone() Assignment { return append(Assignment(nil), a...) }
-
 // AddFlowLoad adds flow f's size to every upstream link on the path from
 // its source to interconnection k and every downstream link from the
 // interconnection to its destination. loadUp/loadDown are indexed like
@@ -207,40 +185,4 @@ func (s *System) Loads(flows []traffic.Flow, assign Assignment) (loadUp, loadDow
 		s.AddFlowLoad(loadUp, loadDown, f, k)
 	}
 	return loadUp, loadDown
-}
-
-// TotalDistance sums TotalDistKm over all assigned flows (unweighted by
-// size, as in the paper's §5.1 metric where every PoP pair contributes
-// one flow).
-func (s *System) TotalDistance(flows []traffic.Flow, assign Assignment) float64 {
-	var sum float64
-	for _, f := range flows {
-		if k := assign[f.ID]; k >= 0 {
-			sum += s.TotalDistKm(f, k)
-		}
-	}
-	return sum
-}
-
-// SplitDistance returns the distance traversed inside the upstream and
-// downstream ISPs separately, summed over assigned flows.
-func (s *System) SplitDistance(flows []traffic.Flow, assign Assignment) (up, down float64) {
-	for _, f := range flows {
-		if k := assign[f.ID]; k >= 0 {
-			up += s.UpDistKm(f, k)
-			down += s.DownDistKm(f, k)
-		}
-	}
-	return up, down
-}
-
-// Validate checks that the system's interconnection endpoints resolve.
-func (s *System) Validate() error {
-	if err := s.Pair.Validate(); err != nil {
-		return err
-	}
-	if s.Up.ISP != s.Pair.A || s.Down.ISP != s.Pair.B {
-		return fmt.Errorf("pairsim: routing tables do not match pair ISPs")
-	}
-	return nil
 }

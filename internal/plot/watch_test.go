@@ -89,3 +89,65 @@ func TestFormatProgressAndRate(t *testing.T) {
 		t.Errorf("counter-reset rate = %v, want -1", r)
 	}
 }
+
+// malformedVars is a /debug/vars document from two agents whose latency
+// snapshots share bounds, but isp002's carries one count for three
+// buckets, as a buggy or hostile peer might send.
+const malformedVars = `{
+	"agentd.isp001": {"name": "isp001", "sessions_initiated": 1, "peers": [
+		{"name": "isp002", "initiator": true, "epochs": 1,
+		 "latency": {"bounds": [1, 2], "counts": [1, 0, 0], "count": 1, "sum": 0.5}}]},
+	"agentd.isp002": {"name": "isp002", "sessions_initiated": 0, "peers": [
+		{"name": "isp001", "initiator": false, "epochs": 1,
+		 "latency": {"bounds": [1, 2], "counts": [1], "count": 1, "sum": 0.5}}]}
+}`
+
+// A malformed latency snapshot from a peer is a labelled aggregation
+// error, whichever side of the merge it lands on, never a panic.
+func TestAggregateMalformedLatency(t *testing.T) {
+	for _, doc := range []string{
+		malformedVars,
+		// The malformed snapshot first: the merge adopts it.
+		strings.NewReplacer("isp001", "isp00X", "isp002", "isp001", "isp00X", "isp002").Replace(malformedVars),
+	} {
+		statuses, err := DecodeVars([]byte(doc))
+		if err != nil || len(statuses) != 2 {
+			t.Fatalf("DecodeVars: %d statuses, %v", len(statuses), err)
+		}
+		_, err = mesh.AggregateStatuses(statuses)
+		if err == nil || !strings.Contains(err.Error(), "1 counts for 2 bounds") {
+			t.Fatalf("AggregateStatuses error %v, want the malformed histogram named", err)
+		}
+	}
+}
+
+// FuzzDecodeVars feeds arbitrary /debug/vars documents through watch
+// mode's whole path: decode, mesh-wide aggregation and the progress
+// line must return or error, never panic.
+func FuzzDecodeVars(f *testing.F) {
+	f.Add([]byte(malformedVars))
+	lat := telemetry.NewHistogram(nil)
+	lat.Observe(0.003)
+	snap := lat.Snapshot()
+	good, err := json.Marshal(map[string]any{
+		"cmdline": []string{"nexitagent"},
+		"agentd.isp001": agentd.Status{Name: "isp001", SessionsInitiated: 3,
+			Peers: []agentd.PeerStatus{{Name: "isp002", Initiator: true, Epochs: 2, Latency: &snap}}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		statuses, err := DecodeVars(data)
+		if err != nil {
+			return
+		}
+		pr, err := mesh.AggregateStatuses(statuses)
+		if err != nil {
+			return
+		}
+		_ = FormatProgress(pr, SessionRate(pr, pr, 1))
+	})
+}

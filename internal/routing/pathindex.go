@@ -23,10 +23,9 @@ import (
 // memoized on the Table (see PathIndexFor), then amortized across every
 // Prefs/Commit/Revert of every session sharing the table.
 type PathIndex struct {
-	n         int
-	endpoints []int
-	links     []int32 // concatenated per-row link paths
-	off       []int32 // row r occupies links[off[r]:off[r+1]]; len = numRows+1
+	n     int
+	links []int32 // concatenated per-row link paths
+	off   []int32 // row r occupies links[off[r]:off[r+1]]; len = numRows+1
 }
 
 // row maps (endpoint k, direction, pop) to the CSR row id. Direction 0
@@ -49,19 +48,15 @@ func (ix *PathIndex) From(k, dst int) []int32 {
 	return ix.links[ix.off[r]:ix.off[r+1]]
 }
 
-// NumEndpoints returns the size of the indexed endpoint set.
-func (ix *PathIndex) NumEndpoints() int { return len(ix.endpoints) }
-
 // buildPathIndex constructs the index for the given endpoint set.
 func (t *Table) buildPathIndex(endpoints []int) *PathIndex {
 	n := t.n
 	ix := &PathIndex{
-		n:         n,
-		endpoints: append([]int(nil), endpoints...),
-		off:       make([]int32, len(endpoints)*2*n+1),
+		n:   n,
+		off: make([]int32, len(endpoints)*2*n+1),
 	}
 	// Pass 1: count hops per row into off[r+1].
-	for k, ep := range ix.endpoints {
+	for k, ep := range endpoints {
 		parentFromEp := t.parent[ep*n:]
 		for p := 0; p < n; p++ {
 			// To-row: path p → ep uses p's parent tree.
@@ -90,7 +85,7 @@ func (t *Table) buildPathIndex(endpoints []int) *PathIndex {
 	// Pass 2: fill each row by walking the parent chain destination →
 	// source, writing backwards so the stored row is in forward path
 	// order — exactly Table.PathLinks' output.
-	for k, ep := range ix.endpoints {
+	for k, ep := range endpoints {
 		parentFromEp := t.parent[ep*n:]
 		plinkFromEp := t.plink[ep*n:]
 		for p := 0; p < n; p++ {

@@ -36,8 +36,8 @@ func TestPathIndexMatchesPathLinks(t *testing.T) {
 			endpoints[k] = rng.Intn(n)
 		}
 		ix := tab.PathIndexFor(endpoints)
-		if ix.NumEndpoints() != na {
-			t.Fatalf("trial %d: NumEndpoints = %d, want %d", trial, ix.NumEndpoints(), na)
+		if rows := len(ix.off) - 1; rows != na*2*n {
+			t.Fatalf("trial %d: %d rows, want %d", trial, rows, na*2*n)
 		}
 		for probe := 0; probe < 200; probe++ {
 			k := rng.Intn(na)

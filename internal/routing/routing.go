@@ -16,7 +16,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -198,27 +197,6 @@ func (t *Table) LengthKm(src, dst int) float64 { return t.length[src*t.n+dst] }
 // Reachable reports whether dst is reachable from src.
 func (t *Table) Reachable(src, dst int) bool { return !math.IsInf(t.dist[src*t.n+dst], 1) }
 
-// Path returns the PoP sequence of the shortest path from src to dst,
-// inclusive of both endpoints. It returns nil if dst is unreachable.
-func (t *Table) Path(src, dst int) []int {
-	if !t.Reachable(src, dst) {
-		return nil
-	}
-	parent := t.parent[src*t.n:]
-	hops := 0
-	for v := dst; v != src; v = int(parent[v]) {
-		hops++
-	}
-	out := make([]int, hops+1)
-	out[0] = src
-	i := hops
-	for v := dst; v != src; v = int(parent[v]) {
-		out[i] = v
-		i--
-	}
-	return out
-}
-
 // PathLinks returns the indices (into ISP.Links) of the links along the
 // shortest path from src to dst, in order. It returns nil for src == dst
 // or unreachable destinations.
@@ -256,11 +234,4 @@ func (t *Table) AddLoad(load []float64, src, dst int, amount float64) {
 	for v := dst; v != src; v = int(parent[v]) {
 		load[plink[v]] += amount
 	}
-}
-
-// MaxLinkRatio returns the maximum over links of load[i]/cap[i], skipping
-// links with non-positive capacity. It is the building block for the MEL
-// metric (§5.2) and delegates to metrics.MEL, the single implementation.
-func MaxLinkRatio(load, capacity []float64) float64 {
-	return metrics.MEL(load, capacity)
 }

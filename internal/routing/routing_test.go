@@ -21,6 +21,24 @@ func lineISP(n int) *topology.ISP {
 	return isp
 }
 
+// path returns the PoP sequence of the shortest path from src to dst,
+// inclusive of both endpoints, or nil if dst is unreachable: the
+// parent-chain walk PathLinks and PathIndex are checked against.
+func path(t *Table, src, dst int) []int {
+	if !t.Reachable(src, dst) {
+		return nil
+	}
+	var rev []int
+	for v := dst; v != src; v = int(t.parent[src*t.n+v]) {
+		rev = append(rev, v)
+	}
+	out := []int{src}
+	for i := len(rev) - 1; i >= 0; i-- {
+		out = append(out, rev[i])
+	}
+	return out
+}
+
 func city(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i/26)) }
 
 func TestLineDistances(t *testing.T) {
@@ -40,7 +58,7 @@ func TestLineDistances(t *testing.T) {
 
 func TestPathEndpoints(t *testing.T) {
 	tab := New(lineISP(6))
-	p := tab.Path(1, 4)
+	p := path(tab, 1, 4)
 	want := []int{1, 2, 3, 4}
 	if len(p) != len(want) {
 		t.Fatalf("Path(1,4) = %v, want %v", p, want)
@@ -50,7 +68,7 @@ func TestPathEndpoints(t *testing.T) {
 			t.Fatalf("Path(1,4) = %v, want %v", p, want)
 		}
 	}
-	if got := tab.Path(3, 3); len(got) != 1 || got[0] != 3 {
+	if got := path(tab, 3, 3); len(got) != 1 || got[0] != 3 {
 		t.Errorf("Path(3,3) = %v, want [3]", got)
 	}
 	links := tab.PathLinks(1, 4)
@@ -88,7 +106,7 @@ func TestWeightedShortestPath(t *testing.T) {
 	if got := tab.LengthKm(0, 3); got != 20 {
 		t.Errorf("LengthKm(0,3) = %v, want 20", got)
 	}
-	p := tab.Path(0, 3)
+	p := path(tab, 0, 3)
 	if len(p) != 3 || p[1] != 1 {
 		t.Errorf("Path(0,3) = %v, want [0 1 3]", p)
 	}
@@ -109,7 +127,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 	}
 	for run := 0; run < 5; run++ {
 		tab := New(isp)
-		p := tab.Path(0, 3)
+		p := path(tab, 0, 3)
 		if len(p) != 3 || p[1] != 1 {
 			t.Fatalf("run %d: Path(0,3) = %v, want [0 1 3]", run, p)
 		}
@@ -255,17 +273,6 @@ func TestAddLoadPanicsOnBadVector(t *testing.T) {
 	tab.AddLoad(make([]float64, 99), 0, 1, 1)
 }
 
-func TestMaxLinkRatio(t *testing.T) {
-	load := []float64{1, 4, 9}
-	capacity := []float64{2, 2, 0} // zero-capacity link skipped
-	if got := MaxLinkRatio(load, capacity); got != 2 {
-		t.Errorf("MaxLinkRatio = %v, want 2", got)
-	}
-	if got := MaxLinkRatio(nil, nil); got != 0 {
-		t.Errorf("MaxLinkRatio(empty) = %v, want 0", got)
-	}
-}
-
 func TestUnreachable(t *testing.T) {
 	// Build a technically invalid (disconnected) topology directly to
 	// exercise the unreachable code paths; Table does not validate.
@@ -280,7 +287,7 @@ func TestUnreachable(t *testing.T) {
 	if tab.Reachable(0, 2) {
 		t.Error("PoP 2 should be unreachable")
 	}
-	if tab.Path(0, 2) != nil || tab.PathLinks(0, 2) != nil {
+	if path(tab, 0, 2) != nil || tab.PathLinks(0, 2) != nil {
 		t.Error("paths to unreachable destinations should be nil")
 	}
 	if !math.IsInf(tab.Dist(0, 2), 1) {

@@ -106,77 +106,6 @@ func ForEachPair[P, R any](pairs []P, opt Options, fn PairFunc[P, R], reduce Red
 	return nil
 }
 
-// Indexed carries one pair's result together with its pair index, for
-// delivery over a Stream channel.
-type Indexed[R any] struct {
-	Idx int
-	Res R
-}
-
-// StreamRun is a running Stream evaluation. Results arrive on C in
-// strict pair-index order; the channel closes when the run finishes,
-// errors, or is stopped. The consumer must drain C or call Stop (both
-// are safe); Err is valid once C is closed.
-type StreamRun[R any] struct {
-	// C delivers each pair's result exactly once, in pair-index order.
-	C <-chan Indexed[R]
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	err      error
-}
-
-// Stop cancels the run: queued pairs are skipped, in-flight pairs
-// finish and are discarded, and C closes shortly after. Stopping is not
-// an error. Safe to call multiple times and concurrently with draining.
-func (s *StreamRun[R]) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-}
-
-// Err reports the run's outcome. It must only be called after C has
-// closed (the happens-before edge that makes the read safe).
-func (s *StreamRun[R]) Err() error { return s.err }
-
-// Drain stops the run, consumes any remaining results, and returns
-// Err. It is the convenient way to finish a stream after a consumer
-// loop exits early: without the implicit Stop, finishing would mean
-// evaluating every remaining pair just to discard it.
-func (s *StreamRun[R]) Drain() error {
-	s.Stop()
-	for range s.C {
-	}
-	return s.err
-}
-
-// Stream is the channel form of ForEachPair: it evaluates fn over every
-// pair on the worker pool and delivers results over a channel instead
-// of a reducer callback, retaining nothing — steady-state memory is
-// O(workers), not O(pairs). Delivery order and the determinism contract
-// are identical to ForEachPair: same per-pair RNG, results in strict
-// pair-index order, first error at the lowest pair index wins.
-//
-//	run := runner.Stream(pairs, opt, fn)
-//	for r := range run.C {
-//		... // consume r.Res; call run.Stop() to cancel early
-//	}
-//	if err := run.Err(); err != nil { ... }
-func Stream[P, R any](pairs []P, opt Options, fn PairFunc[P, R]) *StreamRun[R] {
-	ch := make(chan Indexed[R])
-	s := &StreamRun[R]{C: ch, stop: make(chan struct{})}
-	go func() {
-		s.err = ForEachPair(pairs, opt, fn, func(i int, r R) error {
-			select {
-			case ch <- Indexed[R]{Idx: i, Res: r}:
-				return nil
-			case <-s.stop:
-				return ErrStop
-			}
-		})
-		close(ch)
-	}()
-	return s
-}
-
 // ForEachIndex runs fn(i) for every i in [0, n) across workers
 // goroutines (0 = GOMAXPROCS) and waits for completion. It is the
 // cold-start sharding primitive: fn must be safe to run concurrently

@@ -154,94 +154,6 @@ func TestEmptyAndSmall(t *testing.T) {
 	}
 }
 
-// streamCollect drains a Stream run into an ordered slice.
-func streamCollect(t *testing.T, n, workers int, seed int64) []float64 {
-	t.Helper()
-	pairs := make([]int, n)
-	for i := range pairs {
-		pairs[i] = i
-	}
-	run := Stream(pairs, Options{Workers: workers, Seed: seed},
-		func(idx int, p int, rng *rand.Rand) (float64, error) {
-			return float64(idx) + rng.Float64(), nil
-		})
-	var out []float64
-	for r := range run.C {
-		if r.Idx != len(out) {
-			t.Fatalf("stream delivered idx %d out of order (want %d)", r.Idx, len(out))
-		}
-		out = append(out, r.Res)
-	}
-	if err := run.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestStreamMatchesForEachPair(t *testing.T) {
-	want := collect(t, 100, 1, 7)
-	for _, workers := range []int{1, 2, 8} {
-		got := streamCollect(t, 100, workers, 7)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: stream result[%d] = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestStreamStop(t *testing.T) {
-	pairs := make([]int, 1000)
-	var evaluated atomic.Int64
-	run := Stream(pairs, Options{Workers: 4},
-		func(idx int, p int, rng *rand.Rand) (int, error) {
-			evaluated.Add(1)
-			return idx, nil
-		})
-	got := 0
-	for range run.C {
-		got++
-		if got == 10 {
-			run.Stop()
-			run.Stop() // idempotent
-		}
-	}
-	if err := run.Drain(); err != nil {
-		t.Fatalf("stop must not surface as an error, got %v", err)
-	}
-	if got < 10 {
-		t.Fatalf("consumed %d results before stop, want >= 10", got)
-	}
-	if n := evaluated.Load(); n == 1000 {
-		t.Error("stop did not cancel queued pairs")
-	}
-}
-
-func TestStreamError(t *testing.T) {
-	pairs := make([]int, 200)
-	wantErr := errors.New("boom")
-	run := Stream(pairs, Options{Workers: 8},
-		func(idx int, p int, rng *rand.Rand) (int, error) {
-			if idx == 23 {
-				return 0, wantErr
-			}
-			return idx, nil
-		})
-	last := -1
-	for r := range run.C {
-		last = r.Idx
-	}
-	if !errors.Is(run.Err(), wantErr) {
-		t.Fatalf("err = %v, want %v", run.Err(), wantErr)
-	}
-	if last >= 23 {
-		t.Fatalf("stream delivered index %d past the failure", last)
-	}
-}
-
 // The reorder window is bounded: a slow head-of-line pair must not let
 // fast workers race ahead and park O(pairs) results in the reducer's
 // pending buffer (the pipeline's O(workers) memory contract).

@@ -51,9 +51,6 @@ func NewStore(dir string, keep int) (*Store, error) {
 	return &Store{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // fileName is the canonical snapshot file name for (peer, epoch). The
 // fixed-width epoch makes lexical order equal epoch order.
 func fileName(peer string, epoch uint64) string {

@@ -74,7 +74,7 @@ func TestStoreRetention(t *testing.T) {
 		t.Errorf("retained epochs %v, want [40 30]", epochs)
 	}
 	// No temp files left behind.
-	entries, _ := os.ReadDir(s.Dir())
+	entries, _ := os.ReadDir(s.dir)
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Errorf("stray temp file %s survived save", e.Name())

@@ -16,7 +16,7 @@ import (
 // membership in a grid cell is decided by the same float comparisons,
 // and the cumulative fraction is computed with the same operations in
 // the same order. Counts are integers, so folds are order-independent
-// and sharded runs merge into byte-identical tables.
+// and sharded runs fold into byte-identical tables.
 type GridCDF struct {
 	min, max float64
 	gridN    int
@@ -61,23 +61,6 @@ func (g *GridCDF) Add(x float64) {
 	// match CDF.At's "samples <= x" exactly.
 	g.counts[sort.SearchFloat64s(g.xs, x)]++
 	g.n++
-}
-
-// N returns the number of samples folded in.
-func (g *GridCDF) N() int64 { return g.n }
-
-// Merge folds another grid's counts in. Both grids must cover the same
-// axis; counts are integers, so merge order never changes the result.
-func (g *GridCDF) Merge(o *GridCDF) error {
-	if g.min != o.min || g.max != o.max || g.gridN != o.gridN {
-		return fmt.Errorf("stats: merging GridCDFs over different grids ([%v,%v]x%d vs [%v,%v]x%d)",
-			g.min, g.max, g.gridN, o.min, o.max, o.gridN)
-	}
-	for i := range g.counts {
-		g.counts[i] += o.counts[i]
-	}
-	g.n += o.n
-	return nil
 }
 
 // Series renders the grid as CDF curve points. The arguments must

@@ -56,9 +56,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[i]
 }
 
-// Min returns the smallest sample.
-func (c *CDF) Min() float64 { return c.Quantile(0) }
-
 // Max returns the largest sample.
 func (c *CDF) Max() float64 { return c.Quantile(1) }
 

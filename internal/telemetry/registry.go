@@ -120,10 +120,8 @@ func (r *Registry) GaugeOf(name string, labels ...Label) *Gauge {
 }
 
 // HistogramOf returns the histogram registered under (name, labels),
-// creating it with the given bounds on first use (nil bounds select
-// DefaultLatencyBuckets). Later calls ignore bounds — the first
-// registration fixes them, as merging requires.
-func (r *Registry) HistogramOf(name string, bounds []float64, labels ...Label) *Histogram {
+// creating it over DefaultLatencyBuckets on first use.
+func (r *Registry) HistogramOf(name string, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, _ := r.lookup(name, labels)
@@ -131,41 +129,9 @@ func (r *Registry) HistogramOf(name string, bounds []float64, labels ...Label) *
 		panic(fmt.Sprintf("telemetry: %s already registered as a %s", name, e.kind()))
 	}
 	if e.hist == nil {
-		e.hist = NewHistogram(bounds)
+		e.hist = NewHistogram(nil)
 	}
 	return e.hist
-}
-
-// MetricSnapshot is one metric's point-in-time value, JSON-friendly so
-// a whole registry snapshot can travel through a status endpoint.
-type MetricSnapshot struct {
-	Name   string  `json:"name"`
-	Labels []Label `json:"labels,omitempty"`
-	// Kind is "counter", "gauge", or "histogram".
-	Kind  string             `json:"kind"`
-	Value int64              `json:"value,omitempty"`
-	Hist  *HistogramSnapshot `json:"histogram,omitempty"`
-}
-
-// Snapshot captures every registered metric, sorted by name then
-// labels so output is deterministic.
-func (r *Registry) Snapshot() []MetricSnapshot {
-	entries := r.sortedEntries()
-	out := make([]MetricSnapshot, 0, len(entries))
-	for _, e := range entries {
-		m := MetricSnapshot{Name: e.name, Labels: e.labels, Kind: e.kind()}
-		switch {
-		case e.counter != nil:
-			m.Value = e.counter.Value()
-		case e.gauge != nil:
-			m.Value = e.gauge.Value()
-		case e.hist != nil:
-			s := e.hist.Snapshot()
-			m.Hist = &s
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 func (r *Registry) sortedEntries() []*entry {

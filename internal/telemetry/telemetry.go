@@ -12,7 +12,7 @@
 // Design constraints, in order:
 //
 //   - Hot-path writes are wait-free and allocation-free: Counter.Add,
-//     Gauge.Set, and Histogram.Observe are a handful of atomic
+//     Gauge.Add, and Histogram.Observe are a handful of atomic
 //     operations on pre-allocated state. Metric handles are created
 //     once (registration takes a lock and builds strings) and then
 //     written through directly — never looked up per event.
@@ -57,9 +57,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the gauge by n (negative deltas allowed).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
@@ -130,9 +127,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -168,10 +162,15 @@ type HistogramSnapshot struct {
 }
 
 // Merge folds another snapshot into this one. Both must share bounds
-// (or one side may be empty/zero, which adopts the other's bounds).
+// (or one side may be empty/zero, which adopts the other's bounds), and
+// each must carry one count per bucket: snapshots decoded from another
+// process are checked, not trusted.
 func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
 	if len(o.Counts) == 0 {
 		return nil
+	}
+	if err := o.checkShape("merged"); err != nil {
+		return err
 	}
 	if len(s.Counts) == 0 {
 		s.Bounds = o.Bounds
@@ -179,6 +178,9 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
 		s.Count = o.Count
 		s.Sum = o.Sum
 		return nil
+	}
+	if err := s.checkShape("receiving"); err != nil {
+		return err
 	}
 	if len(s.Bounds) != len(o.Bounds) {
 		return fmt.Errorf("telemetry: merging histograms with %d vs %d bounds", len(s.Bounds), len(o.Bounds))
@@ -193,6 +195,16 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
 	}
 	s.Count += o.Count
 	s.Sum += o.Sum
+	return nil
+}
+
+// checkShape reports a snapshot whose counts do not match its bounds;
+// side names it in the error.
+func (s *HistogramSnapshot) checkShape(side string) error {
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("telemetry: %s histogram has %d counts for %d bounds, want %d",
+			side, len(s.Counts), len(s.Bounds), len(s.Bounds)+1)
+	}
 	return nil
 }
 

@@ -16,7 +16,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	var g Gauge
-	g.Set(7)
+	g.Add(7)
 	g.Add(-3)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
@@ -137,8 +137,8 @@ func TestRegistryIdempotentAndKinds(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry(Label{"agent", "isp001"})
 	r.CounterOf("agentd_sessions_total").Add(3)
-	r.GaugeOf("agentd_sessions_active").Set(1)
-	h := r.HistogramOf("agentd_session_seconds", []float64{0.01, 0.1}, Label{"peer", "isp002"})
+	r.GaugeOf("agentd_sessions_active").Add(1)
+	h := r.HistogramOf("agentd_session_seconds", Label{"peer", "isp002"})
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(5)
@@ -166,14 +166,25 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestSnapshotDeterministicOrder: the exposition lists metrics sorted by
+// name, whatever order they were registered in.
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
 	r.CounterOf("z_total")
 	r.CounterOf("a_total")
-	r.HistogramOf("m_seconds", nil)
-	snap := r.Snapshot()
-	if len(snap) != 3 || snap[0].Name != "a_total" || snap[1].Name != "m_seconds" || snap[2].Name != "z_total" {
-		t.Fatalf("snapshot order: %+v", snap)
+	r.HistogramOf("m_seconds")
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			order = append(order, f[2])
+		}
+	}
+	if strings.Join(order, " ") != "a_total m_seconds z_total" {
+		t.Fatalf("exposition order %v, want a_total m_seconds z_total:\n%s", order, sb.String())
 	}
 }
 
@@ -183,7 +194,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
 	c := r.CounterOf("events_total")
-	h := r.HistogramOf("lat_seconds", nil)
+	h := r.HistogramOf("lat_seconds")
 	const writers, events = 4, 1000
 
 	stop := make(chan struct{})
@@ -255,7 +266,7 @@ func TestConcurrentObserve(t *testing.T) {
 func BenchmarkHotPath(b *testing.B) {
 	r := NewRegistry(Label{"agent", "bench"})
 	c := r.CounterOf("events_total")
-	h := r.HistogramOf("lat_seconds", nil)
+	h := r.HistogramOf("lat_seconds")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

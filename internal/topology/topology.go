@@ -11,7 +11,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/geo"
 )
@@ -31,14 +30,6 @@ type Link struct {
 	LengthKm float64 // geographic length, used by the distance metric (paper §5.1)
 }
 
-// Canonical returns the link with endpoints ordered A < B.
-func (l Link) Canonical() Link {
-	if l.A > l.B {
-		l.A, l.B = l.B, l.A
-	}
-	return l
-}
-
 // ISP is a single autonomous system at PoP granularity.
 type ISP struct {
 	Name  string
@@ -49,26 +40,6 @@ type ISP struct {
 
 // NumPoPs returns the number of PoPs.
 func (n *ISP) NumPoPs() int { return len(n.PoPs) }
-
-// PoPByCity returns the PoP located in the given city, if any.
-func (n *ISP) PoPByCity(city string) (PoP, bool) {
-	for _, p := range n.PoPs {
-		if p.City == city {
-			return p, true
-		}
-	}
-	return PoP{}, false
-}
-
-// Cities returns the sorted list of cities where the ISP has a PoP.
-func (n *ISP) Cities() []string {
-	out := make([]string, len(n.PoPs))
-	for i, p := range n.PoPs {
-		out[i] = p.City
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Adjacency returns, for each PoP, the list of (neighbor, link index)
 // pairs. The returned structure is freshly allocated.
@@ -193,21 +164,4 @@ func (n *ISP) IsMesh() bool {
 	}
 	full := np * (np - 1) / 2
 	return float64(len(n.Links)) > MeshDensityThreshold*float64(full)
-}
-
-// TotalLinkLengthKm returns the sum of geographic lengths of all links.
-func (n *ISP) TotalLinkLengthKm() float64 {
-	var sum float64
-	for _, l := range n.Links {
-		sum += l.LengthKm
-	}
-	return sum
-}
-
-// Clone returns a deep copy of the ISP.
-func (n *ISP) Clone() *ISP {
-	c := &ISP{Name: n.Name, ASN: n.ASN}
-	c.PoPs = append([]PoP(nil), n.PoPs...)
-	c.Links = append([]Link(nil), n.Links...)
-	return c
 }

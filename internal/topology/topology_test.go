@@ -83,17 +83,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestCanonical(t *testing.T) {
-	l := Link{A: 5, B: 2, Weight: 1}
-	c := l.Canonical()
-	if c.A != 2 || c.B != 5 {
-		t.Errorf("Canonical = %+v", c)
-	}
-	if already := (Link{A: 1, B: 3}).Canonical(); already.A != 1 || already.B != 3 {
-		t.Errorf("Canonical changed an already-canonical link: %+v", already)
-	}
-}
-
 func TestIsMesh(t *testing.T) {
 	n := testISP("a")
 	n.Links = n.Links[:4] // ring: 4 links on 4 PoPs, density 4/6 < 0.8
@@ -108,34 +97,6 @@ func TestIsMesh(t *testing.T) {
 		Links: []Link{{A: 0, B: 1, Weight: 1}}}
 	if tiny.IsMesh() {
 		t.Error("2-PoP ISPs are never meshes")
-	}
-}
-
-func TestPoPByCityAndCities(t *testing.T) {
-	n := testISP("a")
-	p, ok := n.PoPByCity("chicago")
-	if !ok || p.ID != 2 {
-		t.Errorf("PoPByCity(chicago) = %+v, %v", p, ok)
-	}
-	if _, ok := n.PoPByCity("miami"); ok {
-		t.Error("PoPByCity(miami) should miss")
-	}
-	cities := n.Cities()
-	want := []string{"chicago", "denver", "new york", "seattle"}
-	for i := range want {
-		if cities[i] != want[i] {
-			t.Fatalf("Cities() = %v, want %v", cities, want)
-		}
-	}
-}
-
-func TestClone(t *testing.T) {
-	n := testISP("a")
-	c := n.Clone()
-	c.PoPs[0].City = "mutated"
-	c.Links[0].Weight = 999
-	if n.PoPs[0].City == "mutated" || n.Links[0].Weight == 999 {
-		t.Error("Clone shares state with original")
 	}
 }
 
@@ -322,13 +283,5 @@ func TestCodecErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(c.input)); err == nil {
 			t.Errorf("%s: Read accepted bad input", c.name)
 		}
-	}
-}
-
-func TestTotalLinkLength(t *testing.T) {
-	n := testISP("a")
-	want := 1641.0 + 1478 + 1145 + 3870 + 2790
-	if got := n.TotalLinkLengthKm(); got != want {
-		t.Errorf("TotalLinkLengthKm = %f, want %f", got, want)
 	}
 }

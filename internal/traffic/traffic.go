@@ -61,15 +61,6 @@ type Workload struct {
 	Flows                []Flow
 }
 
-// TotalSize returns the sum of flow sizes.
-func (w *Workload) TotalSize() float64 {
-	var sum float64
-	for _, f := range w.Flows {
-		sum += f.Size
-	}
-	return sum
-}
-
 // New builds the workload for traffic flowing from upstream to
 // downstream: one flow per (src PoP, dst PoP) pair, sized by the model
 // and normalized to mean size 1. rng is only used by UniformRandom; it
@@ -125,20 +116,4 @@ func popWeights(isp *topology.ISP, model Model, rng *rand.Rand) []float64 {
 		panic(fmt.Sprintf("traffic: unknown model %d", model))
 	}
 	return w
-}
-
-// FilterImpacted returns the subset of flows whose current
-// interconnection assignment (given by assign, mapping flow ID to
-// interconnection index) equals failed. This models the paper's §5.2
-// scenario where, after an interconnection failure, only the impacted
-// flows are renegotiated — "in the interest of stability, ISPs are likely
-// to reroute only such flows."
-func FilterImpacted(flows []Flow, assign []int, failed int) []Flow {
-	var out []Flow
-	for _, f := range flows {
-		if assign[f.ID] == failed {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -78,7 +78,11 @@ func TestNormalizationMeanOne(t *testing.T) {
 	a, b := twoISPs()
 	for _, m := range []Model{Gravity, Identical, UniformRandom} {
 		w := New(a, b, m, rand.New(rand.NewSource(3)))
-		mean := w.TotalSize() / float64(len(w.Flows))
+		var total float64
+		for _, f := range w.Flows {
+			total += f.Size
+		}
+		mean := total / float64(len(w.Flows))
 		if math.Abs(mean-1) > 1e-9 {
 			t.Errorf("%v: mean flow size = %v, want 1", m, mean)
 		}
@@ -132,17 +136,5 @@ func TestModelString(t *testing.T) {
 	}
 	if Model(42).String() == "" {
 		t.Error("unknown model should still stringify")
-	}
-}
-
-func TestFilterImpacted(t *testing.T) {
-	flows := []Flow{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
-	assign := []int{1, 0, 1, 2}
-	got := FilterImpacted(flows, assign, 1)
-	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
-		t.Errorf("FilterImpacted = %+v", got)
-	}
-	if got := FilterImpacted(flows, assign, 9); len(got) != 0 {
-		t.Errorf("expected no impacted flows, got %d", len(got))
 	}
 }

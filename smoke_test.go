@@ -19,13 +19,9 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nine binaries")
 	}
-	bin := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	if out, err := exec.CommandContext(ctx, "go", "build", "-o", bin+string(filepath.Separator),
-		"./cmd/...", "./examples/...").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildMains(ctx, t, nil, nil, "./cmd/...", "./examples/...")
 	stream := filepath.Join(bin, "fig4.ndjson")
 
 	for _, c := range []struct {
@@ -69,4 +65,20 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 			t.Fatalf("%s produced no %s for the rows after it", c.name, filepath.Base(c.stdout))
 		}
 	}
+}
+
+// buildMains builds the main packages matched by pkgs into a fresh
+// temporary directory and returns it. env is appended to the go tool's
+// environment (GOARCH=arm64 cross-compiles) and flags go before the
+// packages on the go build command line.
+func buildMains(ctx context.Context, t *testing.T, env, flags []string, pkgs ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	args := append([]string{"build", "-o", bin + string(filepath.Separator)}, flags...)
+	cmd := exec.CommandContext(ctx, "go", append(args, pkgs...)...)
+	cmd.Env = append(os.Environ(), env...)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build %v %v: %v\n%s", env, flags, err, out)
+	}
+	return bin
 }
