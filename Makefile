@@ -9,8 +9,8 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and short snapshot, wire, .topo, engine, LP kernel and
-# watch-mode status fuzz bursts.
+# snapshot-based) and short snapshot, wire, .topo, engine, LP kernel,
+# watch-mode status and NDJSON fold fuzz bursts.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -22,6 +22,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/
 	go test -run '^$$' -fuzz 'FuzzDecodeVars' -fuzztime 20s ./internal/plot/
+	go test -run '^$$' -fuzz 'FuzzFoldLine' -fuzztime 20s ./internal/plot/
 
 # The one measurement path: seven named workloads, end-to-end and
 # per-layer metrics, one JSON document on stdout (bench/README.md).

@@ -58,161 +58,155 @@ func median(xs []float64) float64 {
 	return c.Median()
 }
 
-// BenchmarkFig4DistanceGain regenerates Figure 4: total and individual
-// distance gains of negotiated vs globally optimal routing.
-func BenchmarkFig4DistanceGain(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.DistanceResult
-	var err error
+// collect runs a streaming driver b.N times and returns the last run's
+// records.
+func collect[R any](b *testing.B, stream func(sink func(int, *R) error) error) []*R {
+	b.Helper()
+	var out []*R
 	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Distance(ds, distanceOpts); err != nil {
+		out = out[:0]
+		if err := stream(func(_ int, r *R) error { out = append(out, r); return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(median(res.PairGainNeg), "negotiated-median-%gain")
-	b.ReportMetric(median(res.PairGainOpt), "optimal-median-%gain")
-	b.ReportMetric(stats.NewCDF(res.IndGainNeg).Quantile(0), "negotiated-worst-ISP-%gain")
+	return out
+}
+
+// medianOf is the median of one value per record.
+func medianOf[R any](rs []*R, value func(*R) float64) float64 {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		xs[i] = value(r)
+	}
+	return median(xs)
+}
+
+type (
+	distanceRecord  = experiments.DistancePairResult
+	bandwidthRecord = experiments.BandwidthCaseResult
+	cheatRecord     = experiments.CheatPairResult
+)
+
+func distanceRecords(b *testing.B) []*distanceRecord {
+	ds := dataset(b)
+	return collect(b, func(sink func(int, *distanceRecord) error) error {
+		return experiments.DistanceStream(ds, distanceOpts, sink)
+	})
+}
+
+func bandwidthRecords(b *testing.B) []*bandwidthRecord {
+	ds := dataset(b)
+	return collect(b, func(sink func(int, *bandwidthRecord) error) error {
+		_, err := experiments.BandwidthStream(ds, bandwidthOpts, sink)
+		return err
+	})
+}
+
+// BenchmarkFig4DistanceGain regenerates Figure 4: total and individual
+// distance gains of negotiated vs globally optimal routing.
+func BenchmarkFig4DistanceGain(b *testing.B) {
+	rs := distanceRecords(b)
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainNeg }), "negotiated-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainOpt }), "optimal-median-%gain")
+	var indNeg []float64
 	losers := 0
-	for _, g := range res.IndGainOpt {
-		if g < 0 {
-			losers++
+	for _, r := range rs {
+		indNeg = append(indNeg, r.IndNegA, r.IndNegB)
+		for _, g := range []float64{r.IndOptA, r.IndOptB} {
+			if g < 0 {
+				losers++
+			}
 		}
 	}
-	b.ReportMetric(100*float64(losers)/float64(len(res.IndGainOpt)), "optimal-%ISPs-losing")
+	b.ReportMetric(stats.NewCDF(indNeg).Quantile(0), "negotiated-worst-ISP-%gain")
+	b.ReportMetric(100*float64(losers)/float64(2*len(rs)), "optimal-%ISPs-losing")
 }
 
 // BenchmarkFig5FlowLocalStrategies regenerates Figure 5: the flow-local
 // strategies that discard bad alternatives per flow.
 func BenchmarkFig5FlowLocalStrategies(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.DistanceResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Distance(ds, distanceOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.PairGainPareto), "flow-pareto-median-%gain")
-	b.ReportMetric(median(res.PairGainBothBetter), "flow-both-better-median-%gain")
-	b.ReportMetric(median(res.PairGainNeg), "negotiated-median-%gain")
+	rs := distanceRecords(b)
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainPareto }), "flow-pareto-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainBothBetter }), "flow-both-better-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainNeg }), "negotiated-median-%gain")
 }
 
 // BenchmarkFig6FlowLevel regenerates Figure 6: per-flow gains pooled
 // across pairs (7% of flows gain >20%, 1% gain >50% in the paper).
 func BenchmarkFig6FlowLevel(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.DistanceResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Distance(ds, distanceOpts); err != nil {
-			b.Fatal(err)
-		}
+	var flows []float64
+	for _, r := range distanceRecords(b) {
+		flows = append(flows, r.FlowGainNeg...)
 	}
-	neg := stats.NewCDF(res.FlowGainNeg)
-	b.ReportMetric(100*neg.FractionAbove(20), "%flows-gaining-over-20%")
-	b.ReportMetric(100*neg.FractionAbove(50), "%flows-gaining-over-50%")
+	neg := stats.NewCDF(flows)
+	b.ReportMetric(100*(1-neg.At(20)), "%flows-gaining-over-20%")
+	b.ReportMetric(100*(1-neg.At(50)), "%flows-gaining-over-50%")
 }
 
 // BenchmarkFig7BandwidthMEL regenerates Figure 7: post-failure maximum
 // excess load relative to the fractional LP optimum.
 func BenchmarkFig7BandwidthMEL(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.BandwidthResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Bandwidth(ds, bandwidthOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.UpDef), "upstream-default-median-ratio")
-	b.ReportMetric(median(res.UpNeg), "upstream-negotiated-median-ratio")
-	b.ReportMetric(median(res.DownDef), "downstream-default-median-ratio")
-	b.ReportMetric(median(res.DownNeg), "downstream-negotiated-median-ratio")
+	rs := bandwidthRecords(b)
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.UpDef }), "upstream-default-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.UpNeg }), "upstream-negotiated-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.DownDef }), "downstream-default-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.DownNeg }), "downstream-negotiated-median-ratio")
 }
 
 // BenchmarkFig8Unilateral regenerates Figure 8: the downstream's MEL
 // when the upstream optimizes unilaterally.
 func BenchmarkFig8Unilateral(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.BandwidthResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Bandwidth(ds, bandwidthOpts); err != nil {
-			b.Fatal(err)
-		}
+	var ratios []float64
+	for _, r := range bandwidthRecords(b) {
+		ratios = append(ratios, r.UnilateralDownRatio)
 	}
-	c := stats.NewCDF(res.UnilateralDownRatio)
+	c := stats.NewCDF(ratios)
 	b.ReportMetric(c.Median(), "downstream-ratio-median")
-	b.ReportMetric(100*c.FractionAbove(2), "%cases-downstream-doubles")
+	b.ReportMetric(100*(1-c.At(2)), "%cases-downstream-doubles")
 }
 
 // BenchmarkFig9DiverseCriteria regenerates Figure 9: upstream bandwidth
-// vs downstream distance objectives.
+// vs downstream distance objectives. The diverse default is the
+// default baseline, UpDef.
 func BenchmarkFig9DiverseCriteria(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.BandwidthResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Bandwidth(ds, bandwidthOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.DiverseUpNeg), "upstream-negotiated-median-ratio")
-	b.ReportMetric(median(res.DiverseUpDef), "upstream-default-median-ratio")
-	b.ReportMetric(median(res.DiverseDownGain), "downstream-median-%gain")
+	rs := bandwidthRecords(b)
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.DiverseUpNeg }), "upstream-negotiated-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.UpDef }), "upstream-default-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.DiverseDownGain }), "downstream-median-%gain")
 }
 
 // BenchmarkFig10CheatDistance regenerates Figure 10: the impact of one
 // ISP lying about its distance preferences.
 func BenchmarkFig10CheatDistance(b *testing.B) {
 	ds := dataset(b)
-	var res *experiments.DistanceCheatResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.DistanceCheat(ds, distanceOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.TotalTruthful), "truthful-total-median-%gain")
-	b.ReportMetric(median(res.TotalCheat), "cheater-total-median-%gain")
-	b.ReportMetric(median(res.IndCheater), "cheater-individual-median-%gain")
-	b.ReportMetric(median(res.IndVictim), "victim-individual-median-%gain")
+	rs := collect(b, func(sink func(int, *cheatRecord) error) error {
+		return experiments.DistanceCheatStream(ds, distanceOpts, sink)
+	})
+	b.ReportMetric(medianOf(rs, func(r *cheatRecord) float64 { return r.TotalTruthful }), "truthful-total-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *cheatRecord) float64 { return r.TotalCheat }), "cheater-total-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *cheatRecord) float64 { return r.IndCheater }), "cheater-individual-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *cheatRecord) float64 { return r.IndVictim }), "victim-individual-median-%gain")
 }
 
 // BenchmarkFig11CheatBandwidth regenerates Figure 11: the upstream
 // cheats in the bandwidth experiment.
 func BenchmarkFig11CheatBandwidth(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.BandwidthResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Bandwidth(ds, bandwidthOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.UpNeg), "truthful-upstream-median-ratio")
-	b.ReportMetric(median(res.CheatUpNeg), "cheater-upstream-median-ratio")
-	b.ReportMetric(median(res.DownNeg), "truthful-downstream-median-ratio")
-	b.ReportMetric(median(res.CheatDownNeg), "cheated-downstream-median-ratio")
+	rs := bandwidthRecords(b)
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.UpNeg }), "truthful-upstream-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.CheatUp }), "cheater-upstream-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.DownNeg }), "truthful-downstream-median-ratio")
+	b.ReportMetric(medianOf(rs, func(r *bandwidthRecord) float64 { return r.CheatDown }), "cheated-downstream-median-ratio")
 }
 
 // BenchmarkExtraGainVsInterconnections regenerates the §5.1 textual
 // analysis: ISPs with more interconnections gain more.
 func BenchmarkExtraGainVsInterconnections(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.DistanceResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Distance(ds, distanceOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
 	var few, many []float64
-	for k, gains := range res.GainVsInterconnections {
-		if k <= 3 {
-			few = append(few, gains...)
+	for _, r := range distanceRecords(b) {
+		if r.Interconnections <= 3 {
+			few = append(few, r.GainNeg)
 		} else {
-			many = append(many, gains...)
+			many = append(many, r.GainNeg)
 		}
 	}
 	b.ReportMetric(median(few), "median-%gain-(<=3-ix)")
@@ -222,30 +216,16 @@ func BenchmarkExtraGainVsInterconnections(b *testing.B) {
 // BenchmarkExtraFlowFraction regenerates the §5.1/§5.2 textual claim
 // that only ~20% of flows need non-default routing.
 func BenchmarkExtraFlowFraction(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.DistanceResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Distance(ds, distanceOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*median(res.NonDefaultFraction), "%flows-moved-median")
+	rs := distanceRecords(b)
+	b.ReportMetric(100*medianOf(rs, func(r *distanceRecord) float64 { return r.NonDefaultFraction }), "%flows-moved-median")
 }
 
 // BenchmarkExtraGroupNegotiation regenerates the §5.1 group ablation:
 // negotiating within separate groups loses part of the benefit.
 func BenchmarkExtraGroupNegotiation(b *testing.B) {
-	ds := dataset(b)
-	var res *experiments.DistanceResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Distance(ds, distanceOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.PairGainNeg), "whole-table-median-%gain")
-	b.ReportMetric(median(res.GroupGain4), "4-groups-median-%gain")
+	rs := distanceRecords(b)
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainNeg }), "whole-table-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *distanceRecord) float64 { return r.GainGroup4 }), "4-groups-median-%gain")
 }
 
 // BenchmarkExtraPreferenceRange regenerates the §5 textual claim that

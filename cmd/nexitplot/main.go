@@ -3,12 +3,13 @@
 // and watches a running mesh live.
 //
 // Fold mode (the default) reads NDJSON from the named files (or stdin
-// when none are given), folds every record through constant-memory
-// online CDFs, and prints the figure sections for the experiments the
-// input carries — byte-identical to `nexitsim` figure mode for the
-// same run while the per-curve digests are uncompacted. Passing
-// several files merges shards of one run: the fold is
-// order-independent, so
+// when none are given), folds every record through the constant-memory
+// internal/plot fold, and prints the figure sections for the
+// experiments the input carries. nexitsim's figure mode renders
+// through the same fold with exact curves, so the two print the same
+// tables at any scale and the same summary lines while a curve holds
+// at most 4096 samples. Passing several files merges shards of one
+// run: the fold is order-independent, so
 //
 //	nexitsim -stream -out full.ndjson
 //	nexitplot full.ndjson
@@ -77,7 +78,7 @@ func main() {
 	if fold.Unknown > 0 {
 		fmt.Fprintf(os.Stderr, "nexitplot: skipped %d records of unknown experiments\n", fold.Unknown)
 	}
-	if err := fold.Render(os.Stdout); err != nil {
+	if err := fold.Render(os.Stdout, "all"); err != nil {
 		fatal(err)
 	}
 }

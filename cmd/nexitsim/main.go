@@ -11,7 +11,12 @@
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each printed block corresponds to one figure panel of the paper; the
-// x-grid matches the paper's axes.
+// x-grid matches the paper's axes. Figure mode folds the records the
+// streaming drivers deliver through internal/plot's renderer, the one
+// nexitplot uses, with curves that keep every sample — so its summary
+// lines are exact at any scale, and nexitplot over this binary's
+// -stream output prints the same Figure 4–11 sections while no curve
+// exceeds its digest's 4096-point sketch.
 //
 // With -stream (or -out), nexitsim switches to the streaming pipeline
 // (DESIGN.md §8): per-pair / per-failure-case results are emitted
@@ -38,6 +43,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/gen"
+	"repro/internal/plot"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -143,139 +149,55 @@ func main() {
 		return
 	}
 
-	needDistance := has(*fig, "all", "4", "5", "6", "extras")
-	needBandwidth := has(*fig, "all", "7", "8", "9", "11")
-	needCheatDist := has(*fig, "all", "10")
-
-	var dres *experiments.DistanceResult
-	var bres *experiments.BandwidthResult
-	var cres *experiments.DistanceCheatResult
-
-	if needDistance {
-		if dres, err = experiments.Distance(ds, opt); err != nil {
-			fatal(err)
-		}
-	}
-	if needBandwidth {
-		if bres, err = experiments.Bandwidth(ds, bopt); err != nil {
-			fatal(err)
-		}
-	}
-	if needCheatDist {
-		if cres, err = experiments.DistanceCheat(ds, opt); err != nil {
-			fatal(err)
-		}
-	}
-
-	n := *points
-	if has(*fig, "all", "4") {
-		section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
-		fmt.Printf("pairs: %d\n", dres.Pairs)
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(dres.PairGainNeg),
-			"optimal":    stats.NewCDF(dres.PairGainOpt),
-		}, []string{"negotiated", "optimal"})
-
-		section("Figure 4b — distance: individual ISP gain (CDF of ISPs)")
-		printSeries("% gain", -20, 40, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(dres.IndGainNeg),
-			"optimal":    stats.NewCDF(dres.IndGainOpt),
-		}, []string{"negotiated", "optimal"})
-		losers := 0
-		for _, g := range dres.IndGainOpt {
-			if g < 0 {
-				losers++
+	// Figure mode folds the same records the streaming mode emits
+	// through the renderer nexitplot uses, with exact curves.
+	fold := plot.NewExactFold(*points)
+	var extras *distanceExtras
+	if has(*fig, "all", "4", "5", "6", "extras") {
+		sink := fold.AddDistance
+		if has(*fig, "all", "extras") {
+			extras = &distanceExtras{byIx: map[int][]float64{}}
+			sink = func(idx int, r *experiments.DistancePairResult) error {
+				extras.add(r)
+				return fold.AddDistance(idx, r)
 			}
 		}
-		fmt.Printf("ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
-			losers, len(dres.IndGainOpt))
+		if err := experiments.DistanceStream(ds, opt, sink); err != nil {
+			fatal(err)
+		}
 	}
-	if has(*fig, "all", "5") {
-		section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"flow-both-better": stats.NewCDF(dres.PairGainBothBetter),
-			"flow-Pareto":      stats.NewCDF(dres.PairGainPareto),
-		}, []string{"flow-both-better", "flow-Pareto"})
-	}
-	if has(*fig, "all", "6") {
-		section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
-		printSeries("% gain", 0, 60, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(dres.FlowGainNeg),
-			"optimal":    stats.NewCDF(dres.FlowGainOpt),
-		}, []string{"negotiated", "optimal"})
-		neg := stats.NewCDF(dres.FlowGainNeg)
-		fmt.Printf("flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
-			100*neg.FractionAbove(20), 100*neg.FractionAbove(50))
-	}
-	if has(*fig, "all", "7") {
-		section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
-		fmt.Printf("failure cases: %d\n", bres.FailureCases)
-		fmt.Println("upstream ISP:")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.UpNeg),
-			"default":    stats.NewCDF(bres.UpDef),
-		}, []string{"negotiated", "default"})
-		fmt.Println("downstream ISP:")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.DownNeg),
-			"default":    stats.NewCDF(bres.DownDef),
-		}, []string{"negotiated", "default"})
-	}
-	if has(*fig, "all", "8") {
-		section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
-		printSeries("load ratio", 1, 6, n, map[string]*stats.CDF{
-			"upstream-optimized": stats.NewCDF(bres.UnilateralDownRatio),
-		}, []string{"upstream-optimized"})
-		hurt := stats.NewCDF(bres.UnilateralDownRatio).FractionAbove(2)
-		fmt.Printf("cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n", 100*hurt)
-	}
-	if has(*fig, "all", "9") {
-		section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
-		fmt.Println("upstream ISP (MEL ratio to optimal):")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.DiverseUpNeg),
-			"default":    stats.NewCDF(bres.DiverseUpDef),
-		}, []string{"negotiated", "default"})
-		fmt.Println("downstream ISP (distance gain over default):")
-		printSeries("% gain", 0, 80, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.DiverseDownGain),
-		}, []string{"negotiated"})
+	if has(*fig, "all", "7", "8", "9", "11") {
+		if _, err := experiments.BandwidthStream(ds, bopt, fold.AddBandwidth); err != nil {
+			fatal(err)
+		}
 	}
 	if has(*fig, "all", "10") {
-		section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
-		fmt.Printf("pairs: %d\n", cres.Pairs)
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(cres.TotalTruthful),
-			"one cheater":   stats.NewCDF(cres.TotalCheat),
-		}, []string{"both truthful", "one cheater"})
-		section("Figure 10b — cheating (distance): individual gain (CDF of ISPs)")
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(cres.IndTruthful),
-			"cheater":       stats.NewCDF(cres.IndCheater),
-			"truthful":      stats.NewCDF(cres.IndVictim),
-		}, []string{"both truthful", "cheater", "truthful"})
-		delta := stats.NewCDF(cres.CheaterDelta)
-		fmt.Printf("paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-			delta.Mean(), 100*delta.At(-1e-9))
+		if err := experiments.DistanceCheatStream(ds, opt, fold.AddCheat); err != nil {
+			fatal(err)
+		}
 	}
-	if has(*fig, "all", "11") {
-		section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
-		fmt.Println("upstream ISP (the cheater):")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(bres.UpNeg),
-			"one cheater":   stats.NewCDF(bres.CheatUpNeg),
-			"default":       stats.NewCDF(bres.UpDef),
-		}, []string{"both truthful", "one cheater", "default"})
-		fmt.Println("downstream ISP (truthful):")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(bres.DownNeg),
-			"one cheater":   stats.NewCDF(bres.CheatDownNeg),
-			"default":       stats.NewCDF(bres.DownDef),
-		}, []string{"both truthful", "one cheater", "default"})
+	if err := fold.Render(os.Stdout, *fig); err != nil {
+		fatal(err)
 	}
-	if has(*fig, "all", "extras") {
-		printExtras(ds, dres, opt, bopt)
+	if extras != nil {
+		printExtras(ds, extras, opt, bopt)
 	}
+}
+
+// distanceExtras collects the distance records' samples the §5.1 text
+// analyses summarize.
+type distanceExtras struct {
+	byIx       map[int][]float64 // negotiated total gain by interconnection count
+	nonDefault []float64
+	whole      []float64 // negotiated total gain, whole table
+	group4     []float64
+}
+
+func (e *distanceExtras) add(r *experiments.DistancePairResult) {
+	e.byIx[r.Interconnections] = append(e.byIx[r.Interconnections], r.GainNeg)
+	e.nonDefault = append(e.nonDefault, r.NonDefaultFraction)
+	e.whole = append(e.whole, r.GainNeg)
+	e.group4 = append(e.group4, r.GainGroup4)
 }
 
 // extrasFractions is the §6 scalability sweep both extras modes run.
@@ -306,24 +228,23 @@ func extrasOptions(opt experiments.Options, bopt experiments.BandwidthOptions) (
 
 // printExtras reproduces the analyses the paper describes in text but
 // omits from figures for space.
-func printExtras(ds *experiments.Dataset, dres *experiments.DistanceResult, opt experiments.Options, bopt experiments.BandwidthOptions) {
+func printExtras(ds *experiments.Dataset, dist *distanceExtras, opt experiments.Options, bopt experiments.BandwidthOptions) {
 	section("Extra — negotiated gain vs number of interconnections (§5.1 text)")
 	var counts []int
-	for k := range dres.GainVsInterconnections {
+	for k := range dist.byIx {
 		counts = append(counts, k)
 	}
 	sort.Ints(counts)
 	for _, k := range counts {
-		c := stats.NewCDF(dres.GainVsInterconnections[k])
-		fmt.Printf("  %2d interconnections: %s\n", k, stats.Summary(c))
+		fmt.Printf("  %2d interconnections: %s\n", k, stats.Summary(stats.NewCDF(dist.byIx[k])))
 	}
 
 	section("Extra — fraction of flows moved off the default (§5.1 text, ~20%)")
-	fmt.Printf("  %s\n", stats.Summary(stats.NewCDF(dres.NonDefaultFraction)))
+	fmt.Printf("  %s\n", stats.Summary(stats.NewCDF(dist.nonDefault)))
 
 	section("Extra — negotiating in 4 separate groups (§5.1 text)")
-	fmt.Printf("  whole table: %s\n", stats.Summary(stats.NewCDF(dres.PairGainNeg)))
-	fmt.Printf("  4 groups:    %s\n", stats.Summary(stats.NewCDF(dres.GroupGain4)))
+	fmt.Printf("  whole table: %s\n", stats.Summary(stats.NewCDF(dist.whole)))
+	fmt.Printf("  4 groups:    %s\n", stats.Summary(stats.NewCDF(dist.group4)))
 
 	section("Extra — preference range ablation (§5 text: beyond [-10,10] no gain)")
 	bounds := []int{1, 2, 3, 5, 10, 20, 50}
@@ -554,13 +475,6 @@ func has(v string, options ...string) bool {
 
 func section(title string) {
 	fmt.Printf("\n=== %s ===\n", title)
-}
-
-func printSeries(xLabel string, min, max float64, n int, curves map[string]*stats.CDF, order []string) {
-	fmt.Print(stats.FormatSeries(xLabel, min, max, n, curves, order))
-	for _, name := range order {
-		fmt.Printf("  %s: %s\n", name, stats.Summary(curves[name]))
-	}
 }
 
 func fatal(err error) {

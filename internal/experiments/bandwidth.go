@@ -30,29 +30,6 @@ type BandwidthOptions struct {
 	UseFortzThorup bool
 }
 
-// BandwidthResult aggregates samples for Figures 7, 8, 9 and 11. Each
-// sample corresponds to one hypothesized interconnection failure.
-type BandwidthResult struct {
-	// Figure 7: MEL relative to the MEL of optimal routing.
-	UpDef, UpNeg     []float64 // upstream ISP panel
-	DownDef, DownNeg []float64 // downstream ISP panel
-	// Figure 8: downstream MEL under unilateral upstream optimization
-	// relative to downstream MEL under default routing.
-	UnilateralDownRatio []float64
-	// Figure 9: diverse criteria — upstream optimizes bandwidth,
-	// downstream distance.
-	DiverseUpDef, DiverseUpNeg []float64 // MEL ratio to optimal
-	DiverseDownGain            []float64 // downstream distance gain % over default
-	// Figure 11: the upstream ISP cheats (bandwidth experiment).
-	CheatUpNeg, CheatDownNeg []float64 // MEL ratios with one cheater
-	// FailureCases is the number of (pair, failed interconnection)
-	// observations processed.
-	FailureCases int
-	// NegotiatedNonDefault is the fraction of impacted flows negotiation
-	// moved off the post-failure default, per failure case.
-	NegotiatedNonDefault []float64
-}
-
 // failureCase holds the state of one (pair, failed interconnection)
 // scenario: survivor system, impacted flows re-indexed densely, fixed
 // loads from unaffected traffic, and capacities.
@@ -205,11 +182,13 @@ type BandwidthCaseResult struct {
 	CheatDown float64 `json:"cheat_down"`
 }
 
-// BandwidthStream runs the §5.2 failure experiments, delivering each
-// failure case's result to sink strictly in (pair, interconnection)
-// order without retaining it — the constant-memory form of Bandwidth.
-// sink may return runner.ErrStop to cancel the remaining cases without
-// error. Returns the number of cases delivered.
+// BandwidthStream runs the §5.2 failure experiments (Figures 7, 8, 9,
+// 11), delivering each failure case's result to sink strictly in (pair,
+// interconnection) order without retaining it. sink may return
+// runner.ErrStop to cancel the remaining cases without error. Failure
+// cases are evaluated concurrently per pair (Options.Workers) with
+// results identical for every worker count. Returns the number of cases
+// delivered.
 func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *BandwidthCaseResult) error) (int, error) {
 	opt.Options = opt.Options.withDefaults()
 	cfg := nexit.DefaultBandwidthConfig()
@@ -285,31 +264,4 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 			return out, nil
 		},
 		sink)
-}
-
-// Bandwidth runs the §5.2 failure experiments (Figures 7, 8, 9, 11) and
-// collects the figures' sample sets — a fold over BandwidthStream.
-// Failure cases are evaluated concurrently per pair (Options.Workers)
-// with identical results for every worker count.
-func Bandwidth(ds *Dataset, opt BandwidthOptions) (*BandwidthResult, error) {
-	res := &BandwidthResult{}
-	cases, err := BandwidthStream(ds, opt, func(_ int, o *BandwidthCaseResult) error {
-		res.UpDef = append(res.UpDef, o.UpDef)
-		res.UpNeg = append(res.UpNeg, o.UpNeg)
-		res.DownDef = append(res.DownDef, o.DownDef)
-		res.DownNeg = append(res.DownNeg, o.DownNeg)
-		res.NegotiatedNonDefault = append(res.NegotiatedNonDefault, o.NonDefault)
-		res.UnilateralDownRatio = append(res.UnilateralDownRatio, o.UnilateralDownRatio)
-		res.DiverseUpDef = append(res.DiverseUpDef, o.UpDef) // diverse default == default baseline
-		res.DiverseUpNeg = append(res.DiverseUpNeg, o.DiverseUpNeg)
-		res.DiverseDownGain = append(res.DiverseDownGain, o.DiverseDownGain)
-		res.CheatUpNeg = append(res.CheatUpNeg, o.CheatUp)
-		res.CheatDownNeg = append(res.CheatDownNeg, o.CheatDown)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.FailureCases = cases
-	return res, nil
 }

@@ -104,24 +104,16 @@ func TestDriversLeaveSharedListsUntouched(t *testing.T) {
 	dist := append([]*topology.Pair(nil), ds.DistancePairs()...)
 	bw := append([]*topology.Pair(nil), ds.BandwidthPairs()...)
 
-	distance := func() *DistanceResult {
-		res, err := Distance(ds, Options{MaxPairs: 8, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	distance := func() []*DistancePairResult {
+		return distanceRecords(t, ds, Options{MaxPairs: 8, Seed: 5})
 	}
 	bandwidth := func() []*BandwidthCaseResult {
-		opt := BandwidthOptions{Options: Options{MaxPairs: 3, Seed: 5}, Workload: traffic.Gravity, MaxFailures: 9}
-		return streamRecords(t, func(sink func(int, *BandwidthCaseResult) error) error {
-			_, err := BandwidthStream(ds, opt, sink)
-			return err
-		})
+		return bandwidthRecords(t, ds, BandwidthOptions{Options: Options{MaxPairs: 3, Seed: 5}, Workload: traffic.Gravity, MaxFailures: 9})
 	}
 	d1, b1 := distance(), bandwidth()
 	d2, b2 := distance(), bandwidth()
 	if !reflect.DeepEqual(d1, d2) {
-		t.Error("Distance run twice on one Dataset gives different results")
+		t.Error("DistanceStream run twice on one Dataset gives different records")
 	}
 	if !reflect.DeepEqual(b1, b2) {
 		t.Error("BandwidthStream run twice on one Dataset gives different records")
@@ -234,9 +226,7 @@ func TestLargeUniverse(t *testing.T) {
 	}
 	records := func(workers int) []*DistancePairResult {
 		opt := Options{MaxPairs: 6, Seed: 1, Workers: workers}
-		return streamRecords(t, func(sink func(int, *DistancePairResult) error) error {
-			return DistanceStream(ds, opt, sink)
-		})
+		return distanceRecords(t, ds, opt)
 	}
 	serial, parallel := records(1), records(4)
 	if len(serial) != 6 {

@@ -12,35 +12,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// DistanceResult aggregates every sample the distance experiments plot
-// (Figures 4, 5, 6 and the §5.1 textual analyses).
-type DistanceResult struct {
-	// Figure 4a: percentage reduction in total (both-ISP) distance
-	// relative to default routing, one sample per ISP pair.
-	PairGainNeg, PairGainOpt []float64
-	// Figure 4b: per-ISP distance gain, two samples per pair. Under the
-	// global optimum individual ISPs can lose (negative gain); under
-	// negotiation they should not.
-	IndGainNeg, IndGainOpt []float64
-	// Figure 5: total gain of the flow-local strategies.
-	PairGainPareto, PairGainBothBetter []float64
-	// Figure 6: per-flow distance gain, pooled across all pairs.
-	FlowGainNeg, FlowGainOpt []float64
-	// GainVsInterconnections buckets pair total negotiated gain by the
-	// pair's interconnection count (§5.1: "ISPs with more
-	// interconnections gain more through negotiation").
-	GainVsInterconnections map[int][]float64
-	// NonDefaultFraction is, per pair, the fraction of flows negotiation
-	// moved off their default path (§5.1: "only a fraction of flows —
-	// roughly 20% — need to be non-default routed").
-	NonDefaultFraction []float64
-	// GroupGain4 is the total gain when negotiating in 4 separate groups
-	// (§5.1 ablation).
-	GroupGain4 []float64
-	// Pairs is the number of ISP pairs processed.
-	Pairs int
-}
-
 // pairSetup holds the per-pair state shared by distance experiments.
 type pairSetup struct {
 	s        *pairsim.System
@@ -122,11 +93,12 @@ type DistancePairResult struct {
 	NonDefaultFraction float64 `json:"non_default_fraction"`
 }
 
-// DistanceStream runs the §5.1 experiments, delivering each pair's
-// result to sink strictly in pair order without retaining it — the
-// constant-memory form of Distance. sink may return runner.ErrStop to
-// cancel the remaining pairs without error. Results are identical for
-// every worker count, pair by pair.
+// DistanceStream runs the §5.1 experiments (Figures 4, 5, 6 and the
+// text analyses), delivering each pair's result to sink strictly in
+// pair order without retaining it. sink may return runner.ErrStop to
+// cancel the remaining pairs without error. Pairs are evaluated
+// concurrently (Options.Workers) with results identical for every
+// worker count, pair by pair.
 func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePairResult) error) error {
 	opt = opt.withDefaults()
 	pairs := selectPairs(ds.DistancePairs(), opt)
@@ -214,51 +186,6 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 		sink)
 }
 
-// Distance runs the §5.1 experiments (Figures 4, 5, 6 and text
-// analyses) over the dataset and collects the figures' sample sets. It
-// is a fold over DistanceStream — the streaming path is the only
-// evaluation path, so batch and streaming results agree pair by pair by
-// construction (and the parity tests pin it). Pairs are evaluated
-// concurrently (Options.Workers) with identical results for every
-// worker count.
-func Distance(ds *Dataset, opt Options) (*DistanceResult, error) {
-	res := &DistanceResult{GainVsInterconnections: map[int][]float64{}}
-	err := DistanceStream(ds, opt, func(_ int, o *DistancePairResult) error {
-		res.PairGainOpt = append(res.PairGainOpt, o.GainOpt)
-		res.PairGainNeg = append(res.PairGainNeg, o.GainNeg)
-		res.PairGainPareto = append(res.PairGainPareto, o.GainPareto)
-		res.PairGainBothBetter = append(res.PairGainBothBetter, o.GainBothBetter)
-		res.GroupGain4 = append(res.GroupGain4, o.GainGroup4)
-		res.IndGainOpt = append(res.IndGainOpt, o.IndOptA, o.IndOptB)
-		res.IndGainNeg = append(res.IndGainNeg, o.IndNegA, o.IndNegB)
-		res.GainVsInterconnections[o.Interconnections] = append(
-			res.GainVsInterconnections[o.Interconnections], o.GainNeg)
-		res.FlowGainNeg = append(res.FlowGainNeg, o.FlowGainNeg...)
-		res.FlowGainOpt = append(res.FlowGainOpt, o.FlowGainOpt...)
-		res.NonDefaultFraction = append(res.NonDefaultFraction, o.NonDefaultFraction)
-		res.Pairs++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// DistanceCheatResult aggregates the Figure 10 samples.
-type DistanceCheatResult struct {
-	// Total gain across both ISPs: both truthful vs one cheater.
-	TotalTruthful, TotalCheat []float64
-	// Individual gains: with both truthful (pooled over both ISPs), the
-	// cheater's gain, and the truthful victim's gain.
-	IndTruthful, IndCheater, IndVictim []float64
-	// CheaterDelta is the paired comparison the paper's conclusion rests
-	// on: per pair, the cheating ISP's gain minus the gain the same ISP
-	// obtains when truthful. Negative values mean cheating backfired.
-	CheaterDelta []float64
-	Pairs        int
-}
-
 // CheatPairResult is one ISP pair's streamed contribution to the §5.4
 // distance-cheating experiment (Figure 10).
 type CheatPairResult struct {
@@ -322,26 +249,6 @@ func DistanceCheatStream(ds *Dataset, opt Options, sink func(idx int, r *CheatPa
 		sink)
 }
 
-// DistanceCheat runs the §5.4 distance experiment and collects the
-// Figure 10 sample sets — a fold over DistanceCheatStream.
-func DistanceCheat(ds *Dataset, opt Options) (*DistanceCheatResult, error) {
-	res := &DistanceCheatResult{}
-	err := DistanceCheatStream(ds, opt, func(_ int, o *CheatPairResult) error {
-		res.TotalTruthful = append(res.TotalTruthful, o.TotalTruthful)
-		res.TotalCheat = append(res.TotalCheat, o.TotalCheat)
-		res.IndTruthful = append(res.IndTruthful, o.IndTruthfulA, o.IndTruthfulB)
-		res.IndCheater = append(res.IndCheater, o.IndCheater)
-		res.IndVictim = append(res.IndVictim, o.IndVictim)
-		res.CheaterDelta = append(res.CheaterDelta, o.CheaterDelta)
-		res.Pairs++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // PreferenceRangeAblation reruns the negotiated distance experiment for
 // several preference bounds P and returns median total gain per P — the
 // paper's observation that "increasing the range [beyond -10,10] does
@@ -352,11 +259,14 @@ func PreferenceRangeAblation(ds *Dataset, opt Options, bounds []int) (map[int]fl
 	for _, p := range bounds {
 		o := opt
 		o.PrefBound = p
-		r, err := Distance(ds, o)
+		var sorted []float64
+		err := DistanceStream(ds, o, func(_ int, r *DistancePairResult) error {
+			sorted = append(sorted, r.GainNeg)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		sorted := append([]float64(nil), r.PairGainNeg...)
 		sort.Float64s(sorted)
 		if len(sorted) > 0 {
 			out[p] = sorted[len(sorted)/2]

@@ -11,27 +11,12 @@ import (
 // byte-identical results regardless of worker count, because each pair
 // draws from its own (Seed, pair index)-derived RNG and results are
 // reduced in pair order. These tests pin that contract for the drivers
-// named in the roadmap (run them under -race to also exercise the
-// concurrent TableCache).
+// that fold their stream into a result (run them under -race to also
+// exercise the concurrent TableCache); the streaming drivers' records
+// are pinned in stream_test.go.
 
 func parityOpts(workers int) Options {
 	return Options{MaxPairs: 10, Seed: 5, Workers: workers}
-}
-
-func TestDistanceParity(t *testing.T) {
-	ds := smallDataset(t)
-	serial, err := Distance(ds, parityOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Distance(ds, parityOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("Distance results differ between Workers=1 and Workers=8:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
 }
 
 func TestScalabilityParity(t *testing.T) {
@@ -48,41 +33,6 @@ func TestScalabilityParity(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("Scalability results differ between Workers=1 and Workers=8:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)
-	}
-}
-
-func TestBandwidthParity(t *testing.T) {
-	ds := smallDataset(t)
-	run := func(workers int) *BandwidthResult {
-		res, err := Bandwidth(ds, BandwidthOptions{
-			Options:     Options{MaxPairs: 4, Seed: 5, Workers: workers},
-			Workload:    traffic.Gravity,
-			MaxFailures: 12, // exercise the early-stop path under contention
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("Bandwidth results differ between Workers=1 and Workers=8:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-}
-
-func TestDistanceCheatParity(t *testing.T) {
-	ds := smallDataset(t)
-	serial, err := DistanceCheat(ds, parityOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := DistanceCheat(ds, parityOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("DistanceCheat results differ between Workers=1 and Workers=8")
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 
 // The streaming pipeline's contract (DESIGN.md §8): every driver's
 // streamed records are identical pair-by-pair for every worker count
-// (serial == parallel == streaming), the batch driver is a pure fold of
-// the stream, and the stream retains nothing — steady-state memory is
-// O(workers), not O(pairs).
+// (serial == parallel), and the stream retains nothing — steady-state
+// memory is O(workers), not O(pairs).
 
 // streamRecords collects a streaming driver's records via a generic
-// sink, checking the idx sequence is dense and ordered.
+// sink, checking the idx sequence is dense and ordered and that the
+// stream delivered something.
 func streamRecords[R any](t *testing.T, stream func(sink func(int, *R) error) error) []*R {
 	t.Helper()
 	var out []*R
@@ -34,20 +34,40 @@ func streamRecords[R any](t *testing.T, stream func(sink func(int, *R) error) er
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(out) == 0 {
+		t.Fatal("no records streamed")
+	}
 	return out
 }
 
+func distanceRecords(t *testing.T, ds *Dataset, opt Options) []*DistancePairResult {
+	t.Helper()
+	return streamRecords(t, func(sink func(int, *DistancePairResult) error) error {
+		return DistanceStream(ds, opt, sink)
+	})
+}
+
+func cheatRecords(t *testing.T, ds *Dataset, opt Options) []*CheatPairResult {
+	t.Helper()
+	return streamRecords(t, func(sink func(int, *CheatPairResult) error) error {
+		return DistanceCheatStream(ds, opt, sink)
+	})
+}
+
+func bandwidthRecords(t *testing.T, ds *Dataset, opt BandwidthOptions) []*BandwidthCaseResult {
+	t.Helper()
+	return streamRecords(t, func(sink func(int, *BandwidthCaseResult) error) error {
+		_, err := BandwidthStream(ds, opt, sink)
+		return err
+	})
+}
+
 // assertStreamParity pins records identical between the serial path
-// and one contended parallel run. (The batch parity tests already
-// exercise the same streaming core at a second worker count — every
-// batch driver is a fold of its stream — so one pairing here keeps the
-// -race bill bounded.)
+// and one contended parallel run; one pairing keeps the -race bill
+// bounded.
 func assertStreamParity[R any](t *testing.T, name string, run func(workers int) []*R) {
 	t.Helper()
 	serial := run(1)
-	if len(serial) == 0 {
-		t.Fatalf("%s: no records streamed", name)
-	}
 	parallel := run(8)
 	if len(parallel) != len(serial) {
 		t.Fatalf("%s: workers=8 streamed %d records, serial %d", name, len(parallel), len(serial))
@@ -62,53 +82,25 @@ func assertStreamParity[R any](t *testing.T, name string, run func(workers int) 
 
 func TestDistanceStreamParity(t *testing.T) {
 	ds := smallDataset(t)
-	records := func(workers int) []*DistancePairResult {
-		opt := Options{MaxPairs: 8, Seed: 5, Workers: workers}
-		return streamRecords(t, func(sink func(int, *DistancePairResult) error) error {
-			return DistanceStream(ds, opt, sink)
-		})
-	}
-	assertStreamParity(t, "Distance", records)
-
-	// The batch driver is a fold of the same stream: its sample sets
-	// must be the streamed records, in order.
-	serial := records(1)
-	batch, err := Distance(ds, Options{MaxPairs: 8, Seed: 5, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Pairs != len(serial) {
-		t.Fatalf("batch folded %d pairs, stream delivered %d", batch.Pairs, len(serial))
-	}
-	for i, r := range serial {
-		if batch.PairGainNeg[i] != r.GainNeg || batch.PairGainOpt[i] != r.GainOpt ||
-			batch.NonDefaultFraction[i] != r.NonDefaultFraction {
-			t.Fatalf("batch sample %d diverges from streamed record", i)
-		}
-	}
+	assertStreamParity(t, "Distance", func(workers int) []*DistancePairResult {
+		return distanceRecords(t, ds, Options{MaxPairs: 8, Seed: 5, Workers: workers})
+	})
 }
 
 func TestDistanceCheatStreamParity(t *testing.T) {
 	ds := smallDataset(t)
 	assertStreamParity(t, "DistanceCheat", func(workers int) []*CheatPairResult {
-		opt := Options{MaxPairs: 6, Seed: 5, Workers: workers}
-		return streamRecords(t, func(sink func(int, *CheatPairResult) error) error {
-			return DistanceCheatStream(ds, opt, sink)
-		})
+		return cheatRecords(t, ds, Options{MaxPairs: 6, Seed: 5, Workers: workers})
 	})
 }
 
 func TestBandwidthStreamParity(t *testing.T) {
 	ds := smallDataset(t)
 	assertStreamParity(t, "Bandwidth", func(workers int) []*BandwidthCaseResult {
-		opt := BandwidthOptions{
+		return bandwidthRecords(t, ds, BandwidthOptions{
 			Options:     Options{MaxPairs: 3, Seed: 5, Workers: workers},
 			Workload:    traffic.Gravity,
 			MaxFailures: 9,
-		}
-		return streamRecords(t, func(sink func(int, *BandwidthCaseResult) error) error {
-			_, err := BandwidthStream(ds, opt, sink)
-			return err
 		})
 	})
 }

@@ -1,17 +1,23 @@
-// Package plot folds nexitsim -stream NDJSON back into the paper's
-// figure tables, and renders live mesh progress from agentd status
-// snapshots — the analysis half of the streaming pipeline (DESIGN.md
-// §10). The fold is constant-memory: every curve is an online
+// Package plot folds the paper's figure records into the figure
+// tables, and renders live mesh progress from agentd status snapshots —
+// the analysis half of the streaming pipeline (DESIGN.md §10). One
+// Fold renders Figures 4–11 for both binaries: nexitsim's figure mode
+// feeds it the records its drivers stream, nexitplot the same records
+// parsed back from nexitsim -stream NDJSON.
+//
+// The two differ only in how a curve holds its samples. An exact fold
+// (NewExactFold) keeps them, so every summary line is the batch CDF's.
+// A bounded fold (NewFold) is constant-memory: every curve is an online
 // fixed-grid CDF (the figure axes are fixed per panel) plus a digest
-// for the per-curve summary line, so a fold over a million records
-// holds the same few kilobytes as a fold over ten.
+// for the summary line, so a fold over a million records holds the same
+// few kilobytes as a fold over ten. Its tables equal the exact ones at
+// any scale; its summary lines do while a curve's digest sketch is
+// uncompacted (n <= 4096), and past that carry sketch quantiles.
 //
 // Because GridCDF counts are integers and digest sketches canonicalize
 // before rendering, folding shards of a run in any order produces the
 // same bytes as folding the whole run — the merge-parity contract CI
-// pins. While digest sketches are uncompacted (n <= 4096 per curve)
-// the summary lines also match the batch nexitsim figure mode
-// byte-for-byte.
+// pins.
 package plot
 
 import (
@@ -25,23 +31,55 @@ import (
 	"repro/internal/stats"
 )
 
-// curve pairs the two constant-memory views of one figure line: the
-// grid CDF renders the table, the digest renders the summary line.
-type curve struct {
+// curve is one figure line: its table points and its summary line.
+type curve interface {
+	stats.SeriesSource
+	add(v float64)
+	summary() string
+	mean() float64
+}
+
+// exactCurve keeps every sample and reads them through one CDF.
+type exactCurve struct {
+	samples []float64
+	cdf     *stats.CDF // built on first read, dropped by add
+}
+
+func (c *exactCurve) add(v float64) {
+	c.samples = append(c.samples, v)
+	c.cdf = nil
+}
+
+func (c *exactCurve) sorted() *stats.CDF {
+	if c.cdf == nil {
+		c.cdf = stats.NewCDF(c.samples)
+	}
+	return c.cdf
+}
+
+func (c *exactCurve) Series(min, max float64, n int) []stats.Point {
+	return c.sorted().Series(min, max, n)
+}
+func (c *exactCurve) summary() string { return stats.Summary(c.sorted()) }
+func (c *exactCurve) mean() float64   { return c.sorted().Mean() }
+
+// boundedCurve pairs the two constant-memory views of one figure line:
+// the grid CDF renders the table, the digest renders the summary line.
+type boundedCurve struct {
 	grid *stats.GridCDF
 	dig  *stats.Digest
 }
 
-// Series renders the curve's table points; it satisfies
-// stats.SeriesSource so stats.FormatSeries accepts curves directly.
-func (c *curve) Series(min, max float64, n int) []stats.Point {
-	return c.grid.Series(min, max, n)
-}
-
-func (c *curve) add(v float64) {
+func (c *boundedCurve) add(v float64) {
 	c.grid.Add(v)
 	c.dig.Add(v)
 }
+
+func (c *boundedCurve) Series(min, max float64, n int) []stats.Point {
+	return c.grid.Series(min, max, n)
+}
+func (c *boundedCurve) summary() string { return c.dig.StableSummary() }
+func (c *boundedCurve) mean() float64   { return c.dig.StableMean() }
 
 // summaryAgg merges one experiment's streamed summary lines across
 // shards: digests merge exactly; the legacy series strings only
@@ -53,12 +91,14 @@ type summaryAgg struct {
 	raw     map[string]string
 }
 
-// Fold is the streaming accumulator. Feed it NDJSON lines (records and
+// Fold is the figure accumulator. Feed it records directly (the Add
+// methods are the drivers' sinks) or as NDJSON lines (records and
 // summary lines, from one run or from many shards of the same run) via
-// AddLine or ReadFrom, then Render the figure tables.
+// AddLine or ReadLines, then Render the figure tables.
 type Fold struct {
-	points int
-	curves map[string]*curve
+	points   int
+	newCurve func(min, max float64) curve
+	curves   map[string]curve
 
 	distPairs  int
 	indLosers  int
@@ -70,7 +110,6 @@ type Fold struct {
 	uniLE2     int
 	cheatPairs int
 	deltaLEneg int
-	deltaDig   *stats.Digest
 
 	summaries map[string]*summaryAgg
 	// Unknown counts lines for experiments this fold does not
@@ -78,22 +117,35 @@ type Fold struct {
 	Unknown int
 }
 
-// NewFold returns an empty fold rendering n-point series (nexitsim's
-// -points; the grids are built per-axis on first use, so n is fixed
-// for the fold's lifetime).
+// NewFold returns an empty constant-memory fold rendering n-point
+// series (nexitsim's -points; the grids are built per-axis on first
+// use, so n is fixed for the fold's lifetime).
 func NewFold(n int) *Fold {
+	return newFold(n, func(min, max float64) curve {
+		return &boundedCurve{grid: stats.NewGridCDF(min, max, n), dig: stats.NewDigest()}
+	})
+}
+
+// NewExactFold returns an empty fold rendering n-point series whose
+// curves keep every sample, so its summary lines are exact at any
+// scale.
+func NewExactFold(n int) *Fold {
+	return newFold(n, func(float64, float64) curve { return &exactCurve{} })
+}
+
+func newFold(n int, newCurve func(min, max float64) curve) *Fold {
 	return &Fold{
 		points:    n,
-		curves:    map[string]*curve{},
-		deltaDig:  stats.NewDigest(),
+		newCurve:  newCurve,
+		curves:    map[string]curve{},
 		summaries: map[string]*summaryAgg{},
 	}
 }
 
-func (f *Fold) curve(key string, min, max float64) *curve {
+func (f *Fold) curve(key string, min, max float64) curve {
 	c, ok := f.curves[key]
 	if !ok {
-		c = &curve{grid: stats.NewGridCDF(min, max, f.points), dig: stats.NewDigest()}
+		c = f.newCurve(min, max)
 		f.curves[key] = c
 	}
 	return c
@@ -142,8 +194,7 @@ func (f *Fold) AddLine(line []byte) error {
 		return err
 	}
 	if l.Data == nil {
-		f.addSummary(&l)
-		return nil
+		return f.addSummary(&l)
 	}
 	switch l.Experiment {
 	case "distance":
@@ -151,19 +202,19 @@ func (f *Fold) AddLine(line []byte) error {
 		if err := json.Unmarshal(l.Data, &r); err != nil {
 			return err
 		}
-		f.addDistance(&r)
+		return f.AddDistance(0, &r)
 	case "bandwidth":
 		var r experiments.BandwidthCaseResult
 		if err := json.Unmarshal(l.Data, &r); err != nil {
 			return err
 		}
-		f.addBandwidth(&r)
+		return f.AddBandwidth(0, &r)
 	case "distance-cheat":
 		var r experiments.CheatPairResult
 		if err := json.Unmarshal(l.Data, &r); err != nil {
 			return err
 		}
-		f.addCheat(&r)
+		return f.AddCheat(0, &r)
 	case "destination", "scalability", "stability":
 		// These records only feed their summary digests today; the
 		// figure-mode extras have no fixed-axis panels to rebuild.
@@ -173,7 +224,12 @@ func (f *Fold) AddLine(line []byte) error {
 	return nil
 }
 
-func (f *Fold) addSummary(l *ndjsonLine) {
+func (f *Fold) addSummary(l *ndjsonLine) error {
+	for name, d := range l.Digests {
+		if d == nil {
+			return fmt.Errorf("%s summary: digest %q is null", l.Experiment, name)
+		}
+	}
 	agg, ok := f.summaries[l.Experiment]
 	if !ok {
 		agg = &summaryAgg{digests: map[string]*stats.Digest{}, raw: map[string]string{}}
@@ -191,9 +247,12 @@ func (f *Fold) addSummary(l *ndjsonLine) {
 	for name, s := range l.Series {
 		agg.raw[name] = s
 	}
+	return nil
 }
 
-func (f *Fold) addDistance(r *experiments.DistancePairResult) {
+// AddDistance folds one distance record (Figures 4, 5 and 6). Its
+// signature is DistanceStream's sink's.
+func (f *Fold) AddDistance(_ int, r *experiments.DistancePairResult) error {
 	f.distPairs++
 	f.curve("4a.negotiated", 0, 15).add(r.GainNeg)
 	f.curve("4a.optimal", 0, 15).add(r.GainOpt)
@@ -225,9 +284,12 @@ func (f *Fold) addDistance(r *experiments.DistancePairResult) {
 	for _, g := range r.FlowGainOpt {
 		flowOpt.add(g)
 	}
+	return nil
 }
 
-func (f *Fold) addBandwidth(r *experiments.BandwidthCaseResult) {
+// AddBandwidth folds one failure-case record (Figures 7, 8, 9 and 11).
+// Its signature is BandwidthStream's sink's.
+func (f *Fold) AddBandwidth(_ int, r *experiments.BandwidthCaseResult) error {
 	f.bwCases++
 	f.curve("7.up.negotiated", 0, 6).add(r.UpNeg)
 	f.curve("7.up.default", 0, 6).add(r.UpDef)
@@ -242,9 +304,12 @@ func (f *Fold) addBandwidth(r *experiments.BandwidthCaseResult) {
 	f.curve("9.down.gain", 0, 80).add(r.DiverseDownGain)
 	f.curve("11.up.cheat", 0, 6).add(r.CheatUp)
 	f.curve("11.down.cheat", 0, 6).add(r.CheatDown)
+	return nil
 }
 
-func (f *Fold) addCheat(r *experiments.CheatPairResult) {
+// AddCheat folds one distance-cheating record (Figure 10). Its
+// signature is DistanceCheatStream's sink's.
+func (f *Fold) AddCheat(_ int, r *experiments.CheatPairResult) error {
 	f.cheatPairs++
 	f.curve("10a.truthful", 0, 15).add(r.TotalTruthful)
 	f.curve("10a.cheat", 0, 15).add(r.TotalCheat)
@@ -253,36 +318,39 @@ func (f *Fold) addCheat(r *experiments.CheatPairResult) {
 	ind.add(r.IndTruthfulB)
 	f.curve("10b.cheater", 0, 15).add(r.IndCheater)
 	f.curve("10b.victim", 0, 15).add(r.IndVictim)
-	f.deltaDig.Add(r.CheaterDelta)
+	f.curve("10.delta", 0, 15).add(r.CheaterDelta)
 	if r.CheaterDelta <= -1e-9 {
 		f.deltaLEneg++
 	}
+	return nil
 }
 
 // frac reproduces stats.CDF.At's arithmetic from an online count, so
-// the decoration lines under the tables match batch output bit for
-// bit: At(x) = count(<= x)/n, FractionAbove = 1 - At.
+// the decoration lines under the tables are the batch CDF's bit for
+// bit in either fold: At(x) = count(<= x)/n, the fraction above x is 1 - At(x).
 func frac(le, n int) float64 { return float64(le) / float64(n) }
 
-// Render writes the figure sections rebuilt from the folded records —
-// the same bytes nexitsim's figure mode prints for the panels the
-// stream carries — followed by the merged per-experiment summary
-// lines. Sections for experiments absent from the input are omitted.
-func (f *Fold) Render(w io.Writer) error {
+// Render writes the sections of the figures fig selects ("4" to "11",
+// or "all") that the folded records carry — the figure tables, each
+// curve's summary line and the decoration lines, as nexitsim's figure
+// mode prints them — followed by the merged per-experiment summary
+// lines of any folded summary records.
+func (f *Fold) Render(w io.Writer, fig string) error {
 	bw := bufio.NewWriter(w)
+	sel := func(n string) bool { return fig == "all" || fig == n }
 	section := func(title string) { fmt.Fprintf(bw, "\n=== %s ===\n", title) }
 	series := func(xLabel string, min, max float64, keys map[string]string, order []string) {
-		curves := map[string]*curve{}
+		curves := map[string]curve{}
 		for name, key := range keys {
 			curves[name] = f.curve(key, min, max)
 		}
 		fmt.Fprint(bw, stats.FormatSeries(xLabel, min, max, f.points, curves, order))
 		for _, name := range order {
-			fmt.Fprintf(bw, "  %s: %s\n", name, curves[name].dig.StableSummary())
+			fmt.Fprintf(bw, "  %s: %s\n", name, curves[name].summary())
 		}
 	}
 
-	if f.distPairs > 0 {
+	if f.distPairs > 0 && sel("4") {
 		section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
 		fmt.Fprintf(bw, "pairs: %d\n", f.distPairs)
 		series("% gain", 0, 15, map[string]string{
@@ -295,12 +363,14 @@ func (f *Fold) Render(w io.Writer) error {
 		}, []string{"negotiated", "optimal"})
 		fmt.Fprintf(bw, "ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
 			f.indLosers, f.indN)
-
+	}
+	if f.distPairs > 0 && sel("5") {
 		section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
 		series("% gain", 0, 15, map[string]string{
 			"flow-both-better": "5.both-better", "flow-Pareto": "5.pareto",
 		}, []string{"flow-both-better", "flow-Pareto"})
-
+	}
+	if f.distPairs > 0 && sel("6") {
 		section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
 		series("% gain", 0, 60, map[string]string{
 			"negotiated": "6.negotiated", "optimal": "6.optimal",
@@ -308,7 +378,7 @@ func (f *Fold) Render(w io.Writer) error {
 		fmt.Fprintf(bw, "flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
 			100*(1-frac(f.flowLE20, f.flowN)), 100*(1-frac(f.flowLE50, f.flowN)))
 	}
-	if f.bwCases > 0 {
+	if f.bwCases > 0 && sel("7") {
 		section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
 		fmt.Fprintf(bw, "failure cases: %d\n", f.bwCases)
 		fmt.Fprintln(bw, "upstream ISP:")
@@ -319,14 +389,16 @@ func (f *Fold) Render(w io.Writer) error {
 		series("load ratio", 0, 6, map[string]string{
 			"negotiated": "7.down.negotiated", "default": "7.down.default",
 		}, []string{"negotiated", "default"})
-
+	}
+	if f.bwCases > 0 && sel("8") {
 		section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
 		series("load ratio", 1, 6, map[string]string{
 			"upstream-optimized": "8.unilateral",
 		}, []string{"upstream-optimized"})
 		fmt.Fprintf(bw, "cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n",
 			100*(1-frac(f.uniLE2, f.bwCases)))
-
+	}
+	if f.bwCases > 0 && sel("9") {
 		section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
 		fmt.Fprintln(bw, "upstream ISP (MEL ratio to optimal):")
 		series("load ratio", 0, 6, map[string]string{
@@ -337,7 +409,7 @@ func (f *Fold) Render(w io.Writer) error {
 			"negotiated": "9.down.gain",
 		}, []string{"negotiated"})
 	}
-	if f.cheatPairs > 0 {
+	if f.cheatPairs > 0 && sel("10") {
 		section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
 		fmt.Fprintf(bw, "pairs: %d\n", f.cheatPairs)
 		series("% gain", 0, 15, map[string]string{
@@ -348,9 +420,9 @@ func (f *Fold) Render(w io.Writer) error {
 			"both truthful": "10b.truthful", "cheater": "10b.cheater", "truthful": "10b.victim",
 		}, []string{"both truthful", "cheater", "truthful"})
 		fmt.Fprintf(bw, "paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-			f.deltaDig.Sketch.Mean(), 100*frac(f.deltaLEneg, f.cheatPairs))
+			f.curve("10.delta", 0, 15).mean(), 100*frac(f.deltaLEneg, f.cheatPairs))
 	}
-	if f.bwCases > 0 {
+	if f.bwCases > 0 && sel("11") {
 		section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
 		fmt.Fprintln(bw, "upstream ISP (the cheater):")
 		series("load ratio", 0, 6, map[string]string{

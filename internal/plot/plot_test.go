@@ -3,7 +3,7 @@ package plot
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -108,136 +108,10 @@ func streamLines(t *testing.T, ds *experiments.Dataset, opt experiments.Options,
 	return lines
 }
 
-// batchFigures renders figures 4a through 11 exactly as cmd/nexitsim's
-// figure mode prints them (same sections, tables, summary and
-// decoration lines) from the batch experiment results.
-func batchFigures(t *testing.T, ds *experiments.Dataset, opt experiments.Options, bopt experiments.BandwidthOptions, n int) string {
-	t.Helper()
-	dres, err := experiments.Distance(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bres, err := experiments.Bandwidth(ds, bopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := experiments.DistanceCheat(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var b strings.Builder
-	section := func(title string) { fmt.Fprintf(&b, "\n=== %s ===\n", title) }
-	printSeries := func(xLabel string, min, max float64, curves map[string]*stats.CDF, order []string) {
-		b.WriteString(stats.FormatSeries(xLabel, min, max, n, curves, order))
-		for _, name := range order {
-			fmt.Fprintf(&b, "  %s: %s\n", name, stats.Summary(curves[name]))
-		}
-	}
-
-	section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
-	fmt.Fprintf(&b, "pairs: %d\n", dres.Pairs)
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(dres.PairGainNeg),
-		"optimal":    stats.NewCDF(dres.PairGainOpt),
-	}, []string{"negotiated", "optimal"})
-
-	section("Figure 4b — distance: individual ISP gain (CDF of ISPs)")
-	printSeries("% gain", -20, 40, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(dres.IndGainNeg),
-		"optimal":    stats.NewCDF(dres.IndGainOpt),
-	}, []string{"negotiated", "optimal"})
-	losers := 0
-	for _, g := range dres.IndGainOpt {
-		if g < 0 {
-			losers++
-		}
-	}
-	fmt.Fprintf(&b, "ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
-		losers, len(dres.IndGainOpt))
-
-	section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"flow-both-better": stats.NewCDF(dres.PairGainBothBetter),
-		"flow-Pareto":      stats.NewCDF(dres.PairGainPareto),
-	}, []string{"flow-both-better", "flow-Pareto"})
-
-	section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
-	printSeries("% gain", 0, 60, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(dres.FlowGainNeg),
-		"optimal":    stats.NewCDF(dres.FlowGainOpt),
-	}, []string{"negotiated", "optimal"})
-	negCDF := stats.NewCDF(dres.FlowGainNeg)
-	fmt.Fprintf(&b, "flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
-		100*negCDF.FractionAbove(20), 100*negCDF.FractionAbove(50))
-
-	section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
-	fmt.Fprintf(&b, "failure cases: %d\n", bres.FailureCases)
-	fmt.Fprintln(&b, "upstream ISP:")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.UpNeg),
-		"default":    stats.NewCDF(bres.UpDef),
-	}, []string{"negotiated", "default"})
-	fmt.Fprintln(&b, "downstream ISP:")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.DownNeg),
-		"default":    stats.NewCDF(bres.DownDef),
-	}, []string{"negotiated", "default"})
-
-	section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
-	printSeries("load ratio", 1, 6, map[string]*stats.CDF{
-		"upstream-optimized": stats.NewCDF(bres.UnilateralDownRatio),
-	}, []string{"upstream-optimized"})
-	hurt := stats.NewCDF(bres.UnilateralDownRatio).FractionAbove(2)
-	fmt.Fprintf(&b, "cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n", 100*hurt)
-
-	section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
-	fmt.Fprintln(&b, "upstream ISP (MEL ratio to optimal):")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.DiverseUpNeg),
-		"default":    stats.NewCDF(bres.DiverseUpDef),
-	}, []string{"negotiated", "default"})
-	fmt.Fprintln(&b, "downstream ISP (distance gain over default):")
-	printSeries("% gain", 0, 80, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.DiverseDownGain),
-	}, []string{"negotiated"})
-
-	section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
-	fmt.Fprintf(&b, "pairs: %d\n", cres.Pairs)
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(cres.TotalTruthful),
-		"one cheater":   stats.NewCDF(cres.TotalCheat),
-	}, []string{"both truthful", "one cheater"})
-	section("Figure 10b — cheating (distance): individual gain (CDF of ISPs)")
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(cres.IndTruthful),
-		"cheater":       stats.NewCDF(cres.IndCheater),
-		"truthful":      stats.NewCDF(cres.IndVictim),
-	}, []string{"both truthful", "cheater", "truthful"})
-	delta := stats.NewCDF(cres.CheaterDelta)
-	fmt.Fprintf(&b, "paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-		delta.Mean(), 100*delta.At(-1e-9))
-
-	section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
-	fmt.Fprintln(&b, "upstream ISP (the cheater):")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(bres.UpNeg),
-		"one cheater":   stats.NewCDF(bres.CheatUpNeg),
-		"default":       stats.NewCDF(bres.UpDef),
-	}, []string{"both truthful", "one cheater", "default"})
-	fmt.Fprintln(&b, "downstream ISP (truthful):")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(bres.DownNeg),
-		"one cheater":   stats.NewCDF(bres.CheatDownNeg),
-		"default":       stats.NewCDF(bres.DownDef),
-	}, []string{"both truthful", "one cheater", "default"})
-	return b.String()
-}
-
-func render(t *testing.T, f *Fold) string {
+func render(t *testing.T, f *Fold, fig string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.Render(&buf); err != nil {
+	if err := f.Render(&buf, fig); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -259,27 +133,52 @@ func diffLine(t *testing.T, what, got, want string) {
 	t.Fatalf("%s: lengths diverge: got %d lines, want %d", what, len(g), len(w))
 }
 
-// The fold must reproduce the batch figure sections byte for byte:
-// same tables (GridCDF == CDF.Series on the fixed axes), same summary
-// lines (digest sketches uncompacted at this scale), same decoration
-// lines (integer counts through the same arithmetic).
+// The exact fold nexitsim's figure mode feeds straight from the drivers
+// and the bounded fold nexitplot rebuilds from the NDJSON stream render
+// the same bytes while every curve's sketch is uncompacted: same tables
+// (GridCDF == CDF.Series on the fixed axes), same summary lines, same
+// decoration lines (integer counts through the same arithmetic). Each
+// single-figure selection renders its own sections of the whole.
 func TestFoldReproducesBatchFigures(t *testing.T) {
 	ds := testDataset(t)
 	opt, bopt := testOpts()
 	const points = 16
 
-	fold := NewFold(points)
+	exact := NewExactFold(points)
+	if err := experiments.DistanceStream(ds, opt, exact.AddDistance); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiments.BandwidthStream(ds, bopt, exact.AddBandwidth); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.DistanceCheatStream(ds, opt, exact.AddCheat); err != nil {
+		t.Fatal(err)
+	}
+
+	bounded := NewFold(points)
 	for _, line := range streamLines(t, ds, opt, bopt) {
-		// Records only: the batch reference has no summaries section.
+		// Records only: the exact fold has no summaries section.
 		if bytes.Contains(line, []byte(`"data"`)) {
-			if err := fold.AddLine(line); err != nil {
+			if err := bounded.AddLine(line); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	got := render(t, fold)
-	want := batchFigures(t, ds, opt, bopt, points)
-	diffLine(t, "fold vs batch", got, want)
+	all := render(t, exact, "all")
+	diffLine(t, "bounded vs exact", render(t, bounded, "all"), all)
+
+	var pieces strings.Builder
+	for _, fig := range []string{"4", "5", "6", "7", "8", "9", "10", "11"} {
+		one := render(t, exact, fig)
+		if !strings.HasPrefix(one, "\n=== Figure "+fig) {
+			t.Fatalf("-fig %s renders %.40q", fig, one)
+		}
+		pieces.WriteString(one)
+	}
+	diffLine(t, "figures one by one vs all", pieces.String(), all)
+	if got := render(t, exact, "extras"); got != "" {
+		t.Fatalf("-fig extras renders figure sections: %.60q", got)
+	}
 }
 
 // Any line-split of a run folds to the same bytes as the whole run,
@@ -295,7 +194,7 @@ func TestFoldShardParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantOut := render(t, whole)
+	wantOut := render(t, whole, "all")
 	if !strings.Contains(wantOut, "Streaming summaries") {
 		t.Fatal("no summaries section; summary lines were not folded")
 	}
@@ -313,7 +212,7 @@ func TestFoldShardParity(t *testing.T) {
 			}
 		}
 	}
-	diffLine(t, "sharded vs whole", render(t, sharded), wantOut)
+	diffLine(t, "sharded vs whole", render(t, sharded, "all"), wantOut)
 }
 
 // Lines from unknown experiments are skipped and counted, never fatal.
@@ -331,4 +230,49 @@ func TestFoldUnknownExperiment(t *testing.T) {
 	if err := f.AddLine([]byte(`{broken`)); err == nil {
 		t.Fatal("corrupt JSON must error")
 	}
+}
+
+// FuzzFoldLine feeds arbitrary lines to both folds: AddLine may refuse a
+// line, but neither it nor Render may panic. Any input that parses as a
+// digest must survive Marshal → Unmarshal → Marshal byte-equal.
+func FuzzFoldLine(f *testing.F) {
+	for _, seed := range []string{
+		`{"experiment":"distance","index":0,"data":{"pair":"isp0-isp1","interconnections":3,"gain_negotiated":2.5,"gain_optimal":4,"ind_negotiated_a":1,"ind_negotiated_b":-0.5,"ind_optimal_a":6,"ind_optimal_b":-2,"flow_gain_negotiated":[0,0,12.5],"flow_gain_optimal":[0,3,40]}}`,
+		`{"experiment":"bandwidth","index":0,"data":{"up_default":2.1,"up_negotiated":1.2,"down_default":1.5,"down_negotiated":1,"unilateral_down_ratio":2.5,"cheat_up":1.1,"cheat_down":1.7}}`,
+		`{"experiment":"distance-cheat","index":0,"data":{"total_truthful":3,"total_cheat":2,"cheater_delta":-0.25}}`,
+		`{"experiment":"distance","results":2,"series":{"gain_negotiated":"n=2"},"digests":{"gain_negotiated":{"stream":{"n":2,"sum":3,"min":1,"max":2},"sketch":{"cap":4096,"compactions":0,"n":2,"points":[[1,1],[2,1]]}}}}`,
+		`{"experiment":"distance","results":3,"series":{},"digests":{"gain_negotiated":{"stream":{"n":3,"sum":3,"min":1,"max":1},"sketch":{"cap":4096,"compactions":0,"n":0,"points":[]}}}}`,
+		`{"experiment":"distance","results":1,"digests":{"gain_negotiated":null}}`,
+		`{"stream":{"n":9,"sum":45,"min":1,"max":9},"sketch":{"cap":8,"compactions":0,"n":9,"points":[[1,1],[2,1],[3,1],[4,1],[5,1],[6,1],[7,1],[8,1],[9,1]]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		for _, fold := range []*Fold{NewFold(8), NewExactFold(8)} {
+			_ = fold.AddLine(line)
+			if err := fold.Render(io.Discard, "all"); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var d stats.Digest
+		if json.Unmarshal(line, &d) != nil {
+			return
+		}
+		first, err := json.Marshal(&d)
+		if err != nil {
+			t.Fatalf("accepted digest does not marshal: %v", err)
+		}
+		var back stats.Digest
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("digest refuses its own wire form %s: %v", first, err)
+		}
+		second, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("digest wire form drifts:\n  %s\n  %s", first, second)
+		}
+	})
 }

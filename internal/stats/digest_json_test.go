@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -89,6 +90,25 @@ func TestSketchJSONRejectsCorrupt(t *testing.T) {
 	var q QuantileSketch
 	if err := json.Unmarshal([]byte(`{"cap":100,"n":5,"points":[[1,1]]}`), &q); err == nil {
 		t.Fatal("weight/header mismatch accepted")
+	}
+}
+
+// A digest whose stream and sketch disagree on the count, or whose
+// sketch has a point of no weight, is refused with a labelled error
+// instead of reaching a summary line that would panic on it.
+func TestDigestJSONRejectsInconsistent(t *testing.T) {
+	for _, raw := range []string{
+		`{"stream":{"n":3,"sum":3,"min":1,"max":1},"sketch":{"cap":4096,"compactions":0,"n":0,"points":[]}}`,
+		`{"stream":{"n":3,"sum":3,"min":1,"max":1}}`,
+		`{"stream":{"n":1,"sum":1,"min":1,"max":1},"sketch":{"cap":4096,"n":1,"points":[[1,1],[2,0]]}}`,
+		`{"stream":{"n":1,"sum":1,"min":1,"max":1},"sketch":{"cap":4096,"n":1,"points":[[1,2],[2,-1]]}}`,
+		`{"stream":{"n":1,"sum":1,"min":1,"max":1},"sketch":{"cap":4096,"n":1,"points":[[1,0.5],[2,0.5]]}}`,
+	} {
+		var d Digest
+		err := json.Unmarshal([]byte(raw), &d)
+		if err == nil || !strings.Contains(err.Error(), "stats: ") {
+			t.Errorf("%s: err = %v, want a labelled stats error", raw, err)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ func Example() {
 	c := stats.NewCDF(gains)
 	fmt.Printf("median gain: %.1f%%\n", c.Median())
 	fmt.Printf("pairs gaining at most 5%%: %.0f%%\n", 100*c.At(5))
-	fmt.Printf("pairs gaining more than 10%%: %.0f%%\n", 100*c.FractionAbove(10))
+	fmt.Printf("pairs gaining more than 10%%: %.0f%%\n", 100*(1-c.At(10)))
 	// Output:
 	// median gain: 4.5%
 	// pairs gaining at most 5%: 50%

@@ -74,9 +74,6 @@ func (c *CDF) Mean() float64 {
 	return sum / float64(len(c.sorted))
 }
 
-// FractionAbove returns the fraction of samples strictly greater than x.
-func (c *CDF) FractionAbove(x float64) float64 { return 1 - c.At(x) }
-
 // Point is one (x, cumulative-percent) sample of a rendered CDF curve.
 type Point struct {
 	X   float64
@@ -97,10 +94,10 @@ func (c *CDF) Series(min, max float64, n int) []Point {
 	return out
 }
 
-// SeriesSource is any curve renderable on a fixed x-grid: the batch
-// CDF (retained samples) and the streaming GridCDF (online counts)
-// both qualify, so the same table formatter serves figure mode and the
-// NDJSON fold in cmd/nexitplot.
+// SeriesSource is any curve renderable on a fixed x-grid: the CDF
+// (retained samples) and the streaming GridCDF (online counts) both
+// qualify, so the same table formatter serves internal/plot's exact
+// and constant-memory folds.
 type SeriesSource interface {
 	Series(min, max float64, n int) []Point
 }

@@ -101,8 +101,7 @@ func (s *Stream) UnmarshalJSON(data []byte) error {
 }
 
 // sketchCap is the default point capacity of a QuantileSketch: exact
-// quantiles up to this many samples, ~32 KiB of floats, and a rank
-// error that stays below 1/sketchCap per compaction level beyond it.
+// quantiles up to this many samples, ~64 KiB of points beyond it.
 const sketchCap = 4096
 
 // wpoint is one weighted point of a sketch: v stands for w original
@@ -114,11 +113,14 @@ type wpoint struct {
 
 // QuantileSketch estimates quantiles from a stream in bounded memory.
 // Up to its capacity it simply keeps every sample, so quantiles are
-// EXACT (matching CDF.Quantile's nearest-rank convention) for every
-// dataset this repo ships; past the capacity it compacts: points are
-// sorted and adjacent pairs collapse into one point of doubled weight,
-// alternating deterministically between keeping the lower and the upper
-// member. Sketches merge, so per-shard digests can be combined.
+// EXACT (matching CDF.Quantile's nearest-rank convention); past the
+// capacity it compacts by weight level, as MRL and KLL sketches do:
+// the level holding the most points — all of one weight — is sorted
+// and its adjacent pairs collapse into one point of doubled weight,
+// alternating deterministically between keeping the lower and the
+// upper member. Points of unequal weight never pair, so one
+// compaction at weight w moves any rank by at most w. Sketches merge,
+// so per-shard digests can be combined.
 //
 // The zero value is unusable; construct with NewQuantileSketch.
 type QuantileSketch struct {
@@ -147,61 +149,108 @@ func (q *QuantileSketch) Add(x float64) {
 	}
 	q.points = append(q.points, wpoint{v: x, w: 1})
 	q.n++
-	if len(q.points) > q.cap {
-		q.compact()
-	}
+	q.shrink()
 }
 
 // Merge folds another sketch's points in.
 func (q *QuantileSketch) Merge(o *QuantileSketch) {
 	q.points = append(q.points, o.points...)
 	q.n += o.n
-	for len(q.points) > q.cap {
-		q.compact()
+	q.shrink()
+}
+
+// shrink compacts until the points fit the capacity, or until no level
+// holds two points (only a decoded sketch of odd weights gets there).
+func (q *QuantileSketch) shrink() {
+	for len(q.points) > q.cap && q.compact() {
 	}
 }
 
-// sortPoints orders the points canonically by (value, weight). The
-// weight tie-break matters: sorting happens both in compact and in
-// Quantile, and a value-only comparator under an unstable sort would
-// let a mid-stream quantile query permute equal-valued points and
-// change the next compaction's pairing — breaking determinism in the
-// Add/Merge sequence. With the canonical order, equal (v, w) points
-// are interchangeable, so the state is well-defined regardless of when
+// sortPoints orders the points canonically by (value, weight, sign of
+// zero). The order matters: sorting happens in Quantile, Mean and
+// MarshalJSON, and with a total order equal points are
+// interchangeable, so the state is well-defined regardless of when
 // queries happen.
 func (q *QuantileSketch) sortPoints() {
-	sort.Slice(q.points, func(i, j int) bool {
-		if q.points[i].v != q.points[j].v {
-			return q.points[i].v < q.points[j].v
-		}
-		return q.points[i].w < q.points[j].w
-	})
+	sort.Slice(q.points, func(i, j int) bool { return q.points[i].less(q.points[j]) })
 }
 
-// compact halves the point count: sort canonically, collapse each
-// adjacent pair into one point carrying both weights. The surviving
-// value alternates between the pair's lower and upper member so the
-// bias cancels across compactions; the alternation is driven by a
-// counter, keeping the whole structure deterministic in the Add/Merge
-// sequence.
-func (q *QuantileSketch) compact() {
-	q.sortPoints()
-	keepUpper := q.compactions%2 == 1
-	out := q.points[:0]
-	for i := 0; i+1 < len(q.points); i += 2 {
-		p := q.points[i]
-		if keepUpper {
-			p.v = q.points[i+1].v
-		}
-		p.w += q.points[i+1].w
-		out = append(out, p)
+func (a wpoint) less(b wpoint) bool {
+	if a.v != b.v {
+		return a.v < b.v
 	}
-	if len(q.points)%2 == 1 {
-		out = append(out, q.points[len(q.points)-1])
+	if a.w != b.w {
+		return a.w < b.w
 	}
-	q.points = out
-	q.compactions++
+	return math.Signbit(a.v) && !math.Signbit(b.v)
 }
+
+// compact halves the fullest weight level (the lightest on a tie):
+// that level's points, sorted canonically, collapse pairwise into
+// points of twice the weight, keeping the lower or the upper value as
+// a counter alternates. An odd level keeps its top point as it is.
+// The result depends only on the point multiset and the counter, so
+// the sketch stays deterministic in its Add/Merge sequence. It reports
+// false, changing nothing, when no level holds two points.
+func (q *QuantileSketch) compact() bool {
+	type level struct {
+		w float64
+		n int
+	}
+	var levels []level // few: weights are powers of two
+	for _, p := range q.points {
+		i := 0
+		for i < len(levels) && levels[i].w != p.w {
+			i++
+		}
+		if i == len(levels) {
+			levels = append(levels, level{w: p.w})
+		}
+		levels[i].n++
+	}
+	full := level{}
+	for _, l := range levels {
+		if l.n > full.n || (l.n == full.n && l.w < full.w) {
+			full = l
+		}
+	}
+	if full.n < 2 {
+		return false
+	}
+
+	// Move the level to the tail, sort it, pair it up in place.
+	rest := 0
+	for i, p := range q.points {
+		if p.w != full.w {
+			q.points[rest], q.points[i] = p, q.points[rest]
+			rest++
+		}
+	}
+	lvl := q.points[rest:]
+	sort.Slice(lvl, func(i, j int) bool { return lvl[i].less(lvl[j]) })
+	keepUpper := q.compactions%2 == 1
+	out := rest
+	for i := 0; i+1 < len(lvl); i += 2 {
+		p := lvl[i]
+		if keepUpper {
+			p.v = lvl[i+1].v
+		}
+		p.w *= 2
+		q.points[out] = p
+		out++
+	}
+	if len(lvl)%2 == 1 {
+		q.points[out] = lvl[len(lvl)-1]
+		out++
+	}
+	q.points = q.points[:out]
+	q.compactions++
+	return true
+}
+
+// exact reports whether every point is one sample, as before the first
+// compaction.
+func (q *QuantileSketch) exact() bool { return int64(len(q.points)) == q.n }
 
 // N returns the number of samples represented.
 func (q *QuantileSketch) N() int64 { return q.n }
@@ -283,9 +332,15 @@ func (q *QuantileSketch) UnmarshalJSON(data []byte) error {
 	if j.Cap < 8 {
 		j.Cap = 8
 	}
+	if j.N < 0 {
+		return fmt.Errorf("stats: sketch with negative n %d", j.N)
+	}
 	var n float64
 	pts := make([]wpoint, len(j.Points))
 	for i, p := range j.Points {
+		if !(p[1] >= 1) || p[1] != math.Trunc(p[1]) {
+			return fmt.Errorf("stats: sketch point %d has weight %v, want a positive integer", i, p[1])
+		}
 		pts[i] = wpoint{v: p[0], w: p[1]}
 		n += p[1]
 	}
@@ -293,9 +348,7 @@ func (q *QuantileSketch) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("stats: sketch weights sum to %v, header says %d", n, j.N)
 	}
 	q.cap, q.compactions, q.n, q.points = j.Cap, j.Compactions, j.N, pts
-	for len(q.points) > q.cap {
-		q.compact()
-	}
+	q.shrink()
 	return nil
 }
 
@@ -346,20 +399,31 @@ func (d *Digest) Summary() string {
 		d.Stream.N(), d.Stream.Mean(), d.Sketch.Median(), d.Sketch.Quantile(0.9), d.Stream.Max())
 }
 
-// StableSummary is Summary with the mean drawn from the sketch instead
-// of the stream. Stream.Mean sums in insertion order, so shards merged
-// in a different order can disagree with a whole run in the last float
-// bits; Sketch.Mean sums canonically sorted points, so (while the
-// sketch is uncompacted) the line is byte-identical for ANY sharding
-// of the same samples — and equal to the batch Summary(NewCDF(...))
-// line, which also sums sorted samples. cmd/nexitplot's merge path
-// pins exactly this.
+// StableMean is the sketch's mean while the sketch is uncompacted and
+// the stream's exact mean after. Stream.Mean sums in insertion order,
+// so shards merged in a different order can disagree with a whole run
+// in the last float bits; Sketch.Mean sums canonically sorted points,
+// so while every point is one sample it is the same float64 for ANY
+// sharding of the same samples — and equal to the batch CDF.Mean,
+// which also sums sorted samples. A compacted sketch's mean is an
+// estimate, so there the stream's exact sum wins.
+func (d *Digest) StableMean() float64 {
+	if d.Sketch != nil && d.Sketch.exact() {
+		return d.Sketch.Mean()
+	}
+	return d.Stream.Mean()
+}
+
+// StableSummary is Summary with StableMean: while the sketch is
+// uncompacted the line is byte-identical for any sharding of the same
+// samples and equal to the batch Summary(NewCDF(...)) line.
+// cmd/nexitplot's merge path pins exactly this.
 func (d *Digest) StableSummary() string {
 	if d.Stream.N() == 0 {
 		return "n=0"
 	}
 	return fmt.Sprintf("n=%d mean=%.3f median=%.3f p90=%.3f max=%.3f",
-		d.Stream.N(), d.Sketch.Mean(), d.Sketch.Median(), d.Sketch.Quantile(0.9), d.Stream.Max())
+		d.Stream.N(), d.StableMean(), d.Sketch.Median(), d.Sketch.Quantile(0.9), d.Stream.Max())
 }
 
 // digestJSON is the wire form of a Digest: the digest summary line's
@@ -376,16 +440,20 @@ func (d *Digest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(digestJSON{Stream: d.Stream, Sketch: d.Sketch})
 }
 
-// UnmarshalJSON restores a digest serialized by MarshalJSON.
+// UnmarshalJSON restores a digest serialized by MarshalJSON. The
+// stream and the sketch must count the same samples: the summary line
+// reads n and the mean from one and the quantiles from the other.
 func (d *Digest) UnmarshalJSON(data []byte) error {
 	var j digestJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	d.Stream = j.Stream
-	d.Sketch = j.Sketch
-	if d.Sketch == nil {
-		d.Sketch = NewQuantileSketch(0)
+	if j.Sketch == nil {
+		j.Sketch = NewQuantileSketch(0)
 	}
+	if j.Stream.N() != j.Sketch.N() {
+		return fmt.Errorf("stats: digest stream counts %d samples, its sketch %d", j.Stream.N(), j.Sketch.N())
+	}
+	d.Stream, d.Sketch = j.Stream, j.Sketch
 	return nil
 }

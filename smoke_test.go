@@ -3,18 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestCommandsAndExamplesRun builds every cmd/ main and every example
 // into a temporary directory and runs each once on a small input: a
-// clean exit and some output, inside a bounded time. It is the only test
-// the mains have; what they print is pinned elsewhere (the experiment,
-// plot and mesh suites). Needs the go tool, no network.
+// clean exit and some output, inside a bounded time. What they print is
+// pinned elsewhere (the experiment, plot and mesh suites), except for
+// the one contract between two binaries: nexitsim's figure mode and
+// nexitplot over nexitsim's stream print the same figures. Needs the go
+// tool, no network.
 func TestCommandsAndExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nine binaries")
@@ -65,6 +69,35 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 			t.Fatalf("%s produced no %s for the rows after it", c.name, filepath.Base(c.stdout))
 		}
 	}
+
+	t.Run("figures", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+		defer cancel()
+		run := func(stdin io.Reader, name string, args ...string) string {
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, name), args...)
+			cmd.Dir, cmd.Stdin = bin, stdin
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, args, err)
+			}
+			return string(out)
+		}
+		small := []string{"-isps", "12", "-max-pairs", "4", "-max-failures", "6", "-fig", "all"}
+		figures := run(nil, "nexitsim", small...)
+		stream := run(nil, "nexitsim", append(small, "-stream")...)
+		folded := run(strings.NewReader(stream), "nexitplot")
+		sim, _, ok := strings.Cut(figures, "\n=== Extra")
+		if !ok {
+			t.Fatal("nexitsim -fig all printed no extras after the figures")
+		}
+		plot, _, ok := strings.Cut(folded, "\n=== Streaming summaries")
+		if !ok {
+			t.Fatal("nexitplot printed no summaries after the figures")
+		}
+		if !strings.Contains(sim, "=== Figure 11") || sim != plot {
+			t.Errorf("Figure 4-11 sections differ:\nnexitsim -fig all:\n%s\nnexitplot over -stream:\n%s", sim, plot)
+		}
+	})
 }
 
 // buildMains builds the main packages matched by pkgs into a fresh
