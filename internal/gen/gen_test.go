@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -220,7 +221,10 @@ func TestGenerateAllValid(t *testing.T) {
 
 // TestGenerateLargeUniverse checks the scale the format bump exists for:
 // every ISP of a 512-ISP universe still satisfies the full Validate
-// invariant set, and names/ASNs stay unique.
+// invariant set, and names/ASNs stay unique. At 1024 ISPs it pins a
+// digest of the universe's .topo bytes and of its distance (>= 2) and
+// bandwidth (>= 3) pair lists, so the hub walk, the population powers
+// and the pair enumeration are held byte for byte at scale.
 func TestGenerateLargeUniverse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large universe in -short mode")
@@ -244,6 +248,27 @@ func TestGenerateLargeUniverse(t *testing.T) {
 	d := topology.AllPairs(isps, 2, true)
 	if len(d) < 500 {
 		t.Errorf("512-ISP universe has only %d eligible pairs; want >=500", len(d))
+	}
+
+	cfg.NumISPs = 1024
+	if isps, err = Generate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := topology.Write(h, isps); err != nil {
+		t.Fatal(err)
+	}
+	for _, min := range []int{2, 3} {
+		for _, p := range topology.AllPairs(isps, min, true) {
+			fmt.Fprintf(h, "%s %s\n", p.A.Name, p.B.Name)
+			for _, ix := range p.Interconnections {
+				fmt.Fprintf(h, "%d %d %q %x\n", ix.APoP, ix.BPoP, ix.City, math.Float64bits(ix.LengthKm))
+			}
+		}
+	}
+	const want = "6361d567da635cd5d7cc240eb0d24b5c8359160efb21386a9fe2b11e52617c58"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("1024-ISP universe digest %s, want %s", got, want)
 	}
 }
 
