@@ -9,8 +9,8 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and short snapshot, wire, .topo, engine, LP kernel,
-# watch-mode status and NDJSON fold fuzz bursts.
+# snapshot-based) and short snapshot, wire, .topo, pair enumeration,
+# engine, LP kernel, watch-mode status and NDJSON fold fuzz bursts.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -19,6 +19,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 20s ./internal/nexitwire/
 	go test -run '^$$' -fuzz 'FuzzResponderSession' -fuzztime 20s -fuzzminimizetime 2s ./internal/nexitwire/
 	go test -run '^$$' -fuzz 'FuzzTopologyRead' -fuzztime 20s ./internal/topology/
+	go test -run '^$$' -fuzz 'FuzzAllPairs' -fuzztime 20s -fuzzminimizetime 2s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/
 	go test -run '^$$' -fuzz 'FuzzDecodeVars' -fuzztime 20s ./internal/plot/

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/geo"
@@ -113,7 +114,7 @@ func DefaultConfig() Config {
 		MeshFraction:     0.12,
 		GlobalFraction:   0.2,
 		OutOfRegionProb:  0.08,
-		// Hub concentration tuned so the 330-city table keeps the
+		// Hub concentration tuned so the 440-city table keeps the
 		// interconnection density (and thus negotiation quality on
 		// failover) of the historical 155-city universe: 0.5/32 yields
 		// ~540 directly-connected pairs at 65 ISPs, and one-shot
@@ -202,10 +203,11 @@ func GenerateWorkers(cfg Config, workers int) ([]*topology.ISP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	t := newTables(cfg)
 	isps := make([]*topology.ISP, cfg.NumISPs)
 	errs := make([]error, cfg.NumISPs)
 	runner.ForEachIndex(cfg.NumISPs, workers, func(i int) {
-		isp := generateISP(cfg, i)
+		isp := t.generateISP(i)
 		if err := isp.Validate(); err != nil {
 			errs[i] = fmt.Errorf("gen: generated invalid ISP %d: %v", i, err)
 			return
@@ -222,10 +224,43 @@ func GenerateWorkers(cfg Config, workers int) ([]*topology.ISP, error) {
 	return isps, nil
 }
 
+// tables holds what every ISP of one GenerateWorkers call reads from
+// its Config and the embedded city table, computed once per call: the
+// per-city population powers, and the table's population order for
+// the peering-hub walk. It is read-only once built, so the workers
+// share it.
+type tables struct {
+	cfg     Config
+	bias    []float64 // Pow(Population, PopulationBias) per table city
+	traffic []float64 // Pow(Population, TrafficExponent) per table city
+	// byPopulation lists table indices most populous first, table order
+	// breaking ties (a stable sort of the table).
+	byPopulation []int
+}
+
+func newTables(cfg Config) *tables {
+	t := &tables{
+		cfg:          cfg,
+		bias:         make([]float64, len(worldCities)),
+		traffic:      make([]float64, len(worldCities)),
+		byPopulation: make([]int, len(worldCities)),
+	}
+	for k, c := range worldCities {
+		t.bias[k] = math.Pow(c.Population, cfg.PopulationBias)
+		t.traffic[k] = math.Pow(c.Population, cfg.TrafficExponent)
+		t.byPopulation[k] = k
+	}
+	sort.SliceStable(t.byPopulation, func(a, b int) bool {
+		return worldCities[t.byPopulation[a]].Population > worldCities[t.byPopulation[b]].Population
+	})
+	return t
+}
+
 // generateISP builds ISP number index. It is a pure function of
 // (cfg, index): all randomness comes from the ISP's private stream, so
 // ISPs can generate concurrently in any order.
-func generateISP(cfg Config, index int) *topology.ISP {
+func (t *tables) generateISP(index int) *topology.ISP {
+	cfg := t.cfg
 	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, index)))
 	isp := &topology.ISP{
 		Name: fmt.Sprintf("isp%02d", index),
@@ -248,22 +283,41 @@ func generateISP(cfg Config, index int) *topology.ISP {
 		n += globalSizeBoost
 	}
 
-	cities := samplePoPs(cfg, rng, home, global, n)
-	for i, c := range cities {
-		isp.PoPs = append(isp.PoPs, topology.PoP{
+	cities := t.samplePoPs(rng, home, global, n)
+	isp.PoPs = make([]topology.PoP, len(cities))
+	for i, k := range cities {
+		c := &worldCities[k]
+		isp.PoPs[i] = topology.PoP{
 			ID: i, City: c.Name, Loc: c.Loc,
 			// math.Pow(x, 1) == x exactly, so the default exponent
 			// records metro populations unchanged.
-			Population: math.Pow(c.Population, cfg.TrafficExponent),
-		})
+			Population: t.traffic[k],
+		}
 	}
 
+	dist := distances(isp.PoPs)
 	if rng.Float64() < cfg.MeshFraction {
-		buildMesh(isp, cfg, rng)
+		buildMesh(isp, cfg, rng, dist)
 	} else {
-		buildBackbone(isp, cfg, rng)
+		buildBackbone(isp, cfg, rng, dist)
 	}
 	return isp
+}
+
+// distances returns the PoPs' geographic distance matrix, row-major:
+// entry i*n+j is geo.DistanceKm from PoP i to PoP j. The haversine is
+// symmetric bit for bit (an exact negation inside an odd sine, then
+// squared), so each pair is computed once and mirrored.
+func distances(pops []topology.PoP) []float64 {
+	n := len(pops)
+	d := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			km := geo.DistanceKm(pops[i].Loc, pops[j].Loc)
+			d[i*n+j], d[j*n+i] = km, km
+		}
+	}
+	return d
 }
 
 // drawRegion samples a home region according to regionShare.
@@ -279,37 +333,41 @@ func drawRegion(rng *rand.Rand) Region {
 	return NorthAmerica
 }
 
-// samplePoPs draws n distinct cities with probability proportional to
-// population^bias, restricted to the home region for continental ISPs
-// (with occasional out-of-region PoPs). With probability HubBias each
-// draw comes from the pool's peering-hub set instead (the HubCount
-// most-populous cities), concentrating interconnection points the way
-// real ISPs concentrate peering in a handful of hub metros. If n
-// exceeds the pool — a boosted global ISP against a small table, or a
-// widened region — it is clamped to the pool size rather than running
-// the without-replacement draw dry.
-func samplePoPs(cfg Config, rng *rand.Rand, home Region, global bool, n int) []City {
-	var pool []City
-	for _, c := range worldCities {
+// samplePoPs draws n distinct cities, as table indices, with
+// probability proportional to population^bias, restricted to the home
+// region for continental ISPs (with occasional out-of-region PoPs).
+// With probability HubBias each draw comes from the pool's peering-hub
+// set instead (the HubCount most-populous cities), concentrating
+// interconnection points the way real ISPs concentrate peering in a
+// handful of hub metros. If n exceeds the pool — a boosted global ISP
+// against a small table, or a widened region — it is clamped to the
+// pool size rather than running the without-replacement draw dry.
+func (t *tables) samplePoPs(rng *rand.Rand, home Region, global bool, n int) []int {
+	cfg := t.cfg
+	pool := make([]int, 0, len(worldCities))
+	for k, c := range worldCities {
 		if global || c.Region == home || rng.Float64() < cfg.OutOfRegionProb {
-			pool = append(pool, c)
+			pool = append(pool, k)
 		}
 	}
 	if len(pool) < n {
 		// Tiny regions (Oceania, Africa) may not have n cities; widen to
 		// the whole world rather than fail.
-		pool = Cities()
+		pool = pool[:len(worldCities)]
+		for k := range pool {
+			pool[k] = k
+		}
 	}
 	if n > len(pool) {
 		n = len(pool)
 	}
 	weights := make([]float64, len(pool))
-	for i, c := range pool {
-		weights[i] = math.Pow(c.Population, cfg.PopulationBias)
+	for i, k := range pool {
+		weights[i] = t.bias[k]
 	}
 	all := newWeightedSampler(weights)
-	hubs := newWeightedSampler(hubWeights(pool, weights, cfg.HubCount))
-	out := make([]City, 0, n)
+	hubs := newWeightedSampler(t.hubWeights(pool, weights, cfg.HubCount))
+	out := make([]int, 0, n)
 	for len(out) < n {
 		var i int
 		if cfg.HubBias > 0 && hubs.Total() > 0 && rng.Float64() < cfg.HubBias {
@@ -326,35 +384,29 @@ func samplePoPs(cfg Config, rng *rand.Rand, home Region, global bool, n int) []C
 
 // hubWeights restricts a pool's weight vector to its peering-hub set:
 // the count most-populous cities keep their weights, everything else
-// drops to zero. Ties and order are deterministic (stable sort by
-// population, pool order breaking ties).
-func hubWeights(pool []City, weights []float64, count int) []float64 {
+// drops to zero. pool holds ascending table indices, so walking the
+// table's population order and keeping the pool's members meets them
+// in the order a stable population sort of the pool would: population
+// first, pool order breaking ties.
+func (t *tables) hubWeights(pool []int, weights []float64, count int) []float64 {
 	hw := make([]float64, len(pool))
-	if count <= 0 {
-		return hw
-	}
-	if count > len(pool) {
-		count = len(pool)
-	}
-	order := make([]int, len(pool))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return pool[order[a]].Population > pool[order[b]].Population
-	})
-	for _, i := range order[:count] {
-		hw[i] = weights[i]
+	for _, k := range t.byPopulation {
+		if count <= 0 {
+			break
+		}
+		if i, ok := slices.BinarySearch(pool, k); ok {
+			hw[i] = weights[i]
+			count--
+		}
 	}
 	return hw
 }
 
 // buildBackbone constructs a geographic MST plus Waxman shortcuts.
-func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand) {
+// distMatrix is the PoPs' distance matrix from distances.
+func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand, distMatrix []float64) {
 	n := len(isp.PoPs)
-	dist := func(i, j int) float64 {
-		return geo.DistanceKm(isp.PoPs[i].Loc, isp.PoPs[j].Loc)
-	}
+	dist := func(i, j int) float64 { return distMatrix[i*n+j] }
 
 	// Prim's MST over geographic distance.
 	inTree := make([]bool, n)
@@ -439,12 +491,13 @@ func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand) {
 }
 
 // buildMesh links every pair of PoPs directly, producing a logical-mesh
-// topology like the eight the paper excludes.
-func buildMesh(isp *topology.ISP, cfg Config, rng *rand.Rand) {
+// topology like the eight the paper excludes. dist is the PoPs'
+// distance matrix from distances.
+func buildMesh(isp *topology.ISP, cfg Config, rng *rand.Rand, dist []float64) {
 	n := len(isp.PoPs)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			d := geo.DistanceKm(isp.PoPs[a].Loc, isp.PoPs[b].Loc)
+			d := dist[a*n+b]
 			if d < 1 {
 				d = 1
 			}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestGenerateISPPure(t *testing.T) {
 		} else {
 			backboneChecked = true
 		}
-		if solo := generateISP(cfg, i); !reflect.DeepEqual(isp, solo) {
+		if solo := newTables(cfg).generateISP(i); !reflect.DeepEqual(isp, solo) {
 			t.Errorf("isp %d: isolated regeneration differs from Generate", i)
 		}
 	}
@@ -297,7 +298,7 @@ func TestDatasetHasUsablePairs(t *testing.T) {
 }
 
 func TestCitiesTable(t *testing.T) {
-	cities := Cities()
+	cities := worldCities
 	if len(cities) < 120 {
 		t.Fatalf("city table has %d entries, want >=120", len(cities))
 	}
@@ -320,11 +321,6 @@ func TestCitiesTable(t *testing.T) {
 			t.Errorf("%s: bad region %d", c.Name, c.Region)
 		}
 	}
-	// Mutating the returned slice must not affect the embedded table.
-	cities[0].Name = "mutated"
-	if Cities()[0].Name == "mutated" {
-		t.Error("Cities() exposes internal state")
-	}
 }
 
 // TestSamplePoPsRegionWidening covers the small-region fallback: when the
@@ -334,23 +330,23 @@ func TestSamplePoPsRegionWidening(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OutOfRegionProb = 0 // pool is exactly the home region
 	oceania := 0
-	for _, c := range Cities() {
+	for _, c := range worldCities {
 		if c.Region == Oceania {
 			oceania++
 		}
 	}
 	n := oceania + 10
 	rng := rand.New(rand.NewSource(7))
-	got := samplePoPs(cfg, rng, Oceania, false, n)
+	got := newTables(cfg).samplePoPs(rng, Oceania, false, n)
 	if len(got) != n {
 		t.Fatalf("widened draw returned %d cities, want %d", len(got), n)
 	}
 	seen := map[string]bool{}
-	for _, c := range got {
-		if seen[c.Name] {
+	for _, k := range got {
+		if c := worldCities[k]; seen[c.Name] {
 			t.Errorf("duplicate city %q", c.Name)
 		}
-		seen[c.Name] = true
+		seen[worldCities[k].Name] = true
 	}
 }
 
@@ -359,19 +355,100 @@ func TestSamplePoPsRegionWidening(t *testing.T) {
 // to the pool instead of running the without-replacement draw dry.
 func TestSamplePoPsExhaustionClamp(t *testing.T) {
 	cfg := DefaultConfig()
-	world := len(Cities())
+	world := len(worldCities)
 	rng := rand.New(rand.NewSource(11))
-	got := samplePoPs(cfg, rng, NorthAmerica, true, world+50)
+	got := newTables(cfg).samplePoPs(rng, NorthAmerica, true, world+50)
 	if len(got) != world {
 		t.Fatalf("exhausting draw returned %d cities, want clamp to %d", len(got), world)
 	}
 	seen := map[string]bool{}
-	for _, c := range got {
-		if seen[c.Name] {
+	for _, k := range got {
+		if c := worldCities[k]; seen[c.Name] {
 			t.Errorf("duplicate city %q", c.Name)
 		}
-		seen[c.Name] = true
+		seen[worldCities[k].Name] = true
 	}
+}
+
+// hubWeightsByStableSort is the hub selection hubWeights replaced, kept
+// as its oracle: a stable population sort of the pool itself, whose
+// first count members keep their weights.
+func hubWeightsByStableSort(pool []City, weights []float64, count int) []float64 {
+	hw := make([]float64, len(pool))
+	if count <= 0 {
+		return hw
+	}
+	if count > len(pool) {
+		count = len(pool)
+	}
+	order := make([]int, len(pool))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return pool[order[a]].Population > pool[order[b]].Population
+	})
+	for _, i := range order[:count] {
+		hw[i] = weights[i]
+	}
+	return hw
+}
+
+// TestHubWeightsMatchesStableSort checks the population-order walk
+// against the per-pool stable sort on random region pools, on the
+// widened full table, at hub counts of 0, HubCount and beyond the pool,
+// and on a table with tied populations (ties must break by table
+// order, as the stable sort breaks them by pool order).
+func TestHubWeightsMatchesStableSort(t *testing.T) {
+	check := func(label string, tb *tables, pool []int, count int) {
+		t.Helper()
+		cities := make([]City, len(pool))
+		weights := make([]float64, len(pool))
+		for i, k := range pool {
+			cities[i] = worldCities[k]
+			weights[i] = tb.bias[k]
+		}
+		want := hubWeightsByStableSort(cities, weights, count)
+		if got := tb.hubWeights(pool, weights, count); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s count=%d: hub weights\n%v\nwant\n%v", label, count, got, want)
+		}
+	}
+	counts := func(pool []int) []int {
+		return []int{0, 1, DefaultConfig().HubCount, len(pool) - 1, len(pool), len(pool) + 7}
+	}
+	all := make([]int, len(worldCities))
+	for k := range all {
+		all[k] = k
+	}
+	run := func(label string, tb *tables) {
+		for _, count := range counts(all) {
+			check(label+" widened table", tb, all, count)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 60; trial++ {
+			home := Region(trial % int(numRegions))
+			var pool []int
+			for k, c := range worldCities {
+				if c.Region == home || rng.Float64() < 0.08 {
+					pool = append(pool, k)
+				}
+			}
+			for _, count := range counts(pool) {
+				check(fmt.Sprintf("%s %v pool %d", label, home, trial), tb, pool, count)
+			}
+		}
+	}
+	run("embedded", newTables(DefaultConfig()))
+
+	// Tied populations: round every population to a few coarse levels,
+	// so most hub sets end inside a run of ties.
+	saved := worldCities
+	defer func() { worldCities = saved }()
+	worldCities = append([]City(nil), saved...)
+	for k := range worldCities {
+		worldCities[k].Population = float64(1 + int(worldCities[k].Population)%4)
+	}
+	run("tied", newTables(DefaultConfig()))
 }
 
 // TestWeightedSamplerMatchesLinearScan is the property test for the

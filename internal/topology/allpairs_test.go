@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -110,4 +112,100 @@ func TestAllPairsMatchesNewPair(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestAllPairsRejectsDuplicateCity(t *testing.T) {
+	isps := handBuiltUniverse()
+	dup := isps[1]
+	dup.PoPs = append(dup.PoPs, topology.PoP{ID: len(dup.PoPs), City: "denver", Loc: dup.PoPs[1].Loc})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `ISP b lists city "denver" twice`) {
+			t.Fatalf("AllPairs on an ISP listing a city twice: panic %q, want one naming the ISP and the city", msg)
+		}
+	}()
+	topology.AllPairs(isps, 2, true)
+}
+
+// fuzzUniverse decodes a small universe from data: 2–12 ISPs, each a
+// path or a full mesh over up to 20 distinct cities drawn from 150
+// names (so up to three bitset words), listed in data's order rather
+// than city order, with a per-ISP coordinate offset so that shared
+// cities have non-zero interconnection lengths. Names are decimal
+// numbers, so the sorted-name numbering differs from the numeric one.
+func fuzzUniverse(data []byte) []*topology.ISP {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	const names = 150
+	isps := make([]*topology.ISP, 2+next()%11)
+	for i := range isps {
+		flags := next()
+		isp := &topology.ISP{Name: "isp" + strconv.Itoa(i)}
+		add := func(c int) {
+			isp.PoPs = append(isp.PoPs, topology.PoP{
+				ID:   len(isp.PoPs),
+				City: strconv.Itoa(c),
+				Loc:  geo.Point{Lat: float64(c%160-80) + float64(flags>>4)/64, Lon: float64(c*7%340-170) - float64(flags&7)/32},
+			})
+		}
+		seen := map[int]bool{}
+		for n := next() % 21; len(isp.PoPs) < n && len(data) > 0; {
+			if c := next() % names; !seen[c] {
+				seen[c] = true
+				add(c)
+			}
+		}
+		if len(isp.PoPs) == 0 {
+			add(i)
+		}
+		for b := 1; b < len(isp.PoPs); b++ {
+			for a := 0; a < b; a++ {
+				if flags&8 != 0 || a == b-1 {
+					isp.Links = append(isp.Links, topology.Link{A: a, B: b, Weight: 1})
+				}
+			}
+		}
+		isps[i] = isp
+	}
+	return isps
+}
+
+// FuzzAllPairs holds the bitset enumeration to the NewPair double loop
+// on small random universes, at every minInterconnections from 0 to 4,
+// with and without mesh exclusion.
+func FuzzAllPairs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 4, 1, 2, 3, 4, 8, 5, 1, 2, 3, 4, 5, 0, 3, 4, 3, 2})
+	// Twelve ISPs of 20 cities that together list all 150 names.
+	dense := []byte{10}
+	for i := 0; i < 12; i++ {
+		dense = append(dense, byte(i*21), 20)
+		for k := 0; k < 20; k++ {
+			dense = append(dense, byte((i*13+k*7)%150))
+		}
+	}
+	f.Add(dense)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		isps := fuzzUniverse(data)
+		for _, isp := range isps {
+			if err := isp.Validate(); err != nil {
+				t.Fatalf("fuzzUniverse built an invalid ISP: %v", err)
+			}
+		}
+		for min := 0; min <= 4; min++ {
+			for _, excludeMesh := range []bool{false, true} {
+				want := allPairsByNewPair(isps, min, excludeMesh)
+				got := topology.AllPairs(isps, min, excludeMesh)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("min=%d excludeMesh=%v: AllPairs gives %v, NewPair double loop %v", min, excludeMesh, got, want)
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/geo"
@@ -121,11 +122,13 @@ func (p *Pair) String() string {
 //
 // Every element equals NewPair of its two ISPs, in the order of the
 // (i, j > i) double loop over isps, for ISPs that pass Validate (unique
-// cities per ISP) — gen and Read both enforce it. Candidates are tested
-// by a linear merge of per-ISP city lists (see cityLists) and only the
-// kept ones are built; rows of the double loop are sharded over
-// GOMAXPROCS goroutines and concatenated in row order. The pairs of one
-// row share two backing arrays, so holding one pair holds its row's.
+// cities per ISP) — gen and Read both enforce it; AllPairs panics on an
+// ISP that lists a city twice. Each ISP is a bitset over the universe's
+// cities (see newCitySets): a candidate costs an AND and a popcount per
+// word, and only the kept ones are built. Rows of the double loop are
+// sharded over GOMAXPROCS goroutines and concatenated in row order. The
+// pairs of one row share two backing arrays, so holding one pair holds
+// its row's.
 func AllPairs(isps []*ISP, minInterconnections int, excludeMesh bool) []*Pair {
 	if excludeMesh {
 		kept := make([]*ISP, 0, len(isps))
@@ -136,40 +139,32 @@ func AllPairs(isps []*ISP, minInterconnections int, excludeMesh bool) []*Pair {
 		}
 		isps = kept
 	}
-	lists := cityLists(isps)
+	sets := newCitySets(isps)
 	rows := make([][]Pair, len(isps))
 	runner.ForEachIndex(len(isps), 0, func(i int) {
-		// Merge the whole row into pointer-free scratch first, so that
-		// the row's pairs and interconnections are one allocation each.
-		var (
-			partners []partner
-			shared   []popPair
-		)
+		// Count the whole row first, so that the row's pairs and
+		// interconnections are one allocation each.
+		var partners []partner
+		shared := 0
+		a := sets.cities(i)
 		for j := i + 1; j < len(isps); j++ {
-			mark := len(shared)
-			shared = intersect(lists[i], lists[j], shared)
-			if len(shared)-mark < minInterconnections {
-				shared = shared[:mark]
+			b := sets.cities(j)[:len(a)]
+			n := 0
+			for w := range a {
+				n += bits.OnesCount64(a[w] & b[w])
+			}
+			if n < minInterconnections {
 				continue
 			}
-			partners = append(partners, partner{isp: int32(j), end: int32(len(shared))})
+			shared += n
+			partners = append(partners, partner{isp: int32(j), end: int32(shared)})
 		}
-		a := isps[i]
 		pairs := make([]Pair, len(partners))
-		ixs := make([]Interconnection, len(shared))
+		ixs := make([]Interconnection, shared)
 		start := int32(0)
 		for k, pt := range partners {
-			b := isps[pt.isp]
-			for x := start; x < pt.end; x++ {
-				ap, bp := int(shared[x].a), int(shared[x].b)
-				ixs[x] = Interconnection{
-					APoP:     ap,
-					BPoP:     bp,
-					City:     a.PoPs[ap].City,
-					LengthKm: geo.DistanceKm(a.PoPs[ap].Loc, b.PoPs[bp].Loc),
-				}
-			}
-			pairs[k] = Pair{A: a, B: b}
+			sets.fill(isps, i, int(pt.isp), ixs[start:pt.end])
+			pairs[k] = Pair{A: isps[i], B: isps[pt.isp]}
 			if pt.end > start { // none stays nil, as in NewPair
 				// Capacity clipped: an append must not reach the next pair's.
 				pairs[k].Interconnections = ixs[start:pt.end:pt.end]
@@ -194,23 +189,28 @@ func AllPairs(isps []*ISP, minInterconnections int, excludeMesh bool) []*Pair {
 	return out
 }
 
-// cityPoP is one PoP of an ISP under the universe's city numbering.
-type cityPoP struct{ city, pop int32 }
-
-// popPair is one interconnection found by a merge: the PoP IDs in the
-// row's ISP and in its partner.
-type popPair struct{ a, b int32 }
-
 // partner is a kept partner of a row's ISP: its index, and where its
-// interconnections end in the row's popPair list (they start where the
-// previous partner's end).
+// interconnections end in the row's list (they start where the previous
+// partner's end).
 type partner struct{ isp, end int32 }
 
-// cityLists numbers the distinct cities of the ISPs in sorted-name
-// order and returns, per ISP, its PoPs as (city number, PoP ID) sorted
-// by city number. Numbers order as names do, so a merge of two lists
-// meets shared cities in the city-name order NewPair sorts into.
-func cityLists(isps []*ISP) [][]cityPoP {
+// citySets is a universe's ISPs as bitsets over its cities, numbered in
+// sorted-name order: bit c of ISP i's words is set when i has a PoP in
+// city c. Walking the set bits of two ISPs' AND in ascending order
+// meets their shared cities in NewPair's name order. pops maps a set
+// bit back to its PoP: the PoP IDs of ISP i in city-number order, so a
+// bit's rank among i's set bits indexes it.
+type citySets struct {
+	stride int      // uint64 words per ISP
+	words  []uint64 // ISP i's bitset is words[i*stride : (i+1)*stride]
+	pops   []int32  // ISP i's PoP IDs by city number, from popAt[i]
+	popAt  []int32  // len(isps)+1 offsets into pops
+}
+
+// newCitySets numbers the ISPs' distinct cities and builds their
+// bitsets. It panics, naming the ISP and the city, when an ISP lists a
+// city twice: NewPair would match both of its PoPs, a bitset only one.
+func newCitySets(isps []*ISP) *citySets {
 	number := make(map[string]int32)
 	pops := 0
 	for _, isp := range isps {
@@ -227,34 +227,58 @@ func cityLists(isps []*ISP) [][]cityPoP {
 	for i, name := range names {
 		number[name] = int32(i)
 	}
-	flat := make([]cityPoP, 0, pops) // one backing array, one sublist per ISP
-	lists := make([][]cityPoP, len(isps))
-	for i, isp := range isps {
-		start := len(flat)
-		for _, pop := range isp.PoPs {
-			flat = append(flat, cityPoP{city: number[pop.City], pop: int32(pop.ID)})
-		}
-		list := flat[start:]
-		sort.Slice(list, func(x, y int) bool { return list[x].city < list[y].city })
-		lists[i] = list
+	s := &citySets{
+		stride: (len(names) + 63) / 64,
+		pops:   make([]int32, 0, pops),
+		popAt:  make([]int32, 1, len(isps)+1),
 	}
-	return lists
+	s.words = make([]uint64, len(isps)*s.stride)
+	popOf := make([]int32, len(names)) // this ISP's PoP per city, scratch
+	for i, isp := range isps {
+		set := s.cities(i)
+		for _, pop := range isp.PoPs {
+			c := number[pop.City]
+			w, bit := c/64, uint64(1)<<(c%64)
+			if set[w]&bit != 0 {
+				panic(fmt.Sprintf("topology: AllPairs: ISP %s lists city %q twice", isp.Name, pop.City))
+			}
+			set[w] |= bit
+			popOf[c] = int32(pop.ID)
+		}
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				s.pops = append(s.pops, popOf[w*64+bits.TrailingZeros64(word)])
+			}
+		}
+		s.popAt = append(s.popAt, int32(len(s.pops)))
+	}
+	return s
 }
 
-// intersect appends to out one popPair per city the two lists share, in
-// city order.
-func intersect(a, b []cityPoP, out []popPair) []popPair {
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i].city < b[j].city:
-			i++
-		case a[i].city > b[j].city:
-			j++
-		default:
-			out = append(out, popPair{a: a[i].pop, b: b[j].pop})
-			i++
-			j++
+// cities returns ISP i's bitset.
+func (s *citySets) cities(i int) []uint64 { return s.words[i*s.stride : (i+1)*s.stride] }
+
+// fill writes the interconnections of ISPs i and j, one per shared
+// city in city order, into out, which holds exactly that many.
+func (s *citySets) fill(isps []*ISP, i, j int, out []Interconnection) {
+	a, b := isps[i], isps[j]
+	aBits, bBits := s.cities(i), s.cities(j)
+	aPoPs, bPoPs := s.pops[s.popAt[i]:s.popAt[i+1]], s.pops[s.popAt[j]:s.popAt[j+1]]
+	aRank, bRank, k := 0, 0, 0 // set bits in the words before w
+	for w := range aBits {
+		for both := aBits[w] & bBits[w]; both != 0; both &= both - 1 {
+			below := both&-both - 1
+			ap := int(aPoPs[aRank+bits.OnesCount64(aBits[w]&below)])
+			bp := int(bPoPs[bRank+bits.OnesCount64(bBits[w]&below)])
+			out[k] = Interconnection{
+				APoP:     ap,
+				BPoP:     bp,
+				City:     a.PoPs[ap].City,
+				LengthKm: geo.DistanceKm(a.PoPs[ap].Loc, b.PoPs[bp].Loc),
+			}
+			k++
 		}
+		aRank += bits.OnesCount64(aBits[w])
+		bRank += bits.OnesCount64(bBits[w])
 	}
-	return out
 }

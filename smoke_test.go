@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
@@ -16,9 +17,9 @@ import (
 // into a temporary directory and runs each once on a small input: a
 // clean exit and some output, inside a bounded time. What they print is
 // pinned elsewhere (the experiment, plot and mesh suites), except for
-// the one contract between two binaries: nexitsim's figure mode and
-// nexitplot over nexitsim's stream print the same figures. Needs the go
-// tool, no network.
+// the shape of a 1024-ISP stream and the one contract between two
+// binaries: nexitsim's figure mode and nexitplot over nexitsim's stream
+// print the same figures. Needs the go tool, no network.
 func TestCommandsAndExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nine binaries")
@@ -34,6 +35,8 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 		// stdout, when set, receives the command's standard output for a
 		// later row to read.
 		stdout string
+		// check, when set, inspects the command's standard output.
+		check func(t *testing.T, stdout []byte)
 	}{
 		{name: "continuousnegotiation"},
 		{name: "diversecriteria"},
@@ -42,6 +45,10 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 		{name: "quickstart"},
 		{name: "nexitsim", args: []string{"-isps", "12", "-inventory"}},
 		{name: "nexitsim", args: []string{"-isps", "12", "-max-pairs", "2", "-stream", "-fig", "4"}, stdout: stream},
+		// Generation shards per ISP, so a universe far beyond the paper's
+		// 65 ISPs must stream end to end (DESIGN.md §4); the pair bound
+		// keeps it a smoke.
+		{name: "nexitsim", args: []string{"-isps", "1024", "-max-pairs", "6", "-stream", "-fig", "4"}, check: checkStreamSummary},
 		{name: "nexitplot", args: []string{stream}},
 		{name: "topogen", args: []string{"-isps", "12", "-inventory"}},
 		{name: "nexitagent", args: []string{"-h"}},
@@ -58,6 +65,9 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 			}
 			if stdout.Len()+stderr.Len() == 0 {
 				t.Errorf("%s %v printed nothing", c.name, c.args)
+			}
+			if c.check != nil {
+				c.check(t, stdout.Bytes())
 			}
 			if c.stdout != "" {
 				if err := os.WriteFile(c.stdout, stdout.Bytes(), 0o644); err != nil {
@@ -98,6 +108,32 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 			t.Errorf("Figure 4-11 sections differ:\nnexitsim -fig all:\n%s\nnexitplot over -stream:\n%s", sim, plot)
 		}
 	})
+}
+
+// checkStreamSummary checks a one-experiment NDJSON stream: at least
+// six lines, each a JSON object naming its experiment, and the last one
+// the summary, counting the records before it.
+func checkStreamSummary(t *testing.T, stdout []byte) {
+	lines := strings.Split(strings.TrimSuffix(string(stdout), "\n"), "\n")
+	if len(lines) < 6 {
+		t.Fatalf("stream has %d NDJSON lines, want at least 6:\n%s", len(lines), stdout)
+	}
+	for i, line := range lines {
+		var obj struct {
+			Experiment string `json:"experiment"`
+			Results    *int   `json:"results"`
+		}
+		if err := json.Unmarshal([]byte(line), &obj); err != nil || obj.Experiment == "" {
+			t.Fatalf("line %d is not a JSON object naming its experiment (%v): %.200s", i+1, err, line)
+		}
+		last := i == len(lines)-1
+		if (obj.Results != nil) != last {
+			t.Fatalf("line %d of %d: summary=%v, want the summary last and only there", i+1, len(lines), obj.Results != nil)
+		}
+		if last && *obj.Results != len(lines)-1 {
+			t.Fatalf("summary counts %d results, the stream has %d records", *obj.Results, len(lines)-1)
+		}
+	}
 }
 
 // buildMains builds the main packages matched by pkgs into a fresh
