@@ -15,7 +15,6 @@ import (
 // pairSetup holds the per-pair state shared by distance experiments.
 type pairSetup struct {
 	s        *pairsim.System
-	rev      *pairsim.System
 	items    []nexit.Item
 	defaults []int
 }
@@ -24,7 +23,7 @@ type pairSetup struct {
 // defaults under the given flow-size model (distance metrics use
 // traffic.Identical since they are size-independent; the scalability
 // analysis needs skewed gravity sizes).
-func newPairSetupWithModel(pair *topology.Pair, cache *pairsim.TableCache, model traffic.Model) pairSetup {
+func newPairSetupWithModel(pair *topology.Pair, cache *pairsim.TableCache, model traffic.Model) *pairSetup {
 	s := pairsim.New(pair, cache)
 	rev := s.Reverse()
 	wAB := traffic.New(pair.A, pair.B, model, nil)
@@ -38,28 +37,34 @@ func newPairSetupWithModel(pair *topology.Pair, cache *pairsim.TableCache, model
 			defaults[i] = rev.EarlyExit(it.Flow)
 		}
 	}
-	return pairSetup{s: s, rev: rev, items: items, defaults: defaults}
+	return &pairSetup{s: s, items: items, defaults: defaults}
 }
 
-// itemDist returns the end-to-end distance of an item under alternative
-// k, and the split inside ISP A and ISP B.
-func (ps pairSetup) itemDist(it nexit.Item, k int) (total, inA, inB float64) {
+// itemRows returns item i's rows of own-network lengths inside ISP A
+// and inside ISP B, read from the pair's distance rows: entry k is the
+// length via interconnection k.
+func (ps *pairSetup) itemRows(i int) (inA, inB []float64) {
+	it := &ps.items[i]
 	if it.Dir == nexit.AtoB {
-		inA, inB = ps.s.UpDistKm(it.Flow, k), ps.s.DownDistKm(it.Flow, k)
-	} else {
-		inB, inA = ps.rev.UpDistKm(it.Flow, k), ps.rev.DownDistKm(it.Flow, k)
+		return ps.s.UpRows().To(it.Flow.Src), ps.s.DownRows().From(it.Flow.Dst)
 	}
-	total = inA + inB + ps.s.Pair.Interconnections[k].LengthKm
-	return total, inA, inB
+	return ps.s.UpRows().From(it.Flow.Dst), ps.s.DownRows().To(it.Flow.Src)
+}
+
+// via is the end-to-end distance via interconnection k of an item whose
+// rows inside A and B are a and b. Every driver sums in this order.
+func (ps *pairSetup) via(a, b []float64, k int) float64 {
+	return a[k] + b[k] + ps.s.Pair.Interconnections[k].LengthKm
 }
 
 // distances sums end-to-end and per-ISP distances of an assignment.
-func (ps pairSetup) distances(assign []int) (total, inA, inB float64) {
-	for i, it := range ps.items {
-		t, a, b := ps.itemDist(it, assign[i])
-		total += t
-		inA += a
-		inB += b
+func (ps *pairSetup) distances(assign []int) (total, inA, inB float64) {
+	for i := range ps.items {
+		a, b := ps.itemRows(i)
+		k := assign[i]
+		total += ps.via(a, b, k)
+		inA += a[k]
+		inB += b[k]
 	}
 	return total, inA, inB
 }
@@ -109,10 +114,11 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 
 			// Globally optimal: per-item best end-to-end alternative.
 			optAssign := make([]int, len(ps.items))
-			for i, it := range ps.items {
+			for i := range ps.items {
+				a, b := ps.itemRows(i)
 				best, bestD := 0, math.Inf(1)
 				for k := 0; k < na; k++ {
-					if d, _, _ := ps.itemDist(it, k); d < bestD {
+					if d := ps.via(a, b, k); d < bestD {
 						best, bestD = k, d
 					}
 				}
@@ -168,10 +174,10 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 				IndNegB:          metrics.GainPercent(job.defB, negB),
 			}
 			nonDefault := 0
-			for i, it := range ps.items {
-				dDef, _, _ := ps.itemDist(it, ps.defaults[i])
-				dNeg, _, _ := ps.itemDist(it, neg.Assign[i])
-				dOpt, _, _ := ps.itemDist(it, optAssign[i])
+			for i := range ps.items {
+				a, b := ps.itemRows(i)
+				dDef := ps.via(a, b, ps.defaults[i])
+				dNeg, dOpt := ps.via(a, b, neg.Assign[i]), ps.via(a, b, optAssign[i])
 				if dDef > 0 {
 					out.FlowGainNeg = append(out.FlowGainNeg, metrics.GainPercent(dDef, dNeg))
 					out.FlowGainOpt = append(out.FlowGainOpt, metrics.GainPercent(dDef, dOpt))

@@ -40,7 +40,7 @@ func pairLabel(p *topology.Pair) string {
 // assignment's distances (degenerate zero-distance pairs are filtered
 // before the function runs), and the pair's private RNG.
 type pairJob struct {
-	ps                   pairSetup
+	ps                   *pairSetup
 	defTotal, defA, defB float64
 	rng                  *rand.Rand
 }

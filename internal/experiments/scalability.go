@@ -52,8 +52,8 @@ func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(
 			weighted := func(assign []int) float64 {
 				var sum float64
 				for i, it := range ps.items {
-					d, _, _ := ps.itemDist(it, assign[i])
-					sum += it.Flow.Size * d
+					a, b := ps.itemRows(i)
+					sum += it.Flow.Size * ps.via(a, b, assign[i])
 				}
 				return sum
 			}

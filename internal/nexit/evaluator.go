@@ -99,21 +99,11 @@ func newView(s *pairsim.System, side Side) view {
 	return v
 }
 
-// endpoints returns the (from, to) PoPs of the item's path inside this
-// ISP when using interconnection k.
-func (v view) endpoints(it Item, k int) (from, to int) {
-	upstream := (v.side == SideA && it.Dir == AtoB) || (v.side == SideB && it.Dir == BtoA)
-	if upstream {
-		return it.Flow.Src, v.ixOwn[k]
-	}
-	return v.ixOwn[k], it.Flow.Dst
-}
-
-// distKm returns the distance the item travels inside this ISP via
-// interconnection k — the §5.1 per-flow metric.
-func (v view) distKm(it Item, k int) float64 {
-	from, to := v.endpoints(it, k)
-	return v.table.LengthKm(from, to)
+// upstream reports whether the item's path inside this ISP runs from
+// its source to the interconnection (the ISP is the item's upstream)
+// rather than from the interconnection to its destination.
+func (v view) upstream(it Item) bool {
+	return (v.side == SideA && it.Dir == AtoB) || (v.side == SideB && it.Dir == BtoA)
 }
 
 // pathLinks returns the own-network links used by the item via
@@ -122,8 +112,7 @@ func (v view) distKm(it Item, k int) float64 {
 // caller must have resolved v.idx (load-based evaluators do so at
 // construction).
 func (v view) pathLinks(it Item, k int) []int32 {
-	upstream := (v.side == SideA && it.Dir == AtoB) || (v.side == SideB && it.Dir == BtoA)
-	if upstream {
+	if v.upstream(it) {
 		return v.idx.To(k, it.Flow.Src)
 	}
 	return v.idx.From(k, it.Flow.Dst)
@@ -189,6 +178,7 @@ func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalS
 				// Rank = number of strictly-between deltas of the same
 				// sign plus one, clamped to P.
 				if d == 0 {
+					out[i][k] = 0
 					continue
 				}
 				rank := 1
@@ -214,9 +204,13 @@ func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalS
 	default: // Cardinal
 		denom := cardinalDenominator(deltas, scale, &s.mags)
 		if denom == 0 {
+			for _, row := range out {
+				clear(row)
+			}
 			return out
 		}
 		for i, ds := range deltas {
+			row := out[i][:len(ds)]
 			for k, d := range ds {
 				// Floor rounding throughout: a class is a certified
 				// LOWER bound on the real improvement, for losses and
@@ -235,7 +229,7 @@ func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalS
 				if cls < -p {
 					cls = -p
 				}
-				out[i][k] = cls
+				row[k] = cls
 			}
 		}
 		return out
@@ -315,23 +309,40 @@ func (e *evaluator) Release() {
 // DistanceEvaluator maps alternatives to preferences using the distance
 // a flow travels inside the ISP's own network (§5.1): shorter is better.
 // It is stateless; Commit is a no-op.
-type DistanceEvaluator struct{ evaluator }
+type DistanceEvaluator struct {
+	evaluator
+	// rows are the pair's distance rows inside this side's ISP, owned by
+	// the System and shared with every other reader of the pair.
+	rows *pairsim.DistRows
+}
 
 // NewDistanceEvaluator builds the evaluator for the given side of the
 // (A->B oriented) system.
 func NewDistanceEvaluator(s *pairsim.System, side Side, p int) *DistanceEvaluator {
-	e := &DistanceEvaluator{evaluator{view: newView(s, side), P: p, scratch: newScratch()}}
+	rows := s.UpRows()
+	if side == SideB {
+		rows = s.DownRows()
+	}
+	e := &DistanceEvaluator{evaluator{view: newView(s, side), P: p, scratch: newScratch()}, rows}
 	e.fn = e.row
 	return e
 }
 
 // row fills item i's deltas: own-network distance saved against the
-// item's default.
+// item's default. The item's row of lengths is keyed by its PoP inside
+// this ISP, so it is looked up once and then read per alternative.
 func (e *DistanceEvaluator) row(i int) {
 	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
-	base := e.view.distKm(it, e.scratch.defaults[i])
+	var r []float64
+	if e.view.upstream(it) {
+		r = e.rows.To(it.Flow.Src)
+	} else {
+		r = e.rows.From(it.Flow.Dst)
+	}
+	base := r[e.scratch.defaults[i]]
+	r = r[:len(row)]
 	for k := range row {
-		row[k] = base - e.view.distKm(it, k)
+		row[k] = base - r[k]
 	}
 }
 

@@ -91,16 +91,14 @@ func newScratch() *evalScratch {
 	}
 }
 
-// deltas returns the items x alts delta matrix, zeroed.
+// deltas returns the items x alts delta matrix. Its cells hold whatever
+// the last call left: the metric's row method overwrites every one.
 func (s *evalScratch) deltas(items, alts int) [][]float64 {
 	need := items * alts
 	if cap(s.deltaFlat) < need {
 		s.deltaFlat = make([]float64, need)
 	}
 	flat := s.deltaFlat[:need]
-	for i := range flat {
-		flat[i] = 0
-	}
 	if cap(s.deltaRows) < items {
 		s.deltaRows = make([][]float64, items)
 	}
@@ -111,7 +109,8 @@ func (s *evalScratch) deltas(items, alts int) [][]float64 {
 	return rows
 }
 
-// intRows returns a zeroed class matrix matching the shape of deltas.
+// intRows returns a class matrix matching the shape of deltas. Its cells
+// hold whatever the last call left: mapDeltas overwrites every one.
 func (s *evalScratch) intRows(deltas [][]float64) [][]int {
 	total := 0
 	for _, ds := range deltas {
@@ -121,9 +120,6 @@ func (s *evalScratch) intRows(deltas [][]float64) [][]int {
 		s.intFlat = make([]int, total)
 	}
 	flat := s.intFlat[:total]
-	for i := range flat {
-		flat[i] = 0
-	}
 	if cap(s.intRows_) < len(deltas) {
 		s.intRows_ = make([][]int, len(deltas))
 	}

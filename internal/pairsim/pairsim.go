@@ -72,6 +72,55 @@ type System struct {
 	Pair *topology.Pair // Pair.A is the upstream, Pair.B the downstream
 	Up   *routing.Table // routing inside the upstream ISP
 	Down *routing.Table // routing inside the downstream ISP
+
+	// up and down are the pair's distance rows inside Up and Down. Every
+	// own-network distance is read from them, never from LengthKm again.
+	up, down DistRows
+}
+
+// DistRows holds one ISP's own-network lengths between each of its PoPs
+// and each interconnection of a pair, read once from
+// routing.Table.LengthKm when the System is built. Rows are keyed by
+// PoP, not by flow or item, so any set of items reads the same rows and
+// their size is PoPs x alternatives whatever the traffic.
+type DistRows struct {
+	alts     int
+	to, from []float64 // PoPs x alternatives, row-major by PoP
+}
+
+// newDistRows reads the rows of table for the pair's interconnections
+// ixs, at their A-side PoPs if aSide, else at their B-side PoPs.
+func newDistRows(table *routing.Table, ixs []topology.Interconnection, aSide bool) DistRows {
+	n, na := len(table.ISP.PoPs), len(ixs)
+	flat := make([]float64, 2*n*na)
+	d := DistRows{alts: na, to: flat[:n*na], from: flat[n*na:]}
+	for k, ix := range ixs {
+		own := ix.BPoP
+		if aSide {
+			own = ix.APoP
+		}
+		for p := 0; p < n; p++ {
+			d.to[p*na+k] = table.LengthKm(p, own)
+			d.from[p*na+k] = table.LengthKm(own, p)
+		}
+	}
+	return d
+}
+
+// To returns PoP pop's row of lengths to each interconnection: To(pop)[k]
+// is the length of the path from pop to interconnection k's PoP. The row
+// is shared; callers must not modify it.
+func (d *DistRows) To(pop int) []float64 {
+	i := pop * d.alts
+	return d.to[i : i+d.alts : i+d.alts]
+}
+
+// From returns PoP pop's row of lengths from each interconnection:
+// From(pop)[k] is the length of the path from interconnection k's PoP to
+// pop. The row is shared; callers must not modify it.
+func (d *DistRows) From(pop int) []float64 {
+	i := pop * d.alts
+	return d.from[i : i+d.alts : i+d.alts]
 }
 
 // New builds a System for traffic flowing A->B in the pair. Routing
@@ -80,34 +129,44 @@ func New(pair *topology.Pair, cache *TableCache) *System {
 	if cache == nil {
 		cache = NewTableCache()
 	}
-	return &System{
+	s := &System{
 		Pair: pair,
 		Up:   cache.Get(pair.A),
 		Down: cache.Get(pair.B),
 	}
+	s.up = newDistRows(s.Up, pair.Interconnections, true)
+	s.down = newDistRows(s.Down, pair.Interconnections, false)
+	return s
 }
 
 // Reverse returns the System for traffic flowing in the opposite
-// direction (B->A). Routing tables are shared, not recomputed.
+// direction (B->A). Routing tables and distance rows are shared, not
+// recomputed.
 func (s *System) Reverse() *System {
-	return &System{Pair: s.Pair.Reversed(), Up: s.Down, Down: s.Up}
+	return &System{Pair: s.Pair.Reversed(), Up: s.Down, Down: s.Up, up: s.down, down: s.up}
 }
 
 // NumAlternatives returns the number of alternatives per flow (one per
 // interconnection).
 func (s *System) NumAlternatives() int { return len(s.Pair.Interconnections) }
 
+// UpRows returns the distance rows inside the upstream ISP.
+func (s *System) UpRows() *DistRows { return &s.up }
+
+// DownRows returns the distance rows inside the downstream ISP.
+func (s *System) DownRows() *DistRows { return &s.down }
+
 // UpDistKm returns the geographic distance flow f travels inside the
 // upstream ISP when using interconnection k: source PoP to the
 // interconnection's upstream PoP.
 func (s *System) UpDistKm(f traffic.Flow, k int) float64 {
-	return s.Up.LengthKm(f.Src, s.Pair.Interconnections[k].APoP)
+	return s.up.To(f.Src)[k]
 }
 
 // DownDistKm returns the geographic distance flow f travels inside the
 // downstream ISP when using interconnection k.
 func (s *System) DownDistKm(f traffic.Flow, k int) float64 {
-	return s.Down.LengthKm(s.Pair.Interconnections[k].BPoP, f.Dst)
+	return s.down.From(f.Dst)[k]
 }
 
 // TotalDistKm returns the end-to-end geographic distance for flow f over
