@@ -1,6 +1,7 @@
 package nexit
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -129,6 +130,27 @@ func TestNoRealLossProperty(t *testing.T) {
 				trial, defA+defB, negA+negB)
 		}
 	}
+}
+
+// checkRoundInvariants checks the two invariants of the round protocol
+// (DESIGN.md §2) on a Result. Joint gain never falls: the stop check ends
+// a run at any proposal whose joint class is negative, so every accepted
+// proposal has PrefA+PrefB >= 0. Round bound: a round either commits an
+// item for good or vetoes an (item, alternative) pair for good, so Rounds
+// = accepted + vetoed <= n·(na+1).
+func checkRoundInvariants(res *Result, n, na int) error {
+	if len(res.Transcript) != res.Rounds {
+		return fmt.Errorf("%d rounds but %d transcript entries", res.Rounds, len(res.Transcript))
+	}
+	if res.Rounds > n*(na+1) {
+		return fmt.Errorf("%d rounds for %d items × %d alternatives, past the bound %d", res.Rounds, n, na, n*(na+1))
+	}
+	for _, p := range res.Transcript {
+		if p.Accepted && p.PrefA+p.PrefB < 0 {
+			return fmt.Errorf("round %d accepted joint class %d", p.Round, p.PrefA+p.PrefB)
+		}
+	}
+	return nil
 }
 
 // TestTerminationProperty: the engine always terminates and assigns a
