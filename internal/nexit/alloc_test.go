@@ -58,9 +58,9 @@ func TestEvaluatorSteadyStateDoesNotAllocate(t *testing.T) {
 // once per Negotiate, so on a static table the allocation count does not
 // depend on how many rounds the negotiation runs — serially or in
 // batches. The same 64-item table — four trades A gains on, sixty it
-// concedes a class on — is negotiated to the end (64 rounds) and under
-// full termination, which stops when A's cumulative gain would turn
-// negative (12 rounds).
+// concedes a class on — is negotiated to the end (64 rounds) when A may
+// run a deficit of 100 classes, and stops once A cannot gain more
+// (4 rounds) when it may not.
 func TestNegotiateAllocationsIndependentOfRounds(t *testing.T) {
 	const n, na = 64, 3
 	evA := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
@@ -87,8 +87,8 @@ func TestNegotiateAllocationsIndependentOfRounds(t *testing.T) {
 	}
 	all := func(batch []Proposal) int { return len(batch) }
 	for _, hook := range []func([]Proposal) int{nil, all} {
-		long, longRounds := measure(Config{Stop: StopNever, BatchAcceptHook: hook})
-		short, shortRounds := measure(Config{Stop: StopWhilePositive, BatchAcceptHook: hook})
+		long, longRounds := measure(Config{ExtraDeficitA: 100, BatchAcceptHook: hook})
+		short, shortRounds := measure(Config{BatchAcceptHook: hook})
 		if shortRounds == 0 || longRounds < 4*shortRounds {
 			t.Fatalf("fixture lost its spread: %d vs %d rounds", shortRounds, longRounds)
 		}

@@ -16,8 +16,6 @@ import (
 // gains, rounds, transcript, stop reason, everything.
 func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	turns := []TurnPolicy{Alternate, LowerGain, CoinToss}
-	stops := []StopPolicy{StopEarly, StopWhilePositive, StopNever}
 	for trial := 0; trial < 200; trial++ {
 		na := 2 + rng.Intn(4)
 		n := 1 + rng.Intn(14)
@@ -46,19 +44,12 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 		veto := func(p Proposal) bool {
 			return vetoes && (p.ItemID*31+p.Alt*7+p.Round)%5 == 0
 		}
-		base := Config{
-			PrefBound: 10,
-			Turn:      turns[trial%len(turns)],
-			Propose:   MaxSum,
-			Accept:    AlwaysAccept,
-			Stop:      stops[trial%len(stops)],
-		}
+		base := Config{PrefBound: 10}
 		if trial%4 == 1 {
 			base.ReassignFraction = 0.2
 		}
 
 		serialCfg := base
-		serialCfg.Rng = rand.New(rand.NewSource(int64(trial)))
 		serialCfg.AcceptHook = func(_ Side, p Proposal) bool { return !veto(p) }
 		serial, err := Negotiate(serialCfg, &StaticEvaluator{NumAlts: na, Table: tblA},
 			&StaticEvaluator{NumAlts: na, Table: tblB}, items, defaults, na)
@@ -67,7 +58,6 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 		}
 
 		batchCfg := base
-		batchCfg.Rng = rand.New(rand.NewSource(int64(trial)))
 		batchCfg.BatchAcceptHook = func(batch []Proposal) int {
 			for i, p := range batch {
 				if veto(p) {
@@ -83,17 +73,15 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 		}
 
 		if !reflect.DeepEqual(serial, batched) {
-			t.Fatalf("trial %d (turn=%v stop=%v reassign=%v vetoes=%v): batched result diverged\nserial:  %+v\nbatched: %+v",
-				trial, base.Turn, base.Stop, base.ReassignFraction > 0, vetoes, serial, batched)
+			t.Fatalf("trial %d (reassign=%v vetoes=%v): batched result diverged\nserial:  %+v\nbatched: %+v",
+				trial, base.ReassignFraction > 0, vetoes, serial, batched)
 		}
 	}
 }
 
 // TestBatchAcceptHookBatchShapes checks the batching itself (not just
-// the outcome): under Alternate turns with no vetoes the whole
-// negotiation should arrive in large batches (one per reassignment
-// window), while CoinToss must degrade to single-proposal batches to
-// keep Rng draws aligned with the serial reference.
+// the outcome): with no vetoes and no reassignment the whole negotiation
+// arrives in one batch.
 func TestBatchAcceptHookBatchShapes(t *testing.T) {
 	na, n := 3, 12
 	tbl := map[int][]int{}
@@ -111,27 +99,16 @@ func TestBatchAcceptHookBatchShapes(t *testing.T) {
 		items[i] = Item{ID: i, Flow: traffic.Flow{ID: i, Size: 1}}
 		defaults[i] = i % na
 	}
-	run := func(cfg Config) (sizes []int) {
-		cfg.PrefBound = 10
-		cfg.BatchAcceptHook = func(batch []Proposal) int {
-			sizes = append(sizes, len(batch))
-			return len(batch)
-		}
-		ev := func() *StaticEvaluator { return &StaticEvaluator{NumAlts: na, Table: tbl} }
-		if _, err := Negotiate(cfg, ev(), ev(), items, defaults, na); err != nil {
-			t.Fatal(err)
-		}
-		return sizes
+	var sizes []int
+	cfg := Config{PrefBound: 10, BatchAcceptHook: func(batch []Proposal) int {
+		sizes = append(sizes, len(batch))
+		return len(batch)
+	}}
+	ev := func() *StaticEvaluator { return &StaticEvaluator{NumAlts: na, Table: tbl} }
+	if _, err := Negotiate(cfg, ev(), ev(), items, defaults, na); err != nil {
+		t.Fatal(err)
 	}
-
-	sizes := run(Config{Turn: Alternate, Stop: StopNever})
 	if len(sizes) != 1 || sizes[0] != n {
-		t.Fatalf("Alternate/no-reassign: want one batch of %d, got %v", n, sizes)
-	}
-	sizes = run(Config{Turn: CoinToss, Stop: StopNever, Rng: rand.New(rand.NewSource(1))})
-	for _, s := range sizes {
-		if s != 1 {
-			t.Fatalf("CoinToss: want single-proposal batches, got %v", sizes)
-		}
+		t.Fatalf("want one batch of %d, got %v", n, sizes)
 	}
 }

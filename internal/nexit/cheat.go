@@ -5,7 +5,7 @@ package nexit
 // other ISP's preferences (which "overestimates the cheater's ability"),
 // distorts the disclosed list so that for each flow the cheater's best
 // alternative attains the maximum combined preference sum and therefore
-// gets selected under the MaxSum propose policy:
+// gets selected under max-sum proposals:
 //
 //   - The preference of the cheater's best alternative is inflated just
 //     enough to reach the maximum sum (preserving, as far as possible,

@@ -45,17 +45,15 @@ func Example() {
 	// round 1: ISP-B proposes item 0 -> alt 1 (A +4, B +2)
 }
 
-// ExampleConfig_policies shows the five contractually agreed protocol
-// knobs of paper §4.
+// ExampleConfig shows the parameters two ISPs agree on before they
+// negotiate. The round rules of paper §4 are fixed: alternate turns,
+// max-sum proposals, accept unless vetoed, early termination.
 func ExampleConfig() {
 	cfg := nexit.Config{
-		PrefBound:        10,
-		Turn:             nexit.LowerGain,
-		Propose:          nexit.MaxSum,
-		Accept:           nexit.VetoIfLoss,
-		Stop:             nexit.StopWhilePositive,
-		ReassignFraction: 0.05,
+		PrefBound:        10,   // classes live in [-10, 10]
+		ReassignFraction: 0.05, // recollect classes after each 5% of the traffic
+		ExtraDeficitA:    3,    // A repays 3 classes of credit banked earlier
 	}
-	fmt.Println(cfg.Turn, cfg.Propose, cfg.Accept, cfg.Stop)
-	// Output: lower-gain max-sum veto-if-loss while-positive
+	fmt.Println(cfg.Validate(), cfg.PrefBound, cfg.ReassignFraction, cfg.ExtraDeficitA, cfg.ExtraDeficitB)
+	// Output: <nil> 10 0.05 3 0
 }

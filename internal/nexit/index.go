@@ -18,19 +18,15 @@ import "math/bits"
 //
 // Which cell is first is read from occupancy bitsets. Each proposer
 // ranks the class pairs in rows of bits, both in its order of
-// preference (see rank): under MaxSum a row is a combined sum s and a
-// bit the proposer's own class o (the other's is s − o); under BestLocal
-// a row is the own class and a bit the other side's. Per proposer and
-// row there is one bitset for off-default cells and one for default
-// cells, with a bit set while its cell holds a live entry. The gate is
-// one interval of bits per row:
-//
-//   - MaxSum: a default cell is admitted iff o ∈ [floorOwn, s − floorOther].
-//     An off-default cell needs the same, and also s > 0, or else s = 0
-//     with o ∈ [evenOwn, −evenOther]; so s < 0 admits off-default cells
-//     nowhere, and no cell below s = floorOwn + floorOther at all.
-//   - BestLocal: a row is admitted iff its own class is ≥ floorOwn, a bit
-//     iff the other side's class is ≥ floorOther.
+// preference (see rank): a row is a combined sum s and a bit the
+// proposer's own class o (the other's is s − o). Per proposer and row
+// there is one bitset for off-default cells and one for default cells,
+// with a bit set while its cell holds a live entry. The gate is one
+// interval of bits per row: a default cell is admitted iff
+// o ∈ [floorOwn, s − floorOther]. An off-default cell needs the same, and
+// also s > 0, or else s = 0 with o ∈ [evenOwn, −evenOther]; so s < 0
+// admits off-default cells nowhere, and no cell below
+// s = floorOwn + floorOther at all.
 //
 // So the first admitted live cell of a row is the lowest set bit of its
 // occupancy inside the interval, and the first row that has one holds
@@ -50,7 +46,7 @@ import "math/bits"
 // did not accept return to the table only behind the veto that cut the
 // plan short, and that veto rebuilds. The same two operations keep the
 // stop check's histograms: the classes each item on the table has at its
-// selected (best-sum) alternative, and the best sums themselves.
+// selected (best-sum) alternative.
 type proposalIndex struct {
 	width int // 2P+1: classes per side
 
@@ -73,10 +69,10 @@ type proposalIndex struct {
 	firstRow    [2]int
 
 	// histA/histB count items on the table by class at bestAlt (index
-	// class+P), histSum by bestSum (index sum+2P).
-	histA, histB, histSum []int32
+	// class+P).
+	histA, histB []int32
 
-	byRank, sumOff []int32 // build's counting-sort scratch
+	byRank, sumOff []int32 // build's counting sort by bestSum (index sum+2P)
 }
 
 type entry struct{ item, alt int32 }
@@ -95,12 +91,8 @@ func (n *negotiation) newIndex() {
 	x.start[0] = 0 // build writes only start[1:]
 	x.ents = resize(x.ents, size)
 	x.histA, x.histB = resize(x.histA, x.width), resize(x.histB, x.width)
-	x.histSum, x.sumOff = resize(x.histSum, 4*p+1), resize(x.sumOff, 4*p+1)
-	x.byRank = resize(x.byRank, len(n.items))
+	x.sumOff, x.byRank = resize(x.sumOff, 4*p+1), resize(x.byRank, len(n.items))
 	x.rows, x.words = 4*p+1, (x.width+63)/64
-	if n.cfg.Propose == BestLocal {
-		x.rows = x.width
-	}
 	x.occ = resize(x.occ, 2*2*x.rows*x.words)
 }
 
@@ -120,27 +112,20 @@ func (n *negotiation) cellOf(e int, isDefault bool) int {
 }
 
 // rank places the class pair (a, b) in proposer side's order of
-// preference, as a row and a bit within it; lower is preferred. MaxSum
-// ranks by combined sum, then own class; BestLocal by own class, then
-// the other side's.
+// preference, as a row and a bit within it; lower is preferred: by
+// combined sum, then own class.
 func (n *negotiation) rank(side Side, a, b int) (row, bit int) {
-	p, own, other := n.cfg.PrefBound, a, b
+	p, own := n.cfg.PrefBound, a
 	if side == SideB {
-		own, other = b, a
+		own = b
 	}
-	if n.cfg.Propose == BestLocal {
-		return p - own, p - other
-	}
-	return 2*p - own - other, p - own
+	return 2*p - a - b, p - own
 }
 
 // classesAt inverts rank.
 func (n *negotiation) classesAt(side Side, row, bit int) (a, b int) {
 	p := n.cfg.PrefBound
 	own, other := p-bit, p-row+bit
-	if n.cfg.Propose == BestLocal {
-		own, other = p-row, p-bit
-	}
 	if side == SideB {
 		return other, own
 	}
@@ -177,7 +162,7 @@ func (n *negotiation) build() {
 	x, na := &n.idx, n.numAlts
 	clear(x.histA)
 	clear(x.histB)
-	clear(x.histSum)
+	clear(x.sumOff)
 	clear(x.live)
 	clear(x.occ)
 	for id, live := range n.remaining {
@@ -200,13 +185,17 @@ func (n *negotiation) build() {
 		}
 		x.bestAlt[id], x.bestSum[id] = int32(best), int32(sum)
 		n.count(id, 1)
+		if sum != noSum {
+			x.sumOff[sum+2*n.cfg.PrefBound]++
+		}
 	}
-	// Items by (best sum descending, ID ascending): histSum already holds
-	// the counting sort's bucket sizes.
+	// Items by (best sum descending, ID ascending): a counting sort, whose
+	// bucket sizes sumOff now holds.
 	ranked := int32(0)
-	for s := len(x.histSum) - 1; s >= 0; s-- {
+	for s := len(x.sumOff) - 1; s >= 0; s-- {
+		size := x.sumOff[s]
 		x.sumOff[s] = ranked
-		ranked += x.histSum[s]
+		ranked += size
 	}
 	for id, live := range n.remaining {
 		if live && x.bestSum[id] != noSum {
@@ -242,9 +231,6 @@ func (n *negotiation) count(id int, d int32) {
 	e := id*n.numAlts + int(x.bestAlt[id])
 	x.histA[int(n.prefsA[e])+p] += d
 	x.histB[int(n.prefsB[e])+p] += d
-	if x.bestSum[id] != noSum {
-		x.histSum[int(x.bestSum[id])+2*p] += d
-	}
 }
 
 // take removes item id from the table: planned or committed.

@@ -11,13 +11,12 @@ func (g *gate) admits(a, b int, isDefault bool) bool {
 	if a < g.floorA || b < g.floorB {
 		return false
 	}
-	return isDefault || !g.maxSum || a+b > 0 || (a+b == 0 && a >= g.evenA && b >= g.evenB)
+	return isDefault || a+b > 0 || (a+b == 0 && a >= g.evenA && b >= g.evenB)
 }
 
 // bruteForcePick is pick's oracle: a scan over every live entry, keeping
 // the admitted one that ranks first for the proposer — (sum, own class)
-// descending for MaxSum, (own, other) descending for BestLocal, then the
-// item's best sum descending; scanning IDs and alternatives upwards and
+// descending, then the item's best sum descending; scanning IDs and alternatives upwards and
 // replacing only on a strictly better key leaves the ascending tie-breaks.
 func bruteForcePick(n *negotiation, proposer Side, g *gate) (id, alt int, ok bool) {
 	var best [3]int
@@ -38,14 +37,11 @@ func bruteForcePick(n *negotiation, proposer Side, g *gate) (id, alt int, ok boo
 			if n.vetoed[e] || !g.admits(a, b, k == n.defaults[i]) {
 				continue
 			}
-			own, other := a, b
+			own := a
 			if proposer == SideB {
-				own, other = b, a
+				own = b
 			}
-			key := [3]int{own + other, own, itemBest}
-			if n.cfg.Propose == BestLocal {
-				key = [3]int{own, other, itemBest}
-			}
+			key := [3]int{a + b, own, itemBest}
 			if id < 0 || key[0] > best[0] || (key[0] == best[0] && (key[1] > best[1] || (key[1] == best[1] && key[2] > best[2]))) {
 				best, id, alt = key, i, k
 			}
@@ -71,7 +67,7 @@ func TestPickMatchesBruteForce(t *testing.T) {
 			palette[i] = int32(rng.Intn(2*p+1) - p)
 		}
 		n := &negotiation{
-			cfg:     Config{PrefBound: p, Propose: []ProposePolicy{MaxSum, BestLocal}[trial/len(bounds)%2]},
+			cfg:     Config{PrefBound: p},
 			numAlts: na, defaults: make([]int, items),
 			prefsA: make([]int32, items*na), prefsB: make([]int32, items*na),
 			vetoed: make([]bool, items*na), remaining: make([]bool, items),
@@ -105,7 +101,6 @@ func TestPickMatchesBruteForce(t *testing.T) {
 				g := gate{
 					floorA: rng.Intn(2*p+4) - p - 3, floorB: rng.Intn(2*p+4) - p - 3,
 					evenA: rng.Intn(4*p+5) - 2*p - 2, evenB: rng.Intn(4*p+5) - 2*p - 2,
-					maxSum: n.cfg.Propose != BestLocal,
 				}
 				switch rng.Intn(4) {
 				case 0:
@@ -119,8 +114,8 @@ func TestPickMatchesBruteForce(t *testing.T) {
 				wantID, wantAlt, wantOK := bruteForcePick(n, proposer, &g)
 				id, alt, ok := n.pick(proposer, &g)
 				if id != wantID || alt != wantAlt || ok != wantOK {
-					t.Fatalf("trial %d step %d (P=%d %v, proposer %v, gate %+v): pick = (%d, %d, %v), brute force (%d, %d, %v)",
-						trial, step, p, n.cfg.Propose, proposer, g, id, alt, ok, wantID, wantAlt, wantOK)
+					t.Fatalf("trial %d step %d (P=%d, proposer %v, gate %+v): pick = (%d, %d, %v), brute force (%d, %d, %v)",
+						trial, step, p, proposer, g, id, alt, ok, wantID, wantAlt, wantOK)
 				}
 				if ok {
 					picks++

@@ -8,8 +8,10 @@
 //   - Evaluators (evaluator.go) map an ISP's private optimization metric
 //     (distance, bandwidth headroom, Fortz–Thorup cost, ...) to opaque
 //     preference classes, relative to the default alternative (class 0).
-//   - Policies (policies.go) are the five contractually agreed knobs of
-//     the round protocol: decide turn, propose, accept, reassign, stop.
+//   - The round rules (policies.go) are fixed: alternate turns, max-sum
+//     proposals, accept unless the counterpart vetoes, early termination.
+//     The agreed parameters are the class bound P, preference
+//     reassignment and the deficit allowances (Config).
 //   - The engine (this file) runs the rounds and produces the negotiated
 //     assignment plus a full transcript.
 //
@@ -19,7 +21,6 @@ package nexit
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 
@@ -97,22 +98,14 @@ func Items(ab, ba []traffic.Flow) []Item {
 type Config struct {
 	PrefBound int // P: preferences live in [-P, P]; the paper uses 10
 
-	Turn    TurnPolicy
-	Propose ProposePolicy
-	Accept  AcceptPolicy
-	Stop    StopPolicy
 	// ReassignFraction, when positive, triggers preference reassignment
 	// after each such fraction of the total traffic size has been
 	// negotiated (the paper reassigns every 5% for bandwidth metrics and
 	// never for distance metrics).
 	ReassignFraction float64
 
-	// Rng drives coin-toss turn decisions and random tie-breaks. Nil
-	// selects fully deterministic behavior (lowest index wins ties).
-	Rng *rand.Rand
-
-	// AcceptHook, when non-nil, replaces the accept policy: it is asked
-	// whether the given side accepts the proposal. This is the
+	// AcceptHook, when non-nil, is asked whether the given side accepts
+	// the proposal; without a hook every proposal is accepted. This is the
 	// batch-of-one case of the round loop below, not a second path: the
 	// engine plans one proposal, asks, and applies the answer.
 	AcceptHook func(acceptor Side, p Proposal) bool
@@ -133,26 +126,18 @@ type Config struct {
 	BatchAcceptHook func(batch []Proposal) int
 
 	// ExtraDeficitA and ExtraDeficitB widen the respective side's
-	// cumulative-deficit allowance under early termination. They
-	// implement the credit mechanism the paper sketches in §3
-	// ("compromises can be decoupled in time using credits"): a side
-	// that banked a surplus in earlier sessions extends its deficit
-	// bound in later ones to repay. See internal/credits.
+	// cumulative-deficit allowance. They implement the credit mechanism
+	// the paper sketches in §3 ("compromises can be decoupled in time
+	// using credits"): a side that banked a surplus in earlier sessions
+	// extends its deficit bound in later ones to repay. See
+	// internal/credits.
 	ExtraDeficitA, ExtraDeficitB int
 }
 
 // DefaultDistanceConfig returns the configuration the paper uses for the
-// distance experiments (§5.1): P=10, alternating turns, max-sum
-// proposals with local tie-break, always accept, no reassignment, early
-// termination.
+// distance experiments (§5.1): P=10 and no reassignment.
 func DefaultDistanceConfig() Config {
-	return Config{
-		PrefBound: 10,
-		Turn:      Alternate,
-		Propose:   MaxSum,
-		Accept:    AlwaysAccept,
-		Stop:      StopEarly,
-	}
+	return Config{PrefBound: 10}
 }
 
 // DefaultBandwidthConfig returns the §5.2 configuration: as distance,
@@ -170,9 +155,6 @@ func (c Config) Validate() error {
 	}
 	if c.ReassignFraction < 0 || c.ReassignFraction > 1 {
 		return fmt.Errorf("nexit: ReassignFraction must be in [0,1]")
-	}
-	if c.Turn == CoinToss && c.Rng == nil {
-		return fmt.Errorf("nexit: CoinToss turn policy requires an Rng")
 	}
 	return nil
 }
@@ -223,7 +205,6 @@ const (
 	StopAllNegotiated  StopReason = iota // every item was agreed
 	StopNoJointGain                      // best remaining combined gain <= 0
 	StopSideCannotGain                   // one side has no positive preference left
-	StopCumulativeLoss                   // continuing would push a side's cumulative gain negative
 )
 
 // String names the stop reason.
@@ -235,8 +216,6 @@ func (r StopReason) String() string {
 		return "no-joint-gain"
 	case StopSideCannotGain:
 		return "side-cannot-gain"
-	case StopCumulativeLoss:
-		return "cumulative-loss"
 	}
 	return fmt.Sprintf("reason(%d)", int(r))
 }
@@ -305,15 +284,14 @@ type tally struct {
 	gainA, gainB  int
 	rounds        int
 	sinceReassign float64 // traffic agreed since preferences were last collected
-	lastTurn      Side
-	haveTurn      bool
+	turn          Side    // who proposes next: the ISPs alternate, A first
 }
 
 // advance records proposal p, which settled size units of traffic if it
 // was accepted, into the tally.
 func (t *tally) advance(p Proposal, size float64) {
 	t.rounds++
-	t.lastTurn, t.haveTurn = p.Proposer, true
+	t.turn = p.Proposer.Other()
 	if p.Accepted {
 		t.gainA += p.PrefA
 		t.gainB += p.PrefB
@@ -410,14 +388,11 @@ func resize[T any](s []T, n int) []T {
 // time is the batch-of-one case of the same loop, not a second path: a
 // plan is a pure function of the current preferences, vetoes and tally,
 // so the accepted prefix of a longer plan is exactly the rounds that
-// asking one by one would have produced.
-//
-// Plans stay at one proposal without a BatchAcceptHook, and under
-// CoinToss turns with one: planning ahead would draw turn decisions from
-// the Rng for proposals a veto may discard.
+// asking one by one would have produced. Plans stay at one proposal
+// without a BatchAcceptHook.
 func (n *negotiation) roundLoop() {
 	maxBatch := 1
-	if n.cfg.BatchAcceptHook != nil && n.cfg.Turn != CoinToss {
+	if n.cfg.BatchAcceptHook != nil {
 		maxBatch = max(1, len(n.items))
 	}
 	n.batch = slices.Grow(n.batch[:0], maxBatch)
@@ -448,7 +423,7 @@ func (n *negotiation) plan(maxBatch int) (reason StopReason, stopped bool) {
 		if n.numRemaining == 0 {
 			return StopAllNegotiated, true
 		}
-		proposer := n.decideTurn(&t)
+		proposer := t.turn
 		id, alt, ok := n.propose(&t, proposer)
 		if !ok {
 			// The proposer has nothing it can afford to propose; give the
@@ -477,35 +452,19 @@ func (n *negotiation) plan(maxBatch int) (reason StopReason, stopped bool) {
 
 // ask puts the plan to the counterpart and returns how many leading
 // proposals it accepted; one short of the plan means the next was vetoed.
+// Without a hook every proposal is accepted.
 func (n *negotiation) ask() int {
-	if len(n.batch) == 0 {
-		return 0
-	}
-	if n.cfg.BatchAcceptHook != nil {
-		return min(max(n.cfg.BatchAcceptHook(n.batch), 0), len(n.batch))
-	}
-	p := n.batch[0]
-	acceptor := p.Proposer.Other()
-	var ok bool
 	switch {
-	case n.cfg.AcceptHook != nil:
+	case n.cfg.BatchAcceptHook != nil && len(n.batch) > 0:
+		return min(max(n.cfg.BatchAcceptHook(n.batch), 0), len(n.batch))
+	case n.cfg.AcceptHook != nil && len(n.batch) > 0:
+		p := n.batch[0]    // the plan is one proposal
 		p.Accepted = false // not decided yet
-		ok = n.cfg.AcceptHook(acceptor, p)
-	case n.cfg.Accept == VetoIfLoss:
-		// Reject if acceptance would push the acceptor's cumulative gain
-		// negative. n.tally is still the state before the proposal.
-		if acceptor == SideA {
-			ok = n.gainA+p.PrefA >= 0
-		} else {
-			ok = n.gainB+p.PrefB >= 0
+		if !n.cfg.AcceptHook(p.Proposer.Other(), p) {
+			return 0
 		}
-	default: // AlwaysAccept
-		ok = true
 	}
-	if ok {
-		return 1
-	}
-	return 0
+	return len(n.batch)
 }
 
 // apply finalizes the accepted prefix of the plan, records the veto of
@@ -589,64 +548,49 @@ func clampPrefsInto(dst []int32, p []int, bound int) {
 	}
 }
 
-// shouldStop applies the stop policy to the concrete next proposal
-// (id, alt). See policies.go for the semantics.
+// shouldStop applies early termination to the concrete next proposal
+// (id, alt): negotiation stops when the proposal's joint class is
+// negative, or when one of the ISPs cannot gain more.
 func (n *negotiation) shouldStop(t *tally, id, alt int) (StopReason, bool) {
-	if n.cfg.Stop == StopNever {
-		return 0, false
-	}
 	p := n.cfg.PrefBound
 	pA, pB := int(n.prefsA[id*n.numAlts+alt]), int(n.prefsB[id*n.numAlts+alt])
-	// If even the best remaining combined gain is strictly negative, no
-	// joint gain remains. (Neutral, sum-zero proposals are allowed
-	// through: the default alternative always sums to zero, and with
-	// reassignment a neutral commitment can unlock later gains — the
-	// paper's Figure 3 walkthrough starts with exactly such a proposal.)
-	bestSum := pA + pB
-	if n.cfg.Propose != MaxSum {
-		bestSum = top(n.idx.histSum) - 2*p
-	}
-	if bestSum < 0 {
+	// The proposal is the best remaining combined gain; if even it is
+	// strictly negative, no joint gain remains. (Neutral, sum-zero
+	// proposals are allowed through: the default alternative always sums
+	// to zero, and with reassignment a neutral commitment can unlock
+	// later gains — the paper's Figure 3 walkthrough starts with exactly
+	// such a proposal.) So no accepted proposal lowers the joint gain.
+	if pA+pB < 0 {
 		return StopNoJointGain, true
 	}
-	switch n.cfg.Stop {
-	case StopEarly:
-		// "Negotiation stops when one of the ISPs cannot gain more": a
-		// side that has no positive preference anywhere left on the
-		// table stops rather than absorb a strictly negative proposal.
-		// Neutral proposals (class 0) are let through — the paper's
-		// Figure 3 walkthrough depends on an indifferent ISP accepting.
-		//
-		// "Anywhere on the table" means over the alternatives that WOULD
-		// be selected for the remaining items under the agreed (max-sum)
-		// criterion — the index's class histograms. This is what an ISP
-		// "perceives" about the rest of the negotiation: alternatives the
-		// criterion will never pick do not count as potential gain. With
-		// a cheating counterpart this is what makes the truthful ISP walk
-		// away — its favorable alternatives are still on the table but
-		// the distorted sums ensure they are never selected (paper §5.4:
-		// "the negotiation terminates prematurely as the truthful ISP
-		// stops when it sees no benefit for itself").
-		walkA := top(n.idx.histA)-p <= 0 && pA < 0
-		if walkA && n.cfg.ExtraDeficitA > 0 {
-			// The side is repaying credit banked in earlier sessions
-			// (internal/credits): it keeps conceding down to its
-			// extended deficit bound instead of stopping at its peak.
-			walkA = t.gainA+pA < -n.cfg.ExtraDeficitA
-		}
-		walkB := top(n.idx.histB)-p <= 0 && pB < 0
-		if walkB && n.cfg.ExtraDeficitB > 0 {
-			walkB = t.gainB+pB < -n.cfg.ExtraDeficitB
-		}
-		if walkA || walkB {
-			return StopSideCannotGain, true
-		}
-	case StopWhilePositive:
-		// Full termination: continue while both cumulative gains would
-		// stay non-negative after this proposal.
-		if t.gainA+pA < 0 || t.gainB+pB < 0 {
-			return StopCumulativeLoss, true
-		}
+	// "Negotiation stops when one of the ISPs cannot gain more": a side
+	// that has no positive preference anywhere left on the table stops
+	// rather than absorb a strictly negative proposal. Neutral proposals
+	// (class 0) are let through — the paper's Figure 3 walkthrough
+	// depends on an indifferent ISP accepting.
+	//
+	// "Anywhere on the table" means over the alternatives that WOULD be
+	// selected for the remaining items under the max-sum criterion — the
+	// index's class histograms. This is what an ISP "perceives" about the
+	// rest of the negotiation: alternatives the criterion will never pick
+	// do not count as potential gain. With a cheating counterpart this is
+	// what makes the truthful ISP walk away — its favorable alternatives
+	// are still on the table but the distorted sums ensure they are never
+	// selected (paper §5.4: "the negotiation terminates prematurely as the
+	// truthful ISP stops when it sees no benefit for itself").
+	walkA := top(n.idx.histA)-p <= 0 && pA < 0
+	if walkA && n.cfg.ExtraDeficitA > 0 {
+		// The side is repaying credit banked in earlier sessions
+		// (internal/credits): it keeps conceding down to its extended
+		// deficit bound instead of stopping at its peak.
+		walkA = t.gainA+pA < -n.cfg.ExtraDeficitA
+	}
+	walkB := top(n.idx.histB)-p <= 0 && pB < 0
+	if walkB && n.cfg.ExtraDeficitB > 0 {
+		walkB = t.gainB+pB < -n.cfg.ExtraDeficitB
+	}
+	if walkA || walkB {
+		return StopSideCannotGain, true
 	}
 	return 0, false
 }
@@ -662,9 +606,6 @@ func (n *negotiation) shouldStop(t *tally, id, alt int) (StopReason, bool) {
 // is a lower bound on the real improvement), non-negative final class
 // gains imply neither ISP's real metric ends worse than the default.
 func (n *negotiation) unwindDeficits() {
-	if n.cfg.Stop == StopNever {
-		return // all-flows mode trades social welfare deliberately
-	}
 	for {
 		sideA := false
 		switch {

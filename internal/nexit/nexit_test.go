@@ -1,7 +1,6 @@
 package nexit
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/geo"
@@ -62,10 +61,6 @@ func TestFigure3Example(t *testing.T) {
 
 	cfg := Config{
 		PrefBound: 1, // the example uses preference range [-1, 1]
-		Turn:      Alternate,
-		Propose:   MaxSum,
-		Accept:    AlwaysAccept,
-		Stop:      StopEarly,
 		// Reassign after every flow (each is 50% of the traffic).
 		ReassignFraction: 0.5,
 	}
@@ -99,7 +94,6 @@ func TestConfigValidation(t *testing.T) {
 		{PrefBound: 0},
 		{PrefBound: 10, ReassignFraction: -0.1},
 		{PrefBound: 10, ReassignFraction: 1.5},
-		{PrefBound: 10, Turn: CoinToss}, // no rng
 	}
 	ev := &StaticEvaluator{NumAlts: 1}
 	for i, cfg := range cases {
@@ -173,15 +167,8 @@ func TestStopEarlyBlocksDraggedLosses(t *testing.T) {
 	if res.GainA != 0 {
 		t.Errorf("GainA = %d, want 0 (A protected)", res.GainA)
 	}
-	// With StopNever the same table is traded through.
-	cfg := DefaultDistanceConfig()
-	cfg.Stop = StopNever
-	res, err = Negotiate(cfg, evalA, evalB, items, []int{0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assign[0] != 1 {
-		t.Errorf("StopNever: assign = %v, want [1]", res.Assign)
+	if res.Stopped != StopSideCannotGain {
+		t.Errorf("stop reason = %v, want side-cannot-gain", res.Stopped)
 	}
 }
 
@@ -222,66 +209,6 @@ func TestHarmfulAlternativeFallsBackToDefault(t *testing.T) {
 	}
 }
 
-func TestStopWhilePositive(t *testing.T) {
-	// Item 0: A +1 / B +1 (sum 2). Item 1: A -2 / B +3 (sum 1).
-	// Full termination takes item 0, then stops before item 1 would
-	// push A's cumulative gain to -1.
-	evalA := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 1}, 1: {0, -2}}}
-	evalB := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 1}, 1: {0, 3}}}
-	items := []Item{
-		{ID: 0, Flow: traffic.Flow{ID: 0, Size: 1}},
-		{ID: 1, Flow: traffic.Flow{ID: 1, Size: 1}},
-	}
-	cfg := DefaultDistanceConfig()
-	cfg.Stop = StopWhilePositive
-	res, err := Negotiate(cfg, evalA, evalB, items, []int{0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assign[0] != 1 || res.Assign[1] != 0 {
-		t.Errorf("assign = %v, want [1 0]", res.Assign)
-	}
-	if res.Stopped != StopCumulativeLoss {
-		t.Errorf("stop reason = %v, want cumulative-loss", res.Stopped)
-	}
-}
-
-func TestVetoProtectsFromLoss(t *testing.T) {
-	// Best joint proposal hurts A badly. With VetoIfLoss A rejects it
-	// and its cumulative gain never goes negative.
-	evalA := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, -4}, 1: {0, 1}}}
-	evalB := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 10}, 1: {0, 1}}}
-	items := []Item{
-		{ID: 0, Flow: traffic.Flow{ID: 0, Size: 1}},
-		{ID: 1, Flow: traffic.Flow{ID: 1, Size: 1}},
-	}
-	cfg := DefaultDistanceConfig()
-	cfg.Accept = VetoIfLoss
-	cfg.Stop = StopNever
-	res, err := Negotiate(cfg, evalA, evalB, items, []int{0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GainA < 0 {
-		t.Errorf("GainA = %d; veto should prevent loss", res.GainA)
-	}
-	if res.Assign[0] == 1 {
-		t.Error("vetoed alternative was adopted")
-	}
-	if res.Assign[1] != 1 {
-		t.Error("harmless alternative should still be adopted")
-	}
-	vetoes := 0
-	for _, p := range res.Transcript {
-		if !p.Accepted {
-			vetoes++
-		}
-	}
-	if vetoes == 0 {
-		t.Error("expected a rejected proposal in the transcript")
-	}
-}
-
 func TestAlternateTurns(t *testing.T) {
 	evalA := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{
 		0: {0, 1}, 1: {0, 1}, 2: {0, 1}, 3: {0, 1},
@@ -302,83 +229,6 @@ func TestAlternateTurns(t *testing.T) {
 		if p.Proposer != want[i] {
 			t.Errorf("round %d proposer = %v, want %v", i, p.Proposer, want[i])
 		}
-	}
-}
-
-func TestLowerGainTurns(t *testing.T) {
-	// Item 0 gives A +5/B +1; afterwards B (lower gain) proposes.
-	evalA := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 5}, 1: {0, 1}}}
-	evalB := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 1}, 1: {0, 1}}}
-	items := []Item{
-		{ID: 0, Flow: traffic.Flow{ID: 0, Size: 1}},
-		{ID: 1, Flow: traffic.Flow{ID: 1, Size: 1}},
-	}
-	cfg := DefaultDistanceConfig()
-	cfg.Turn = LowerGain
-	res, err := Negotiate(cfg, evalA, evalB, items, []int{0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transcript) != 2 {
-		t.Fatalf("want 2 rounds, got %d", len(res.Transcript))
-	}
-	if res.Transcript[1].Proposer != SideB {
-		t.Errorf("round 2 proposer = %v, want B (lower gain)", res.Transcript[1].Proposer)
-	}
-}
-
-func TestCoinTossDeterministicPerSeed(t *testing.T) {
-	mk := func(seed int64) []Side {
-		evalA := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{
-			0: {0, 1}, 1: {0, 1}, 2: {0, 1}, 3: {0, 1}, 4: {0, 1}, 5: {0, 1},
-		}}
-		evalB := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{
-			0: {0, 1}, 1: {0, 1}, 2: {0, 1}, 3: {0, 1}, 4: {0, 1}, 5: {0, 1},
-		}}
-		var items []Item
-		var defaults []int
-		for i := 0; i < 6; i++ {
-			items = append(items, Item{ID: i, Flow: traffic.Flow{ID: i, Size: 1}})
-			defaults = append(defaults, 0)
-		}
-		cfg := DefaultDistanceConfig()
-		cfg.Turn = CoinToss
-		cfg.Rng = rand.New(rand.NewSource(seed))
-		res, err := Negotiate(cfg, evalA, evalB, items, defaults, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sides []Side
-		for _, p := range res.Transcript {
-			sides = append(sides, p.Proposer)
-		}
-		return sides
-	}
-	a, b := mk(1), mk(1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed gave different turn sequences")
-		}
-	}
-}
-
-func TestBestLocalPropose(t *testing.T) {
-	// A's best local alternative is item 0 alt 1 (+3), even though the
-	// joint best is item 1 alt 1 (sum 4 vs 3).
-	evalA := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 3}, 1: {0, 1}}}
-	evalB := &StaticEvaluator{NumAlts: 2, Table: map[int][]int{0: {0, 0}, 1: {0, 3}}}
-	items := []Item{
-		{ID: 0, Flow: traffic.Flow{ID: 0, Size: 1}},
-		{ID: 1, Flow: traffic.Flow{ID: 1, Size: 1}},
-	}
-	cfg := DefaultDistanceConfig()
-	cfg.Propose = BestLocal
-	res, err := Negotiate(cfg, evalA, evalB, items, []int{0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Transcript[0].ItemID != 0 || res.Transcript[0].Alt != 1 {
-		t.Errorf("round 1 = %+v, want A's local best (item 0 alt 1)", res.Transcript[0])
 	}
 }
 
@@ -405,12 +255,8 @@ func TestItemsBuilder(t *testing.T) {
 func TestStringers(t *testing.T) {
 	names := []string{
 		AtoB.String(), BtoA.String(), SideA.String(), SideB.String(),
-		Alternate.String(), LowerGain.String(), CoinToss.String(),
-		MaxSum.String(), BestLocal.String(),
-		AlwaysAccept.String(), VetoIfLoss.String(),
-		StopEarly.String(), StopWhilePositive.String(), StopNever.String(),
 		StopAllNegotiated.String(), StopNoJointGain.String(),
-		StopSideCannotGain.String(), StopCumulativeLoss.String(),
+		StopSideCannotGain.String(),
 		Cardinal.String(), Ordinal.String(),
 	}
 	for i, n := range names {
@@ -676,45 +522,6 @@ func TestNegotiationDeterminism(t *testing.T) {
 	}
 	if r1.GainA != r2.GainA || r1.GainB != r2.GainB {
 		t.Fatal("gains differ across runs")
-	}
-}
-
-func TestNegotiationNeverWorseWithVeto(t *testing.T) {
-	// Property over random preference tables: with VetoIfLoss both
-	// cumulative gains are >= 0 at every point, regardless of tables.
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		na := 2 + rng.Intn(3)
-		n := 1 + rng.Intn(8)
-		mk := func() *StaticEvaluator {
-			ev := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
-			for i := 0; i < n; i++ {
-				prefs := make([]int, na)
-				def := rng.Intn(na)
-				for k := range prefs {
-					if k != def {
-						prefs[k] = rng.Intn(21) - 10
-					}
-				}
-				ev.Table[i] = prefs
-			}
-			return ev
-		}
-		var items []Item
-		defaults := make([]int, n)
-		for i := 0; i < n; i++ {
-			items = append(items, Item{ID: i, Flow: traffic.Flow{ID: i, Size: 1}})
-		}
-		cfg := DefaultDistanceConfig()
-		cfg.Accept = VetoIfLoss
-		cfg.Stop = StopNever
-		res, err := Negotiate(cfg, mk(), mk(), items, defaults, na)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.GainA < 0 || res.GainB < 0 {
-			t.Fatalf("trial %d: gains (%d,%d) negative despite veto", trial, res.GainA, res.GainB)
-		}
 	}
 }
 

@@ -32,8 +32,7 @@ type refNegotiation struct {
 	result         *Result
 
 	totalSize, sinceReassign float64
-	lastTurn                 Side
-	haveTurn                 bool
+	turn                     Side // who proposes next
 }
 
 type refCommit struct {
@@ -135,11 +134,10 @@ func (n *refNegotiation) run() {
 			n.result.Stopped = StopAllNegotiated
 			return
 		}
-		proposer := n.decideTurn()
+		proposer := n.turn
 		id, alt, ok := n.propose(proposer)
 		if !ok {
 			proposer = proposer.Other()
-			n.lastTurn = proposer
 			id, alt, ok = n.propose(proposer)
 		}
 		if !ok {
@@ -151,6 +149,7 @@ func (n *refNegotiation) run() {
 			return
 		}
 		pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
+		n.turn = proposer.Other()
 		accepted := n.accept(proposer.Other(), id, alt)
 		n.result.Transcript = append(n.result.Transcript, Proposal{
 			Round: n.result.Rounds, Proposer: proposer, ItemID: id, Alt: alt,
@@ -166,90 +165,33 @@ func (n *refNegotiation) run() {
 	}
 }
 
-func (n *refNegotiation) decideTurn() Side {
-	s := SideA
-	switch n.cfg.Turn {
-	case LowerGain:
-		switch {
-		case n.result.GainA < n.result.GainB:
-			s = SideA
-		case n.result.GainB < n.result.GainA:
-			s = SideB
-		case n.haveTurn:
-			s = n.lastTurn.Other()
-		}
-	case CoinToss:
-		if n.cfg.Rng.Intn(2) != 0 {
-			s = SideB
-		}
-	default: // Alternate
-		if n.haveTurn {
-			s = n.lastTurn.Other()
-		}
-	}
-	n.lastTurn, n.haveTurn = s, true
-	return s
-}
-
-// affordable reports whether (item, alt) may be proposed given the
-// cumulative-gain protections in force: the StopEarly deficit bounds and
-// the VetoIfLoss proposer's self-censoring.
-func (n *refNegotiation) affordable(proposer Side, id, alt int) bool {
+// affordable reports whether (item, alt) keeps both cumulative gains
+// within their deficit bounds.
+func (n *refNegotiation) affordable(id, alt int) bool {
 	pa, pb := n.prefsA[id][alt], n.prefsB[id][alt]
-	if n.cfg.Stop == StopEarly {
-		boundA := -n.cfg.PrefBound - n.cfg.ExtraDeficitA
-		boundB := -n.cfg.PrefBound - n.cfg.ExtraDeficitB
-		if n.result.GainA+pa < boundA || n.result.GainB+pb < boundB {
-			return false
-		}
-	}
-	if n.cfg.Accept == VetoIfLoss {
-		if proposer == SideA {
-			return n.result.GainA+pa >= 0
-		}
-		return n.result.GainB+pb >= 0
-	}
-	return true
+	boundA := -n.cfg.PrefBound - n.cfg.ExtraDeficitA
+	boundB := -n.cfg.PrefBound - n.cfg.ExtraDeficitB
+	return n.result.GainA+pa >= boundA && n.result.GainB+pb >= boundB
 }
 
 func (n *refNegotiation) propose(proposer Side) (id, alt int, ok bool) {
-	own, other := n.prefsA, n.prefsB
+	own := n.prefsA
 	if proposer == SideB {
-		own, other = n.prefsB, n.prefsA
+		own = n.prefsB
 	}
-	if n.cfg.Propose == BestLocal {
-		// Maximize own preference; break ties by minimizing harm to the
-		// other ISP, then by item/alternative index.
-		bestOwn, bestOther := -1<<30, -1<<30
-		id, alt = -1, -1
-		for _, cand := range n.order {
-			for k := 0; k < n.numAlts; k++ {
-				if n.vetoed[[2]int{cand, k}] || !n.affordable(proposer, cand, k) {
-					continue
-				}
-				o, t := own[cand][k], other[cand][k]
-				if o > bestOwn || (o == bestOwn && t > bestOther) {
-					bestOwn, bestOther, id, alt = o, t, cand, k
-				}
-			}
+	// A side in cumulative deficit recovers first: restrict the scan to
+	// candidates strictly positive for it, falling back to the plain scan
+	// if none is proposable.
+	if n.result.GainA < 0 {
+		if id, alt, ok := n.scanMaxSum(own, n.prefsA); ok {
+			return id, alt, true
 		}
-		return id, alt, id >= 0
-	}
-	// MaxSum. A side in cumulative deficit recovers first: restrict the
-	// scan to candidates strictly positive for it, falling back to the
-	// plain scan if none is proposable.
-	if n.cfg.Stop == StopEarly {
-		if n.result.GainA < 0 {
-			if id, alt, ok := n.scanMaxSum(proposer, own, n.prefsA); ok {
-				return id, alt, true
-			}
-		} else if n.result.GainB < 0 {
-			if id, alt, ok := n.scanMaxSum(proposer, own, n.prefsB); ok {
-				return id, alt, true
-			}
+	} else if n.result.GainB < 0 {
+		if id, alt, ok := n.scanMaxSum(own, n.prefsB); ok {
+			return id, alt, true
 		}
 	}
-	return n.scanMaxSum(proposer, own, nil)
+	return n.scanMaxSum(own, nil)
 }
 
 // scanMaxSum finds the affordable, non-vetoed candidate maximizing the
@@ -257,14 +199,14 @@ func (n *refNegotiation) propose(proposer Side) (id, alt int, ok bool) {
 // preference, then order position, then the lowest alternative. A
 // non-nil recover table restricts the scan to candidates strictly
 // positive in it.
-func (n *refNegotiation) scanMaxSum(proposer Side, own, recover [][]int) (id, alt int, ok bool) {
+func (n *refNegotiation) scanMaxSum(own, recover [][]int) (id, alt int, ok bool) {
 	id, alt = -1, -1
 	bestSum, bestOwn := -1<<30, -1<<30
 	gA, gB := n.result.GainA, n.result.GainB
 	for _, cand := range n.order {
 		def := n.defaults[cand]
 		for k := 0; k < n.numAlts; k++ {
-			if n.vetoed[[2]int{cand, k}] || !n.affordable(proposer, cand, k) {
+			if n.vetoed[[2]int{cand, k}] || !n.affordable(cand, k) {
 				continue
 			}
 			if recover != nil && recover[cand][k] <= 0 {
@@ -290,20 +232,14 @@ func (n *refNegotiation) scanMaxSum(proposer Side, own, recover [][]int) (id, al
 }
 
 func (n *refNegotiation) accept(acceptor Side, id, alt int) bool {
-	if n.cfg.AcceptHook != nil {
-		return n.cfg.AcceptHook(acceptor, Proposal{
-			Round: n.result.Rounds, ItemID: id, Alt: alt,
-			Proposer: acceptor.Other(),
-			PrefA:    n.prefsA[id][alt], PrefB: n.prefsB[id][alt],
-		})
-	}
-	if n.cfg.Accept == AlwaysAccept {
+	if n.cfg.AcceptHook == nil {
 		return true
 	}
-	if acceptor == SideA {
-		return n.result.GainA+n.prefsA[id][alt] >= 0
-	}
-	return n.result.GainB+n.prefsB[id][alt] >= 0
+	return n.cfg.AcceptHook(acceptor, Proposal{
+		Round: n.result.Rounds, ItemID: id, Alt: alt,
+		Proposer: acceptor.Other(),
+		PrefA:    n.prefsA[id][alt], PrefB: n.prefsB[id][alt],
+	})
 }
 
 // maxSelectedPrefRef returns each side's highest class over the
@@ -320,39 +256,21 @@ func (n *refNegotiation) maxSelectedPrefRef() (maxA, maxB int) {
 }
 
 func (n *refNegotiation) shouldStop(id, alt int) (StopReason, bool) {
-	if n.cfg.Stop == StopNever {
-		return 0, false
-	}
 	pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
-	bestSum := pA + pB
-	if n.cfg.Propose != MaxSum {
-		bestSum = -1 << 30
-		for _, cand := range n.order {
-			_, s := n.bestAlt(cand)
-			bestSum = max(bestSum, s)
-		}
-	}
-	if bestSum < 0 {
+	if pA+pB < 0 {
 		return StopNoJointGain, true
 	}
-	switch n.cfg.Stop {
-	case StopEarly:
-		maxA, maxB := n.maxSelectedPrefRef()
-		walkA := maxA <= 0 && pA < 0
-		if walkA && n.cfg.ExtraDeficitA > 0 {
-			walkA = n.result.GainA+pA < -n.cfg.ExtraDeficitA
-		}
-		walkB := maxB <= 0 && pB < 0
-		if walkB && n.cfg.ExtraDeficitB > 0 {
-			walkB = n.result.GainB+pB < -n.cfg.ExtraDeficitB
-		}
-		if walkA || walkB {
-			return StopSideCannotGain, true
-		}
-	case StopWhilePositive:
-		if n.result.GainA+pA < 0 || n.result.GainB+pB < 0 {
-			return StopCumulativeLoss, true
-		}
+	maxA, maxB := n.maxSelectedPrefRef()
+	walkA := maxA <= 0 && pA < 0
+	if walkA && n.cfg.ExtraDeficitA > 0 {
+		walkA = n.result.GainA+pA < -n.cfg.ExtraDeficitA
+	}
+	walkB := maxB <= 0 && pB < 0
+	if walkB && n.cfg.ExtraDeficitB > 0 {
+		walkB = n.result.GainB+pB < -n.cfg.ExtraDeficitB
+	}
+	if walkA || walkB {
+		return StopSideCannotGain, true
 	}
 	return 0, false
 }
@@ -376,9 +294,6 @@ func (n *refNegotiation) commit(id, alt, pA, pB int) {
 }
 
 func (n *refNegotiation) unwindDeficits() {
-	if n.cfg.Stop == StopNever {
-		return
-	}
 	for {
 		sideA := false
 		switch {
@@ -432,13 +347,12 @@ func (n *refNegotiation) unwindDeficits() {
 }
 
 // serialTwin returns cfg as the oracle must run it to retrace the
-// engine's run: a fresh Rng on the same seed and, for a trial whose
-// BatchAcceptHook accepts random prefixes, an AcceptHook that replays
-// the engine's decisions round by round. Wrap the engine's own config
-// with the returned recorder first.
-func serialTwin(cfg Config, seed int64) (engine, oracle Config) {
+// engine's run: for a trial whose BatchAcceptHook accepts random
+// prefixes, an AcceptHook that replays the engine's decisions round by
+// round. Run the engine on the returned engine config, which records
+// those decisions.
+func serialTwin(cfg Config) (engine, oracle Config) {
 	engine, oracle = cfg, cfg
-	engine.Rng, oracle.Rng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	if hook := cfg.BatchAcceptHook; hook != nil {
 		accepted := map[int]bool{} // round -> decision, as the engine heard it
 		engine.BatchAcceptHook = func(batch []Proposal) int {
@@ -503,14 +417,14 @@ func roundsProposedFrom(tr []Proposal, in func(gainA, gainB int) bool) (rounds i
 }
 
 // TestEngineMatchesReference holds Negotiate to the oracle above on the
-// whole policy grid — reflect.DeepEqual on the whole Result — and on a
+// engine grid — reflect.DeepEqual on the whole Result — and on a
 // second grid at the wide bounds, where index rows take several words.
 // Batched trials (random accepted prefixes) are compared against the
 // serial oracle driven by the decisions the engine's hook returned.
 func TestEngineMatchesReference(t *testing.T) {
 	check := func(trial int, g gridTrial) {
 		evA, evB := g.mk(), g.mk() // static tables: engine and oracle share them
-		engineCfg, oracleCfg := serialTwin(g.cfg, int64(trial))
+		engineCfg, oracleCfg := serialTwin(g.cfg)
 		mustMatchReference(t, trial, engineCfg, oracleCfg, evA, evB, g.items, g.defaults, g.numAlts)
 	}
 	forEachGridTrial(check)
@@ -559,12 +473,7 @@ func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 			evA.Table[i], evB.Table[i] = a, b
 		}
 		items, defaults := unitItems(n, na)
-		cfg := Config{
-			PrefBound: p,
-			Turn:      []TurnPolicy{Alternate, LowerGain}[trial%2],
-			Accept:    []AcceptPolicy{AlwaysAccept, VetoIfLoss}[(trial/2)%2],
-			Stop:      StopEarly,
-		}
+		cfg := Config{PrefBound: p}
 		switch trial % 5 {
 		case 0:
 			cfg.ExtraDeficitA, cfg.ExtraDeficitB = rng.Intn(2*p), rng.Intn(2*p)
@@ -574,7 +483,7 @@ func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 			hookRng := rand.New(rand.NewSource(int64(trial)))
 			cfg.BatchAcceptHook = func(batch []Proposal) int { return hookRng.Intn(len(batch) + 1) }
 		}
-		engineCfg, oracleCfg := serialTwin(cfg, int64(trial))
+		engineCfg, oracleCfg := serialTwin(cfg)
 		res := mustMatchReference(t, trial, engineCfg, oracleCfg, evA, evB, items, defaults, na)
 		recovering += roundsProposedFrom(res.Transcript, func(gA, gB int) bool { return gA < 0 || gB < 0 })
 	}
@@ -583,17 +492,14 @@ func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesReferenceBothNegative aims at the gain state the grid
-// reaches rarely: both cumulative gains negative at once. Off-default
-// max-sum moves never lower the combined gain, so the state needs
-// default alternatives with negative classes (an evaluator that does not
-// normalize its default to 0) or best-local proposals; the tables here
-// are skewed negative, defaults included, and reach past [-P, P] so
-// clamping is exercised too. The test checks the state was in fact
-// reached under both propose policies.
+// TestEngineMatchesReferenceBothNegative holds the engine to the oracle
+// on tables skewed negative, defaults included (an evaluator that does
+// not normalize its default to 0), and reaching past [-P, P] so clamping
+// is exercised too. Such tables once aimed at the gain state with both
+// cumulative gains negative. No accepted proposal lowers the joint gain,
+// so that state is unreachable; the test asserts the invariant.
 func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var reached [2]int
 	bounds := append([]int{10, 3}, wideBounds...)
 	for trial := 0; trial < 420; trial++ {
 		p := bounds[trial%len(bounds)]
@@ -609,32 +515,29 @@ func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 			return ev
 		}
 		items, defaults := unitItems(n, na)
-		cfg := Config{
-			PrefBound: p,
-			Turn:      []TurnPolicy{Alternate, LowerGain}[trial%2],
-			Propose:   []ProposePolicy{MaxSum, BestLocal}[(trial/2)%2],
-			Accept:    []AcceptPolicy{AlwaysAccept, VetoIfLoss}[(trial/4)%2],
-			Stop:      []StopPolicy{StopNever, StopEarly}[(trial/8)%2],
-		}
+		cfg := Config{PrefBound: p}
 		if trial%3 == 0 {
 			cfg.ExtraDeficitA, cfg.ExtraDeficitB = rng.Intn(2*p), rng.Intn(2*p)
 		}
 		res := mustMatchReference(t, trial, cfg, cfg, mk(), mk(), items, defaults, na)
-		reached[cfg.Propose] += roundsProposedFrom(res.Transcript, func(gA, gB int) bool { return gA < 0 && gB < 0 })
-	}
-	if reached[MaxSum] == 0 || reached[BestLocal] == 0 {
-		t.Fatalf("rounds proposed from a both-sides-negative gain state: %d max-sum, %d best-local, want both > 0",
-			reached[MaxSum], reached[BestLocal])
+		if err := checkRoundInvariants(res, n, na); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 
 // FuzzNegotiateMatchesReference holds Negotiate to the oracle on tables
-// and policies decoded from the input: a preference bound up to the
+// and parameters decoded from the input: a preference bound up to the
 // wire's 127, up to 48 items and 8 alternatives, both sides' class
-// tables (raw int8s, so past ±P too, and at nonzero defaults), the
-// policy grid, extra deficits, and a batch hook's accepted prefixes. The
-// whole Results must be deeply equal. Each input runs on the engine state
-// a warm-up negotiation of another shape left behind (see warmUps).
+// tables (raw int8s, so past ±P too, and at nonzero defaults),
+// reassignment, extra deficits, and a batch hook's accepted prefixes.
+// The whole Results must be deeply equal, and the engine's must keep the
+// round invariants. Each input runs on the engine state a warm-up
+// negotiation of another shape left behind (see warmUps).
+//
+// The fourth byte once also chose turn, propose, accept and stop
+// policies; only its 0x40 (reassign) and 0x80 (extra deficits) bits are
+// read now, so recorded inputs keep their meaning.
 func FuzzNegotiateMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for _, p := range []byte{0, 2, 9, 30, 31, 49, 63, 99, 126} {
@@ -656,14 +559,9 @@ func FuzzNegotiateMatchesReference(f *testing.F) {
 			return b
 		}
 		p, n, na := 1+int(next()%127), 1+int(next()%48), 1+int(next()%8)
-		policy, extra, seed := next(), next(), next()
-		cfg := Config{
-			PrefBound: p,
-			Turn:      []TurnPolicy{Alternate, LowerGain, CoinToss}[policy%3],
-			Propose:   ProposePolicy(policy >> 2 & 1),
-			Accept:    AcceptPolicy(policy >> 3 & 1),
-			Stop:      []StopPolicy{StopEarly, StopWhilePositive, StopNever}[(policy>>4&3)%3],
-		}
+		policy, extra := next(), next()
+		next() // once the coin-toss seed
+		cfg := Config{PrefBound: p}
 		if policy&0x40 != 0 {
 			cfg.ReassignFraction = 0.25
 		}
@@ -693,8 +591,11 @@ func FuzzNegotiateMatchesReference(f *testing.F) {
 		}
 		items, defaults := unitItems(n, na)
 		warmUp(t, n*na)
-		engineCfg, oracleCfg := serialTwin(cfg, int64(seed))
-		mustMatchReference(t, 0, engineCfg, oracleCfg, evA, evB, items, defaults, na)
+		engineCfg, oracleCfg := serialTwin(cfg)
+		res := mustMatchReference(t, 0, engineCfg, oracleCfg, evA, evB, items, defaults, na)
+		if err := checkRoundInvariants(res, n, na); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -725,7 +626,7 @@ var warmUps = func() (w [2]struct {
 			}
 			return ev
 		}
-		w[i].cfg = Config{PrefBound: p, Stop: StopNever, BatchAcceptHook: func(batch []Proposal) int {
+		w[i].cfg = Config{PrefBound: p, BatchAcceptHook: func(batch []Proposal) int {
 			for k, pr := range batch {
 				if (pr.ItemID*na+pr.Alt)%7 == 3 {
 					return k

@@ -34,7 +34,7 @@ func (c reuseCase) check() error {
 		rng := rand.New(rand.NewSource(c.hookSeed))
 		cfg.BatchAcceptHook = func(batch []Proposal) int { return rng.Intn(len(batch) + 1) }
 	}
-	engineCfg, oracleCfg := serialTwin(cfg, c.hookSeed)
+	engineCfg, oracleCfg := serialTwin(cfg)
 	evA, evB := c.mk()
 	got, err := Negotiate(engineCfg, evA, evB, c.items, c.defaults, c.na)
 	if err != nil {
@@ -62,9 +62,8 @@ func release(evs ...Evaluator) {
 
 // reuseCases returns negotiations whose shapes go large, small, large
 // and whose bound P takes 1, 10 and 127, so a reused state meets both a
-// bigger and a smaller predecessor under both propose policies, vetoes
-// (VetoIfLoss and batch hooks), StopNever, and preference reassignment
-// over load evaluators.
+// bigger and a smaller predecessor under vetoes (batch hooks), extra
+// deficit allowances, and preference reassignment over load evaluators.
 func reuseCases() []reuseCase {
 	rng := rand.New(rand.NewSource(31))
 	static := func(name string, n, na int, cfg Config, hookSeed int64) reuseCase {
@@ -118,24 +117,24 @@ func reuseCases() []reuseCase {
 			mk: func() (Evaluator, Evaluator) { return mkSide(SideA), mkSide(SideB) }}
 	}
 	return []reuseCase{
-		static("large/P127/max-sum/veto/hook", 400, 6,
-			Config{PrefBound: 127, Accept: VetoIfLoss, Stop: StopEarly}, 1),
-		static("small/P1/best-local/never", 3, 2,
-			Config{PrefBound: 1, Propose: BestLocal, Stop: StopNever}, 0),
-		static("large/P10/max-sum/veto/never/hook", 300, 5,
-			Config{PrefBound: 10, Accept: VetoIfLoss, Stop: StopNever}, 2),
+		static("large/P127/hook", 400, 6,
+			Config{PrefBound: 127}, 1),
+		static("small/P1", 3, 2,
+			Config{PrefBound: 1}, 0),
+		static("large/P10/deficits/hook", 300, 5,
+			Config{PrefBound: 10, ExtraDeficitA: 7, ExtraDeficitB: 2}, 2),
 		load("bandwidth/P10/reassign", false,
-			Config{PrefBound: 10, Stop: StopEarly, ReassignFraction: 0.05}),
-		static("small/P127/best-local/veto", 1, 1,
-			Config{PrefBound: 127, Propose: BestLocal, Accept: VetoIfLoss}, 0),
-		static("large/P1/best-local/coin/reassign/hook", 500, 4,
-			Config{PrefBound: 1, Turn: CoinToss, Propose: BestLocal, Stop: StopWhilePositive, ReassignFraction: 0.25}, 3),
-		load("fortz-thorup/P127/best-local/veto/reassign", true,
-			Config{PrefBound: 127, Propose: BestLocal, Accept: VetoIfLoss, ReassignFraction: 0.1}),
-		static("small/P10/lower-gain/veto", 7, 3,
-			Config{PrefBound: 10, Turn: LowerGain, Accept: VetoIfLoss, Stop: StopWhilePositive}, 4),
-		static("large/P10/max-sum/lower-gain/veto", 450, 3,
-			Config{PrefBound: 10, Turn: LowerGain, Accept: VetoIfLoss}, 0),
+			Config{PrefBound: 10, ReassignFraction: 0.05}),
+		static("small/P127", 1, 1,
+			Config{PrefBound: 127}, 0),
+		static("large/P1/reassign/hook", 500, 4,
+			Config{PrefBound: 1, ReassignFraction: 0.25}, 3),
+		load("fortz-thorup/P127/reassign", true,
+			Config{PrefBound: 127, ReassignFraction: 0.1}),
+		static("small/P10/deficits/hook", 7, 3,
+			Config{PrefBound: 10, ExtraDeficitB: 5}, 4),
+		static("large/P10/deficits", 450, 3,
+			Config{PrefBound: 10, ExtraDeficitA: 12}, 0),
 	}
 }
 
@@ -199,7 +198,8 @@ func (fixedPrefs) Commit(Item, int) {}
 // TestWarmNegotiateAllocatesOnlyItsResult pins the engine's free list: a
 // Negotiate on a warm state allocates the Result, its Assign and the
 // transcript copy, and nothing else, whether it asks one proposal at a
-// time, in batches, or vetoes.
+// time, in batches, or vetoes, and whether it stops early or runs to the
+// end of the table.
 func TestWarmNegotiateAllocatesOnlyItsResult(t *testing.T) {
 	const n, na = 64, 3
 	a, b := make(fixedPrefs, n), make(fixedPrefs, n)
@@ -213,11 +213,12 @@ func TestWarmNegotiateAllocatesOnlyItsResult(t *testing.T) {
 	var evA, evB Evaluator = a, b
 	items, defaults := unitItems(n, na)
 	all := func(batch []Proposal) int { return len(batch) }
+	veto := func(_ Side, p Proposal) bool { return p.ItemID%5 != 0 }
 	for _, cfg := range []Config{
-		{PrefBound: 10, Stop: StopNever},
-		{PrefBound: 10, Stop: StopNever, BatchAcceptHook: all},
-		{PrefBound: 10, Stop: StopNever, Accept: VetoIfLoss},
-		{PrefBound: 10, Stop: StopEarly, Propose: BestLocal},
+		{PrefBound: 10},
+		{PrefBound: 10, BatchAcceptHook: all},
+		{PrefBound: 10, AcceptHook: veto},
+		{PrefBound: 10, ExtraDeficitA: 100},
 	} {
 		var res *Result
 		allocs := testing.AllocsPerRun(50, func() {
