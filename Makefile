@@ -1,6 +1,6 @@
 # Convenience targets mirroring CI (.github/workflows/ci.yml).
 
-.PHONY: test smoke bench
+.PHONY: test smoke bench census
 
 # Tier-1 verification: build plus the full race-enabled test suite.
 test:
@@ -31,3 +31,10 @@ smoke:
 # per-layer metrics, one JSON document on stdout (bench/README.md).
 bench:
 	go run ./bench
+
+# Which internal code the shipped commands reach: every cmd/ and
+# examples/ main built with coverage, run on CI's smoke workloads; prints
+# each package's executed statement share and its never-executed
+# functions. A report, not a gate.
+census:
+	sh scripts/census.sh

@@ -495,9 +495,9 @@ func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 // TestEngineMatchesReferenceBothNegative holds the engine to the oracle
 // on tables skewed negative, defaults included (an evaluator that does
 // not normalize its default to 0), and reaching past [-P, P] so clamping
-// is exercised too. Such tables once aimed at the gain state with both
-// cumulative gains negative. No accepted proposal lowers the joint gain,
-// so that state is unreachable; the test asserts the invariant.
+// is exercised too. Even on these tables the state with both cumulative
+// gains negative is unreachable, because no accepted proposal lowers the
+// joint gain; the test asserts that invariant.
 func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bounds := append([]int{10, 3}, wideBounds...)
@@ -535,14 +535,14 @@ func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 // round invariants. Each input runs on the engine state a warm-up
 // negotiation of another shape left behind (see warmUps).
 //
-// The fourth byte once also chose turn, propose, accept and stop
-// policies; only its 0x40 (reassign) and 0x80 (extra deficits) bits are
-// read now, so recorded inputs keep their meaning.
+// Of the fourth byte only the 0x40 (reassign) and 0x80 (extra deficits)
+// bits are read, and the sixth byte is skipped: the layout is kept so
+// that recorded inputs keep their meaning.
 func FuzzNegotiateMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for _, p := range []byte{0, 2, 9, 30, 31, 49, 63, 99, 126} {
-		for _, policy := range []byte{0x00, 0x84, 0x49, 0xc6} {
-			seed := []byte{p, byte(rng.Intn(48)), byte(rng.Intn(8)), policy, byte(rng.Intn(256)), byte(rng.Intn(256))}
+		for _, flags := range []byte{0x00, 0x84, 0x49, 0xc6} {
+			seed := []byte{p, byte(rng.Intn(48)), byte(rng.Intn(8)), flags, byte(rng.Intn(256)), byte(rng.Intn(256))}
 			for i := rng.Intn(400); i > 0; i-- {
 				seed = append(seed, byte(rng.Intn(2*int(p)+3)-int(p)-1))
 			}
@@ -559,13 +559,13 @@ func FuzzNegotiateMatchesReference(f *testing.F) {
 			return b
 		}
 		p, n, na := 1+int(next()%127), 1+int(next()%48), 1+int(next()%8)
-		policy, extra := next(), next()
-		next() // once the coin-toss seed
+		flags, extra := next(), next()
+		next() // unused, see the layout note above
 		cfg := Config{PrefBound: p}
-		if policy&0x40 != 0 {
+		if flags&0x40 != 0 {
 			cfg.ReassignFraction = 0.25
 		}
-		if policy&0x80 != 0 {
+		if flags&0x80 != 0 {
 			cfg.ExtraDeficitA, cfg.ExtraDeficitB = int(extra&15), int(extra>>4)
 		}
 		mk := func() *StaticEvaluator {
