@@ -454,10 +454,13 @@ func (n *negotiation) plan(maxBatch int) (reason StopReason, stopped bool) {
 // proposals it accepted; one short of the plan means the next was vetoed.
 // Without a hook every proposal is accepted.
 func (n *negotiation) ask() int {
+	if len(n.batch) == 0 {
+		return 0
+	}
 	switch {
-	case n.cfg.BatchAcceptHook != nil && len(n.batch) > 0:
+	case n.cfg.BatchAcceptHook != nil:
 		return min(max(n.cfg.BatchAcceptHook(n.batch), 0), len(n.batch))
-	case n.cfg.AcceptHook != nil && len(n.batch) > 0:
+	case n.cfg.AcceptHook != nil:
 		p := n.batch[0]    // the plan is one proposal
 		p.Accepted = false // not decided yet
 		if !n.cfg.AcceptHook(p.Proposer.Other(), p) {
