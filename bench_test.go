@@ -7,6 +7,8 @@
 package main
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nexit"
 	"repro/internal/pairsim"
+	"repro/internal/stability"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -229,22 +232,24 @@ func BenchmarkExtraGroupNegotiation(b *testing.B) {
 }
 
 // BenchmarkExtraPreferenceRange regenerates the §5 textual claim that
-// increasing the class range beyond [-10, 10] does not help.
+// increasing the class range beyond [-10, 10] does not help. Each bound
+// reports the ablation's median, the gain at rank ⌊n/2⌋+1 of n.
 func BenchmarkExtraPreferenceRange(b *testing.B) {
 	ds := dataset(b)
 	opt := distanceOpts
 	opt.MaxPairs = 10
-	var abl map[int]float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		if abl, err = experiments.PreferenceRangeAblation(ds, opt, []int{1, 3, 10, 50}); err != nil {
-			b.Fatal(err)
+	bounds := []int{1, 3, 10, 50}
+	rs := collect(b, func(sink func(int, *experiments.AblationPairResult) error) error {
+		return experiments.AblationStream(ds, opt, bounds, sink)
+	})
+	for i, p := range bounds {
+		gains := make([]float64, len(rs))
+		for j, r := range rs {
+			gains[j] = r.GainNeg[i]
 		}
+		sort.Float64s(gains)
+		b.ReportMetric(gains[len(gains)/2], fmt.Sprintf("P=%d-median-%%gain", p))
 	}
-	b.ReportMetric(abl[1], "P=1-median-%gain")
-	b.ReportMetric(abl[3], "P=3-median-%gain")
-	b.ReportMetric(abl[10], "P=10-median-%gain")
-	b.ReportMetric(abl[50], "P=50-median-%gain")
 }
 
 // BenchmarkAblationScaleMode compares the cardinal-mapping scale modes
@@ -317,15 +322,13 @@ func BenchmarkExtraScalability(b *testing.B) {
 	ds := dataset(b)
 	opt := distanceOpts
 	opt.MaxPairs = 10
-	var res *experiments.ScalabilityResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Scalability(ds, opt, []float64{0.5, 1.0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*res.FlowShare[0], "%flows-for-half-the-traffic")
-	b.ReportMetric(100*res.GainShare[0], "%gain-retained-at-half-traffic")
+	rs := collect(b, func(sink func(int, *experiments.ScalabilityPairResult) error) error {
+		return experiments.ScalabilityStream(ds, opt, []float64{0.5, 1.0}, sink)
+	})
+	b.ReportMetric(100*medianOf(rs, func(r *experiments.ScalabilityPairResult) float64 { return r.FlowShares[0] }),
+		"%flows-for-half-the-traffic")
+	b.ReportMetric(100*medianOf(rs, func(r *experiments.ScalabilityPairResult) float64 { return r.GainShares[0] }),
+		"%gain-retained-at-half-traffic")
 }
 
 // BenchmarkExtraDestinationBased regenerates footnote 2: negotiation
@@ -334,15 +337,11 @@ func BenchmarkExtraDestinationBased(b *testing.B) {
 	ds := dataset(b)
 	opt := distanceOpts
 	opt.MaxPairs = 10
-	var res *experiments.DestinationResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.DestinationBased(ds, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(median(res.GainSrcDst), "src-dst-median-%gain")
-	b.ReportMetric(median(res.GainDstOnly), "dst-only-median-%gain")
+	rs := collect(b, func(sink func(int, *experiments.DestinationPairResult) error) error {
+		return experiments.DestinationStream(ds, opt, sink)
+	})
+	b.ReportMetric(medianOf(rs, func(r *experiments.DestinationPairResult) float64 { return r.GainSrcDst }), "src-dst-median-%gain")
+	b.ReportMetric(medianOf(rs, func(r *experiments.DestinationPairResult) float64 { return r.GainDstOnly }), "dst-only-median-%gain")
 }
 
 // BenchmarkExtraStability regenerates the motivation-section analysis:
@@ -355,14 +354,17 @@ func BenchmarkExtraStability(b *testing.B) {
 		Workload:    traffic.Gravity,
 		MaxFailures: 24,
 	}
-	var res *experiments.StabilityResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		if res, err = experiments.Stability(ds, opt); err != nil {
-			b.Fatal(err)
+	rs := collect(b, func(sink func(int, *experiments.StabilityCaseResult) error) error {
+		_, err := experiments.StabilityStream(ds, opt, sink)
+		return err
+	})
+	oscillated := 0
+	for _, r := range rs {
+		if r.Outcome == stability.Oscillated {
+			oscillated++
 		}
 	}
-	b.ReportMetric(100*float64(res.Oscillated)/float64(res.FailureCases), "%cases-oscillating")
-	b.ReportMetric(median(res.ReactiveWorst), "reactive-worst-MEL-median")
-	b.ReportMetric(median(res.NegotiatedWorst), "negotiated-worst-MEL-median")
+	b.ReportMetric(100*float64(oscillated)/float64(len(rs)), "%cases-oscillating")
+	b.ReportMetric(medianOf(rs, func(r *experiments.StabilityCaseResult) float64 { return r.ReactiveWorst }), "reactive-worst-MEL-median")
+	b.ReportMetric(medianOf(rs, func(r *experiments.StabilityCaseResult) float64 { return r.NegotiatedWorst }), "negotiated-worst-MEL-median")
 }

@@ -4,7 +4,7 @@
 //
 // Fold mode (the default) reads NDJSON from the named files (or stdin
 // when none are given), folds every record through the constant-memory
-// internal/plot fold, and prints the figure sections for the
+// internal/plot fold, and prints the figure and extras sections for the
 // experiments the input carries. nexitsim's figure mode renders
 // through the same fold with exact curves, so the two print the same
 // tables at any scale and the same summary lines while a curve holds

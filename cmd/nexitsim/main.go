@@ -11,12 +11,14 @@
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each printed block corresponds to one figure panel of the paper; the
-// x-grid matches the paper's axes. Figure mode folds the records the
-// streaming drivers deliver through internal/plot's renderer, the one
-// nexitplot uses, with curves that keep every sample — so its summary
-// lines are exact at any scale, and nexitplot over this binary's
-// -stream output prints the same Figure 4–11 sections while no curve
-// exceeds its digest's 4096-point sketch.
+// x-grid matches the paper's axes. -fig extras prints the analyses the
+// paper states in its text (§5.1, §5, §6, footnote 2, §1/§2.2). Figure
+// mode folds the records the streaming drivers deliver through
+// internal/plot's renderer, the one nexitplot uses, with curves that
+// keep every sample — so its summary lines are exact at any scale, and
+// nexitplot over this binary's -stream output prints the same figure
+// and extras sections while no curve exceeds its digest's 4096-point
+// sketch. An unknown -fig is a usage error.
 //
 // With -stream (or -out), nexitsim switches to the streaming pipeline
 // (DESIGN.md §8): per-pair / per-failure-case results are emitted
@@ -24,10 +26,8 @@
 // per line, in deterministic pair order, followed by one summary line
 // per experiment computed with the constant-memory accumulators in
 // internal/stats. Nothing is buffered, so arbitrarily large datasets
-// run in O(workers) memory. One batch-only exception: the §5
-// preference-range ablation (part of figure-mode -fig extras) is a
-// derived sweep of full experiment re-runs, not a per-pair stream, and
-// has no streaming form.
+// run in O(workers) memory. Both modes run the same streams for the
+// same flags.
 package main
 
 import (
@@ -39,7 +39,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/gen"
@@ -51,7 +52,7 @@ import (
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "figure to reproduce: all, 4, 5, 6, 7, 8, 9, 10, 11, extras")
+		fig         = flag.String("fig", "all", "figure to reproduce: "+strings.Join(figures, ", "))
 		maxPairs    = flag.Int("max-pairs", 0, "limit ISP pairs (0 = all)")
 		maxFailures = flag.Int("max-failures", 0, "limit bandwidth failure cases (0 = all)")
 		seed        = flag.Int64("seed", 1, "experiment seed")
@@ -67,6 +68,11 @@ func main() {
 		memprof   = flag.String("memprofile", "", "write a heap profile to FILE at exit")
 	)
 	flag.Parse()
+	if !slices.Contains(figures, *fig) {
+		fmt.Fprintf(os.Stderr, "nexitsim: unknown -fig %q; valid values: %s\n", *fig, strings.Join(figures, ", "))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -152,151 +158,108 @@ func main() {
 	// Figure mode folds the same records the streaming mode emits
 	// through the renderer nexitplot uses, with exact curves.
 	fold := plot.NewExactFold(*points)
-	var extras *distanceExtras
-	if has(*fig, "all", "4", "5", "6", "extras") {
-		sink := fold.AddDistance
-		if has(*fig, "all", "extras") {
-			extras = &distanceExtras{byIx: map[int][]float64{}}
-			sink = func(idx int, r *experiments.DistancePairResult) error {
-				extras.add(r)
-				return fold.AddDistance(idx, r)
-			}
-		}
-		if err := experiments.DistanceStream(ds, opt, sink); err != nil {
-			fatal(err)
-		}
-	}
-	if has(*fig, "all", "7", "8", "9", "11") {
-		if _, err := experiments.BandwidthStream(ds, bopt, fold.AddBandwidth); err != nil {
-			fatal(err)
-		}
-	}
-	if has(*fig, "all", "10") {
-		if err := experiments.DistanceCheatStream(ds, opt, fold.AddCheat); err != nil {
-			fatal(err)
-		}
+	err = runExperiments(ds, *fig, opt, bopt, sinks{
+		distance:    fold.AddDistance,
+		bandwidth:   fold.AddBandwidth,
+		cheat:       fold.AddCheat,
+		ablation:    fold.AddAblation,
+		destination: fold.AddDestination,
+		scalability: fold.AddScalability,
+		stability:   fold.AddStability,
+	}, nil)
+	if err != nil {
+		fatal(err)
 	}
 	if err := fold.Render(os.Stdout, *fig); err != nil {
 		fatal(err)
 	}
-	if extras != nil {
-		printExtras(ds, extras, opt, bopt)
-	}
 }
 
-// distanceExtras collects the distance records' samples the §5.1 text
-// analyses summarize.
-type distanceExtras struct {
-	byIx       map[int][]float64 // negotiated total gain by interconnection count
-	nonDefault []float64
-	whole      []float64 // negotiated total gain, whole table
-	group4     []float64
+// figures are the -fig values: every figure of the paper's §5, the
+// analyses it states in text (extras), or all of them.
+var figures = []string{"all", "4", "5", "6", "7", "8", "9", "10", "11", "extras"}
+
+// sinks receive the records of each experiment a run selects.
+type sinks struct {
+	distance    func(int, *experiments.DistancePairResult) error
+	bandwidth   func(int, *experiments.BandwidthCaseResult) error
+	cheat       func(int, *experiments.CheatPairResult) error
+	ablation    func(int, *experiments.AblationPairResult) error
+	destination func(int, *experiments.DestinationPairResult) error
+	scalability func(int, *experiments.ScalabilityPairResult) error
+	stability   func(int, *experiments.StabilityCaseResult) error
 }
 
-func (e *distanceExtras) add(r *experiments.DistancePairResult) {
-	e.byIx[r.Interconnections] = append(e.byIx[r.Interconnections], r.GainNeg)
-	e.nonDefault = append(e.nonDefault, r.NonDefaultFraction)
-	e.whole = append(e.whole, r.GainNeg)
-	e.group4 = append(e.group4, r.GainGroup4)
+// runExperiments runs the streams the figure selection fig needs, each
+// once, delivering their records to s. done, when set, is called after
+// each experiment with its name.
+func runExperiments(ds *experiments.Dataset, fig string, opt experiments.Options, bopt experiments.BandwidthOptions,
+	s sinks, done func(exp string) error) error {
+	// The extras renegotiate pairs repeatedly, so unbounded runs are
+	// capped: the destination-based comparison at 100 pairs, the
+	// scalability sweep (six negotiations a pair) at 60, and the
+	// stability replay at 40 pairs and 300 failure cases.
+	capAt := func(n, limit int) int {
+		if n == 0 || n > limit {
+			return limit
+		}
+		return n
+	}
+	dOpt, sOpt, stOpt := opt, opt, bopt
+	dOpt.MaxPairs = capAt(opt.MaxPairs, 100)
+	sOpt.MaxPairs = capAt(opt.MaxPairs, 60)
+	stOpt.MaxPairs, stOpt.MaxFailures = capAt(bopt.MaxPairs, 40), capAt(bopt.MaxFailures, 300)
+
+	extras := []string{"extras"}
+	for _, e := range []struct {
+		name string
+		figs []string // the -fig values besides "all" that select it
+		run  func() error
+	}{
+		{"distance", []string{"4", "5", "6", "extras"}, func() error {
+			return experiments.DistanceStream(ds, opt, s.distance)
+		}},
+		{"bandwidth", []string{"7", "8", "9", "11"}, func() error {
+			_, err := experiments.BandwidthStream(ds, bopt, s.bandwidth)
+			return err
+		}},
+		{"distance-cheat", []string{"10"}, func() error {
+			return experiments.DistanceCheatStream(ds, opt, s.cheat)
+		}},
+		{"ablation", extras, func() error {
+			return experiments.AblationStream(ds, opt, experiments.AblationBounds, s.ablation)
+		}},
+		{"destination", extras, func() error {
+			return experiments.DestinationStream(ds, dOpt, s.destination)
+		}},
+		{"scalability", extras, func() error {
+			return experiments.ScalabilityStream(ds, sOpt, experiments.ScalabilityFractions, s.scalability)
+		}},
+		{"stability", extras, func() error {
+			_, err := experiments.StabilityStream(ds, stOpt, s.stability)
+			return err
+		}},
+	} {
+		if fig != "all" && !slices.Contains(e.figs, fig) {
+			continue
+		}
+		if err := e.run(); err != nil {
+			return err
+		}
+		if done != nil {
+			if err := done(e.name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// extrasFractions is the §6 scalability sweep both extras modes run.
-var extrasFractions = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-
-// extrasOptions bounds the extras sweeps — these renegotiate pairs
-// repeatedly, so unbounded runs are capped. One definition shared by
-// figure mode (printExtras) and streaming mode keeps the two paths
-// covering identical work for identical flags.
-func extrasOptions(opt experiments.Options, bopt experiments.BandwidthOptions) (dOpt, sOpt experiments.Options, stOpt experiments.BandwidthOptions) {
-	dOpt = opt // destination-based comparison
-	if dOpt.MaxPairs == 0 || dOpt.MaxPairs > 100 {
-		dOpt.MaxPairs = 100
-	}
-	sOpt = opt // scalability sweep renegotiates each pair 6 times
-	if sOpt.MaxPairs == 0 || sOpt.MaxPairs > 60 {
-		sOpt.MaxPairs = 60
-	}
-	stOpt = bopt // stability replay: respect -max-failures up to 300
-	if stOpt.MaxFailures == 0 || stOpt.MaxFailures > 300 {
-		stOpt.MaxFailures = 300
-	}
-	if stOpt.MaxPairs == 0 || stOpt.MaxPairs > 40 {
-		stOpt.MaxPairs = 40
-	}
-	return dOpt, sOpt, stOpt
-}
-
-// printExtras reproduces the analyses the paper describes in text but
-// omits from figures for space.
-func printExtras(ds *experiments.Dataset, dist *distanceExtras, opt experiments.Options, bopt experiments.BandwidthOptions) {
-	section("Extra — negotiated gain vs number of interconnections (§5.1 text)")
-	var counts []int
-	for k := range dist.byIx {
-		counts = append(counts, k)
-	}
-	sort.Ints(counts)
-	for _, k := range counts {
-		fmt.Printf("  %2d interconnections: %s\n", k, stats.Summary(stats.NewCDF(dist.byIx[k])))
-	}
-
-	section("Extra — fraction of flows moved off the default (§5.1 text, ~20%)")
-	fmt.Printf("  %s\n", stats.Summary(stats.NewCDF(dist.nonDefault)))
-
-	section("Extra — negotiating in 4 separate groups (§5.1 text)")
-	fmt.Printf("  whole table: %s\n", stats.Summary(stats.NewCDF(dist.whole)))
-	fmt.Printf("  4 groups:    %s\n", stats.Summary(stats.NewCDF(dist.group4)))
-
-	section("Extra — preference range ablation (§5 text: beyond [-10,10] no gain)")
-	bounds := []int{1, 2, 3, 5, 10, 20, 50}
-	abl, err := experiments.PreferenceRangeAblation(ds, opt, bounds)
-	if err != nil {
-		fatal(err)
-	}
-	for _, p := range bounds {
-		fmt.Printf("  P=%-3d median total gain: %.2f%%\n", p, abl[p])
-	}
-
-	dOpt, sOpt, stOpt := extrasOptions(opt, bopt)
-
-	section("Extra — negotiating only the biggest flows (§6 scalability)")
-	fractions := extrasFractions
-	sc, err := experiments.Scalability(ds, sOpt, fractions)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  pairs: %d (gravity flow sizes)\n", sc.Pairs)
-	for i, f := range fractions {
-		fmt.Printf("  top flows covering %3.0f%% of traffic = %4.1f%% of flows -> %3.0f%% of the full gain\n",
-			100*f, 100*sc.FlowShare[i], 100*sc.GainShare[i])
-	}
-
-	section("Extra — destination-based routing (footnote 2)")
-	db, err := experiments.DestinationBased(ds, dOpt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  pairs: %d; gains measured against each regime's own default\n", db.Pairs)
-	fmt.Printf("  source-destination routing: %s\n", stats.Summary(stats.NewCDF(db.GainSrcDst)))
-	fmt.Printf("  destination-based routing:  %s\n", stats.Summary(stats.NewCDF(db.GainDstOnly)))
-
-	section("Extra — cycles of influence under reactive unilateral routing (§1/§2.2)")
-	st, err := experiments.Stability(ds, stOpt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  failure cases: %d\n", st.FailureCases)
-	fmt.Printf("  reactive best-response dynamics: %d converged, %d oscillated, %d exhausted\n",
-		st.Converged, st.Oscillated, st.Exhausted)
-	fmt.Printf("  negotiation: always terminates (by construction)\n")
-	fmt.Printf("  reactive end-state worst MEL:   %s\n", stats.Summary(stats.NewCDF(st.ReactiveWorst)))
-	fmt.Printf("  negotiated worst MEL:           %s\n", stats.Summary(stats.NewCDF(st.NegotiatedWorst)))
-}
-
-// runStreaming drives the figure selection through the streaming
-// drivers, emitting one NDJSON object per result as it is produced and
-// one constant-memory summary line per experiment. Output order is
-// deterministic (the runner's ordered reducer), so two runs with the
-// same flags are byte-identical regardless of -workers.
+// runStreaming runs the figure selection with every record emitted as
+// one NDJSON object as it is produced, and one constant-memory summary
+// line per experiment. Output order is deterministic (the runner's
+// ordered reducer), so two runs with the same flags are byte-identical
+// regardless of -workers.
 func runStreaming(w io.Writer, ds *experiments.Dataset, fig string, opt experiments.Options, bopt experiments.BandwidthOptions) error {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
@@ -307,12 +270,6 @@ func runStreaming(w io.Writer, ds *experiments.Dataset, fig string, opt experime
 		Index      int    `json:"index"`
 		Data       any    `json:"data"`
 	}
-	emit := func(exp string, idx int, data any) error {
-		if err := enc.Encode(envelope{Experiment: exp, Index: idx, Data: data}); err != nil {
-			return err
-		}
-		return bw.Flush() // one line out per result: truly incremental
-	}
 	type summary struct {
 		Experiment string            `json:"experiment"`
 		Results    int               `json:"results"`
@@ -322,120 +279,70 @@ func runStreaming(w io.Writer, ds *experiments.Dataset, fig string, opt experime
 		// elsewhere, aggregate here — DESIGN.md §10).
 		Digests map[string]*stats.Digest `json:"digests,omitempty"`
 	}
-	emitSummary := func(exp string, n int, digests map[string]*stats.Digest) error {
-		s := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
+	// results and digests summarize the experiment in progress.
+	results, digests := 0, map[string]*stats.Digest{}
+	add := func(name string, v float64) {
+		d, ok := digests[name]
+		if !ok {
+			d = stats.NewDigest()
+			digests[name] = d
+		}
+		d.Add(v)
+	}
+	emit := func(exp string, idx int, data any) error {
+		results++
+		if err := enc.Encode(envelope{Experiment: exp, Index: idx, Data: data}); err != nil {
+			return err
+		}
+		return bw.Flush() // one line out per result: truly incremental
+	}
+	done := func(exp string) error {
+		s := summary{Experiment: exp, Results: results, Series: map[string]string{}, Digests: digests}
 		for name, d := range digests {
 			s.Series[name] = d.Summary()
 		}
+		results, digests = 0, map[string]*stats.Digest{}
 		if err := enc.Encode(s); err != nil {
 			return err
 		}
 		return bw.Flush()
 	}
 
-	if has(fig, "all", "4", "5", "6", "extras") {
-		neg, opt2 := stats.NewDigest(), stats.NewDigest()
-		n := 0
-		err := experiments.DistanceStream(ds, opt, func(idx int, r *experiments.DistancePairResult) error {
-			neg.Add(r.GainNeg)
-			opt2.Add(r.GainOpt)
-			n++
+	return runExperiments(ds, fig, opt, bopt, sinks{
+		distance: func(idx int, r *experiments.DistancePairResult) error {
+			add("gain_negotiated", r.GainNeg)
+			add("gain_optimal", r.GainOpt)
 			return emit("distance", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("distance", n, map[string]*stats.Digest{
-			"gain_negotiated": neg, "gain_optimal": opt2,
-		}); err != nil {
-			return err
-		}
-	}
-	if has(fig, "all", "7", "8", "9", "11") {
-		upNeg, downNeg := stats.NewDigest(), stats.NewDigest()
-		cases, err := experiments.BandwidthStream(ds, bopt, func(idx int, r *experiments.BandwidthCaseResult) error {
-			upNeg.Add(r.UpNeg)
-			downNeg.Add(r.DownNeg)
+		},
+		bandwidth: func(idx int, r *experiments.BandwidthCaseResult) error {
+			add("up_negotiated", r.UpNeg)
+			add("down_negotiated", r.DownNeg)
 			return emit("bandwidth", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("bandwidth", cases, map[string]*stats.Digest{
-			"up_negotiated": upNeg, "down_negotiated": downNeg,
-		}); err != nil {
-			return err
-		}
-	}
-	if has(fig, "all", "10") {
-		truthful, cheat := stats.NewDigest(), stats.NewDigest()
-		n := 0
-		err := experiments.DistanceCheatStream(ds, opt, func(idx int, r *experiments.CheatPairResult) error {
-			truthful.Add(r.TotalTruthful)
-			cheat.Add(r.TotalCheat)
-			n++
+		},
+		cheat: func(idx int, r *experiments.CheatPairResult) error {
+			add("total_truthful", r.TotalTruthful)
+			add("total_cheat", r.TotalCheat)
 			return emit("distance-cheat", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("distance-cheat", n, map[string]*stats.Digest{
-			"total_truthful": truthful, "total_cheat": cheat,
-		}); err != nil {
-			return err
-		}
-	}
-	if has(fig, "all", "extras") {
-		// The shared extrasOptions bounds mean batch and streaming
-		// extras cover the same work for the same flags — except the
-		// preference-range ablation (a derived sweep of full re-runs,
-		// figure mode only; see the package comment).
-		dOpt, sOpt, stOpt := extrasOptions(opt, bopt)
-
-		dst := stats.NewDigest()
-		n := 0
-		err := experiments.DestinationStream(ds, dOpt, func(idx int, r *experiments.DestinationPairResult) error {
-			dst.Add(r.GainDstOnly)
-			n++
+		},
+		ablation: func(idx int, r *experiments.AblationPairResult) error {
+			for i, p := range r.Bounds {
+				add(fmt.Sprintf("gain_negotiated_p%d", p), r.GainNeg[i])
+			}
+			return emit("ablation", idx, r)
+		},
+		destination: func(idx int, r *experiments.DestinationPairResult) error {
+			add("gain_dst_only", r.GainDstOnly)
 			return emit("destination", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("destination", n, map[string]*stats.Digest{"gain_dst_only": dst}); err != nil {
-			return err
-		}
-
-		// Same fraction sweep as batch extras, so streamed records carry
-		// the full §6 curve.
-		first := stats.NewDigest()
-		n = 0
-		err = experiments.ScalabilityStream(ds, sOpt, extrasFractions,
-			func(idx int, r *experiments.ScalabilityPairResult) error {
-				first.Add(r.GainShares[0])
-				n++
-				return emit("scalability", idx, r)
-			})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("scalability", n, map[string]*stats.Digest{"gain_share_20pct_traffic": first}); err != nil {
-			return err
-		}
-
-		worst := stats.NewDigest()
-		cases, err := experiments.StabilityStream(ds, stOpt, func(idx int, r *experiments.StabilityCaseResult) error {
-			worst.Add(r.ReactiveWorst)
+		},
+		scalability: func(idx int, r *experiments.ScalabilityPairResult) error {
+			add("gain_share_20pct_traffic", r.GainShares[0])
+			return emit("scalability", idx, r)
+		},
+		stability: func(idx int, r *experiments.StabilityCaseResult) error {
+			add("reactive_worst_mel", r.ReactiveWorst)
 			return emit("stability", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("stability", cases, map[string]*stats.Digest{"reactive_worst_mel": worst}); err != nil {
-			return err
-		}
-	}
-	return nil
+		},
+	}, done)
 }
 
 func loadDataset(path string, isps, workers int) (*experiments.Dataset, error) {
@@ -462,19 +369,6 @@ func loadDataset(path string, isps, workers int) (*experiments.Dataset, error) {
 		return nil, err
 	}
 	return experiments.FromISPs(loaded), nil
-}
-
-func has(v string, options ...string) bool {
-	for _, o := range options {
-		if v == o {
-			return true
-		}
-	}
-	return false
-}
-
-func section(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
 }
 
 func fatal(err error) {

@@ -50,19 +50,6 @@ func (e *destEvaluator) Prefs(items []nexit.Item, defaults []int) [][]int {
 // Commit implements nexit.Evaluator (distance is stateless).
 func (e *destEvaluator) Commit(nexit.Item, int) {}
 
-// DestinationResult compares source-destination routing (the paper's
-// main mode) with destination-based routing on the same pairs. Each
-// regime's gain is measured against its own default: per-flow early
-// exit for source-destination routing, one (majority early-exit)
-// interconnection per destination for destination-based routing —
-// negotiation cannot be credited or blamed for paths the regime cannot
-// express.
-type DestinationResult struct {
-	// Per pair: total distance gain of negotiation within each regime.
-	GainSrcDst, GainDstOnly []float64
-	Pairs                   int
-}
-
 // DestinationPairResult is one ISP pair's streamed contribution to the
 // footnote-2 comparison.
 type DestinationPairResult struct {
@@ -167,22 +154,4 @@ func DestinationStream(ds *Dataset, opt Options, sink func(idx int, r *Destinati
 			}, nil
 		},
 		sink)
-}
-
-// DestinationBased runs the footnote-2 comparison over the dataset and
-// collects the sample sets — a fold over DestinationStream. Pairs are
-// evaluated concurrently (Options.Workers) with identical results for
-// every worker count.
-func DestinationBased(ds *Dataset, opt Options) (*DestinationResult, error) {
-	res := &DestinationResult{}
-	err := DestinationStream(ds, opt, func(_ int, o *DestinationPairResult) error {
-		res.GainSrcDst = append(res.GainSrcDst, o.GainSrcDst)
-		res.GainDstOnly = append(res.GainDstOnly, o.GainDstOnly)
-		res.Pairs++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -8,18 +8,11 @@ import (
 
 func TestDestinationBased(t *testing.T) {
 	ds := smallDataset(t)
-	res, err := DestinationBased(ds, Options{MaxPairs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pairs == 0 {
-		t.Fatal("no pairs processed")
-	}
-	if len(res.GainSrcDst) != res.Pairs || len(res.GainDstOnly) != res.Pairs {
-		t.Fatalf("sample counts wrong")
-	}
-	src := stats.NewCDF(res.GainSrcDst)
-	dst := stats.NewCDF(res.GainDstOnly)
+	rs := streamRecords(t, func(sink func(int, *DestinationPairResult) error) error {
+		return DestinationStream(ds, Options{MaxPairs: 16}, sink)
+	})
+	src := stats.NewCDF(column(rs, func(r *DestinationPairResult) float64 { return r.GainSrcDst }))
+	dst := stats.NewCDF(column(rs, func(r *DestinationPairResult) float64 { return r.GainDstOnly }))
 	// The paper's footnote 2: destination-based results are "similar".
 	// Grouping constrains the solution space, so some gain is lost, but
 	// most should survive: destination-based keeps at least a third of

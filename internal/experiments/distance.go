@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/baseline"
 	"repro/internal/metrics"
@@ -255,28 +254,55 @@ func DistanceCheatStream(ds *Dataset, opt Options, sink func(idx int, r *CheatPa
 		sink)
 }
 
-// PreferenceRangeAblation reruns the negotiated distance experiment for
-// several preference bounds P and returns median total gain per P — the
-// paper's observation that "increasing the range [beyond -10,10] does
-// not lead to noticeable increase in performance".
-func PreferenceRangeAblation(ds *Dataset, opt Options, bounds []int) (map[int]float64, error) {
+// AblationBounds are the preference bounds P the §5 ablation compares:
+// the paper's [-10,10] and ranges on either side of it.
+var AblationBounds = []int{1, 2, 3, 5, 10, 20, 50}
+
+// AblationPairResult is one ISP pair's streamed contribution to the §5
+// preference-range ablation: the negotiated total gain under each bound.
+type AblationPairResult struct {
+	// Pair names the ISP pair ("ispA-ispB").
+	Pair string `json:"pair"`
+	// Bounds are the preference bounds P; GainNeg[i] is the total gain
+	// over default routing negotiated under Bounds[i].
+	Bounds  []int     `json:"bounds"`
+	GainNeg []float64 `json:"gain_negotiated"`
+}
+
+// AblationStream runs the §5 preference-range ablation — the paper's
+// observation that "increasing the range [beyond -10,10] does not lead
+// to noticeable increase in performance". It visits DistanceStream's
+// pairs and workloads and negotiates each pair once per bound, with no
+// baselines, delivering the gains to sink in pair order without
+// retaining them. Options.PrefBound is not read.
+func AblationStream(ds *Dataset, opt Options, bounds []int, sink func(idx int, r *AblationPairResult) error) error {
 	opt = opt.withDefaults()
-	out := make(map[int]float64, len(bounds))
-	for _, p := range bounds {
-		o := opt
-		o.PrefBound = p
-		var sorted []float64
-		err := DistanceStream(ds, o, func(_ int, r *DistancePairResult) error {
-			sorted = append(sorted, r.GainNeg)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sort.Float64s(sorted)
-		if len(sorted) > 0 {
-			out[p] = sorted[len(sorted)/2]
-		}
-	}
-	return out, nil
+	pairs := selectPairs(ds.DistancePairs(), opt)
+	return forEachPair(pairs, ds, opt, saltDistance, traffic.Identical,
+		func(job pairJob) (*AblationPairResult, error) {
+			ps := job.ps
+			// Distance evaluators are stateless, so one pair of them
+			// serves every bound; only their P changes.
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, 0)
+			defer evalA.Release()
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, 0)
+			defer evalB.Release()
+			cfg := nexit.DefaultDistanceConfig()
+			out := &AblationPairResult{
+				Pair:    pairLabel(ps.s.Pair),
+				Bounds:  bounds,
+				GainNeg: make([]float64, len(bounds)),
+			}
+			for i, p := range bounds {
+				cfg.PrefBound, evalA.P, evalB.P = p, p, p
+				neg, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, ps.s.NumAlternatives())
+				if err != nil {
+					return nil, err
+				}
+				total, _, _ := ps.distances(neg.Assign)
+				out.GainNeg[i] = metrics.GainPercent(job.defTotal, total)
+			}
+			return out, nil
+		},
+		sink)
 }

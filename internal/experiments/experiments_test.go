@@ -155,17 +155,28 @@ func TestBandwidthAlternateModels(t *testing.T) {
 
 func TestPreferenceRangeAblation(t *testing.T) {
 	ds := smallDataset(t)
-	out, err := PreferenceRangeAblation(ds, Options{MaxPairs: 6}, []int{1, 10})
-	if err != nil {
-		t.Fatal(err)
+	bounds := []int{1, 10}
+	rs := streamRecords(t, func(sink func(int, *AblationPairResult) error) error {
+		return AblationStream(ds, Options{MaxPairs: 6}, bounds, sink)
+	})
+	// The ablation's P=10 gains are DistanceStream's negotiated gains:
+	// the same pairs, workloads and negotiation, one bound at a time.
+	dist := distanceRecords(t, ds, Options{MaxPairs: 6})
+	if len(dist) != len(rs) {
+		t.Fatalf("ablation streamed %d pairs, distance %d", len(rs), len(dist))
 	}
-	if len(out) != 2 {
-		t.Fatalf("ablation returned %d entries", len(out))
+	for i, r := range rs {
+		if r.Pair != dist[i].Pair || r.GainNeg[1] != dist[i].GainNeg {
+			t.Fatalf("pair %d: ablation %s P=10 gain %v, distance %s %v",
+				i, r.Pair, r.GainNeg[1], dist[i].Pair, dist[i].GainNeg)
+		}
 	}
 	// More preference classes can only help (weakly) in aggregate; allow
 	// small sampling noise.
-	if out[1] > out[10]+2.0 {
-		t.Errorf("P=1 median gain %.3f much higher than P=10 %.3f", out[1], out[10])
+	p1 := upperMedian(column(rs, func(r *AblationPairResult) float64 { return r.GainNeg[0] }))
+	p10 := upperMedian(column(rs, func(r *AblationPairResult) float64 { return r.GainNeg[1] }))
+	if p1 > p10+2.0 {
+		t.Errorf("P=1 median gain %.3f much higher than P=10 %.3f", p1, p10)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 	"testing"
 )
 
-// TestExtrasGolden pins the extras analyses bit for bit: the Stability,
-// PreferenceRangeAblation and Scalability results on the 18-ISP dataset,
-// with the bounds and fractions nexitsim's extras section uses, feed one
-// sha256 over their counts and math.Float64bits, which must equal
-// testdata/extras.sha256. Like TestBandwidthLPGolden it is recorded once
-// and regenerated (-update) only when a change means to move these
-// numbers.
+// TestExtrasGolden pins the extras analyses bit for bit: the stability
+// outcomes, the preference-range ablation's medians and the scalability
+// sweep's medians on the 18-ISP dataset, with the bounds and fractions
+// nexitsim's extras sections use, feed one sha256 over their counts and
+// math.Float64bits, which must equal testdata/extras.sha256. Like
+// TestBandwidthLPGolden it is recorded once and regenerated (-update)
+// only when a change means to move these numbers.
 func TestExtrasGolden(t *testing.T) {
 	ds := smallDataset(t)
 	h := sha256.New()
@@ -26,40 +26,40 @@ func TestExtrasGolden(t *testing.T) {
 		h.Write(buf[:])
 	}
 
-	st, err := Stability(ds, BandwidthOptions{Options: Options{MaxPairs: 6}, MaxFailures: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(h, "stability %d %d %d %d\n", st.FailureCases, st.Converged, st.Oscillated, st.Exhausted)
-	for i := range st.ReactiveWorst {
-		put(st.ReactiveWorst[i])
-		put(st.NegotiatedWorst[i])
+	cases := streamRecords(t, func(sink func(int, *StabilityCaseResult) error) error {
+		_, err := StabilityStream(ds, BandwidthOptions{Options: Options{MaxPairs: 6}, MaxFailures: 24}, sink)
+		return err
+	})
+	converged, oscillated, exhausted := outcomeCounts(cases)
+	fmt.Fprintf(h, "stability %d %d %d %d\n", len(cases), converged, oscillated, exhausted)
+	for _, c := range cases {
+		put(c.ReactiveWorst)
+		put(c.NegotiatedWorst)
 	}
 
 	bounds := []int{1, 2, 3, 5, 10, 20, 50}
-	abl, err := PreferenceRangeAblation(ds, Options{MaxPairs: 8}, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(h, "ablation %d\n", len(abl))
-	for _, p := range bounds {
+	abl := streamRecords(t, func(sink func(int, *AblationPairResult) error) error {
+		return AblationStream(ds, Options{MaxPairs: 8}, bounds, sink)
+	})
+	fmt.Fprintf(h, "ablation %d\n", len(bounds))
+	for i, p := range bounds {
 		fmt.Fprintf(h, "P=%d\n", p)
-		put(abl[p])
+		put(upperMedian(column(abl, func(r *AblationPairResult) float64 { return r.GainNeg[i] })))
 	}
 
-	sc, err := Scalability(ds, Options{MaxPairs: 8}, []float64{0.2, 0.4, 0.6, 0.8, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(h, "scalability %d\n", sc.Pairs)
-	for i := range sc.Fractions {
-		put(sc.Fractions[i])
-		put(sc.GainShare[i])
-		put(sc.FlowShare[i])
+	fractions := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+	sc := streamRecords(t, func(sink func(int, *ScalabilityPairResult) error) error {
+		return ScalabilityStream(ds, Options{MaxPairs: 8}, fractions, sink)
+	})
+	fmt.Fprintf(h, "scalability %d\n", len(sc))
+	for i, f := range fractions {
+		put(f)
+		put(median(column(sc, func(r *ScalabilityPairResult) float64 { return r.GainShares[i] })))
+		put(median(column(sc, func(r *ScalabilityPairResult) float64 { return r.FlowShares[i] })))
 	}
 
 	got := fmt.Sprintf("%x\n", h.Sum(nil))
-	t.Logf("%d stability cases, %d scalability pairs", st.FailureCases, sc.Pairs)
+	t.Logf("%d stability cases, %d scalability pairs", len(cases), len(sc))
 	const golden = "testdata/extras.sha256"
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {

@@ -4,42 +4,31 @@ import (
 	"sort"
 
 	"repro/internal/nexit"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
-// ScalabilityResult measures how much of the negotiation benefit remains
-// when, for scalability, the ISPs only put their biggest flows on the
-// table (paper §6: "to improve scalability ISPs can decide to negotiate
-// over only the set of long-lived and high-bandwidth flows. ...
-// Optimizing the small fraction of high-bandwidth flows can optimize
-// most of the traffic").
-type ScalabilityResult struct {
-	// Fractions are the traffic fractions negotiated (e.g. 0.5 = the
-	// biggest flows covering half the bytes).
-	Fractions []float64
-	// GainShare[i] is, per traffic fraction, the median share of the
-	// full-negotiation gain retained (1 = all of it), over ISP pairs.
-	GainShare []float64
-	// FlowShare[i] is the median fraction of FLOWS that covers
-	// Fractions[i] of the traffic (the "small fraction" claim).
-	FlowShare []float64
-	Pairs     int
-}
+// ScalabilityFractions are the traffic fractions the §6 sweep
+// negotiates: the biggest flows covering 20%, 40%, ... of the bytes.
+var ScalabilityFractions = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 
-// ScalabilityPairResult is one ISP pair's streamed contribution: the
-// share of the full-negotiation gain retained and the fraction of flows
-// involved, per requested traffic fraction.
+// ScalabilityPairResult is one ISP pair's streamed contribution: per
+// traffic fraction, the share of the full-negotiation gain retained
+// (1 = all of it) and the fraction of flows that carry that traffic.
 type ScalabilityPairResult struct {
 	// Pair names the ISP pair ("ispA-ispB").
 	Pair       string    `json:"pair"`
+	Fractions  []float64 `json:"fractions"`
 	GainShares []float64 `json:"gain_shares"`
 	FlowShares []float64 `json:"flow_shares"`
 }
 
-// ScalabilityStream runs the §6 partial-negotiation experiment,
-// delivering each pair's per-fraction shares to sink in pair order
-// without retaining them — the constant-memory form of Scalability.
+// ScalabilityStream measures how much of the negotiation benefit
+// remains when the ISPs only put their biggest flows on the table
+// (paper §6: "to improve scalability ISPs can decide to negotiate over
+// only the set of long-lived and high-bandwidth flows. ... Optimizing
+// the small fraction of high-bandwidth flows can optimize most of the
+// traffic"). It delivers each pair's per-fraction shares to sink in
+// pair order without retaining them.
 func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(idx int, r *ScalabilityPairResult) error) error {
 	opt = opt.withDefaults()
 	pairs := selectPairs(ds.DistancePairs(), opt)
@@ -103,6 +92,7 @@ func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(
 
 			out := &ScalabilityPairResult{
 				Pair:       pairLabel(ps.s.Pair),
+				Fractions:  fractions,
 				GainShares: make([]float64, len(fractions)),
 				FlowShares: make([]float64, len(fractions)),
 			}
@@ -136,42 +126,4 @@ func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(
 			return out, nil
 		},
 		sink)
-}
-
-// Scalability runs the §6 partial-negotiation experiment and reduces it
-// to per-fraction medians — a fold over ScalabilityStream into
-// streaming quantile sketches (internal/stats), so nothing per-pair is
-// retained: memory is O(fractions), not O(pairs). Medians follow the
-// stats toolkit's nearest-rank convention and are exact up to the
-// sketch capacity (far above any dataset this repo generates). Pairs
-// are evaluated concurrently (Options.Workers) with identical results
-// for every worker count.
-func Scalability(ds *Dataset, opt Options, fractions []float64) (*ScalabilityResult, error) {
-	res := &ScalabilityResult{Fractions: fractions}
-	shares := make([]*stats.QuantileSketch, len(fractions))
-	flowShares := make([]*stats.QuantileSketch, len(fractions))
-	for fi := range fractions {
-		shares[fi] = stats.NewQuantileSketch(0)
-		flowShares[fi] = stats.NewQuantileSketch(0)
-	}
-	err := ScalabilityStream(ds, opt, fractions, func(_ int, o *ScalabilityPairResult) error {
-		for fi := range fractions {
-			shares[fi].Add(o.GainShares[fi])
-			flowShares[fi].Add(o.FlowShares[fi])
-		}
-		res.Pairs++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.GainShare = make([]float64, len(fractions))
-	res.FlowShare = make([]float64, len(fractions))
-	for fi := range fractions {
-		if shares[fi].N() > 0 {
-			res.GainShare[fi] = shares[fi].Median()
-			res.FlowShare[fi] = flowShares[fi].Median()
-		}
-	}
-	return res, nil
 }

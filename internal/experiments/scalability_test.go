@@ -5,34 +5,33 @@ import "testing"
 func TestScalability(t *testing.T) {
 	ds := smallDataset(t)
 	fractions := []float64{0.2, 0.5, 1.0}
-	res, err := Scalability(ds, Options{MaxPairs: 8}, fractions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pairs == 0 {
-		t.Fatal("no pairs processed")
-	}
-	if len(res.GainShare) != 3 || len(res.FlowShare) != 3 {
-		t.Fatalf("result shape wrong: %+v", res)
+	rs := streamRecords(t, func(sink func(int, *ScalabilityPairResult) error) error {
+		return ScalabilityStream(ds, Options{MaxPairs: 8}, fractions, sink)
+	})
+	gain := make([]float64, len(fractions))
+	flows := make([]float64, len(fractions))
+	for i := range fractions {
+		gain[i] = median(column(rs, func(r *ScalabilityPairResult) float64 { return r.GainShares[i] }))
+		flows[i] = median(column(rs, func(r *ScalabilityPairResult) float64 { return r.FlowShares[i] }))
 	}
 	// Negotiating more traffic keeps (weakly) more of the gain, and the
 	// full fraction recovers essentially everything.
 	for i := 1; i < len(fractions); i++ {
-		if res.GainShare[i] < res.GainShare[i-1]-0.15 {
+		if gain[i] < gain[i-1]-0.15 {
 			t.Errorf("gain share dropped from %.2f to %.2f at fraction %.1f",
-				res.GainShare[i-1], res.GainShare[i], fractions[i])
+				gain[i-1], gain[i], fractions[i])
 		}
 	}
-	if res.GainShare[2] < 0.9 {
-		t.Errorf("full-traffic share = %.2f, want ~1", res.GainShare[2])
+	if gain[2] < 0.9 {
+		t.Errorf("full-traffic share = %.2f, want ~1", gain[2])
 	}
 	// Gravity sizes are skewed: covering 50% of traffic needs well under
 	// 50% of the flows.
-	if res.FlowShare[1] >= 0.5 {
-		t.Errorf("50%% of traffic needed %.0f%% of flows; expected skew", 100*res.FlowShare[1])
+	if flows[1] >= 0.5 {
+		t.Errorf("50%% of traffic needed %.0f%% of flows; expected skew", 100*flows[1])
 	}
 	// Flow shares grow with the traffic fraction.
-	if !(res.FlowShare[0] <= res.FlowShare[1] && res.FlowShare[1] <= res.FlowShare[2]) {
-		t.Errorf("flow shares not monotone: %v", res.FlowShare)
+	if !(flows[0] <= flows[1] && flows[1] <= flows[2]) {
+		t.Errorf("flow shares not monotone: %v", flows)
 	}
 }

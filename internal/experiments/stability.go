@@ -7,19 +7,6 @@ import (
 	"repro/internal/stability"
 )
 
-// StabilityResult quantifies the paper's motivating claim (§1/§2.2):
-// reactive unilateral routing after failures can enter cycles of
-// influence, while negotiation terminates by construction and settles at
-// a mutually acceptable point.
-type StabilityResult struct {
-	Converged, Oscillated, Exhausted int
-	// ReactiveWorst and NegotiatedWorst are, per failure case, the
-	// worst-ISP MEL of the reactive end state (or cycling state) and of
-	// the negotiated outcome.
-	ReactiveWorst, NegotiatedWorst []float64
-	FailureCases                   int
-}
-
 // StabilityCaseResult is one failure case's streamed contribution to
 // the stability comparison.
 type StabilityCaseResult struct {
@@ -34,10 +21,13 @@ type StabilityCaseResult struct {
 	NegotiatedWorst float64           `json:"negotiated_worst_mel"`
 }
 
-// StabilityStream replays the bandwidth failure cases under reactive
-// best-response dynamics and under Nexit, delivering each case's result
-// to sink in (pair, interconnection) order without retaining it.
-// Returns the number of cases delivered.
+// StabilityStream quantifies the paper's motivating claim (§1/§2.2):
+// reactive unilateral routing after failures can enter cycles of
+// influence, while negotiation terminates by construction. It replays
+// the bandwidth failure cases under best-response reactive dynamics
+// (downstream first, as in the paper's incident) and under Nexit,
+// delivering each case's result to sink in (pair, interconnection)
+// order without retaining it. Returns the number of cases delivered.
 func StabilityStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *StabilityCaseResult) error) (int, error) {
 	opt.Options = opt.Options.withDefaults()
 	cfg := nexit.DefaultBandwidthConfig()
@@ -72,33 +62,6 @@ func StabilityStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *St
 			}, nil
 		},
 		sink)
-}
-
-// Stability replays the bandwidth failure cases under best-response
-// reactive dynamics (downstream first, as in the paper's incident) and
-// under Nexit, comparing stability and outcome quality — a fold over
-// StabilityStream. Failure cases are evaluated concurrently per pair
-// (Options.Workers) with identical results for every worker count.
-func Stability(ds *Dataset, opt BandwidthOptions) (*StabilityResult, error) {
-	res := &StabilityResult{}
-	cases, err := StabilityStream(ds, opt, func(_ int, o *StabilityCaseResult) error {
-		switch o.Outcome {
-		case stability.Converged:
-			res.Converged++
-		case stability.Oscillated:
-			res.Oscillated++
-		default:
-			res.Exhausted++
-		}
-		res.ReactiveWorst = append(res.ReactiveWorst, o.ReactiveWorst)
-		res.NegotiatedWorst = append(res.NegotiatedWorst, o.NegotiatedWorst)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.FailureCases = cases
-	return res, nil
 }
 
 func maxFloat(a, b float64) float64 {

@@ -9,34 +9,29 @@ import (
 
 func TestStabilityExperiment(t *testing.T) {
 	ds := smallDataset(t)
-	res, err := Stability(ds, BandwidthOptions{
-		Options:     Options{MaxPairs: 6},
-		Workload:    traffic.Gravity,
-		MaxFailures: 24,
+	var n int
+	cases := streamRecords(t, func(sink func(int, *StabilityCaseResult) error) (err error) {
+		n, err = StabilityStream(ds, BandwidthOptions{
+			Options:     Options{MaxPairs: 6},
+			Workload:    traffic.Gravity,
+			MaxFailures: 24,
+		}, sink)
+		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if n != len(cases) {
+		t.Fatalf("StabilityStream reports %d cases, delivered %d", n, len(cases))
 	}
-	if res.FailureCases == 0 {
-		t.Fatal("no failure cases")
-	}
-	if res.Converged+res.Oscillated+res.Exhausted != res.FailureCases {
-		t.Fatalf("outcome counts %d+%d+%d != %d cases",
-			res.Converged, res.Oscillated, res.Exhausted, res.FailureCases)
-	}
-	if len(res.ReactiveWorst) != res.FailureCases || len(res.NegotiatedWorst) != res.FailureCases {
-		t.Fatal("sample counts wrong")
-	}
+	converged, oscillated, exhausted := outcomeCounts(cases)
 	// Negotiation terminates by construction (no Exhausted analogue) and
 	// its worst-ISP MEL should not be worse than the reactive end state
 	// in aggregate.
-	reactive := stats.NewCDF(res.ReactiveWorst)
-	negotiated := stats.NewCDF(res.NegotiatedWorst)
+	reactive := stats.NewCDF(column(cases, func(r *StabilityCaseResult) float64 { return r.ReactiveWorst }))
+	negotiated := stats.NewCDF(column(cases, func(r *StabilityCaseResult) float64 { return r.NegotiatedWorst }))
 	if negotiated.Mean() > reactive.Mean()+0.25 {
 		t.Errorf("negotiated mean worst-MEL %.3f much worse than reactive %.3f",
 			negotiated.Mean(), reactive.Mean())
 	}
 	t.Logf("converged=%d oscillated=%d exhausted=%d | reactive %s | negotiated %s",
-		res.Converged, res.Oscillated, res.Exhausted,
+		converged, oscillated, exhausted,
 		stats.Summary(reactive), stats.Summary(negotiated))
 }

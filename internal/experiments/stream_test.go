@@ -3,12 +3,14 @@ package experiments
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/runner"
+	"repro/internal/stability"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -62,6 +64,42 @@ func bandwidthRecords(t *testing.T, ds *Dataset, opt BandwidthOptions) []*Bandwi
 	})
 }
 
+// column is one value per record.
+func column[R any](rs []*R, value func(*R) float64) []float64 {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		xs[i] = value(r)
+	}
+	return xs
+}
+
+// median is the nearest-rank median, rank ⌈n/2⌉ of n.
+func median(xs []float64) float64 { return stats.NewCDF(xs).Median() }
+
+// upperMedian is the sample at rank ⌊n/2⌋+1 of n, the median the
+// preference-range ablation reports.
+func upperMedian(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}
+
+// outcomeCounts tallies the reactive dynamics' fates; an outcome other
+// than converged or oscillated counts as exhausted.
+func outcomeCounts(cases []*StabilityCaseResult) (converged, oscillated, exhausted int) {
+	for _, c := range cases {
+		switch c.Outcome {
+		case stability.Converged:
+			converged++
+		case stability.Oscillated:
+			oscillated++
+		default:
+			exhausted++
+		}
+	}
+	return converged, oscillated, exhausted
+}
+
 // assertStreamParity pins records identical between the serial path
 // and one contended parallel run; one pairing keeps the -race bill
 // bounded.
@@ -101,6 +139,16 @@ func TestBandwidthStreamParity(t *testing.T) {
 			Options:     Options{MaxPairs: 3, Seed: 5, Workers: workers},
 			Workload:    traffic.Gravity,
 			MaxFailures: 9,
+		})
+	})
+}
+
+func TestAblationStreamParity(t *testing.T) {
+	ds := smallDataset(t)
+	assertStreamParity(t, "Ablation", func(workers int) []*AblationPairResult {
+		opt := Options{MaxPairs: 6, Seed: 5, Workers: workers}
+		return streamRecords(t, func(sink func(int, *AblationPairResult) error) error {
+			return AblationStream(ds, opt, []int{1, 10}, sink)
 		})
 	})
 }

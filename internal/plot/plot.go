@@ -1,7 +1,8 @@
 // Package plot folds the paper's figure records into the figure
 // tables, and renders live mesh progress from agentd status snapshots —
 // the analysis half of the streaming pipeline (DESIGN.md §10). One
-// Fold renders Figures 4–11 for both binaries: nexitsim's figure mode
+// Fold renders Figures 4–11 and the extras sections (the analyses the
+// paper states in its text) for both binaries: nexitsim's figure mode
 // feeds it the records its drivers stream, nexitplot the same records
 // parsed back from nexitsim -stream NDJSON.
 //
@@ -12,7 +13,8 @@
 // for the summary line, so a fold over a million records holds the same
 // few kilobytes as a fold over ten. Its tables equal the exact ones at
 // any scale; its summary lines do while a curve's digest sketch is
-// uncompacted (n <= 4096), and past that carry sketch quantiles.
+// uncompacted (n <= 4096), and past that carry sketch quantiles; so
+// do the extras' summary lines and medians.
 //
 // Because GridCDF counts are integers and digest sketches canonicalize
 // before rendering, folding shards of a run in any order produces the
@@ -25,18 +27,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/experiments"
+	"repro/internal/stability"
 	"repro/internal/stats"
 )
 
-// curve is one figure line: its table points and its summary line.
-type curve interface {
-	stats.SeriesSource
+// sample is one sample set as a summary line reads it: the extras
+// sections' lines and the figure curves' summary lines.
+type sample interface {
 	add(v float64)
+	n() int
 	summary() string
+	quantile(q float64) float64
 	mean() float64
+}
+
+// curve is one figure line: a sample set that also renders its table
+// points.
+type curve interface {
+	sample
+	stats.SeriesSource
 }
 
 // exactCurve keeps every sample and reads them through one CDF.
@@ -60,26 +74,42 @@ func (c *exactCurve) sorted() *stats.CDF {
 func (c *exactCurve) Series(min, max float64, n int) []stats.Point {
 	return c.sorted().Series(min, max, n)
 }
-func (c *exactCurve) summary() string { return stats.Summary(c.sorted()) }
-func (c *exactCurve) mean() float64   { return c.sorted().Mean() }
+func (c *exactCurve) n() int                     { return c.sorted().N() }
+func (c *exactCurve) summary() string            { return stats.Summary(c.sorted()) }
+func (c *exactCurve) quantile(q float64) float64 { return c.sorted().Quantile(q) }
+func (c *exactCurve) mean() float64              { return c.sorted().Mean() }
+
+// digestSample is the constant-memory sample set: one digest.
+type digestSample struct{ dig *stats.Digest }
+
+func (s digestSample) add(v float64)              { s.dig.Add(v) }
+func (s digestSample) n() int                     { return int(s.dig.Stream.N()) }
+func (s digestSample) summary() string            { return s.dig.StableSummary() }
+func (s digestSample) quantile(q float64) float64 { return s.dig.Sketch.Quantile(q) }
+func (s digestSample) mean() float64              { return s.dig.StableMean() }
 
 // boundedCurve pairs the two constant-memory views of one figure line:
 // the grid CDF renders the table, the digest renders the summary line.
 type boundedCurve struct {
 	grid *stats.GridCDF
-	dig  *stats.Digest
+	digestSample
 }
 
 func (c *boundedCurve) add(v float64) {
 	c.grid.Add(v)
-	c.dig.Add(v)
+	c.digestSample.add(v)
 }
 
 func (c *boundedCurve) Series(min, max float64, n int) []stats.Point {
 	return c.grid.Series(min, max, n)
 }
-func (c *boundedCurve) summary() string { return c.dig.StableSummary() }
-func (c *boundedCurve) mean() float64   { return c.dig.StableMean() }
+
+// upperMedian is the (⌊n/2⌋+1)-th smallest of n samples, the median
+// the preference-range ablation has always printed.
+func upperMedian(s sample) float64 {
+	n := s.n()
+	return s.quantile((float64(n/2) + 0.5) / float64(n))
+}
 
 // summaryAgg merges one experiment's streamed summary lines across
 // shards: digests merge exactly; the legacy series strings only
@@ -96,9 +126,11 @@ type summaryAgg struct {
 // summary lines, from one run or from many shards of the same run) via
 // AddLine or ReadLines, then Render the figure tables.
 type Fold struct {
-	points   int
-	newCurve func(min, max float64) curve
-	curves   map[string]curve
+	points    int
+	newCurve  func(min, max float64) curve
+	newSample func() sample
+	curves    map[string]curve
+	samples   map[string]sample
 
 	distPairs  int
 	indLosers  int
@@ -111,6 +143,20 @@ type Fold struct {
 	cheatPairs int
 	deltaLEneg int
 
+	// The extras: negotiated gain by interconnection count and by
+	// preference bound; the scalability sweep's fractions and, per
+	// fraction, the gain and flow shares; stability outcome counts
+	// (converged, oscillated, exhausted).
+	byIx         map[int]sample
+	byBound      map[int]sample
+	fractions    []float64
+	gainShares   []sample
+	flowShares   []sample
+	scalPairs    int
+	destPairs    int
+	stabCases    int
+	stabOutcomes [3]int
+
 	summaries map[string]*summaryAgg
 	// Unknown counts lines for experiments this fold does not
 	// understand (newer producers); they are skipped, not fatal.
@@ -122,22 +168,27 @@ type Fold struct {
 // use, so n is fixed for the fold's lifetime).
 func NewFold(n int) *Fold {
 	return newFold(n, func(min, max float64) curve {
-		return &boundedCurve{grid: stats.NewGridCDF(min, max, n), dig: stats.NewDigest()}
-	})
+		return &boundedCurve{grid: stats.NewGridCDF(min, max, n), digestSample: digestSample{stats.NewDigest()}}
+	}, func() sample { return digestSample{stats.NewDigest()} })
 }
 
 // NewExactFold returns an empty fold rendering n-point series whose
 // curves keep every sample, so its summary lines are exact at any
 // scale.
 func NewExactFold(n int) *Fold {
-	return newFold(n, func(float64, float64) curve { return &exactCurve{} })
+	return newFold(n, func(float64, float64) curve { return &exactCurve{} },
+		func() sample { return &exactCurve{} })
 }
 
-func newFold(n int, newCurve func(min, max float64) curve) *Fold {
+func newFold(n int, newCurve func(min, max float64) curve, newSample func() sample) *Fold {
 	return &Fold{
 		points:    n,
 		newCurve:  newCurve,
+		newSample: newSample,
 		curves:    map[string]curve{},
+		samples:   map[string]sample{},
+		byIx:      map[int]sample{},
+		byBound:   map[int]sample{},
 		summaries: map[string]*summaryAgg{},
 	}
 }
@@ -149,6 +200,16 @@ func (f *Fold) curve(key string, min, max float64) curve {
 		f.curves[key] = c
 	}
 	return c
+}
+
+// sampleIn returns the sample set in m under key, made on first use.
+func sampleIn[K comparable](f *Fold, m map[K]sample, key K) sample {
+	s, ok := m[key]
+	if !ok {
+		s = f.newSample()
+		m[key] = s
+	}
+	return s
 }
 
 // ndjsonLine is the superset of the two line shapes nexitsim emits: a
@@ -198,30 +259,32 @@ func (f *Fold) AddLine(line []byte) error {
 	}
 	switch l.Experiment {
 	case "distance":
-		var r experiments.DistancePairResult
-		if err := json.Unmarshal(l.Data, &r); err != nil {
-			return err
-		}
-		return f.AddDistance(0, &r)
+		return addRecord(l.Data, f.AddDistance)
 	case "bandwidth":
-		var r experiments.BandwidthCaseResult
-		if err := json.Unmarshal(l.Data, &r); err != nil {
-			return err
-		}
-		return f.AddBandwidth(0, &r)
+		return addRecord(l.Data, f.AddBandwidth)
 	case "distance-cheat":
-		var r experiments.CheatPairResult
-		if err := json.Unmarshal(l.Data, &r); err != nil {
-			return err
-		}
-		return f.AddCheat(0, &r)
-	case "destination", "scalability", "stability":
-		// These records only feed their summary digests today; the
-		// figure-mode extras have no fixed-axis panels to rebuild.
-	default:
-		f.Unknown++
+		return addRecord(l.Data, f.AddCheat)
+	case "ablation":
+		return addRecord(l.Data, f.AddAblation)
+	case "destination":
+		return addRecord(l.Data, f.AddDestination)
+	case "scalability":
+		return addRecord(l.Data, f.AddScalability)
+	case "stability":
+		return addRecord(l.Data, f.AddStability)
 	}
+	f.Unknown++
 	return nil
+}
+
+// addRecord decodes one record envelope's data and folds it through the
+// experiment's sink.
+func addRecord[R any](data json.RawMessage, sink func(int, *R) error) error {
+	var r R
+	if err := json.Unmarshal(data, &r); err != nil {
+		return err
+	}
+	return sink(0, &r)
 }
 
 func (f *Fold) addSummary(l *ndjsonLine) error {
@@ -284,6 +347,9 @@ func (f *Fold) AddDistance(_ int, r *experiments.DistancePairResult) error {
 	for _, g := range r.FlowGainOpt {
 		flowOpt.add(g)
 	}
+	sampleIn(f, f.byIx, r.Interconnections).add(r.GainNeg)
+	sampleIn(f, f.samples, "non-default").add(r.NonDefaultFraction)
+	sampleIn(f, f.samples, "group4").add(r.GainGroup4)
 	return nil
 }
 
@@ -325,16 +391,79 @@ func (f *Fold) AddCheat(_ int, r *experiments.CheatPairResult) error {
 	return nil
 }
 
+// AddAblation folds one preference-range ablation record. Its
+// signature is AblationStream's sink's.
+func (f *Fold) AddAblation(_ int, r *experiments.AblationPairResult) error {
+	if len(r.Bounds) != len(r.GainNeg) {
+		return fmt.Errorf("ablation record %s: %d bounds, %d gains", r.Pair, len(r.Bounds), len(r.GainNeg))
+	}
+	for i, p := range r.Bounds {
+		sampleIn(f, f.byBound, p).add(r.GainNeg[i])
+	}
+	return nil
+}
+
+// AddScalability folds one §6 scalability record. Its signature is
+// ScalabilityStream's sink's; every record of a fold must carry the
+// same fractions.
+func (f *Fold) AddScalability(_ int, r *experiments.ScalabilityPairResult) error {
+	if len(r.GainShares) != len(r.Fractions) || len(r.FlowShares) != len(r.Fractions) {
+		return fmt.Errorf("scalability record %s: %d fractions, %d gain shares, %d flow shares",
+			r.Pair, len(r.Fractions), len(r.GainShares), len(r.FlowShares))
+	}
+	if f.scalPairs == 0 {
+		f.fractions = append([]float64(nil), r.Fractions...)
+		for range r.Fractions {
+			f.gainShares = append(f.gainShares, f.newSample())
+			f.flowShares = append(f.flowShares, f.newSample())
+		}
+	} else if !slices.Equal(f.fractions, r.Fractions) {
+		return fmt.Errorf("scalability record %s: fractions %v, earlier records %v", r.Pair, r.Fractions, f.fractions)
+	}
+	f.scalPairs++
+	for i := range r.Fractions {
+		f.gainShares[i].add(r.GainShares[i])
+		f.flowShares[i].add(r.FlowShares[i])
+	}
+	return nil
+}
+
+// AddDestination folds one footnote-2 record. Its signature is
+// DestinationStream's sink's.
+func (f *Fold) AddDestination(_ int, r *experiments.DestinationPairResult) error {
+	f.destPairs++
+	sampleIn(f, f.samples, "src-dst").add(r.GainSrcDst)
+	sampleIn(f, f.samples, "dst-only").add(r.GainDstOnly)
+	return nil
+}
+
+// AddStability folds one reactive-routing failure case. Its signature is
+// StabilityStream's sink's.
+func (f *Fold) AddStability(_ int, r *experiments.StabilityCaseResult) error {
+	f.stabCases++
+	switch r.Outcome {
+	case stability.Converged:
+		f.stabOutcomes[0]++
+	case stability.Oscillated:
+		f.stabOutcomes[1]++
+	default:
+		f.stabOutcomes[2]++
+	}
+	sampleIn(f, f.samples, "reactive-worst").add(r.ReactiveWorst)
+	sampleIn(f, f.samples, "negotiated-worst").add(r.NegotiatedWorst)
+	return nil
+}
+
 // frac reproduces stats.CDF.At's arithmetic from an online count, so
 // the decoration lines under the tables are the batch CDF's bit for
 // bit in either fold: At(x) = count(<= x)/n, the fraction above x is 1 - At(x).
 func frac(le, n int) float64 { return float64(le) / float64(n) }
 
-// Render writes the sections of the figures fig selects ("4" to "11",
-// or "all") that the folded records carry — the figure tables, each
-// curve's summary line and the decoration lines, as nexitsim's figure
-// mode prints them — followed by the merged per-experiment summary
-// lines of any folded summary records.
+// Render writes the sections fig selects ("4" to "11", "extras" or
+// "all") that the folded records carry — the figure tables, each
+// curve's summary line and the decoration lines, then the extras
+// sections, as nexitsim's figure mode prints them — followed by the
+// merged per-experiment summary lines of any folded summary records.
 func (f *Fold) Render(w io.Writer, fig string) error {
 	bw := bufio.NewWriter(w)
 	sel := func(n string) bool { return fig == "all" || fig == n }
@@ -434,6 +563,10 @@ func (f *Fold) Render(w io.Writer, fig string) error {
 		}, []string{"both truthful", "one cheater", "default"})
 	}
 
+	if sel("extras") {
+		f.renderExtras(bw, section)
+	}
+
 	if len(f.summaries) > 0 {
 		section("Streaming summaries (merged across shards)")
 		for _, exp := range summaryOrder(f.summaries) {
@@ -455,10 +588,55 @@ func (f *Fold) Render(w io.Writer, fig string) error {
 	return bw.Flush()
 }
 
+// renderExtras writes the sections of the analyses the paper states in
+// its text rather than in figures, each when its records were folded.
+func (f *Fold) renderExtras(bw io.Writer, section func(string)) {
+	if f.distPairs > 0 {
+		section("Extra — negotiated gain vs number of interconnections (§5.1 text)")
+		for _, k := range slices.Sorted(maps.Keys(f.byIx)) {
+			fmt.Fprintf(bw, "  %2d interconnections: %s\n", k, f.byIx[k].summary())
+		}
+		section("Extra — fraction of flows moved off the default (§5.1 text, ~20%)")
+		fmt.Fprintf(bw, "  %s\n", f.samples["non-default"].summary())
+		section("Extra — negotiating in 4 separate groups (§5.1 text)")
+		fmt.Fprintf(bw, "  whole table: %s\n", f.curves["4a.negotiated"].summary())
+		fmt.Fprintf(bw, "  4 groups:    %s\n", f.samples["group4"].summary())
+	}
+	if len(f.byBound) > 0 {
+		section("Extra — preference range ablation (§5 text: beyond [-10,10] no gain)")
+		for _, p := range slices.Sorted(maps.Keys(f.byBound)) {
+			fmt.Fprintf(bw, "  P=%-3d median total gain: %.2f%%\n", p, upperMedian(f.byBound[p]))
+		}
+	}
+	if f.scalPairs > 0 {
+		section("Extra — negotiating only the biggest flows (§6 scalability)")
+		fmt.Fprintf(bw, "  pairs: %d (gravity flow sizes)\n", f.scalPairs)
+		for i, frac := range f.fractions {
+			fmt.Fprintf(bw, "  top flows covering %3.0f%% of traffic = %4.1f%% of flows -> %3.0f%% of the full gain\n",
+				100*frac, 100*f.flowShares[i].quantile(0.5), 100*f.gainShares[i].quantile(0.5))
+		}
+	}
+	if f.destPairs > 0 {
+		section("Extra — destination-based routing (footnote 2)")
+		fmt.Fprintf(bw, "  pairs: %d; gains measured against each regime's own default\n", f.destPairs)
+		fmt.Fprintf(bw, "  source-destination routing: %s\n", f.samples["src-dst"].summary())
+		fmt.Fprintf(bw, "  destination-based routing:  %s\n", f.samples["dst-only"].summary())
+	}
+	if f.stabCases > 0 {
+		section("Extra — cycles of influence under reactive unilateral routing (§1/§2.2)")
+		fmt.Fprintf(bw, "  failure cases: %d\n", f.stabCases)
+		fmt.Fprintf(bw, "  reactive best-response dynamics: %d converged, %d oscillated, %d exhausted\n",
+			f.stabOutcomes[0], f.stabOutcomes[1], f.stabOutcomes[2])
+		fmt.Fprintf(bw, "  negotiation: always terminates (by construction)\n")
+		fmt.Fprintf(bw, "  reactive end-state worst MEL:   %s\n", f.samples["reactive-worst"].summary())
+		fmt.Fprintf(bw, "  negotiated worst MEL:           %s\n", f.samples["negotiated-worst"].summary())
+	}
+}
+
 // summaryOrder lists present experiments in nexitsim's emission order,
 // then any strangers alphabetically.
 func summaryOrder(m map[string]*summaryAgg) []string {
-	known := []string{"distance", "bandwidth", "distance-cheat", "destination", "scalability", "stability"}
+	known := []string{"distance", "bandwidth", "distance-cheat", "ablation", "destination", "scalability", "stability"}
 	var out []string
 	seen := map[string]bool{}
 	for _, k := range known {

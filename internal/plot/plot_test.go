@@ -3,6 +3,7 @@ package plot
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -33,11 +34,63 @@ func testOpts() (experiments.Options, experiments.BandwidthOptions) {
 	return opt, experiments.BandwidthOptions{Options: opt, Workload: traffic.Gravity, MaxFailures: 8}
 }
 
-// streamLines replays runStreaming's emission for the three figure
-// experiments: one envelope per record, one summary line (with
-// digests) per experiment — the NDJSON a `nexitsim -stream -fig all`
-// run writes for those experiments.
+// streamLines replays runStreaming's emission: one envelope per record
+// and one summary line (with digests) per experiment — the NDJSON a
+// `nexitsim -stream -fig all` run writes, extras included, with every
+// experiment under opt's or bopt's bounds.
 func streamLines(t *testing.T, ds *experiments.Dataset, opt experiments.Options, bopt experiments.BandwidthOptions) [][]byte {
+	t.Helper()
+	var lines [][]byte
+	emitStream(t, &lines, "distance", func(sink func(int, *experiments.DistancePairResult) error) error {
+		return experiments.DistanceStream(ds, opt, sink)
+	}, func(r *experiments.DistancePairResult, add func(string, float64)) {
+		add("gain_negotiated", r.GainNeg)
+		add("gain_optimal", r.GainOpt)
+	})
+	emitStream(t, &lines, "bandwidth", func(sink func(int, *experiments.BandwidthCaseResult) error) error {
+		_, err := experiments.BandwidthStream(ds, bopt, sink)
+		return err
+	}, func(r *experiments.BandwidthCaseResult, add func(string, float64)) {
+		add("up_negotiated", r.UpNeg)
+		add("down_negotiated", r.DownNeg)
+	})
+	emitStream(t, &lines, "distance-cheat", func(sink func(int, *experiments.CheatPairResult) error) error {
+		return experiments.DistanceCheatStream(ds, opt, sink)
+	}, func(r *experiments.CheatPairResult, add func(string, float64)) {
+		add("total_truthful", r.TotalTruthful)
+		add("total_cheat", r.TotalCheat)
+	})
+	emitStream(t, &lines, "ablation", func(sink func(int, *experiments.AblationPairResult) error) error {
+		return experiments.AblationStream(ds, opt, experiments.AblationBounds, sink)
+	}, func(r *experiments.AblationPairResult, add func(string, float64)) {
+		for i, p := range r.Bounds {
+			add(fmt.Sprintf("gain_negotiated_p%d", p), r.GainNeg[i])
+		}
+	})
+	emitStream(t, &lines, "destination", func(sink func(int, *experiments.DestinationPairResult) error) error {
+		return experiments.DestinationStream(ds, opt, sink)
+	}, func(r *experiments.DestinationPairResult, add func(string, float64)) {
+		add("gain_dst_only", r.GainDstOnly)
+	})
+	emitStream(t, &lines, "scalability", func(sink func(int, *experiments.ScalabilityPairResult) error) error {
+		return experiments.ScalabilityStream(ds, opt, experiments.ScalabilityFractions, sink)
+	}, func(r *experiments.ScalabilityPairResult, add func(string, float64)) {
+		add("gain_share_20pct_traffic", r.GainShares[0])
+	})
+	emitStream(t, &lines, "stability", func(sink func(int, *experiments.StabilityCaseResult) error) error {
+		_, err := experiments.StabilityStream(ds, bopt, sink)
+		return err
+	}, func(r *experiments.StabilityCaseResult, add func(string, float64)) {
+		add("reactive_worst_mel", r.ReactiveWorst)
+	})
+	return lines
+}
+
+// emitStream appends one experiment's NDJSON to lines: an envelope per
+// record run delivers, then the summary line of the digests series
+// fills.
+func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink func(int, *R) error) error,
+	series func(r *R, add func(name string, v float64))) {
 	t.Helper()
 	type envelope struct {
 		Experiment string `json:"experiment"`
@@ -50,62 +103,35 @@ func streamLines(t *testing.T, ds *experiments.Dataset, opt experiments.Options,
 		Series     map[string]string        `json:"series"`
 		Digests    map[string]*stats.Digest `json:"digests,omitempty"`
 	}
-	var lines [][]byte
 	emit := func(v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, b)
+		*lines = append(*lines, b)
 	}
-	emitSummary := func(exp string, n int, digests map[string]*stats.Digest) {
-		s := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
-		for name, d := range digests {
-			s.Series[name] = d.Summary()
+	digests := map[string]*stats.Digest{}
+	add := func(name string, v float64) {
+		if digests[name] == nil {
+			digests[name] = stats.NewDigest()
 		}
-		emit(s)
+		digests[name].Add(v)
 	}
-
-	neg, opt2 := stats.NewDigest(), stats.NewDigest()
 	n := 0
-	err := experiments.DistanceStream(ds, opt, func(idx int, r *experiments.DistancePairResult) error {
-		neg.Add(r.GainNeg)
-		opt2.Add(r.GainOpt)
+	err := run(func(idx int, r *R) error {
+		series(r, add)
 		n++
-		emit(envelope{Experiment: "distance", Index: idx, Data: r})
+		emit(envelope{Experiment: exp, Index: idx, Data: r})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitSummary("distance", n, map[string]*stats.Digest{"gain_negotiated": neg, "gain_optimal": opt2})
-
-	upNeg, downNeg := stats.NewDigest(), stats.NewDigest()
-	cases, err := experiments.BandwidthStream(ds, bopt, func(idx int, r *experiments.BandwidthCaseResult) error {
-		upNeg.Add(r.UpNeg)
-		downNeg.Add(r.DownNeg)
-		emit(envelope{Experiment: "bandwidth", Index: idx, Data: r})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
+	for name, d := range digests {
+		s.Series[name] = d.Summary()
 	}
-	emitSummary("bandwidth", cases, map[string]*stats.Digest{"up_negotiated": upNeg, "down_negotiated": downNeg})
-
-	truthful, cheat := stats.NewDigest(), stats.NewDigest()
-	n = 0
-	err = experiments.DistanceCheatStream(ds, opt, func(idx int, r *experiments.CheatPairResult) error {
-		truthful.Add(r.TotalTruthful)
-		cheat.Add(r.TotalCheat)
-		n++
-		emit(envelope{Experiment: "distance-cheat", Index: idx, Data: r})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitSummary("distance-cheat", n, map[string]*stats.Digest{"total_truthful": truthful, "total_cheat": cheat})
-	return lines
+	emit(s)
 }
 
 func render(t *testing.T, f *Fold, fig string) string {
@@ -136,9 +162,10 @@ func diffLine(t *testing.T, what, got, want string) {
 // The exact fold nexitsim's figure mode feeds straight from the drivers
 // and the bounded fold nexitplot rebuilds from the NDJSON stream render
 // the same bytes while every curve's sketch is uncompacted: same tables
-// (GridCDF == CDF.Series on the fixed axes), same summary lines, same
-// decoration lines (integer counts through the same arithmetic). Each
-// single-figure selection renders its own sections of the whole.
+// (GridCDF == CDF.Series on the fixed axes), same summary lines and
+// medians, same decoration lines (integer counts through the same
+// arithmetic). Each single-figure selection, extras included, renders
+// its own sections of the whole.
 func TestFoldReproducesBatchFigures(t *testing.T) {
 	ds := testDataset(t)
 	opt, bopt := testOpts()
@@ -152,6 +179,18 @@ func TestFoldReproducesBatchFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := experiments.DistanceCheatStream(ds, opt, exact.AddCheat); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.AblationStream(ds, opt, experiments.AblationBounds, exact.AddAblation); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.DestinationStream(ds, opt, exact.AddDestination); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.ScalabilityStream(ds, opt, experiments.ScalabilityFractions, exact.AddScalability); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiments.StabilityStream(ds, bopt, exact.AddStability); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,16 +207,20 @@ func TestFoldReproducesBatchFigures(t *testing.T) {
 	diffLine(t, "bounded vs exact", render(t, bounded, "all"), all)
 
 	var pieces strings.Builder
-	for _, fig := range []string{"4", "5", "6", "7", "8", "9", "10", "11"} {
+	for _, fig := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "extras"} {
 		one := render(t, exact, fig)
-		if !strings.HasPrefix(one, "\n=== Figure "+fig) {
+		head := "\n=== Figure " + fig
+		if fig == "extras" {
+			head = "\n=== Extra — "
+		}
+		if !strings.HasPrefix(one, head) {
 			t.Fatalf("-fig %s renders %.40q", fig, one)
 		}
 		pieces.WriteString(one)
 	}
 	diffLine(t, "figures one by one vs all", pieces.String(), all)
-	if got := render(t, exact, "extras"); got != "" {
-		t.Fatalf("-fig extras renders figure sections: %.60q", got)
+	if got := strings.Count(all, "\n=== Extra — "); got != 7 {
+		t.Fatalf("-fig all renders %d extras sections, want 7", got)
 	}
 }
 
@@ -197,6 +240,9 @@ func TestFoldShardParity(t *testing.T) {
 	wantOut := render(t, whole, "all")
 	if !strings.Contains(wantOut, "Streaming summaries") {
 		t.Fatal("no summaries section; summary lines were not folded")
+	}
+	if got := strings.Count(wantOut, "\n=== Extra — "); got != 7 {
+		t.Fatalf("whole run renders %d extras sections, want 7", got)
 	}
 
 	// Interleave NR%2, then feed the odd shard first.
@@ -244,6 +290,10 @@ func FuzzFoldLine(f *testing.F) {
 		`{"experiment":"distance","results":3,"series":{},"digests":{"gain_negotiated":{"stream":{"n":3,"sum":3,"min":1,"max":1},"sketch":{"cap":4096,"compactions":0,"n":0,"points":[]}}}}`,
 		`{"experiment":"distance","results":1,"digests":{"gain_negotiated":null}}`,
 		`{"stream":{"n":9,"sum":45,"min":1,"max":9},"sketch":{"cap":8,"compactions":0,"n":9,"points":[[1,1],[2,1],[3,1],[4,1],[5,1],[6,1],[7,1],[8,1],[9,1]]}}`,
+		`{"experiment":"ablation","index":0,"data":{"pair":"isp0-isp1","bounds":[1,10],"gain_negotiated":[0.5,1.5]}}`,
+		`{"experiment":"scalability","index":0,"data":{"pair":"isp0-isp1","fractions":[0.5,1],"gain_shares":[0.7,1],"flow_shares":[0.1,1]}}`,
+		`{"experiment":"destination","index":0,"data":{"pair":"isp0-isp1","gain_src_dst":2,"gain_dst_only":1.5}}`,
+		`{"experiment":"stability","index":0,"data":{"pair":"isp0-isp1","failed_interconnection":1,"outcome":1,"reactive_worst_mel":2.5,"negotiated_worst_mel":1.5}}`,
 	} {
 		f.Add([]byte(seed))
 	}

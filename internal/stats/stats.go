@@ -104,8 +104,12 @@ type SeriesSource interface {
 
 // FormatSeries renders one or more named CDF curves sampled on a shared
 // x-grid as an aligned text table — the textual equivalent of one paper
-// figure panel.
+// figure panel. Like the curves' Series, it renders at least the two
+// end points, min and max.
 func FormatSeries[C SeriesSource](xLabel string, min, max float64, n int, curves map[string]C, order []string) string {
+	if n < 2 {
+		n = 2
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%12s", xLabel)
 	for _, name := range order {

@@ -161,6 +161,22 @@ func TestFormatSeries(t *testing.T) {
 	}
 }
 
+// Fewer than two points still renders both ends of the axis: the
+// curves clamp their grids to two points, and so does the table.
+func TestFormatSeriesClampsPoints(t *testing.T) {
+	curves := map[string]*CDF{"negotiated": NewCDF([]float64{1, 2, 3})}
+	for _, n := range []int{-1, 0, 1, 2} {
+		out := FormatSeries("% gain", 0, 4, n, curves, []string{"negotiated"})
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if len(lines) != 3 { // header + the min and max rows
+			t.Fatalf("n=%d: got %d lines, want 3:\n%s", n, len(lines), out)
+		}
+		if !strings.HasPrefix(strings.TrimSpace(lines[2]), "4.000") || !strings.HasSuffix(lines[2], "100.0%") {
+			t.Errorf("n=%d: last row %q, want x=4.000 at 100.0%%", n, lines[2])
+		}
+	}
+}
+
 func TestSummary(t *testing.T) {
 	if Summary(NewCDF(nil)) != "n=0" {
 		t.Error("empty summary wrong")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"os/exec"
@@ -17,9 +18,10 @@ import (
 // into a temporary directory and runs each once on a small input: a
 // clean exit and some output, inside a bounded time. What they print is
 // pinned elsewhere (the experiment, plot and mesh suites), except for
-// the shape of a 1024-ISP stream and the one contract between two
-// binaries: nexitsim's figure mode and nexitplot over nexitsim's stream
-// print the same figures. Needs the go tool, no network.
+// the shape of a 1024-ISP stream, nexitsim's refusal of an unknown
+// -fig, and the one contract between two binaries: nexitsim's figure
+// mode and nexitplot over nexitsim's stream print the same figures and
+// extras. Needs the go tool, no network.
 func TestCommandsAndExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs nine binaries")
@@ -96,16 +98,35 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 		figures := run(nil, "nexitsim", small...)
 		stream := run(nil, "nexitsim", append(small, "-stream")...)
 		folded := run(strings.NewReader(stream), "nexitplot")
-		sim, _, ok := strings.Cut(figures, "\n=== Extra")
-		if !ok {
-			t.Fatal("nexitsim -fig all printed no extras after the figures")
-		}
 		plot, _, ok := strings.Cut(folded, "\n=== Streaming summaries")
 		if !ok {
 			t.Fatal("nexitplot printed no summaries after the figures")
 		}
-		if !strings.Contains(sim, "=== Figure 11") || sim != plot {
-			t.Errorf("Figure 4-11 sections differ:\nnexitsim -fig all:\n%s\nnexitplot over -stream:\n%s", sim, plot)
+		if !strings.Contains(figures, "=== Figure 11") || strings.Count(figures, "=== Extra — ") != 7 {
+			t.Fatalf("nexitsim -fig all lacks Figure 11 or one of the seven extras sections:\n%s", figures)
+		}
+		if figures != plot {
+			t.Errorf("figure and extras sections differ:\nnexitsim -fig all:\n%s\nnexitplot over -stream:\n%s", figures, plot)
+		}
+	})
+
+	// An unknown -fig is a usage error naming the valid values, in both
+	// modes, before any dataset is built.
+	t.Run("unknown-fig", func(t *testing.T) {
+		for _, args := range [][]string{{"-fig", "3"}, {"-fig", "3", "-stream"}} {
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, "nexitsim"), args...)
+			cmd.Dir = bin
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("nexitsim %v: %v, want exit status 2", args, err)
+			}
+			if stdout.Len() != 0 || !strings.Contains(stderr.String(), "all, 4, 5, 6, 7, 8, 9, 10, 11, extras") {
+				t.Fatalf("nexitsim %v printed stdout %q, stderr %q; want the valid values on stderr only",
+					args, stdout.Bytes(), stderr.Bytes())
+			}
 		}
 	})
 }
