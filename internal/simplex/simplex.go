@@ -16,12 +16,19 @@
 // subScaled: SSE2 on amd64, a portable loop elsewhere. Both multiply,
 // round, then subtract, exactly as scalar amd64 code does; neither fuses
 // the two into an FMA, whose single rounding would move the pivots.
+//
+// A pivot whose row updates are large enough is split across GOMAXPROCS
+// goroutines, each updating a contiguous run of rows. Every row gets the
+// same subScaled call from the same pivot row either way, so the split
+// changes no bit of the result (DESIGN.md §12 "LP tableau").
 package simplex
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Status reports the outcome of Solve.
@@ -75,6 +82,10 @@ type Problem struct {
 const (
 	eps         = 1e-9
 	stallWindow = 64 // pivots without improvement before switching to Bland's rule
+	// fanOutWork is the pivot work, in tableau elements (rows to update
+	// times row width), from which a pivot splits its row updates across
+	// goroutines. Below it a goroutine's start costs more than it saves.
+	fanOutWork = 1 << 16
 )
 
 // Validate checks the problem dimensions.
@@ -120,10 +131,20 @@ type tableau struct {
 	m      int
 	cols   int // number of structural+slack+artificial columns (excludes RHS)
 	pivots int // pivots made so far
+	// A pivot updating at least minWork elements splits its rows into
+	// at most parts runs; below that, or with parts <= 1, one loop.
+	parts, minWork int
+	touched        []int // scratch: the rows a pivot updates
 }
 
 // Solve runs the two-phase simplex method.
 func Solve(p Problem) (*Solution, error) {
+	return solve(p, runtime.GOMAXPROCS(0), fanOutWork)
+}
+
+// solve is Solve with the pivot fan-out's parts and work threshold
+// given, so tests can force any split.
+func solve(p Problem, parts, minWork int) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,7 +177,7 @@ func Solve(p Problem) (*Solution, error) {
 		numArt++
 	}
 	cols := n + mUb + numArt
-	t := &tableau{m: m, cols: cols, basis: make([]int, m), a: make([][]float64, m)}
+	t := &tableau{m: m, cols: cols, basis: make([]int, m), a: make([][]float64, m), parts: parts, minWork: minWork}
 	w := cols + 1
 	backing := make([]float64, m*w)
 	artCol := n + mUb
@@ -309,25 +330,56 @@ func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 // pivot performs a Gauss-Jordan pivot on (row, col) and updates the
 // reduced-cost row.
 func (t *tableau) pivot(row, col int, red []float64) {
-	piv := t.a[row][col]
-	inv := 1 / piv
 	ar := t.a[row]
-	for j := 0; j <= t.cols; j++ {
+	inv := 1 / ar[col]
+	for j := range ar {
 		ar[j] *= inv
 	}
-	for i := 0; i < t.m; i++ {
-		if i == row {
-			continue
-		}
-		if f := t.a[i][col]; f != 0 {
-			subScaled(t.a[i], ar, f)
+	t.touched = t.touched[:0]
+	for i, ai := range t.a {
+		if i != row && ai[col] != 0 {
+			t.touched = append(t.touched, i)
 		}
 	}
+	t.eliminate(t.touched, ar, col)
 	if f := red[col]; f != 0 {
 		subScaled(red, ar, f)
 	}
 	t.basis[row] = col
 	t.pivots++
+}
+
+// eliminate subtracts the pivot row ar, scaled by each row's entry in
+// column col, from every row listed in rows. Each row reads only itself
+// and ar, which stays fixed meanwhile, so the rows are split into
+// contiguous runs updated concurrently when the work is worth it.
+func (t *tableau) eliminate(rows []int, ar []float64, col int) {
+	parts := min(t.parts, len(rows))
+	if len(rows)*len(ar) < t.minWork {
+		parts = 1
+	}
+	if parts <= 1 {
+		t.update(rows, ar, col)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(parts - 1)
+	for p := 1; p < parts; p++ {
+		go func(run []int) {
+			defer wg.Done()
+			t.update(run, ar, col)
+		}(rows[p*len(rows)/parts : (p+1)*len(rows)/parts])
+	}
+	t.update(rows[:len(rows)/parts], ar, col)
+	wg.Wait()
+}
+
+// update eliminates column col from each of rows with the pivot row ar.
+func (t *tableau) update(rows []int, ar []float64, col int) {
+	for _, i := range rows {
+		ai := t.a[i]
+		subScaled(ai, ar, ai[col])
+	}
 }
 
 // driveOutArtificials pivots basic artificial variables (value ~0 after a
