@@ -46,6 +46,17 @@ type BandwidthResult struct {
 // form (see package simplex) so no artificial variables are needed, but
 // for a bound that rounds a few ulps below zero.
 func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capUp, capDown []float64) (*BandwidthResult, error) {
+	return bandwidth(s, flows, fixedUp, fixedDown, capUp, capDown,
+		func(_ int, maxLoad, capl, maxFixedRatio float64) bool {
+			return impliedByBound(maxLoad, capl, maxFixedRatio)
+		})
+}
+
+// bandwidth is Bandwidth with the link-row filter given, so tests can
+// watch it or solve the full LP: drop reports whether the row of joint
+// link l is left out, and a nil drop keeps every row.
+func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capUp, capDown []float64,
+	drop func(l int, maxLoad, capl, maxFixedRatio float64) bool) (*BandwidthResult, error) {
 	nf := len(flows)
 	na := s.NumAlternatives()
 	if na == 0 {
@@ -125,12 +136,22 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	}
 	on0 := make([]int, nLinks) // i+1 where flow i's alternative 0 crosses l
 	onK := make([]int, nLinks) // col+1 where column col's path crosses l
+	// maxLoad[l]: fixed load plus the size of every flow with any
+	// alternative crossing l, the most l can ever carry.
+	maxLoad := append([]float64(nil), fixedAll...)
+	onAny := make([]int, nLinks) // i+1 where some alternative of flow i crosses l
 	for i, f := range flows {
+		reach := func(l int) {
+			if onAny[l] != i+1 {
+				onAny[l] = i + 1
+				maxLoad[l] += f.Size
+			}
+		}
 		p0 := fa[i][0]
-		p0.each(nUp, func(l int) { on0[l] = i + 1 })
+		p0.each(nUp, func(l int) { on0[l] = i + 1; reach(l) })
 		for k := 1; k < na; k++ {
 			col, pk := xCol(i, k), fa[i][k]
-			pk.each(nUp, func(l int) { onK[l] = col + 1 })
+			pk.each(nUp, func(l int) { onK[l] = col + 1; reach(l) })
 			pk.each(nUp, func(l int) {
 				if on0[l] != i+1 {
 					add(l, col, f.Size)
@@ -148,6 +169,9 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	for l, row := range links {
 		if capAll[l] <= 0 || len(row.Idx) == 0 {
 			continue // untouched: covered by the global tShift bound below
+		}
+		if drop != nil && drop(l, maxLoad[l], capAll[l], maxFixedRatio) {
+			continue
 		}
 		row.Idx = append(row.Idx, int32(tCol))
 		row.Val = append(row.Val, capAll[l])
@@ -217,6 +241,27 @@ func Bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	res.MELUp = melOf(loadUp, capUp)
 	res.MELDown = melOf(loadDown, capDown)
 	return res, nil
+}
+
+// tieGuard scales the simplex ratio test's tie window, eps, into the
+// margin a link row must clear before it is dropped (DESIGN.md §12 "LP
+// tableau").
+const tieGuard = 1 << 14
+
+// simplexEps is package simplex's ratio-test tolerance, eps.
+const simplexEps = 1e-9
+
+// impliedByBound reports whether the global bound t >= maxFixedRatio
+// implies the row of a link with capacity capl and largest possible load
+// maxLoad, with room to spare: its slack stays above tieWindow at every
+// feasible point, so the row never wins or ties the ratio test.
+func impliedByBound(maxLoad, capl, maxFixedRatio float64) bool {
+	return float64(capl*maxFixedRatio)-maxLoad > tieWindow(maxLoad, capl)
+}
+
+// tieWindow is the slack, in load units, a dropped link row keeps.
+func tieWindow(maxLoad, capl float64) float64 {
+	return tieGuard * simplexEps * (capl + maxLoad)
 }
 
 // pathLinks is one (flow, alternative) path as subslices of the two
