@@ -46,29 +46,51 @@ type failureCase struct {
 	defUp, defDown     float64 // post-failure MELs under default routing
 }
 
-// buildFailureCase simulates the failure of interconnection k of the
-// pair for traffic flowing A->B, per the paper's §5.2 methodology.
-// Returns nil when no flow is impacted.
-func buildFailureCase(pair *topology.Pair, cache *pairsim.TableCache, k int, model traffic.Model, capOpts capacity.Options, rng *rand.Rand) *failureCase {
+// preFailure is a pair's network before any failure, which every
+// failure case of the pair shares: the A->B workload, its early-exit
+// routing and the link capacities proportional to the resulting loads
+// ("capacities proportional to the load before the failure", §5.2).
+type preFailure struct {
+	pair           *topology.Pair
+	cache          *pairsim.TableCache
+	flows          []traffic.Flow
+	pre            pairsim.Assignment
+	capUp, capDown []float64
+}
+
+// newPreFailure builds the pair's pre-failure network. rng draws the
+// workload under traffic.UniformRandom, once per pair.
+func newPreFailure(pair *topology.Pair, cache *pairsim.TableCache, model traffic.Model, capOpts capacity.Options, rng *rand.Rand) *preFailure {
 	s := pairsim.New(pair, cache)
 	w := traffic.New(pair.A, pair.B, model, rng)
-
-	// Pre-failure: early-exit routing of all flows determines loads,
-	// which in turn determine capacities ("capacities proportional to
-	// the load before the failure").
 	pre := baseline.EarlyExit(s, w.Flows)
 	loadUp0, loadDown0 := s.Loads(w.Flows, pre)
+	return &preFailure{
+		pair:    pair,
+		cache:   cache,
+		flows:   w.Flows,
+		pre:     pre,
+		capUp:   capacity.Assign(loadUp0, capOpts),
+		capDown: capacity.Assign(loadDown0, capOpts),
+	}
+}
+
+// failureCase simulates the failure of interconnection k of the pair
+// for traffic flowing A->B, per the paper's §5.2 methodology. Returns
+// nil when no flow is impacted.
+func (p *preFailure) failureCase(k int) *failureCase {
+	pair, cache, pre := p.pair, p.cache, p.pre
 	fc := &failureCase{
 		pair:    pair,
 		failed:  k,
-		capUp:   capacity.Assign(loadUp0, capOpts),
-		capDown: capacity.Assign(loadDown0, capOpts),
+		capUp:   p.capUp,
+		capDown: p.capDown,
 	}
 
 	// Partition flows into impacted (were using the failed
 	// interconnection) and unaffected.
 	var unaffected []traffic.Flow
-	for _, f := range w.Flows {
+	for _, f := range p.flows {
 		if pre[f.ID] == k {
 			fc.impacted = append(fc.impacted, f)
 		} else {
@@ -195,7 +217,7 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 	cfg.PrefBound = opt.PrefBound
 
 	return forEachFailureCase(ds, opt, saltBandwidth,
-		func(fc *failureCase, rng *rand.Rand) (*BandwidthCaseResult, error) {
+		func(fc *failureCase) (*BandwidthCaseResult, error) {
 			// Globally optimal (fractional LP across both ISPs).
 			lp, err := optimal.Bandwidth(fc.s2, fc.impacted, fc.fixedUp, fc.fixedDown, fc.capUp, fc.capDown)
 			if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,6 +152,38 @@ func TestBandwidthAlternateModels(t *testing.T) {
 		MaxFailures:    4,
 		UseFortzThorup: true,
 	})
+}
+
+// TestFailureCasesShareThePreFailureNetwork: under a random workload,
+// every failure case of a pair fails one link of the same pre-failure
+// network, so all of them read the same capacities.
+func TestFailureCasesShareThePreFailureNetwork(t *testing.T) {
+	ds := smallDataset(t)
+	type caps struct {
+		pair     string
+		up, down []float64
+	}
+	var got []caps
+	opt := BandwidthOptions{Options: Options{MaxPairs: 4}.withDefaults(), Workload: traffic.UniformRandom}
+	_, err := forEachFailureCase(ds, opt, saltBandwidth,
+		func(fc *failureCase) (caps, error) { return caps{pairLabel(fc.pair), fc.capUp, fc.capDown}, nil },
+		func(_ int, c caps) error { got = append(got, c); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for i := 1; i < len(got); i++ {
+		if got[i].pair != got[i-1].pair {
+			continue
+		}
+		shared++
+		if !slices.Equal(got[i].up, got[i-1].up) || !slices.Equal(got[i].down, got[i-1].down) {
+			t.Errorf("pair %s: failure cases read different pre-failure capacities", got[i].pair)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no pair had two failure cases to compare")
+	}
 }
 
 func TestPreferenceRangeAblation(t *testing.T) {

@@ -49,9 +49,9 @@ func TestBandwidthLPGolden(t *testing.T) {
 	}
 	cases := 0
 	for i, pair := range pairs[:lpGoldenPairs] {
-		rng := rand.New(rand.NewSource(int64(i) + 1))
+		pf := newPreFailure(pair, ds.Cache, traffic.Gravity, capacity.Options{}, rand.New(rand.NewSource(int64(i)+1)))
 		for k := 0; k < pair.NumInterconnections(); k++ {
-			fc := buildFailureCase(pair, ds.Cache, k, traffic.Gravity, capacity.Options{}, rng)
+			fc := pf.failureCase(k)
 			if fc == nil {
 				continue
 			}

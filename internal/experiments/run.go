@@ -88,31 +88,33 @@ type failureOut[R any] struct {
 // forEachFailureCase evaluates fn over every (pair, failed
 // interconnection) case of the bandwidth-family experiments on the
 // concurrent runner. Cases of one pair are evaluated in interconnection
-// order by the pair's worker (sharing the pair's RNG), streamed to sink
-// strictly in (pair, interconnection) order, and capped at
+// order by the pair's worker, all on the pair's one pre-failure network
+// (newPreFailure), streamed to sink strictly in (pair, interconnection)
+// order, and capped at
 // opt.MaxFailures via early stop. The only retained state is one pair's
 // cases in flight per worker — O(workers x interconnections), never
 // O(total cases). sink's idx is the running case count; returning
 // runner.ErrStop cancels the remaining cases without error. Returns the
 // number of cases delivered.
 func forEachFailureCase[R any](ds *Dataset, opt BandwidthOptions, salt int64,
-	fn func(fc *failureCase, rng *rand.Rand) (R, error), sink func(idx int, r R) error) (int, error) {
+	fn func(fc *failureCase) (R, error), sink func(idx int, r R) error) (int, error) {
 	pairs := selectPairs(ds.BandwidthPairs(), opt.Options)
 	cases := 0
 	err := runner.ForEachPair(pairs, opt.runnerOptions(salt),
 		func(i int, pair *topology.Pair, rng *rand.Rand) ([]failureOut[R], error) {
 			var out []failureOut[R]
+			pf := newPreFailure(pair, ds.Cache, opt.Workload, opt.Capacity, rng)
 			for k := 0; k < pair.NumInterconnections(); k++ {
 				// One pair alone can never contribute more reduced
 				// cases than the cap, so stop evaluating beyond it.
 				if opt.MaxFailures > 0 && len(out) >= opt.MaxFailures {
 					break
 				}
-				fc := buildFailureCase(pair, ds.Cache, k, opt.Workload, opt.Capacity, rng)
+				fc := pf.failureCase(k)
 				if fc == nil {
 					continue
 				}
-				r, err := fn(fc, rng)
+				r, err := fn(fc)
 				out = append(out, failureOut[R]{res: r, err: err})
 				if err != nil {
 					break // later cases of this pair would not have run serially either

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"repro/internal/nexit"
 	"repro/internal/stability"
 )
@@ -34,7 +32,7 @@ func StabilityStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *St
 	cfg.PrefBound = opt.PrefBound
 
 	return forEachFailureCase(ds, opt, saltStability,
-		func(fc *failureCase, rng *rand.Rand) (*StabilityCaseResult, error) {
+		func(fc *failureCase) (*StabilityCaseResult, error) {
 			sim := &stability.Simulator{
 				S:               fc.s2,
 				Flows:           fc.impacted,
