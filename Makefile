@@ -10,8 +10,8 @@ test:
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
 # snapshot-based) and short snapshot, wire, .topo, pair enumeration,
-# engine, distance evaluator, LP kernel, watch-mode status and NDJSON
-# fold fuzz bursts.
+# engine, distance evaluator, LP kernel, LP pivot fan-out, watch-mode
+# status and NDJSON fold fuzz bursts.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -24,6 +24,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzDistanceEvaluatorMatchesOracle' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/
+	go test -run '^$$' -fuzz 'FuzzSolveFanOut' -fuzztime 20s ./internal/simplex/
 	go test -run '^$$' -fuzz 'FuzzDecodeVars' -fuzztime 20s ./internal/plot/
 	go test -run '^$$' -fuzz 'FuzzFoldLine' -fuzztime 20s ./internal/plot/
 
