@@ -90,12 +90,11 @@ type failureOut[R any] struct {
 // concurrent runner. Cases of one pair are evaluated in interconnection
 // order by the pair's worker, all on the pair's one pre-failure network
 // (newPreFailure), streamed to sink strictly in (pair, interconnection)
-// order, and capped at
-// opt.MaxFailures via early stop. The only retained state is one pair's
-// cases in flight per worker — O(workers x interconnections), never
-// O(total cases). sink's idx is the running case count; returning
-// runner.ErrStop cancels the remaining cases without error. Returns the
-// number of cases delivered.
+// order, and capped at opt.MaxFailures via early stop. The only
+// retained state is one pair's cases in flight per worker —
+// O(workers x interconnections), never O(total cases). sink's idx is
+// the running case count; returning runner.ErrStop cancels the
+// remaining cases without error. Returns the number of cases delivered.
 func forEachFailureCase[R any](ds *Dataset, opt BandwidthOptions, salt int64,
 	fn func(fc *failureCase) (R, error), sink func(idx int, r R) error) (int, error) {
 	pairs := selectPairs(ds.BandwidthPairs(), opt.Options)

@@ -243,14 +243,6 @@ func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	return res, nil
 }
 
-// tieGuard scales the simplex ratio test's tie window, eps, into the
-// margin a link row must clear before it is dropped (DESIGN.md §12 "LP
-// tableau").
-const tieGuard = 1 << 14
-
-// simplexEps is package simplex's ratio-test tolerance, eps.
-const simplexEps = 1e-9
-
 // impliedByBound reports whether the global bound t >= maxFixedRatio
 // implies the row of a link with capacity capl and largest possible load
 // maxLoad, with room to spare: its slack stays above tieWindow at every
@@ -259,9 +251,12 @@ func impliedByBound(maxLoad, capl, maxFixedRatio float64) bool {
 	return float64(capl*maxFixedRatio)-maxLoad > tieWindow(maxLoad, capl)
 }
 
-// tieWindow is the slack, in load units, a dropped link row keeps.
+// tieWindow is the slack, in load units, a dropped link row keeps:
+// package simplex's ratio-test tie window, eps = 1e-9, widened by 2^14
+// for the growth of the row's tableau entries over the pivots (DESIGN.md
+// §12 "LP tableau").
 func tieWindow(maxLoad, capl float64) float64 {
-	return tieGuard * simplexEps * (capl + maxLoad)
+	return 0x1p14 * 1e-9 * (capl + maxLoad)
 }
 
 // pathLinks is one (flow, alternative) path as subslices of the two
