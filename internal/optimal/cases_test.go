@@ -168,3 +168,15 @@ func (c *lpCase) checkMargins(t *testing.T, dropped []int) {
 		}
 	}
 }
+
+// TestMELCoversItsOwnSolution: the reported MEL is at least the MEL of
+// the routing Bandwidth returns, also where a link no alternative
+// moves (the only link out of a stub PoP) carries alternative 0's load.
+func TestMELCoversItsOwnSolution(t *testing.T) {
+	for _, c := range failureCases30(t) {
+		res, _ := c.solve(t, false)
+		if got := max(res.MELUp, res.MELDown); got > res.MEL*(1+1e-9) {
+			t.Errorf("%s: MEL %v below its solution's %v (up %v, down %v)", c.name, res.MEL, got, res.MELUp, res.MELDown)
+		}
+	}
+}

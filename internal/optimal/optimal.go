@@ -166,9 +166,16 @@ func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 	}
 	var aub []simplex.Row
 	var bub []float64
+	untouched := 0.0 // the largest load ratio of a link no column moves
 	for l, row := range links {
-		if capAll[l] <= 0 || len(row.Idx) == 0 {
-			continue // untouched: covered by the global tShift bound below
+		if capAll[l] <= 0 {
+			continue
+		}
+		if len(row.Idx) == 0 {
+			// Its load, fixed plus alternative 0's, is a constant: a floor
+			// under MEL that no routing changes, added to it below.
+			untouched = max(untouched, (fixedAll[l]+load0[l])/capAll[l])
+			continue
 		}
 		if drop != nil && drop(l, maxLoad[l], capAll[l], maxFixedRatio) {
 			continue
@@ -206,7 +213,9 @@ func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 		return nil, fmt.Errorf("optimal: LP status %v", sol.Status)
 	}
 
-	res := &BandwidthResult{MEL: t0 - sol.X[tCol]}
+	// The LP's optimum also minimizes max(t, untouched), since the floor
+	// is constant.
+	res := &BandwidthResult{MEL: max(t0-sol.X[tCol], untouched)}
 	res.Fractions = make([][]float64, nf)
 	loadUp := append([]float64(nil), fixedUp...)
 	loadDown := append([]float64(nil), fixedDown...)
