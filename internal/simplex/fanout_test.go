@@ -1,7 +1,9 @@
 package simplex
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -56,27 +58,39 @@ func decodeLP(data []byte) Problem {
 	return p
 }
 
-// checkFanOut solves p with every pivot's row updates in one loop and
-// split into 2, 3 and 4 runs, and fails unless the outcomes agree bit
-// for bit.
+// Held-pivot schedules checkFanOut runs: every hold with every flush
+// tile width and every fan-out of 1–4 runs.
+var (
+	fanOutHolds = []int{1, 2, 3, 4, 8}
+	fanOutTiles = []int{1, 3, 512}
+)
+
+// checkFanOut solves p holding one pivot at a time in one loop, the
+// eager schedule, then under every held-pivot schedule with every flush
+// split into 1–4 runs, and fails unless the outcomes agree bit for bit.
 func checkFanOut(t *testing.T, p Problem) {
 	t.Helper()
-	want, wantErr := solve(p, 1, 0)
-	for parts := 2; parts <= 4; parts++ {
-		got, err := solve(p, parts, 0)
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("%d parts: error %v, one loop %v", parts, err, wantErr)
-		}
-		if err != nil {
-			continue
-		}
-		if got.Status != want.Status || !sameBits(got.Objective, want.Objective) || len(got.X) != len(want.X) {
-			t.Fatalf("%d parts: %v objective %v, one loop %v objective %v",
-				parts, got.Status, got.Objective, want.Status, want.Objective)
-		}
-		for j := range got.X {
-			if !sameBits(got.X[j], want.X[j]) {
-				t.Fatalf("%d parts: x[%d] = %v, one loop %v", parts, j, got.X[j], want.X[j])
+	want, wantErr := solve(p, 1, tileWidth, 1, 0)
+	for _, hold := range fanOutHolds {
+		for _, tile := range fanOutTiles {
+			for parts := 1; parts <= 4; parts++ {
+				got, err := solve(p, hold, tile, parts, 0)
+				sched := fmt.Sprintf("hold %d, tile %d, %d parts", hold, tile, parts)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("%s: error %v, eager %v", sched, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if got.Status != want.Status || !sameBits(got.Objective, want.Objective) || len(got.X) != len(want.X) {
+					t.Fatalf("%s: %v objective %v, eager %v objective %v",
+						sched, got.Status, got.Objective, want.Status, want.Objective)
+				}
+				for j := range got.X {
+					if !sameBits(got.X[j], want.X[j]) {
+						t.Fatalf("%s: x[%d] = %v, eager %v", sched, j, got.X[j], want.X[j])
+					}
+				}
 			}
 		}
 	}
@@ -92,13 +106,56 @@ func lpBytes(n, mUb, mEq int, coef ...float64) []byte {
 	return b
 }
 
+// denseLP is a seeded feasible, bounded LP with m rows over n columns:
+// dense <= rows with positive coefficients bound every column, and every
+// fourth row is instead a >= row (a negative bound) or an equality,
+// both holding at a random point x0 >= 0, so phase one runs on a
+// tableau of real size.
+func denseLP(seed int64, m, n int) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	x0 := make([]float64, n)
+	for j := range x0 {
+		if rng.Intn(3) == 0 {
+			x0[j] = rng.Float64()
+		}
+	}
+	p := Problem{C: make([]float64, n)}
+	for j := range p.C {
+		p.C[j] = rng.Float64()*2 - 1
+	}
+	for i := 0; i < m; i++ {
+		var r Row
+		dot := 0.0
+		for j := 0; j < n; j++ {
+			if rng.Intn(4) != 0 {
+				v := 0.25 + rng.Float64()
+				r.Idx, r.Val = append(r.Idx, int32(j)), append(r.Val, v)
+				dot += v * x0[j]
+			}
+		}
+		switch {
+		case i%4 != 3:
+			p.AUb, p.BUb = append(p.AUb, r), append(p.BUb, dot+1+rng.Float64())
+		case i%8 == 3:
+			neg := Row{Idx: r.Idx, Val: make([]float64, len(r.Val))}
+			for k, v := range r.Val {
+				neg.Val[k] = -v
+			}
+			p.AUb, p.BUb = append(p.AUb, neg), append(p.BUb, -dot/2)
+		default:
+			p.AEq, p.BEq = append(p.AEq, r), append(p.BEq, dot)
+		}
+	}
+	return p
+}
+
 func TestSolveFanOutMatchesOneLoop(t *testing.T) {
 	// A 40x60 LP with a dense mix of rows takes enough pivots, each
 	// touching enough rows, to exercise every split.
 	const n, m = 60, 40
-	p := Problem{C: make([]float64, n)}
-	for j := range p.C {
-		p.C[j] = -float64(1 + (j*7)%5)
+	grid := Problem{C: make([]float64, n)}
+	for j := range grid.C {
+		grid.C[j] = -float64(1 + (j*7)%5)
 	}
 	for i := 0; i < m; i++ {
 		var r Row
@@ -108,16 +165,49 @@ func TestSolveFanOutMatchesOneLoop(t *testing.T) {
 				r.Val = append(r.Val, float64(1+(i*j)%7)/4)
 			}
 		}
-		p.AUb, p.BUb = append(p.AUb, r), append(p.BUb, float64(10+i%9))
+		grid.AUb, grid.BUb = append(grid.AUb, r), append(grid.BUb, float64(10+i%9))
 	}
-	checkFanOut(t, p)
-	if s, err := solve(p, 1, 0); err != nil || s.Status != Optimal {
-		t.Fatalf("reference solve: %v %v", s, err)
+	beale := Problem{
+		C:   []float64{-0.75, 150, -0.02, 6},
+		AUb: rows([][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}}),
+		BUb: []float64{0, 0, 1},
+	}
+	cases := []struct {
+		name string
+		p    Problem
+		want Status
+	}{
+		{"grid", grid, Optimal},
+		// 60 rows over 460 columns, 15 of the rows with an artificial:
+		// rows of 529 elements, so 512-wide tiles split them too, and
+		// 260 pivots flush mid-solve.
+		{"dense", denseLP(7, 60, 460), Optimal},
+		// Phase one ends with an artificial basic at zero, and
+		// driveOutArtificials pivots a structural column in for it; phase
+		// two then prices from rows that pivot must have reached.
+		{"drive-out", Problem{
+			C:   []float64{-1, 1},
+			AUb: rows([][]float64{{1, 3}}), BUb: []float64{3},
+			AEq: rows([][]float64{{1, 6.1875}, {2, 3}}), BEq: []float64{2, 4},
+		}, Optimal},
+		// Dantzig's rule cycles; the stall window hands over to Bland.
+		{"beale", beale, Optimal},
+		// max x + y s.t. x - y <= 1, y - x <= 2: unbounded along x = y.
+		{"unbounded", Problem{C: []float64{-1, -1}, AUb: rows([][]float64{{1, -1}, {-1, 1}}), BUb: []float64{1, 2}}, Unbounded},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := solve(c.p, 1, tileWidth, 1, 0)
+			if err != nil || s.Status != c.want {
+				t.Fatalf("eager solve: %v %v, want %v", s, err, c.want)
+			}
+			checkFanOut(t, c.p)
+		})
 	}
 }
 
-// FuzzSolveFanOut checks that splitting a pivot's row updates across
-// goroutines never moves a bit of Solve's result.
+// FuzzSolveFanOut checks that no held-pivot schedule, tile width or
+// fan-out moves a bit of Solve's result.
 func FuzzSolveFanOut(f *testing.F) {
 	// max x+y s.t. x<=2, y<=3.
 	f.Add(lpBytes(2, 2, 0, -1, -1, 1, 0, 2, 0, 1, 3))
@@ -129,6 +219,10 @@ func FuzzSolveFanOut(f *testing.F) {
 	f.Add(lpBytes(4, 4, 0, -1, -1, -1, -1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 2))
 	// Infeasible: x <= -1 with x >= 0.
 	f.Add(lpBytes(1, 1, 0, 1, 1, -1))
+	// A driveOutArtificials pivot (the "drive-out" case above).
+	f.Add(lpBytes(2, 1, 2, -1, 1, 1, 3, 3, 1, 6.1875, 2, 2, 3, 4))
+	// Unbounded: max x + y s.t. x - y <= 1, y - x <= 2.
+	f.Add(lpBytes(2, 2, 0, -1, -1, 1, -1, 1, -1, 1, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFanOut(t, decodeLP(data))
 	})

@@ -13,14 +13,20 @@
 // LP is formulated that way (see internal/optimal) to keep it fast.
 //
 // Every tableau row update, dst[j] -= f*src[j], goes through one kernel,
-// subScaled: SSE2 on amd64, a portable loop elsewhere. Both multiply,
-// round, then subtract, exactly as scalar amd64 code does; neither fuses
-// the two into an FMA, whose single rounding would move the pivots.
+// subScaled: AVX2 on amd64 CPUs a CPUID/XGETBV probe finds it on, SSE2 on
+// other amd64 CPUs, a portable loop elsewhere. All multiply, round, then
+// subtract, exactly as scalar amd64 code does; none fuses the two into an
+// FMA, whose single rounding would move the pivots.
 //
-// A pivot whose row updates are large enough is split across GOMAXPROCS
-// goroutines, each updating a contiguous run of rows. Every row gets the
-// same subScaled call from the same pivot row either way, so the split
-// changes no bit of the result (DESIGN.md §12 "LP tableau").
+// A pivot is held, not applied at once: it brings only the pivot row up
+// to date, scales it, keeps a copy and records each other row's entry in
+// its column, which the ratio test has just computed. Once eight pivots
+// are held, or before anything reads whole rows, flush applies them row
+// by row in 512-column tiles, so a tile stays in L1 while it takes every
+// held pivot; a large flush splits its rows across GOMAXPROCS
+// goroutines. Every element still gets the same operations in the same
+// order as under eager elimination, so neither the hold, the tiles nor
+// the split moves a bit of the result (DESIGN.md §12 "LP tableau").
 package simplex
 
 import (
@@ -82,8 +88,15 @@ type Problem struct {
 const (
 	eps         = 1e-9
 	stallWindow = 64 // pivots without improvement before switching to Bland's rule
-	// fanOutWork is the pivot work, in tableau elements (rows to update
-	// times row width), from which a pivot splits its row updates across
+	// holdPivots is how many pivots the tableau holds before flush
+	// applies them to its rows in one pass over each row.
+	holdPivots = 8
+	// tileWidth is the width, in columns, of the tiles flush updates a
+	// row in: 4 KiB of row, which stays in L1 while it takes every held
+	// pivot.
+	tileWidth = 512
+	// fanOutWork is the flush work, in tableau elements (row updates
+	// times row width), from which a flush splits its rows across
 	// goroutines. Below it a goroutine's start costs more than it saves.
 	fanOutWork = 1 << 16
 )
@@ -125,34 +138,47 @@ func checkRows(kind string, rows []Row, bounds []float64, n int) error {
 // tableau is the dense simplex tableau. Rows 0..m-1 are constraints with
 // the right-hand side in the last column; basis[i] is the column basic in
 // row i.
+//
+// Pivots are held rather than applied at once (DESIGN.md §12 "LP
+// tableau"): a row of a is current as of the last flush, and its current
+// value is that row with the held pivots applied in order. Slot s holds
+// the s-th held pivot row, scaled; fac[i*hold+s] is row i's entry in that
+// pivot's column just before it, or 0 where the pivot skips row i (a zero
+// entry, the pivot row itself, or a pivot the row has taken already).
 type tableau struct {
 	a      [][]float64 // m x (cols+1), rows of one contiguous array
 	basis  []int
 	m      int
 	cols   int // number of structural+slack+artificial columns (excludes RHS)
 	pivots int // pivots made so far
-	// A pivot updating at least minWork elements splits its rows into
-	// at most parts runs; below that, or with parts <= 1, one loop.
-	parts, minWork int
-	touched        []int // scratch: the rows a pivot updates
+
+	slots [][]float64 // hold pivot rows, each cols+1 wide
+	held  int         // slots in use
+	fac   []float64   // m x hold factors
+	col   []float64   // scratch: the entering column with the held pivots applied
+	// flush works on column tiles of tile elements. A flush applying at
+	// least minWork elements of row updates splits its rows into at most
+	// parts runs; below that, or with parts <= 1, one loop.
+	tile, parts, minWork int
+	touched              []int // scratch: the rows a flush updates
 }
 
 // Solve runs the two-phase simplex method.
 func Solve(p Problem) (*Solution, error) {
-	return solve(p, runtime.GOMAXPROCS(0), fanOutWork)
+	return solve(p, holdPivots, tileWidth, runtime.GOMAXPROCS(0), fanOutWork)
 }
 
-// solve is Solve with the pivot fan-out's parts and work threshold
-// given, so tests can force any split.
-func solve(p Problem, parts, minWork int) (*Solution, error) {
+// solve is Solve with the held pivots, the flush's tile width and its
+// fan-out's parts and work threshold given, so tests can force any
+// schedule.
+func solve(p Problem, hold, tile, parts, minWork int) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(p.C)
-	mUb, mEq := len(p.AUb), len(p.AEq)
-	m := mUb + mEq
+	mUb := len(p.AUb)
 
-	if m == 0 {
+	if mUb+len(p.AEq) == 0 {
 		// No constraints: optimum is 0 if c >= 0, else unbounded.
 		for _, ci := range p.C {
 			if ci < -eps {
@@ -162,24 +188,67 @@ func solve(p Problem, parts, minWork int) (*Solution, error) {
 		return &Solution{Status: Optimal, X: make([]float64, n)}, nil
 	}
 
-	// Column layout: [0,n) structural, [n, n+mUb) slacks,
-	// [n+mUb, n+mUb+numArt) artificials.
-	numArt := 0
-	needsArt := make([]bool, m)
-	for i := 0; i < mUb; i++ {
-		if p.BUb[i] < 0 {
-			needsArt[i] = true
+	t := newTableau(p, hold, tile, parts, minWork)
+	if t.cols > n+mUb {
+		// Phase 1: minimize the sum of artificials.
+		obj := make([]float64, t.cols)
+		for j := n + mUb; j < t.cols; j++ {
+			obj[j] = 1
+		}
+		// The phase-1 objective is bounded below by 0, so errUnbounded
+		// here, like any error, is a bug.
+		val, err := t.optimize(obj, t.cols)
+		if err != nil {
+			return nil, err
+		}
+		if val > 1e-7 {
+			return &Solution{Status: Infeasible}, nil
+		}
+		t.driveOutArtificials(n + mUb)
+	}
+
+	// Phase 2: original objective over structural + slack columns only.
+	obj := make([]float64, t.cols)
+	copy(obj, p.C)
+	forbidden := n + mUb // artificial columns may not re-enter
+	val, err := t.optimize(obj, forbidden)
+	if errors.Is(err, errUnbounded) {
+		return &Solution{Status: Unbounded}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, n)
+	for i, b := range t.basis {
+		if b < n {
+			x[b] = t.a[i][t.cols]
+		}
+	}
+	return &Solution{Status: Optimal, X: x, Objective: val}, nil
+}
+
+// newTableau scatters a validated p with at least one row into a
+// tableau holding up to hold pivots. Columns are laid out [0,n)
+// structural, [n, n+mUb) slacks, then one artificial for each equality
+// row and each inequality row with a negative bound.
+func newTableau(p Problem, hold, tile, parts, minWork int) *tableau {
+	n := len(p.C)
+	mUb, mEq := len(p.AUb), len(p.AEq)
+	m := mUb + mEq
+	numArt := mEq
+	for _, b := range p.BUb {
+		if b < 0 {
 			numArt++
 		}
 	}
-	for i := 0; i < mEq; i++ {
-		needsArt[mUb+i] = true
-		numArt++
-	}
 	cols := n + mUb + numArt
-	t := &tableau{m: m, cols: cols, basis: make([]int, m), a: make([][]float64, m), parts: parts, minWork: minWork}
 	w := cols + 1
-	backing := make([]float64, m*w)
+	t := &tableau{
+		a: make([][]float64, m), basis: make([]int, m), m: m, cols: cols,
+		slots: make([][]float64, hold), fac: make([]float64, m*hold), col: make([]float64, m),
+		tile: tile, parts: parts, minWork: minWork,
+	}
+	backing := make([]float64, (m+hold)*w)
 	artCol := n + mUb
 	for i := 0; i < m; i++ {
 		row := backing[i*w : (i+1)*w : (i+1)*w]
@@ -202,7 +271,7 @@ func solve(p Problem, parts, minWork int) (*Solution, error) {
 			row[n+i] = sign // slack (+1, or -1 for negated rows → surplus)
 		}
 		row[cols] = b
-		if needsArt[i] {
+		if i >= mUb || sign < 0 {
 			row[artCol] = 1
 			t.basis[i] = artCol
 			artCol++
@@ -211,50 +280,18 @@ func solve(p Problem, parts, minWork int) (*Solution, error) {
 		}
 		t.a[i] = row
 	}
-
-	if numArt > 0 {
-		// Phase 1: minimize the sum of artificials.
-		obj := make([]float64, cols)
-		for j := n + mUb; j < cols; j++ {
-			obj[j] = 1
-		}
-		// The phase-1 objective is bounded below by 0, so errUnbounded
-		// here, like any error, is a bug.
-		val, err := t.optimize(obj, cols)
-		if err != nil {
-			return nil, err
-		}
-		if val > 1e-7 {
-			return &Solution{Status: Infeasible}, nil
-		}
-		t.driveOutArtificials(n + mUb)
+	for s := range t.slots {
+		t.slots[s] = backing[(m+s)*w : (m+s+1)*w : (m+s+1)*w]
 	}
-
-	// Phase 2: original objective over structural + slack columns only.
-	obj := make([]float64, cols)
-	copy(obj, p.C)
-	forbidden := n + mUb // artificial columns may not re-enter
-	val, err := t.optimize(obj, forbidden)
-	if errors.Is(err, errUnbounded) {
-		return &Solution{Status: Unbounded}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, n)
-	for i, b := range t.basis {
-		if b < n {
-			x[b] = t.a[i][cols]
-		}
-	}
-	return &Solution{Status: Optimal, X: x, Objective: val}, nil
+	return t
 }
 
 // errUnbounded is optimize's report that obj decreases without bound.
 var errUnbounded = errors.New("simplex: unbounded")
 
 // optimize minimizes obj using only columns < limit as entering
-// candidates, and returns the objective value.
+// candidates, and returns the objective value. It starts and, on
+// success, ends with no pivot held.
 func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 	// Reduced costs: start from obj, then price out the current basis.
 	red := make([]float64, t.cols+1)
@@ -289,16 +326,16 @@ func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 			}
 		}
 		if enter == -1 {
+			t.flush()
 			return -red[t.cols], nil
 		}
 		// Leaving row: minimum ratio test, ties to smallest basis index
 		// (harmless normally, required under Bland's rule).
 		leave := -1
 		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			aij := t.a[i][enter]
+		for i, aij := range t.column(enter) {
 			if aij > eps {
-				r := t.a[i][t.cols] / aij
+				r := t.at(i, t.cols) / aij
 				if r < bestRatio-eps || (r < bestRatio+eps && (leave == -1 || t.basis[i] < t.basis[leave])) {
 					bestRatio = r
 					leave = i
@@ -327,64 +364,137 @@ func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 	return 0, fmt.Errorf("simplex: no optimum after %d iterations (%d rows, %d columns)", maxIter, t.m, t.cols)
 }
 
-// pivot performs a Gauss-Jordan pivot on (row, col) and updates the
-// reduced-cost row.
+// at returns row i's current entry in column j: the stored entry with
+// the held pivots applied, by the same multiply, round, subtract that
+// flush will perform on it.
+func (t *tableau) at(i, j int) float64 {
+	h := len(t.slots)
+	x := t.a[i][j]
+	for s, f := range t.fac[i*h : i*h+t.held] {
+		if f != 0 {
+			x -= float64(f * t.slots[s][j])
+		}
+	}
+	return x
+}
+
+// column returns every row's current entry in column j, in a scratch
+// slice that the next call overwrites and pivot reads.
+func (t *tableau) column(j int) []float64 {
+	for i := range t.col {
+		t.col[i] = t.at(i, j)
+	}
+	return t.col
+}
+
+// pivot makes col basic in row, with t.col holding column col as
+// column(col) returned it. It brings the pivot row up to date, scales
+// it, holds it as the next slot with each other row's entry in col as
+// that row's factor, and updates the reduced-cost row. The other rows
+// take the pivot when flush runs, which it does once every slot is
+// full.
 func (t *tableau) pivot(row, col int, red []float64) {
+	h := len(t.slots)
 	ar := t.a[row]
+	fr := t.fac[row*h : row*h+h]
+	for s, f := range fr[:t.held] {
+		if f != 0 {
+			subScaled(ar, t.slots[s], f)
+		}
+	}
+	clear(fr)
 	inv := 1 / ar[col]
 	for j := range ar {
 		ar[j] *= inv
 	}
-	t.touched = t.touched[:0]
-	for i, ai := range t.a {
-		if i != row && ai[col] != 0 {
-			t.touched = append(t.touched, i)
+	s := t.held
+	copy(t.slots[s], ar)
+	for i, v := range t.col {
+		if i != row {
+			t.fac[i*h+s] = v
 		}
 	}
-	t.eliminate(t.touched, ar, col)
+	t.held++
 	if f := red[col]; f != 0 {
 		subScaled(red, ar, f)
 	}
 	t.basis[row] = col
 	t.pivots++
+	if t.held == h {
+		t.flush()
+	}
 }
 
-// eliminate subtracts the pivot row ar, scaled by each row's entry in
-// column col, from every row listed in rows. Each row reads only itself
-// and ar, which stays fixed meanwhile, so the rows are split into
-// contiguous runs updated concurrently when the work is worth it.
-func (t *tableau) eliminate(rows []int, ar []float64, col int) {
+// flush applies the held pivots to every row with a nonzero factor.
+// Each row reads only itself and the slots, which stay fixed meanwhile,
+// so the rows are split into contiguous runs updated concurrently when
+// the work is worth it.
+func (t *tableau) flush() {
+	if t.held == 0 {
+		return
+	}
+	h := len(t.slots)
+	t.touched = t.touched[:0]
+	updates := 0
+	for i := 0; i < t.m; i++ {
+		k := 0
+		for _, f := range t.fac[i*h : i*h+t.held] {
+			if f != 0 {
+				k++
+			}
+		}
+		if k > 0 {
+			t.touched = append(t.touched, i)
+			updates += k
+		}
+	}
+	rows := t.touched
 	parts := min(t.parts, len(rows))
-	if len(rows)*len(ar) < t.minWork {
+	if updates*(t.cols+1) < t.minWork {
 		parts = 1
 	}
 	if parts <= 1 {
-		t.update(rows, ar, col)
-		return
+		t.apply(rows)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(parts - 1)
+		for p := 1; p < parts; p++ {
+			go func(run []int) {
+				defer wg.Done()
+				t.apply(run)
+			}(rows[p*len(rows)/parts : (p+1)*len(rows)/parts])
+		}
+		t.apply(rows[:len(rows)/parts])
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	wg.Add(parts - 1)
-	for p := 1; p < parts; p++ {
-		go func(run []int) {
-			defer wg.Done()
-			t.update(run, ar, col)
-		}(rows[p*len(rows)/parts : (p+1)*len(rows)/parts])
-	}
-	t.update(rows[:len(rows)/parts], ar, col)
-	wg.Wait()
+	t.held = 0
 }
 
-// update eliminates column col from each of rows with the pivot row ar.
-func (t *tableau) update(rows []int, ar []float64, col int) {
+// apply gives each of rows the held pivots, in order, one column tile at
+// a time so that the row's tile stays in L1 while it takes them all, and
+// clears the row's factors.
+func (t *tableau) apply(rows []int) {
+	h := len(t.slots)
+	w := t.cols + 1
 	for _, i := range rows {
 		ai := t.a[i]
-		subScaled(ai, ar, ai[col])
+		fr := t.fac[i*h : i*h+t.held]
+		for j0 := 0; j0 < w; j0 += t.tile {
+			j1 := min(j0+t.tile, w)
+			for s, f := range fr {
+				if f != 0 {
+					subScaled(ai[j0:j1], t.slots[s][j0:j1], f)
+				}
+			}
+		}
+		clear(fr)
 	}
 }
 
 // driveOutArtificials pivots basic artificial variables (value ~0 after a
 // successful phase 1) out of the basis where a non-artificial pivot
 // column exists; rows that cannot pivot are redundant and are zeroed.
+// The scan reads whole rows, so each pivot is flushed at once.
 func (t *tableau) driveOutArtificials(firstArt int) {
 	dummy := make([]float64, t.cols+1) // reduced costs nobody reads
 	for i := 0; i < t.m; i++ {
@@ -407,7 +517,9 @@ func (t *tableau) driveOutArtificials(firstArt int) {
 			}
 			continue
 		}
+		t.column(pivCol)
 		t.pivot(i, pivCol, dummy)
+		t.flush()
 	}
 }
 

@@ -382,19 +382,16 @@ func TestStatusString(t *testing.T) {
 // six degenerate bases forever. The stall detector must hand over to
 // Bland's rule, which reaches the optimum -1/20 at x = (1/25, 0, 1, 0).
 func TestBealeCyclesIntoBland(t *testing.T) {
-	a := [][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}}
-	b := []float64{0, 0, 1}
 	const n, m = 4, 3
-	tb := &tableau{m: m, cols: n + m}
-	for i, row := range a {
-		r := make([]float64, n+m+1)
-		copy(r, row)
-		r[n+i] = 1
-		r[n+m] = b[i]
-		tb.a = append(tb.a, r)
-		tb.basis = append(tb.basis, n+i)
+	p := Problem{
+		C:   []float64{-0.75, 150, -0.02, 6},
+		AUb: rows([][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}}),
+		BUb: []float64{0, 0, 1},
 	}
-	val, err := tb.optimize([]float64{-0.75, 150, -0.02, 6, 0, 0, 0}, tb.cols)
+	tb := newTableau(p, holdPivots, tileWidth, 1, 0)
+	obj := make([]float64, tb.cols)
+	copy(obj, p.C)
+	val, err := tb.optimize(obj, tb.cols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,28 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// checkSubScaled runs subScaled and the portable loop on copies of dst
-// and fails on the first element where they differ.
+// kernel is one implementation of subScaled.
+type kernel struct {
+	name string
+	fn   func(dst, src []float64, f float64)
+}
+
+// checkSubScaled runs every kernel this CPU can run and the portable
+// loop on copies of dst, and fails on the first element where they
+// differ.
 func checkSubScaled(t *testing.T, dst, src []float64, f float64) {
 	t.Helper()
-	got := append([]float64(nil), dst...)
 	want := append([]float64(nil), dst...)
-	subScaled(got, src, f)
 	subScaledGo(want, src, f)
-	for j := range got {
-		if !sameBits(got[j], want[j]) {
-			t.Fatalf("len %d/%d f %v: element %d is %v (%#x), portable loop gives %v (%#x)",
-				len(dst), len(src), f, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+	runnable, _ := kernels()
+	for _, k := range runnable {
+		got := append([]float64(nil), dst...)
+		k.fn(got, src, f)
+		for j := range got {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("%s, len %d/%d f %v: element %d is %v (%#x), portable loop gives %v (%#x)",
+					k.name, len(dst), len(src), f, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+			}
 		}
 	}
 }
@@ -43,6 +53,11 @@ var special = []float64{
 }
 
 func TestSubScaledMatchesPortable(t *testing.T) {
+	runnable, picked := kernels()
+	for _, k := range runnable {
+		t.Logf("checking kernel %s", k.name)
+	}
+	t.Logf("the probe picked %s for subScaled", picked)
 	rng := rand.New(rand.NewSource(5))
 	factors := append([]float64{0.1, 0.75, -1e300, 1e-300, 3}, special...)
 	draw := func() float64 {
@@ -51,8 +66,10 @@ func TestSubScaledMatchesPortable(t *testing.T) {
 		}
 		return (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(40)-20))
 	}
-	// One buffer per side, so the offset-1 windows start 8 bytes off any
-	// 16-byte boundary the allocator gave the buffer.
+	// Lengths 0–67 cover AVX2's 16-wide body, its 4-wide and scalar
+	// tails and SSE2's 8-wide body and tail. One buffer per side, so the
+	// offset-1 windows start 8 bytes off any 16- or 32-byte boundary the
+	// allocator gave the buffer.
 	dstBuf := make([]float64, 80)
 	srcBuf := make([]float64, 80)
 	for n := 0; n <= 67; n++ {
@@ -81,24 +98,43 @@ func TestSubScaledMatchesPortable(t *testing.T) {
 }
 
 func TestSubScaledTouchesOnlyCommonPrefix(t *testing.T) {
-	dst := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	subScaled(dst[:9], []float64{1, 1, 1}, 1)
-	want := []float64{0, 1, 2, 4, 5, 6, 7, 8, 9, 10}
-	for j := range dst {
-		if dst[j] != want[j] {
-			t.Fatalf("dst = %v, want %v", dst, want)
+	runnable, _ := kernels()
+	for _, k := range runnable {
+		dst := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+		k.fn(dst[:9], []float64{1, 1, 1}, 1)
+		want := []float64{0, 1, 2, 4, 5, 6, 7, 8, 9, 10}
+		for j := range dst {
+			if dst[j] != want[j] {
+				t.Fatalf("%s: dst = %v, want %v", k.name, dst, want)
+			}
 		}
-	}
-	src := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	subScaled(dst[:2], src, 2)
-	if dst[0] != -2 || dst[1] != -1 || dst[2] != 2 {
-		t.Fatalf("dst = %v after a 2-element update", dst)
+		src := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+		k.fn(dst[:2], src, 2)
+		if dst[0] != -2 || dst[1] != -1 || dst[2] != 2 {
+			t.Fatalf("%s: dst = %v after a 2-element update", k.name, dst)
+		}
+		// A 40-element row, a 37-element src: AVX2's 16-wide body twice,
+		// its 4-wide tail once and its scalar tail once, then stop.
+		long, ones := make([]float64, 40), make([]float64, 37)
+		for j := range ones {
+			ones[j] = 1
+		}
+		k.fn(long, ones, 1)
+		for j, v := range long {
+			want := 0.0
+			if j < len(ones) {
+				want = -1
+			}
+			if v != want {
+				t.Fatalf("%s: element %d of a 37-element update is %v, want %v", k.name, j, v, want)
+			}
+		}
 	}
 }
 
-// FuzzSubScaled checks subScaled against the portable loop on arbitrary
-// bit patterns: the input is cut into 8-byte little-endian words, the
-// first is f, the rest alternate between dst and src.
+// FuzzSubScaled checks every runnable kernel against the portable loop
+// on arbitrary bit patterns: the input is cut into 8-byte little-endian
+// words, the first is f, the rest alternate between dst and src.
 func FuzzSubScaled(f *testing.F) {
 	word := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
