@@ -9,10 +9,10 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and short snapshot, wire, .topo, pair enumeration,
-# engine, distance evaluator, LP kernel, LP held-pivot, watch-mode
-# status and NDJSON fold fuzz bursts, plus the LP digest at GOMAXPROCS 1
-# and 4.
+# snapshot-based) and short snapshot, wire, workload hash, .topo, pair
+# enumeration, engine, distance evaluator, LP kernel, LP held-pivot,
+# watch-mode status and NDJSON fold fuzz bursts, plus the LP digest at
+# GOMAXPROCS 1 and 4.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -20,6 +20,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 20s ./internal/continuous/
 	go test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 20s ./internal/nexitwire/
 	go test -run '^$$' -fuzz 'FuzzResponderSession' -fuzztime 20s -fuzzminimizetime 2s ./internal/nexitwire/
+	go test -run '^$$' -fuzz 'FuzzWorkloadHash' -fuzztime 20s ./internal/nexitwire/
 	go test -run '^$$' -fuzz 'FuzzTopologyRead' -fuzztime 20s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzAllPairs' -fuzztime 20s -fuzzminimizetime 2s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/

@@ -14,6 +14,20 @@ func readFrame(r io.Reader) (MsgType, []byte, error) {
 	return t, body, err
 }
 
+// fresh decodes b into a message of its own, as a receiver with no
+// scratch to reuse would.
+func fresh[M any](decode func([]byte, *M) error, b []byte) (*M, error) {
+	m := new(M)
+	return m, decode(b, m)
+}
+
+// freshPrefsResponse is fresh for the one decoder that also takes the
+// flat table its rows slice.
+func freshPrefsResponse(b []byte) (*PrefsResponse, error) {
+	m, flat := new(PrefsResponse), []int8(nil)
+	return m, decodePrefsResponse(b, m, &flat)
+}
+
 // writeFrames serializes the given (type, payload) frames back to back
 // the way a session would see them on the wire.
 func writeFrames(t *testing.T, frames ...struct {
@@ -128,7 +142,7 @@ func TestDecodedMessagesDoNotAliasScratch(t *testing.T) {
 	if _, body, scratch, err = readFrameInto(buf, scratch); err != nil {
 		t.Fatal(err)
 	}
-	gotPrefs, err := decodePrefsResponse(body)
+	gotPrefs, err := freshPrefsResponse(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +154,7 @@ func TestDecodedMessagesDoNotAliasScratch(t *testing.T) {
 	if _, body, scratch, err = readFrameInto(buf, scratch); err != nil {
 		t.Fatal(err)
 	}
-	gotBatch, err := decodeProposeBatch(body)
+	gotBatch, err := fresh(decodeProposeBatch, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +174,7 @@ func TestProposeBatchRoundtrip(t *testing.T) {
 		{Round: 1, ItemID: 11, Alt: 0, PrefInitiator: -5},
 		{Round: 2, ItemID: 0, Alt: 65535, PrefInitiator: 127},
 	}}
-	got, err := decodeProposeBatch(appendProposeBatch(nil, m))
+	got, err := fresh(decodeProposeBatch, appendProposeBatch(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +182,18 @@ func TestProposeBatchRoundtrip(t *testing.T) {
 		t.Errorf("roundtrip = %+v, want %+v", got, m)
 	}
 
-	empty, err := decodeProposeBatch(appendProposeBatch(nil, &ProposeBatch{}))
+	empty, err := fresh(decodeProposeBatch, appendProposeBatch(nil, &ProposeBatch{}))
 	if err != nil || len(empty.Proposals) != 0 {
 		t.Errorf("empty batch roundtrip = %+v (%v)", empty, err)
 	}
 
 	lying := appendProposeBatch(nil, m)[:4+proposalWireSize] // header says 3, payload has 1
-	if _, err := decodeProposeBatch(lying); err == nil ||
+	if _, err := fresh(decodeProposeBatch, lying); err == nil ||
 		!strings.Contains(err.Error(), "claims") {
 		t.Errorf("lying batch header not rejected: %v", err)
 	}
 
-	ba, err := decodeBatchAccept(appendBatchAccept(nil, &BatchAccept{Accepted: 42}))
+	ba, err := fresh(decodeBatchAccept, appendBatchAccept(nil, &BatchAccept{Accepted: 42}))
 	if err != nil || ba.Accepted != 42 {
 		t.Errorf("batch accept roundtrip = %+v (%v)", ba, err)
 	}

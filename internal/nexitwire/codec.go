@@ -215,19 +215,23 @@ func (fw *frameWriter) writeFrame(t MsgType, payload []byte) error {
 }
 
 // readFrameInto reads one frame from r, reusing scratch as the read
-// buffer when it is large enough. It returns the (possibly grown)
-// scratch for the caller to keep for the next frame. The returned body
-// ALIASES scratch: it is valid only until the next readFrameInto call
-// with the same buffer, and decoders must copy what they keep (every
-// decoder in this package does; wire_test.go's aliasing test pins it).
+// buffer when it is large enough; the length prefix is read into it too,
+// so a frame costs no allocation once scratch has grown. It returns the
+// (possibly grown) scratch for the caller to keep for the next frame.
+// The returned body ALIASES scratch: it is valid only until the next
+// readFrameInto call with the same buffer, and decoders must copy what
+// they keep (every decoder in this package does; alias_test.go pins it).
 // The MaxFrameSize guard runs before any allocation, so a corrupt or
 // hostile length prefix cannot make us buffer unbounded memory.
 func readFrameInto(r io.Reader, scratch []byte) (MsgType, []byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(scratch) < 4 {
+		scratch = make([]byte, 4)
+	}
+	hdr := scratch[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, scratch, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return 0, nil, scratch, fmt.Errorf("nexitwire: empty frame")
 	}
@@ -328,7 +332,10 @@ func (d *dec) done() error {
 	return nil
 }
 
-// Message marshaling.
+// Message marshaling. A decoder writes into a caller-owned message and
+// reuses its slices' arrays (a session keeps one of each on its Conn),
+// except decodeHello and decodeError, which a session runs at most once;
+// what any decoder keeps is copied out of b, never aliased.
 
 func appendHello(b []byte, h *Hello) []byte {
 	e := enc{b: b}
@@ -384,21 +391,21 @@ func appendPrefsRequest(b []byte, m *PrefsRequest) []byte {
 	return e.b
 }
 
-func decodePrefsRequest(b []byte) (*PrefsRequest, error) {
+func decodePrefsRequest(b []byte, m *PrefsRequest) error {
 	d := dec{b: b}
 	n := int(d.u32())
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if n > len(b)/6+1 {
-		return nil, fmt.Errorf("nexitwire: prefs request claims %d items", n)
+		return fmt.Errorf("nexitwire: prefs request claims %d items", n)
 	}
-	m := &PrefsRequest{ItemIDs: make([]uint32, 0, n), Defaults: make([]uint16, 0, n)}
+	m.ItemIDs, m.Defaults = m.ItemIDs[:0], m.Defaults[:0]
 	for i := 0; i < n; i++ {
 		m.ItemIDs = append(m.ItemIDs, d.u32())
 		m.Defaults = append(m.Defaults, d.u16())
 	}
-	return m, d.done()
+	return d.done()
 }
 
 func appendPrefsResponse(b []byte, m *PrefsResponse) []byte {
@@ -417,28 +424,35 @@ func appendPrefsResponse(b []byte, m *PrefsResponse) []byte {
 	return e.b
 }
 
-func decodePrefsResponse(b []byte) (*PrefsResponse, error) {
+// decodePrefsResponse decodes b into m, whose rows slice *flat, one
+// flat table grown as needed: a response costs no allocation once the
+// table has reached its size.
+func decodePrefsResponse(b []byte, m *PrefsResponse, flat *[]int8) error {
 	d := dec{b: b}
 	rows := int(d.u32())
 	cols := int(d.u16())
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	// Guard allocations against lying headers: every row costs at least
 	// max(cols, 1) payload bytes' worth of memory. The encoder writes a
 	// column count exactly when there are rows, so a response with rows
 	// but no columns, or columns but no rows, is not one it made.
 	if rows > len(b) || (rows > 0) != (cols > 0) || (cols > 0 && rows > len(b)/cols) {
-		return nil, fmt.Errorf("nexitwire: prefs response claims %dx%d classes", rows, cols)
+		return fmt.Errorf("nexitwire: prefs response claims %dx%d classes", rows, cols)
 	}
-	m := &PrefsResponse{Prefs: make([][]int8, rows)}
+	if cap(*flat) < rows*cols {
+		*flat = make([]int8, rows*cols)
+	}
+	cls := (*flat)[:rows*cols]
+	for i := range cls {
+		cls[i] = d.i8()
+	}
+	m.Prefs = m.Prefs[:0]
 	for i := 0; i < rows; i++ {
-		m.Prefs[i] = make([]int8, cols)
-		for j := 0; j < cols; j++ {
-			m.Prefs[i][j] = d.i8()
-		}
+		m.Prefs = append(m.Prefs, cls[i*cols:(i+1)*cols:(i+1)*cols])
 	}
-	return m, d.done()
+	return d.done()
 }
 
 func appendRevert(b []byte, m *Revert) []byte {
@@ -449,10 +463,10 @@ func appendRevert(b []byte, m *Revert) []byte {
 	return e.b
 }
 
-func decodeRevert(b []byte) (*Revert, error) {
+func decodeRevert(b []byte, m *Revert) error {
 	d := dec{b: b}
-	m := &Revert{ItemID: d.u32(), Alt: d.u16(), Def: d.u16()}
-	return m, d.done()
+	*m = Revert{ItemID: d.u32(), Alt: d.u16(), Def: d.u16()}
+	return d.done()
 }
 
 func appendDone(b []byte, m *Done) []byte {
@@ -468,16 +482,16 @@ func appendDone(b []byte, m *Done) []byte {
 	return e.b
 }
 
-func decodeDone(b []byte) (*Done, error) {
+func decodeDone(b []byte, m *Done) error {
 	d := dec{b: b}
 	n := int(d.u32())
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if n > len(b)/2 {
-		return nil, fmt.Errorf("nexitwire: done claims %d assignments", n)
+		return fmt.Errorf("nexitwire: done claims %d assignments", n)
 	}
-	m := &Done{Assign: make([]uint16, 0, n)}
+	m.Assign = m.Assign[:0]
 	for i := 0; i < n; i++ {
 		m.Assign = append(m.Assign, d.u16())
 	}
@@ -485,7 +499,7 @@ func decodeDone(b []byte) (*Done, error) {
 	m.GainB = int32(d.u32())
 	m.StopReason = d.u8()
 	m.Rounds = d.u32()
-	return m, d.done()
+	return d.done()
 }
 
 func appendError(b []byte, m *ErrorMsg) []byte {
@@ -517,18 +531,18 @@ func appendProposeBatch(b []byte, m *ProposeBatch) []byte {
 	return e.b
 }
 
-func decodeProposeBatch(b []byte) (*ProposeBatch, error) {
+func decodeProposeBatch(b []byte, m *ProposeBatch) error {
 	d := dec{b: b}
 	n := int(d.u32())
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	// Guard allocations against lying headers: every claimed proposal
 	// must be backed by payload bytes.
 	if n > len(b)/proposalWireSize {
-		return nil, fmt.Errorf("nexitwire: propose batch claims %d proposals", n)
+		return fmt.Errorf("nexitwire: propose batch claims %d proposals", n)
 	}
-	m := &ProposeBatch{Proposals: make([]AcceptRequest, 0, n)}
+	m.Proposals = m.Proposals[:0]
 	for i := 0; i < n; i++ {
 		m.Proposals = append(m.Proposals, AcceptRequest{
 			Round:         d.u32(),
@@ -537,7 +551,7 @@ func decodeProposeBatch(b []byte) (*ProposeBatch, error) {
 			PrefInitiator: d.i8(),
 		})
 	}
-	return m, d.done()
+	return d.done()
 }
 
 func appendBatchAccept(b []byte, m *BatchAccept) []byte {
@@ -546,8 +560,8 @@ func appendBatchAccept(b []byte, m *BatchAccept) []byte {
 	return e.b
 }
 
-func decodeBatchAccept(b []byte) (*BatchAccept, error) {
+func decodeBatchAccept(b []byte, m *BatchAccept) error {
 	d := dec{b: b}
-	m := &BatchAccept{Accepted: d.u32()}
-	return m, d.done()
+	*m = BatchAccept{Accepted: d.u32()}
+	return d.done()
 }

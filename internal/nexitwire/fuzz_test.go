@@ -2,6 +2,7 @@ package nexitwire
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,13 +17,13 @@ func TestDecodersNeverPanic(t *testing.T) {
 		fn   func([]byte) error
 	}{
 		{"hello", func(b []byte) error { _, err := decodeHello(b); return err }},
-		{"prefs-request", func(b []byte) error { _, err := decodePrefsRequest(b); return err }},
-		{"prefs-response", func(b []byte) error { _, err := decodePrefsResponse(b); return err }},
-		{"revert", func(b []byte) error { _, err := decodeRevert(b); return err }},
-		{"done", func(b []byte) error { _, err := decodeDone(b); return err }},
+		{"prefs-request", func(b []byte) error { _, err := fresh(decodePrefsRequest, b); return err }},
+		{"prefs-response", func(b []byte) error { _, err := freshPrefsResponse(b); return err }},
+		{"revert", func(b []byte) error { _, err := fresh(decodeRevert, b); return err }},
+		{"done", func(b []byte) error { _, err := fresh(decodeDone, b); return err }},
 		{"error", func(b []byte) error { _, err := decodeError(b); return err }},
-		{"propose-batch", func(b []byte) error { _, err := decodeProposeBatch(b); return err }},
-		{"batch-accept", func(b []byte) error { _, err := decodeBatchAccept(b); return err }},
+		{"propose-batch", func(b []byte) error { _, err := fresh(decodeProposeBatch, b); return err }},
+		{"batch-accept", func(b []byte) error { _, err := fresh(decodeBatchAccept, b); return err }},
 	}
 	for _, d := range decoders {
 		d := d
@@ -72,7 +73,7 @@ func TestEncodeDecodeIdentityProperty(t *testing.T) {
 			assign = []uint16{}
 		}
 		m := &Done{Assign: assign, GainA: gainA, GainB: gainB, StopReason: reason, Rounds: rounds}
-		got, err := decodeDone(appendDone(nil, m))
+		got, err := fresh(decodeDone, appendDone(nil, m))
 		if err != nil {
 			return false
 		}
@@ -104,25 +105,25 @@ var canonicalCodecs = []func([]byte) []byte{
 		return nil
 	},
 	func(b []byte) []byte {
-		if m, err := decodePrefsRequest(b); err == nil {
+		if m, err := fresh(decodePrefsRequest, b); err == nil {
 			return appendPrefsRequest(nil, m)
 		}
 		return nil
 	},
 	func(b []byte) []byte {
-		if m, err := decodePrefsResponse(b); err == nil {
+		if m, err := freshPrefsResponse(b); err == nil {
 			return appendPrefsResponse(nil, m)
 		}
 		return nil
 	},
 	func(b []byte) []byte {
-		if m, err := decodeRevert(b); err == nil {
+		if m, err := fresh(decodeRevert, b); err == nil {
 			return appendRevert(nil, m)
 		}
 		return nil
 	},
 	func(b []byte) []byte {
-		if m, err := decodeDone(b); err == nil {
+		if m, err := fresh(decodeDone, b); err == nil {
 			return appendDone(nil, m)
 		}
 		return nil
@@ -134,13 +135,13 @@ var canonicalCodecs = []func([]byte) []byte{
 		return nil
 	},
 	func(b []byte) []byte {
-		if m, err := decodeProposeBatch(b); err == nil {
+		if m, err := fresh(decodeProposeBatch, b); err == nil {
 			return appendProposeBatch(nil, m)
 		}
 		return nil
 	},
 	func(b []byte) []byte {
-		if m, err := decodeBatchAccept(b); err == nil {
+		if m, err := fresh(decodeBatchAccept, b); err == nil {
 			return appendBatchAccept(nil, m)
 		}
 		return nil
@@ -177,13 +178,20 @@ func FuzzFrameDecode(f *testing.F) {
 // panic, every error it returns must be labelled, and once it has
 // failed, nothing may reach the evaluator. The corpus is seeded with the
 // initiator's frames of the four golden sessions.
+//
+// The input is served twice on one serving, as a Conn reuses it: after
+// a whole golden session of another shape (the unwind session's two
+// items, or the distance session's table), and again after itself. The
+// two runs must reply the same frames and end the same way.
 func FuzzResponderSession(f *testing.F) {
 	fixtures := transcriptFixtures(f)
+	golden := make([][]frame, len(fixtures))
 	for i, fx := range fixtures {
 		p, _, err := fx.run(untampered, 1<<20)
 		if err != nil || p.err != nil {
 			f.Fatalf("%s: %v / %v", fx.name, err, p.err)
 		}
+		golden[i] = p.wire[0]
 		// The frames after the Hello, up to 8 KiB: the fuzzer mutates
 		// and minimizes small inputs far faster.
 		var stream bytes.Buffer
@@ -198,39 +206,88 @@ func FuzzResponderSession(f *testing.F) {
 		}
 		f.Add(byte(i), stream.Bytes())
 	}
+	// A session that fails at its first frame: the run after it must
+	// not inherit its error.
+	var hello bytes.Buffer
+	if err := (&frameWriter{w: &hello}).writeFrame(MsgHello, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(byte(0), hello.Bytes())
 	f.Fuzz(func(t *testing.T, which byte, stream []byte) {
-		fx := fixtures[int(which)%len(fixtures)]
-		_, resp := fx.pair()
-		eval := &countingEval{Evaluator: resp.Eval}
-		resp.Eval = eval
-		var m serving
-		if _, _, _, err := m.open(resp, &Hello{
-			Version: Version, NumAlts: uint16(fx.numAlts), NumItems: uint32(len(fx.items)),
-			WorkloadHash: WorkloadHash(fx.items, fx.defaults, fx.numAlts), Metric: metricName(resp.Metric),
-		}, nil); err != nil {
-			t.Fatal(err)
+		i := int(which) % len(fixtures)
+		other := 1 // the unwind session: two items, two alternatives
+		if fixtures[i].name == fixtures[other].name {
+			other = 0
 		}
-		var failed error
-		calls := 0
+		var m serving
+		if got := serveStream(t, &m, fixtures[other], golden[other][1:]); got.res == nil {
+			t.Fatalf("the golden %s session failed: %s", fixtures[other].name, got.err)
+		}
+		var frames []frame
 		for r := bytes.NewReader(stream); ; {
 			typ, body, err := readFrame(r)
 			if err != nil {
-				return
+				break
 			}
-			_, _, res, err := m.step(typ, body, nil)
-			switch {
-			case failed != nil:
-				if err != failed || eval.calls != calls {
-					t.Fatalf("step after %v returned %v and called the evaluator %d times", failed, err, eval.calls-calls)
-				}
-			case err != nil:
-				if !strings.HasPrefix(err.Error(), "nexitwire:") {
-					t.Fatalf("unlabelled error: %v", err)
-				}
-				failed, calls = err, eval.calls
-			case res != nil:
-				return
-			}
+			frames = append(frames, frame{typ, body})
+		}
+		first := serveStream(t, &m, fixtures[i], frames)
+		if again := serveStream(t, &m, fixtures[i], frames); !reflect.DeepEqual(first, again) {
+			t.Fatalf("the same frames served twice on one serving: %+v, then %+v", first, again)
 		}
 	})
+}
+
+// servedStream is how a session served from a stream of frames went:
+// every reply, the result or the error, and the evaluator calls.
+type servedStream struct {
+	replies []frame
+	res     *SessionResult
+	err     string
+	calls   int
+}
+
+// serveStream opens a session of fx's on m, with a fresh responder, and
+// steps it through frames until it ends or they run out. It fails t if
+// a step returns an unlabelled error, or if a failed session returns
+// anything but its error or reaches the evaluator again.
+func serveStream(t *testing.T, m *serving, fx *fixture, frames []frame) servedStream {
+	_, resp := fx.pair()
+	eval := &countingEval{Evaluator: resp.Eval}
+	resp.Eval = eval
+	var out servedStream
+	typ, payload, _, err := m.open(resp, &Hello{
+		Version: Version, NumAlts: uint16(fx.numAlts), NumItems: uint32(len(fx.items)),
+		WorkloadHash: WorkloadHash(fx.items, fx.defaults, fx.numAlts), Metric: metricName(resp.Metric),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.replies = append(out.replies, frame{typ, payload})
+	var failed error
+	for _, fr := range frames {
+		typ, payload, res, err := m.step(fr.t, fr.payload, nil)
+		switch {
+		case failed != nil:
+			if typ != 0 || res != nil || err != failed || eval.calls != out.calls {
+				t.Fatalf("step after %v returned (%v, %v, %v) and called the evaluator %d times", failed, typ, res, err, eval.calls-out.calls)
+			}
+			continue
+		case err != nil:
+			if !strings.HasPrefix(err.Error(), "nexitwire:") {
+				t.Fatalf("unlabelled error: %v", err)
+			}
+			failed, out.err = err, err.Error()
+		}
+		if typ != 0 {
+			out.replies = append(out.replies, frame{typ, payload})
+		}
+		out.calls = eval.calls
+		if res != nil {
+			out.res = res
+			break
+		}
+	}
+	out.calls = eval.calls
+	return out
 }

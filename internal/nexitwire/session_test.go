@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/nexit"
+	"repro/internal/pairsim"
 )
 
 // TestWireStalledPeerTimeout proves the per-exchange Timeout fires: a
@@ -123,40 +124,58 @@ func TestWireResponderStallTimeout(t *testing.T) {
 	}
 }
 
-// TestWireSessionReuse runs several back-to-back sessions on one
-// connection — the daemon's epoch pattern — and checks every session
-// matches the in-process engine.
-func TestWireSessionReuse(t *testing.T) {
-	s, items, defaults, numAlts := testUniverse(t)
-	ref, err := nexit.Negotiate(nexit.DefaultDistanceConfig(),
-		nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
-		nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		items, defaults, numAlts)
-	if err != nil {
-		t.Fatal(err)
-	}
+// wireTable is one negotiation table of a wire test.
+type wireTable struct {
+	s        *pairsim.System
+	items    []nexit.Item
+	defaults []int
+	numAlts  int
+}
 
+// reuseTables are the tables TestWireSessionReuse negotiates back to
+// back on one Conn pair: the wire tests' universe, its first eighth, a
+// larger pair with another alternative count, then the small and the
+// first table again. Every session meets the scratch of a session of
+// another size or another alternative count.
+func reuseTables(t *testing.T) []wireTable {
+	pairs := testPairs(t)
+	var first wireTable
+	first.s, first.items, first.defaults, first.numAlts = pairUniverse(pairs[0])
+	small := first
+	small.items, small.defaults = first.items[:len(first.items)/8], first.defaults[:len(first.items)/8]
+	for _, p := range pairs[1:] {
+		var other wireTable
+		other.s, other.items, other.defaults, other.numAlts = pairUniverse(p)
+		if other.numAlts != first.numAlts && len(other.items) > len(first.items) {
+			return []wireTable{first, small, other, small, first}
+		}
+	}
+	t.Fatal("no larger pair with another alternative count")
+	return nil
+}
+
+// TestWireSessionReuse runs back-to-back sessions on one connection —
+// the daemon's epoch pattern — over tables that grow, shrink and change
+// their alternative count, and checks every session against the
+// in-process engine and against the same session on a fresh Conn pair:
+// no scratch a session keeps on its Conn may leak into the next. Before
+// the third, the responder rejects a session at its Hello (an epoch
+// skew), and neither end's error may outlive it.
+func TestWireSessionReuse(t *testing.T) {
+	tables := reuseTables(t)
 	connA, connB := net.Pipe()
 	defer connA.Close()
 
-	const epochs = 3
 	type out struct {
 		res *SessionResult
 		err error
 	}
-	ch := make(chan out, epochs+1)
+	next := make(chan *Responder)
+	ch := make(chan out, 1)
 	go func() {
 		defer connB.Close()
-		resp := &Responder{
-			Name:     "agent-b",
-			Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-			Items:    items,
-			Defaults: defaults,
-			NumAlts:  numAlts,
-			Timeout:  5 * time.Second,
-		}
 		c := NewConn(connB)
-		for {
+		for resp := range next {
 			hello, err := AcceptHelloConn(c, resp.Timeout)
 			if err != nil {
 				ch <- out{nil, err}
@@ -167,38 +186,66 @@ func TestWireSessionReuse(t *testing.T) {
 			}
 			r, err := resp.ServeSessionConn(c, hello)
 			ch <- out{r, err}
-			if err != nil {
-				return
-			}
 		}
+		_, err := AcceptHelloConn(c, 5*time.Second)
+		ch <- out{nil, err}
 	}()
 
-	ini := &Initiator{
-		Name:    "agent-a",
-		Cfg:     nexit.DefaultDistanceConfig(),
-		Eval:    nexit.NewDistanceEvaluator(s, nexit.SideA, 10),
-		Timeout: 5 * time.Second,
-	}
 	cA := NewConn(connA)
-	for e := 0; e < epochs; e++ {
-		res, err := ini.RunConn(cA, items, defaults, numAlts)
+	for e, tb := range tables {
+		ref, err := nexit.Negotiate(nexit.DefaultDistanceConfig(),
+			nexit.NewDistanceEvaluator(tb.s, nexit.SideA, 10),
+			nexit.NewDistanceEvaluator(tb.s, nexit.SideB, 10),
+			tb.items, tb.defaults, tb.numAlts)
 		if err != nil {
-			t.Fatalf("epoch %d: %v", e, err)
+			t.Fatal(err)
+		}
+		freshA, freshB := net.Pipe()
+		freshRes, freshSess := runWireSession(t, freshA, freshB, tb.s, tb.items, tb.defaults, tb.numAlts)
+		freshA.Close()
+		freshB.Close()
+
+		resp := &Responder{
+			Name: "agent-b", Eval: nexit.NewDistanceEvaluator(tb.s, nexit.SideB, 10),
+			Items: tb.items, Defaults: tb.defaults, NumAlts: tb.numAlts,
+			Timeout: 5 * time.Second,
+		}
+		ini := &Initiator{
+			Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(),
+			Eval:    nexit.NewDistanceEvaluator(tb.s, nexit.SideA, 10),
+			Timeout: 5 * time.Second,
+		}
+		if e == 2 {
+			next <- resp
+			ini.Epoch = 1
+			_, err := ini.RunConn(cA, tb.items, tb.defaults, tb.numAlts)
+			var skew *EpochSkewError
+			if sess := <-ch; !errors.As(err, &skew) || !errors.As(sess.err, &skew) {
+				t.Fatalf("skewed session: initiator %v, responder %v; want epoch skews", err, sess.err)
+			}
+			ini.Epoch = 0
+		}
+		next <- resp
+		res, err := ini.RunConn(cA, tb.items, tb.defaults, tb.numAlts)
+		if err != nil {
+			t.Fatalf("session %d (%d items x %d): %v", e, len(tb.items), tb.numAlts, err)
 		}
 		sess := <-ch
 		if sess.err != nil {
-			t.Fatalf("epoch %d responder: %v", e, sess.err)
+			t.Fatalf("session %d (%d items x %d) responder: %v", e, len(tb.items), tb.numAlts, sess.err)
 		}
-		if !reflect.DeepEqual(res.Assign, ref.Assign) || !reflect.DeepEqual(sess.res.Assign, ref.Assign) {
-			t.Errorf("epoch %d diverged from the in-process reference", e)
+		if !reflect.DeepEqual(res, ref) || !reflect.DeepEqual(res, freshRes) {
+			t.Errorf("session %d (%d items x %d): the initiator's result differs from the in-process engine's or a fresh Conn's",
+				e, len(tb.items), tb.numAlts)
 		}
-		if sess.res.GainB != ref.GainB || res.GainA != ref.GainA {
-			t.Errorf("epoch %d gains: wire (%d,%d), ref (%d,%d)",
-				e, res.GainA, sess.res.GainB, ref.GainA, ref.GainB)
+		if !reflect.DeepEqual(sess.res, freshSess) || !reflect.DeepEqual(sess.res.Assign, ref.Assign) || sess.res.GainB != ref.GainB {
+			t.Errorf("session %d (%d items x %d): the responder's result differs from the in-process engine's or a fresh Conn's",
+				e, len(tb.items), tb.numAlts)
 		}
 	}
 
 	// Closing the initiator side ends the responder loop with a clean EOF.
+	close(next)
 	connA.Close()
 	last := <-ch
 	if !errors.Is(last.err, io.EOF) {
@@ -250,5 +297,60 @@ func TestRetiredFrameTypesRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sessionAllocs is what a session costs in heap allocations, both ends
+// together, once a Conn pair's scratch is warm: the Hello each end
+// decodes (the struct and its two strings), the engine's Result, its
+// Assign and its Transcript, and the SessionResult and its Assign.
+// Nothing in it grows with the table, the rows or the frames.
+const sessionAllocs = 11
+
+// TestSessionAllocs pins sessionAllocs: the second and later sessions
+// on one net.Pipe Conn pair, over the wire tests' universe, allocate
+// nothing per item, row or frame. testing.AllocsPerRun counts both
+// goroutines, and is exact under -race too.
+func TestSessionAllocs(t *testing.T) {
+	s, items, defaults, numAlts := testUniverse(t)
+	connA, connB := net.Pipe()
+	defer connA.Close()
+	type out struct {
+		res *SessionResult
+		err error
+	}
+	ch := make(chan out, 1)
+	go func() {
+		defer connB.Close()
+		resp := &Responder{
+			Name: "agent-b", Eval: nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
+			Items: items, Defaults: defaults, NumAlts: numAlts,
+		}
+		c := NewConn(connB)
+		for {
+			hello, err := AcceptHelloConn(c, 0)
+			if err != nil {
+				return
+			}
+			r, err := resp.ServeSessionConn(c, hello)
+			ch <- out{r, err}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	ini := &Initiator{Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(), Eval: nexit.NewDistanceEvaluator(s, nexit.SideA, 10)}
+	cA := NewConn(connA)
+	session := func() {
+		if _, err := ini.RunConn(cA, items, defaults, numAlts); err != nil {
+			t.Fatalf("initiator: %v", err)
+		}
+		if o := <-ch; o.err != nil {
+			t.Fatalf("responder: %v", o.err)
+		}
+	}
+	session() // the first session grows the scratch
+	if n := testing.AllocsPerRun(50, session); n != sessionAllocs {
+		t.Errorf("a warm session allocates %.0f times, want %d", n, sessionAllocs)
 	}
 }

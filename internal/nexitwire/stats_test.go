@@ -71,11 +71,10 @@ func TestWireStatsBalance(t *testing.T) {
 	}
 }
 
-// The per-frame instrumentation must not allocate: it runs inside the
-// session hot path that DESIGN.md §9 stripped to near-zero allocs, and
-// BENCH_runner.json's WireSession allocs/op budget assumes frames stay
-// free. (The benchmark itself records the end-to-end number; this pins
-// the observe calls in isolation.)
+// The per-frame instrumentation must not allocate: it runs on every
+// frame of the session hot path, whose warm allocation count
+// TestSessionAllocs pins (DESIGN.md §9). This pins the observe calls in
+// isolation.
 func TestWireStatsObserveDoesNotAllocate(t *testing.T) {
 	var w WireStats
 	if n := testing.AllocsPerRun(100, func() {

@@ -176,7 +176,7 @@ func (p *pipe) recv() (MsgType, []byte, error) {
 		// Both ends wait for each other: a real session stalls until
 		// the exchange deadline.
 		s := session{timeout: DefaultTimeout}
-		return 0, nil, s.stallErr("awaiting reply", os.ErrDeadlineExceeded)
+		return 0, nil, s.stallErr(0, os.ErrDeadlineExceeded)
 	}
 	f := p.inbox[0]
 	p.inbox = p.inbox[1:]
@@ -194,7 +194,7 @@ func runPipe(ini *Initiator, resp *Responder, items []nexit.Item, defaults []int
 	eval := &countingEval{Evaluator: resp.Eval}
 	resp.Eval = eval
 	p := &pipe{resp: resp, eval: eval, tamper: tp, budget: budget}
-	res, err := ini.run(p, nil, items, defaults, numAlts)
+	res, err := ini.run(new(remoteEvaluator).open(p, nil, numAlts), items, defaults, numAlts)
 	if !p.finished() {
 		p.err, p.evalErr = p.m.hangup(io.EOF), eval.calls
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"os"
 	"time"
@@ -142,27 +143,51 @@ func checkPeer(peer, ours *Hello, initiating bool) error {
 // Hello time instead of negotiating nonsense.
 //
 // The value is 64-bit FNV-1a (hash/fnv's New64a) over each field as
-// eight big-endian bytes, folded inline; it travels in the Hello, so
-// the bytes hashed are part of the wire format.
+// eight big-endian bytes; it travels in the Hello, so the bytes hashed
+// are part of the wire format. fnvFold takes each field's runs of zero
+// bytes in one step (DESIGN.md §9).
 func WorkloadHash(items []nexit.Item, defaults []int, numAlts int) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	put := func(v uint64) {
-		for shift := 56; shift >= 0; shift -= 8 {
-			h = (h ^ uint64(byte(v>>shift))) * prime64
-		}
-	}
-	put(uint64(numAlts))
-	put(uint64(len(items)))
+	h := uint64(fnvOffset64)
+	h = fnvFold(h, uint64(numAlts))
+	h = fnvFold(h, uint64(len(items)))
 	for i, it := range items {
-		put(uint64(it.ID))
-		put(uint64(it.Flow.Src))
-		put(uint64(it.Flow.Dst))
-		put(math.Float64bits(it.Flow.Size))
-		put(uint64(it.Dir))
-		put(uint64(defaults[i]))
+		h = fnvFold(h, uint64(it.ID))
+		h = fnvFold(h, uint64(it.Flow.Src))
+		h = fnvFold(h, uint64(it.Flow.Dst))
+		h = fnvFold(h, math.Float64bits(it.Flow.Size))
+		h = fnvFold(h, uint64(it.Dir))
+		h = fnvFold(h, uint64(defaults[i]))
 	}
 	return h
+}
+
+// The 64-bit FNV-1a parameters, and fnvPowers[k] = fnvPrime64^k mod
+// 2^64: the state's step over k zero bytes, since XOR with a zero byte
+// is the identity.
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+var fnvPowers = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnvFold folds v's eight big-endian bytes into the FNV-1a state h. Its
+// runs of leading and trailing zero bytes cost one multiply each, by
+// fnvPowers; the result is exactly the byte-at-a-time fold's, because
+// multiplication mod 2^64 is associative.
+func fnvFold(h, v uint64) uint64 {
+	if v == 0 {
+		return h * fnvPowers[8]
+	}
+	lead, trail := bits.LeadingZeros64(v)>>3, bits.TrailingZeros64(v)>>3
+	h *= fnvPowers[lead]
+	for shift := 56 - 8*lead; shift >= 8*trail; shift -= 8 {
+		h = (h ^ uint64(byte(v>>shift))) * fnvPrime64
+	}
+	return h * fnvPowers[trail]
 }
 
 // SessionResult is what the responder learns from a completed session.
@@ -216,20 +241,19 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 		return nil, fmt.Errorf("nexitwire: preference bound %d exceeds the wire format's int8 classes", in.Cfg.PrefBound)
 	}
 	s := c.s.reset(in.Timeout)
-	return in.run(s, s.enc, items, defaults, numAlts)
+	return in.run(s.ini.open(s, s.enc, numAlts), items, defaults, numAlts)
 }
 
-// run is the initiator's side of one session over l, building payloads
-// on out, and its one abort site: a failure the peer can still hear
-// about is sent to it in an Error frame.
-func (in *Initiator) run(l link, out []byte, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
-	r := &remoteEvaluator{l: l, out: out, numAlts: numAlts}
+// run is the initiator's side of one session over r's link, and its one
+// abort site: a failure the peer can still hear about is sent to it in
+// an Error frame.
+func (in *Initiator) run(r *remoteEvaluator, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
 	res := in.negotiate(r, items, defaults, numAlts)
 	if r.err == nil {
 		return res, nil
 	}
 	if !r.gone {
-		_ = l.send(abort(r.out[:0], r.err))
+		_ = r.l.send(abort(r.out[:0], r.err))
 	}
 	return nil, r.err
 }
@@ -253,27 +277,12 @@ func (in *Initiator) negotiate(r *remoteEvaluator, items []nexit.Item, defaults 
 		return nil
 	}
 
-	cfg := in.Cfg
-	cfg.BatchAcceptHook = func(batch []nexit.Proposal) int {
-		// The remote agent ratifies every proposal (the paper's veto, or
-		// confirming a turn the engine simulated for it); the planned run
-		// travels in one ProposeBatch and the responder commits the prefix
-		// it accepts. Our own Accept truncates the batch at its first veto
-		// of a responder-turn proposal before it goes on the wire. A dead
-		// session accepts everything: the all-accept path winds the engine
-		// down cheapest, and the result is discarded.
-		limit := len(batch)
-		for i := range batch {
-			if in.Accept != nil && r.err == nil && batch[i].Proposer == nexit.SideB && !in.Accept(batch[i]) {
-				limit = i
-				break
-			}
-		}
-		if limit == 0 || r.err != nil {
-			return limit
-		}
-		return r.proposeBatch(batch[:limit])
+	if r.hook == nil {
+		r.hook = r.acceptBatch
 	}
+	r.in = in
+	cfg := in.Cfg
+	cfg.BatchAcceptHook = r.hook
 	res, err := nexit.Negotiate(cfg, in.Eval, r, items, defaults, numAlts)
 	if err != nil && r.err == nil {
 		r.err = err
@@ -281,32 +290,69 @@ func (in *Initiator) negotiate(r *remoteEvaluator, items []nexit.Item, defaults 
 	if r.err != nil {
 		return nil
 	}
-	assign := make([]uint16, len(res.Assign))
-	for i, a := range res.Assign {
-		assign[i] = uint16(a)
+	r.assign = r.assign[:0]
+	for _, a := range res.Assign {
+		r.assign = append(r.assign, uint16(a))
 	}
-	r.exchange(MsgDone, appendDone(r.out[:0], &Done{Assign: assign, GainA: int32(res.GainA), GainB: int32(res.GainB),
+	r.exchange(MsgDone, appendDone(r.out[:0], &Done{Assign: r.assign, GainA: int32(res.GainA), GainB: int32(res.GainB),
 		StopReason: uint8(res.Stopped), Rounds: uint32(res.Rounds)}), 0)
 	return res
 }
 
-// remoteEvaluator proxies the responder's evaluator over the link.
+// acceptBatch is the engine's BatchAcceptHook. The remote agent
+// ratifies every proposal (the paper's veto, or confirming a turn the
+// engine simulated for it); the planned run travels in one ProposeBatch
+// and the responder commits the prefix it accepts. The initiator's own
+// Accept truncates the batch at its first veto of a responder-turn
+// proposal before it goes on the wire. A dead session accepts
+// everything: the all-accept path winds the engine down cheapest, and
+// the result is discarded.
+func (r *remoteEvaluator) acceptBatch(batch []nexit.Proposal) int {
+	limit := len(batch)
+	for i := range batch {
+		if r.in.Accept != nil && r.err == nil && batch[i].Proposer == nexit.SideB && !r.in.Accept(batch[i]) {
+			limit = i
+			break
+		}
+	}
+	if limit == 0 || r.err != nil {
+		return limit
+	}
+	return r.proposeBatch(batch[:limit])
+}
+
+// remoteEvaluator proxies the responder's evaluator over the link. On
+// a Conn it lives on the session, so its scratch serves every session
+// the Conn carries; open readies it for the next one.
 type remoteEvaluator struct {
 	l       link
 	out     []byte // encode scratch, handed to l.send and reused
 	numAlts int
+	in      *Initiator // the session's, for acceptBatch
 	// err is the session's first failure; nothing is sent after it.
 	// gone means it came from the link or the peer's own Error frame,
 	// so there is no one left to tell.
 	err  error
 	gone bool
-	// scratch buffers reused across the session's wire calls. The rows
-	// returned by Prefs alias prefRows; that is safe because the engine
-	// clamps them into its own tables before the next call.
+	// Scratch reused across wire calls. The rows returned by Prefs
+	// alias prefRows; that is safe because the engine clamps them into
+	// its own tables before the next call. hook is acceptBatch's method
+	// value, made once.
 	req      PrefsRequest
+	resp     PrefsResponse
+	respFlat []int8
 	prefRows [][]int
 	prefFlat []int
 	batch    []AcceptRequest
+	assign   []uint16
+	hook     func([]nexit.Proposal) int
+}
+
+// open readies r for a session over l, building payloads on out, and
+// keeps its scratch.
+func (r *remoteEvaluator) open(l link, out []byte, numAlts int) *remoteEvaluator {
+	r.l, r.out, r.numAlts, r.err, r.gone = l, out, numAlts, nil, false
+	return r
 }
 
 // exchange sends one frame and, unless want is zero, returns the reply,
@@ -363,7 +409,8 @@ func (r *remoteEvaluator) Prefs(items []nexit.Item, defaults []int) [][]int {
 	if r.err != nil {
 		return rows
 	}
-	resp, err := decodePrefsResponse(body)
+	resp := &r.resp
+	err := decodePrefsResponse(body, resp, &r.respFlat)
 	switch {
 	case err != nil:
 		r.err = err
@@ -407,7 +454,8 @@ func (r *remoteEvaluator) proposeBatch(batch []nexit.Proposal) int {
 	if r.err != nil {
 		return len(batch)
 	}
-	resp, err := decodeBatchAccept(body)
+	var resp BatchAccept
+	err := decodeBatchAccept(body, &resp)
 	if err == nil && int(resp.Accepted) > len(batch) {
 		err = fmt.Errorf("nexitwire: peer accepted %d of %d batched proposals", resp.Accepted, len(batch))
 	}
@@ -482,7 +530,7 @@ func RejectConn(c *Conn, timeout time.Duration, reason string) error {
 // it owns the deadlines, the stats and the buffers.
 func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, error) {
 	s := c.s.reset(r.Timeout)
-	var m serving
+	m := &s.srv
 	t, reply, res, err := m.open(r, hello, s.enc[:0])
 	for {
 		if t != 0 {
@@ -510,6 +558,9 @@ func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, err
 // A failing step answers with an Error frame saying why — unless the
 // frame was the peer's own Error — and the error is sticky: every later
 // step returns it and touches nothing, the evaluator least of all.
+//
+// On a Conn a serving lives on the session: open starts each session
+// afresh and keeps the scratch of the sessions before.
 type serving struct {
 	r     *Responder
 	hello *Hello // the peer's Hello, until open has answered it
@@ -524,16 +575,20 @@ type serving struct {
 	// copied here, not retained.
 	lastPrefs []int
 
-	// Per-request scratch, reused across the session.
+	// Per-request scratch: decoded requests, the evaluator's arguments
+	// and the response rows.
+	req      PrefsRequest
 	items    []nexit.Item
 	defaults []int
 	resp     PrefsResponse
 	respFlat []int8
+	batch    ProposeBatch
+	done     Done
 }
 
-// open starts the session for r on the peer's Hello.
+// open starts a session for r on the peer's Hello.
 func (m *serving) open(r *Responder, h *Hello, out []byte) (MsgType, []byte, *SessionResult, error) {
-	m.r, m.hello = r, h
+	m.r, m.hello, m.err, m.assign, m.gainB = r, h, nil, nil, 0
 	return m.step(MsgHello, nil, out)
 }
 
@@ -575,12 +630,16 @@ func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionR
 		}
 		m.hello = nil
 		m.assign = append([]int(nil), r.Defaults...)
-		m.lastPrefs = make([]int, len(r.Items)*na)
+		if cap(m.lastPrefs) < len(r.Items)*na {
+			m.lastPrefs = make([]int, len(r.Items)*na)
+		}
+		m.lastPrefs = m.lastPrefs[:len(r.Items)*na]
+		clear(m.lastPrefs)
 		return MsgHelloAck, appendHello(out, &ours), nil, nil
 
 	case MsgPrefsRequest:
-		req, err := decodePrefsRequest(body)
-		if err != nil {
+		req := &m.req
+		if err := decodePrefsRequest(body, req); err != nil {
 			return 0, nil, nil, err
 		}
 		m.items, m.defaults = m.items[:0], m.defaults[:0]
@@ -609,8 +668,8 @@ func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionR
 		return MsgPrefsResponse, appendPrefsResponse(out, &m.resp), nil, nil
 
 	case MsgProposeBatch:
-		pb, err := decodeProposeBatch(body)
-		if err != nil {
+		pb := &m.batch
+		if err := decodeProposeBatch(body, pb); err != nil {
 			return 0, nil, nil, err
 		}
 		// Decide the run in order, committing each accepted proposal,
@@ -632,8 +691,8 @@ func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionR
 		return MsgBatchAccept, appendBatchAccept(out, &BatchAccept{Accepted: uint32(accepted)}), nil, nil
 
 	case MsgRevert:
-		c, err := decodeRevert(body)
-		if err != nil {
+		var c Revert
+		if err := decodeRevert(body, &c); err != nil {
 			return 0, nil, nil, err
 		}
 		if int(c.ItemID) >= len(r.Items) || int(c.Alt) >= na || int(c.Def) >= na {
@@ -650,8 +709,8 @@ func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionR
 		return 0, nil, nil, nil
 
 	case MsgDone:
-		done, err := decodeDone(body)
-		if err != nil {
+		done := &m.done
+		if err := decodeDone(body, done); err != nil {
 			return 0, nil, nil, err
 		}
 		if len(done.Assign) != len(r.Items) {
@@ -687,6 +746,11 @@ type session struct {
 	timeout time.Duration
 	enc     []byte // outbound payload scratch (appendX builds on it)
 	rbuf    []byte // inbound frame scratch (bodies alias it)
+
+	// ini and srv hold the initiator's and the responder's per-session
+	// state; keeping them here keeps their scratch for the next session.
+	ini remoteEvaluator
+	srv serving
 
 	// armedRead/armedWrite coarsen deadline re-arming: net.Conn
 	// deadlines cost a timer update per call (net.Pipe allocates one),
@@ -728,7 +792,7 @@ func (s *session) send(t MsgType, payload []byte) error {
 	if err == nil {
 		s.stats.observeSent(t, len(payload), time.Since(now))
 	}
-	return s.stallErr("send "+t.String(), err)
+	return s.stallErr(t, err)
 }
 
 func (s *session) recv() (MsgType, []byte, error) {
@@ -747,18 +811,23 @@ func (s *session) recv() (MsgType, []byte, error) {
 	if err == nil {
 		s.stats.observeRecv(t, len(body), time.Since(now))
 	}
-	return t, body, s.stallErr("awaiting reply", err)
+	return t, body, s.stallErr(0, err)
 }
 
-// stallErr labels deadline expiries with the exchange that stalled and
-// the configured timeout, so "peer went silent mid-session" surfaces as
-// more than a bare i/o error. errors.Is(err, os.ErrDeadlineExceeded)
-// still holds on the result.
-func (s *session) stallErr(op string, err error) error {
-	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		return fmt.Errorf("nexitwire: peer stalled (%s exceeded the %v exchange timeout): %w", op, s.timeout, err)
+// stallErr labels deadline expiries with the exchange that stalled —
+// sending a frame of type sent, or awaiting a reply when sent is zero —
+// and the configured timeout, so "peer went silent mid-session"
+// surfaces as more than a bare i/o error. errors.Is(err,
+// os.ErrDeadlineExceeded) still holds on the result.
+func (s *session) stallErr(sent MsgType, err error) error {
+	if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
 	}
-	return err
+	op := "awaiting reply"
+	if sent != 0 {
+		op = "send " + sent.String()
+	}
+	return fmt.Errorf("nexitwire: peer stalled (%s exceeded the %v exchange timeout): %w", op, s.timeout, err)
 }
 
 // Conn wraps a net.Conn with the frame buffers every session it carries

@@ -240,7 +240,7 @@ func TestWireHelloMismatch(t *testing.T)           { helloRejection(t, "universe
 
 func TestPrefsRoundtrip(t *testing.T) {
 	req := &PrefsRequest{ItemIDs: []uint32{3, 9, 12}, Defaults: []uint16{0, 2, 1}}
-	gotReq, err := decodePrefsRequest(appendPrefsRequest(nil, req))
+	gotReq, err := fresh(decodePrefsRequest, appendPrefsRequest(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPrefsRoundtrip(t *testing.T) {
 		t.Errorf("request roundtrip: %+v", gotReq)
 	}
 	resp := &PrefsResponse{Prefs: [][]int8{{0, -3, 10}, {5, 0, -10}, {1, 2, 3}}}
-	gotResp, err := decodePrefsResponse(appendPrefsResponse(nil, resp))
+	gotResp, err := freshPrefsResponse(appendPrefsResponse(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPrefsResponseProperty(t *testing.T) {
 			rows = append(rows, row)
 		}
 		m := &PrefsResponse{Prefs: rows}
-		got, err := decodePrefsResponse(appendPrefsResponse(nil, m))
+		got, err := freshPrefsResponse(appendPrefsResponse(nil, m))
 		if err != nil {
 			return false
 		}
@@ -289,11 +289,11 @@ func TestPrefsResponseProperty(t *testing.T) {
 
 func TestOtherMessageRoundtrips(t *testing.T) {
 	r := &Revert{ItemID: 9, Alt: 2, Def: 1}
-	if got, err := decodeRevert(appendRevert(nil, r)); err != nil || !reflect.DeepEqual(r, got) {
+	if got, err := fresh(decodeRevert, appendRevert(nil, r)); err != nil || !reflect.DeepEqual(r, got) {
 		t.Errorf("revert: %+v %v", got, err)
 	}
 	d := &Done{Assign: []uint16{0, 1, 2}, GainA: -5, GainB: 12, StopReason: 2, Rounds: 99}
-	if got, err := decodeDone(appendDone(nil, d)); err != nil || !reflect.DeepEqual(d, got) {
+	if got, err := fresh(decodeDone, appendDone(nil, d)); err != nil || !reflect.DeepEqual(d, got) {
 		t.Errorf("done: %+v %v", got, err)
 	}
 	e := &ErrorMsg{Reason: "mismatch"}
@@ -306,18 +306,18 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := decodeHello([]byte{1}); err == nil {
 		t.Error("short hello accepted")
 	}
-	if _, err := decodePrefsRequest([]byte{0, 0, 0, 99}); err == nil {
+	if _, err := fresh(decodePrefsRequest, []byte{0, 0, 0, 99}); err == nil {
 		t.Error("lying prefs request accepted")
 	}
-	if _, err := decodePrefsResponse([]byte{0, 0, 1, 0, 0, 8}); err == nil {
+	if _, err := freshPrefsResponse([]byte{0, 0, 1, 0, 0, 8}); err == nil {
 		t.Error("lying prefs response accepted")
 	}
 	// Zero rows of 0x3030 columns: the encoder writes zero columns for
 	// zero rows, so these bytes could never re-encode to themselves.
-	if _, err := decodePrefsResponse([]byte{0, 0, 0, 0, 0x30, 0x30}); err == nil {
+	if _, err := freshPrefsResponse([]byte{0, 0, 0, 0, 0x30, 0x30}); err == nil {
 		t.Error("prefs response with columns but no rows accepted")
 	}
-	if _, err := decodeRevert([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
+	if _, err := fresh(decodeRevert, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
 		t.Error("revert with trailing bytes accepted")
 	}
 }
@@ -326,6 +326,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 // testUniverse builds a small real negotiation setup from the generator.
 func testUniverse(t testing.TB) (*pairsim.System, []nexit.Item, []int, int) {
+	return pairUniverse(testPairs(t)[0])
+}
+
+// testPairs enumerates the pairs of a small generated universe.
+func testPairs(t testing.TB) []*topology.Pair {
 	t.Helper()
 	cfg := gen.DefaultConfig()
 	cfg.NumISPs = 10
@@ -337,7 +342,12 @@ func testUniverse(t testing.TB) (*pairsim.System, []nexit.Item, []int, int) {
 	if len(pairs) == 0 {
 		t.Fatal("no pairs in test dataset")
 	}
-	pair := pairs[0]
+	return pairs
+}
+
+// pairUniverse is pair's negotiation table: both directions' identical
+// workloads, each flow defaulting to its early exit.
+func pairUniverse(pair *topology.Pair) (*pairsim.System, []nexit.Item, []int, int) {
 	s := pairsim.New(pair, nil)
 	rev := s.Reverse()
 	wAB := traffic.New(pair.A, pair.B, traffic.Identical, nil)
@@ -590,28 +600,55 @@ func TestWorkloadHash(t *testing.T) {
 	}
 }
 
-// TestWorkloadHashMatchesFNV pins the inline fold to hash/fnv's 64-bit
-// FNV-1a over the same bytes — every field as eight big-endian bytes —
-// on random tables and the empty one: the value travels in the Hello,
-// so a peer built before the fold must compute the same number.
-func TestWorkloadHashMatchesFNV(t *testing.T) {
-	reference := func(items []nexit.Item, defaults []int, numAlts int) uint64 {
-		h := fnv.New64a()
-		put := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
-		put(uint64(numAlts))
-		put(uint64(len(items)))
-		for i, it := range items {
-			put(uint64(it.ID))
-			put(uint64(it.Flow.Src))
-			put(uint64(it.Flow.Dst))
-			put(math.Float64bits(it.Flow.Size))
-			put(uint64(it.Dir))
-			put(uint64(defaults[i]))
-		}
-		return h.Sum64()
+// fnvReference is WorkloadHash as hash/fnv computes it: 64-bit FNV-1a
+// over every field as eight big-endian bytes, one Write per field.
+func fnvReference(items []nexit.Item, defaults []int, numAlts int) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
+	put(uint64(numAlts))
+	put(uint64(len(items)))
+	for i, it := range items {
+		put(uint64(it.ID))
+		put(uint64(it.Flow.Src))
+		put(uint64(it.Flow.Dst))
+		put(math.Float64bits(it.Flow.Size))
+		put(uint64(it.Dir))
+		put(uint64(defaults[i]))
 	}
+	return h.Sum64()
+}
+
+// TestWorkloadHashMatchesFNV pins the zero-run fold to hash/fnv's
+// 64-bit FNV-1a over the same bytes — every field as eight big-endian
+// bytes — on the empty table, on tables of edge values and on random
+// ones: the value travels in the Hello, so a peer built before the fold
+// must compute the same number.
+func TestWorkloadHashMatchesFNV(t *testing.T) {
+	reference := fnvReference
 	if got, want := WorkloadHash(nil, nil, 0), reference(nil, nil, 0); got != want {
 		t.Errorf("empty table: WorkloadHash = %#x, hash/fnv gives %#x", got, want)
+	}
+	// Edge values: fields with no, one or seven zero bytes, both ends'
+	// zero runs (1.0 is 0x3FF0 and six zero bytes), the sign bit alone,
+	// a negative default sign-extending to eight 0xFF bytes, and sizes
+	// whose bits are zero, the sign, +Inf or a NaN payload.
+	ints := []uint64{0, 1, 255, 256, 1 << 63}
+	sizes := []float64{0, math.Copysign(0, -1), 1, math.Inf(1), math.Float64frombits(0x7FF8_0000_DEAD_BEEF)}
+	for _, v := range ints {
+		for _, size := range sizes {
+			n := int(v)
+			items := []nexit.Item{
+				{ID: n, Flow: traffic.Flow{Src: n, Dst: n, Size: size}, Dir: nexit.Direction(n)},
+				{ID: n, Flow: traffic.Flow{Src: 0, Dst: 1, Size: size}, Dir: nexit.BtoA},
+			}
+			defaults := []int{-1, n}
+			for _, numAlts := range []int{0, n} {
+				if got, want := WorkloadHash(items, defaults, numAlts), reference(items, defaults, numAlts); got != want {
+					t.Errorf("field %#x, size %#x, numAlts %d: WorkloadHash = %#x, hash/fnv gives %#x",
+						v, math.Float64bits(size), numAlts, got, want)
+				}
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 200; trial++ {
@@ -630,6 +667,39 @@ func TestWorkloadHashMatchesFNV(t *testing.T) {
 			t.Fatalf("trial %d (%d items): WorkloadHash = %#x, hash/fnv gives %#x", trial, len(items), got, want)
 		}
 	}
+}
+
+// FuzzWorkloadHash checks WorkloadHash against fnvReference on
+// arbitrary tables: every 48 bytes of raw are one item's ID, source,
+// destination, size bits, direction and default, big-endian.
+func FuzzWorkloadHash(f *testing.F) {
+	var edges []byte
+	for _, v := range []uint64{0, 1, 255, 256, 1 << 63, math.MaxUint64, math.Float64bits(1), 0x7FF8_0000_DEAD_BEEF} {
+		for field := 0; field < 6; field++ {
+			edges = binary.BigEndian.AppendUint64(edges, v)
+		}
+	}
+	f.Add(0, []byte(nil))
+	f.Add(2, edges)
+	f.Fuzz(func(t *testing.T, numAlts int, raw []byte) {
+		n := len(raw) / 48
+		items, defaults := make([]nexit.Item, n), make([]int, n)
+		for i := range items {
+			var w [6]uint64
+			for k := range w {
+				w[k] = binary.BigEndian.Uint64(raw[48*i+8*k:])
+			}
+			items[i] = nexit.Item{
+				ID:   int(w[0]),
+				Flow: traffic.Flow{Src: int(w[1]), Dst: int(w[2]), Size: math.Float64frombits(w[3])},
+				Dir:  nexit.Direction(w[4]),
+			}
+			defaults[i] = int(w[5])
+		}
+		if got, want := WorkloadHash(items, defaults, numAlts), fnvReference(items, defaults, numAlts); got != want {
+			t.Fatalf("%d items, numAlts %d: WorkloadHash = %#x, hash/fnv gives %#x", n, numAlts, got, want)
+		}
+	})
 }
 
 // TestWireUniverseHasTrades checks that the wire tests' universe gives
