@@ -427,12 +427,17 @@ func NewBandwidthEvaluator(s *pairsim.System, side Side, p int, load, capv []flo
 }
 
 // row fills item i's deltas: cost of the default minus cost of each
-// alternative.
+// alternative. The default's cost is computed once: Load and Cap do not
+// change while a row is filled, so its own entry is base - base.
 func (e *BandwidthEvaluator) row(i int) {
-	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
-	base := e.alternativeCost(it, e.scratch.defaults[i])
+	it, row, def := e.scratch.items[i], e.scratch.deltaRows[i], e.scratch.defaults[i]
+	base := e.alternativeCost(it, def)
 	for k := range row {
-		row[k] = base - e.alternativeCost(it, k)
+		if k == def {
+			row[k] = base - base
+		} else {
+			row[k] = base - e.alternativeCost(it, k)
+		}
 	}
 }
 
@@ -462,12 +467,17 @@ func NewFortzThorupEvaluator(s *pairsim.System, side Side, p int, load, capv []f
 }
 
 // row fills item i's deltas: cost of the default minus cost of each
-// alternative.
+// alternative. The default's cost is computed once: Load and Cap do not
+// change while a row is filled, so its own entry is base - base.
 func (e *FortzThorupEvaluator) row(i int) {
-	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
-	base := e.alternativeCost(it, e.scratch.defaults[i])
+	it, row, def := e.scratch.items[i], e.scratch.deltaRows[i], e.scratch.defaults[i]
+	base := e.alternativeCost(it, def)
 	for k := range row {
-		row[k] = base - e.alternativeCost(it, k)
+		if k == def {
+			row[k] = base - base
+		} else {
+			row[k] = base - e.alternativeCost(it, k)
+		}
 	}
 }
 

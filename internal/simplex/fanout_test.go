@@ -65,33 +65,43 @@ var (
 	fanOutTiles = []int{1, 3, 512}
 )
 
-// checkFanOut solves p holding one pivot at a time in one loop, the
-// eager schedule, then under every held-pivot schedule with every flush
-// split into 1–4 runs, and fails unless the outcomes agree bit for bit.
+// checkFanOut solves p holding one pivot at a time in one loop on the
+// portable kernel, the eager schedule, then under every held-pivot
+// schedule with every flush split into 1–4 runs on every kernel this CPU
+// can run, and fails unless the outcomes agree bit for bit.
 func checkFanOut(t *testing.T, p Problem) {
 	t.Helper()
-	want, wantErr := solve(p, 1, tileWidth, 1, 0)
-	for _, hold := range fanOutHolds {
-		for _, tile := range fanOutTiles {
-			for parts := 1; parts <= 4; parts++ {
-				got, err := solve(p, hold, tile, parts, 0)
-				sched := fmt.Sprintf("hold %d, tile %d, %d parts", hold, tile, parts)
-				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-					t.Fatalf("%s: error %v, eager %v", sched, err, wantErr)
-				}
-				if err != nil {
-					continue
-				}
-				if got.Status != want.Status || !sameBits(got.Objective, want.Objective) || len(got.X) != len(want.X) {
-					t.Fatalf("%s: %v objective %v, eager %v objective %v",
-						sched, got.Status, got.Objective, want.Status, want.Objective)
-				}
-				for j := range got.X {
-					if !sameBits(got.X[j], want.X[j]) {
-						t.Fatalf("%s: x[%d] = %v, eager %v", sched, j, got.X[j], want.X[j])
-					}
+	want, wantErr := solve(p, 1, tileWidth, 1, 0, kernelGo)
+	for _, k := range kernels() {
+		for _, hold := range fanOutHolds {
+			for _, tile := range fanOutTiles {
+				for parts := 1; parts <= 4; parts++ {
+					checkSchedule(t, p, want, wantErr, k, hold, tile, parts)
 				}
 			}
+		}
+	}
+}
+
+// checkSchedule solves p under one schedule on kernel k and fails unless
+// the outcome is want, wantErr bit for bit.
+func checkSchedule(t *testing.T, p Problem, want *Solution, wantErr error, k kernel, hold, tile, parts int) {
+	t.Helper()
+	got, err := solve(p, hold, tile, parts, 0, k.id)
+	sched := fmt.Sprintf("%s, hold %d, tile %d, %d parts", k.name, hold, tile, parts)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%s: error %v, eager %v", sched, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if got.Status != want.Status || !sameBits(got.Objective, want.Objective) || len(got.X) != len(want.X) {
+		t.Fatalf("%s: %v objective %v, eager %v objective %v",
+			sched, got.Status, got.Objective, want.Status, want.Objective)
+	}
+	for j := range got.X {
+		if !sameBits(got.X[j], want.X[j]) {
+			t.Fatalf("%s: x[%d] = %v, eager %v", sched, j, got.X[j], want.X[j])
 		}
 	}
 }
@@ -197,7 +207,7 @@ func TestSolveFanOutMatchesOneLoop(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := solve(c.p, 1, tileWidth, 1, 0)
+			s, err := solve(c.p, 1, tileWidth, 1, 0, kernelGo)
 			if err != nil || s.Status != c.want {
 				t.Fatalf("eager solve: %v %v, want %v", s, err, c.want)
 			}
@@ -206,8 +216,8 @@ func TestSolveFanOutMatchesOneLoop(t *testing.T) {
 	}
 }
 
-// FuzzSolveFanOut checks that no held-pivot schedule, tile width or
-// fan-out moves a bit of Solve's result.
+// FuzzSolveFanOut checks that no held-pivot schedule, tile width,
+// fan-out or kernel moves a bit of Solve's result.
 func FuzzSolveFanOut(f *testing.F) {
 	// max x+y s.t. x<=2, y<=3.
 	f.Add(lpBytes(2, 2, 0, -1, -1, 1, 0, 2, 0, 1, 3))
@@ -226,4 +236,42 @@ func FuzzSolveFanOut(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFanOut(t, decodeLP(data))
 	})
+}
+
+// BenchmarkFlush applies 8 held pivots to a third of the rows of a
+// tableau the size of the 30-ISP dataset's largest LP (524 rows, 4 946
+// columns), in one loop, on each kernel this CPU can run; ns/slot is per
+// element and held slot a row takes.
+func BenchmarkFlush(b *testing.B) {
+	const m, n = 524, 4946 - 524
+	p := Problem{C: make([]float64, n)}
+	for i := 0; i < m; i++ {
+		p.AUb, p.BUb = append(p.AUb, Row{Idx: []int32{int32(i % n)}, Val: []float64{1}}), append(p.BUb, 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range kernels() {
+		b.Run(k.name, func(b *testing.B) {
+			t := newTableau(p, holdPivots, tileWidth, 1, 0, k.id)
+			for _, row := range append(t.a, t.slots...) {
+				for j := range row {
+					row[j] = rng.Float64()
+				}
+			}
+			h := len(t.slots)
+			slots := 0
+			for b.Loop() {
+				t.held = h
+				for i := 0; i < m; i += 3 {
+					for s := range h {
+						if rng.Intn(4) != 0 {
+							t.fac[i*h+s] = 0x1p-10 * rng.Float64()
+							slots++
+						}
+					}
+				}
+				t.flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(slots)/float64(t.cols+1), "ns/slot")
+		})
+	}
 }

@@ -12,21 +12,25 @@
 // right-hand sides, phase one is skipped entirely — the optimal-routing
 // LP is formulated that way (see internal/optimal) to keep it fast.
 //
-// Every tableau row update, dst[j] -= f*src[j], goes through one kernel,
-// subScaled: AVX2 on amd64 CPUs a CPUID/XGETBV probe finds it on, SSE2 on
-// other amd64 CPUs, a portable loop elsewhere. All multiply, round, then
-// subtract, exactly as scalar amd64 code does; none fuses the two into an
-// FMA, whose single rounding would move the pivots.
+// Every tableau row update goes through one kernel, subScaledMulti,
+// which takes a row and any number of scaled source rows: for each
+// element, x -= f*src in source order, with the row loaded and stored
+// once. It runs in AVX-512 or AVX2 on amd64 CPUs a CPUID/XGETBV probe
+// finds them on and as a portable loop elsewhere. All multiply, round,
+// then subtract, exactly as scalar amd64 code does; none fuses the two
+// into an FMA, whose single rounding would move the pivots.
 //
 // A pivot is held, not applied at once: it brings only the pivot row up
 // to date, scales it, keeps a copy and records each other row's entry in
 // its column, which the ratio test has just computed. Once eight pivots
-// are held, or before anything reads whole rows, flush applies them row
-// by row in 512-column tiles, so a tile stays in L1 while it takes every
-// held pivot; a large flush splits its rows across GOMAXPROCS
-// goroutines. Every element still gets the same operations in the same
-// order as under eager elimination, so neither the hold, the tiles nor
-// the split moves a bit of the result (DESIGN.md §12 "LP tableau").
+// are held, or before anything reads whole rows, flush applies them: it
+// walks the columns in tiles, and every row it updates takes all its held
+// pivots in one kernel call per tile, so the slots' tile stays in L1
+// while every row takes it; a large flush splits its rows across
+// GOMAXPROCS goroutines. Every element still gets the same operations in
+// the same order as under eager elimination, so neither the hold, the
+// tiles, the kernel nor the split moves a bit of the result (DESIGN.md
+// §12 "LP tableau").
 package simplex
 
 import (
@@ -91,14 +95,15 @@ const (
 	// holdPivots is how many pivots the tableau holds before flush
 	// applies them to its rows in one pass over each row.
 	holdPivots = 8
-	// tileWidth is the width, in columns, of the tiles flush updates a
-	// row in: 4 KiB of row, which stays in L1 while it takes every held
-	// pivot.
-	tileWidth = 512
+	// tileWidth is the width, in columns, of the tiles flush walks: the
+	// held slots' tile, 8 × 2 KiB, stays in L1 while every updated row
+	// takes it.
+	tileWidth = 256
 	// fanOutWork is the flush work, in tableau elements (row updates
 	// times row width), from which a flush splits its rows across
-	// goroutines. Below it a goroutine's start costs more than it saves.
-	fanOutWork = 1 << 16
+	// goroutines. Below it the split mostly lands on a core another
+	// solve holds (DESIGN.md §12 "LP tableau").
+	fanOutWork = 1 << 20
 )
 
 // Validate checks the problem dimensions.
@@ -160,18 +165,19 @@ type tableau struct {
 	// least minWork elements of row updates splits its rows into at most
 	// parts runs; below that, or with parts <= 1, one loop.
 	tile, parts, minWork int
-	touched              []int // scratch: the rows a flush updates
+	touched              []int    // scratch: the rows a flush updates
+	kernel               kernelID // the row kernel every update runs on
 }
 
 // Solve runs the two-phase simplex method.
 func Solve(p Problem) (*Solution, error) {
-	return solve(p, holdPivots, tileWidth, runtime.GOMAXPROCS(0), fanOutWork)
+	return solve(p, holdPivots, tileWidth, runtime.GOMAXPROCS(0), fanOutWork, picked)
 }
 
-// solve is Solve with the held pivots, the flush's tile width and its
-// fan-out's parts and work threshold given, so tests can force any
-// schedule.
-func solve(p Problem, hold, tile, parts, minWork int) (*Solution, error) {
+// solve is Solve with the held pivots, the flush's tile width, its
+// fan-out's parts and work threshold and the row kernel given, so tests
+// can force any schedule on any kernel.
+func solve(p Problem, hold, tile, parts, minWork int, kernel kernelID) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,7 +194,7 @@ func solve(p Problem, hold, tile, parts, minWork int) (*Solution, error) {
 		return &Solution{Status: Optimal, X: make([]float64, n)}, nil
 	}
 
-	t := newTableau(p, hold, tile, parts, minWork)
+	t := newTableau(p, hold, tile, parts, minWork, kernel)
 	if t.cols > n+mUb {
 		// Phase 1: minimize the sum of artificials.
 		obj := make([]float64, t.cols)
@@ -230,8 +236,9 @@ func solve(p Problem, hold, tile, parts, minWork int) (*Solution, error) {
 // newTableau scatters a validated p with at least one row into a
 // tableau holding up to hold pivots. Columns are laid out [0,n)
 // structural, [n, n+mUb) slacks, then one artificial for each equality
-// row and each inequality row with a negative bound.
-func newTableau(p Problem, hold, tile, parts, minWork int) *tableau {
+// row and each inequality row with a negative bound. Every row update
+// runs on kernel.
+func newTableau(p Problem, hold, tile, parts, minWork int, kernel kernelID) *tableau {
 	n := len(p.C)
 	mUb, mEq := len(p.AUb), len(p.AEq)
 	m := mUb + mEq
@@ -246,7 +253,7 @@ func newTableau(p Problem, hold, tile, parts, minWork int) *tableau {
 	t := &tableau{
 		a: make([][]float64, m), basis: make([]int, m), m: m, cols: cols,
 		slots: make([][]float64, hold), fac: make([]float64, m*hold), col: make([]float64, m),
-		tile: tile, parts: parts, minWork: minWork,
+		tile: tile, parts: parts, minWork: minWork, kernel: kernel,
 	}
 	backing := make([]float64, (m+hold)*w)
 	artCol := n + mUb
@@ -296,11 +303,14 @@ func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 	// Reduced costs: start from obj, then price out the current basis.
 	red := make([]float64, t.cols+1)
 	copy(red, obj)
+	var srcs [][]float64
+	var fs []float64
 	for i, b := range t.basis {
 		if cb := obj[b]; cb != 0 {
-			subScaled(red, t.a[i], cb)
+			srcs, fs = append(srcs, t.a[i]), append(fs, cb)
 		}
 	}
+	subScaledMulti(t.kernel, red, srcs, fs)
 
 	bland := false
 	stall := 0
@@ -397,11 +407,10 @@ func (t *tableau) pivot(row, col int, red []float64) {
 	h := len(t.slots)
 	ar := t.a[row]
 	fr := t.fac[row*h : row*h+h]
-	for s, f := range fr[:t.held] {
-		if f != 0 {
-			subScaled(ar, t.slots[s], f)
-		}
-	}
+	var srcBuf [holdPivots][]float64
+	var fBuf [holdPivots]float64
+	srcs, fs := t.gather(srcBuf[:0], fBuf[:0], fr[:t.held], 0, len(ar))
+	subScaledMulti(t.kernel, ar, srcs, fs)
 	clear(fr)
 	inv := 1 / ar[col]
 	for j := range ar {
@@ -416,7 +425,7 @@ func (t *tableau) pivot(row, col int, red []float64) {
 	}
 	t.held++
 	if f := red[col]; f != 0 {
-		subScaled(red, ar, f)
+		subScaledMulti(t.kernel, red, [][]float64{ar}, []float64{f})
 	}
 	t.basis[row] = col
 	t.pivots++
@@ -470,25 +479,38 @@ func (t *tableau) flush() {
 	t.held = 0
 }
 
-// apply gives each of rows the held pivots, in order, one column tile at
-// a time so that the row's tile stays in L1 while it takes them all, and
-// clears the row's factors.
+// apply gives each of rows the held pivots, in order, and clears the
+// row's factors. It walks the columns in tiles and, in each, passes
+// every row its nonzero-factor slots' tiles in one kernel call, so the
+// slots' tile stays in L1 while every row takes it and each row tile is
+// loaded and stored once per flush.
 func (t *tableau) apply(rows []int) {
 	h := len(t.slots)
 	w := t.cols + 1
-	for _, i := range rows {
-		ai := t.a[i]
-		fr := t.fac[i*h : i*h+t.held]
-		for j0 := 0; j0 < w; j0 += t.tile {
-			j1 := min(j0+t.tile, w)
-			for s, f := range fr {
-				if f != 0 {
-					subScaled(ai[j0:j1], t.slots[s][j0:j1], f)
-				}
-			}
+	var srcBuf [holdPivots][]float64
+	var fBuf [holdPivots]float64
+	for j0 := 0; j0 < w; j0 += t.tile {
+		j1 := min(j0+t.tile, w)
+		for _, i := range rows {
+			srcs, fs := t.gather(srcBuf[:0], fBuf[:0], t.fac[i*h:i*h+t.held], j0, j1)
+			subScaledMulti(t.kernel, t.a[i][j0:j1], srcs, fs)
 		}
-		clear(fr)
 	}
+	for _, i := range rows {
+		clear(t.fac[i*h : i*h+t.held])
+	}
+}
+
+// gather appends to srcs and fs columns [j0, j1) of each slot whose
+// factor in fr is nonzero, and that factor: a zero factor is skipped, as
+// eager elimination skips a zero pivot-column entry.
+func (t *tableau) gather(srcs [][]float64, fs, fr []float64, j0, j1 int) ([][]float64, []float64) {
+	for s, f := range fr {
+		if f != 0 {
+			srcs, fs = append(srcs, t.slots[s][j0:j1]), append(fs, f)
+		}
+	}
+	return srcs, fs
 }
 
 // driveOutArtificials pivots basic artificial variables (value ~0 after a
@@ -523,13 +545,34 @@ func (t *tableau) driveOutArtificials(firstArt int) {
 	}
 }
 
-// subScaledGo is the portable subScaled. The float64 conversion rounds
-// the product before the subtraction, so no GOARCH fuses the two into an
-// FMA (DESIGN.md §12 "LP tableau").
-func subScaledGo(dst, src []float64, f float64) {
-	n := min(len(dst), len(src))
-	dst, src = dst[:n], src[:n]
-	for j := range dst {
-		dst[j] -= float64(f * src[j])
+// kernelID names a row kernel; kernelGo, the portable loop, runs on
+// every GOARCH.
+type kernelID uint8
+
+const kernelGo kernelID = 0
+
+// trim cuts dst to the length it shares with every source and fs to one
+// factor per source; fs shorter than srcs panics.
+func trim(dst []float64, srcs [][]float64, fs []float64) ([]float64, []float64) {
+	fs = fs[:len(srcs)]
+	n := len(dst)
+	for _, src := range srcs {
+		n = min(n, len(src))
+	}
+	return dst[:n], fs
+}
+
+// subScaledGo is the portable subScaledMulti and the other kernels'
+// oracle: for j below the common length, dst[j] -= fs[s]*srcs[s][j] for
+// each source s in order. The float64 conversion rounds each product
+// before its subtraction, so no GOARCH fuses the two into an FMA
+// (DESIGN.md §12 "LP tableau").
+func subScaledGo(dst []float64, srcs [][]float64, fs []float64) {
+	dst, fs = trim(dst, srcs, fs)
+	for j, x := range dst {
+		for s, src := range srcs {
+			x -= float64(fs[s] * src[j])
+		}
+		dst[j] = x
 	}
 }

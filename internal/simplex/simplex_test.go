@@ -388,7 +388,7 @@ func TestBealeCyclesIntoBland(t *testing.T) {
 		AUb: rows([][]float64{{0.25, -60, -0.04, 9}, {0.5, -90, -0.02, 3}, {0, 0, 1, 0}}),
 		BUb: []float64{0, 0, 1},
 	}
-	tb := newTableau(p, holdPivots, tileWidth, 1, 0)
+	tb := newTableau(p, holdPivots, tileWidth, 1, 0, picked)
 	obj := make([]float64, tb.cols)
 	copy(obj, p.C)
 	val, err := tb.optimize(obj, tb.cols)

@@ -1,33 +1,63 @@
 package simplex
 
-// useAVX2 is the CPUID/XGETBV probe's verdict, taken once at init: the
-// CPU has AVX2 and the OS saves the YMM registers.
-var useAVX2 = hasAVX2()
+// The assembly kernels, beside kernelGo.
+const (
+	kernelAVX2 kernelID = 1 + iota
+	kernelAVX512
+)
 
-// subScaled computes dst[j] -= f*src[j] for j < min(len(dst), len(src))
-// in AVX2 where the probe found it and in SSE2 otherwise
-// (subscaled_amd64.s). Both multiply then subtract lane by lane, rounding
-// each exactly as the MULSD then SUBSD the compiler emits for
-// subScaledGo; neither fuses the two.
-func subScaled(dst, src []float64, f float64) {
-	if useAVX2 {
-		subScaledAVX2(dst, src, f)
-		return
+// hasAVX2 and hasAVX512 are the CPUID/XGETBV probe's verdicts, taken
+// once at init.
+var hasAVX2, hasAVX512 = probe()
+
+// picked is the kernel Solve runs on: the widest the probe found.
+var picked = widest(hasAVX2, hasAVX512)
+
+// widest names the widest of the kernels found.
+func widest(avx2, avx512 bool) kernelID {
+	switch {
+	case avx512:
+		return kernelAVX512
+	case avx2:
+		return kernelAVX2
 	}
-	subScaledSSE2(dst, src, f)
+	return kernelGo
 }
 
-// subScaledSSE2 is subScaled in SSE2: MULPD then SUBPD, 8 elements a
-// step, then a scalar tail.
-//
-//go:noescape
-func subScaledSSE2(dst, src []float64, f float64)
+// subScaledMulti computes, for j below the length dst shares with every
+// source, dst[j] -= fs[s]*srcs[s][j] for each source s in order, on
+// kernel k. The assembly bodies (subscaled_amd64.s) load and store each
+// element of dst once and multiply then subtract lane by lane, rounding
+// each exactly as the MULSD then SUBSD the compiler emits for
+// subScaledGo; neither fuses the two.
+func subScaledMulti(k kernelID, dst []float64, srcs [][]float64, fs []float64) {
+	dst, fs = trim(dst, srcs, fs)
+	if len(dst) == 0 || len(fs) == 0 {
+		return
+	}
+	switch k {
+	case kernelAVX512:
+		subScaledMultiAVX512(dst, srcs, fs)
+	case kernelAVX2:
+		subScaledMultiAVX2(dst, srcs, fs)
+	default:
+		subScaledGo(dst, srcs, fs)
+	}
+}
 
-// subScaledAVX2 is subScaled in 256-bit VEX code: VMULPD then VSUBPD, 16
-// elements a step, then 4, then a scalar tail, and VZEROUPPER on return.
+// subScaledMultiAVX512 is subScaledMulti in 512-bit EVEX code over a dst
+// no longer than any source: VMULPD then VSUBPD, 32 elements a step, then
+// 8, then a masked tail, and VZEROUPPER on return.
 //
 //go:noescape
-func subScaledAVX2(dst, src []float64, f float64)
+func subScaledMultiAVX512(dst []float64, srcs [][]float64, fs []float64)
+
+// subScaledMultiAVX2 is subScaledMulti in 256-bit VEX code over a dst no
+// longer than any source: VMULPD then VSUBPD, 16 elements a step, then 4,
+// then a scalar tail of at most 3, and VZEROUPPER on return.
+//
+//go:noescape
+func subScaledMultiAVX2(dst []float64, srcs [][]float64, fs []float64)
 
 // cpuid executes CPUID with the given leaf and subleaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -35,20 +65,21 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0.
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2 reports whether subScaledAVX2 can run: CPUID leaf 7 reports
-// AVX2, leaf 1 reports AVX and OSXSAVE, and XCR0 has the XMM and YMM
-// state enabled.
-func hasAVX2() bool {
+// probe reports which assembly kernels this CPU and OS can run. Both
+// need CPUID leaf 1's AVX and OSXSAVE. AVX2 needs leaf 7 EBX bit 5 and
+// XCR0's XMM and YMM state; AVX-512 needs AVX512F (leaf 7 EBX bit 16) and
+// XCR0's opmask and both ZMM state bits besides.
+func probe() (avx2, avx512 bool) {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
+		return false, false
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
+	xcr0, _ := xgetbv()
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	const ymmState, zmmState = 0x06, 0xe6
+	return ebx&(1<<5) != 0 && xcr0&ymmState == ymmState,
+		ebx&(1<<16) != 0 && xcr0&zmmState == zmmState
 }

@@ -1,13 +1,14 @@
 package simplex
 
-// kernels lists the row kernels this CPU can run and names the one the
-// probe picked for subScaled: SSE2 always, AVX2 when the probe found it.
-func kernels() (runnable []kernel, picked string) {
-	runnable = []kernel{{"sse2", subScaledSSE2}}
-	picked = "sse2"
-	if useAVX2 {
-		runnable = append(runnable, kernel{"avx2", subScaledAVX2})
-		picked = "avx2"
+// kernels lists the row kernels this CPU can run, the portable loop
+// first, then AVX2 and AVX-512 where the probe found them.
+func kernels() []kernel {
+	runnable := []kernel{{"go", kernelGo}}
+	if hasAVX2 {
+		runnable = append(runnable, kernel{"avx2", kernelAVX2})
 	}
-	return runnable, picked
+	if hasAVX512 {
+		runnable = append(runnable, kernel{"avx512", kernelAVX512})
+	}
+	return runnable
 }

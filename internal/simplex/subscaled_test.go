@@ -17,27 +17,37 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// kernel is one implementation of subScaled.
+// kernel is one implementation of subScaledMulti.
 type kernel struct {
 	name string
-	fn   func(dst, src []float64, f float64)
+	id   kernelID
+}
+
+// kernelName names the kernel with the given id.
+func kernelName(id kernelID) string {
+	for _, k := range kernels() {
+		if k.id == id {
+			return k.name
+		}
+	}
+	return "unknown"
 }
 
 // checkSubScaled runs every kernel this CPU can run and the portable
 // loop on copies of dst, and fails on the first element where they
-// differ.
-func checkSubScaled(t *testing.T, dst, src []float64, f float64) {
+// differ, including any past the common length, which must stay as
+// they were.
+func checkSubScaled(t *testing.T, dst []float64, srcs [][]float64, fs []float64) {
 	t.Helper()
 	want := append([]float64(nil), dst...)
-	subScaledGo(want, src, f)
-	runnable, _ := kernels()
-	for _, k := range runnable {
+	subScaledGo(want, srcs, fs)
+	for _, k := range kernels() {
 		got := append([]float64(nil), dst...)
-		k.fn(got, src, f)
+		subScaledMulti(k.id, got, srcs, fs)
 		for j := range got {
 			if !sameBits(got[j], want[j]) {
-				t.Fatalf("%s, len %d/%d f %v: element %d is %v (%#x), portable loop gives %v (%#x)",
-					k.name, len(dst), len(src), f, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				t.Fatalf("%s, len %d, %d sources, factors %v: element %d is %v (%#x), portable loop gives %v (%#x)",
+					k.name, len(dst), len(srcs), fs, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 			}
 		}
 	}
@@ -53,11 +63,10 @@ var special = []float64{
 }
 
 func TestSubScaledMatchesPortable(t *testing.T) {
-	runnable, picked := kernels()
-	for _, k := range runnable {
+	for _, k := range kernels() {
 		t.Logf("checking kernel %s", k.name)
 	}
-	t.Logf("the probe picked %s for subScaled", picked)
+	t.Logf("the probe picked %s for Solve", kernelName(picked))
 	rng := rand.New(rand.NewSource(5))
 	factors := append([]float64{0.1, 0.75, -1e300, 1e-300, 3}, special...)
 	draw := func() float64 {
@@ -66,101 +75,151 @@ func TestSubScaledMatchesPortable(t *testing.T) {
 		}
 		return (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(40)-20))
 	}
-	// Lengths 0–67 cover AVX2's 16-wide body, its 4-wide and scalar
-	// tails and SSE2's 8-wide body and tail. One buffer per side, so the
-	// offset-1 windows start 8 bytes off any 16- or 32-byte boundary the
-	// allocator gave the buffer.
-	dstBuf := make([]float64, 80)
-	srcBuf := make([]float64, 80)
-	for n := 0; n <= 67; n++ {
-		for _, off := range []int{0, 1} {
-			for _, f := range factors {
-				for j := range dstBuf {
-					dstBuf[j], srcBuf[j] = draw(), draw()
+	fill := func(buf []float64) {
+		for j := range buf {
+			buf[j] = draw()
+		}
+	}
+	// 1–8 sources over lengths 0–100 cross AVX-512's 32- and 8-wide
+	// blocks and every masked tail, and AVX2's 16- and 4-wide blocks and
+	// every scalar tail. Each buffer is read from offset 0 or 1, so a
+	// window starts 8 bytes off any 16-, 32- or 64-byte boundary the
+	// allocator gave it, and each source runs up to 9 elements past dst.
+	dstBuf := make([]float64, 112)
+	srcBufs := make([][]float64, 8)
+	for s := range srcBufs {
+		srcBufs[s] = make([]float64, 112)
+	}
+	for k := 1; k <= 8; k++ {
+		for n := 0; n <= 100; n++ {
+			for draws := 0; draws < 4; draws++ {
+				fill(dstBuf)
+				off := draws % 2
+				srcs := make([][]float64, k)
+				fs := make([]float64, k)
+				for s := range srcs {
+					fill(srcBufs[s])
+					so := rng.Intn(2)
+					srcs[s] = srcBufs[s][so : so+n+rng.Intn(10)]
+					fs[s] = factors[rng.Intn(len(factors))]
 				}
-				checkSubScaled(t, dstBuf[off:off+n], srcBuf[off:off+n], f)
-				checkSubScaled(t, dstBuf[off:off+n], srcBuf[1-off:1-off+n], f)
+				checkSubScaled(t, dstBuf[off:off+n], srcs, fs)
 			}
 		}
 	}
-	// Every special against every special, at a length that uses both the
-	// unrolled body and the scalar tail.
+	// Every special against every special, at lengths that use the
+	// unrolled bodies and the tails: one source with each factor, and
+	// two sources with each pair of factors the special values make.
+	var dst, src []float64
+	for _, a := range special {
+		for _, b := range special {
+			dst, src = append(dst, a), append(src, b)
+		}
+	}
 	for _, f := range factors {
-		dst := make([]float64, 0, 2*len(special)*len(special))
-		src := make([]float64, 0, cap(dst))
-		for _, a := range special {
-			for _, b := range special {
-				dst, src = append(dst, a), append(src, b)
+		checkSubScaled(t, dst, [][]float64{src}, []float64{f})
+	}
+	var dst2, src0, src1 []float64
+	for _, a := range special {
+		for _, b := range special {
+			for _, c := range special {
+				dst2, src0, src1 = append(dst2, a), append(src0, b), append(src1, c)
 			}
 		}
-		checkSubScaled(t, dst, src, f)
+	}
+	for _, f0 := range special {
+		for _, f1 := range special {
+			checkSubScaled(t, dst2, [][]float64{src0, src1}, []float64{f0, f1})
+		}
 	}
 }
 
 func TestSubScaledTouchesOnlyCommonPrefix(t *testing.T) {
-	runnable, _ := kernels()
-	for _, k := range runnable {
+	ones := func(n int) []float64 {
+		v := make([]float64, n)
+		for j := range v {
+			v[j] = 1
+		}
+		return v
+	}
+	for _, k := range kernels() {
 		dst := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		k.fn(dst[:9], []float64{1, 1, 1}, 1)
+		subScaledMulti(k.id, dst[:9], [][]float64{ones(3)}, []float64{1})
 		want := []float64{0, 1, 2, 4, 5, 6, 7, 8, 9, 10}
 		for j := range dst {
 			if dst[j] != want[j] {
 				t.Fatalf("%s: dst = %v, want %v", k.name, dst, want)
 			}
 		}
-		src := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-		k.fn(dst[:2], src, 2)
-		if dst[0] != -2 || dst[1] != -1 || dst[2] != 2 {
+		// The shortest source sets the length; factors past the last
+		// source are not read.
+		subScaledMulti(k.id, dst[:4], [][]float64{ones(10), ones(2)}, []float64{2, 1, 100})
+		if dst[0] != -3 || dst[1] != -2 || dst[2] != 2 || dst[3] != 4 {
 			t.Fatalf("%s: dst = %v after a 2-element update", k.name, dst)
 		}
-		// A 40-element row, a 37-element src: AVX2's 16-wide body twice,
-		// its 4-wide tail once and its scalar tail once, then stop.
-		long, ones := make([]float64, 40), make([]float64, 37)
-		for j := range ones {
-			ones[j] = 1
+		// No source: nothing changes.
+		subScaledMulti(k.id, dst, nil, nil)
+		if dst[0] != -3 || dst[9] != 10 {
+			t.Fatalf("%s: dst = %v after an update with no source", k.name, dst)
 		}
-		k.fn(long, ones, 1)
+		// An 80-element row, sources of 79 and 77: AVX-512's 32-wide body
+		// twice, its 8-wide block once and a 5-lane masked tail; AVX2's
+		// 16-wide body four times, its 4-wide block three times and one
+		// scalar element; then stop.
+		long := make([]float64, 80)
+		subScaledMulti(k.id, long, [][]float64{ones(79), ones(77)}, []float64{1, 1})
 		for j, v := range long {
 			want := 0.0
-			if j < len(ones) {
-				want = -1
+			if j < 77 {
+				want = -2
 			}
 			if v != want {
-				t.Fatalf("%s: element %d of a 37-element update is %v, want %v", k.name, j, v, want)
+				t.Fatalf("%s: element %d of a 77-element update is %v, want %v", k.name, j, v, want)
 			}
 		}
 	}
 }
 
 // FuzzSubScaled checks every runnable kernel against the portable loop
-// on arbitrary bit patterns: the input is cut into 8-byte little-endian
-// words, the first is f, the rest alternate between dst and src.
+// on arbitrary bit patterns: the first byte gives 1–8 sources, the rest
+// is cut into 8-byte little-endian words, the first one factor per
+// source, the rest dealt in turn to dst and each source.
 func FuzzSubScaled(f *testing.F) {
-	word := func(vs ...float64) []byte {
-		b := make([]byte, 0, 8*len(vs))
+	input := func(k int, vs ...float64) []byte {
+		b := []byte{byte(k - 1)}
 		for _, v := range vs {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 		return b
 	}
-	f.Add(word(0.5, 1, 2))
-	f.Add(word(0, math.Inf(1), 1, math.Copysign(0, -1), 0))
-	f.Add(word(append([]float64{-3}, special...)...))
-	f.Add(word(math.SmallestNonzeroFloat64, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18))
+	f.Add(input(1, 0.5, 1, 2))
+	f.Add(input(1, 0, math.Inf(1), 1, math.Copysign(0, -1), 0))
+	f.Add(input(1, append([]float64{-3}, special...)...))
+	f.Add(input(2, append([]float64{math.Inf(1), -0.5}, special...)...))
+	f.Add(input(3, math.SmallestNonzeroFloat64, 2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18))
+	f.Add(input(8, 1, 2, 3, 4, 5, 6, 7, 8, 0.5, 0.25, 1, 1, 1, 1, 1, 1, 1, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 8 {
+		if len(data) == 0 {
 			return
 		}
-		k := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		var dst, src []float64
-		for i := 8; i+8 <= len(data); i += 8 {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
-			if (i/8)%2 == 1 {
+		k := 1 + int(data[0])%8
+		var words []float64
+		for i := 1; i+8 <= len(data); i += 8 {
+			words = append(words, math.Float64frombits(binary.LittleEndian.Uint64(data[i:])))
+		}
+		if len(words) < k {
+			return
+		}
+		fs, words := words[:k], words[k:]
+		var dst []float64
+		srcs := make([][]float64, k)
+		for i, v := range words {
+			if s := i % (k + 1); s == 0 {
 				dst = append(dst, v)
 			} else {
-				src = append(src, v)
+				srcs[s-1] = append(srcs[s-1], v)
 			}
 		}
-		checkSubScaled(t, dst, src, k)
+		checkSubScaled(t, dst, srcs, fs)
 	})
 }
