@@ -23,3 +23,13 @@ func UseKernel(name string) (restore func()) {
 	}
 	panic("simplex: no runnable kernel " + name)
 }
+
+// RetainedRegions is how many tableau regions the free list holds.
+func RetainedRegions() int { return len(regions) }
+
+// RegionLimit is the most tableau regions the free list retains.
+func RegionLimit() int { return cap(regions) }
+
+// DropRegions unmaps every retained tableau region, so the next solve
+// runs on fresh storage.
+func DropRegions() { dropRegions() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -13,13 +14,17 @@ import (
 // objective, then each row's coefficients and bound in turn. Zeros are
 // common, so rows are sparse and ties are frequent, and negative bounds
 // and equality rows send the solve through phase one and
-// driveOutArtificials. Missing bytes read as zero.
+// driveOutArtificials. Missing bytes read as zero, and a byte of 0x80 as
+// NaN, which Validate must reject wherever it sits.
 func decodeLP(data []byte) Problem {
 	next := func() float64 {
 		if len(data) == 0 {
 			return 0
 		}
 		v := float64(int8(data[0])) / 16
+		if data[0] == 0x80 {
+			v = math.NaN()
+		}
 		data = data[1:]
 		return v
 	}
@@ -66,11 +71,13 @@ var (
 )
 
 // checkFanOut solves p holding one pivot at a time in one loop on the
-// portable kernel, the eager schedule, then under every held-pivot
-// schedule with every flush split into 1–4 runs on every kernel this CPU
-// can run, and fails unless the outcomes agree bit for bit.
+// portable kernel and fresh storage, the eager schedule, then under every
+// held-pivot schedule with every flush split into 1–4 runs on every
+// kernel this CPU can run, each on reused storage filled with NaN, and
+// fails unless the outcomes agree bit for bit.
 func checkFanOut(t *testing.T, p Problem) {
 	t.Helper()
+	dropRegions()
 	want, wantErr := solve(p, 1, tileWidth, 1, 0, kernelGo)
 	for _, k := range kernels() {
 		for _, hold := range fanOutHolds {
@@ -87,6 +94,7 @@ func checkFanOut(t *testing.T, p Problem) {
 // the outcome is want, wantErr bit for bit.
 func checkSchedule(t *testing.T, p Problem, want *Solution, wantErr error, k kernel, hold, tile, parts int) {
 	t.Helper()
+	poisonRegions()
 	got, err := solve(p, hold, tile, parts, 0, k.id)
 	sched := fmt.Sprintf("%s, hold %d, tile %d, %d parts", k.name, hold, tile, parts)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -233,9 +241,24 @@ func FuzzSolveFanOut(f *testing.F) {
 	f.Add(lpBytes(2, 1, 2, -1, 1, 1, 3, 3, 1, 6.1875, 2, 2, 3, 4))
 	// Unbounded: max x + y s.t. x - y <= 1, y - x <= 2.
 	f.Add(lpBytes(2, 2, 0, -1, -1, 1, -1, 1, -1, 1, 2))
+	// A NaN cost, which pricing would never pick, in the first seed.
+	f.Add([]byte{1, 2, 0, 0xf0, 0x80, 16, 0, 32, 0, 16, 48})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFanOut(t, decodeLP(data))
+		p := decodeLP(data)
+		if err := p.Validate(); (err == nil) != finiteLP(p) {
+			t.Fatalf("Validate: %v, with every value finite: %v", err, finiteLP(p))
+		}
+		checkFanOut(t, p)
 	})
+}
+
+// finiteLP reports whether every coefficient and bound of p is finite.
+func finiteLP(p Problem) bool {
+	vals := slices.Concat(p.C, p.BUb, p.BEq)
+	for _, r := range slices.Concat(p.AUb, p.AEq) {
+		vals = append(vals, r.Val...)
+	}
+	return !slices.ContainsFunc(vals, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
 }
 
 // BenchmarkFlush applies 8 held pivots to a third of the rows of a
@@ -252,6 +275,7 @@ func BenchmarkFlush(b *testing.B) {
 	for _, k := range kernels() {
 		b.Run(k.name, func(b *testing.B) {
 			t := newTableau(p, holdPivots, tileWidth, 1, 0, k.id)
+			defer t.region.release()
 			for _, row := range append(t.a, t.slots...) {
 				for j := range row {
 					row[j] = rng.Float64()
@@ -260,13 +284,14 @@ func BenchmarkFlush(b *testing.B) {
 			h := len(t.slots)
 			slots := 0
 			for b.Loop() {
+				// Every factor is written, as pivot writes a whole factor
+				// column: flush leaves the columns as they are.
 				t.held = h
-				for i := 0; i < m; i += 3 {
-					for s := range h {
-						if rng.Intn(4) != 0 {
-							t.fac[i*h+s] = 0x1p-10 * rng.Float64()
-							slots++
-						}
+				for i := range t.fac {
+					t.fac[i] = 0
+					if i%m%3 == 0 && rng.Intn(4) != 0 {
+						t.fac[i] = 0x1p-10 * rng.Float64()
+						slots++
 					}
 				}
 				t.flush()

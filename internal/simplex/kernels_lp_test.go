@@ -26,12 +26,12 @@ type lpCase struct {
 // columns is the number of LP columns the case's flows make.
 func (c *lpCase) columns() int { return len(c.flows) * (c.s.NumAlternatives() - 1) }
 
-// largestFailureCases30 returns the n failure cases of the 30-ISP
-// default dataset with the most LP columns, built as the failure
+// failureCases30 returns the failure cases of the 30-ISP default
+// dataset, most LP columns first, built as the failure
 // experiments build them: capacities from the pre-failure early-exit
 // loads of gravity traffic, the failed interconnection's flows rerouted,
 // everything else fixed load.
-func largestFailureCases30(t *testing.T, n int) []*lpCase {
+func failureCases30(t *testing.T) []*lpCase {
 	t.Helper()
 	cfg := gen.DefaultConfig()
 	cfg.NumISPs = 30
@@ -74,7 +74,7 @@ func largestFailureCases30(t *testing.T, n int) []*lpCase {
 		}
 	}
 	slices.SortStableFunc(cases, func(a, b *lpCase) int { return b.columns() - a.columns() })
-	return cases[:n]
+	return cases
 }
 
 // TestRealLPsMatchAcrossKernels solves the 30-ISP dataset's largest
@@ -89,7 +89,7 @@ func TestRealLPsMatchAcrossKernels(t *testing.T) {
 	}
 	kernels := simplex.KernelNames()
 	t.Logf("kernels: %v", kernels)
-	for _, c := range largestFailureCases30(t, n) {
+	for _, c := range failureCases30(t)[:n] {
 		var want *optimal.BandwidthResult
 		for _, k := range kernels {
 			restore := simplex.UseKernel(k)

@@ -21,8 +21,10 @@
 // into an FMA, whose single rounding would move the pivots.
 //
 // A pivot is held, not applied at once: it brings only the pivot row up
-// to date, scales it, keeps a copy and records each other row's entry in
-// its column, which the ratio test has just computed. Once eight pivots
+// to date, scales it, keeps a copy and keeps the entering column, which
+// the ratio test has just computed, as the pivot's factor column: each
+// other row's multiplier. The next entering column is then the stored
+// column less one kernel call over the factor columns. Once eight pivots
 // are held, or before anything reads whole rows, flush applies them: it
 // walks the columns in tiles, and every row it updates takes all its held
 // pivots in one kernel call per tile, so the slots' tile stays in L1
@@ -31,6 +33,11 @@
 // the same order as under eager elimination, so neither the hold, the
 // tiles, the kernel nor the split moves a bit of the result (DESIGN.md
 // §12 "LP tableau").
+//
+// On unix builds without the race detector, the tableau lives outside
+// the Go heap, in anonymous mappings that a free list of at most
+// GOMAXPROCS reuses from one solve to the next; elsewhere, and if
+// mapping fails, it is allocated on the heap per solve.
 package simplex
 
 import (
@@ -106,10 +113,18 @@ const (
 	fanOutWork = 1 << 20
 )
 
-// Validate checks the problem dimensions.
+// Validate checks the problem dimensions and that every coefficient and
+// bound is finite: pricing and the ratio test compare against eps, which
+// a NaN never fails, so a non-finite input would yield a wrong status or
+// solution rather than an error.
 func (p *Problem) Validate() error {
 	if len(p.C) == 0 {
 		return fmt.Errorf("simplex: empty objective")
+	}
+	for j, c := range p.C {
+		if !finite(c) {
+			return fmt.Errorf("simplex: objective column %d: coefficient %v is not finite", j, c)
+		}
 	}
 	if err := checkRows("inequality", p.AUb, p.BUb, len(p.C)); err != nil {
 		return err
@@ -128,6 +143,9 @@ func checkRows(kind string, rows []Row, bounds []float64, n int) error {
 		if len(r.Idx) != len(r.Val) {
 			return fmt.Errorf("simplex: %s row %d: %d indices but %d values", kind, i, len(r.Idx), len(r.Val))
 		}
+		if b := bounds[i]; !finite(b) {
+			return fmt.Errorf("simplex: %s row %d, right-hand side: bound %v is not finite", kind, i, b)
+		}
 		for k, j := range r.Idx {
 			if j < 0 || int(j) >= n {
 				return fmt.Errorf("simplex: %s row %d: column %d out of range [0, %d)", kind, i, j, n)
@@ -135,9 +153,17 @@ func checkRows(kind string, rows []Row, bounds []float64, n int) error {
 			if k > 0 && j <= r.Idx[k-1] {
 				return fmt.Errorf("simplex: %s row %d: column %d follows %d, indices must strictly increase", kind, i, j, r.Idx[k-1])
 			}
+			if v := r.Val[k]; !finite(v) {
+				return fmt.Errorf("simplex: %s row %d, column %d: coefficient %v is not finite", kind, i, j, v)
+			}
 		}
 	}
 	return nil
+}
+
+// finite reports whether v is neither NaN nor an infinity.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // tableau is the dense simplex tableau. Rows 0..m-1 are constraints with
@@ -147,9 +173,10 @@ func checkRows(kind string, rows []Row, bounds []float64, n int) error {
 // Pivots are held rather than applied at once (DESIGN.md §12 "LP
 // tableau"): a row of a is current as of the last flush, and its current
 // value is that row with the held pivots applied in order. Slot s holds
-// the s-th held pivot row, scaled; fac[i*hold+s] is row i's entry in that
-// pivot's column just before it, or 0 where the pivot skips row i (a zero
-// entry, the pivot row itself, or a pivot the row has taken already).
+// the s-th held pivot row, scaled; fac[s*m+i], in slot s's factor
+// column, is row i's entry in that pivot's column just before it, or 0
+// where the pivot skips row i (a zero entry, the pivot row itself, or a
+// pivot the row has taken already).
 type tableau struct {
 	a      [][]float64 // m x (cols+1), rows of one contiguous array
 	basis  []int
@@ -159,14 +186,25 @@ type tableau struct {
 
 	slots [][]float64 // hold pivot rows, each cols+1 wide
 	held  int         // slots in use
-	fac   []float64   // m x hold factors
+	fac   []float64   // hold factor columns, m each
 	col   []float64   // scratch: the entering column with the held pivots applied
 	// flush works on column tiles of tile elements. A flush applying at
 	// least minWork elements of row updates splits its rows into at most
 	// parts runs; below that, or with parts <= 1, one loop.
 	tile, parts, minWork int
-	touched              []int    // scratch: the rows a flush updates
-	kernel               kernelID // the row kernel every update runs on
+	lists                []rowList // scratch: the rows a flush updates
+	kernel               kernelID  // the row kernel every update runs on
+	region               region    // the backing's mapping, or nil on the heap
+}
+
+// rowList is one row a flush updates: the slots whose factor in the row
+// is nonzero, in order, and those factors. A zero factor is left out, as
+// eager elimination skips a zero pivot-column entry.
+type rowList struct {
+	row  int
+	n    int
+	slot [holdPivots]uint8
+	f    [holdPivots]float64
 }
 
 // Solve runs the two-phase simplex method.
@@ -195,6 +233,7 @@ func solve(p Problem, hold, tile, parts, minWork int, kernel kernelID) (*Solutio
 	}
 
 	t := newTableau(p, hold, tile, parts, minWork, kernel)
+	defer t.region.release()
 	if t.cols > n+mUb {
 		// Phase 1: minimize the sum of artificials.
 		obj := make([]float64, t.cols)
@@ -237,7 +276,8 @@ func solve(p Problem, hold, tile, parts, minWork int, kernel kernelID) (*Solutio
 // tableau holding up to hold pivots. Columns are laid out [0,n)
 // structural, [n, n+mUb) slacks, then one artificial for each equality
 // row and each inequality row with a negative bound. Every row update
-// runs on kernel.
+// runs on kernel. The rows live in a region from the free list where
+// one can be had, and the caller releases it once done with the rows.
 func newTableau(p Problem, hold, tile, parts, minWork int, kernel kernelID) *tableau {
 	n := len(p.C)
 	mUb, mEq := len(p.AUb), len(p.AEq)
@@ -252,13 +292,19 @@ func newTableau(p Problem, hold, tile, parts, minWork int, kernel kernelID) *tab
 	w := cols + 1
 	t := &tableau{
 		a: make([][]float64, m), basis: make([]int, m), m: m, cols: cols,
-		slots: make([][]float64, hold), fac: make([]float64, m*hold), col: make([]float64, m),
-		tile: tile, parts: parts, minWork: minWork, kernel: kernel,
+		slots: make([][]float64, hold), fac: make([]float64, hold*m), col: make([]float64, m),
+		tile: tile, parts: parts, minWork: minWork, lists: make([]rowList, m), kernel: kernel,
 	}
-	backing := make([]float64, (m+hold)*w)
+	size := (m + hold) * w
+	t.region = takeRegion(size)
+	backing := t.region.floats(size)
+	if backing == nil {
+		backing = make([]float64, size)
+	}
 	artCol := n + mUb
 	for i := 0; i < m; i++ {
 		row := backing[i*w : (i+1)*w : (i+1)*w]
+		clear(row)
 		var src Row
 		var b float64
 		if i < mUb {
@@ -287,6 +333,8 @@ func newTableau(p Problem, hold, tile, parts, minWork int, kernel kernelID) *tab
 		}
 		t.a[i] = row
 	}
+	// A slot is written whole by pivot before anything reads it, so a
+	// reused region's old contents there are never seen.
 	for s := range t.slots {
 		t.slots[s] = backing[(m+s)*w : (m+s+1)*w : (m+s+1)*w]
 	}
@@ -378,10 +426,9 @@ func (t *tableau) optimize(obj []float64, limit int) (float64, error) {
 // the held pivots applied, by the same multiply, round, subtract that
 // flush will perform on it.
 func (t *tableau) at(i, j int) float64 {
-	h := len(t.slots)
 	x := t.a[i][j]
-	for s, f := range t.fac[i*h : i*h+t.held] {
-		if f != 0 {
+	for s := range t.held {
+		if f := t.fac[s*t.m+i]; f != 0 {
 			x -= float64(f * t.slots[s][j])
 		}
 	}
@@ -389,47 +436,61 @@ func (t *tableau) at(i, j int) float64 {
 }
 
 // column returns every row's current entry in column j, in a scratch
-// slice that the next call overwrites and pivot reads.
+// slice that the next call overwrites and pivot reads. It is one
+// strided load of the stored entries and one kernel call over the
+// factor columns, with the slots' entries in column j as the factors.
+// Unlike at and flush, the kernel does not skip a zero factor: it
+// subtracts ±0, which leaves a nonzero entry's bits alone and can only
+// flip the sign of a zero entry, a sign nothing reads (DESIGN.md §12
+// "LP tableau").
 func (t *tableau) column(j int) []float64 {
-	for i := range t.col {
-		t.col[i] = t.at(i, j)
+	for i, row := range t.a {
+		t.col[i] = row[j]
 	}
+	var srcBuf [holdPivots][]float64
+	var fBuf [holdPivots]float64
+	for s := range t.held {
+		srcBuf[s], fBuf[s] = t.fac[s*t.m:(s+1)*t.m], t.slots[s][j]
+	}
+	subScaledMulti(t.kernel, t.col, srcBuf[:t.held], fBuf[:t.held])
 	return t.col
 }
 
 // pivot makes col basic in row, with t.col holding column col as
 // column(col) returned it. It brings the pivot row up to date, scales
-// it, holds it as the next slot with each other row's entry in col as
-// that row's factor, and updates the reduced-cost row. The other rows
-// take the pivot when flush runs, which it does once every slot is
-// full.
+// it, holds it as the next slot with t.col, but for the pivot row's own
+// entry, as the slot's factor column, and updates the reduced-cost row.
+// The other rows take the pivot when flush runs, which it does once
+// every slot is full.
 func (t *tableau) pivot(row, col int, red []float64) {
-	h := len(t.slots)
+	m := t.m
 	ar := t.a[row]
-	fr := t.fac[row*h : row*h+h]
 	var srcBuf [holdPivots][]float64
 	var fBuf [holdPivots]float64
-	srcs, fs := t.gather(srcBuf[:0], fBuf[:0], fr[:t.held], 0, len(ar))
+	srcs, fs := srcBuf[:0], fBuf[:0]
+	for s := range t.held {
+		if f := t.fac[s*m+row]; f != 0 {
+			srcs, fs = append(srcs, t.slots[s]), append(fs, f)
+			t.fac[s*m+row] = 0
+		}
+	}
 	subScaledMulti(t.kernel, ar, srcs, fs)
-	clear(fr)
 	inv := 1 / ar[col]
 	for j := range ar {
 		ar[j] *= inv
 	}
 	s := t.held
 	copy(t.slots[s], ar)
-	for i, v := range t.col {
-		if i != row {
-			t.fac[i*h+s] = v
-		}
-	}
+	fc := t.fac[s*m : (s+1)*m]
+	copy(fc, t.col)
+	fc[row] = 0
 	t.held++
 	if f := red[col]; f != 0 {
 		subScaledMulti(t.kernel, red, [][]float64{ar}, []float64{f})
 	}
 	t.basis[row] = col
 	t.pivots++
-	if t.held == h {
+	if t.held == len(t.slots) {
 		t.flush()
 	}
 }
@@ -437,27 +498,30 @@ func (t *tableau) pivot(row, col int, red []float64) {
 // flush applies the held pivots to every row with a nonzero factor.
 // Each row reads only itself and the slots, which stay fixed meanwhile,
 // so the rows are split into contiguous runs updated concurrently when
-// the work is worth it.
+// the work is worth it. The factor columns are left as they are: pivot
+// writes a slot's column whole before anything reads it.
 func (t *tableau) flush() {
 	if t.held == 0 {
 		return
 	}
-	h := len(t.slots)
-	t.touched = t.touched[:0]
-	updates := 0
-	for i := 0; i < t.m; i++ {
-		k := 0
-		for _, f := range t.fac[i*h : i*h+t.held] {
-			if f != 0 {
-				k++
+	m := t.m
+	touched, updates := 0, 0
+	for i := 0; i < m; i++ {
+		l := &t.lists[touched]
+		l.n = 0
+		for s := range t.held {
+			if f := t.fac[s*m+i]; f != 0 {
+				l.slot[l.n], l.f[l.n] = uint8(s), f
+				l.n++
 			}
 		}
-		if k > 0 {
-			t.touched = append(t.touched, i)
-			updates += k
+		if l.n > 0 {
+			l.row = i
+			touched++
+			updates += l.n
 		}
 	}
-	rows := t.touched
+	rows := t.lists[:touched]
 	parts := min(t.parts, len(rows))
 	if updates*(t.cols+1) < t.minWork {
 		parts = 1
@@ -468,7 +532,7 @@ func (t *tableau) flush() {
 		var wg sync.WaitGroup
 		wg.Add(parts - 1)
 		for p := 1; p < parts; p++ {
-			go func(run []int) {
+			go func(run []rowList) {
 				defer wg.Done()
 				t.apply(run)
 			}(rows[p*len(rows)/parts : (p+1)*len(rows)/parts])
@@ -479,38 +543,27 @@ func (t *tableau) flush() {
 	t.held = 0
 }
 
-// apply gives each of rows the held pivots, in order, and clears the
-// row's factors. It walks the columns in tiles and, in each, passes
-// every row its nonzero-factor slots' tiles in one kernel call, so the
-// slots' tile stays in L1 while every row takes it and each row tile is
-// loaded and stored once per flush.
-func (t *tableau) apply(rows []int) {
-	h := len(t.slots)
+// apply gives each of rows its held pivots, in order. It walks the
+// columns in tiles and, in each, passes every row its nonzero-factor
+// slots' tiles in one kernel call, so the slots' tile stays in L1 while
+// every row takes it and each row tile is loaded and stored once per
+// flush.
+func (t *tableau) apply(rows []rowList) {
 	w := t.cols + 1
-	var srcBuf [holdPivots][]float64
-	var fBuf [holdPivots]float64
+	var win, srcs [holdPivots][]float64
 	for j0 := 0; j0 < w; j0 += t.tile {
 		j1 := min(j0+t.tile, w)
-		for _, i := range rows {
-			srcs, fs := t.gather(srcBuf[:0], fBuf[:0], t.fac[i*h:i*h+t.held], j0, j1)
-			subScaledMulti(t.kernel, t.a[i][j0:j1], srcs, fs)
+		for s := range t.held {
+			win[s] = t.slots[s][j0:j1]
+		}
+		for r := range rows {
+			l := &rows[r]
+			for k, s := range l.slot[:l.n] {
+				srcs[k] = win[s]
+			}
+			subScaledMulti(t.kernel, t.a[l.row][j0:j1], srcs[:l.n], l.f[:l.n])
 		}
 	}
-	for _, i := range rows {
-		clear(t.fac[i*h : i*h+t.held])
-	}
-}
-
-// gather appends to srcs and fs columns [j0, j1) of each slot whose
-// factor in fr is nonzero, and that factor: a zero factor is skipped, as
-// eager elimination skips a zero pivot-column entry.
-func (t *tableau) gather(srcs [][]float64, fs, fr []float64, j0, j1 int) ([][]float64, []float64) {
-	for s, f := range fr {
-		if f != 0 {
-			srcs, fs = append(srcs, t.slots[s][j0:j1]), append(fs, f)
-		}
-	}
-	return srcs, fs
 }
 
 // driveOutArtificials pivots basic artificial variables (value ~0 after a

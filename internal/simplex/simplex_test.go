@@ -444,3 +444,42 @@ func TestValidateSparseRows(t *testing.T) {
 		t.Errorf("valid problem rejected: %v", err)
 	}
 }
+
+// TestValidateRejectsNonFinite puts a NaN, +Inf or -Inf at each position
+// of an otherwise valid LP and requires an error naming the family, the
+// row and the column. Accepted, every one of them came back without an
+// error: Optimal at a wrong vertex, Infeasible, or a NaN objective, since
+// pricing and the ratio test compare against eps and a NaN fails every
+// comparison.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	// max x + y s.t. x + y <= 4, x <= 3, x - y = 1: optimal at (2.5, 1.5).
+	base := func() Problem {
+		return Problem{
+			C:   []float64{-1, -1},
+			AUb: rows([][]float64{{1, 1}, {1, 0}}), BUb: []float64{4, 3},
+			AEq: rows([][]float64{{1, -1}}), BEq: []float64{1},
+		}
+	}
+	solveOK(t, base())
+	positions := []struct {
+		name string
+		set  func(p *Problem, v float64)
+		want string
+	}{
+		{"C", func(p *Problem, v float64) { p.C[1] = v }, "objective column 1: coefficient"},
+		{"AUb value", func(p *Problem, v float64) { p.AUb[0].Val[1] = v }, "inequality row 0, column 1: coefficient"},
+		{"BUb", func(p *Problem, v float64) { p.BUb[1] = v }, "inequality row 1, right-hand side: bound"},
+		{"AEq value", func(p *Problem, v float64) { p.AEq[0].Val[0] = v }, "equality row 0, column 0: coefficient"},
+		{"BEq", func(p *Problem, v float64) { p.BEq[0] = v }, "equality row 0, right-hand side: bound"},
+	}
+	for _, pos := range positions {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := base()
+			pos.set(&p, v)
+			s, err := Solve(p)
+			if err == nil || !strings.Contains(err.Error(), pos.want) || !strings.Contains(err.Error(), "is not finite") {
+				t.Errorf("%s = %v: Solve gave %+v, %v; want an error containing %q", pos.name, v, s, err, pos.want)
+			}
+		}
+	}
+}

@@ -66,7 +66,10 @@ type Workload struct {
 // and normalized to mean size 1. rng is only used by UniformRandom; it
 // may be nil for the other models.
 func New(upstream, downstream *topology.ISP, model Model, rng *rand.Rand) *Workload {
-	w := &Workload{Upstream: upstream, Downstream: downstream}
+	w := &Workload{
+		Upstream: upstream, Downstream: downstream,
+		Flows: make([]Flow, 0, len(upstream.PoPs)*len(downstream.PoPs)),
+	}
 	srcW := popWeights(upstream, model, rng)
 	dstW := popWeights(downstream, model, rng)
 	id := 0

@@ -138,3 +138,17 @@ func TestModelString(t *testing.T) {
 		t.Error("unknown model should still stringify")
 	}
 }
+
+// TestNewAllocations pins New's allocations: the workload, the two PoP
+// weight vectors and one flow slice sized up front, not grown flow by
+// flow.
+func TestNewAllocations(t *testing.T) {
+	a, b := twoISPs()
+	allocs := testing.AllocsPerRun(100, func() { New(a, b, Gravity, nil) })
+	if allocs != 4 {
+		t.Errorf("New allocates %v times, want 4", allocs)
+	}
+	if w := New(a, b, Gravity, nil); cap(w.Flows) != len(w.Flows) {
+		t.Errorf("cap(Flows) = %d, len %d", cap(w.Flows), len(w.Flows))
+	}
+}
