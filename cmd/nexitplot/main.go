@@ -3,20 +3,21 @@
 // and watches a running mesh live.
 //
 // Fold mode (the default) reads NDJSON from the named files (or stdin
-// when none are given), folds every record through the constant-memory
-// internal/plot fold, and prints the figure and extras sections for the
-// experiments the input carries. nexitsim's figure mode renders
-// through the same fold with exact curves, so the two print the same
-// tables at any scale and the same summary lines while a curve holds
-// at most 4096 samples. Passing several files merges shards of one
-// run: the fold is order-independent, so
+// when none are given), folds every record through internal/plot's
+// fold, and prints the figure and extras sections for the experiments
+// the input carries. nexitsim's figure mode renders through the same
+// fold, so nexitplot over `nexitsim -stream` prints exactly what
+// `nexitsim` prints for the same flags. Passing several files merges
+// shards of one run: the fold is order-independent, so
 //
 //	nexitsim -stream -out full.ndjson
 //	nexitplot full.ndjson
 //	nexitplot shard1.ndjson shard2.ndjson   # any line split of full
 //
-// print the same bytes. Experiment summary lines merge through their
-// embedded digests (DESIGN.md §10).
+// print the same bytes. Each experiment's summary lines state how many
+// records it streamed; a fold whose records disagree with that count (a
+// shard left out, a stream cut short) is an error naming the experiment
+// (DESIGN.md §10).
 //
 // Watch mode polls one or more agentd debug endpoints and renders
 // mesh-wide progress — sessions/s, the epoch frontier, resync and
@@ -76,7 +77,7 @@ func main() {
 		}
 	}
 	if fold.Unknown > 0 {
-		fmt.Fprintf(os.Stderr, "nexitplot: skipped %d records of unknown experiments\n", fold.Unknown)
+		fmt.Fprintf(os.Stderr, "nexitplot: skipped %d lines of unknown experiments\n", fold.Unknown)
 	}
 	if err := fold.Render(os.Stdout, "all"); err != nil {
 		fatal(err)

@@ -14,20 +14,19 @@
 // x-grid matches the paper's axes. -fig extras prints the analyses the
 // paper states in its text (§5.1, §5, §6, footnote 2, §1/§2.2). Figure
 // mode folds the records the streaming drivers deliver through
-// internal/plot's renderer, the one nexitplot uses, with curves that
-// keep every sample — so its summary lines are exact at any scale, and
-// nexitplot over this binary's -stream output prints the same figure
-// and extras sections while no curve exceeds its digest's 4096-point
-// sketch. An unknown -fig is a usage error.
+// internal/plot's fold, the one nexitplot uses, whose curves keep every
+// sample — so its summary lines are exact at any scale, and nexitplot
+// over this binary's -stream output prints exactly this mode's stdout.
+// An unknown -fig is a usage error.
 //
 // With -stream (or -out), nexitsim switches to the streaming pipeline
 // (DESIGN.md §8): per-pair / per-failure-case results are emitted
 // incrementally as NDJSON — one {"experiment","index","data"} object
-// per line, in deterministic pair order, followed by one summary line
-// per experiment computed with the constant-memory accumulators in
-// internal/stats. Nothing is buffered, so arbitrarily large datasets
-// run in O(workers) memory. Both modes run the same streams for the
-// same flags.
+// per line, in deterministic pair order, followed by one
+// {"experiment","results"} summary line per experiment counting its
+// records. Nothing is buffered, so arbitrarily large datasets run in
+// O(workers) memory. Both modes run the same streams for the same
+// flags.
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/plot"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -156,8 +154,8 @@ func main() {
 	}
 
 	// Figure mode folds the same records the streaming mode emits
-	// through the renderer nexitplot uses, with exact curves.
-	fold := plot.NewExactFold(*points)
+	// through the fold nexitplot uses.
+	fold := plot.NewFold(*points)
 	err = runExperiments(ds, *fig, opt, bopt, sinks{
 		distance:    fold.AddDistance,
 		bandwidth:   fold.AddBandwidth,
@@ -256,93 +254,59 @@ func runExperiments(ds *experiments.Dataset, fig string, opt experiments.Options
 }
 
 // runStreaming runs the figure selection with every record emitted as
-// one NDJSON object as it is produced, and one constant-memory summary
-// line per experiment. Output order is deterministic (the runner's
-// ordered reducer), so two runs with the same flags are byte-identical
-// regardless of -workers.
+// one NDJSON object as it is produced, and one summary line per
+// experiment counting its records. Output order is deterministic (the
+// runner's ordered reducer), so two runs with the same flags are
+// byte-identical regardless of -workers.
 func runStreaming(w io.Writer, ds *experiments.Dataset, fig string, opt experiments.Options, bopt experiments.BandwidthOptions) error {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 	enc := json.NewEncoder(bw)
 
-	type envelope struct {
-		Experiment string `json:"experiment"`
-		Index      int    `json:"index"`
-		Data       any    `json:"data"`
-	}
-	type summary struct {
-		Experiment string            `json:"experiment"`
-		Results    int               `json:"results"`
-		Series     map[string]string `json:"series"`
-		// Digests carries each series' mergeable state, so nexitplot can
-		// fold sharded runs back into one whole-run summary (run
-		// elsewhere, aggregate here — DESIGN.md §10).
-		Digests map[string]*stats.Digest `json:"digests,omitempty"`
-	}
-	// results and digests summarize the experiment in progress.
-	results, digests := 0, map[string]*stats.Digest{}
-	add := func(name string, v float64) {
-		d, ok := digests[name]
-		if !ok {
-			d = stats.NewDigest()
-			digests[name] = d
-		}
-		d.Add(v)
-	}
-	emit := func(exp string, idx int, data any) error {
-		results++
-		if err := enc.Encode(envelope{Experiment: exp, Index: idx, Data: data}); err != nil {
+	results := 0 // records of the experiment in progress
+	write := func(v any) error {
+		if err := enc.Encode(v); err != nil {
 			return err
 		}
 		return bw.Flush() // one line out per result: truly incremental
 	}
 	done := func(exp string) error {
-		s := summary{Experiment: exp, Results: results, Series: map[string]string{}, Digests: digests}
-		for name, d := range digests {
-			s.Series[name] = d.Summary()
-		}
-		results, digests = 0, map[string]*stats.Digest{}
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-		return bw.Flush()
+		n := results
+		results = 0
+		return write(summary{Experiment: exp, Results: n})
 	}
-
 	return runExperiments(ds, fig, opt, bopt, sinks{
-		distance: func(idx int, r *experiments.DistancePairResult) error {
-			add("gain_negotiated", r.GainNeg)
-			add("gain_optimal", r.GainOpt)
-			return emit("distance", idx, r)
-		},
-		bandwidth: func(idx int, r *experiments.BandwidthCaseResult) error {
-			add("up_negotiated", r.UpNeg)
-			add("down_negotiated", r.DownNeg)
-			return emit("bandwidth", idx, r)
-		},
-		cheat: func(idx int, r *experiments.CheatPairResult) error {
-			add("total_truthful", r.TotalTruthful)
-			add("total_cheat", r.TotalCheat)
-			return emit("distance-cheat", idx, r)
-		},
-		ablation: func(idx int, r *experiments.AblationPairResult) error {
-			for i, p := range r.Bounds {
-				add(fmt.Sprintf("gain_negotiated_p%d", p), r.GainNeg[i])
-			}
-			return emit("ablation", idx, r)
-		},
-		destination: func(idx int, r *experiments.DestinationPairResult) error {
-			add("gain_dst_only", r.GainDstOnly)
-			return emit("destination", idx, r)
-		},
-		scalability: func(idx int, r *experiments.ScalabilityPairResult) error {
-			add("gain_share_20pct_traffic", r.GainShares[0])
-			return emit("scalability", idx, r)
-		},
-		stability: func(idx int, r *experiments.StabilityCaseResult) error {
-			add("reactive_worst_mel", r.ReactiveWorst)
-			return emit("stability", idx, r)
-		},
+		distance:    emitter[experiments.DistancePairResult]("distance", &results, write),
+		bandwidth:   emitter[experiments.BandwidthCaseResult]("bandwidth", &results, write),
+		cheat:       emitter[experiments.CheatPairResult]("distance-cheat", &results, write),
+		ablation:    emitter[experiments.AblationPairResult]("ablation", &results, write),
+		destination: emitter[experiments.DestinationPairResult]("destination", &results, write),
+		scalability: emitter[experiments.ScalabilityPairResult]("scalability", &results, write),
+		stability:   emitter[experiments.StabilityCaseResult]("stability", &results, write),
 	}, done)
+}
+
+// The two line shapes of a -stream run: a record envelope, and the
+// summary line closing each experiment.
+type (
+	envelope struct {
+		Experiment string `json:"experiment"`
+		Index      int    `json:"index"`
+		Data       any    `json:"data"`
+	}
+	summary struct {
+		Experiment string `json:"experiment"`
+		Results    int    `json:"results"`
+	}
+)
+
+// emitter returns a sink that writes each record of experiment exp as
+// one envelope line through write, counting it in *n.
+func emitter[R any](exp string, n *int, write func(any) error) func(int, *R) error {
+	return func(idx int, r *R) error {
+		*n++
+		return write(envelope{Experiment: exp, Index: idx, Data: r})
+	}
 }
 
 func loadDataset(path string, isps, workers int) (*experiments.Dataset, error) {

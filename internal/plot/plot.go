@@ -6,20 +6,14 @@
 // feeds it the records its drivers stream, nexitplot the same records
 // parsed back from nexitsim -stream NDJSON.
 //
-// The two differ only in how a curve holds its samples. An exact fold
-// (NewExactFold) keeps them, so every summary line is the batch CDF's.
-// A bounded fold (NewFold) is constant-memory: every curve is an online
-// fixed-grid CDF (the figure axes are fixed per panel) plus a digest
-// for the summary line, so a fold over a million records holds the same
-// few kilobytes as a fold over ten. Its tables equal the exact ones at
-// any scale; its summary lines do while a curve's digest sketch is
-// uncompacted (n <= 4096), and past that carry sketch quantiles; so
-// do the extras' summary lines and medians.
-//
-// Because GridCDF counts are integers and digest sketches canonicalize
-// before rendering, folding shards of a run in any order produces the
-// same bytes as folding the whole run — the merge-parity contract CI
-// pins.
+// Every curve keeps its samples, so each table and summary line is the
+// batch CDF's at any scale, and nexitplot prints nexitsim's figure-mode
+// bytes. A curve sorts its samples before it is read, so folding shards
+// of a run in any order is a multiset union and renders the same bytes
+// as folding the whole run, the merge-parity contract CI pins. Each
+// summary line still states its experiment's record count; Render
+// refuses a fold whose records fall short of or exceed it. The price is
+// memory linear in the samples folded.
 package plot
 
 import (
@@ -29,31 +23,14 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/stability"
 	"repro/internal/stats"
 )
 
-// sample is one sample set as a summary line reads it: the extras
-// sections' lines and the figure curves' summary lines.
-type sample interface {
-	add(v float64)
-	n() int
-	summary() string
-	quantile(q float64) float64
-	mean() float64
-}
-
-// curve is one figure line: a sample set that also renders its table
-// points.
-type curve interface {
-	sample
-	stats.SeriesSource
-}
-
-// exactCurve keeps every sample and reads them through one CDF.
+// exactCurve keeps every sample of one figure line or summary line and
+// reads them through one CDF.
 type exactCurve struct {
 	samples []float64
 	cdf     *stats.CDF // built on first read, dropped by add
@@ -71,54 +48,13 @@ func (c *exactCurve) sorted() *stats.CDF {
 	return c.cdf
 }
 
-func (c *exactCurve) Series(min, max float64, n int) []stats.Point {
-	return c.sorted().Series(min, max, n)
-}
-func (c *exactCurve) n() int                     { return c.sorted().N() }
-func (c *exactCurve) summary() string            { return stats.Summary(c.sorted()) }
-func (c *exactCurve) quantile(q float64) float64 { return c.sorted().Quantile(q) }
-func (c *exactCurve) mean() float64              { return c.sorted().Mean() }
-
-// digestSample is the constant-memory sample set: one digest.
-type digestSample struct{ dig *stats.Digest }
-
-func (s digestSample) add(v float64)              { s.dig.Add(v) }
-func (s digestSample) n() int                     { return int(s.dig.Stream.N()) }
-func (s digestSample) summary() string            { return s.dig.StableSummary() }
-func (s digestSample) quantile(q float64) float64 { return s.dig.Sketch.Quantile(q) }
-func (s digestSample) mean() float64              { return s.dig.StableMean() }
-
-// boundedCurve pairs the two constant-memory views of one figure line:
-// the grid CDF renders the table, the digest renders the summary line.
-type boundedCurve struct {
-	grid *stats.GridCDF
-	digestSample
-}
-
-func (c *boundedCurve) add(v float64) {
-	c.grid.Add(v)
-	c.digestSample.add(v)
-}
-
-func (c *boundedCurve) Series(min, max float64, n int) []stats.Point {
-	return c.grid.Series(min, max, n)
-}
+func (c *exactCurve) summary() string { return stats.Summary(c.sorted()) }
 
 // upperMedian is the (⌊n/2⌋+1)-th smallest of n samples, the median
 // the preference-range ablation has always printed.
-func upperMedian(s sample) float64 {
-	n := s.n()
-	return s.quantile((float64(n/2) + 0.5) / float64(n))
-}
-
-// summaryAgg merges one experiment's streamed summary lines across
-// shards: digests merge exactly; the legacy series strings only
-// survive when a single shard contributed them.
-type summaryAgg struct {
-	results int
-	lines   int
-	digests map[string]*stats.Digest
-	raw     map[string]string
+func upperMedian(c *stats.CDF) float64 {
+	n := c.N()
+	return c.Quantile((float64(n/2) + 0.5) / float64(n))
 }
 
 // Fold is the figure accumulator. Feed it records directly (the Add
@@ -126,11 +62,10 @@ type summaryAgg struct {
 // summary lines, from one run or from many shards of the same run) via
 // AddLine or ReadLines, then Render the figure tables.
 type Fold struct {
-	points    int
-	newCurve  func(min, max float64) curve
-	newSample func() sample
-	curves    map[string]curve
-	samples   map[string]sample
+	points int
+	// curves holds the figure lines and the extras' summary lines by
+	// name.
+	curves map[string]*exactCurve
 
 	distPairs  int
 	indLosers  int
@@ -147,79 +82,60 @@ type Fold struct {
 	// preference bound; the scalability sweep's fractions and, per
 	// fraction, the gain and flow shares; stability outcome counts
 	// (converged, oscillated, exhausted).
-	byIx         map[int]sample
-	byBound      map[int]sample
+	byIx         map[int]*exactCurve
+	byBound      map[int]*exactCurve
 	fractions    []float64
-	gainShares   []sample
-	flowShares   []sample
+	gainShares   []*exactCurve
+	flowShares   []*exactCurve
 	scalPairs    int
 	destPairs    int
 	stabCases    int
 	stabOutcomes [3]int
 
-	summaries map[string]*summaryAgg
+	// records counts the record lines AddLine folded per experiment,
+	// results sums the record counts its summary lines state; Render
+	// refuses a fold where the two disagree (a lost shard, a cut
+	// stream).
+	records map[string]int
+	results map[string]int
 	// Unknown counts lines for experiments this fold does not
 	// understand (newer producers); they are skipped, not fatal.
 	Unknown int
 }
 
-// NewFold returns an empty constant-memory fold rendering n-point
-// series (nexitsim's -points; the grids are built per-axis on first
-// use, so n is fixed for the fold's lifetime).
+// NewFold returns an empty fold rendering n-point series (nexitsim's
+// -points).
 func NewFold(n int) *Fold {
-	return newFold(n, func(min, max float64) curve {
-		return &boundedCurve{grid: stats.NewGridCDF(min, max, n), digestSample: digestSample{stats.NewDigest()}}
-	}, func() sample { return digestSample{stats.NewDigest()} })
-}
-
-// NewExactFold returns an empty fold rendering n-point series whose
-// curves keep every sample, so its summary lines are exact at any
-// scale.
-func NewExactFold(n int) *Fold {
-	return newFold(n, func(float64, float64) curve { return &exactCurve{} },
-		func() sample { return &exactCurve{} })
-}
-
-func newFold(n int, newCurve func(min, max float64) curve, newSample func() sample) *Fold {
 	return &Fold{
-		points:    n,
-		newCurve:  newCurve,
-		newSample: newSample,
-		curves:    map[string]curve{},
-		samples:   map[string]sample{},
-		byIx:      map[int]sample{},
-		byBound:   map[int]sample{},
-		summaries: map[string]*summaryAgg{},
+		points:  n,
+		curves:  map[string]*exactCurve{},
+		byIx:    map[int]*exactCurve{},
+		byBound: map[int]*exactCurve{},
+		records: map[string]int{},
+		results: map[string]int{},
 	}
 }
 
-func (f *Fold) curve(key string, min, max float64) curve {
-	c, ok := f.curves[key]
+// curve returns the curve named key, made on first use.
+func (f *Fold) curve(key string) *exactCurve { return curveIn(f.curves, key) }
+
+// curveIn returns the curve in m under key, made on first use.
+func curveIn[K comparable](m map[K]*exactCurve, key K) *exactCurve {
+	c, ok := m[key]
 	if !ok {
-		c = f.newCurve(min, max)
-		f.curves[key] = c
+		c = &exactCurve{}
+		m[key] = c
 	}
 	return c
 }
 
-// sampleIn returns the sample set in m under key, made on first use.
-func sampleIn[K comparable](f *Fold, m map[K]sample, key K) sample {
-	s, ok := m[key]
-	if !ok {
-		s = f.newSample()
-		m[key] = s
-	}
-	return s
-}
-
 // ndjsonLine is the superset of the two line shapes nexitsim emits: a
 // record envelope (Data set) or an experiment summary (Data absent).
+// Fields of older summary lines (series, digests) are ignored.
 type ndjsonLine struct {
-	Experiment string                   `json:"experiment"`
-	Data       json.RawMessage          `json:"data"`
-	Results    int                      `json:"results"`
-	Series     map[string]string        `json:"series"`
-	Digests    map[string]*stats.Digest `json:"digests"`
+	Experiment string          `json:"experiment"`
+	Data       json.RawMessage `json:"data"`
+	Results    int             `json:"results"`
 }
 
 // ReadLines folds every NDJSON line of r. Call once per shard file;
@@ -254,75 +170,65 @@ func (f *Fold) AddLine(line []byte) error {
 	if err := json.Unmarshal(line, &l); err != nil {
 		return err
 	}
-	if l.Data == nil {
-		return f.addSummary(&l)
+	sink := f.sink(l.Experiment)
+	switch {
+	case sink == nil:
+		f.Unknown++
+	case l.Data == nil:
+		f.results[l.Experiment] += l.Results
+	default:
+		if err := sink(l.Data); err != nil {
+			return err
+		}
+		f.records[l.Experiment]++
 	}
-	switch l.Experiment {
+	return nil
+}
+
+// sink returns the decoder that folds one record of experiment exp, or
+// nil for an experiment this fold does not understand.
+func (f *Fold) sink(exp string) func(json.RawMessage) error {
+	switch exp {
 	case "distance":
-		return addRecord(l.Data, f.AddDistance)
+		return decode(f.AddDistance)
 	case "bandwidth":
-		return addRecord(l.Data, f.AddBandwidth)
+		return decode(f.AddBandwidth)
 	case "distance-cheat":
-		return addRecord(l.Data, f.AddCheat)
+		return decode(f.AddCheat)
 	case "ablation":
-		return addRecord(l.Data, f.AddAblation)
+		return decode(f.AddAblation)
 	case "destination":
-		return addRecord(l.Data, f.AddDestination)
+		return decode(f.AddDestination)
 	case "scalability":
-		return addRecord(l.Data, f.AddScalability)
+		return decode(f.AddScalability)
 	case "stability":
-		return addRecord(l.Data, f.AddStability)
+		return decode(f.AddStability)
 	}
-	f.Unknown++
 	return nil
 }
 
-// addRecord decodes one record envelope's data and folds it through the
-// experiment's sink.
-func addRecord[R any](data json.RawMessage, sink func(int, *R) error) error {
-	var r R
-	if err := json.Unmarshal(data, &r); err != nil {
-		return err
-	}
-	return sink(0, &r)
-}
-
-func (f *Fold) addSummary(l *ndjsonLine) error {
-	for name, d := range l.Digests {
-		if d == nil {
-			return fmt.Errorf("%s summary: digest %q is null", l.Experiment, name)
+// decode wraps an experiment's record sink as a decoder of one record
+// envelope's data.
+func decode[R any](sink func(int, *R) error) func(json.RawMessage) error {
+	return func(data json.RawMessage) error {
+		var r R
+		if err := json.Unmarshal(data, &r); err != nil {
+			return err
 		}
+		return sink(0, &r)
 	}
-	agg, ok := f.summaries[l.Experiment]
-	if !ok {
-		agg = &summaryAgg{digests: map[string]*stats.Digest{}, raw: map[string]string{}}
-		f.summaries[l.Experiment] = agg
-	}
-	agg.results += l.Results
-	agg.lines++
-	for name, d := range l.Digests {
-		if have, ok := agg.digests[name]; ok {
-			have.Merge(d)
-		} else {
-			agg.digests[name] = d
-		}
-	}
-	for name, s := range l.Series {
-		agg.raw[name] = s
-	}
-	return nil
 }
 
 // AddDistance folds one distance record (Figures 4, 5 and 6). Its
 // signature is DistanceStream's sink's.
 func (f *Fold) AddDistance(_ int, r *experiments.DistancePairResult) error {
 	f.distPairs++
-	f.curve("4a.negotiated", 0, 15).add(r.GainNeg)
-	f.curve("4a.optimal", 0, 15).add(r.GainOpt)
-	ind := f.curve("4b.negotiated", -20, 40)
+	f.curve("4a.negotiated").add(r.GainNeg)
+	f.curve("4a.optimal").add(r.GainOpt)
+	ind := f.curve("4b.negotiated")
 	ind.add(r.IndNegA)
 	ind.add(r.IndNegB)
-	opt := f.curve("4b.optimal", -20, 40)
+	opt := f.curve("4b.optimal")
 	for _, g := range [2]float64{r.IndOptA, r.IndOptB} {
 		opt.add(g)
 		f.indN++
@@ -330,9 +236,9 @@ func (f *Fold) AddDistance(_ int, r *experiments.DistancePairResult) error {
 			f.indLosers++
 		}
 	}
-	f.curve("5.both-better", 0, 15).add(r.GainBothBetter)
-	f.curve("5.pareto", 0, 15).add(r.GainPareto)
-	flowNeg := f.curve("6.negotiated", 0, 60)
+	f.curve("5.both-better").add(r.GainBothBetter)
+	f.curve("5.pareto").add(r.GainPareto)
+	flowNeg := f.curve("6.negotiated")
 	for _, g := range r.FlowGainNeg {
 		flowNeg.add(g)
 		f.flowN++
@@ -343,13 +249,13 @@ func (f *Fold) AddDistance(_ int, r *experiments.DistancePairResult) error {
 			f.flowLE50++
 		}
 	}
-	flowOpt := f.curve("6.optimal", 0, 60)
+	flowOpt := f.curve("6.optimal")
 	for _, g := range r.FlowGainOpt {
 		flowOpt.add(g)
 	}
-	sampleIn(f, f.byIx, r.Interconnections).add(r.GainNeg)
-	sampleIn(f, f.samples, "non-default").add(r.NonDefaultFraction)
-	sampleIn(f, f.samples, "group4").add(r.GainGroup4)
+	curveIn(f.byIx, r.Interconnections).add(r.GainNeg)
+	f.curve("non-default").add(r.NonDefaultFraction)
+	f.curve("group4").add(r.GainGroup4)
 	return nil
 }
 
@@ -357,19 +263,19 @@ func (f *Fold) AddDistance(_ int, r *experiments.DistancePairResult) error {
 // Its signature is BandwidthStream's sink's.
 func (f *Fold) AddBandwidth(_ int, r *experiments.BandwidthCaseResult) error {
 	f.bwCases++
-	f.curve("7.up.negotiated", 0, 6).add(r.UpNeg)
-	f.curve("7.up.default", 0, 6).add(r.UpDef)
-	f.curve("7.down.negotiated", 0, 6).add(r.DownNeg)
-	f.curve("7.down.default", 0, 6).add(r.DownDef)
-	f.curve("8.unilateral", 1, 6).add(r.UnilateralDownRatio)
+	f.curve("7.up.negotiated").add(r.UpNeg)
+	f.curve("7.up.default").add(r.UpDef)
+	f.curve("7.down.negotiated").add(r.DownNeg)
+	f.curve("7.down.default").add(r.DownDef)
+	f.curve("8.unilateral").add(r.UnilateralDownRatio)
 	if r.UnilateralDownRatio <= 2 {
 		f.uniLE2++
 	}
-	f.curve("9.up.negotiated", 0, 6).add(r.DiverseUpNeg)
-	f.curve("9.up.default", 0, 6).add(r.UpDef)
-	f.curve("9.down.gain", 0, 80).add(r.DiverseDownGain)
-	f.curve("11.up.cheat", 0, 6).add(r.CheatUp)
-	f.curve("11.down.cheat", 0, 6).add(r.CheatDown)
+	f.curve("9.up.negotiated").add(r.DiverseUpNeg)
+	f.curve("9.up.default").add(r.UpDef)
+	f.curve("9.down.gain").add(r.DiverseDownGain)
+	f.curve("11.up.cheat").add(r.CheatUp)
+	f.curve("11.down.cheat").add(r.CheatDown)
 	return nil
 }
 
@@ -377,14 +283,14 @@ func (f *Fold) AddBandwidth(_ int, r *experiments.BandwidthCaseResult) error {
 // signature is DistanceCheatStream's sink's.
 func (f *Fold) AddCheat(_ int, r *experiments.CheatPairResult) error {
 	f.cheatPairs++
-	f.curve("10a.truthful", 0, 15).add(r.TotalTruthful)
-	f.curve("10a.cheat", 0, 15).add(r.TotalCheat)
-	ind := f.curve("10b.truthful", 0, 15)
+	f.curve("10a.truthful").add(r.TotalTruthful)
+	f.curve("10a.cheat").add(r.TotalCheat)
+	ind := f.curve("10b.truthful")
 	ind.add(r.IndTruthfulA)
 	ind.add(r.IndTruthfulB)
-	f.curve("10b.cheater", 0, 15).add(r.IndCheater)
-	f.curve("10b.victim", 0, 15).add(r.IndVictim)
-	f.curve("10.delta", 0, 15).add(r.CheaterDelta)
+	f.curve("10b.cheater").add(r.IndCheater)
+	f.curve("10b.victim").add(r.IndVictim)
+	f.curve("10.delta").add(r.CheaterDelta)
 	if r.CheaterDelta <= -1e-9 {
 		f.deltaLEneg++
 	}
@@ -398,7 +304,7 @@ func (f *Fold) AddAblation(_ int, r *experiments.AblationPairResult) error {
 		return fmt.Errorf("ablation record %s: %d bounds, %d gains", r.Pair, len(r.Bounds), len(r.GainNeg))
 	}
 	for i, p := range r.Bounds {
-		sampleIn(f, f.byBound, p).add(r.GainNeg[i])
+		curveIn(f.byBound, p).add(r.GainNeg[i])
 	}
 	return nil
 }
@@ -414,8 +320,8 @@ func (f *Fold) AddScalability(_ int, r *experiments.ScalabilityPairResult) error
 	if f.scalPairs == 0 {
 		f.fractions = append([]float64(nil), r.Fractions...)
 		for range r.Fractions {
-			f.gainShares = append(f.gainShares, f.newSample())
-			f.flowShares = append(f.flowShares, f.newSample())
+			f.gainShares = append(f.gainShares, &exactCurve{})
+			f.flowShares = append(f.flowShares, &exactCurve{})
 		}
 	} else if !slices.Equal(f.fractions, r.Fractions) {
 		return fmt.Errorf("scalability record %s: fractions %v, earlier records %v", r.Pair, r.Fractions, f.fractions)
@@ -432,8 +338,8 @@ func (f *Fold) AddScalability(_ int, r *experiments.ScalabilityPairResult) error
 // DestinationStream's sink's.
 func (f *Fold) AddDestination(_ int, r *experiments.DestinationPairResult) error {
 	f.destPairs++
-	sampleIn(f, f.samples, "src-dst").add(r.GainSrcDst)
-	sampleIn(f, f.samples, "dst-only").add(r.GainDstOnly)
+	f.curve("src-dst").add(r.GainSrcDst)
+	f.curve("dst-only").add(r.GainDstOnly)
 	return nil
 }
 
@@ -449,33 +355,46 @@ func (f *Fold) AddStability(_ int, r *experiments.StabilityCaseResult) error {
 	default:
 		f.stabOutcomes[2]++
 	}
-	sampleIn(f, f.samples, "reactive-worst").add(r.ReactiveWorst)
-	sampleIn(f, f.samples, "negotiated-worst").add(r.NegotiatedWorst)
+	f.curve("reactive-worst").add(r.ReactiveWorst)
+	f.curve("negotiated-worst").add(r.NegotiatedWorst)
 	return nil
 }
 
 // frac reproduces stats.CDF.At's arithmetic from an online count, so
 // the decoration lines under the tables are the batch CDF's bit for
-// bit in either fold: At(x) = count(<= x)/n, the fraction above x is 1 - At(x).
+// bit: At(x) = count(<= x)/n, the fraction above x is 1 - At(x).
 func frac(le, n int) float64 { return float64(le) / float64(n) }
 
 // Render writes the sections fig selects ("4" to "11", "extras" or
 // "all") that the folded records carry — the figure tables, each
 // curve's summary line and the decoration lines, then the extras
-// sections, as nexitsim's figure mode prints them — followed by the
-// merged per-experiment summary lines of any folded summary records.
+// sections, as nexitsim's figure mode prints them. It writes nothing
+// and returns an error naming the experiment when the records AddLine
+// folded for an experiment lack a summary line, or number other than
+// its summary lines count: a shard is missing, or a stream was cut
+// short.
 func (f *Fold) Render(w io.Writer, fig string) error {
+	exps := slices.Concat(slices.Collect(maps.Keys(f.results)), slices.Collect(maps.Keys(f.records)))
+	slices.Sort(exps)
+	for _, exp := range slices.Compact(exps) {
+		n, summarized := f.results[exp]
+		if have := f.records[exp]; !summarized {
+			return fmt.Errorf("%s: %d records folded and no summary line", exp, have)
+		} else if n != have {
+			return fmt.Errorf("%s: summary lines count %d results, %d records folded", exp, n, have)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	sel := func(n string) bool { return fig == "all" || fig == n }
 	section := func(title string) { fmt.Fprintf(bw, "\n=== %s ===\n", title) }
 	series := func(xLabel string, min, max float64, keys map[string]string, order []string) {
-		curves := map[string]curve{}
+		curves := map[string]*stats.CDF{}
 		for name, key := range keys {
-			curves[name] = f.curve(key, min, max)
+			curves[name] = f.curve(key).sorted()
 		}
 		fmt.Fprint(bw, stats.FormatSeries(xLabel, min, max, f.points, curves, order))
 		for _, name := range order {
-			fmt.Fprintf(bw, "  %s: %s\n", name, curves[name].summary())
+			fmt.Fprintf(bw, "  %s: %s\n", name, stats.Summary(curves[name]))
 		}
 	}
 
@@ -549,7 +468,7 @@ func (f *Fold) Render(w io.Writer, fig string) error {
 			"both truthful": "10b.truthful", "cheater": "10b.cheater", "truthful": "10b.victim",
 		}, []string{"both truthful", "cheater", "truthful"})
 		fmt.Fprintf(bw, "paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-			f.curve("10.delta", 0, 15).mean(), 100*frac(f.deltaLEneg, f.cheatPairs))
+			f.curve("10.delta").sorted().Mean(), 100*frac(f.deltaLEneg, f.cheatPairs))
 	}
 	if f.bwCases > 0 && sel("11") {
 		section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
@@ -567,24 +486,6 @@ func (f *Fold) Render(w io.Writer, fig string) error {
 		f.renderExtras(bw, section)
 	}
 
-	if len(f.summaries) > 0 {
-		section("Streaming summaries (merged across shards)")
-		for _, exp := range summaryOrder(f.summaries) {
-			agg := f.summaries[exp]
-			fmt.Fprintf(bw, "%s: %d results\n", exp, agg.results)
-			for _, name := range sortedKeys(agg.digests, agg.raw) {
-				if d, ok := agg.digests[name]; ok {
-					fmt.Fprintf(bw, "  %s: %s\n", name, d.StableSummary())
-				} else if agg.lines == 1 {
-					fmt.Fprintf(bw, "  %s: %s\n", name, agg.raw[name])
-				} else {
-					// Legacy shards without digests cannot merge; say so
-					// instead of printing one shard's numbers as the whole.
-					fmt.Fprintf(bw, "  %s: (unmergeable: shards carry no digests)\n", name)
-				}
-			}
-		}
-	}
 	return bw.Flush()
 }
 
@@ -597,15 +498,15 @@ func (f *Fold) renderExtras(bw io.Writer, section func(string)) {
 			fmt.Fprintf(bw, "  %2d interconnections: %s\n", k, f.byIx[k].summary())
 		}
 		section("Extra — fraction of flows moved off the default (§5.1 text, ~20%)")
-		fmt.Fprintf(bw, "  %s\n", f.samples["non-default"].summary())
+		fmt.Fprintf(bw, "  %s\n", f.curves["non-default"].summary())
 		section("Extra — negotiating in 4 separate groups (§5.1 text)")
 		fmt.Fprintf(bw, "  whole table: %s\n", f.curves["4a.negotiated"].summary())
-		fmt.Fprintf(bw, "  4 groups:    %s\n", f.samples["group4"].summary())
+		fmt.Fprintf(bw, "  4 groups:    %s\n", f.curves["group4"].summary())
 	}
 	if len(f.byBound) > 0 {
 		section("Extra — preference range ablation (§5 text: beyond [-10,10] no gain)")
 		for _, p := range slices.Sorted(maps.Keys(f.byBound)) {
-			fmt.Fprintf(bw, "  P=%-3d median total gain: %.2f%%\n", p, upperMedian(f.byBound[p]))
+			fmt.Fprintf(bw, "  P=%-3d median total gain: %.2f%%\n", p, upperMedian(f.byBound[p].sorted()))
 		}
 	}
 	if f.scalPairs > 0 {
@@ -613,14 +514,14 @@ func (f *Fold) renderExtras(bw io.Writer, section func(string)) {
 		fmt.Fprintf(bw, "  pairs: %d (gravity flow sizes)\n", f.scalPairs)
 		for i, frac := range f.fractions {
 			fmt.Fprintf(bw, "  top flows covering %3.0f%% of traffic = %4.1f%% of flows -> %3.0f%% of the full gain\n",
-				100*frac, 100*f.flowShares[i].quantile(0.5), 100*f.gainShares[i].quantile(0.5))
+				100*frac, 100*f.flowShares[i].sorted().Quantile(0.5), 100*f.gainShares[i].sorted().Quantile(0.5))
 		}
 	}
 	if f.destPairs > 0 {
 		section("Extra — destination-based routing (footnote 2)")
 		fmt.Fprintf(bw, "  pairs: %d; gains measured against each regime's own default\n", f.destPairs)
-		fmt.Fprintf(bw, "  source-destination routing: %s\n", f.samples["src-dst"].summary())
-		fmt.Fprintf(bw, "  destination-based routing:  %s\n", f.samples["dst-only"].summary())
+		fmt.Fprintf(bw, "  source-destination routing: %s\n", f.curves["src-dst"].summary())
+		fmt.Fprintf(bw, "  destination-based routing:  %s\n", f.curves["dst-only"].summary())
 	}
 	if f.stabCases > 0 {
 		section("Extra — cycles of influence under reactive unilateral routing (§1/§2.2)")
@@ -628,45 +529,7 @@ func (f *Fold) renderExtras(bw io.Writer, section func(string)) {
 		fmt.Fprintf(bw, "  reactive best-response dynamics: %d converged, %d oscillated, %d exhausted\n",
 			f.stabOutcomes[0], f.stabOutcomes[1], f.stabOutcomes[2])
 		fmt.Fprintf(bw, "  negotiation: always terminates (by construction)\n")
-		fmt.Fprintf(bw, "  reactive end-state worst MEL:   %s\n", f.samples["reactive-worst"].summary())
-		fmt.Fprintf(bw, "  negotiated worst MEL:           %s\n", f.samples["negotiated-worst"].summary())
+		fmt.Fprintf(bw, "  reactive end-state worst MEL:   %s\n", f.curves["reactive-worst"].summary())
+		fmt.Fprintf(bw, "  negotiated worst MEL:           %s\n", f.curves["negotiated-worst"].summary())
 	}
-}
-
-// summaryOrder lists present experiments in nexitsim's emission order,
-// then any strangers alphabetically.
-func summaryOrder(m map[string]*summaryAgg) []string {
-	known := []string{"distance", "bandwidth", "distance-cheat", "ablation", "destination", "scalability", "stability"}
-	var out []string
-	seen := map[string]bool{}
-	for _, k := range known {
-		if _, ok := m[k]; ok {
-			out = append(out, k)
-			seen[k] = true
-		}
-	}
-	var rest []string
-	for k := range m {
-		if !seen[k] {
-			rest = append(rest, k)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
-}
-
-func sortedKeys(digests map[string]*stats.Digest, raw map[string]string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for k := range digests {
-		seen[k] = true
-		out = append(out, k)
-	}
-	for k := range raw {
-		if !seen[k] {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

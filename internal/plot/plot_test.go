@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/gen"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -26,71 +26,46 @@ func testDataset(t *testing.T) *experiments.Dataset {
 }
 
 func testOpts() (experiments.Options, experiments.BandwidthOptions) {
-	// MaxPairs keeps every per-experiment digest under the
-	// QuantileSketch capacity (4096 points): the byte-parity contract
-	// these tests pin holds while sketches are uncompacted, and the
-	// flow-level experiment pools thousands of flow samples per pair.
 	opt := experiments.Options{MaxPairs: 4, Seed: 1, Workers: 2}
 	return opt, experiments.BandwidthOptions{Options: opt, Workload: traffic.Gravity, MaxFailures: 8}
 }
 
 // streamLines replays runStreaming's emission: one envelope per record
-// and one summary line (with digests) per experiment — the NDJSON a
-// `nexitsim -stream -fig all` run writes, extras included, with every
+// and one summary line per experiment counting its records — the NDJSON
+// a `nexitsim -stream -fig all` run writes, extras included, with every
 // experiment under opt's or bopt's bounds.
 func streamLines(t *testing.T, ds *experiments.Dataset, opt experiments.Options, bopt experiments.BandwidthOptions) [][]byte {
 	t.Helper()
 	var lines [][]byte
 	emitStream(t, &lines, "distance", func(sink func(int, *experiments.DistancePairResult) error) error {
 		return experiments.DistanceStream(ds, opt, sink)
-	}, func(r *experiments.DistancePairResult, add func(string, float64)) {
-		add("gain_negotiated", r.GainNeg)
-		add("gain_optimal", r.GainOpt)
 	})
 	emitStream(t, &lines, "bandwidth", func(sink func(int, *experiments.BandwidthCaseResult) error) error {
 		_, err := experiments.BandwidthStream(ds, bopt, sink)
 		return err
-	}, func(r *experiments.BandwidthCaseResult, add func(string, float64)) {
-		add("up_negotiated", r.UpNeg)
-		add("down_negotiated", r.DownNeg)
 	})
 	emitStream(t, &lines, "distance-cheat", func(sink func(int, *experiments.CheatPairResult) error) error {
 		return experiments.DistanceCheatStream(ds, opt, sink)
-	}, func(r *experiments.CheatPairResult, add func(string, float64)) {
-		add("total_truthful", r.TotalTruthful)
-		add("total_cheat", r.TotalCheat)
 	})
 	emitStream(t, &lines, "ablation", func(sink func(int, *experiments.AblationPairResult) error) error {
 		return experiments.AblationStream(ds, opt, experiments.AblationBounds, sink)
-	}, func(r *experiments.AblationPairResult, add func(string, float64)) {
-		for i, p := range r.Bounds {
-			add(fmt.Sprintf("gain_negotiated_p%d", p), r.GainNeg[i])
-		}
 	})
 	emitStream(t, &lines, "destination", func(sink func(int, *experiments.DestinationPairResult) error) error {
 		return experiments.DestinationStream(ds, opt, sink)
-	}, func(r *experiments.DestinationPairResult, add func(string, float64)) {
-		add("gain_dst_only", r.GainDstOnly)
 	})
 	emitStream(t, &lines, "scalability", func(sink func(int, *experiments.ScalabilityPairResult) error) error {
 		return experiments.ScalabilityStream(ds, opt, experiments.ScalabilityFractions, sink)
-	}, func(r *experiments.ScalabilityPairResult, add func(string, float64)) {
-		add("gain_share_20pct_traffic", r.GainShares[0])
 	})
 	emitStream(t, &lines, "stability", func(sink func(int, *experiments.StabilityCaseResult) error) error {
 		_, err := experiments.StabilityStream(ds, bopt, sink)
 		return err
-	}, func(r *experiments.StabilityCaseResult, add func(string, float64)) {
-		add("reactive_worst_mel", r.ReactiveWorst)
 	})
 	return lines
 }
 
 // emitStream appends one experiment's NDJSON to lines: an envelope per
-// record run delivers, then the summary line of the digests series
-// fills.
-func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink func(int, *R) error) error,
-	series func(r *R, add func(name string, v float64))) {
+// record run delivers, then the summary line counting them.
+func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink func(int, *R) error) error) {
 	t.Helper()
 	type envelope struct {
 		Experiment string `json:"experiment"`
@@ -98,10 +73,8 @@ func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink 
 		Data       any    `json:"data"`
 	}
 	type summary struct {
-		Experiment string                   `json:"experiment"`
-		Results    int                      `json:"results"`
-		Series     map[string]string        `json:"series"`
-		Digests    map[string]*stats.Digest `json:"digests,omitempty"`
+		Experiment string `json:"experiment"`
+		Results    int    `json:"results"`
 	}
 	emit := func(v any) {
 		b, err := json.Marshal(v)
@@ -110,16 +83,8 @@ func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink 
 		}
 		*lines = append(*lines, b)
 	}
-	digests := map[string]*stats.Digest{}
-	add := func(name string, v float64) {
-		if digests[name] == nil {
-			digests[name] = stats.NewDigest()
-		}
-		digests[name].Add(v)
-	}
 	n := 0
 	err := run(func(idx int, r *R) error {
-		series(r, add)
 		n++
 		emit(envelope{Experiment: exp, Index: idx, Data: r})
 		return nil
@@ -127,11 +92,19 @@ func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
-	for name, d := range digests {
-		s.Series[name] = d.Summary()
+	emit(summary{Experiment: exp, Results: n})
+}
+
+// foldLines folds lines into a fresh fold.
+func foldLines(t *testing.T, lines [][]byte) *Fold {
+	t.Helper()
+	f := NewFold(16)
+	for _, line := range lines {
+		if err := f.AddLine(line); err != nil {
+			t.Fatal(err)
+		}
 	}
-	emit(s)
+	return f
 }
 
 func render(t *testing.T, f *Fold, fig string) string {
@@ -159,56 +132,44 @@ func diffLine(t *testing.T, what, got, want string) {
 	t.Fatalf("%s: lengths diverge: got %d lines, want %d", what, len(g), len(w))
 }
 
-// The exact fold nexitsim's figure mode feeds straight from the drivers
-// and the bounded fold nexitplot rebuilds from the NDJSON stream render
-// the same bytes while every curve's sketch is uncompacted: same tables
-// (GridCDF == CDF.Series on the fixed axes), same summary lines and
-// medians, same decoration lines (integer counts through the same
-// arithmetic). Each single-figure selection, extras included, renders
+// The nexitsim/nexitplot contract, in process: a fold fed straight by
+// the drivers (nexitsim's figure mode) and a fold fed the same records
+// as NDJSON lines through AddLine (nexitplot over -stream) render the
+// same bytes. Each single-figure selection, extras included, renders
 // its own sections of the whole.
 func TestFoldReproducesBatchFigures(t *testing.T) {
 	ds := testDataset(t)
 	opt, bopt := testOpts()
-	const points = 16
 
-	exact := NewExactFold(points)
-	if err := experiments.DistanceStream(ds, opt, exact.AddDistance); err != nil {
+	direct := NewFold(16)
+	if err := experiments.DistanceStream(ds, opt, direct.AddDistance); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.BandwidthStream(ds, bopt, exact.AddBandwidth); err != nil {
+	if _, err := experiments.BandwidthStream(ds, bopt, direct.AddBandwidth); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.DistanceCheatStream(ds, opt, exact.AddCheat); err != nil {
+	if err := experiments.DistanceCheatStream(ds, opt, direct.AddCheat); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.AblationStream(ds, opt, experiments.AblationBounds, exact.AddAblation); err != nil {
+	if err := experiments.AblationStream(ds, opt, experiments.AblationBounds, direct.AddAblation); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.DestinationStream(ds, opt, exact.AddDestination); err != nil {
+	if err := experiments.DestinationStream(ds, opt, direct.AddDestination); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.ScalabilityStream(ds, opt, experiments.ScalabilityFractions, exact.AddScalability); err != nil {
+	if err := experiments.ScalabilityStream(ds, opt, experiments.ScalabilityFractions, direct.AddScalability); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.StabilityStream(ds, bopt, exact.AddStability); err != nil {
+	if _, err := experiments.StabilityStream(ds, bopt, direct.AddStability); err != nil {
 		t.Fatal(err)
 	}
 
-	bounded := NewFold(points)
-	for _, line := range streamLines(t, ds, opt, bopt) {
-		// Records only: the exact fold has no summaries section.
-		if bytes.Contains(line, []byte(`"data"`)) {
-			if err := bounded.AddLine(line); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	all := render(t, exact, "all")
-	diffLine(t, "bounded vs exact", render(t, bounded, "all"), all)
+	all := render(t, direct, "all")
+	diffLine(t, "lines vs direct", render(t, foldLines(t, streamLines(t, ds, opt, bopt)), "all"), all)
 
 	var pieces strings.Builder
 	for _, fig := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "extras"} {
-		one := render(t, exact, fig)
+		one := render(t, direct, fig)
 		head := "\n=== Figure " + fig
 		if fig == "extras" {
 			head = "\n=== Extra — "
@@ -231,44 +192,104 @@ func TestFoldShardParity(t *testing.T) {
 	opt, bopt := testOpts()
 	lines := streamLines(t, ds, opt, bopt)
 
-	whole := NewFold(16)
-	for _, line := range lines {
-		if err := whole.AddLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantOut := render(t, whole, "all")
-	if !strings.Contains(wantOut, "Streaming summaries") {
-		t.Fatal("no summaries section; summary lines were not folded")
-	}
+	wantOut := render(t, foldLines(t, lines), "all")
 	if got := strings.Count(wantOut, "\n=== Extra — "); got != 7 {
 		t.Fatalf("whole run renders %d extras sections, want 7", got)
 	}
 
 	// Interleave NR%2, then feed the odd shard first.
-	sharded := NewFold(16)
-	for pass, want := range []int{1, 0} {
-		_ = pass
-		for i, line := range lines {
-			if i%2 != want {
-				continue
-			}
-			if err := sharded.AddLine(line); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	diffLine(t, "sharded vs whole", render(t, sharded, "all"), wantOut)
+	odd, even := shard(lines, 1), shard(lines, 0)
+	diffLine(t, "sharded vs whole", render(t, foldLines(t, slices.Concat(odd, even)), "all"), wantOut)
 }
 
-// Lines from unknown experiments are skipped and counted, never fatal.
+// shard returns the lines whose index is rem modulo 2: awk 'NR%2==...'.
+func shard(lines [][]byte, rem int) [][]byte {
+	var out [][]byte
+	for i, line := range lines {
+		if i%2 == rem {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// A fold short of records is refused with an error naming the
+// experiment and its counts: a shard left out, a stream cut short inside
+// an experiment (before its summary line), or a record lost before a
+// summary line that counts it.
+func TestFoldRefusesMissingRecords(t *testing.T) {
+	ds := testDataset(t)
+	opt, bopt := testOpts()
+	lines := streamLines(t, ds, opt, bopt)
+	var ends []int // the summary lines' indices
+	for i, line := range lines {
+		if !bytes.Contains(line, []byte(`"data"`)) {
+			ends = append(ends, i)
+		}
+	}
+	if len(ends) != 7 || ends[0] < 2 || ends[1]-ends[0] < 3 {
+		t.Fatalf("summary lines at %v, want 7 after at least two records each", ends)
+	}
+	distance := fmt.Sprintf("distance: summary lines count %d results, %d records folded", ends[0], ends[0]-1)
+	bandwidth := fmt.Sprintf("bandwidth: %d records folded and no summary line", ends[1]-ends[0]-2)
+	for _, c := range []struct {
+		name  string
+		lines [][]byte
+		want  string
+	}{
+		{"dropped shard", shard(lines, 0), " records folded"},
+		{"truncated stream", lines[:ends[1]-1], bandwidth},
+		{"lost record", slices.Concat(lines[:1], lines[2:]), distance},
+	} {
+		var buf bytes.Buffer
+		err := foldLines(t, c.lines).Render(&buf, "all")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Render error %v, want one containing %q", c.name, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: Render wrote %d bytes before refusing", c.name, buf.Len())
+		}
+	}
+}
+
+// A summary line of an older producer still carries the series strings
+// and mergeable digests this fold no longer reads; it folds on its
+// record count alone, to the same bytes, even where its digest is one
+// the old fold refused.
+func TestFoldAcceptsLegacySummary(t *testing.T) {
+	ds := testDataset(t)
+	opt, bopt := testOpts()
+	lines := streamLines(t, ds, opt, bopt)
+	want := render(t, foldLines(t, lines), "all")
+
+	legacy := make([][]byte, len(lines))
+	for i, line := range lines {
+		legacy[i] = line
+		if !bytes.Contains(line, []byte(`"data"`)) {
+			legacy[i] = append(bytes.TrimSuffix(line, []byte("}")), []byte(`,"series":{"gain":"n=2 mean=1.500"},`+
+				`"digests":{"gain":{"stream":{"n":2,"sum":3,"min":1,"max":2},"sketch":{"cap":4096,"compactions":0,"n":2,"points":[[1,1],[2,1]]}},"bad":null}}`)...)
+		}
+	}
+	diffLine(t, "legacy vs counts-only summaries", render(t, foldLines(t, legacy), "all"), want)
+}
+
+// Lines from unknown experiments, records and summaries alike, are
+// skipped and counted, never fatal.
 func TestFoldUnknownExperiment(t *testing.T) {
 	f := NewFold(8)
-	if err := f.AddLine([]byte(`{"experiment":"hyperspace","index":0,"data":{"x":1}}`)); err != nil {
-		t.Fatalf("unknown experiment should not error: %v", err)
+	for _, line := range []string{
+		`{"experiment":"hyperspace","index":0,"data":{"x":1}}`,
+		`{"experiment":"hyperspace","results":3}`,
+	} {
+		if err := f.AddLine([]byte(line)); err != nil {
+			t.Fatalf("unknown experiment should not error: %v", err)
+		}
 	}
-	if f.Unknown != 1 {
-		t.Fatalf("Unknown = %d, want 1", f.Unknown)
+	if f.Unknown != 2 {
+		t.Fatalf("Unknown = %d, want 2", f.Unknown)
+	}
+	if err := f.Render(io.Discard, "all"); err != nil {
+		t.Fatalf("skipped lines must not fail Render: %v", err)
 	}
 	if err := f.AddLine([]byte(`   `)); err != nil {
 		t.Fatalf("blank line should fold to nothing: %v", err)
@@ -278,9 +299,11 @@ func TestFoldUnknownExperiment(t *testing.T) {
 	}
 }
 
-// FuzzFoldLine feeds arbitrary lines to both folds: AddLine may refuse a
-// line, but neither it nor Render may panic. Any input that parses as a
-// digest must survive Marshal → Unmarshal → Marshal byte-equal.
+// FuzzFoldLine feeds arbitrary lines to the fold: AddLine may refuse a
+// line and Render may refuse a fold whose records disagree with its
+// summary lines, but neither may panic, and Render refuses only with
+// its labelled count error. The seeds include older summary lines that
+// carry digests, malformed ones too.
 func FuzzFoldLine(f *testing.F) {
 	for _, seed := range []string{
 		`{"experiment":"distance","index":0,"data":{"pair":"isp0-isp1","interconnections":3,"gain_negotiated":2.5,"gain_optimal":4,"ind_negotiated_a":1,"ind_negotiated_b":-0.5,"ind_optimal_a":6,"ind_optimal_b":-2,"flow_gain_negotiated":[0,0,12.5],"flow_gain_optimal":[0,3,40]}}`,
@@ -298,31 +321,10 @@ func FuzzFoldLine(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		for _, fold := range []*Fold{NewFold(8), NewExactFold(8)} {
-			_ = fold.AddLine(line)
-			if err := fold.Render(io.Discard, "all"); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		var d stats.Digest
-		if json.Unmarshal(line, &d) != nil {
-			return
-		}
-		first, err := json.Marshal(&d)
-		if err != nil {
-			t.Fatalf("accepted digest does not marshal: %v", err)
-		}
-		var back stats.Digest
-		if err := json.Unmarshal(first, &back); err != nil {
-			t.Fatalf("digest refuses its own wire form %s: %v", first, err)
-		}
-		second, err := json.Marshal(&back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, second) {
-			t.Fatalf("digest wire form drifts:\n  %s\n  %s", first, second)
+		fold := NewFold(8)
+		_ = fold.AddLine(line)
+		if err := fold.Render(io.Discard, "all"); err != nil && !strings.Contains(err.Error(), " records folded") {
+			t.Fatalf("Render refused with an unlabelled error: %v", err)
 		}
 	})
 }

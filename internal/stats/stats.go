@@ -94,19 +94,11 @@ func (c *CDF) Series(min, max float64, n int) []Point {
 	return out
 }
 
-// SeriesSource is any curve renderable on a fixed x-grid: the CDF
-// (retained samples) and the streaming GridCDF (online counts) both
-// qualify, so the same table formatter serves internal/plot's exact
-// and constant-memory folds.
-type SeriesSource interface {
-	Series(min, max float64, n int) []Point
-}
-
 // FormatSeries renders one or more named CDF curves sampled on a shared
 // x-grid as an aligned text table — the textual equivalent of one paper
-// figure panel. Like the curves' Series, it renders at least the two
-// end points, min and max.
-func FormatSeries[C SeriesSource](xLabel string, min, max float64, n int, curves map[string]C, order []string) string {
+// figure panel. Like Series, it renders at least the two end points,
+// min and max.
+func FormatSeries(xLabel string, min, max float64, n int, curves map[string]*CDF, order []string) string {
 	if n < 2 {
 		n = 2
 	}

@@ -7,13 +7,13 @@ import (
 	"sort"
 )
 
-// This file is the streaming half of the toolkit: accumulators that
-// consume one sample at a time in O(1)/bounded memory and merge, so the
-// experiment pipeline can aggregate production-scale runs without
-// retaining sample slices (DESIGN.md §8). Both types are deterministic:
-// the state after a fixed sequence of Add/Merge calls depends on that
-// sequence alone, and the runner's ordered reducer fixes the sequence,
-// so streaming aggregates are byte-identical across worker counts.
+// This file holds the online accumulators behind the digest summary
+// lines of an NDJSON stream: Stream, QuantileSketch and Digest. The
+// benchmark's NDJSON sink is now their only caller, and it hashes their
+// summary lines and wire form into its output checksum, so Add, Summary
+// and MarshalJSON must not move a byte; they are retired together with
+// that sink (ROADMAP item 1). Both types are deterministic: the state
+// after a fixed sequence of Add calls depends on that sequence alone.
 
 // Stream accumulates count, mean, min, and max online. The zero value
 // is an empty accumulator ready for use.
@@ -38,21 +38,6 @@ func (s *Stream) Add(x float64) {
 	s.sum += x
 }
 
-// Merge folds another accumulator's samples in.
-func (s *Stream) Merge(o *Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.n == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.sum += o.sum
-}
-
 // N returns the number of samples folded in.
 func (s *Stream) N() int64 { return s.n }
 
@@ -72,9 +57,9 @@ func (s *Stream) Max() float64 {
 	return s.max
 }
 
-// streamJSON is the wire form of a Stream. encoding/json round-trips
-// float64 exactly (shortest-representation formatting), so a
-// serialized accumulator merges bit-identically to the live one.
+// streamJSON is the wire form of a Stream. encoding/json writes the
+// shortest float64 representation, so the wire form carries the state
+// exactly.
 type streamJSON struct {
 	N   int64   `json:"n"`
 	Sum float64 `json:"sum"`
@@ -82,22 +67,9 @@ type streamJSON struct {
 	Max float64 `json:"max"`
 }
 
-// MarshalJSON serializes the accumulator for shard transport.
+// MarshalJSON serializes the accumulator.
 func (s Stream) MarshalJSON() ([]byte, error) {
 	return json.Marshal(streamJSON{N: s.n, Sum: s.sum, Min: s.min, Max: s.max})
-}
-
-// UnmarshalJSON restores an accumulator serialized by MarshalJSON.
-func (s *Stream) UnmarshalJSON(data []byte) error {
-	var j streamJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.N < 0 {
-		return fmt.Errorf("stats: Stream with negative n %d", j.N)
-	}
-	s.n, s.sum, s.min, s.max = j.N, j.Sum, j.Min, j.Max
-	return nil
 }
 
 // sketchCap is the default point capacity of a QuantileSketch: exact
@@ -119,8 +91,7 @@ type wpoint struct {
 // and its adjacent pairs collapse into one point of doubled weight,
 // alternating deterministically between keeping the lower and the
 // upper member. Points of unequal weight never pair, so one
-// compaction at weight w moves any rank by at most w. Sketches merge,
-// so per-shard digests can be combined.
+// compaction at weight w moves any rank by at most w.
 //
 // The zero value is unusable; construct with NewQuantileSketch.
 type QuantileSketch struct {
@@ -152,22 +123,15 @@ func (q *QuantileSketch) Add(x float64) {
 	q.shrink()
 }
 
-// Merge folds another sketch's points in.
-func (q *QuantileSketch) Merge(o *QuantileSketch) {
-	q.points = append(q.points, o.points...)
-	q.n += o.n
-	q.shrink()
-}
-
 // shrink compacts until the points fit the capacity, or until no level
-// holds two points (only a decoded sketch of odd weights gets there).
+// holds two points.
 func (q *QuantileSketch) shrink() {
 	for len(q.points) > q.cap && q.compact() {
 	}
 }
 
 // sortPoints orders the points canonically by (value, weight, sign of
-// zero). The order matters: sorting happens in Quantile, Mean and
+// zero). The order matters: sorting happens in Quantile and
 // MarshalJSON, and with a total order equal points are
 // interchangeable, so the state is well-defined regardless of when
 // queries happen.
@@ -190,7 +154,7 @@ func (a wpoint) less(b wpoint) bool {
 // points of twice the weight, keeping the lower or the upper value as
 // a counter alternates. An odd level keeps its top point as it is.
 // The result depends only on the point multiset and the counter, so
-// the sketch stays deterministic in its Add/Merge sequence. It reports
+// the sketch stays deterministic in its Add sequence. It reports
 // false, changing nothing, when no level holds two points.
 func (q *QuantileSketch) compact() bool {
 	type level struct {
@@ -248,13 +212,6 @@ func (q *QuantileSketch) compact() bool {
 	return true
 }
 
-// exact reports whether every point is one sample, as before the first
-// compaction.
-func (q *QuantileSketch) exact() bool { return int64(len(q.points)) == q.n }
-
-// N returns the number of samples represented.
-func (q *QuantileSketch) N() int64 { return q.n }
-
 // Quantile returns the estimated q-quantile (exact while no compaction
 // has happened), using the same nearest-rank convention as
 // CDF.Quantile. It panics on an empty sketch or out-of-range qq.
@@ -280,28 +237,9 @@ func (q *QuantileSketch) Quantile(qq float64) float64 {
 // Median returns the 0.5 quantile.
 func (q *QuantileSketch) Median() float64 { return q.Quantile(0.5) }
 
-// Mean returns the weighted mean of the sketch's points, summed in
-// canonical (value, weight) order. Unlike Stream.Mean — whose float
-// sum depends on insertion order — this is the same float64 for any
-// Add/Merge order over the same sample multiset (while uncompacted),
-// which is what lets sharded runs reproduce a whole-run summary line
-// byte-identically. While uncompacted it equals CDF.Mean exactly: both
-// sum the same values in sorted order.
-func (q *QuantileSketch) Mean() float64 {
-	if q.n == 0 {
-		return 0
-	}
-	q.sortPoints()
-	var sum float64
-	for _, p := range q.points {
-		sum += p.v * p.w
-	}
-	return sum / float64(q.n)
-}
-
 // sketchJSON is the wire form of a QuantileSketch: the full point set
 // (canonically sorted, so equal states serialize equally) plus the
-// compaction counter that keeps merge determinism intact.
+// compaction counter.
 type sketchJSON struct {
 	Cap         int          `json:"cap"`
 	Compactions int          `json:"compactions"`
@@ -309,8 +247,8 @@ type sketchJSON struct {
 	Points      [][2]float64 `json:"points"`
 }
 
-// MarshalJSON serializes the sketch for shard transport. The receiver
-// is a pointer because serialization canonicalizes point order first.
+// MarshalJSON serializes the sketch. The receiver is a pointer because
+// serialization canonicalizes point order first.
 func (q *QuantileSketch) MarshalJSON() ([]byte, error) {
 	q.sortPoints()
 	pts := make([][2]float64, len(q.points))
@@ -320,42 +258,10 @@ func (q *QuantileSketch) MarshalJSON() ([]byte, error) {
 	return json.Marshal(sketchJSON{Cap: q.cap, Compactions: q.compactions, N: q.n, Points: pts})
 }
 
-// UnmarshalJSON restores a sketch serialized by MarshalJSON.
-func (q *QuantileSketch) UnmarshalJSON(data []byte) error {
-	var j sketchJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.Cap <= 0 {
-		j.Cap = sketchCap
-	}
-	if j.Cap < 8 {
-		j.Cap = 8
-	}
-	if j.N < 0 {
-		return fmt.Errorf("stats: sketch with negative n %d", j.N)
-	}
-	var n float64
-	pts := make([]wpoint, len(j.Points))
-	for i, p := range j.Points {
-		if !(p[1] >= 1) || p[1] != math.Trunc(p[1]) {
-			return fmt.Errorf("stats: sketch point %d has weight %v, want a positive integer", i, p[1])
-		}
-		pts[i] = wpoint{v: p[0], w: p[1]}
-		n += p[1]
-	}
-	if int64(n) != j.N {
-		return fmt.Errorf("stats: sketch weights sum to %v, header says %d", n, j.N)
-	}
-	q.cap, q.compactions, q.n, q.points = j.Cap, j.Compactions, j.N, pts
-	q.shrink()
-	return nil
-}
-
 // Digest couples a Stream with a QuantileSketch: the constant-memory
 // stand-in for a retained sample slice, summarizable like a CDF. The
 // zero value is an empty digest ready for use (the sketch is created
-// with the default capacity on first Add/Merge).
+// with the default capacity on first Add).
 type Digest struct {
 	Stream Stream
 	Sketch *QuantileSketch
@@ -375,17 +281,6 @@ func (d *Digest) Add(x float64) {
 	d.Sketch.Add(x)
 }
 
-// Merge folds another digest's samples in.
-func (d *Digest) Merge(o *Digest) {
-	if d.Sketch == nil {
-		d.Sketch = NewQuantileSketch(0)
-	}
-	d.Stream.Merge(&o.Stream)
-	if o.Sketch != nil {
-		d.Sketch.Merge(o.Sketch)
-	}
-}
-
 // Summary returns the one-line digest in the same format as
 // Summary(CDF): n, mean, median, p90, max. While the sketch has not
 // compacted, the quantiles are exact and the line matches the batch
@@ -399,61 +294,14 @@ func (d *Digest) Summary() string {
 		d.Stream.N(), d.Stream.Mean(), d.Sketch.Median(), d.Sketch.Quantile(0.9), d.Stream.Max())
 }
 
-// StableMean is the sketch's mean while the sketch is uncompacted and
-// the stream's exact mean after. Stream.Mean sums in insertion order,
-// so shards merged in a different order can disagree with a whole run
-// in the last float bits; Sketch.Mean sums canonically sorted points,
-// so while every point is one sample it is the same float64 for ANY
-// sharding of the same samples — and equal to the batch CDF.Mean,
-// which also sums sorted samples. A compacted sketch's mean is an
-// estimate, so there the stream's exact sum wins.
-func (d *Digest) StableMean() float64 {
-	if d.Sketch != nil && d.Sketch.exact() {
-		return d.Sketch.Mean()
-	}
-	return d.Stream.Mean()
-}
-
-// StableSummary is Summary with StableMean: while the sketch is
-// uncompacted the line is byte-identical for any sharding of the same
-// samples and equal to the batch Summary(NewCDF(...)) line.
-// cmd/nexitplot's merge path pins exactly this.
-func (d *Digest) StableSummary() string {
-	if d.Stream.N() == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%.3f median=%.3f p90=%.3f max=%.3f",
-		d.Stream.N(), d.StableMean(), d.Sketch.Median(), d.Sketch.Quantile(0.9), d.Stream.Max())
-}
-
 // digestJSON is the wire form of a Digest: the digest summary line's
-// machine-readable carrier. A digest parsed back from it merges
-// exactly like the live one, which is what makes run-elsewhere /
-// aggregate-here sharding work.
+// machine-readable carrier.
 type digestJSON struct {
 	Stream Stream          `json:"stream"`
 	Sketch *QuantileSketch `json:"sketch,omitempty"`
 }
 
-// MarshalJSON serializes the digest for shard transport.
+// MarshalJSON serializes the digest.
 func (d *Digest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(digestJSON{Stream: d.Stream, Sketch: d.Sketch})
-}
-
-// UnmarshalJSON restores a digest serialized by MarshalJSON. The
-// stream and the sketch must count the same samples: the summary line
-// reads n and the mean from one and the quantiles from the other.
-func (d *Digest) UnmarshalJSON(data []byte) error {
-	var j digestJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.Sketch == nil {
-		j.Sketch = NewQuantileSketch(0)
-	}
-	if j.Stream.N() != j.Sketch.N() {
-		return fmt.Errorf("stats: digest stream counts %d samples, its sketch %d", j.Stream.N(), j.Sketch.N())
-	}
-	d.Stream, d.Sketch = j.Stream, j.Sketch
-	return nil
 }

@@ -26,23 +26,17 @@ func TestStreamMatchesCDF(t *testing.T) {
 	}
 }
 
-func TestStreamNaNAndMerge(t *testing.T) {
-	var a, b Stream
-	a.Add(1)
-	a.Add(math.NaN())
-	a.Add(3)
-	b.Add(-2)
-	a.Merge(&b)
-	if a.N() != 3 {
-		t.Fatalf("N = %d, want 3 (NaN dropped)", a.N())
+func TestStreamDropsNaN(t *testing.T) {
+	var s Stream
+	s.Add(1)
+	s.Add(math.NaN())
+	s.Add(-2)
+	s.Add(3)
+	if s.N() != 3 {
+		t.Fatalf("N = %d, want 3 (NaN dropped)", s.N())
 	}
-	if a.min != -2 || a.Max() != 3 {
-		t.Errorf("Min/Max = %v/%v, want -2/3", a.min, a.Max())
-	}
-	var empty Stream
-	a.Merge(&empty)
-	if a.N() != 3 {
-		t.Error("merging an empty stream changed the count")
+	if s.min != -2 || s.Max() != 3 || s.Mean() != 2.0/3 {
+		t.Errorf("Min/Max/Mean = %v/%v/%v, want -2/3/%v", s.min, s.Max(), s.Mean(), 2.0/3)
 	}
 }
 
@@ -77,8 +71,8 @@ func TestQuantileSketchApproxAboveCap(t *testing.T) {
 		sk.Add(samples[i])
 	}
 	c := NewCDF(samples)
-	if sk.N() != n {
-		t.Fatalf("N = %d, want %d", sk.N(), n)
+	if sk.n != n {
+		t.Fatalf("N = %d, want %d", sk.n, n)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		est := sk.Quantile(q)
@@ -94,8 +88,7 @@ func TestQuantileSketchApproxAboveCap(t *testing.T) {
 // cannot drag a quantile off its rank: on a curve shaped like Figure
 // 6's per-flow gains (four in five samples exactly 0, a long tail, far
 // past the default capacity) every reported quantile lies within 0.01
-// of the requested rank, and the digest's stable mean is the exact
-// one.
+// of the requested rank.
 func TestQuantileSketchTiesAboveCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 60000
@@ -107,7 +100,7 @@ func TestQuantileSketchTiesAboveCap(t *testing.T) {
 		}
 		d.Add(samples[i])
 	}
-	if d.Sketch.exact() {
+	if d.Sketch.compactions == 0 {
 		t.Fatal("sketch never compacted; the test needs more samples than its capacity")
 	}
 	c := NewCDF(samples)
@@ -119,14 +112,10 @@ func TestQuantileSketchTiesAboveCap(t *testing.T) {
 			t.Errorf("q=%v: estimate %v has true ranks [%v, %v]", q, est, below, atOrBelow)
 		}
 	}
-	if got, want := d.StableMean(), d.Stream.Mean(); got != want {
-		t.Errorf("stable mean of a compacted digest = %v, want the stream's %v", got, want)
-	}
 }
 
-// The sketch is deterministic in the Add sequence, and merging shard
-// sketches represents every sample exactly once.
-func TestQuantileSketchDeterministicMerge(t *testing.T) {
+// The sketch is deterministic in the Add sequence.
+func TestQuantileSketchDeterministic(t *testing.T) {
 	feed := func(sk *QuantileSketch, seed int64, n int) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
@@ -138,18 +127,6 @@ func TestQuantileSketchDeterministicMerge(t *testing.T) {
 	feed(a2, 1, 10000)
 	if a1.Quantile(0.5) != a2.Quantile(0.5) || a1.Quantile(0.9) != a2.Quantile(0.9) {
 		t.Error("identical Add sequences produced different sketches")
-	}
-
-	merged := NewQuantileSketch(256)
-	feed(merged, 2, 5000)
-	other := NewQuantileSketch(256)
-	feed(other, 3, 5000)
-	merged.Merge(other)
-	if merged.N() != 10000 {
-		t.Fatalf("merged N = %d, want 10000", merged.N())
-	}
-	if got := merged.Quantile(0.5); math.Abs(got-0.5) > 0.05 {
-		t.Errorf("merged median %v far from 0.5", got)
 	}
 }
 
@@ -202,12 +179,8 @@ func TestDigestZeroValue(t *testing.T) {
 	}
 	d.Add(2)
 	d.Add(4)
-	var e Digest
-	e.Merge(&d)
-	var empty Digest
-	e.Merge(&empty) // nil sketch on the source side
 	// Nearest-rank median of {2, 4} is 2 (CDF.Quantile convention).
-	if e.Stream.N() != 2 || e.Sketch.Median() != 2 {
-		t.Errorf("zero-value digest misbehaved: %s", e.Summary())
+	if d.Stream.N() != 2 || d.Sketch.Median() != 2 {
+		t.Errorf("zero-value digest misbehaved: %s", d.Summary())
 	}
 }
