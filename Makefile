@@ -10,10 +10,10 @@ test:
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
 # snapshot-based) and short snapshot, wire, workload hash, .topo, pair
-# enumeration, engine, distance evaluator, LP kernel, LP held-pivot,
-# watch-mode status and NDJSON fold fuzz bursts, plus the LP digest, the
-# factor-column read and solves on reused tableau storage at GOMAXPROCS 1
-# and 4.
+# enumeration, engine, distance evaluator, load evaluator, LP kernel, LP
+# held-pivot, watch-mode status and NDJSON fold fuzz bursts, plus the LP
+# digest, the factor-column read and solves on reused tableau storage at
+# GOMAXPROCS 1 and 4.
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
@@ -26,6 +26,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzAllPairs' -fuzztime 20s -fuzzminimizetime 2s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzDistanceEvaluatorMatchesOracle' -fuzztime 20s ./internal/nexit/
+	go test -run '^$$' -fuzz 'FuzzLoadRowsMatchOracle' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/
 	go test -run '^$$' -fuzz 'FuzzSolveFanOut' -fuzztime 20s ./internal/simplex/
 	go test -count=1 -cpu 1,4 -run 'TestBandwidthLPGolden|TestImpliedRowsMoveNoBit|TestSolveFanOutMatchesOneLoop|TestColumnMatchesAt|TestSolveReusesStorage' ./internal/experiments ./internal/optimal ./internal/simplex

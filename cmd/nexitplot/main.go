@@ -17,7 +17,8 @@
 // print the same bytes. Each experiment's summary lines state how many
 // records it streamed; a fold whose records disagree with that count (a
 // shard left out, a stream cut short) is an error naming the experiment
-// (DESIGN.md §10).
+// (DESIGN.md §10), and so is a record index folded twice (a shard or a
+// run passed twice).
 //
 // Watch mode polls one or more agentd debug endpoints and renders
 // mesh-wide progress — sessions/s, the epoch frontier, resync and

@@ -6,9 +6,10 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/nexit"
@@ -116,18 +117,20 @@ func UnilateralUpstream(s *pairsim.System, flows []traffic.Flow, loadUp, capUp [
 	assign := assignmentFor(flows)
 	load := append([]float64(nil), loadUp...)
 	order := append([]traffic.Flow(nil), flows...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Size > order[j].Size })
+	slices.SortStableFunc(order, func(a, b traffic.Flow) int { return cmp.Compare(b.Size, a.Size) })
+	up, _ := s.Paths()
 	for _, f := range order {
 		bestK, bestCost := -1, 0.0
 		for k := 0; k < s.NumAlternatives(); k++ {
-			links := s.Up.PathLinks(f.Src, s.Pair.Interconnections[k].APoP)
-			cost := metrics.MaxIncreaseOnPath(load, capUp, links, f.Size)
+			cost := metrics.MaxIncreaseOnPath32(load, capUp, up.To(k, f.Src), f.Size)
 			if bestK == -1 || cost < bestCost {
 				bestK, bestCost = k, cost
 			}
 		}
 		assign[f.ID] = bestK
-		s.Up.AddLoad(load, f.Src, s.Pair.Interconnections[bestK].APoP, f.Size)
+		for _, l := range up.To(bestK, f.Src) {
+			load[l] += f.Size
+		}
 	}
 	return assign
 }

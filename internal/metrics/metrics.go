@@ -24,28 +24,12 @@ func MEL(load, capv []float64) float64 {
 	return m
 }
 
-// MaxIncreaseOnPath returns the maximum, over the given links, of the
-// load-to-capacity ratio after adding delta to each of those links. It is
-// the per-flow quantity the paper's bandwidth preference mapping uses:
-// "the maximum increase in link load along the path".
-func MaxIncreaseOnPath(load, capv []float64, links []int, delta float64) float64 {
-	var m float64
-	for _, li := range links {
-		if capv[li] <= 0 {
-			continue
-		}
-		if r := (load[li] + delta) / capv[li]; r > m {
-			m = r
-		}
-	}
-	return m
-}
-
-// MaxIncreaseOnPath32 is MaxIncreaseOnPath over an int32 link row — the
-// element type of routing.PathIndex rows, which the evaluator hot loops
-// read without converting. The float operations are identical to the
-// []int variant, so both produce byte-identical results for the same
-// path.
+// MaxIncreaseOnPath32 returns the maximum, over the given links, of the
+// load-to-capacity ratio after adding delta to each of those links, 0
+// for no link; links with non-positive capacity are skipped. It is the
+// per-flow quantity the paper's bandwidth preference mapping uses: "the
+// maximum increase in link load along the path". links is a
+// routing.PathIndex row, read without converting.
 func MaxIncreaseOnPath32(load, capv []float64, links []int32, delta float64) float64 {
 	var m float64
 	for _, li := range links {

@@ -21,10 +21,10 @@ func TestMaxIncreaseOnPath(t *testing.T) {
 	load := []float64{1, 2, 3, 4}
 	capv := []float64{2, 2, 2, 2}
 	// Links 0 and 2, delta 1: ratios (1+1)/2=1, (3+1)/2=2.
-	if got := MaxIncreaseOnPath(load, capv, []int{0, 2}, 1); got != 2 {
-		t.Errorf("MaxIncreaseOnPath = %v, want 2", got)
+	if got := MaxIncreaseOnPath32(load, capv, []int32{0, 2}, 1); got != 2 {
+		t.Errorf("MaxIncreaseOnPath32 = %v, want 2", got)
 	}
-	if got := MaxIncreaseOnPath(load, capv, nil, 1); got != 0 {
+	if got := MaxIncreaseOnPath32(load, capv, nil, 1); got != 0 {
 		t.Errorf("empty path should give 0, got %v", got)
 	}
 }

@@ -14,10 +14,14 @@ import (
 // interconnection k, read straight from the routing table: the oracle
 // the DistanceEvaluator's rows are held to.
 func (v view) distKm(it Item, k int) float64 {
-	if v.upstream(it) {
-		return v.table.LengthKm(it.Flow.Src, v.ixOwn[k])
+	own := v.ixs[k].BPoP
+	if v.side == SideA {
+		own = v.ixs[k].APoP
 	}
-	return v.table.LengthKm(v.ixOwn[k], it.Flow.Dst)
+	if v.upstream(it) {
+		return v.table.LengthKm(it.Flow.Src, own)
+	}
+	return v.table.LengthKm(own, it.Flow.Dst)
 }
 
 // oracleDeltas is the DistanceEvaluator's RawDeltas computed with
@@ -25,7 +29,7 @@ func (v view) distKm(it Item, k int) float64 {
 func oracleDeltas(v view, items []Item, defaults []int) [][]float64 {
 	out := make([][]float64, len(items))
 	for i, it := range items {
-		out[i] = make([]float64, len(v.ixOwn))
+		out[i] = make([]float64, len(v.ixs))
 		base := v.distKm(it, defaults[i])
 		for k := range out[i] {
 			out[i][k] = base - v.distKm(it, k)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pairsim"
 	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 // Mapping selects how an ISP's internal metric deltas are mapped to
@@ -73,28 +74,18 @@ func (m Mapping) String() string {
 type view struct {
 	side  Side
 	table *routing.Table
-	ixOwn []int // own PoP of each interconnection
+	ixs   []topology.Interconnection // the pair's, shared with the System
 
-	// idx is the CSR path index over ixOwn, resolved from the table's
-	// memo by the load-based evaluators (distance never needs paths, so
-	// it skips the build). Lookups are zero-allocation subslices.
+	// idx is this side's path index from System.Paths, resolved by the
+	// load-based evaluators (distance never needs paths, so it skips the
+	// build). Lookups are zero-allocation subslices.
 	idx *routing.PathIndex
 }
 
 func newView(s *pairsim.System, side Side) view {
-	v := view{side: side}
-	if side == SideA {
-		v.table = s.Up
-	} else {
+	v := view{side: side, table: s.Up, ixs: s.Pair.Interconnections}
+	if side == SideB {
 		v.table = s.Down
-	}
-	v.ixOwn = make([]int, len(s.Pair.Interconnections))
-	for k, ix := range s.Pair.Interconnections {
-		if side == SideA {
-			v.ixOwn[k] = ix.APoP
-		} else {
-			v.ixOwn[k] = ix.BPoP
-		}
 	}
 	return v
 }
@@ -104,18 +95,6 @@ func newView(s *pairsim.System, side Side) view {
 // rather than from the interconnection to its destination.
 func (v view) upstream(it Item) bool {
 	return (v.side == SideA && it.Dir == AtoB) || (v.side == SideB && it.Dir == BtoA)
-}
-
-// pathLinks returns the own-network links used by the item via
-// interconnection k as a zero-allocation view into the path index
-// (valid for the table's lifetime; callers must not modify it). The
-// caller must have resolved v.idx (load-based evaluators do so at
-// construction).
-func (v view) pathLinks(it Item, k int) []int32 {
-	if v.upstream(it) {
-		return v.idx.To(k, it.Flow.Src)
-	}
-	return v.idx.From(k, it.Flow.Dst)
 }
 
 // cardinalDenominator picks the normalization unit for cardinal classes:
@@ -281,7 +260,7 @@ func (e *evaluator) RawDeltas(items []Item, defaults []int) [][]float64 {
 	if e.scratch == nil {
 		panic("nexit: evaluator used after Release")
 	}
-	na := len(e.view.ixOwn)
+	na := len(e.view.ixs)
 	deltas := e.scratch.deltas(len(items), na)
 	e.scratch.items, e.scratch.defaults = items, defaults
 	forEachItem(len(items), na, e.fn)
@@ -359,14 +338,18 @@ type loadEvaluator struct {
 }
 
 // newLoadEvaluator checks and copies the load and capacity vectors and
-// resolves the path index.
+// resolves this side's path index.
 func newLoadEvaluator(s *pairsim.System, side Side, p int, load, capv []float64) loadEvaluator {
 	v := newView(s, side)
 	if len(load) != len(v.table.ISP.Links) || len(capv) != len(v.table.ISP.Links) {
 		panic(fmt.Sprintf("nexit: load/cap vectors (%d/%d) do not match %d links",
 			len(load), len(capv), len(v.table.ISP.Links)))
 	}
-	v.idx = v.table.PathIndexFor(v.ixOwn)
+	up, down := s.Paths()
+	v.idx = up
+	if side == SideB {
+		v.idx = down
+	}
 	return loadEvaluator{
 		evaluator: evaluator{view: v, P: p, scratch: newScratch()},
 		Load:      append([]float64(nil), load...),
@@ -404,8 +387,23 @@ func (e *loadEvaluator) Revert(it Item, alt, def int) {
 // addLoad adds size to every own-network link of the item's path via
 // interconnection k.
 func (e *loadEvaluator) addLoad(it Item, k int, size float64) {
-	for _, li := range e.view.pathLinks(it, k) {
+	var links []int32
+	if e.view.upstream(it) {
+		links = e.view.idx.To(k, it.Flow.Src)
+	} else {
+		links = e.view.idx.From(k, it.Flow.Dst)
+	}
+	for _, li := range links {
 		e.Load[li] += size
+	}
+}
+
+// subtractFromDefault turns a row of costs into deltas: the default's
+// cost minus each alternative's, the default's own entry base - base.
+func subtractFromDefault(row []float64, def int) {
+	base := row[def]
+	for k := range row {
+		row[k] = base - row[k]
 	}
 }
 
@@ -426,30 +424,23 @@ func NewBandwidthEvaluator(s *pairsim.System, side Side, p int, load, capv []flo
 	return e
 }
 
-// row fills item i's deltas: cost of the default minus cost of each
-// alternative. The default's cost is computed once: Load and Cap do not
-// change while a row is filled, so its own entry is base - base.
+// row fills item i's deltas from each alternative's cost, the worst
+// post-placement load ratio on its own-network path (0 for an empty
+// one). The item's direction is decided once; each path is one index
+// row, and each cost is computed once.
 func (e *BandwidthEvaluator) row(i int) {
-	it, row, def := e.scratch.items[i], e.scratch.deltaRows[i], e.scratch.defaults[i]
-	base := e.alternativeCost(it, def)
+	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
+	idx, up, load, capv := e.view.idx, e.view.upstream(it), e.Load, e.Cap
 	for k := range row {
-		if k == def {
-			row[k] = base - base
+		var links []int32
+		if up {
+			links = idx.To(k, it.Flow.Src)
 		} else {
-			row[k] = base - e.alternativeCost(it, k)
+			links = idx.From(k, it.Flow.Dst)
 		}
+		row[k] = metrics.MaxIncreaseOnPath32(load, capv, links, it.Flow.Size)
 	}
-}
-
-// alternativeCost is the worst post-placement load ratio on the item's
-// own-network path for alternative k; an empty path (the flow enters and
-// leaves at the same PoP) costs nothing.
-func (e *BandwidthEvaluator) alternativeCost(it Item, k int) float64 {
-	links := e.view.pathLinks(it, k)
-	if len(links) == 0 {
-		return 0
-	}
-	return metrics.MaxIncreaseOnPath32(e.Load, e.Cap, links, it.Flow.Size)
+	subtractFromDefault(row, e.scratch.defaults[i])
 }
 
 // FortzThorupEvaluator scores alternatives by the increase in total
@@ -466,30 +457,27 @@ func NewFortzThorupEvaluator(s *pairsim.System, side Side, p int, load, capv []f
 	return e
 }
 
-// row fills item i's deltas: cost of the default minus cost of each
-// alternative. The default's cost is computed once: Load and Cap do not
-// change while a row is filled, so its own entry is base - base.
+// row fills item i's deltas from each alternative's cost, the marginal
+// Fortz–Thorup cost of its own-network path summed in path order, read
+// as the bandwidth row reads them.
 func (e *FortzThorupEvaluator) row(i int) {
-	it, row, def := e.scratch.items[i], e.scratch.deltaRows[i], e.scratch.defaults[i]
-	base := e.alternativeCost(it, def)
+	it, row := e.scratch.items[i], e.scratch.deltaRows[i]
+	idx, up, load, capv, size := e.view.idx, e.view.upstream(it), e.Load, e.Cap, it.Flow.Size
 	for k := range row {
-		if k == def {
-			row[k] = base - base
+		var links []int32
+		if up {
+			links = idx.To(k, it.Flow.Src)
 		} else {
-			row[k] = base - e.alternativeCost(it, k)
+			links = idx.From(k, it.Flow.Dst)
 		}
+		var cost float64
+		for _, li := range links {
+			cost += metrics.FortzThorupLink(load[li]+size, capv[li]) -
+				metrics.FortzThorupLink(load[li], capv[li])
+		}
+		row[k] = cost
 	}
-}
-
-// alternativeCost is the marginal Fortz–Thorup cost of placing the flow
-// on alternative k.
-func (e *FortzThorupEvaluator) alternativeCost(it Item, k int) float64 {
-	var cost float64
-	for _, li := range e.view.pathLinks(it, k) {
-		cost += metrics.FortzThorupLink(e.Load[li]+it.Flow.Size, e.Cap[li]) -
-			metrics.FortzThorupLink(e.Load[li], e.Cap[li])
-	}
-	return cost
+	subtractFromDefault(row, e.scratch.defaults[i])
 }
 
 // StaticEvaluator discloses fixed preference lists; it is used by tests

@@ -79,18 +79,10 @@ func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 
 	// coef[l][i*na+k]: load placed on link l when flow i fully uses
 	// interconnection k. Stored sparsely per (flow, alt) as subslice
-	// views into the tables' CSR path indexes — the same memoized
-	// indexes the nexit evaluators resolve for these interconnection
-	// sets, so across a whole experiment the path structure is built
-	// once per (table, endpoint set) and shared.
-	apops := make([]int, na)
-	bpops := make([]int, na)
-	for k, ix := range s.Pair.Interconnections {
-		apops[k] = ix.APoP
-		bpops[k] = ix.BPoP
-	}
-	ixUp := s.Up.PathIndexFor(apops)
-	ixDown := s.Down.PathIndexFor(bpops)
+	// views into the system's path indexes — the same memoized indexes
+	// the nexit evaluators read, so across a whole experiment the path
+	// structure is built once per (table, endpoint set) and shared.
+	ixUp, ixDown := s.Paths()
 	fa := make([][]pathLinks, nf)
 	for i, f := range flows {
 		fa[i] = make([]pathLinks, na)

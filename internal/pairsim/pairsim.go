@@ -1,7 +1,7 @@
 // Package pairsim ties a pair of neighboring ISPs to their intra-ISP
 // routing tables and evaluates flow alternatives: for a flow and a choice
 // of interconnection it computes the distance traversed inside each ISP,
-// the links used, and per-link loads for whole assignments.
+// the links used (as path index rows), and per-link loads.
 //
 // In the paper's terms (§4), "an alternative corresponds to an
 // interconnection for a flow"; everything the negotiation, baselines, and
@@ -10,6 +10,7 @@
 package pairsim
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -76,6 +77,25 @@ type System struct {
 	// up and down are the pair's distance rows inside Up and Down. Every
 	// own-network distance is read from them, never from LengthKm again.
 	up, down DistRows
+
+	// paths guards the indexes Paths resolves: distance never builds them.
+	paths          sync.Once
+	upIdx, downIdx *routing.PathIndex
+}
+
+// Paths returns the pair's path indexes, resolved from the tables' memo
+// on first use: up.To(k, src) is a flow's upstream path to
+// interconnection k, down.From(k, dst) its downstream path from it.
+func (s *System) Paths() (up, down *routing.PathIndex) {
+	s.paths.Do(func() {
+		ixs := s.Pair.Interconnections
+		apops, bpops := make([]int, len(ixs)), make([]int, len(ixs))
+		for k, ix := range ixs {
+			apops[k], bpops[k] = ix.APoP, ix.BPoP
+		}
+		s.upIdx, s.downIdx = s.Up.PathIndexFor(apops), s.Down.PathIndexFor(bpops)
+	})
+	return s.upIdx, s.downIdx
 }
 
 // DistRows holds one ISP's own-network lengths between each of its PoPs
@@ -223,16 +243,25 @@ func NewAssignment(n int) Assignment {
 
 // AddFlowLoad adds flow f's size to every upstream link on the path from
 // its source to interconnection k and every downstream link from the
-// interconnection to its destination. loadUp/loadDown are indexed like
-// the respective ISP's Links slice.
+// interconnection to its destination, along the rows of Paths.
+// loadUp/loadDown are indexed like the respective ISP's Links slice.
 func (s *System) AddFlowLoad(loadUp, loadDown []float64, f traffic.Flow, k int) {
-	ix := s.Pair.Interconnections[k]
-	s.Up.AddLoad(loadUp, f.Src, ix.APoP, f.Size)
-	s.Down.AddLoad(loadDown, ix.BPoP, f.Dst, f.Size)
+	if len(loadUp) != len(s.Up.ISP.Links) || len(loadDown) != len(s.Down.ISP.Links) {
+		panic(fmt.Sprintf("pairsim: load vectors have %d/%d entries for %d/%d links",
+			len(loadUp), len(loadDown), len(s.Up.ISP.Links), len(s.Down.ISP.Links)))
+	}
+	up, down := s.Paths()
+	for _, l := range up.To(k, f.Src) {
+		loadUp[l] += f.Size
+	}
+	for _, l := range down.From(k, f.Dst) {
+		loadDown[l] += f.Size
+	}
 }
 
 // Loads computes per-link loads in both ISPs for the flows under the
-// given assignment. Flows assigned -1 are skipped.
+// given assignment. Flows assigned -1 are skipped. It runs once per pair,
+// so it walks parent chains rather than build an index nothing rereads.
 func (s *System) Loads(flows []traffic.Flow, assign Assignment) (loadUp, loadDown []float64) {
 	loadUp = make([]float64, len(s.Up.ISP.Links))
 	loadDown = make([]float64, len(s.Down.ISP.Links))
@@ -241,7 +270,9 @@ func (s *System) Loads(flows []traffic.Flow, assign Assignment) (loadUp, loadDow
 		if k < 0 {
 			continue
 		}
-		s.AddFlowLoad(loadUp, loadDown, f, k)
+		ix := s.Pair.Interconnections[k]
+		s.Up.AddLoad(loadUp, f.Src, ix.APoP, f.Size)
+		s.Down.AddLoad(loadDown, ix.BPoP, f.Dst, f.Size)
 	}
 	return loadUp, loadDown
 }

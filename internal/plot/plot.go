@@ -12,8 +12,9 @@
 // of a run in any order is a multiset union and renders the same bytes
 // as folding the whole run, the merge-parity contract CI pins. Each
 // summary line still states its experiment's record count; Render
-// refuses a fold whose records fall short of or exceed it. The price is
-// memory linear in the samples folded.
+// refuses a fold whose records fall short of or exceed it, AddLine a
+// record index folded twice. The price is memory linear in the samples
+// folded.
 package plot
 
 import (
@@ -92,11 +93,11 @@ type Fold struct {
 	stabCases    int
 	stabOutcomes [3]int
 
-	// records counts the record lines AddLine folded per experiment,
-	// results sums the record counts its summary lines state; Render
-	// refuses a fold where the two disagree (a lost shard, a cut
-	// stream).
-	records map[string]int
+	// records holds the indexes of the record lines AddLine folded per
+	// experiment, results sums the record counts its summary lines
+	// state; Render refuses a fold where the two disagree (a lost shard,
+	// a cut stream).
+	records map[string]map[int]bool
 	results map[string]int
 	// Unknown counts lines for experiments this fold does not
 	// understand (newer producers); they are skipped, not fatal.
@@ -111,7 +112,7 @@ func NewFold(n int) *Fold {
 		curves:  map[string]*exactCurve{},
 		byIx:    map[int]*exactCurve{},
 		byBound: map[int]*exactCurve{},
-		records: map[string]int{},
+		records: map[string]map[int]bool{},
 		results: map[string]int{},
 	}
 }
@@ -134,6 +135,7 @@ func curveIn[K comparable](m map[K]*exactCurve, key K) *exactCurve {
 // Fields of older summary lines (series, digests) are ignored.
 type ndjsonLine struct {
 	Experiment string          `json:"experiment"`
+	Index      int             `json:"index"`
 	Data       json.RawMessage `json:"data"`
 	Results    int             `json:"results"`
 }
@@ -154,7 +156,8 @@ func (f *Fold) ReadLines(r io.Reader) error {
 }
 
 // AddLine folds one NDJSON line (a record envelope or a summary line).
-// Blank lines are ignored.
+// Blank lines are ignored. A record whose index its experiment already
+// folded is refused, unfolded.
 func (f *Fold) AddLine(line []byte) error {
 	trimmed := false
 	for _, b := range line {
@@ -176,11 +179,16 @@ func (f *Fold) AddLine(line []byte) error {
 		f.Unknown++
 	case l.Data == nil:
 		f.results[l.Experiment] += l.Results
+	case f.records[l.Experiment][l.Index]:
+		return fmt.Errorf("%s: record index %d already folded", l.Experiment, l.Index)
 	default:
 		if err := sink(l.Data); err != nil {
 			return err
 		}
-		f.records[l.Experiment]++
+		if f.records[l.Experiment] == nil {
+			f.records[l.Experiment] = map[int]bool{}
+		}
+		f.records[l.Experiment][l.Index] = true
 	}
 	return nil
 }
@@ -378,7 +386,7 @@ func (f *Fold) Render(w io.Writer, fig string) error {
 	slices.Sort(exps)
 	for _, exp := range slices.Compact(exps) {
 		n, summarized := f.results[exp]
-		if have := f.records[exp]; !summarized {
+		if have := len(f.records[exp]); !summarized {
 			return fmt.Errorf("%s: %d records folded and no summary line", exp, have)
 		} else if n != have {
 			return fmt.Errorf("%s: summary lines count %d results, %d records folded", exp, n, have)

@@ -252,6 +252,62 @@ func TestFoldRefusesMissingRecords(t *testing.T) {
 	}
 }
 
+// A record whose index its experiment already folded is refused, with
+// an error naming both, at the first repeat: the same shard fed twice,
+// or two runs of one experiment fed together. Shards of one run still
+// fold in either order.
+func TestFoldRefusesRefoldedRecords(t *testing.T) {
+	ds := testDataset(t)
+	opt, bopt := testOpts()
+	lines := streamLines(t, ds, opt, bopt)
+	odd, even := shard(lines, 1), shard(lines, 0)
+	var rerun [][]byte
+	opt2 := opt
+	opt2.Seed = 2
+	emitStream(t, &rerun, "distance", func(sink func(int, *experiments.DistancePairResult) error) error {
+		return experiments.DistanceStream(ds, opt2, sink)
+	})
+
+	// firstRecord names the first record line of lines.
+	firstRecord := func(lines [][]byte) string {
+		for _, line := range lines {
+			var l ndjsonLine
+			if err := json.Unmarshal(line, &l); err != nil {
+				t.Fatal(err)
+			}
+			if l.Data != nil {
+				return fmt.Sprintf("%s: record index %d already folded", l.Experiment, l.Index)
+			}
+		}
+		t.Fatal("no record line")
+		return ""
+	}
+	for _, c := range []struct {
+		name   string
+		lines  [][]byte
+		repeat [][]byte // the input whose first record is the first repeat
+	}{
+		{"same shard twice", slices.Concat(odd, odd), odd},
+		{"whole run twice", slices.Concat(lines, lines), lines},
+		{"two runs of one experiment", slices.Concat(lines, rerun), rerun},
+	} {
+		f := NewFold(16)
+		var err error
+		for _, line := range c.lines {
+			if err = f.AddLine(line); err != nil {
+				break
+			}
+		}
+		if want := firstRecord(c.repeat); err == nil || err.Error() != want {
+			t.Errorf("%s: AddLine error %v, want %q", c.name, err, want)
+		}
+	}
+
+	whole := render(t, foldLines(t, lines), "all")
+	diffLine(t, "odd shard first", render(t, foldLines(t, slices.Concat(odd, even)), "all"), whole)
+	diffLine(t, "even shard first", render(t, foldLines(t, slices.Concat(even, odd)), "all"), whole)
+}
+
 // A summary line of an older producer still carries the series strings
 // and mergeable digests this fold no longer reads; it folds on its
 // record count alone, to the same bytes, even where its digest is one
@@ -299,11 +355,12 @@ func TestFoldUnknownExperiment(t *testing.T) {
 	}
 }
 
-// FuzzFoldLine feeds arbitrary lines to the fold: AddLine may refuse a
-// line and Render may refuse a fold whose records disagree with its
-// summary lines, but neither may panic, and Render refuses only with
-// its labelled count error. The seeds include older summary lines that
-// carry digests, malformed ones too.
+// FuzzFoldLine feeds arbitrary lines to the fold, each twice: AddLine
+// may refuse a line and Render may refuse a fold whose records disagree
+// with its summary lines, but neither may panic. A line folded once is
+// refused the second time only as a repeated record index, and Render
+// refuses only with its labelled count error. The seeds include older
+// summary lines that carry digests, malformed ones too.
 func FuzzFoldLine(f *testing.F) {
 	for _, seed := range []string{
 		`{"experiment":"distance","index":0,"data":{"pair":"isp0-isp1","interconnections":3,"gain_negotiated":2.5,"gain_optimal":4,"ind_negotiated_a":1,"ind_negotiated_b":-0.5,"ind_optimal_a":6,"ind_optimal_b":-2,"flow_gain_negotiated":[0,0,12.5],"flow_gain_optimal":[0,3,40]}}`,
@@ -322,7 +379,11 @@ func FuzzFoldLine(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fold := NewFold(8)
-		_ = fold.AddLine(line)
+		if fold.AddLine(line) == nil {
+			if err := fold.AddLine(line); err != nil && !strings.Contains(err.Error(), " already folded") {
+				t.Fatalf("a line folded once was refused with an unlabelled error: %v", err)
+			}
+		}
 		if err := fold.Render(io.Discard, "all"); err != nil && !strings.Contains(err.Error(), " records folded") {
 			t.Fatalf("Render refused with an unlabelled error: %v", err)
 		}

@@ -15,11 +15,10 @@ import (
 //	From(k, dst) — links on the path endpoints[k] → dst
 //
 // All rows share one flat links array with an offsets table, making each
-// lookup a zero-allocation subslice. Rows for unreachable pairs (and for
-// src == endpoint) are empty, matching Table.PathLinks semantics.
-//
-// Build cost is one parent-chain walk per row — the same walks
-// Table.PathLinks would do — paid once per (table, endpoint set) and
+// lookup an inlined zero-allocation subslice, links in path order. Rows
+// for unreachable pairs (and for src == endpoint) are empty. Every
+// repeated path read loops over these rows. Build cost is one
+// parent-chain walk per row, paid once per (table, endpoint set) and
 // memoized on the Table (see PathIndexFor), then amortized across every
 // Prefs/Commit/Revert of every session sharing the table.
 type PathIndex struct {
@@ -84,7 +83,7 @@ func (t *Table) buildPathIndex(endpoints []int) *PathIndex {
 	ix.links = make([]int32, ix.off[len(ix.off)-1])
 	// Pass 2: fill each row by walking the parent chain destination →
 	// source, writing backwards so the stored row is in forward path
-	// order — exactly Table.PathLinks' output.
+	// order.
 	for k, ep := range endpoints {
 		parentFromEp := t.parent[ep*n:]
 		plinkFromEp := t.plink[ep*n:]

@@ -1,6 +1,6 @@
 // Package routing computes intra-ISP routing state: shortest paths over
-// link weights (OSPF-style), path extraction, and per-link load
-// accumulation.
+// link weights (OSPF-style), their lengths, and the links they use, read
+// as PathIndex rows wherever a path is read more than once.
 //
 // The paper assumes each ISP routes internally along its IGP shortest
 // paths; a flow's path through the two-ISP system is the concatenation of
@@ -197,31 +197,10 @@ func (t *Table) LengthKm(src, dst int) float64 { return t.length[src*t.n+dst] }
 // Reachable reports whether dst is reachable from src.
 func (t *Table) Reachable(src, dst int) bool { return !math.IsInf(t.dist[src*t.n+dst], 1) }
 
-// PathLinks returns the indices (into ISP.Links) of the links along the
-// shortest path from src to dst, in order. It returns nil for src == dst
-// or unreachable destinations.
-func (t *Table) PathLinks(src, dst int) []int {
-	if src == dst || !t.Reachable(src, dst) {
-		return nil
-	}
-	parent := t.parent[src*t.n:]
-	plink := t.plink[src*t.n:]
-	hops := 0
-	for v := dst; v != src; v = int(parent[v]) {
-		hops++
-	}
-	out := make([]int, hops)
-	i := hops
-	for v := dst; v != src; v = int(parent[v]) {
-		i--
-		out[i] = int(plink[v])
-	}
-	return out
-}
-
 // AddLoad adds amount to every link on the shortest path from src to dst
 // in the per-link load vector (indexed like ISP.Links). The parent chain
-// is walked directly — no intermediate path slice is built.
+// is walked directly: no path slice or index is built, which suits
+// one-off reads (pairsim's Loads).
 func (t *Table) AddLoad(load []float64, src, dst int, amount float64) {
 	if len(load) != len(t.ISP.Links) {
 		panic(fmt.Sprintf("routing: load vector has %d entries for %d links", len(load), len(t.ISP.Links)))

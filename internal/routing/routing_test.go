@@ -39,6 +39,29 @@ func path(t *Table, src, dst int) []int {
 	return out
 }
 
+// PathLinks returns the indices (into ISP.Links) of the links along the
+// shortest path from src to dst, in order, by a fresh parent-chain walk.
+// It returns nil for src == dst or unreachable destinations. It is the
+// oracle PathIndex rows are held to.
+func (t *Table) PathLinks(src, dst int) []int {
+	if src == dst || !t.Reachable(src, dst) {
+		return nil
+	}
+	parent := t.parent[src*t.n:]
+	plink := t.plink[src*t.n:]
+	hops := 0
+	for v := dst; v != src; v = int(parent[v]) {
+		hops++
+	}
+	out := make([]int, hops)
+	i := hops
+	for v := dst; v != src; v = int(parent[v]) {
+		i--
+		out[i] = int(plink[v])
+	}
+	return out
+}
+
 func city(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i/26)) }
 
 func TestLineDistances(t *testing.T) {

@@ -76,6 +76,11 @@ type Simulator struct {
 	// incident: the downstream shifted traffic with MEDs in response to
 	// the upstream's post-failure reroute).
 	DownstreamFirst bool
+
+	// load is ownMEL's buffer, reused across its calls: a replay prices
+	// every candidate move with one, and fresh copies let the heap, and
+	// with it peak RSS, grow with the replay's speed.
+	load []float64
 }
 
 // Run simulates from the given initial assignment (copied).
@@ -146,20 +151,26 @@ func (sim *Simulator) bestResponse(assign []int, upstream bool) bool {
 	return true
 }
 
-// ownMEL computes one ISP's MEL under the assignment.
+// ownMEL computes one ISP's MEL under the assignment, adding each flow
+// along its row of S.Paths.
 func (sim *Simulator) ownMEL(assign []int, upstream bool) float64 {
+	up, down := sim.S.Paths()
 	if upstream {
-		load := append([]float64(nil), sim.FixedUp...)
+		load := append(sim.load[:0], sim.FixedUp...)
+		sim.load = load
 		for _, f := range sim.Flows {
-			ix := sim.S.Pair.Interconnections[assign[f.ID]]
-			sim.S.Up.AddLoad(load, f.Src, ix.APoP, f.Size)
+			for _, l := range up.To(assign[f.ID], f.Src) {
+				load[l] += f.Size
+			}
 		}
 		return metrics.MEL(load, sim.CapUp)
 	}
-	load := append([]float64(nil), sim.FixedDown...)
+	load := append(sim.load[:0], sim.FixedDown...)
+	sim.load = load
 	for _, f := range sim.Flows {
-		ix := sim.S.Pair.Interconnections[assign[f.ID]]
-		sim.S.Down.AddLoad(load, ix.BPoP, f.Dst, f.Size)
+		for _, l := range down.From(assign[f.ID], f.Dst) {
+			load[l] += f.Size
+		}
 	}
 	return metrics.MEL(load, sim.CapDown)
 }

@@ -104,6 +104,21 @@ func TestCommandsAndExamplesRun(t *testing.T) {
 		if figures != plot {
 			t.Errorf("outputs differ:\nnexitsim -fig all:\n%s\nnexitplot over -stream:\n%s", figures, plot)
 		}
+
+		// The same run passed twice folds every record twice: refused,
+		// naming the experiment and the repeated index.
+		file := filepath.Join(bin, "stream.ndjson")
+		if err := os.WriteFile(file, []byte(stream), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.CommandContext(ctx, filepath.Join(bin, "nexitplot"), file, file)
+		cmd.Dir = bin
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil || stdout.Len() != 0 || !strings.Contains(stderr.String(), "distance: record index 0 already folded") {
+			t.Fatalf("nexitplot over one stream twice: %v, stdout %q, stderr %q; want a refusal naming the repeated record",
+				err, stdout.Bytes(), stderr.Bytes())
+		}
 	})
 
 	// An unknown -fig is a usage error naming the valid values, in both
