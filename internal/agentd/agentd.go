@@ -361,12 +361,7 @@ func (a *Agent) AddPeer(p Peer) error {
 		if restored, err := ps.Ctl.RestoreLatest(maxInt/2, s.Peer(p.Name)); err != nil {
 			a.logf("agentd %s: peer %s: snapshot restore: %v", a.cfg.Name, p.Name, err)
 		} else if restored >= 0 {
-			a.snapshotRestores.Inc()
-			ps.stats.Lock()
-			ps.stats.snapRestores++
-			ps.stats.epochs = restored
-			ps.stats.ledger = ps.Ctl.Ledger.Balance
-			ps.stats.Unlock()
+			a.restoredLocked(ps)
 			a.logf("agentd %s: peer %s restored from snapshot at epoch %d", a.cfg.Name, p.Name, restored)
 		}
 	}
@@ -374,6 +369,20 @@ func (a *Agent) AddPeer(p Peer) error {
 }
 
 const maxInt = int(^uint(0) >> 1)
+
+// restoredLocked counts a snapshot restore of the peer's controller, on
+// the agent and on the peer together, and moves the peer's epoch and
+// ledger to the restored state: whatever follows the restore (a refused
+// or failed tail replay) cannot leave the two counts apart. Callers hold
+// p.mu or own p exclusively.
+func (a *Agent) restoredLocked(p *peerState) {
+	a.snapshotRestores.Inc()
+	p.stats.Lock()
+	p.stats.snapRestores++
+	p.stats.epochs = p.Ctl.EpochIndex()
+	p.stats.ledger = p.Ctl.Ledger.Balance
+	p.stats.Unlock()
+}
 
 func (a *Agent) timeout() time.Duration {
 	if a.cfg.Timeout > 0 {
@@ -747,7 +756,7 @@ func (a *Agent) seekLocked(p *peerState, epoch int) error {
 		if restored, err = p.Ctl.RestoreLatest(epoch, s.Peer(p.Name)); err != nil {
 			a.logf("agentd %s: resync with %s: snapshot restore: %v", a.cfg.Name, p.Name, err)
 		} else if restored >= 0 {
-			a.snapshotRestores.Inc()
+			a.restoredLocked(p)
 		}
 	}
 	tailFrom := p.Ctl.EpochIndex()
@@ -767,9 +776,6 @@ func (a *Agent) seekLocked(p *peerState, epoch int) error {
 	p.stats.Lock()
 	p.stats.resyncs++
 	p.stats.replayed += int64(epoch - tailFrom)
-	if restored >= 0 {
-		p.stats.snapRestores++
-	}
 	p.stats.epochs = p.Ctl.EpochIndex()
 	p.stats.ledger = p.Ctl.Ledger.Balance
 	p.stats.Unlock()

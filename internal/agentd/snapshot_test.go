@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/continuous"
 	"repro/internal/nexit"
+	"repro/internal/nexitwire"
 	"repro/internal/pairsim"
 	"repro/internal/snapshot"
 )
@@ -205,5 +206,54 @@ func TestSnapshotCorruptStateDirDegrades(t *testing.T) {
 	if st := b2.Status(); st.SnapshotRestores != 0 || st.Peers[0].Epochs != 0 {
 		t.Fatalf("corrupt store: restored %d snapshots to epoch %d, want none and epoch 0",
 			st.SnapshotRestores, st.Peers[0].Epochs)
+	}
+}
+
+// TestRefusedSeekRecordsRestore: a resync that restores a snapshot and
+// then refuses the tail beyond MaxEpochSeek still records the restore on
+// the peer — its restore count, epoch and ledger — as AddPeer does, so
+// the agent's and the peer's restore counts never disagree.
+func TestRefusedSeekRecordsRestore(t *testing.T) {
+	const saved = 5
+	sys := testSystem(t, 1)
+	wl := testWorkloads(sys, 42)
+	dir := t.TempDir()
+	b, addr, _ := newSnapResponder(t, sys, wl, dir) // an empty store: AddPeer restores nothing
+
+	lived := continuous.New(sys, 10)
+	if err := lived.SeekEpoch(saved, wl); err != nil {
+		t.Fatal(err)
+	}
+	store, err := snapshot.NewStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save("a", lived.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ini := &nexitwire.Initiator{
+		Name: "a", Cfg: nexit.DefaultDistanceConfig(),
+		Epoch:   saved + MaxEpochSeek + 1,
+		Eval:    nexit.NewDistanceEvaluator(sys, nexit.SideA, 10),
+		Timeout: 5 * time.Second,
+	}
+	if _, err := ini.RunConn(nexitwire.NewConn(conn), nil, nil, sys.NumAlternatives()); err == nil ||
+		!strings.Contains(err.Error(), "replay bound") {
+		t.Fatalf("session past the replay bound after a restore: %v, want the bound's refusal", err)
+	}
+	st := b.Status()
+	if st.SnapshotRestores != 1 || st.Peers[0].SnapshotRestores != 1 {
+		t.Errorf("restores counted %d on the agent, %d on the peer; want 1 and 1",
+			st.SnapshotRestores, st.Peers[0].SnapshotRestores)
+	}
+	if st.Peers[0].Epochs != saved || st.Peers[0].LedgerBalance != lived.Ledger.Balance {
+		t.Errorf("peer at epoch %d, ledger %d; want the restored epoch %d, ledger %d",
+			st.Peers[0].Epochs, st.Peers[0].LedgerBalance, saved, lived.Ledger.Balance)
 	}
 }

@@ -5,9 +5,13 @@
 // that benefit both ISPs."
 //
 // A Controller manages one ISP pair across epochs. Each epoch it
-// observes the (drifting) traffic through a flow registry (internal/
-// flowid), selects the stable, negotiable flows, renegotiates them with
-// fresh preferences, applies the outcome, and settles the credit ledger
+// observes the (drifting) traffic into its flow table — one slot per
+// (direction, source PoP, destination PoP), holding the flow's installed
+// path and its §6 stability record — selects the flows that have stayed
+// above the size threshold long enough to negotiate ("the upstream will
+// trigger a new flow only if its size stays above a threshold for a
+// certain period"), renegotiates them with fresh preferences, applies
+// the outcome, times out flows gone idle, and settles the credit ledger
 // (internal/credits) so lopsided epochs are repaid later.
 //
 // The controller is metric-generic: the epoch's negotiation objective
@@ -30,7 +34,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/capacity"
 	"repro/internal/credits"
-	"repro/internal/flowid"
 	"repro/internal/nexit"
 	"repro/internal/pairsim"
 	"repro/internal/traffic"
@@ -100,9 +103,6 @@ type Controller struct {
 	// Metric is the pair's negotiation objective; NewEvaluator builds
 	// its evaluators. Set by New (distance) or NewWithMetric.
 	Metric Metric
-	// Registry tracks flow stability; only promoted flows are
-	// renegotiated ("in the interest of stability").
-	Registry *flowid.Registry
 	// Ledger carries gain imbalances across epochs.
 	Ledger *credits.Ledger
 
@@ -111,6 +111,10 @@ type Controller struct {
 	// so index order is the snapshot's canonical (Dir, Src, Dst) order.
 	slots []slot
 	epoch int
+	// nonce is the ingress-nonce position a v1 snapshot records. Nothing
+	// mints nonces (a flow's ingress identifier is its slot's key, see
+	// signature), so it only round-trips through snapshots.
+	nonce uint64
 
 	// capA and capB are the per-link capacities of each ISP's own
 	// network (A's links, B's links), derived once from the pair's base
@@ -138,15 +142,62 @@ type Controller struct {
 	slotScratch     []int
 }
 
-// slot is one flow's state across epochs. flow is the registry's handle,
-// tracked at the first observation and again when the registry has
-// dropped the entry (idle expiry, snapshot restore) and the flow returns.
-// alt is the installed interconnection, -1 while never negotiated; it
-// outlives the registry entry, so a returning flow resumes from the path
-// it was left on.
+// The §6 stability policy. A flow is negotiated once it has stayed at or
+// above sizeThreshold for stableTicks epochs, and a tracked flow unseen
+// for more than idleTimeout epochs times out. Snapshots record the three
+// values; a restore refuses any others.
+const (
+	sizeThreshold = 0.5
+	stableTicks   = 1
+	idleTimeout   = 3
+)
+
+// slot is one flow's state across epochs: its installed interconnection
+// and its stability record. alt is -1 while never negotiated; it outlives
+// the record, so a flow that times out and returns waits out the
+// stability window again but resumes from the path it was left on. The
+// record is tracked from the flow's first observation until expire
+// clears it.
 type slot struct {
-	flow *flowid.Flow
-	alt  int32
+	alt int32
+	// The stability record: tracked from an observation until the
+	// time-out; negotiable (and everStable) since its promotion at
+	// announcedAt; size and lastSeen of the last observation; aboveSince
+	// the epoch since which size has stayed at or above the threshold,
+	// -1 while below.
+	tracked, negotiable, everStable   bool
+	size                              float64
+	lastSeen, aboveSince, announcedAt int
+}
+
+// untracked is a slot's record before the first observation and after
+// a time-out.
+func untracked(alt int32) slot { return slot{alt: alt, aboveSince: -1} }
+
+// stability is the promotion rule: the epoch since which the flow has
+// stayed at or above the threshold (-1 when below), and whether it is
+// negotiable, once size is observed at epoch. A negotiable flow stays
+// negotiable until it times out.
+func (sl *slot) stability(size float64, epoch int) (aboveSince int, negotiable bool) {
+	if size < sizeThreshold {
+		return -1, sl.negotiable
+	}
+	aboveSince = sl.aboveSince
+	if aboveSince < 0 {
+		aboveSince = epoch
+	}
+	return aboveSince, sl.negotiable || epoch-aboveSince >= stableTicks
+}
+
+// expire is the idle time-out ("flows that are inactive for a certain
+// period are timed out"): a tracked flow unseen for more than
+// idleTimeout epochs goes back to untracked, keeping its path.
+func (sl *slot) expire(epoch int) bool {
+	if !sl.tracked || epoch-sl.lastSeen <= idleTimeout {
+		return false
+	}
+	*sl = untracked(sl.alt)
+	return true
 }
 
 // obs is one observed flow of an epoch (see EpochVia step 1).
@@ -160,22 +211,22 @@ type obs struct {
 func newSlots(sys *pairsim.System) []slot {
 	slots := make([]slot, 2*len(sys.Pair.A.PoPs)*len(sys.Pair.B.PoPs))
 	for i := range slots {
-		slots[i].alt = -1
+		slots[i] = untracked(-1)
 	}
 	return slots
 }
 
 // slotIndex locates a flow in the table, or reports that (dir, src, dst)
 // is not a flow of this pair.
-func (c *Controller) slotIndex(dir nexit.Direction, src, dst int) (int, error) {
+func (c *Controller) slotIndex(dir nexit.Direction, src, dst int) (int, bool) {
 	nSrc, nDst, base := len(c.Sys.Pair.A.PoPs), len(c.Sys.Pair.B.PoPs), 0
 	if dir == nexit.BtoA {
 		nSrc, nDst, base = nDst, nSrc, nSrc*nDst
 	}
 	if dir > nexit.BtoA || uint(src) >= uint(nSrc) || uint(dst) >= uint(nDst) {
-		return 0, fmt.Errorf("flow (dir %d, src %d, dst %d) is not between PoPs of %v", dir, src, dst, c.Sys.Pair)
+		return 0, false
 	}
-	return base + src*nDst + dst, nil
+	return base + src*nDst + dst, true
 }
 
 // slotKey is slotIndex's inverse.
@@ -193,7 +244,7 @@ type EpochReport struct {
 	Observed        int // flows seen this epoch
 	Negotiated      int // flows on the table
 	Moved           int // flows whose interconnection changed
-	Expired         int // flows timed out of the registry
+	Expired         int // tracked flows timed out
 	DistanceDefault float64
 	DistanceApplied float64
 	GainA, GainB    int
@@ -281,14 +332,13 @@ func NewWithMetricShared(sys *pairsim.System, p int, metric Metric, caps *Capaci
 	}
 	cfg.PrefBound = p
 	c := &Controller{
-		Sys:      sys,
-		Rev:      sys.Reverse(),
-		Cfg:      cfg,
-		P:        p,
-		Metric:   metric,
-		Registry: flowid.NewRegistry(0.5, 1, 3),
-		Ledger:   credits.NewLedger(2 * p),
-		slots:    newSlots(sys),
+		Sys:    sys,
+		Rev:    sys.Reverse(),
+		Cfg:    cfg,
+		P:      p,
+		Metric: metric,
+		Ledger: credits.NewLedger(2 * p),
+		slots:  newSlots(sys),
 	}
 	if metric != MetricDistance {
 		c.capA, c.capB = caps.get(c.Sys, c.Rev)
@@ -363,15 +413,6 @@ func (c *Controller) Epoch(wAB, wBA *traffic.Workload) (*EpochReport, error) {
 	return c.EpochVia(nil, wAB, wBA)
 }
 
-// signature identifies a flow of the pair to the registry.
-func signature(dir nexit.Direction, src, dst int) flowid.Signature {
-	return flowid.Signature{
-		Src:     flowid.Prefix{Addr: uint32(src) << 16, Bits: 16},
-		Dst:     flowid.Prefix{Addr: 0x80000000 | uint32(dst)<<16, Bits: 16},
-		Ingress: uint64(dir)<<32 | uint64(src)<<16 | uint64(dst),
-	}
-}
-
 // EpochVia processes one epoch's workloads (both directions) and
 // returns the report. The controller observes every flow, negotiates
 // the stable ones, and leaves the rest on their current (or early-exit)
@@ -391,19 +432,15 @@ func (c *Controller) EpochVia(negotiate Negotiator, wAB, wBA *traffic.Workload) 
 	rep := &EpochReport{Epoch: c.epoch}
 	systems := [2]*pairsim.System{nexit.AtoB: c.Sys, nexit.BtoA: c.Rev}
 
-	// 1. Find each observed flow's slot. A slot without a live handle
-	// picks up the registry's entry if it has one (after a restore); a
-	// flow the registry has never seen is tracked in step 4.
+	// 1. Find each observed flow's slot.
 	all := c.obsScratch[:0]
 	for d, w := range [2]*traffic.Workload{wAB, wBA} {
 		dir := nexit.Direction(d)
 		for _, f := range w.Flows {
-			i, err := c.slotIndex(dir, f.Src, f.Dst)
-			if err != nil {
-				return nil, fmt.Errorf("continuous: epoch %d: %w", c.epoch, err)
-			}
-			if sl := &c.slots[i]; !sl.flow.Live() {
-				sl.flow = c.Registry.Lookup(signature(dir, f.Src, f.Dst))
+			i, ok := c.slotIndex(dir, f.Src, f.Dst)
+			if !ok {
+				return nil, fmt.Errorf("continuous: epoch %d: flow (dir %d, src %d, dst %d) is not between PoPs of %v",
+					c.epoch, dir, f.Src, f.Dst, c.Sys.Pair)
 			}
 			all = append(all, obs{slot: i, dir: dir, flow: f})
 		}
@@ -418,8 +455,8 @@ func (c *Controller) EpochVia(negotiate Negotiator, wAB, wBA *traffic.Workload) 
 	defaults := c.defaultsScratch[:0]
 	slotOf := c.slotScratch[:0]
 	for _, o := range all {
-		sl := c.slots[o.slot]
-		if !c.Registry.NegotiableAfter(sl.flow, o.flow.Size, c.epoch) {
+		sl := &c.slots[o.slot]
+		if _, negotiable := sl.stability(o.flow.Size, c.epoch); !negotiable {
 			continue
 		}
 		f := o.flow
@@ -462,12 +499,17 @@ func (c *Controller) EpochVia(negotiate Negotiator, wAB, wBA *traffic.Workload) 
 	// idle, settle the ledger and install the outcome.
 	for _, o := range all {
 		sl := &c.slots[o.slot]
-		if sl.flow == nil {
-			sl.flow = c.Registry.Track(signature(o.dir, o.flow.Src, o.flow.Dst))
+		aboveSince, negotiable := sl.stability(o.flow.Size, c.epoch)
+		if negotiable && !sl.negotiable {
+			sl.negotiable, sl.everStable, sl.announcedAt = true, true, c.epoch
 		}
-		c.Registry.ObserveFlow(sl.flow, o.flow.Size, c.epoch)
+		sl.tracked, sl.size, sl.lastSeen, sl.aboveSince = true, o.flow.Size, c.epoch, aboveSince
 	}
-	rep.Expired = len(c.Registry.Expire(c.epoch))
+	for i := range c.slots {
+		if c.slots[i].expire(c.epoch) {
+			rep.Expired++
+		}
+	}
 	if res != nil {
 		if len(items) > 0 {
 			c.Ledger.Settle(c.epoch, res)
@@ -506,7 +548,7 @@ func (c *Controller) EpochIndex() int { return c.epoch }
 // intervening epochs locally with the in-process negotiator. Because
 // epochs are deterministic in (system, metric, workloads) and a wire
 // session reproduces the in-process outcome exactly (the mesh parity
-// invariant), the replay reconstructs the registry, ledger, and applied
+// invariant), the replay reconstructs the flow table, ledger, and applied
 // assignments of a controller that lived through those epochs — this is
 // the epoch-resync handshake's fast-forward rule (DESIGN.md §7): a
 // restarted or lagging daemon catches up to its peer without any wire

@@ -500,7 +500,7 @@ func TestExpiredFlowIsRetracked(t *testing.T) {
 				t.Fatal(err)
 			}
 			reps = append(reps, rep)
-			tracked = append(tracked, c.Registry.Len())
+			tracked = append(tracked, len(c.Snapshot().Registry.Flows))
 			if applied := len(c.Snapshot().Applied); epoch >= away && applied != reps[away-1].Negotiated {
 				t.Errorf("restore at %d, epoch %d: %d installed paths, want the %d negotiated before the flow left",
 					restoreAt, epoch, applied, reps[away-1].Negotiated)

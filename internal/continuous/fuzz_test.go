@@ -15,7 +15,7 @@ import (
 // fuzzSystem picks the smallest pair of the 10-ISP test universe that is
 // large enough for the snapshot package's golden state to restore into:
 // its applied assignments reach A's PoP 6, B's PoP 9 and alternative 3.
-func fuzzSystem(f *testing.F) *pairsim.System {
+func fuzzSystem(f testing.TB) *pairsim.System {
 	var best *topology.Pair
 	for _, p := range topology.AllPairs(testISPs(f), 4, true) {
 		if len(p.A.PoPs) >= 7 && len(p.B.PoPs) >= 10 &&
@@ -87,7 +87,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		c := New(sys, 10)
 		if err := c.RestoreSnapshot(st); err != nil {
-			if c.EpochIndex() != 0 || c.Registry.Len() != 0 || len(c.Snapshot().Applied) != 0 {
+			if c.EpochIndex() != 0 || len(c.Snapshot().Registry.Flows) != 0 || len(c.Snapshot().Applied) != 0 {
 				t.Fatalf("rejected restore (%v) touched the controller", err)
 			}
 			return

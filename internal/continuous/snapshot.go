@@ -5,53 +5,58 @@ import (
 	"math"
 
 	"repro/internal/credits"
-	"repro/internal/flowid"
 	"repro/internal/nexit"
 	"repro/internal/snapshot"
 )
 
 // Snapshot captures the controller's complete mutable epoch state —
-// flow registry, credit ledger, applied assignments, nonce counter,
-// epoch index — as a pure-data snapshot.State. Everything derived from
-// (system, metric) alone (routing tables, base capacities, evaluator
-// caches) is excluded and rebuilt on restore, so a snapshot is small
-// and the determinism contract reduces to: RestoreSnapshot(Snapshot())
-// is observationally the identity.
+// flow table, credit ledger, nonce position, epoch index — as a
+// pure-data snapshot.State. Everything derived from (system, metric)
+// alone (routing tables, base capacities, evaluator caches) is excluded
+// and rebuilt on restore, so a snapshot is small and the determinism
+// contract reduces to: RestoreSnapshot(Snapshot()) is observationally
+// the identity.
 //
 // The returned state shares nothing with the controller (deep copies
 // throughout), so the caller may encode or persist it off the hot path
 // while the controller keeps negotiating.
 func (c *Controller) Snapshot() *snapshot.State {
-	flows, nonce := c.Registry.Export()
 	st := &snapshot.State{
 		Metric: string(c.Metric),
 		Epoch:  uint64(c.epoch),
 		Registry: snapshot.Registry{
-			SizeThreshold: c.Registry.SizeThreshold,
-			StableTicks:   int64(c.Registry.StableTicks),
-			IdleTimeout:   int64(c.Registry.IdleTimeout),
-			Nonce:         nonce,
+			SizeThreshold: sizeThreshold,
+			StableTicks:   stableTicks,
+			IdleTimeout:   idleTimeout,
+			Nonce:         c.nonce,
 		},
 		Ledger: snapshot.Ledger{
 			Balance:   int64(c.Ledger.Balance),
 			MaxCredit: int64(c.Ledger.MaxCredit),
 		},
 	}
-	if len(flows) > 0 {
-		st.Registry.Flows = make([]snapshot.Flow, len(flows))
-		for i, f := range flows {
-			st.Registry.Flows[i] = snapshot.Flow{
-				SrcAddr:     f.Sig.Src.Addr,
-				SrcBits:     uint8(f.Sig.Src.Bits),
-				DstAddr:     f.Sig.Dst.Addr,
-				DstBits:     uint8(f.Sig.Dst.Bits),
-				Ingress:     f.Sig.Ingress,
-				Size:        f.Size,
-				LastSeen:    int64(f.LastSeen),
-				AboveSince:  int64(f.AboveSince),
-				EverStable:  f.EverStable,
-				Negotiable:  f.Negotiable,
-				AnnouncedAt: int64(f.AnnouncedAt),
+	tracked := 0
+	for _, sl := range c.slots {
+		if sl.tracked {
+			tracked++
+		}
+	}
+	if tracked > 0 {
+		// Records go in signature order, which is (src, dst, dir).
+		st.Registry.Flows = make([]snapshot.Flow, 0, tracked)
+		n := max(len(c.Sys.Pair.A.PoPs), len(c.Sys.Pair.B.PoPs))
+		for src := range n {
+			for dst := range n {
+				for _, dir := range [2]nexit.Direction{nexit.AtoB, nexit.BtoA} {
+					i, ok := c.slotIndex(dir, src, dst)
+					if !ok || !c.slots[i].tracked {
+						continue
+					}
+					sl, f := &c.slots[i], signature(dir, src, dst)
+					f.Size, f.LastSeen, f.AboveSince = sl.size, int64(sl.lastSeen), int64(sl.aboveSince)
+					f.EverStable, f.Negotiable, f.AnnouncedAt = sl.everStable, sl.negotiable, int64(sl.announcedAt)
+					st.Registry.Flows = append(st.Registry.Flows, f)
+				}
 			}
 		}
 	}
@@ -78,27 +83,53 @@ func (c *Controller) Snapshot() *snapshot.State {
 	return st
 }
 
+// signature is the v1 snapshot record key of a flow of the pair: the
+// source and destination prefixes and the ingress identifier of the
+// paper's §6 flow signature, all derived from (dir, src, dst). Only the
+// key fields are set.
+func signature(dir nexit.Direction, src, dst int) snapshot.Flow {
+	return snapshot.Flow{
+		SrcAddr: uint32(src) << 16, SrcBits: 16,
+		DstAddr: 0x80000000 | uint32(dst)<<16, DstBits: 16,
+		Ingress: uint64(dir)<<32 | uint64(src)<<16 | uint64(dst),
+	}
+}
+
+// recordSlot is signature's inverse: the slot whose signature is the
+// record's key, or false when the record names no flow of the pair.
+func (c *Controller) recordSlot(f *snapshot.Flow) (int, bool) {
+	// The ingress identifier carries (dir, src, dst); the key comparison
+	// rejects whatever else a decoded record holds.
+	i, ok := c.slotIndex(nexit.Direction(f.Ingress>>32), int(f.Ingress>>16&0xFFFF), int(f.Ingress&0xFFFF))
+	if !ok {
+		return 0, false
+	}
+	key := snapshot.Flow{SrcAddr: f.SrcAddr, SrcBits: f.SrcBits, DstAddr: f.DstAddr, DstBits: f.DstBits, Ingress: f.Ingress}
+	return i, key == signature(c.slotKey(i))
+}
+
 // RestoreSnapshot replaces the controller's mutable epoch state with a
 // previously captured snapshot, leaving everything derived from
 // (system, metric) — capacities, cached evaluators, scratch — alone.
 // The snapshot must have been captured under the same configuration:
-// metric, registry policy knobs, and credit cap are all validated, as
-// is every applied assignment against the pair (a flow between its PoPs,
+// metric, stability policy, and credit cap are all validated, as is
+// every applied assignment against the pair (a flow between its PoPs,
 // an alternative it has), and a mismatch is rejected without touching
 // any state (the caller falls back to an older snapshot or epoch-0
-// replay).
+// replay). A flow record whose key is no flow of the pair is left out:
+// no observation can reach it.
 func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 	switch {
 	case st == nil:
 		return fmt.Errorf("continuous: restore of a nil snapshot")
 	case st.Metric != string(c.Metric):
 		return fmt.Errorf("continuous: snapshot negotiates %q, controller negotiates %q", st.Metric, c.Metric)
-	case st.Registry.SizeThreshold != c.Registry.SizeThreshold ||
-		int(st.Registry.StableTicks) != c.Registry.StableTicks ||
-		int(st.Registry.IdleTimeout) != c.Registry.IdleTimeout:
+	case st.Registry.SizeThreshold != sizeThreshold ||
+		st.Registry.StableTicks != stableTicks ||
+		st.Registry.IdleTimeout != idleTimeout:
 		return fmt.Errorf("continuous: snapshot registry policy (%v,%d,%d) differs from controller (%v,%d,%d)",
 			st.Registry.SizeThreshold, st.Registry.StableTicks, st.Registry.IdleTimeout,
-			c.Registry.SizeThreshold, c.Registry.StableTicks, c.Registry.IdleTimeout)
+			sizeThreshold, stableTicks, idleTimeout)
 	case int(st.Ledger.MaxCredit) != c.Ledger.MaxCredit:
 		return fmt.Errorf("continuous: snapshot credit cap %d differs from controller %d",
 			st.Ledger.MaxCredit, c.Ledger.MaxCredit)
@@ -107,9 +138,10 @@ func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 	}
 	slots := newSlots(c.Sys)
 	for _, a := range st.Applied {
-		i, err := c.slotIndex(nexit.Direction(a.Dir), int(a.Src), int(a.Dst))
-		if err != nil {
-			return fmt.Errorf("continuous: snapshot assignment: %w", err)
+		i, ok := c.slotIndex(nexit.Direction(a.Dir), int(a.Src), int(a.Dst))
+		if !ok {
+			return fmt.Errorf("continuous: snapshot assignment: flow (dir %d, src %d, dst %d) is not between PoPs of %v",
+				a.Dir, a.Src, a.Dst, c.Sys.Pair)
 		}
 		if a.Alt < 0 || a.Alt >= int64(c.Sys.NumAlternatives()) {
 			return fmt.Errorf("continuous: snapshot assigns flow (dir %d, src %d, dst %d) alternative %d of %d",
@@ -117,24 +149,13 @@ func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 		}
 		slots[i].alt = int32(a.Alt)
 	}
-
-	flows := make([]flowid.FlowRecord, len(st.Registry.Flows))
-	for i, f := range st.Registry.Flows {
-		flows[i] = flowid.FlowRecord{
-			Sig: flowid.Signature{
-				Src:     flowid.Prefix{Addr: f.SrcAddr, Bits: int(f.SrcBits)},
-				Dst:     flowid.Prefix{Addr: f.DstAddr, Bits: int(f.DstBits)},
-				Ingress: f.Ingress,
-			},
-			Size:        f.Size,
-			LastSeen:    int(f.LastSeen),
-			AboveSince:  int(f.AboveSince),
-			EverStable:  f.EverStable,
-			Negotiable:  f.Negotiable,
-			AnnouncedAt: int(f.AnnouncedAt),
+	for k := range st.Registry.Flows {
+		f := &st.Registry.Flows[k]
+		if i, ok := c.recordSlot(f); ok {
+			slots[i] = slot{alt: slots[i].alt, tracked: true, negotiable: f.Negotiable, everStable: f.EverStable,
+				size: f.Size, lastSeen: int(f.LastSeen), aboveSince: int(f.AboveSince), announcedAt: int(f.AnnouncedAt)}
 		}
 	}
-	c.Registry.Restore(flows, st.Registry.Nonce)
 
 	c.Ledger.Balance = int(st.Ledger.Balance)
 	c.Ledger.History = nil
@@ -146,10 +167,8 @@ func (c *Controller) RestoreSnapshot(st *snapshot.State) error {
 			BalanceAfter: int(e.BalanceAfter),
 		})
 	}
-
-	// Restore killed every handle the old table held; flows re-Track at
-	// their next observation.
 	c.slots = slots
+	c.nonce = st.Registry.Nonce
 	c.epoch = int(st.Epoch)
 	return nil
 }

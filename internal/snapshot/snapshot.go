@@ -2,10 +2,10 @@
 // restarted negotiation daemon recovers in O(epochs-since-snapshot)
 // instead of replaying its whole lifetime from epoch 0 (ROADMAP:
 // "Durable epoch state"). A snapshot captures the controller's complete
-// mutable state — flow registry, credit ledger, applied assignments,
-// nonce counter, epoch index — as a versioned, checksummed byte format,
-// and a Store writes snapshots atomically (temp file + rename) with a
-// bounded retention ladder.
+// mutable state — flow-stability records, credit ledger, applied
+// assignments, nonce position, epoch index — as a versioned, checksummed
+// byte format, and a Store writes snapshots atomically (temp file +
+// rename) with a bounded retention ladder.
 //
 // The determinism contract (DESIGN.md §11): restoring a snapshot and
 // replaying the tail epochs must be byte-identical to a full replay
@@ -82,7 +82,7 @@ type State struct {
 	// Epoch is the number of epochs processed (the index the next
 	// Epoch call reports).
 	Epoch uint64
-	// Registry is the flow-stability registry.
+	// Registry is the flow table's stability side.
 	Registry Registry
 	// Ledger is the credit ledger.
 	Ledger Ledger
@@ -91,8 +91,12 @@ type State struct {
 	Applied []Assignment
 }
 
-// Registry is the persisted flowid.Registry: policy knobs, nonce
-// counter, and every tracked flow in canonical signature order.
+// Registry is the §6 flow-stability state of a controller's flow table:
+// the policy (size threshold, stable epochs, idle time-out), the
+// ingress-nonce position, and one record per tracked flow in canonical
+// signature order. A record's key is the flow's signature (source and
+// destination prefix, ingress identifier), which the controller derives
+// from the flow's direction and PoPs.
 type Registry struct {
 	SizeThreshold float64
 	StableTicks   int64
