@@ -9,7 +9,8 @@ test:
 
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
-# snapshot-based) and short snapshot, wire, workload hash, .topo, pair
+# snapshot-based), the mid-run status consistent-cut check, and short
+# snapshot, wire, workload hash, .topo, pair
 # enumeration, engine, distance evaluator, load evaluator, LP kernel, LP
 # held-pivot, watch-mode status and NDJSON fold fuzz bursts, plus the LP
 # digest, the factor-column read and solves on reused tableau storage at
@@ -17,6 +18,7 @@ test:
 smoke:
 	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
+	go test -race -count=10 -run 'TestStatusIsConsistentCut' ./internal/agentd/
 	go test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapshot/
 	go test -run '^$$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 20s ./internal/continuous/
 	go test -run '^$$' -fuzz 'FuzzFrameDecode' -fuzztime 20s ./internal/nexitwire/

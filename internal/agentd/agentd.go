@@ -176,31 +176,18 @@ type Agent struct {
 	wg     sync.WaitGroup // inbound connection handlers
 	snapWG sync.WaitGroup // in-flight async snapshot writes
 
-	// The agent's telemetry registry (base label agent=<name>) and the
-	// metric handles written on the session paths. Handles are resolved
-	// once here; sessions write through them wait-free (DESIGN.md §10
-	// names every metric).
-	reg               *telemetry.Registry
-	sessionsActive    *telemetry.Gauge
-	sessionsInitiated *telemetry.Counter
-	sessionsServed    *telemetry.Counter
-	sessionsFailed    *telemetry.Counter
-	resyncs           *telemetry.Counter
-	dialRetries       *telemetry.Counter
-	replayedEpochs    *telemetry.Counter
-	snapshotSaves     *telemetry.Counter
-	snapshotRestores  *telemetry.Counter
+	// The counts that belong to no peer. Everything a peer's sessions
+	// move is counted once, on that peer, and Status sums the peers
+	// (DESIGN.md §10 names every metric).
+	sessionsActive telemetry.Gauge
+	refused        telemetry.Counter // Hellos naming no peer this agent serves
+	dialRetries    telemetry.Counter
+	snapshotSaves  telemetry.Counter
 
-	// Wire-level counters, folded from each connection's WireStats
-	// after every session (Conn.TakeStats).
-	wireFramesSent *telemetry.Counter
-	wireFramesRecv *telemetry.Counter
-	wireBytesSent  *telemetry.Counter
-	wireBytesRecv  *telemetry.Counter
-	wireHelloUs    *telemetry.Counter
-	wirePrefsUs    *telemetry.Counter
-	wireProposeUs  *telemetry.Counter
-	wireCommitUs   *telemetry.Counter
+	// wire is the traffic folded from each connection's WireStats after
+	// every session (Conn.TakeStats).
+	wireMu sync.Mutex
+	wire   WireStatus
 }
 
 // peerState is one neighbor's runtime state. mu serializes the peer's
@@ -212,18 +199,12 @@ type peerState struct {
 	Peer
 	initiate bool
 
-	// lat is the peer's session-latency histogram
-	// (agentd_session_seconds{peer=...}): wall time of each successful
-	// epoch session, fast-forward replay included. Its merged count
-	// across peers equals sessions initiated + served — the invariant
-	// the telemetry tests pin.
-	lat *telemetry.Histogram
-
 	mu sync.Mutex
 	// conn is the cached outbound connection (initiator only). Caching
 	// the wire Conn rather than the raw net.Conn carries the session's
-	// frame buffers across epochs (DESIGN.md §9).
-	conn *nexitwire.Conn
+	// frame buffers across epochs (DESIGN.md §9). Sessions swap it under
+	// mu; Close takes it without mu, which a stalled session holds.
+	conn atomic.Pointer[nexitwire.Conn]
 	// backoff is the next dial-retry delay. It escalates (doubling, up
 	// to MaxDialBackoff) across failed attempts and epochs, and resets
 	// only after a successful session, so one old failure cannot slow
@@ -232,9 +213,13 @@ type peerState struct {
 
 	stats struct {
 		sync.Mutex
+		// lat is the peer's session-latency histogram
+		// (agentd_session_seconds{peer=...}): wall time of each
+		// successful epoch session, fast-forward replay included. Its
+		// count is the peer's session count.
+		lat      *telemetry.Histogram
 		epochs   int
 		ledger   int
-		sessions int64
 		failures int64
 		resyncs  int64
 		// replayed counts epochs reconstructed by local replay across
@@ -243,7 +228,6 @@ type peerState struct {
 		// invariant the mesh recovery tests pin).
 		replayed     int64
 		snapRestores int64
-		snapSaves    int64
 		rounds       int64
 		gainUs       int64
 		gainPeer     int64
@@ -274,54 +258,34 @@ func New(cfg Config) *Agent {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
-	reg := telemetry.NewRegistry(telemetry.Label{Key: "agent", Value: cfg.Name})
-	dirSent := telemetry.Label{Key: "dir", Value: "sent"}
-	dirRecv := telemetry.Label{Key: "dir", Value: "recv"}
-	phase := func(v string) telemetry.Label { return telemetry.Label{Key: "phase", Value: v} }
 	return &Agent{
 		cfg:    cfg,
 		outSem: make(chan struct{}, cfg.MaxSessions),
 		inSem:  make(chan struct{}, cfg.MaxSessions),
 		peers:  make(map[string]*peerState),
 		conns:  make(map[net.Conn]struct{}),
-
-		reg:               reg,
-		sessionsActive:    reg.GaugeOf("agentd_sessions_active"),
-		sessionsInitiated: reg.CounterOf("agentd_sessions_initiated_total"),
-		sessionsServed:    reg.CounterOf("agentd_sessions_served_total"),
-		sessionsFailed:    reg.CounterOf("agentd_sessions_failed_total"),
-		resyncs:           reg.CounterOf("agentd_resyncs_total"),
-		dialRetries:       reg.CounterOf("agentd_dial_retries_total"),
-		replayedEpochs:    reg.CounterOf("agentd_replayed_epochs_total"),
-		snapshotSaves:     reg.CounterOf("agentd_snapshot_saves_total"),
-		snapshotRestores:  reg.CounterOf("agentd_snapshot_restores_total"),
-		wireFramesSent:    reg.CounterOf("agentd_wire_frames_total", dirSent),
-		wireFramesRecv:    reg.CounterOf("agentd_wire_frames_total", dirRecv),
-		wireBytesSent:     reg.CounterOf("agentd_wire_bytes_total", dirSent),
-		wireBytesRecv:     reg.CounterOf("agentd_wire_bytes_total", dirRecv),
-		wireHelloUs:       reg.CounterOf("agentd_wire_phase_microseconds_total", phase("hello")),
-		wirePrefsUs:       reg.CounterOf("agentd_wire_phase_microseconds_total", phase("prefs")),
-		wireProposeUs:     reg.CounterOf("agentd_wire_phase_microseconds_total", phase("propose")),
-		wireCommitUs:      reg.CounterOf("agentd_wire_phase_microseconds_total", phase("commit")),
 	}
 }
 
 // foldWire drains a connection's accumulated wire stats into the
-// agent's counters. Called between sessions (the Conn discipline), so
-// the handles absorb one delta per session, not per frame.
+// agent's. Called between sessions (the Conn discipline), so the agent
+// absorbs one delta per session, not per frame.
 func (a *Agent) foldWire(c *nexitwire.Conn) {
 	st := c.TakeStats()
 	if st == (nexitwire.WireStats{}) {
 		return
 	}
-	a.wireFramesSent.Add(st.FramesSent)
-	a.wireFramesRecv.Add(st.FramesRecv)
-	a.wireBytesSent.Add(st.BytesSent)
-	a.wireBytesRecv.Add(st.BytesRecv)
-	a.wireHelloUs.Add(st.HelloNanos / 1e3)
-	a.wirePrefsUs.Add(st.PrefsNanos / 1e3)
-	a.wireProposeUs.Add(st.ProposeNanos / 1e3)
-	a.wireCommitUs.Add(st.CommitNanos / 1e3)
+	a.wireMu.Lock()
+	defer a.wireMu.Unlock()
+	w := &a.wire
+	w.FramesSent += st.FramesSent
+	w.FramesRecv += st.FramesRecv
+	w.BytesSent += st.BytesSent
+	w.BytesRecv += st.BytesRecv
+	w.HelloUs += st.HelloNanos / 1e3
+	w.PrefsUs += st.PrefsNanos / 1e3
+	w.ProposeUs += st.ProposeNanos / 1e3
+	w.CommitUs += st.CommitNanos / 1e3
 }
 
 // Name returns the agent's name.
@@ -345,11 +309,8 @@ func (a *Agent) AddPeer(p Peer) error {
 	if _, dup := a.peers[p.Name]; dup {
 		return fmt.Errorf("agentd: duplicate peer %s", p.Name)
 	}
-	ps := &peerState{
-		Peer:     p,
-		initiate: p.Side == nexit.SideA,
-		lat:      a.reg.HistogramOf("agentd_session_seconds", telemetry.Label{Key: "peer", Value: p.Name}),
-	}
+	ps := &peerState{Peer: p, initiate: p.Side == nexit.SideA}
+	ps.stats.lat = telemetry.NewHistogram(nil)
 	a.peers[p.Name] = ps
 	// A freshly registered peer resumes from its newest persisted
 	// snapshot (a restarted daemon with -state-dir): the resync
@@ -361,7 +322,7 @@ func (a *Agent) AddPeer(p Peer) error {
 		if restored, err := ps.Ctl.RestoreLatest(maxInt/2, s.Peer(p.Name)); err != nil {
 			a.logf("agentd %s: peer %s: snapshot restore: %v", a.cfg.Name, p.Name, err)
 		} else if restored >= 0 {
-			a.restoredLocked(ps)
+			ps.restoredLocked()
 			a.logf("agentd %s: peer %s restored from snapshot at epoch %d", a.cfg.Name, p.Name, restored)
 		}
 	}
@@ -370,13 +331,11 @@ func (a *Agent) AddPeer(p Peer) error {
 
 const maxInt = int(^uint(0) >> 1)
 
-// restoredLocked counts a snapshot restore of the peer's controller, on
-// the agent and on the peer together, and moves the peer's epoch and
-// ledger to the restored state: whatever follows the restore (a refused
-// or failed tail replay) cannot leave the two counts apart. Callers hold
+// restoredLocked counts a snapshot restore of the peer's controller and
+// moves the peer's epoch and ledger to the restored state, whatever
+// follows the restore (a refused or failed tail replay). Callers hold
 // p.mu or own p exclusively.
-func (a *Agent) restoredLocked(p *peerState) {
-	a.snapshotRestores.Inc()
+func (p *peerState) restoredLocked() {
 	p.stats.Lock()
 	p.stats.snapRestores++
 	p.stats.epochs = p.Ctl.EpochIndex()
@@ -447,7 +406,7 @@ func (a *Agent) handleConn(conn net.Conn) {
 		}
 		p := a.peer(hello.Name)
 		if p == nil || p.initiate {
-			a.sessionsFailed.Inc()
+			a.refused.Inc()
 			reason := fmt.Sprintf("agent %s is not configured to serve peer %q", a.cfg.Name, hello.Name)
 			_ = nexitwire.RejectConn(c, a.timeout(), reason)
 			a.foldWire(c)
@@ -461,7 +420,6 @@ func (a *Agent) handleConn(conn net.Conn) {
 		// serving side exchanged lands in the wire counters.
 		a.foldWire(c)
 		if err != nil {
-			a.sessionsFailed.Inc()
 			a.logf("agentd %s: session from %s: %v", a.cfg.Name, p.Name, err)
 			return
 		}
@@ -536,8 +494,8 @@ func (a *Agent) serveSession(p *peerState, conn *nexitwire.Conn, hello *nexitwir
 // runSession runs the wire session of the peer's current epoch in this
 // agent's role — initiating it on conn, or serving the one hello opened
 // on conn — as the negotiator of the controller's epoch, and folds a
-// successful epoch into the peer's statistics, snapshots and latency
-// histogram (measured from start, so a resync replay or a dial counts).
+// successful epoch into the peer's snapshots and statistics, its latency
+// measured from start (so a resync replay or a dial counts).
 // A failed session is recorded on the peer and leaves the controller as
 // it was (continuous.Controller.EpochVia); conn is the caller's to drop.
 // Callers hold p.mu.
@@ -587,17 +545,9 @@ func (a *Agent) runSession(p *peerState, conn *nexitwire.Conn, hello *nexitwire.
 		p.fail(err)
 		return nil, err
 	}
-	p.record(rep, res.Rounds, res.Stopped)
 	a.maybeSnapshotLocked(p)
-	// Latency lands exactly where the session counter moves, so a
-	// quiesced agent's histogram totals equal its session counters.
-	p.lat.Observe(time.Since(start).Seconds())
-	if p.initiate {
-		p.backoff = 0 // a healthy session clears the dial-backoff ladder
-		a.sessionsInitiated.Inc()
-	} else {
-		a.sessionsServed.Inc()
-	}
+	p.record(rep, res.Rounds, res.Stopped, time.Since(start))
+	p.backoff = 0 // a healthy session clears the dial-backoff ladder
 	return rep, nil
 }
 
@@ -649,7 +599,6 @@ func (a *Agent) RunEpoch(ctx context.Context, epoch int) (map[string]*continuous
 				// any other, so it is visible in the status surface.
 				err := fmt.Errorf("agentd: epoch %d with %s cancelled: %w", epoch, p.Name, ctx.Err())
 				p.fail(err)
-				a.sessionsFailed.Inc()
 				mu.Lock()
 				out = append(out, outcome{p.Name, nil, err})
 				mu.Unlock()
@@ -718,7 +667,6 @@ func (a *Agent) negotiateEpoch(ctx context.Context, p *peerState, epoch int) (*c
 		return nil, nil // already negotiated; idempotent skip
 	} else if at < epoch {
 		if err := a.seekLocked(p, epoch); err != nil {
-			a.sessionsFailed.Inc()
 			return nil, err
 		}
 	}
@@ -732,7 +680,6 @@ func (a *Agent) negotiateEpoch(ctx context.Context, p *peerState, epoch int) (*c
 		// were driven from scratch). Catch up locally and retry once at
 		// its epoch; the report returned is for that later epoch.
 		if serr := a.seekLocked(p, skew.Responder); serr != nil {
-			a.sessionsFailed.Inc()
 			return nil, serr
 		}
 		return a.sessionLocked(ctx, p)
@@ -756,7 +703,7 @@ func (a *Agent) seekLocked(p *peerState, epoch int) error {
 		if restored, err = p.Ctl.RestoreLatest(epoch, s.Peer(p.Name)); err != nil {
 			a.logf("agentd %s: resync with %s: snapshot restore: %v", a.cfg.Name, p.Name, err)
 		} else if restored >= 0 {
-			a.restoredLocked(p)
+			p.restoredLocked()
 		}
 	}
 	tailFrom := p.Ctl.EpochIndex()
@@ -771,8 +718,6 @@ func (a *Agent) seekLocked(p *peerState, epoch int) error {
 		p.fail(err)
 		return err
 	}
-	a.resyncs.Inc()
-	a.replayedEpochs.Add(int64(epoch - tailFrom))
 	p.stats.Lock()
 	p.stats.resyncs++
 	p.stats.replayed += int64(epoch - tailFrom)
@@ -815,9 +760,6 @@ func (a *Agent) maybeSnapshotLocked(p *peerState) {
 			return
 		}
 		a.snapshotSaves.Inc()
-		p.stats.Lock()
-		p.stats.snapSaves++
-		p.stats.Unlock()
 	}()
 }
 
@@ -829,7 +771,6 @@ func (a *Agent) sessionLocked(ctx context.Context, p *peerState) (*continuous.Ep
 	conn, err := a.ensureConnLocked(ctx, p)
 	if err != nil {
 		p.fail(err)
-		a.sessionsFailed.Inc()
 		return nil, err
 	}
 	rep, err := a.runSession(p, conn, nil, start)
@@ -838,8 +779,7 @@ func (a *Agent) sessionLocked(ctx context.Context, p *peerState) (*continuous.Ep
 		// The connection's session state is unknown; drop it so the next
 		// epoch redials from scratch.
 		conn.Close()
-		p.conn = nil
-		a.sessionsFailed.Inc()
+		p.conn.Store(nil)
 		return nil, err
 	}
 	return rep, nil
@@ -848,11 +788,11 @@ func (a *Agent) sessionLocked(ctx context.Context, p *peerState) (*continuous.Ep
 // ensureConnLocked returns the peer's cached connection or dials a new
 // one. The retry delay escalates across attempts and epochs (peerState
 // .backoff) and the waits observe ctx, so cancellation — SIGINT in the
-// daemon — interrupts the ladder instead of sleeping it out. Callers
-// hold p.mu.
+// daemon — interrupts the ladder instead of sleeping it out. A closed
+// agent keeps no connection it dials. Callers hold p.mu.
 func (a *Agent) ensureConnLocked(ctx context.Context, p *peerState) (*nexitwire.Conn, error) {
-	if p.conn != nil {
-		return p.conn, nil
+	if c := p.conn.Load(); c != nil {
+		return c, nil
 	}
 	if p.Dial == nil {
 		return nil, fmt.Errorf("agentd: peer %s has no dialer", p.Name)
@@ -877,8 +817,15 @@ func (a *Agent) ensureConnLocked(ctx context.Context, p *peerState) (*nexitwire.
 		}
 		conn, err := p.Dial()
 		if err == nil {
-			p.conn = nexitwire.NewConn(conn)
-			return p.conn, nil
+			c := nexitwire.NewConn(conn)
+			p.conn.Store(c)
+			if a.closed.Load() && p.conn.CompareAndSwap(c, nil) {
+				// Close swept the peers before this connection was cached,
+				// or ran before the dial.
+				c.Close()
+				return nil, fmt.Errorf("agentd: dial %s: agent closed", p.Name)
+			}
+			return c, nil
 		}
 		lastErr = err
 		a.logf("agentd %s: dial %s attempt %d: %v", a.cfg.Name, p.Name, attempt+1, err)
@@ -886,16 +833,17 @@ func (a *Agent) ensureConnLocked(ctx context.Context, p *peerState) (*nexitwire.
 	return nil, fmt.Errorf("agentd: dial %s: gave up after %d attempts: %w", p.Name, a.cfg.DialAttempts, lastErr)
 }
 
-// record folds a successful epoch into the peer's statistics. Callers
-// hold p.mu (the controller snapshot requires it).
-func (p *peerState) record(rep *continuous.EpochReport, rounds int, stopped nexit.StopReason) {
+// record folds a successful epoch session and its latency into the
+// peer's statistics. Callers hold p.mu (the controller snapshot
+// requires it).
+func (p *peerState) record(rep *continuous.EpochReport, rounds int, stopped nexit.StopReason, latency time.Duration) {
 	epochs := p.Ctl.EpochIndex()
 	ledger := p.Ctl.Ledger.Balance
 	p.stats.Lock()
 	defer p.stats.Unlock()
+	p.stats.lat.Observe(latency.Seconds())
 	p.stats.epochs = epochs
 	p.stats.ledger = ledger
-	p.stats.sessions++
 	p.stats.rounds += int64(rounds)
 	if p.Side == nexit.SideA {
 		p.stats.gainUs += int64(rep.GainA)
@@ -909,25 +857,23 @@ func (p *peerState) record(rep *continuous.EpochReport, rounds int, stopped nexi
 	}
 }
 
-// Close stops the agent: the cached outbound connections are closed
-// (which ends the remote neighbors' serving loops) and so are any
-// inbound connections still open. Close does not wait; call Wait after
-// closing the agent's listener to drain in-flight handlers.
+// Close stops the agent: any inbound connections still open are closed
+// and so are the cached outbound ones (which ends the remote neighbors'
+// serving loops). Close does not wait — not even on a session stalled
+// inside its wire exchange, whose connection it closes under it; call
+// Wait after closing the agent's listener to drain in-flight handlers.
 func (a *Agent) Close() error {
 	a.closed.Store(true)
-	for _, p := range a.peerList() {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-		p.mu.Unlock()
-	}
 	a.mu.Lock()
 	for conn := range a.conns {
 		conn.Close()
 	}
 	a.mu.Unlock()
+	for _, p := range a.peerList() {
+		if c := p.conn.Swap(nil); c != nil {
+			c.Close()
+		}
+	}
 	return nil
 }
 

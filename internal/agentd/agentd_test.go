@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -870,4 +871,115 @@ func TestUnknownPeerRejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "not configured") {
 		t.Errorf("rejection reason not surfaced: %v", err)
 	}
+}
+
+// stallConn lets its first write (the session's Hello) out and blocks
+// every later one until the connection is closed or 10 s pass: a peer
+// that opened a session and went silent.
+type stallConn struct {
+	net.Conn
+	writes int
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *stallConn) Write(b []byte) (int, error) {
+	if c.writes++; c.writes > 1 {
+		select {
+		case <-c.closed:
+		case <-time.After(10 * time.Second):
+		}
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
+func (c *stallConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestCloseDoesNotWaitOnStalledSessions: Close must return at once even
+// while a session is stalled inside its wire exchange — served or
+// initiated — instead of waiting out the exchange timeout.
+func TestCloseDoesNotWaitOnStalledSessions(t *testing.T) {
+	const timeout = 3 * time.Second
+	sys := testSystem(t, 1)
+	wl := testWorkloads(sys, 42)
+	waitActive := func(t *testing.T, ag *Agent) {
+		t.Helper()
+		for deadline := time.Now().Add(timeout); ag.Status().SessionsActive == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no session started")
+			}
+		}
+	}
+	closeQuickly := func(t *testing.T, ag *Agent) {
+		t.Helper()
+		start := time.Now()
+		ag.Close()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("Close took %v behind a stalled session", d)
+		}
+	}
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		return ln
+	}
+	initiator := func(dial func() (net.Conn, error)) (*Agent, chan error) {
+		a := New(Config{Name: "a", Timeout: timeout, Logf: t.Logf})
+		if err := a.AddPeer(Peer{Name: "b", Side: nexit.SideA, Ctl: continuous.New(sys, 10), Workloads: wl, Dial: dial}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := a.RunEpoch(context.Background(), 0)
+			done <- err
+		}()
+		return a, done
+	}
+
+	t.Run("served", func(t *testing.T) {
+		ln := listen()
+		b := New(Config{Name: "b", Timeout: timeout, Logf: t.Logf})
+		if err := b.AddPeer(Peer{Name: "a", Side: nexit.SideB, Ctl: continuous.New(sys, 10), Workloads: wl}); err != nil {
+			t.Fatal(err)
+		}
+		go b.Serve(ln)
+		a, done := initiator(func() (net.Conn, error) {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return nil, err
+			}
+			return &stallConn{Conn: c, closed: make(chan struct{})}, nil
+		})
+		waitActive(t, b)
+		closeQuickly(t, b)
+		ln.Close()
+		b.Wait()
+		a.Close()
+		<-done
+	})
+
+	t.Run("initiated", func(t *testing.T) {
+		ln := listen()
+		go func() { // a responder that reads the Hello and never answers
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			io.Copy(io.Discard, c)
+		}()
+		a, done := initiator(func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) })
+		waitActive(t, a)
+		closeQuickly(t, a)
+		if err := <-done; err == nil {
+			t.Error("the stalled session succeeded")
+		}
+	})
 }

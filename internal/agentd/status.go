@@ -3,7 +3,10 @@ package agentd
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -95,58 +98,65 @@ type PeerStatus struct {
 	Latency *telemetry.HistogramSnapshot `json:"latency,omitempty"`
 }
 
-// Status snapshots the agent. Safe to call concurrently with sessions:
-// every telemetry cell is read atomically and only the per-peer stats
-// mutex is taken — never a session mutex.
+// Status snapshots the agent: the daemon's one read model, which the
+// expvar surface publishes and WriteMetrics renders. Every count is kept
+// once, where its event happens, and the agent totals are summed from
+// the peers in the same pass that reads them, so each snapshot is one
+// consistent cut — initiated plus served sessions equal the peers'
+// latency counts, failures the peers' plus the refused Hellos, and so
+// on. Safe to call concurrently with sessions: only the per-peer stats
+// mutex is taken — never a session mutex, so a snapshot cannot hang
+// behind a stalled peer's session.
 func (a *Agent) Status() Status {
 	st := Status{
-		Name:              a.cfg.Name,
-		SessionsActive:    a.sessionsActive.Value(),
-		SessionsInitiated: a.sessionsInitiated.Value(),
-		SessionsServed:    a.sessionsServed.Value(),
-		SessionsFailed:    a.sessionsFailed.Value(),
-		Resyncs:           a.resyncs.Value(),
-		DialRetries:       a.dialRetries.Value(),
-		ReplayedEpochs:    a.replayedEpochs.Value(),
-		SnapshotSaves:     a.snapshotSaves.Value(),
-		SnapshotRestores:  a.snapshotRestores.Value(),
-		Wire: WireStatus{
-			FramesSent: a.wireFramesSent.Value(),
-			FramesRecv: a.wireFramesRecv.Value(),
-			BytesSent:  a.wireBytesSent.Value(),
-			BytesRecv:  a.wireBytesRecv.Value(),
-			HelloUs:    a.wireHelloUs.Value(),
-			PrefsUs:    a.wirePrefsUs.Value(),
-			ProposeUs:  a.wireProposeUs.Value(),
-			CommitUs:   a.wireCommitUs.Value(),
-		},
+		Name:           a.cfg.Name,
+		SessionsActive: a.sessionsActive.Value(),
+		SessionsFailed: a.refused.Value(),
+		DialRetries:    a.dialRetries.Value(),
+		SnapshotSaves:  a.snapshotSaves.Value(),
 	}
+	a.wireMu.Lock()
+	st.Wire = a.wire
+	a.wireMu.Unlock()
 	for _, p := range a.peerList() {
-		lat := p.lat.Snapshot()
-		// Only the stats mutex is taken — never the session mutex — so
-		// a snapshot cannot hang behind a stalled peer's session.
-		p.stats.Lock()
-		st.Peers = append(st.Peers, PeerStatus{
-			Name:             p.Name,
-			Initiator:        p.initiate,
-			Metric:           string(p.Ctl.Metric),
-			Epochs:           p.stats.epochs,
-			Sessions:         p.stats.sessions,
-			Failures:         p.stats.failures,
-			Resyncs:          p.stats.resyncs,
-			ReplayedEpochs:   p.stats.replayed,
-			SnapshotRestores: p.stats.snapRestores,
-			Rounds:           p.stats.rounds,
-			GainUs:           p.stats.gainUs,
-			GainPeer:         p.stats.gainPeer,
-			LedgerBalance:    p.stats.ledger,
-			LastStop:         p.stats.lastStop,
-			LastError:        p.stats.lastErr,
-			Latency:          &lat,
-		})
-		p.stats.Unlock()
+		ps := p.status()
+		if p.initiate {
+			st.SessionsInitiated += ps.Sessions
+		} else {
+			st.SessionsServed += ps.Sessions
+		}
+		st.SessionsFailed += ps.Failures
+		st.Resyncs += ps.Resyncs
+		st.ReplayedEpochs += ps.ReplayedEpochs
+		st.SnapshotRestores += ps.SnapshotRestores
+		st.Peers = append(st.Peers, ps)
 	}
 	return st
+}
+
+// status snapshots one peer under its stats mutex.
+func (p *peerState) status() PeerStatus {
+	p.stats.Lock()
+	defer p.stats.Unlock()
+	lat := p.stats.lat.Snapshot()
+	return PeerStatus{
+		Name:             p.Name,
+		Initiator:        p.initiate,
+		Metric:           string(p.Ctl.Metric),
+		Epochs:           p.stats.epochs,
+		Sessions:         lat.Count,
+		Failures:         p.stats.failures,
+		Resyncs:          p.stats.resyncs,
+		ReplayedEpochs:   p.stats.replayed,
+		SnapshotRestores: p.stats.snapRestores,
+		Rounds:           p.stats.rounds,
+		GainUs:           p.stats.gainUs,
+		GainPeer:         p.stats.gainPeer,
+		LedgerBalance:    p.stats.ledger,
+		LastStop:         p.stats.lastStop,
+		LastError:        p.stats.lastErr,
+		Latency:          &lat,
+	}
 }
 
 // StatusJSON renders the snapshot as indented JSON.
@@ -158,10 +168,54 @@ func (a *Agent) StatusJSON() []byte {
 	return b
 }
 
-// WriteMetrics renders the agent's telemetry in the Prometheus text
-// exposition format (the -debug-addr /metrics endpoint).
+// WriteMetrics renders one Status snapshot in the Prometheus text
+// exposition format (the -debug-addr /metrics endpoint). Metrics come in
+// name order, every sample labelled agent=<name>, the session-latency
+// histogram once per peer in peer order.
 func (a *Agent) WriteMetrics(w io.Writer) error {
-	return a.reg.WritePrometheus(w)
+	st := a.Status()
+	agent := []telemetry.Label{{Key: "agent", Value: st.Name}}
+	var b strings.Builder
+	typ := func(name, kind string) { fmt.Fprintf(&b, "# TYPE %s %s\n", name, kind) }
+	sample := func(name string, v int64, extra ...telemetry.Label) {
+		telemetry.WriteSample(&b, name, append(agent[:1:1], extra...), strconv.FormatInt(v, 10))
+	}
+	count := func(name string, v int64) {
+		typ(name, "counter")
+		sample(name, v)
+	}
+	count("agentd_dial_retries_total", st.DialRetries)
+	count("agentd_replayed_epochs_total", st.ReplayedEpochs)
+	count("agentd_resyncs_total", st.Resyncs)
+	if len(st.Peers) > 0 {
+		typ("agentd_session_seconds", "histogram")
+		for _, p := range st.Peers {
+			peer := telemetry.Label{Key: "peer", Value: p.Name}
+			telemetry.WriteHistogram(&b, "agentd_session_seconds", append(agent[:1:1], peer), *p.Latency)
+		}
+	}
+	typ("agentd_sessions_active", "gauge")
+	sample("agentd_sessions_active", st.SessionsActive)
+	count("agentd_sessions_failed_total", st.SessionsFailed)
+	count("agentd_sessions_initiated_total", st.SessionsInitiated)
+	count("agentd_sessions_served_total", st.SessionsServed)
+	count("agentd_snapshot_restores_total", st.SnapshotRestores)
+	count("agentd_snapshot_saves_total", st.SnapshotSaves)
+	dir := func(v string) telemetry.Label { return telemetry.Label{Key: "dir", Value: v} }
+	typ("agentd_wire_bytes_total", "counter")
+	sample("agentd_wire_bytes_total", st.Wire.BytesRecv, dir("recv"))
+	sample("agentd_wire_bytes_total", st.Wire.BytesSent, dir("sent"))
+	typ("agentd_wire_frames_total", "counter")
+	sample("agentd_wire_frames_total", st.Wire.FramesRecv, dir("recv"))
+	sample("agentd_wire_frames_total", st.Wire.FramesSent, dir("sent"))
+	phase := func(v string) telemetry.Label { return telemetry.Label{Key: "phase", Value: v} }
+	typ("agentd_wire_phase_microseconds_total", "counter")
+	sample("agentd_wire_phase_microseconds_total", st.Wire.CommitUs, phase("commit"))
+	sample("agentd_wire_phase_microseconds_total", st.Wire.HelloUs, phase("hello"))
+	sample("agentd_wire_phase_microseconds_total", st.Wire.PrefsUs, phase("prefs"))
+	sample("agentd_wire_phase_microseconds_total", st.Wire.ProposeUs, phase("propose"))
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // expvarMu serializes check-then-publish below (expvar panics on

@@ -3,6 +3,7 @@ package agentd
 import (
 	"context"
 	"expvar"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -42,7 +43,7 @@ func TestPublishExpvarRestartRepoints(t *testing.T) {
 	}
 
 	// And the new agent's counters flow through immediately.
-	gen2.sessionsFailed.Inc()
+	gen2.refused.Inc()
 	if got := read(); !strings.Contains(got, `"sessions_failed":1`) {
 		t.Fatalf("expvar not reading the live agent: %s", got)
 	}
@@ -59,7 +60,7 @@ func TestPublishExpvarRestartRepoints(t *testing.T) {
 
 // TestStatusConcurrentWithFaultySessions drives epochs through dial
 // retries, a mid-session connection kill, and a responder restart
-// while hammering Status() and registry snapshots from other
+// while hammering Status() and /metrics renders from other
 // goroutines. Under -race this pins the snapshot contract: counters
 // are monotone between successive reads, never torn, and at
 // quiescence the per-peer latency histograms account for exactly the
@@ -130,15 +131,14 @@ func TestStatusConcurrentWithFaultySessions(t *testing.T) {
 				return
 			}
 			lastLat = lat.Count
-			// No cross-metric inequality here: counters and histograms
-			// are separate atomics read at different instants, so a
-			// snapshot may legitimately catch one ahead of the other.
-			// Equality is asserted at quiescence below.
+			// Cross-metric equalities on every snapshot are
+			// TestStatusIsConsistentCut's; equality is asserted at
+			// quiescence below.
 			last = st
 		}
 	}()
 	wg.Add(1)
-	go func() { // registry reader: exposition under load
+	go func() { // exposition under load
 		defer wg.Done()
 		var sb strings.Builder
 		for {
@@ -204,8 +204,8 @@ func TestStatusConcurrentWithFaultySessions(t *testing.T) {
 		t.Errorf("wire phase times empty: %+v", st.Wire)
 	}
 
-	// The registry agrees with the status surface, and the exposition
-	// carries the per-peer histogram.
+	// The exposition agrees with the status surface and carries the
+	// per-peer histogram.
 	var sb strings.Builder
 	if err := a.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
@@ -235,4 +235,143 @@ func TestStatusConcurrentWithFaultySessions(t *testing.T) {
 	if merged.Count != total {
 		t.Errorf("merged latency count %d, want %d", merged.Count, total)
 	}
+}
+
+// cutErrors lists the ways a status snapshot disagrees with itself: the
+// agent totals must be the sums of the peers it lists, sessions counted
+// by the latency histograms, failures by the peers plus the sessions
+// refused before a peer was known.
+func cutErrors(st Status, refused int64) []string {
+	var sessions, failures, resyncs, replayed, restores int64
+	for _, p := range st.Peers {
+		sessions += p.Latency.Count
+		failures += p.Failures
+		resyncs += p.Resyncs
+		replayed += p.ReplayedEpochs
+		restores += p.SnapshotRestores
+	}
+	var errs []string
+	check := func(what string, total, sum int64) {
+		if total != sum {
+			errs = append(errs, fmt.Sprintf("%s %d, peers sum to %d", what, total, sum))
+		}
+	}
+	check("sessions", st.SessionsInitiated+st.SessionsServed, sessions)
+	check("failures", st.SessionsFailed, failures+refused)
+	check("resyncs", st.Resyncs, resyncs)
+	check("replayed epochs", st.ReplayedEpochs, replayed)
+	check("snapshot restores", st.SnapshotRestores, restores)
+	return errs
+}
+
+// TestStatusIsConsistentCut reads both agents' status while sessions
+// run through a refused stranger, a flaky dial, a mid-session kill and
+// a responder restart that restores a snapshot and resyncs. Every
+// snapshot, not only a quiesced one, must be one consistent cut: its
+// totals equal the sums over its peers.
+func TestStatusIsConsistentCut(t *testing.T) {
+	const killAt, restartAfter, total = 3, 6, 10
+	sys := testSystem(t, 1)
+	wl := testWorkloads(sys, 42)
+	dir := t.TempDir()
+	b1, addr1, stop1 := newSnapResponder(t, sys, wl, dir)
+
+	var addr atomic.Value
+	addr.Store(addr1)
+	dialB := func() (net.Conn, error) { return net.Dial("tcp", addr.Load().(string)) }
+	stranger := New(Config{Name: "stranger", Timeout: 5 * time.Second})
+	if err := stranger.AddPeer(Peer{Name: "b", Side: nexit.SideA, Ctl: continuous.New(sys, 10), Workloads: wl, Dial: dialB}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stranger.RunEpoch(context.Background(), 0); err == nil {
+		t.Fatal("stranger was served")
+	}
+	stranger.Close()
+
+	var kill, failFirstDial atomic.Bool
+	failFirstDial.Store(true)
+	a := New(Config{Name: "a", Timeout: 5 * time.Second, DialBackoff: time.Millisecond, Logf: t.Logf})
+	if err := a.AddPeer(Peer{
+		Name: "b", Side: nexit.SideA, Ctl: continuous.New(sys, 10), Workloads: wl,
+		Dial: func() (net.Conn, error) {
+			if failFirstDial.CompareAndSwap(true, false) {
+				return nil, net.ErrClosed
+			}
+			c, err := dialB()
+			if err != nil {
+				return nil, err
+			}
+			return &flakyConn{Conn: c, kill: &kill}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	// The observed responder and the sessions it refused: one stranger
+	// for the first, none for its restart.
+	type observed struct {
+		agent   *Agent
+		refused int64
+	}
+	var responder atomic.Pointer[observed]
+	responder.Store(&observed{b1, 1})
+	var snapshots, disagree atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	observe := func(next func() observed) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o := next()
+			snapshots.Add(1)
+			if errs := cutErrors(o.agent.Status(), o.refused); len(errs) > 0 {
+				if disagree.Add(1) == 1 {
+					t.Errorf("agent %s: status is not a consistent cut: %s", o.agent.Name(), strings.Join(errs, "; "))
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go observe(func() observed { return observed{a, 0} })
+	go observe(func() observed { return *responder.Load() })
+
+	for epoch := 0; epoch < total; epoch++ {
+		if epoch == killAt {
+			kill.Store(true)
+			if _, err := a.RunEpoch(context.Background(), epoch); err == nil {
+				t.Fatal("epoch with a killed connection succeeded")
+			}
+		}
+		if epoch == restartAfter+1 {
+			// Cold restart over the same state directory: the newcomer
+			// restores the epoch-6 snapshot and replays the tail.
+			stop1()
+			b2, addr2, _ := newSnapResponder(t, sys, wl, dir)
+			responder.Store(&observed{b2, 0})
+			addr.Store(addr2)
+			// The cached connection died with b1: this attempt fails and
+			// the one below redials (RunEpoch is idempotent per epoch).
+			a.RunEpoch(context.Background(), epoch)
+		}
+		if _, err := a.RunEpoch(context.Background(), epoch); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+	}
+	b2 := responder.Load().agent
+	waitServed(t, b2, total-restartAfter-1)
+	close(stop)
+	wg.Wait()
+	if n := disagree.Load(); n > 0 {
+		t.Errorf("%d of %d snapshots were not consistent cuts", n, snapshots.Load())
+	}
+	st := b2.Status()
+	if st.SnapshotRestores != 1 || st.Resyncs != 1 {
+		t.Errorf("restarted responder: %d restores, %d resyncs; want 1 and 1", st.SnapshotRestores, st.Resyncs)
+	}
+	t.Logf("%d snapshots", snapshots.Load())
 }

@@ -3,8 +3,8 @@ package mesh
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // FaultPlan injects deterministic failures into a wire run so tests and
@@ -53,22 +53,37 @@ func faultTarget(idx, n int) int {
 // headroom covers a kill and a restart landing near each other.
 const faultAttempts = 4
 
-// quiesceWait bounds how long Run waits after the final epoch for
-// responder-side session handlers to finish their bookkeeping before
-// the per-agent statuses are frozen into the Result.
-const quiesceWait = 5 * time.Second
-
 // dialHolder routes dials to an agent's current listener, so a
 // restarted agent (new listener, possibly a new TCP port) is reachable
-// through the dial closures its peers captured at wiring time.
+// through the dial closures its peers captured at wiring time. It keeps
+// the connections it dialed, so Run can hang up their initiator ends.
 type dialHolder struct {
 	fn atomic.Value // func() (net.Conn, error)
+
+	mu     sync.Mutex
+	dialed []net.Conn
 }
 
 func (h *dialHolder) set(fn func() (net.Conn, error)) { h.fn.Store(fn) }
 
 func (h *dialHolder) dial() (net.Conn, error) {
-	return h.fn.Load().(func() (net.Conn, error))()
+	c, err := h.fn.Load().(func() (net.Conn, error))()
+	if err == nil {
+		h.mu.Lock()
+		h.dialed = append(h.dialed, c)
+		h.mu.Unlock()
+	}
+	return c, err
+}
+
+// hangUp closes every connection dialed through the holder.
+func (h *dialHolder) hangUp() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, c := range h.dialed {
+		c.Close()
+	}
+	h.dialed = nil
 }
 
 // killSwitch arms a one-shot mid-session connection kill. The first

@@ -128,23 +128,12 @@ type Result struct {
 	// clean run); zero for RunSerial. After an agent restart the count
 	// omits the torn-down agent's history (its counters restart too).
 	Sessions int64
-	// Resyncs counts epoch fast-forwards across all agents — how often
-	// the epoch-resync handshake healed a pair (zero on a clean run).
-	Resyncs int64
-	// ReplayedEpochs counts the epochs those fast-forwards actually
-	// replayed. With StateDir set, restarts restore snapshots first, so
-	// this stays bounded by the snapshot interval per resync instead of
-	// growing with the mesh's lifetime.
-	ReplayedEpochs int64
-	// SnapshotSaves and SnapshotRestores count snapshot activity across
-	// all agents (zero without StateDir). Restart counters: like
-	// Sessions, the totals omit agents torn down by a fault plan.
-	SnapshotSaves    int64
-	SnapshotRestores int64
 	// Elapsed and SessionsPerSec measure throughput (wire runs only).
 	Elapsed        time.Duration
 	SessionsPerSec float64
-	// Agents snapshots every agent's final status (wire runs only).
+	// Agents snapshots every agent's final status (wire runs only), and
+	// Progress rolls them up; like Sessions, the rollup omits agents torn
+	// down by a fault plan.
 	Agents []agentd.Status
 }
 
@@ -405,23 +394,18 @@ func Run(opt Options) (*Result, error) {
 	}
 	elapsed := time.Since(start)
 
-	// RunEpoch returns when each initiator holds its session's final
-	// frame; the responder's handler can still be an instruction shy of
-	// its own bookkeeping (served counter, latency, active gauge). The
-	// gauge is decremented last on that path, so waiting for every
-	// agent's active count to reach zero freezes statuses only after a
-	// clean run reconciles exactly (served == initiated, none active).
-	// The wait is bounded and best-effort: a faulted run may legitimately
-	// leave a session wedged, and its statuses are diagnostic anyway.
-	for deadline := time.Now().Add(quiesceWait); ; {
-		active := int64(0)
-		for i := range agents {
-			active += agents[i].Status().SessionsActive
-		}
-		if active == 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
+	// Quiesce: stop accepting, hang up every connection an agent dialed
+	// and wait for the serving handlers to exit; then no session is in
+	// flight and the statuses are final. A session's last frame (Done)
+	// travels from initiator to responder, so hanging up the initiators'
+	// ends lets each responder read it and book its session before it
+	// sees EOF, where closing the responders' ends could cut that read.
+	for i := range agents {
+		listeners[i].Close()
+		holders[i].hangUp()
+	}
+	for _, a := range agents {
+		a.Wait()
 	}
 
 	res := &Result{ISPs: len(agents), Elapsed: elapsed}
@@ -439,10 +423,6 @@ func Run(opt Options) (*Result, error) {
 	for _, i := range indices {
 		st := agents[i].Status()
 		res.Sessions += st.SessionsInitiated
-		res.Resyncs += st.Resyncs
-		res.ReplayedEpochs += st.ReplayedEpochs
-		res.SnapshotSaves += st.SnapshotSaves
-		res.SnapshotRestores += st.SnapshotRestores
 		res.Agents = append(res.Agents, st)
 	}
 	if elapsed > 0 {

@@ -25,8 +25,8 @@ import (
 // A single-epoch mesh cannot exercise the restart fault at all: the
 // restart fires after an epoch completes, and with epochs <= 1 the
 // only candidate is the final one, making the restart a no-op (and a
-// wire.Resyncs > 0 expectation unsatisfiable). Use epochs >= 2 for a
-// meaningful schedule.
+// Progress.Resyncs > 0 expectation unsatisfiable). Use epochs >= 2 for
+// a meaningful schedule.
 func randomFaultPlan(seed int64, epochs int) *FaultPlan {
 	draw := func(k, n int) int {
 		if n <= 0 {
@@ -133,8 +133,8 @@ func TestMeshMatchesSerial(t *testing.T) {
 				if wire.Sessions != wantSessions {
 					t.Errorf("sessions=%d: completed %d wire sessions, want %d", sessions, wire.Sessions, wantSessions)
 				}
-				if wire.Resyncs != 0 {
-					t.Errorf("sessions=%d: clean run resynced %d times", sessions, wire.Resyncs)
+				if rollup(t, wire).Resyncs != 0 {
+					t.Errorf("sessions=%d: clean run resynced %d times", sessions, rollup(t, wire).Resyncs)
 				}
 				for _, st := range wire.Agents {
 					if st.SessionsFailed != 0 {
@@ -159,7 +159,7 @@ func TestMeshMatchesSerial(t *testing.T) {
 					t.Fatalf("sessions=%d faulted: %v", sessions, err)
 				}
 				checkParity(t, serial, faulted)
-				if faulted.Resyncs == 0 {
+				if rollup(t, faulted).Resyncs == 0 {
 					t.Errorf("sessions=%d: faulted run healed without a single resync — the faults were not injected", sessions)
 				}
 				var failures int64
@@ -206,7 +206,7 @@ func TestMeshRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkParity(t, serial, wire)
-			if wire.Resyncs == 0 {
+			if rollup(t, wire).Resyncs == 0 {
 				t.Error("recovery left no resync trace in the status surface")
 			}
 			restarted := agentdStatusByName(wire, wire.Pairs[0].J)
@@ -227,7 +227,7 @@ func TestMeshRecovery(t *testing.T) {
 			if mode != "snapshots" {
 				return
 			}
-			if wire.SnapshotSaves == 0 {
+			if rollup(t, wire).SnapshotSaves == 0 {
 				t.Error("no agent ever persisted a snapshot")
 			}
 			if restarted.SnapshotRestores == 0 {
@@ -307,23 +307,34 @@ func TestMeshRecoveryRandomized(t *testing.T) {
 					// A snapshot restore can land the restarted agent exactly
 					// on the driven epoch, eliminating the resync entirely —
 					// the recovery trace is then the restore counter.
-					if wire.Resyncs == 0 && wire.SnapshotRestores == 0 {
+					if rollup(t, wire).Resyncs == 0 && rollup(t, wire).SnapshotRestores == 0 {
 						t.Error("randomized faults healed without a resync or a snapshot restore — nothing was injected")
 					}
-					if wire.SnapshotSaves == 0 {
+					if rollup(t, wire).SnapshotSaves == 0 {
 						t.Error("state-dir run never persisted a snapshot")
 					}
 					// A snapshot exists by the time of any restart at epoch
 					// >= 1 (interval 2), so recovery must have used one.
-					if fopt.Faults.RestartEpoch >= 1 && wire.SnapshotRestores == 0 {
+					if fopt.Faults.RestartEpoch >= 1 && rollup(t, wire).SnapshotRestores == 0 {
 						t.Error("restart past the first snapshot interval never restored one")
 					}
-				} else if wire.Resyncs == 0 {
+				} else if rollup(t, wire).Resyncs == 0 {
 					t.Error("randomized faults healed without a single resync — nothing was injected")
 				}
 			})
 		}
 	}
+}
+
+// rollup is the run's Progress; a status that does not merge fails the
+// test.
+func rollup(t *testing.T, res *Result) Progress {
+	t.Helper()
+	pr, err := res.Progress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
 }
 
 // agentdStatusByName finds one agent's final status snapshot.

@@ -22,8 +22,17 @@ type Progress struct {
 	SessionsInitiated int64 `json:"sessions_initiated"`
 	SessionsServed    int64 `json:"sessions_served"`
 	SessionsFailed    int64 `json:"sessions_failed"`
-	Resyncs           int64 `json:"resyncs"`
-	DialRetries       int64 `json:"dial_retries"`
+	// Resyncs counts epoch fast-forwards — how often the epoch-resync
+	// handshake healed a pair (zero on a clean run) — and ReplayedEpochs
+	// the epochs they replayed: with snapshots, bounded by the snapshot
+	// interval per resync instead of growing with the mesh's lifetime.
+	Resyncs        int64 `json:"resyncs"`
+	ReplayedEpochs int64 `json:"replayed_epochs"`
+	DialRetries    int64 `json:"dial_retries"`
+	// SnapshotSaves and SnapshotRestores count snapshot activity (zero
+	// without a state directory).
+	SnapshotSaves    int64 `json:"snapshot_saves"`
+	SnapshotRestores int64 `json:"snapshot_restores"`
 	// Wire sums every agent's cumulative wire traffic.
 	Wire agentd.WireStatus `json:"wire"`
 	// Pairs counts initiator-side peer entries — each negotiating pair
@@ -54,7 +63,10 @@ func AggregateStatuses(statuses []agentd.Status) (Progress, error) {
 		pr.SessionsServed += st.SessionsServed
 		pr.SessionsFailed += st.SessionsFailed
 		pr.Resyncs += st.Resyncs
+		pr.ReplayedEpochs += st.ReplayedEpochs
 		pr.DialRetries += st.DialRetries
+		pr.SnapshotSaves += st.SnapshotSaves
+		pr.SnapshotRestores += st.SnapshotRestores
 		pr.Wire.FramesSent += st.Wire.FramesSent
 		pr.Wire.FramesRecv += st.Wire.FramesRecv
 		pr.Wire.BytesSent += st.Wire.BytesSent

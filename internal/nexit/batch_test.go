@@ -11,9 +11,9 @@ import (
 // TestBatchAcceptHookMatchesSerial pins the batched engine path's core
 // guarantee: for any deterministic accept/veto predicate, running with
 // BatchAcceptHook (whole runs of proposals decided at once, vetoes
-// truncating the batch) produces a Result identical to asking the same
-// predicate one proposal at a time through AcceptHook — assignments,
-// gains, rounds, transcript, stop reason, everything.
+// truncating the batch) produces a Result identical to the serial
+// oracle's, which asks the same predicate one proposal at a time —
+// assignments, gains, rounds, transcript, stop reason, everything.
 func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
@@ -49,23 +49,11 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 			base.ReassignFraction = 0.2
 		}
 
-		serialCfg := base
-		serialCfg.AcceptHook = func(_ Side, p Proposal) bool { return !veto(p) }
-		serial, err := Negotiate(serialCfg, &StaticEvaluator{NumAlts: na, Table: tblA},
-			&StaticEvaluator{NumAlts: na, Table: tblB}, items, defaults, na)
-		if err != nil {
-			t.Fatalf("trial %d serial: %v", trial, err)
-		}
+		serial := referenceNegotiate(base, func(_ Side, p Proposal) bool { return !veto(p) },
+			&StaticEvaluator{NumAlts: na, Table: tblA}, &StaticEvaluator{NumAlts: na, Table: tblB}, items, defaults, na)
 
 		batchCfg := base
-		batchCfg.BatchAcceptHook = func(batch []Proposal) int {
-			for i, p := range batch {
-				if veto(p) {
-					return i
-				}
-			}
-			return len(batch)
-		}
+		batchCfg.BatchAcceptHook = vetoing(veto)
 		batched, err := Negotiate(batchCfg, &StaticEvaluator{NumAlts: na, Table: tblA},
 			&StaticEvaluator{NumAlts: na, Table: tblB}, items, defaults, na)
 		if err != nil {

@@ -104,18 +104,13 @@ type Config struct {
 	// never for distance metrics).
 	ReassignFraction float64
 
-	// AcceptHook, when non-nil, is asked whether the given side accepts
-	// the proposal; without a hook every proposal is accepted. This is the
-	// batch-of-one case of the round loop below, not a second path: the
-	// engine plans one proposal, asks, and applies the answer.
-	AcceptHook func(acceptor Side, p Proposal) bool
-
-	// BatchAcceptHook, when non-nil, takes precedence over AcceptHook
-	// and receives whole runs of proposals at once: the engine plans the
-	// maximal sequence of proposals it would make if every one were
-	// accepted (the sequence is deterministic in the current preference
-	// state, so it can be computed without committing anything), and the
-	// hook returns how many leading proposals the counterpart accepted.
+	// BatchAcceptHook, when non-nil, is the counterpart, asked about
+	// whole runs of proposals at once; without it every proposal is
+	// accepted. The engine plans the maximal sequence of proposals it
+	// would make if every one were accepted (the sequence is
+	// deterministic in the current preference state, so it can be
+	// computed without committing anything), and the hook returns how
+	// many leading proposals the counterpart accepted.
 	// A return short of the batch means proposal [n] was vetoed and the
 	// tail was never considered; the engine records the veto and
 	// replans, exactly as if the proposals had been asked one by one.
@@ -457,15 +452,8 @@ func (n *negotiation) ask() int {
 	if len(n.batch) == 0 {
 		return 0
 	}
-	switch {
-	case n.cfg.BatchAcceptHook != nil:
+	if n.cfg.BatchAcceptHook != nil {
 		return min(max(n.cfg.BatchAcceptHook(n.batch), 0), len(n.batch))
-	case n.cfg.AcceptHook != nil:
-		p := n.batch[0]    // the plan is one proposal
-		p.Accepted = false // not decided yet
-		if !n.cfg.AcceptHook(p.Proposer.Other(), p) {
-			return 0
-		}
 	}
 	return len(n.batch)
 }

@@ -18,7 +18,9 @@ import (
 // TestEngineMatchesReference tests hold Negotiate to it.
 
 type refNegotiation struct {
-	cfg          Config
+	cfg Config
+	// accept asks the counterpart about one proposal; nil accepts all.
+	accept       func(acceptor Side, p Proposal) bool
 	items        []Item
 	defaults     []int
 	evalA, evalB Evaluator
@@ -40,9 +42,9 @@ type refCommit struct {
 	reverted        bool
 }
 
-func referenceNegotiate(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int, numAlts int) *Result {
+func referenceNegotiate(cfg Config, accept func(Side, Proposal) bool, evalA, evalB Evaluator, items []Item, defaults []int, numAlts int) *Result {
 	n := &refNegotiation{
-		cfg: cfg, items: items, defaults: defaults, evalA: evalA, evalB: evalB, numAlts: numAlts,
+		cfg: cfg, accept: accept, items: items, defaults: defaults, evalA: evalA, evalB: evalB, numAlts: numAlts,
 		prefsA: make([][]int, len(items)), prefsB: make([][]int, len(items)),
 		remaining: make([]bool, len(items)),
 		vetoed:    map[[2]int]bool{},
@@ -150,7 +152,7 @@ func (n *refNegotiation) run() {
 		}
 		pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
 		n.turn = proposer.Other()
-		accepted := n.accept(proposer.Other(), id, alt)
+		accepted := n.ask(proposer.Other(), id, alt)
 		n.result.Transcript = append(n.result.Transcript, Proposal{
 			Round: n.result.Rounds, Proposer: proposer, ItemID: id, Alt: alt,
 			PrefA: pA, PrefB: pB, Accepted: accepted,
@@ -231,11 +233,11 @@ func (n *refNegotiation) scanMaxSum(own, recover [][]int) (id, alt int, ok bool)
 	return id, alt, id >= 0
 }
 
-func (n *refNegotiation) accept(acceptor Side, id, alt int) bool {
-	if n.cfg.AcceptHook == nil {
+func (n *refNegotiation) ask(acceptor Side, id, alt int) bool {
+	if n.accept == nil {
 		return true
 	}
-	return n.cfg.AcceptHook(acceptor, Proposal{
+	return n.accept(acceptor, Proposal{
 		Round: n.result.Rounds, ItemID: id, Alt: alt,
 		Proposer: acceptor.Other(),
 		PrefA:    n.prefsA[id][alt], PrefB: n.prefsB[id][alt],
@@ -346,13 +348,12 @@ func (n *refNegotiation) unwindDeficits() {
 	}
 }
 
-// serialTwin returns cfg as the oracle must run it to retrace the
-// engine's run: for a trial whose BatchAcceptHook accepts random
-// prefixes, an AcceptHook that replays the engine's decisions round by
-// round. Run the engine on the returned engine config, which records
-// those decisions.
-func serialTwin(cfg Config) (engine, oracle Config) {
-	engine, oracle = cfg, cfg
+// serialTwin returns how the oracle must answer proposals to retrace
+// the engine's run: for a trial with a BatchAcceptHook, a per-proposal
+// accept that replays the engine's decisions round by round. Run the
+// engine on the returned engine config, which records those decisions.
+func serialTwin(cfg Config) (engine Config, accept func(Side, Proposal) bool) {
+	engine = cfg
 	if hook := cfg.BatchAcceptHook; hook != nil {
 		accepted := map[int]bool{} // round -> decision, as the engine heard it
 		engine.BatchAcceptHook = func(batch []Proposal) int {
@@ -362,8 +363,7 @@ func serialTwin(cfg Config) (engine, oracle Config) {
 			}
 			return k
 		}
-		oracle.BatchAcceptHook = nil
-		oracle.AcceptHook = func(_ Side, p Proposal) bool {
+		accept = func(_ Side, p Proposal) bool {
 			ok, asked := accepted[p.Round]
 			if !asked {
 				panic("oracle reached a round the engine never asked about")
@@ -371,18 +371,31 @@ func serialTwin(cfg Config) (engine, oracle Config) {
 			return ok
 		}
 	}
-	return engine, oracle
+	return engine, accept
+}
+
+// vetoing is the BatchAcceptHook of a counterpart that vetoes the
+// proposals veto picks: it accepts each batch up to the first of them.
+func vetoing(veto func(Proposal) bool) func([]Proposal) int {
+	return func(batch []Proposal) int {
+		for i, p := range batch {
+			if veto(p) {
+				return i
+			}
+		}
+		return len(batch)
+	}
 }
 
 // mustMatchReference runs the engine and the oracle on one negotiation
 // and fails the test unless the two Results are deeply equal.
-func mustMatchReference(t *testing.T, trial int, engineCfg, oracleCfg Config, evA, evB Evaluator, items []Item, defaults []int, na int) *Result {
+func mustMatchReference(t *testing.T, trial int, engineCfg Config, accept func(Side, Proposal) bool, evA, evB Evaluator, items []Item, defaults []int, na int) *Result {
 	t.Helper()
 	got, err := Negotiate(engineCfg, evA, evB, items, defaults, na)
 	if err != nil {
 		t.Fatalf("trial %d: %v", trial, err)
 	}
-	want := referenceNegotiate(oracleCfg, evA, evB, items, defaults, na)
+	want := referenceNegotiate(engineCfg, accept, evA, evB, items, defaults, na)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("trial %d (%+v): engine diverged from the reference\nengine:    %+v\nreference: %+v",
 			trial, engineCfg, got, want)
@@ -424,8 +437,8 @@ func roundsProposedFrom(tr []Proposal, in func(gainA, gainB int) bool) (rounds i
 func TestEngineMatchesReference(t *testing.T) {
 	check := func(trial int, g gridTrial) {
 		evA, evB := g.mk(), g.mk() // static tables: engine and oracle share them
-		engineCfg, oracleCfg := serialTwin(g.cfg)
-		mustMatchReference(t, trial, engineCfg, oracleCfg, evA, evB, g.items, g.defaults, g.numAlts)
+		engineCfg, accept := serialTwin(g.cfg)
+		mustMatchReference(t, trial, engineCfg, accept, evA, evB, g.items, g.defaults, g.numAlts)
 	}
 	forEachGridTrial(check)
 	gridTrials(78, 210, func(trial int) int { return wideBounds[trial%len(wideBounds)] }, check)
@@ -483,8 +496,8 @@ func TestEngineMatchesReferenceDeficitRecovery(t *testing.T) {
 			hookRng := rand.New(rand.NewSource(int64(trial)))
 			cfg.BatchAcceptHook = func(batch []Proposal) int { return hookRng.Intn(len(batch) + 1) }
 		}
-		engineCfg, oracleCfg := serialTwin(cfg)
-		res := mustMatchReference(t, trial, engineCfg, oracleCfg, evA, evB, items, defaults, na)
+		engineCfg, accept := serialTwin(cfg)
+		res := mustMatchReference(t, trial, engineCfg, accept, evA, evB, items, defaults, na)
 		recovering += roundsProposedFrom(res.Transcript, func(gA, gB int) bool { return gA < 0 || gB < 0 })
 	}
 	if recovering < 300 {
@@ -519,7 +532,7 @@ func TestEngineMatchesReferenceBothNegative(t *testing.T) {
 		if trial%3 == 0 {
 			cfg.ExtraDeficitA, cfg.ExtraDeficitB = rng.Intn(2*p), rng.Intn(2*p)
 		}
-		res := mustMatchReference(t, trial, cfg, cfg, mk(), mk(), items, defaults, na)
+		res := mustMatchReference(t, trial, cfg, nil, mk(), mk(), items, defaults, na)
 		if err := checkRoundInvariants(res, n, na); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -591,8 +604,8 @@ func FuzzNegotiateMatchesReference(f *testing.F) {
 		}
 		items, defaults := unitItems(n, na)
 		warmUp(t, n*na)
-		engineCfg, oracleCfg := serialTwin(cfg)
-		res := mustMatchReference(t, 0, engineCfg, oracleCfg, evA, evB, items, defaults, na)
+		engineCfg, accept := serialTwin(cfg)
+		res := mustMatchReference(t, 0, engineCfg, accept, evA, evB, items, defaults, na)
 		if err := checkRoundInvariants(res, n, na); err != nil {
 			t.Fatal(err)
 		}
@@ -626,14 +639,7 @@ var warmUps = func() (w [2]struct {
 			}
 			return ev
 		}
-		w[i].cfg = Config{PrefBound: p, BatchAcceptHook: func(batch []Proposal) int {
-			for k, pr := range batch {
-				if (pr.ItemID*na+pr.Alt)%7 == 3 {
-					return k
-				}
-			}
-			return len(batch)
-		}}
+		w[i].cfg = Config{PrefBound: p, BatchAcceptHook: vetoing(func(pr Proposal) bool { return (pr.ItemID*na+pr.Alt)%7 == 3 })}
 		w[i].evA, w[i].evB, w[i].numAlts = mk(), mk(), na
 		w[i].items, w[i].defaults = unitItems(n, na)
 	}

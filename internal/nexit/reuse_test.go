@@ -34,7 +34,7 @@ func (c reuseCase) check() error {
 		rng := rand.New(rand.NewSource(c.hookSeed))
 		cfg.BatchAcceptHook = func(batch []Proposal) int { return rng.Intn(len(batch) + 1) }
 	}
-	engineCfg, oracleCfg := serialTwin(cfg)
+	engineCfg, accept := serialTwin(cfg)
 	evA, evB := c.mk()
 	got, err := Negotiate(engineCfg, evA, evB, c.items, c.defaults, c.na)
 	if err != nil {
@@ -42,7 +42,7 @@ func (c reuseCase) check() error {
 	}
 	release(evA, evB) // the oracle's load evaluators then run on reused scratch
 	evA, evB = c.mk()
-	want := referenceNegotiate(oracleCfg, evA, evB, c.items, c.defaults, c.na)
+	want := referenceNegotiate(engineCfg, accept, evA, evB, c.items, c.defaults, c.na)
 	release(evA, evB)
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("%s: engine on a reused state diverged from the reference\nengine:    %+v\nreference: %+v",
@@ -213,11 +213,11 @@ func TestWarmNegotiateAllocatesOnlyItsResult(t *testing.T) {
 	var evA, evB Evaluator = a, b
 	items, defaults := unitItems(n, na)
 	all := func(batch []Proposal) int { return len(batch) }
-	veto := func(_ Side, p Proposal) bool { return p.ItemID%5 != 0 }
+	veto := vetoing(func(p Proposal) bool { return p.ItemID%5 == 0 })
 	for _, cfg := range []Config{
 		{PrefBound: 10},
 		{PrefBound: 10, BatchAcceptHook: all},
-		{PrefBound: 10, AcceptHook: veto},
+		{PrefBound: 10, BatchAcceptHook: veto},
 		{PrefBound: 10, ExtraDeficitA: 100},
 	} {
 		var res *Result

@@ -27,7 +27,7 @@ type gridTrial struct {
 // forEachGridTrial generates the 400-trial engine grid — randomized
 // preference tables under the one round protocol — and hands each trial
 // to fn. The trials deliberately cover the regimes proposal selection
-// must survive: vetoes (via AcceptHook), batched planning with partial
+// must survive: deterministic vetoes, batched planning with partial
 // accepts, preference reassignment, extra deficit allowances, P = 3,
 // and preference tables whose default class is nonzero (the engine
 // clamps but does not normalize evaluator output). Generation is sequential over one seeded
@@ -84,9 +84,7 @@ func gridTrials(seed int64, trials int, bound func(trial int) int, fn func(trial
 		switch trial % 7 {
 		case 2:
 			// Deterministic vetoes.
-			cfg.AcceptHook = func(acceptor Side, pr Proposal) bool {
-				return (pr.ItemID+pr.Alt)%3 != 0
-			}
+			cfg.BatchAcceptHook = vetoing(func(pr Proposal) bool { return (pr.ItemID+pr.Alt)%3 == 0 })
 		case 3:
 			// Random accepted prefixes: batches are planned, partly
 			// applied and their tails put back on the table.

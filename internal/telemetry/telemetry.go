@@ -1,21 +1,20 @@
 // Package telemetry is the repo's small, allocation-conscious metrics
 // core: atomic counters and gauges, fixed-bucket histograms with
-// mergeable snapshots, and a named registry that renders both to a
-// Prometheus-style text exposition. It is the instrumentation substrate
-// of the §6 deployment story — long-lived daemons (agentd), the wire
-// protocol under them (nexitwire), and the mesh harness above them all
-// record into it, and cmd/nexitplot's watch mode reads it back out —
-// in the spirit of the fleet-operations literature (TerraServer,
-// MSR-TR-2004-67): a persistent process that cannot be observed cannot
-// be operated.
+// mergeable snapshots, and the helpers that render samples in the
+// Prometheus text exposition format. It is the instrumentation substrate
+// of the §6 deployment story — long-lived daemons (agentd) record into
+// it, their status snapshots carry its histograms, and cmd/nexitplot's
+// watch mode reads them back out — in the spirit of the fleet-operations
+// literature (TerraServer, MSR-TR-2004-67): a persistent process that
+// cannot be observed cannot be operated. The package keeps no names: a
+// caller holds its cells and renders its own snapshot (agentd's
+// WriteMetrics renders its Status).
 //
 // Design constraints, in order:
 //
-//   - Hot-path writes are wait-free and allocation-free: Counter.Add,
+//   - Hot-path writes are wait-free and allocation-free: Counter.Inc,
 //     Gauge.Add, and Histogram.Observe are a handful of atomic
-//     operations on pre-allocated state. Metric handles are created
-//     once (registration takes a lock and builds strings) and then
-//     written through directly — never looked up per event.
+//     operations on pre-allocated state.
 //   - Reads never block writes. Snapshots load each cell atomically;
 //     a snapshot taken mid-update may split one event between a bucket
 //     and the total, but every cell is monotone, so two successive
@@ -28,22 +27,16 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
-// Counter is a monotone event counter. The zero value is ready to use,
-// but most callers obtain one from a Registry so it is also exported.
+// Counter is a monotone event counter: it only counts up, one event at
+// a time, so snapshots never see it move backwards. The zero value is
+// ready to use.
 type Counter struct {
 	v atomic.Int64
-}
-
-// Add increments the counter by n (n must be non-negative; negative
-// deltas would break the monotonicity snapshots rely on).
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic("telemetry: negative Counter.Add")
-	}
-	c.v.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -238,4 +231,64 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]
+}
+
+// Label is one key="value" dimension of an exposition sample.
+type Label struct {
+	Key   string
+	Value string
+}
+
+// WriteSample appends one sample line of the Prometheus text exposition
+// format, name{labels} value, escaping the label values.
+func WriteSample(b *strings.Builder, name string, labels []Label, value string) {
+	b.WriteString(name)
+	if len(labels) > 0 {
+		b.WriteByte('{')
+		for i, l := range labels {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(l.Key)
+			b.WriteString(`="`)
+			b.WriteString(escapeLabel(l.Value))
+			b.WriteByte('"')
+		}
+		b.WriteByte('}')
+	}
+	b.WriteByte(' ')
+	b.WriteString(value)
+	b.WriteByte('\n')
+}
+
+// WriteHistogram appends a histogram snapshot's exposition samples:
+// cumulative name_bucket lines with an le label per bound and +Inf,
+// then name_sum and name_count.
+func WriteHistogram(b *strings.Builder, name string, labels []Label, s HistogramSnapshot) {
+	le := append(labels[:len(labels):len(labels)], Label{Key: "le"})
+	var cum int64
+	for i, c := range s.Counts {
+		cum += c
+		le[len(labels)].Value = "+Inf"
+		if i < len(s.Bounds) {
+			le[len(labels)].Value = formatFloat(s.Bounds[i])
+		}
+		WriteSample(b, name+"_bucket", le, strconv.FormatInt(cum, 10))
+	}
+	WriteSample(b, name+"_sum", labels, formatFloat(s.Sum))
+	WriteSample(b, name+"_count", labels, strconv.FormatInt(s.Count, 10))
+}
+
+func formatFloat(v float64) string {
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// escapeLabel escapes a label value per the exposition format.
+func escapeLabel(v string) string {
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	v = strings.ReplaceAll(v, `\`, `\\`)
+	v = strings.ReplaceAll(v, `"`, `\"`)
+	return strings.ReplaceAll(v, "\n", `\n`)
 }

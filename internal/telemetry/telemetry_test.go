@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -10,8 +11,9 @@ import (
 
 func TestCounterGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -21,14 +23,6 @@ func TestCounterGauge(t *testing.T) {
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("negative Counter.Add did not panic")
-			}
-		}()
-		c.Add(-1)
-	}()
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -116,75 +110,88 @@ func TestHistogramSnapshotMergeAndJSON(t *testing.T) {
 	}
 }
 
-func TestRegistryIdempotentAndKinds(t *testing.T) {
-	r := NewRegistry(Label{"agent", "isp001"})
-	c1 := r.CounterOf("sessions_total", Label{"peer", "isp002"})
-	c2 := r.CounterOf("sessions_total", Label{"peer", "isp002"})
-	if c1 != c2 {
-		t.Fatal("same (name, labels) returned different counters")
+// TestWriteSampleEscapes: label values are escaped per the exposition
+// format (backslash, quote, newline), names and keys are written as given.
+func TestWriteSampleEscapes(t *testing.T) {
+	var b strings.Builder
+	WriteSample(&b, "m_total", []Label{{"agent", `a\"b` + "\nc"}, {"dir", "sent"}}, "7")
+	if got, want := b.String(), `m_total{agent="a\\\"b\nc",dir="sent"} 7`+"\n"; got != want {
+		t.Fatalf("sample %q, want %q", got, want)
 	}
-	if c3 := r.CounterOf("sessions_total", Label{"peer", "isp003"}); c3 == c1 {
-		t.Fatal("different labels returned the same counter")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	r.GaugeOf("sessions_total", Label{"peer", "isp002"})
 }
 
+// TestWritePrometheus: counter, gauge and histogram samples render in
+// the exposition format — labels in the order given, cumulative buckets
+// with an le label per bound and +Inf, then _sum and _count.
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry(Label{"agent", "isp001"})
-	r.CounterOf("agentd_sessions_total").Add(3)
-	r.GaugeOf("agentd_sessions_active").Add(1)
-	h := r.HistogramOf("agentd_session_seconds", Label{"peer", "isp002"})
+	agent := []Label{{"agent", "isp001"}}
+	var c Counter
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
+	var g Gauge
+	g.Add(1)
+	h := NewHistogram(nil)
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(5)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
+	WriteSample(&sb, "agentd_sessions_total", agent, strconv.FormatInt(c.Value(), 10))
+	WriteSample(&sb, "agentd_sessions_active", agent, strconv.FormatInt(g.Value(), 10))
+	WriteHistogram(&sb, "agentd_session_seconds", append(agent, Label{"peer", "isp002"}), h.Snapshot())
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE agentd_sessions_total counter",
 		`agentd_sessions_total{agent="isp001"} 3`,
-		"# TYPE agentd_sessions_active gauge",
 		`agentd_sessions_active{agent="isp001"} 1`,
-		"# TYPE agentd_session_seconds histogram",
+		`agentd_session_seconds_bucket{agent="isp001",peer="isp002",le="0.0025"} 0`,
+		`agentd_session_seconds_bucket{agent="isp001",peer="isp002",le="0.005"} 1`,
 		`agentd_session_seconds_bucket{agent="isp001",peer="isp002",le="0.01"} 1`,
 		`agentd_session_seconds_bucket{agent="isp001",peer="isp002",le="0.1"} 2`,
+		`agentd_session_seconds_bucket{agent="isp001",peer="isp002",le="5"} 3`,
 		`agentd_session_seconds_bucket{agent="isp001",peer="isp002",le="+Inf"} 3`,
 		`agentd_session_seconds_sum{agent="isp001",peer="isp002"} 5.055`,
 		`agentd_session_seconds_count{agent="isp001",peer="isp002"} 3`,
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	if n := strings.Count(out, "agentd_session_seconds_bucket{"); n != len(DefaultLatencyBuckets)+1 {
+		t.Fatalf("%d bucket lines, want %d:\n%s", n, len(DefaultLatencyBuckets)+1, out)
+	}
 }
 
-// TestSnapshotDeterministicOrder: the exposition lists metrics sorted by
-// name, whatever order they were registered in.
+// TestSnapshotDeterministicOrder: a histogram's exposition lists its
+// buckets in ascending bound order ending at +Inf, then _sum and _count,
+// and is byte-identical whatever order the observations arrived in.
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	r := NewRegistry()
-	r.CounterOf("z_total")
-	r.CounterOf("a_total")
-	r.HistogramOf("m_seconds")
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
-			order = append(order, f[2])
+	obs := []float64{3, 0.5, 100, 1.5, 0.25}
+	render := func(order []float64) string {
+		h := NewHistogram([]float64{1, 2, 4})
+		for _, v := range order {
+			h.Observe(v)
 		}
+		var sb strings.Builder
+		WriteHistogram(&sb, "m_seconds", nil, h.Snapshot())
+		return sb.String()
 	}
-	if strings.Join(order, " ") != "a_total m_seconds z_total" {
-		t.Fatalf("exposition order %v, want a_total m_seconds z_total:\n%s", order, sb.String())
+	got := render(obs)
+	want := "m_seconds_bucket{le=\"1\"} 2\n" +
+		"m_seconds_bucket{le=\"2\"} 3\n" +
+		"m_seconds_bucket{le=\"4\"} 4\n" +
+		"m_seconds_bucket{le=\"+Inf\"} 5\n" +
+		"m_seconds_sum 105.25\n" +
+		"m_seconds_count 5\n"
+	if got != want {
+		t.Fatalf("exposition\n%s\nwant\n%s", got, want)
+	}
+	reversed := make([]float64, len(obs))
+	for i, v := range obs {
+		reversed[len(obs)-1-i] = v
+	}
+	if again := render(reversed); again != got {
+		t.Fatalf("exposition depends on observation order:\n%s\nvs\n%s", again, got)
 	}
 }
 
@@ -192,9 +199,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 // -race: counters must be monotone between successive snapshots and the
 // final state must account for every event.
 func TestConcurrentObserve(t *testing.T) {
-	r := NewRegistry()
-	c := r.CounterOf("events_total")
-	h := r.HistogramOf("lat_seconds")
+	var c Counter
+	h := NewHistogram(nil)
 	const writers, events = 4, 1000
 
 	stop := make(chan struct{})
@@ -261,12 +267,11 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// BenchmarkHotPath pins the allocation contract: Counter.Add and
+// BenchmarkHotPath pins the allocation contract: Counter.Inc and
 // Histogram.Observe allocate nothing.
 func BenchmarkHotPath(b *testing.B) {
-	r := NewRegistry(Label{"agent", "bench"})
-	c := r.CounterOf("events_total")
-	h := r.HistogramOf("lat_seconds")
+	var c Counter
+	h := NewHistogram(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
