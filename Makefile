@@ -32,7 +32,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/
 	go test -run '^$$' -fuzz 'FuzzSolveFanOut' -fuzztime 20s ./internal/simplex/
 	go test -count=1 -cpu 1,4 -run 'TestBandwidthLPGolden|TestImpliedRowsMoveNoBit|TestSolveFanOutMatchesOneLoop|TestColumnMatchesAt|TestSolveReusesStorage' ./internal/experiments ./internal/optimal ./internal/simplex
-	go test -run '^$$' -fuzz 'FuzzDecodeVars' -fuzztime 20s ./internal/plot/
+	go test -run '^$$' -fuzz 'FuzzWatchStatus' -fuzztime 20s ./internal/plot/
 	go test -run '^$$' -fuzz 'FuzzFoldLine' -fuzztime 20s ./internal/plot/
 
 # The one measurement path: seven named workloads, end-to-end and

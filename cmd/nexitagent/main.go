@@ -3,7 +3,7 @@
 // negotiates continually with every configured neighbor over TCP, built
 // on internal/agentd. Each epoch it renegotiates the (drifting) traffic
 // of every pair through the continuous controller, settles the credit
-// ledger, and keeps per-peer statistics (expvar/JSON).
+// ledger, and keeps per-peer statistics (a JSON status document).
 //
 // Each neighbor pair is oriented by dataset index: the lower-index
 // agent initiates the pair's sessions, the higher-index one serves
@@ -32,10 +32,13 @@
 //
 // The daemon runs until every initiated peer has completed -epochs
 // epochs (0 = until interrupted), pacing rounds by -interval, and shuts
-// down gracefully on SIGINT/SIGTERM. With -debug-addr it serves live
-// status at /debug/vars (including each peer's metric and resync
-// count) and the Go profiling endpoints at /debug/pprof/ — the probes
-// the wire/session hot-path work was profiled with (DESIGN.md §9).
+// down gracefully on SIGINT/SIGTERM. With -debug-addr it serves the
+// agent's status document at /status (agentd.Status as JSON, including
+// each peer's metric and resync count; what nexitplot -watch reads),
+// the same snapshot in the Prometheus text format at /metrics, the
+// stock expvar memstats and cmdline at /debug/vars, and the Go
+// profiling endpoints at /debug/pprof/ — the probes the wire/session
+// hot-path work was profiled with (DESIGN.md §9).
 //
 // Failures self-heal (the epoch-resync handshake, DESIGN.md §7): each
 // round drives the lowest epoch any peer still needs, so a failed
@@ -97,7 +100,7 @@ func main() {
 		metricFlag = flag.String("metric", "distance", "negotiation objective for every peer: distance, bandwidth, or fortz-thorup (override per peer with -peer index/metric)")
 		maxSess    = flag.Int("max-sessions", 0, "bound on concurrent sessions per direction (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-exchange wire deadline")
-		debugAddr  = flag.String("debug-addr", "", "serve expvar status (/debug/vars) and pprof (/debug/pprof/) on this address")
+		debugAddr  = flag.String("debug-addr", "", "serve status (/status), metrics (/metrics), expvar (/debug/vars) and pprof (/debug/pprof/) on this address")
 		quiet      = flag.Bool("quiet", false, "suppress per-epoch report lines")
 		stateDir   = flag.String("state-dir", "", "directory for per-peer controller snapshots; a restarted daemon resumes from them and replays only the epochs since the newest snapshot")
 		snapEvery  = flag.Int("snapshot-interval", 0, "epochs between snapshot writes (default 16; needs -state-dir)")
@@ -237,9 +240,13 @@ func main() {
 		fmt.Printf("%s listening on %s (%d inbound peers)\n", agent.Name(), ln.Addr(), serving)
 	}
 	if *debugAddr != "" {
-		agent.PublishExpvar("agentd")
 		go func() {
 			mux := http.NewServeMux()
+			mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(agent.StatusJSON())
+			})
+			// The stock expvar handler still serves memstats and cmdline.
 			mux.Handle("/debug/vars", expvar.Handler())
 			mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; version=0.0.4")

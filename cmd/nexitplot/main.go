@@ -20,14 +20,16 @@
 // (DESIGN.md §10), and so is a record index folded twice (a shard or a
 // run passed twice).
 //
-// Watch mode polls one or more agentd debug endpoints and renders
-// mesh-wide progress — sessions/s, the epoch frontier, resync and
-// failure counts, and session-latency quantiles:
+// Watch mode polls the /status document of one or more agentd debug
+// endpoints (nexitagent -debug-addr) and renders mesh-wide progress —
+// sessions/s, the epoch frontier, resync and failure counts, and
+// session-latency quantiles:
 //
 //	nexitplot -watch 127.0.0.1:8171,127.0.0.1:8172 -interval 2s
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -103,12 +105,12 @@ func runWatch(addrs []string, interval time.Duration, polls int) error {
 			if addr == "" {
 				continue
 			}
-			sts, err := fetchVars(client, addr)
+			st, err := fetchStatus(client, addr)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "nexitplot: %s: %v\n", addr, err)
 				continue
 			}
-			statuses = append(statuses, sts...)
+			statuses = append(statuses, st)
 		}
 		now := time.Now()
 		pr, err := mesh.AggregateStatuses(statuses)
@@ -123,26 +125,32 @@ func runWatch(addrs []string, interval time.Duration, polls int) error {
 	return nil
 }
 
-// fetchVars retrieves one endpoint's /debug/vars and extracts every
-// agentd status it publishes (a process may host several agents).
-func fetchVars(client *http.Client, addr string) ([]agentd.Status, error) {
+// fetchStatus retrieves one agent's /status document.
+func fetchStatus(client *http.Client, addr string) (agentd.Status, error) {
+	var st agentd.Status
 	url := addr
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
 	}
-	resp, err := client.Get(url + "/debug/vars")
+	resp, err := client.Get(url + "/status")
 	if err != nil {
-		return nil, err
+		return st, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/debug/vars: %s", resp.Status)
+		return st, fmt.Errorf("/status: %s", resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return nil, err
+		return st, err
 	}
-	return plot.DecodeVars(body)
+	if err := json.Unmarshal(body, &st); err != nil {
+		return st, fmt.Errorf("/status: %w", err)
+	}
+	if st.Name == "" {
+		return st, fmt.Errorf("/status: not an agent status (no name)")
+	}
+	return st, nil
 }
 
 func fatal(err error) {

@@ -399,7 +399,8 @@ func (a *Agent) handleConn(conn net.Conn) {
 	for {
 		hello, err := nexitwire.AcceptHelloConn(c, a.cfg.IdleTimeout)
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
+			// EOF, or a read that Close cut short, is a clean end.
+			if !errors.Is(err, io.EOF) && !a.closed.Load() {
 				a.logf("agentd %s: inbound connection: %v", a.cfg.Name, err)
 			}
 			return
@@ -504,6 +505,7 @@ func (a *Agent) runSession(p *peerState, conn *nexitwire.Conn, hello *nexitwire.
 	wAB, wBA := p.Workloads(epoch)
 	var res *nexit.Result // the session's outcome, kept for the statistics
 	negotiate := func(cfg nexit.Config, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, error) {
+		var err error
 		if p.initiate {
 			ini := &nexitwire.Initiator{
 				Name:    a.cfg.Name,
@@ -513,7 +515,6 @@ func (a *Agent) runSession(p *peerState, conn *nexitwire.Conn, hello *nexitwire.
 				Eval:    p.Ctl.NewEvaluator(p.Side),
 				Timeout: a.timeout(),
 			}
-			var err error
 			res, err = ini.RunConn(conn, items, defaults, numAlts)
 			return res, err
 		}
@@ -527,18 +528,8 @@ func (a *Agent) runSession(p *peerState, conn *nexitwire.Conn, hello *nexitwire.
 			NumAlts:  numAlts,
 			Timeout:  a.timeout(),
 		}
-		sess, err := resp.ServeSessionConn(conn, hello)
-		if err != nil {
-			return nil, err
-		}
-		res = &nexit.Result{
-			Assign:  sess.Assign,
-			GainA:   sess.GainA,
-			GainB:   sess.GainB,
-			Rounds:  sess.Rounds,
-			Stopped: sess.StopReason,
-		}
-		return res, nil
+		res, err = resp.ServeSessionConn(conn, hello)
+		return res, err
 	}
 	rep, err := p.Ctl.EpochVia(negotiate, wAB, wBA)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -982,4 +983,85 @@ func TestCloseDoesNotWaitOnStalledSessions(t *testing.T) {
 			t.Error("the stalled session succeeded")
 		}
 	})
+}
+
+// pipeListener hands the server halves of net.Pipe connections to
+// Accept; closing it ends Accept with net.ErrClosed.
+type pipeListener chan net.Conn
+
+func (l pipeListener) Accept() (net.Conn, error) {
+	c, ok := <-l
+	if !ok {
+		return nil, net.ErrClosed
+	}
+	return c, nil
+}
+
+func (l pipeListener) Close() error   { close(l); return nil }
+func (l pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestCloseQuietOnIdleInbound: Close cutting an idle inbound
+// connection's read is a clean end, not an "inbound connection" error,
+// over TCP and net.Pipe alike.
+func TestCloseQuietOnIdleInbound(t *testing.T) {
+	for _, transport := range []string{"tcp", "pipe"} {
+		t.Run(transport, func(t *testing.T) {
+			var (
+				mu   sync.Mutex
+				logs []string
+			)
+			b := New(Config{Name: "b", Logf: func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+			}})
+			var ln net.Listener
+			var dial func() (net.Conn, error)
+			if transport == "tcp" {
+				tln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ln, dial = tln, func() (net.Conn, error) { return net.Dial("tcp", tln.Addr().String()) }
+			} else {
+				pln := make(pipeListener)
+				ln, dial = pln, func() (net.Conn, error) {
+					client, server := net.Pipe()
+					pln <- server
+					return client, nil
+				}
+			}
+			served := make(chan error, 1)
+			go func() { served <- b.Serve(ln) }()
+			conn, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				b.mu.Lock()
+				held := len(b.conns)
+				b.mu.Unlock()
+				if held > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the agent never took the inbound connection")
+				}
+			}
+			b.Close()
+			ln.Close()
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+			b.Wait()
+			mu.Lock()
+			defer mu.Unlock()
+			for _, line := range logs {
+				if strings.Contains(line, "inbound connection:") {
+					t.Errorf("Close logged %q", line)
+				}
+			}
+		})
+	}
 }

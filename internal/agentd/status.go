@@ -2,13 +2,10 @@ package agentd
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -16,15 +13,23 @@ import (
 // Status is the agent's introspection snapshot: the long-running
 // process's answer to "what has this daemon been doing" (the paper's §6
 // deployment concern, in the spirit of TerraServer's operations
-// experience — make the persistent process observable). It marshals to
-// JSON and is also what the expvar surface publishes; cmd/nexitplot's
-// watch mode and mesh.AggregateStatuses both consume it.
+// experience — make the persistent process observable). StatusJSON
+// renders it for nexitagent's -debug-addr /status endpoint, which
+// cmd/nexitplot's watch mode reads back and folds through
+// mesh.AggregateStatuses.
 type Status struct {
-	Name              string `json:"name"`
-	SessionsActive    int64  `json:"sessions_active"`
-	SessionsInitiated int64  `json:"sessions_initiated"`
-	SessionsServed    int64  `json:"sessions_served"`
-	SessionsFailed    int64  `json:"sessions_failed"`
+	Name string `json:"name"`
+	Counters
+	Peers []PeerStatus `json:"peers"`
+}
+
+// Counters are the agent-level totals of a Status. mesh.Progress embeds
+// the same struct, so a mesh-wide rollup is the Add of its agents'.
+type Counters struct {
+	SessionsActive    int64 `json:"sessions_active"`
+	SessionsInitiated int64 `json:"sessions_initiated"`
+	SessionsServed    int64 `json:"sessions_served"`
+	SessionsFailed    int64 `json:"sessions_failed"`
 	// Resyncs counts epoch fast-forwards across all peers: each one is
 	// a pair that healed itself after a failed session or a restart
 	// (the epoch-resync handshake, DESIGN.md §7).
@@ -39,10 +44,31 @@ type Status struct {
 	ReplayedEpochs int64 `json:"replayed_epochs"`
 	// SnapshotSaves and SnapshotRestores count persisted and restored
 	// controller snapshots (zero without a -state-dir).
-	SnapshotSaves    int64        `json:"snapshot_saves"`
-	SnapshotRestores int64        `json:"snapshot_restores"`
-	Wire             WireStatus   `json:"wire"`
-	Peers            []PeerStatus `json:"peers"`
+	SnapshotSaves    int64      `json:"snapshot_saves"`
+	SnapshotRestores int64      `json:"snapshot_restores"`
+	Wire             WireStatus `json:"wire"`
+}
+
+// Add sums o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.SessionsActive += o.SessionsActive
+	c.SessionsInitiated += o.SessionsInitiated
+	c.SessionsServed += o.SessionsServed
+	c.SessionsFailed += o.SessionsFailed
+	c.Resyncs += o.Resyncs
+	c.DialRetries += o.DialRetries
+	c.ReplayedEpochs += o.ReplayedEpochs
+	c.SnapshotSaves += o.SnapshotSaves
+	c.SnapshotRestores += o.SnapshotRestores
+	w := &c.Wire
+	w.FramesSent += o.Wire.FramesSent
+	w.FramesRecv += o.Wire.FramesRecv
+	w.BytesSent += o.Wire.BytesSent
+	w.BytesRecv += o.Wire.BytesRecv
+	w.HelloUs += o.Wire.HelloUs
+	w.PrefsUs += o.Wire.PrefsUs
+	w.ProposeUs += o.Wire.ProposeUs
+	w.CommitUs += o.Wire.CommitUs
 }
 
 // WireStatus is the agent's cumulative wire traffic: frame and byte
@@ -98,23 +124,22 @@ type PeerStatus struct {
 	Latency *telemetry.HistogramSnapshot `json:"latency,omitempty"`
 }
 
-// Status snapshots the agent: the daemon's one read model, which the
-// expvar surface publishes and WriteMetrics renders. Every count is kept
-// once, where its event happens, and the agent totals are summed from
-// the peers in the same pass that reads them, so each snapshot is one
+// Status snapshots the agent: the daemon's one read model, which
+// StatusJSON and WriteMetrics render. Every count is kept once, where
+// its event happens, and the agent totals are summed from the peers in
+// the same pass that reads them, so each snapshot is one
 // consistent cut — initiated plus served sessions equal the peers'
 // latency counts, failures the peers' plus the refused Hellos, and so
 // on. Safe to call concurrently with sessions: only the per-peer stats
 // mutex is taken — never a session mutex, so a snapshot cannot hang
 // behind a stalled peer's session.
 func (a *Agent) Status() Status {
-	st := Status{
-		Name:           a.cfg.Name,
+	st := Status{Name: a.cfg.Name, Counters: Counters{
 		SessionsActive: a.sessionsActive.Value(),
 		SessionsFailed: a.refused.Value(),
 		DialRetries:    a.dialRetries.Value(),
 		SnapshotSaves:  a.snapshotSaves.Value(),
-	}
+	}}
 	a.wireMu.Lock()
 	st.Wire = a.wire
 	a.wireMu.Unlock()
@@ -216,40 +241,4 @@ func (a *Agent) WriteMetrics(w io.Writer) error {
 	sample("agentd_wire_phase_microseconds_total", st.Wire.ProposeUs, phase("propose"))
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// expvarMu serializes check-then-publish below (expvar panics on
-// duplicate names); expvarAgents holds the indirection that lets a
-// restarted agent re-claim its name.
-var (
-	expvarMu     sync.Mutex
-	expvarAgents = map[string]*atomic.Pointer[Agent]{}
-)
-
-// PublishExpvar registers the agent's live status as an expvar under
-// the given name ("agentd.<agent name>" when empty), so any expvar
-// endpoint — e.g. nexitagent's -debug-addr — exposes it.
-//
-// The published func reads through an indirection: when a restarted
-// agent re-publishes under a name this package already owns, the
-// expvar is re-pointed at the live agent instead of serving the dead
-// one's snapshot forever. A name owned by someone else entirely (a
-// foreign expvar.Publish) is left alone, as before.
-func (a *Agent) PublishExpvar(name string) {
-	if name == "" {
-		name = "agentd." + a.cfg.Name
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if holder, ok := expvarAgents[name]; ok {
-		holder.Store(a)
-		return
-	}
-	if expvar.Get(name) != nil {
-		return
-	}
-	holder := &atomic.Pointer[Agent]{}
-	holder.Store(a)
-	expvarAgents[name] = holder
-	expvar.Publish(name, expvar.Func(func() any { return holder.Load().Status() }))
 }

@@ -2,7 +2,6 @@ package agentd
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"strings"
@@ -15,48 +14,6 @@ import (
 	"repro/internal/nexit"
 	"repro/internal/telemetry"
 )
-
-// A restarted agent re-publishing under its old name must take the
-// expvar over: the endpoint serves the LIVE daemon's status, not the
-// dead one's frozen snapshot.
-func TestPublishExpvarRestartRepoints(t *testing.T) {
-	const name = "test.publish.restart"
-	read := func() string {
-		v := expvar.Get(name)
-		if v == nil {
-			t.Fatalf("expvar %q not published", name)
-		}
-		return v.String()
-	}
-
-	gen1 := New(Config{Name: "gen1"})
-	gen1.PublishExpvar(name)
-	if got := read(); !strings.Contains(got, `"name":"gen1"`) {
-		t.Fatalf("first publish serves %s", got)
-	}
-
-	// The process restarts the daemon: a new Agent, same expvar name.
-	gen2 := New(Config{Name: "gen2"})
-	gen2.PublishExpvar(name)
-	if got := read(); !strings.Contains(got, `"name":"gen2"`) {
-		t.Fatalf("after restart the expvar still serves the dead agent: %s", got)
-	}
-
-	// And the new agent's counters flow through immediately.
-	gen2.refused.Inc()
-	if got := read(); !strings.Contains(got, `"sessions_failed":1`) {
-		t.Fatalf("expvar not reading the live agent: %s", got)
-	}
-
-	// A name owned outside this package stays untouched (no panic, no
-	// takeover).
-	foreign := expvar.NewString("test.publish.foreign")
-	foreign.Set("keep")
-	New(Config{Name: "intruder"}).PublishExpvar("test.publish.foreign")
-	if got := expvar.Get("test.publish.foreign").String(); got != `"keep"` {
-		t.Fatalf("foreign expvar overwritten: %s", got)
-	}
-}
 
 // TestStatusConcurrentWithFaultySessions drives epochs through dial
 // retries, a mid-session connection kill, and a responder restart

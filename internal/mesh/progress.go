@@ -15,26 +15,13 @@ import (
 type Progress struct {
 	// Agents counts the snapshots folded in.
 	Agents int `json:"agents"`
-	// Counter sums across all agents. Initiated and Served count the
+	// Counters sums the agents' totals. Initiated and Served count the
 	// same sessions from the two ends, so on a clean symmetric mesh
-	// Initiated == Served.
-	SessionsActive    int64 `json:"sessions_active"`
-	SessionsInitiated int64 `json:"sessions_initiated"`
-	SessionsServed    int64 `json:"sessions_served"`
-	SessionsFailed    int64 `json:"sessions_failed"`
-	// Resyncs counts epoch fast-forwards — how often the epoch-resync
-	// handshake healed a pair (zero on a clean run) — and ReplayedEpochs
-	// the epochs they replayed: with snapshots, bounded by the snapshot
-	// interval per resync instead of growing with the mesh's lifetime.
-	Resyncs        int64 `json:"resyncs"`
-	ReplayedEpochs int64 `json:"replayed_epochs"`
-	DialRetries    int64 `json:"dial_retries"`
-	// SnapshotSaves and SnapshotRestores count snapshot activity (zero
-	// without a state directory).
-	SnapshotSaves    int64 `json:"snapshot_saves"`
-	SnapshotRestores int64 `json:"snapshot_restores"`
-	// Wire sums every agent's cumulative wire traffic.
-	Wire agentd.WireStatus `json:"wire"`
+	// Initiated == Served; Resyncs counts how often the epoch-resync
+	// handshake healed a pair (zero on a clean run), and ReplayedEpochs,
+	// with snapshots, is bounded by the snapshot interval per resync
+	// instead of growing with the mesh's lifetime.
+	agentd.Counters
 	// Pairs counts initiator-side peer entries — each negotiating pair
 	// exactly once.
 	Pairs int `json:"pairs"`
@@ -58,23 +45,7 @@ func AggregateStatuses(statuses []agentd.Status) (Progress, error) {
 	var pr Progress
 	pr.Agents = len(statuses)
 	for _, st := range statuses {
-		pr.SessionsActive += st.SessionsActive
-		pr.SessionsInitiated += st.SessionsInitiated
-		pr.SessionsServed += st.SessionsServed
-		pr.SessionsFailed += st.SessionsFailed
-		pr.Resyncs += st.Resyncs
-		pr.ReplayedEpochs += st.ReplayedEpochs
-		pr.DialRetries += st.DialRetries
-		pr.SnapshotSaves += st.SnapshotSaves
-		pr.SnapshotRestores += st.SnapshotRestores
-		pr.Wire.FramesSent += st.Wire.FramesSent
-		pr.Wire.FramesRecv += st.Wire.FramesRecv
-		pr.Wire.BytesSent += st.Wire.BytesSent
-		pr.Wire.BytesRecv += st.Wire.BytesRecv
-		pr.Wire.HelloUs += st.Wire.HelloUs
-		pr.Wire.PrefsUs += st.Wire.PrefsUs
-		pr.Wire.ProposeUs += st.Wire.ProposeUs
-		pr.Wire.CommitUs += st.Wire.CommitUs
+		pr.Counters.Add(st.Counters)
 		for _, p := range st.Peers {
 			if p.Latency != nil {
 				if err := pr.Latency.Merge(*p.Latency); err != nil {

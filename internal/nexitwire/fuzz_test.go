@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/nexit"
 )
 
 // TestDecodersNeverPanic feeds arbitrary bytes to every decoder: they
@@ -242,7 +244,7 @@ func FuzzResponderSession(f *testing.F) {
 // every reply, the result or the error, and the evaluator calls.
 type servedStream struct {
 	replies []frame
-	res     *SessionResult
+	res     *nexit.Result
 	err     string
 	calls   int
 }

@@ -167,7 +167,7 @@ func TestWireSessionReuse(t *testing.T) {
 	defer connA.Close()
 
 	type out struct {
-		res *SessionResult
+		res *nexit.Result
 		err error
 	}
 	next := make(chan *Responder)
@@ -303,7 +303,7 @@ func TestRetiredFrameTypesRejected(t *testing.T) {
 // sessionAllocs is what a session costs in heap allocations, both ends
 // together, once a Conn pair's scratch is warm: the Hello each end
 // decodes (the struct and its two strings), the engine's Result, its
-// Assign and its Transcript, and the SessionResult and its Assign.
+// Assign and its Transcript, and the responder's Result and its Assign.
 // Nothing in it grows with the table, the rows or the frames.
 const sessionAllocs = 11
 
@@ -316,7 +316,7 @@ func TestSessionAllocs(t *testing.T) {
 	connA, connB := net.Pipe()
 	defer connA.Close()
 	type out struct {
-		res *SessionResult
+		res *nexit.Result
 		err error
 	}
 	ch := make(chan out, 1)

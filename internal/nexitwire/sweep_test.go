@@ -75,7 +75,7 @@ type pipe struct {
 	aborts  [2]int     // Error frames each side emitted
 	cut     [2]bool    // direction closed
 	inbox   []frame    // responder frames the initiator has not read
-	res     *SessionResult
+	res     *nexit.Result
 	err     error // the responder's error
 	evalErr int   // evaluator calls when the responder failed
 	faults  []string
@@ -136,7 +136,7 @@ func (p *pipe) send(t MsgType, payload []byte) error {
 	var (
 		reply MsgType
 		body  []byte
-		res   *SessionResult
+		res   *nexit.Result
 		err   error
 	)
 	if p.n[0] == 1 {
@@ -483,7 +483,7 @@ func checkTamperCase(t *testing.T, label string, f *fixture, tp tamper, budget i
 		// this breaks property 2; property 4 says whether it also
 		// desynced the two sides.
 		agree := reflect.DeepEqual(p.res.Assign, res.Assign) && p.res.GainA == res.GainA && p.res.GainB == res.GainB &&
-			p.res.Rounds == res.Rounds && p.res.StopReason == res.Stopped
+			p.res.Rounds == res.Rounds && p.res.Stopped == res.Stopped
 		t.Errorf("%s: tampered session succeeded on both sides (outcomes agree: %v)", label, agree)
 	case err == nil:
 		return oneSidedInitiator

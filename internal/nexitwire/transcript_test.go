@@ -51,7 +51,7 @@ func frameCounts(t *testing.T, stream []byte) map[MsgType]int {
 }
 
 // serveOne serves exactly one Hello...Done session on conn.
-func serveOne(conn net.Conn, r *Responder) (*SessionResult, error) {
+func serveOne(conn net.Conn, r *Responder) (*nexit.Result, error) {
 	c := NewConn(conn)
 	hello, err := AcceptHelloConn(c, r.Timeout)
 	if err != nil {

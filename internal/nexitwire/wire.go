@@ -190,15 +190,6 @@ func fnvFold(h, v uint64) uint64 {
 	return h * fnvPowers[trail]
 }
 
-// SessionResult is what the responder learns from a completed session.
-type SessionResult struct {
-	Assign     []int
-	GainA      int // initiator's cumulative disclosed gain
-	GainB      int // responder's cumulative disclosed gain
-	Rounds     int
-	StopReason nexit.StopReason
-}
-
 // link carries the initiator's frames: a *session, or a responder run
 // in-process in tests. send may keep payload's array as encode scratch;
 // a received body is valid until the next recv.
@@ -528,7 +519,7 @@ func RejectConn(c *Conn, timeout time.Duration, reason string) error {
 // AcceptHelloConn has read on c, and returns the audited result. It may
 // be called again on c for the next session. It is serving's I/O loop:
 // it owns the deadlines, the stats and the buffers.
-func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, error) {
+func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*nexit.Result, error) {
 	s := c.s.reset(r.Timeout)
 	m := &s.srv
 	t, reply, res, err := m.open(r, hello, s.enc[:0])
@@ -587,7 +578,7 @@ type serving struct {
 }
 
 // open starts a session for r on the peer's Hello.
-func (m *serving) open(r *Responder, h *Hello, out []byte) (MsgType, []byte, *SessionResult, error) {
+func (m *serving) open(r *Responder, h *Hello, out []byte) (MsgType, []byte, *nexit.Result, error) {
 	m.r, m.hello, m.err, m.assign, m.gainB = r, h, nil, nil, 0
 	return m.step(MsgHello, nil, out)
 }
@@ -601,7 +592,7 @@ func (m *serving) hangup(err error) error {
 }
 
 // step consumes one received frame; see serving.
-func (m *serving) step(t MsgType, body, out []byte) (MsgType, []byte, *SessionResult, error) {
+func (m *serving) step(t MsgType, body, out []byte) (MsgType, []byte, *nexit.Result, error) {
 	if m.err != nil {
 		return 0, nil, nil, m.err
 	}
@@ -617,7 +608,7 @@ func (m *serving) step(t MsgType, body, out []byte) (MsgType, []byte, *SessionRe
 }
 
 // apply is step before its error handling.
-func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionResult, error) {
+func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *nexit.Result, error) {
 	r, na := m.r, m.r.NumAlts
 	switch t {
 	case MsgHello:
@@ -726,9 +717,9 @@ func (m *serving) apply(t MsgType, body, out []byte) (MsgType, []byte, *SessionR
 		if int(done.GainB) != m.gainB {
 			return 0, nil, nil, fmt.Errorf("nexitwire: peer reports our gain as %d, we account %d", done.GainB, m.gainB)
 		}
-		return 0, nil, &SessionResult{
+		return 0, nil, &nexit.Result{
 			Assign: m.assign, GainA: int(done.GainA), GainB: m.gainB,
-			Rounds: int(done.Rounds), StopReason: nexit.StopReason(done.StopReason),
+			Rounds: int(done.Rounds), Stopped: nexit.StopReason(done.StopReason),
 		}, nil
 
 	case MsgError:

@@ -366,7 +366,7 @@ func pairUniverse(pair *topology.Pair) (*pairsim.System, []nexit.Item, []int, in
 
 // runWireSession negotiates over the given connection pair and returns
 // both endpoints' results.
-func runWireSession(t *testing.T, connA, connB net.Conn, s *pairsim.System, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, *SessionResult) {
+func runWireSession(t *testing.T, connA, connB net.Conn, s *pairsim.System, items []nexit.Item, defaults []int, numAlts int) (*nexit.Result, *nexit.Result) {
 	t.Helper()
 	resp := &Responder{
 		Name:     "agent-b",
@@ -377,7 +377,7 @@ func runWireSession(t *testing.T, connA, connB net.Conn, s *pairsim.System, item
 		Timeout:  5 * time.Second,
 	}
 	type respOut struct {
-		res *SessionResult
+		res *nexit.Result
 		err error
 	}
 	ch := make(chan respOut, 1)
@@ -426,7 +426,7 @@ func TestWireBandwidthMatchesInProcess(t *testing.T) {
 		Timeout: 5 * time.Second,
 	}
 	type respOut struct {
-		res *SessionResult
+		res *nexit.Result
 		err error
 	}
 	ch := make(chan respOut, 1)
@@ -537,7 +537,7 @@ func TestWireVeto(t *testing.T) {
 		Items: items, Defaults: defaults, NumAlts: numAlts,
 		Timeout: 5 * time.Second,
 	}
-	done := make(chan *SessionResult, 1)
+	done := make(chan *nexit.Result, 1)
 	go func() {
 		r, err := serveOne(connB, resp)
 		if err != nil {
@@ -755,13 +755,13 @@ func TestWireUnwind(t *testing.T) {
 		Timeout: 5 * time.Second,
 	}
 	ch := make(chan struct {
-		res *SessionResult
+		res *nexit.Result
 		err error
 	}, 1)
 	go func() {
 		r, err := serveOne(connB, resp)
 		ch <- struct {
-			res *SessionResult
+			res *nexit.Result
 			err error
 		}{r, err}
 	}()

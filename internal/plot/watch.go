@@ -1,51 +1,11 @@
 package plot
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/agentd"
 	"repro/internal/mesh"
 )
-
-// DecodeVars extracts agentd status snapshots from an expvar
-// /debug/vars JSON document (nexitagent's -debug-addr). Any top-level
-// value that carries the agentd.Status shape — an object with "name",
-// "peers" and "sessions_initiated" keys — is taken as one agent;
-// everything else (memstats, cmdline, foreign expvars) is skipped.
-// Snapshots come back sorted by agent name so repeated polls render
-// stably.
-func DecodeVars(data []byte) ([]agentd.Status, error) {
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(data, &vars); err != nil {
-		return nil, fmt.Errorf("plot: /debug/vars is not a JSON object: %w", err)
-	}
-	var out []agentd.Status
-	for _, raw := range vars {
-		var probe map[string]json.RawMessage
-		if json.Unmarshal(raw, &probe) != nil {
-			continue
-		}
-		if _, ok := probe["name"]; !ok {
-			continue
-		}
-		if _, ok := probe["peers"]; !ok {
-			continue
-		}
-		if _, ok := probe["sessions_initiated"]; !ok {
-			continue
-		}
-		var st agentd.Status
-		if err := json.Unmarshal(raw, &st); err != nil || st.Name == "" {
-			continue
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
 
 // FormatProgress renders one watch-mode line from a mesh-wide rollup:
 // the frontier, the health counters, and the latency profile. rate is

@@ -21,7 +21,7 @@
 //     snapshots never observe a counter moving backwards.
 //   - Snapshots are mergeable and JSON-serializable, so per-peer and
 //     per-agent views aggregate into mesh-wide ones (internal/mesh's
-//     Progress) and travel through the expvar/JSON status surface.
+//     Progress) and travel in agentd's JSON status document.
 package telemetry
 
 import (
