@@ -14,12 +14,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/gen"
-	"repro/internal/metrics"
-	"repro/internal/nexit"
-	"repro/internal/pairsim"
 	"repro/internal/stability"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -250,70 +246,6 @@ func BenchmarkExtraPreferenceRange(b *testing.B) {
 		sort.Float64s(gains)
 		b.ReportMetric(gains[len(gains)/2], fmt.Sprintf("P=%d-median-%%gain", p))
 	}
-}
-
-// BenchmarkAblationScaleMode compares the cardinal-mapping scale modes
-// called out in DESIGN.md §5: table q90 (global) vs table max (per-flow).
-func BenchmarkAblationScaleMode(b *testing.B) {
-	ds := dataset(b)
-	pairs := ds.DistancePairs()
-	if len(pairs) > 10 {
-		pairs = pairs[:10]
-	}
-	for _, mode := range []struct {
-		name  string
-		scale nexit.Scale
-	}{{"global", nexit.ScaleGlobal}, {"per-flow", nexit.ScalePerFlow}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, pair := range pairs {
-					g := negotiatedGainWithScale(b, ds, pair, mode.scale)
-					total += g
-				}
-			}
-			b.ReportMetric(total/float64(len(pairs)), "mean-%gain")
-		})
-	}
-}
-
-// negotiatedGainWithScale runs one distance negotiation over a pair with
-// the given cardinal scale mode and returns the total gain percentage.
-func negotiatedGainWithScale(b *testing.B, ds *experiments.Dataset, pair *topology.Pair, scale nexit.Scale) float64 {
-	b.Helper()
-	s := pairsim.New(pair, ds.Cache)
-	rev := s.Reverse()
-	wAB := traffic.New(pair.A, pair.B, traffic.Identical, nil)
-	wBA := traffic.New(pair.B, pair.A, traffic.Identical, nil)
-	items := nexit.Items(wAB.Flows, wBA.Flows)
-	defaults := make([]int, len(items))
-	for i, it := range items {
-		if it.Dir == nexit.AtoB {
-			defaults[i] = s.EarlyExit(it.Flow)
-		} else {
-			defaults[i] = rev.EarlyExit(it.Flow)
-		}
-	}
-	evalA := nexit.NewDistanceEvaluator(s, nexit.SideA, 10)
-	evalA.Scale = scale
-	evalB := nexit.NewDistanceEvaluator(s, nexit.SideB, 10)
-	evalB.Scale = scale
-	res, err := nexit.Negotiate(nexit.DefaultDistanceConfig(), evalA, evalB, items, defaults, s.NumAlternatives())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dist := func(assign []int) (t float64) {
-		for i, it := range items {
-			if it.Dir == nexit.AtoB {
-				t += s.TotalDistKm(it.Flow, assign[i])
-			} else {
-				t += rev.TotalDistKm(it.Flow, assign[i])
-			}
-		}
-		return t
-	}
-	return metrics.GainPercent(dist(defaults), dist(res.Assign))
 }
 
 // BenchmarkExtraScalability regenerates the §6 claim that negotiating

@@ -195,7 +195,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("peer %d: %w", spec.index, err))
 		}
-		ctl, err := continuous.NewWithMetric(pairsim.New(pair, cache), *pBound, metric)
+		ctl, err := continuous.NewWithMetric(pairsim.New(pair, cache), *pBound, metric, nil)
 		if err != nil {
 			fatal(err)
 		}

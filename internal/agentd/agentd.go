@@ -138,10 +138,9 @@ type Config struct {
 	// Timeout bounds each wire exchange within a session
 	// (nexitwire.DefaultTimeout when zero).
 	Timeout time.Duration
-	// DialAttempts and DialBackoff shape outbound connection retries
-	// (exponential backoff starting at DialBackoff).
-	DialAttempts int
-	DialBackoff  time.Duration
+	// DialBackoff is the first delay of the outbound connection retry
+	// ladder (DefaultDialAttempts tries, the delay doubling per retry).
+	DialBackoff time.Duration
 	// IdleTimeout bounds the wait for the next session on a serving
 	// connection (DefaultIdleTimeout when zero).
 	IdleTimeout time.Duration
@@ -248,9 +247,6 @@ func (p *peerState) fail(err error) {
 func New(cfg Config) *Agent {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = runtime.GOMAXPROCS(0)
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = DefaultDialAttempts
 	}
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = DefaultDialBackoff
@@ -792,7 +788,7 @@ func (a *Agent) ensureConnLocked(ctx context.Context, p *peerState) (*nexitwire.
 		p.backoff = a.cfg.DialBackoff
 	}
 	var lastErr error
-	for attempt := 0; attempt < a.cfg.DialAttempts; attempt++ {
+	for attempt := 0; attempt < DefaultDialAttempts; attempt++ {
 		if attempt > 0 {
 			a.dialRetries.Inc()
 			timer := time.NewTimer(p.backoff)
@@ -821,7 +817,7 @@ func (a *Agent) ensureConnLocked(ctx context.Context, p *peerState) (*nexitwire.
 		lastErr = err
 		a.logf("agentd %s: dial %s attempt %d: %v", a.cfg.Name, p.Name, attempt+1, err)
 	}
-	return nil, fmt.Errorf("agentd: dial %s: gave up after %d attempts: %w", p.Name, a.cfg.DialAttempts, lastErr)
+	return nil, fmt.Errorf("agentd: dial %s: gave up after %d attempts: %w", p.Name, DefaultDialAttempts, lastErr)
 }
 
 // record folds a successful epoch session and its latency into the

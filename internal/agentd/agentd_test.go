@@ -160,7 +160,7 @@ func TestTwoAgentBandwidthEpochs(t *testing.T) {
 	wl := testWorkloads(sys, 42)
 
 	newCtl := func() *continuous.Controller {
-		ctl, err := continuous.NewWithMetric(sys, 10, continuous.MetricBandwidth)
+		ctl, err := continuous.NewWithMetric(sys, 10, continuous.MetricBandwidth, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestMetricMismatchRejected(t *testing.T) {
 	wl := testWorkloads(sys, 42)
 	b, addr := startResponder(t, sys, wl) // distance metric
 
-	bwCtl, err := continuous.NewWithMetric(sys, 10, continuous.MetricBandwidth)
+	bwCtl, err := continuous.NewWithMetric(sys, 10, continuous.MetricBandwidth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestDialBackoffCancelled(t *testing.T) {
 	wl := testWorkloads(sys, 42)
 	a := New(Config{
 		Name: "a", Timeout: time.Second,
-		DialAttempts: 10, DialBackoff: 10 * time.Second, // ladder would sleep minutes
+		DialBackoff: 10 * time.Second, // ladder would sleep 16 s
 	})
 	if err := a.AddPeer(Peer{
 		Name: "b", Side: nexit.SideA, Ctl: continuous.New(sys, 10), Workloads: wl,
@@ -714,8 +714,7 @@ func TestDialBackoffPersistsAndResets(t *testing.T) {
 
 	var down atomic.Bool
 	a := New(Config{
-		Name: "a", Timeout: 10 * time.Second,
-		DialAttempts: 2, DialBackoff: time.Millisecond,
+		Name: "a", Timeout: 10 * time.Second, DialBackoff: time.Millisecond,
 	})
 	if err := a.AddPeer(Peer{
 		Name: "b", Side: nexit.SideA, Ctl: continuous.New(sys, 10), Workloads: wl,
@@ -732,16 +731,17 @@ func TestDialBackoffPersistsAndResets(t *testing.T) {
 
 	p := a.peer("b")
 	down.Store(true)
-	for i := 0; i < 3; i++ {
+	var ladder [2]time.Duration
+	for i := range ladder {
 		if _, err := a.RunEpoch(context.Background(), 0); err == nil {
 			t.Fatal("epoch against a down neighbor succeeded")
 		}
+		p.mu.Lock()
+		ladder[i] = p.backoff
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	escalated := p.backoff
-	p.mu.Unlock()
-	if escalated <= time.Millisecond {
-		t.Errorf("backoff did not escalate across failed epochs: %v", escalated)
+	if ladder[0] <= time.Millisecond || ladder[1] <= ladder[0] {
+		t.Errorf("backoff did not escalate across failed epochs: %v", ladder)
 	}
 	down.Store(false)
 	if _, err := a.RunEpoch(context.Background(), 0); err != nil {
@@ -764,8 +764,7 @@ func TestDialRetryBackoff(t *testing.T) {
 
 	var attempts atomic.Int64
 	a := New(Config{
-		Name: "a", Timeout: 10 * time.Second,
-		DialAttempts: 5, DialBackoff: time.Millisecond,
+		Name: "a", Timeout: 10 * time.Second, DialBackoff: time.Millisecond,
 	})
 	if err := a.AddPeer(Peer{
 		Name:      "b",

@@ -257,9 +257,9 @@ type EpochReport struct {
 }
 
 // New builds a distance-metric controller with the paper's §5.1
-// defaults. It is NewWithMetric(sys, p, MetricDistance).
+// defaults. It is NewWithMetric(sys, p, MetricDistance, nil).
 func New(sys *pairsim.System, p int) *Controller {
-	c, err := NewWithMetric(sys, p, MetricDistance)
+	c, err := NewWithMetric(sys, p, MetricDistance, nil)
 	if err != nil {
 		panic(err) // unreachable: distance always constructs
 	}
@@ -310,16 +310,11 @@ func (c *CapacityCache) get(sys, rev *pairsim.System) (capA, capB []float64) {
 // metric selects both the evaluator family (see NewEvaluator) and the
 // engine configuration: load-based metrics renegotiate preferences
 // after each 5% of traffic (nexit.DefaultBandwidthConfig), distance
-// never does. An empty metric means distance.
-func NewWithMetric(sys *pairsim.System, p int, metric Metric) (*Controller, error) {
-	return NewWithMetricShared(sys, p, metric, nil)
-}
-
-// NewWithMetricShared is NewWithMetric drawing load-metric base
-// capacities from a shared CapacityCache (nil computes them fresh).
-// Pass one cache per mesh/daemon so pairs negotiated by several
-// controllers derive their capacity vectors once.
-func NewWithMetricShared(sys *pairsim.System, p int, metric Metric, caps *CapacityCache) (*Controller, error) {
+// never does. An empty metric means distance. Load metrics draw their
+// base capacities from caps; pass one cache per mesh or daemon so pairs
+// negotiated by several controllers derive them once, or nil to compute
+// them fresh.
+func NewWithMetric(sys *pairsim.System, p int, metric Metric, caps *CapacityCache) (*Controller, error) {
 	metric, err := ParseMetric(string(metric))
 	if err != nil {
 		return nil, err

@@ -112,7 +112,7 @@ func TestMetricEpochsDeterministic(t *testing.T) {
 	for _, metric := range Metrics() {
 		t.Run(string(metric), func(t *testing.T) {
 			run := func() []*EpochReport {
-				c, err := NewWithMetric(sys, 10, metric)
+				c, err := NewWithMetric(sys, 10, metric, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,7 +171,7 @@ func TestSeekEpochReplaysExactly(t *testing.T) {
 			wl := epochWorkloads(sys)
 			const seek, total = 3, 6
 
-			lived, err := NewWithMetric(sys, 10, metric)
+			lived, err := NewWithMetric(sys, 10, metric, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestSeekEpochReplaysExactly(t *testing.T) {
 				want = append(want, rep)
 			}
 
-			sought, err := NewWithMetric(sys, 10, metric)
+			sought, err := NewWithMetric(sys, 10, metric, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestMetricConfig(t *testing.T) {
 		{MetricBandwidth, 0.05},
 		{MetricFortzThorup, 0.05},
 	} {
-		c, err := NewWithMetric(sys, 10, tc.metric)
+		c, err := NewWithMetric(sys, 10, tc.metric, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestCapacityCacheShared(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := NewWithMetricShared(pairsim.New(sys.Pair, nil), 10, MetricBandwidth, caps)
+			c, err := NewWithMetric(pairsim.New(sys.Pair, nil), 10, MetricBandwidth, caps)
 			if err != nil {
 				t.Error(err)
 				return
@@ -380,7 +380,7 @@ func TestCapacityCacheShared(t *testing.T) {
 	}
 
 	// Cached == uncached, vector by vector and epoch by epoch.
-	plain, err := NewWithMetric(sys, 10, MetricBandwidth)
+	plain, err := NewWithMetric(sys, 10, MetricBandwidth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestCapacityCacheShared(t *testing.T) {
 	}
 
 	// Distance controllers don't touch the cache (no capacities).
-	if c, err := NewWithMetricShared(sys, 10, MetricDistance, caps); err != nil || c.capA != nil {
+	if c, err := NewWithMetric(sys, 10, MetricDistance, caps); err != nil || c.capA != nil {
 		t.Fatalf("distance controller built capacities (err=%v)", err)
 	}
 }

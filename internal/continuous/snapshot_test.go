@@ -35,7 +35,7 @@ func TestSnapshotTailReplayParity(t *testing.T) {
 
 				// The lived controller both defines ground truth and writes
 				// the snapshots, exactly like a long-running agent would.
-				lived, err := NewWithMetric(sys, 10, metric)
+				lived, err := NewWithMetric(sys, 10, metric, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,14 +55,14 @@ func TestSnapshotTailReplayParity(t *testing.T) {
 
 				for _, target := range []int{4, total} {
 					wantRestore := target - target%interval // newest snapshot ≤ target
-					full, err := NewWithMetric(sys, 10, metric)
+					full, err := NewWithMetric(sys, 10, metric, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := full.SeekEpoch(target, wl); err != nil {
 						t.Fatal(err)
 					}
-					fast, err := NewWithMetric(sys, 10, metric)
+					fast, err := NewWithMetric(sys, 10, metric, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -159,7 +159,7 @@ func TestRestoreSnapshotRejectsMismatch(t *testing.T) {
 	if err := New(sys, 10).RestoreSnapshot(nil); err == nil {
 		t.Error("nil snapshot restored")
 	}
-	bw, err := NewWithMetric(sys, 10, MetricBandwidth)
+	bw, err := NewWithMetric(sys, 10, MetricBandwidth, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

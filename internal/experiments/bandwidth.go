@@ -214,7 +214,7 @@ type BandwidthCaseResult struct {
 func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *BandwidthCaseResult) error) (int, error) {
 	opt.Options = opt.Options.withDefaults()
 	cfg := nexit.DefaultBandwidthConfig()
-	cfg.PrefBound = opt.PrefBound
+	cfg.PrefBound = prefBound
 
 	return forEachFailureCase(ds, opt, saltBandwidth,
 		func(fc *failureCase) (*BandwidthCaseResult, error) {
@@ -225,9 +225,9 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 			}
 
 			// Negotiated: both ISPs use the bandwidth metric.
-			evalA := fc.newBandwidthEvaluator(nexit.SideA, opt.PrefBound, opt.UseFortzThorup)
+			evalA := fc.newBandwidthEvaluator(nexit.SideA, prefBound, opt.UseFortzThorup)
 			defer evalA.Release()
-			evalB := fc.newBandwidthEvaluator(nexit.SideB, opt.PrefBound, opt.UseFortzThorup)
+			evalB := fc.newBandwidthEvaluator(nexit.SideB, prefBound, opt.UseFortzThorup)
 			defer evalB.Release()
 			neg, err := nexit.Negotiate(cfg, evalA, evalB, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
@@ -259,7 +259,7 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 			// Figure 9: diverse criteria — upstream bandwidth,
 			// downstream distance.
 			evalA.Reset(fc.fixedUp)
-			evalB9 := nexit.NewDistanceEvaluator(fc.s2, nexit.SideB, opt.PrefBound)
+			evalB9 := nexit.NewDistanceEvaluator(fc.s2, nexit.SideB, prefBound)
 			defer evalB9.Release()
 			div, err := nexit.Negotiate(cfg, evalA, evalB9, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
@@ -275,7 +275,7 @@ func BandwidthStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *Ba
 			// evaluator, so it stays current as loads change.
 			evalA.Reset(fc.fixedUp)
 			evalB.Reset(fc.fixedDown)
-			cheater := &nexit.CheatEvaluator{Truthful: evalA, Other: evalB, P: opt.PrefBound}
+			cheater := &nexit.CheatEvaluator{Truthful: evalA, Other: evalB, P: prefBound}
 			cheat, err := nexit.Negotiate(cfg, cheater, evalB, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
 				return nil, err

@@ -91,9 +91,6 @@ type Options struct {
 	// Seed drives pair subsampling and any randomized strategy (the
 	// flow-local baselines pick among candidates at random).
 	Seed int64
-	// PrefBound is the preference class bound P (default 10, as in the
-	// paper).
-	PrefBound int
 	// Workers is the number of goroutines evaluating ISP pairs
 	// concurrently (0 = runtime.GOMAXPROCS(0)). Results are identical
 	// for every worker count: each pair draws from its own
@@ -102,11 +99,12 @@ type Options struct {
 	Workers int
 }
 
+// prefBound is the preference class bound P every experiment negotiates
+// with, the paper's 10 (§5).
+const prefBound = 10
+
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
-	if o.PrefBound == 0 {
-		o.PrefBound = 10
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}

@@ -69,12 +69,12 @@ func DestinationStream(ds *Dataset, opt Options, sink func(idx int, r *Destinati
 			ps := job.ps
 			na := ps.s.NumAlternatives()
 			cfg := nexit.DefaultDistanceConfig()
-			cfg.PrefBound = opt.PrefBound
+			cfg.PrefBound = prefBound
 
 			// Source-destination (per-flow) negotiation.
-			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, prefBound)
 			defer evalA.Release()
-			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, prefBound)
 			defer evalB.Release()
 			perFlow, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
@@ -127,8 +127,8 @@ func DestinationStream(ds *Dataset, opt Options, sink func(idx int, r *Destinati
 				}
 				groupDefaults[gi] = best
 			}
-			gEvalA := &destEvaluator{inner: evalA, groups: groups, p: opt.PrefBound}
-			gEvalB := &destEvaluator{inner: evalB, groups: groups, p: opt.PrefBound}
+			gEvalA := &destEvaluator{inner: evalA, groups: groups, p: prefBound}
+			gEvalB := &destEvaluator{inner: evalB, groups: groups, p: prefBound}
 			grouped, err := nexit.Negotiate(cfg, gEvalA, gEvalB, groupItems, groupDefaults, na)
 			if err != nil {
 				return nil, err

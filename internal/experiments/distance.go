@@ -129,10 +129,10 @@ func DistanceStream(ds *Dataset, opt Options, sink func(idx int, r *DistancePair
 			// pair's two serve every negotiation below, and their scratch
 			// then goes to the next pair's.
 			cfg := nexit.DefaultDistanceConfig()
-			cfg.PrefBound = opt.PrefBound
-			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			cfg.PrefBound = prefBound
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, prefBound)
 			defer evalA.Release()
-			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, prefBound)
 			defer evalB.Release()
 			neg, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
@@ -219,20 +219,20 @@ func DistanceCheatStream(ds *Dataset, opt Options, sink func(idx int, r *CheatPa
 			ps := job.ps
 			na := ps.s.NumAlternatives()
 			cfg := nexit.DefaultDistanceConfig()
-			cfg.PrefBound = opt.PrefBound
+			cfg.PrefBound = prefBound
 			// Distance evaluators are stateless, so A's serves honestly
 			// and as the cheater's truth, and B's is both the victim and
 			// the cheater's knowledge of it (the engine copies each
 			// side's classes before asking the other).
-			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, prefBound)
 			defer evalA.Release()
-			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, prefBound)
 			defer evalB.Release()
 			honest, err := nexit.Negotiate(cfg, evalA, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err
 			}
-			cheater := &nexit.CheatEvaluator{Truthful: evalA, Other: evalB, P: opt.PrefBound}
+			cheater := &nexit.CheatEvaluator{Truthful: evalA, Other: evalB, P: prefBound}
 			cheat, err := nexit.Negotiate(cfg, cheater, evalB, ps.items, ps.defaults, na)
 			if err != nil {
 				return nil, err
@@ -274,7 +274,7 @@ type AblationPairResult struct {
 // to noticeable increase in performance". It visits DistanceStream's
 // pairs and workloads and negotiates each pair once per bound, with no
 // baselines, delivering the gains to sink in pair order without
-// retaining them. Options.PrefBound is not read.
+// retaining them.
 func AblationStream(ds *Dataset, opt Options, bounds []int, sink func(idx int, r *AblationPairResult) error) error {
 	opt = opt.withDefaults()
 	pairs := selectPairs(ds.DistancePairs(), opt)

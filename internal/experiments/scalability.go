@@ -51,13 +51,13 @@ func ScalabilityStream(ds *Dataset, opt Options, fractions []float64, sink func(
 				return nil, nil
 			}
 			cfg := nexit.DefaultDistanceConfig()
-			cfg.PrefBound = opt.PrefBound
+			cfg.PrefBound = prefBound
 
 			// Distance evaluators are stateless: the pair's two serve the
 			// full table and every fraction.
-			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, opt.PrefBound)
+			evalA := nexit.NewDistanceEvaluator(ps.s, nexit.SideA, prefBound)
 			defer evalA.Release()
-			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, opt.PrefBound)
+			evalB := nexit.NewDistanceEvaluator(ps.s, nexit.SideB, prefBound)
 			defer evalB.Release()
 			negotiate := func(items []nexit.Item, defaults []int) ([]int, error) {
 				r, err := nexit.Negotiate(cfg, evalA, evalB, items, defaults, na)

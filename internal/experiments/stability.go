@@ -29,23 +29,22 @@ type StabilityCaseResult struct {
 func StabilityStream(ds *Dataset, opt BandwidthOptions, sink func(idx int, r *StabilityCaseResult) error) (int, error) {
 	opt.Options = opt.Options.withDefaults()
 	cfg := nexit.DefaultBandwidthConfig()
-	cfg.PrefBound = opt.PrefBound
+	cfg.PrefBound = prefBound
 
 	return forEachFailureCase(ds, opt, saltStability,
 		func(fc *failureCase) (*StabilityCaseResult, error) {
 			sim := &stability.Simulator{
-				S:               fc.s2,
-				Flows:           fc.impacted,
-				FixedUp:         fc.fixedUp,
-				FixedDown:       fc.fixedDown,
-				CapUp:           fc.capUp,
-				CapDown:         fc.capDown,
-				DownstreamFirst: true,
+				S:         fc.s2,
+				Flows:     fc.impacted,
+				FixedUp:   fc.fixedUp,
+				FixedDown: fc.fixedDown,
+				CapUp:     fc.capUp,
+				CapDown:   fc.capDown,
 			}
 			r := sim.Run(fc.defAssign)
 
-			evalA := fc.newBandwidthEvaluator(nexit.SideA, opt.PrefBound, false)
-			evalB := fc.newBandwidthEvaluator(nexit.SideB, opt.PrefBound, false)
+			evalA := fc.newBandwidthEvaluator(nexit.SideA, prefBound, false)
+			evalB := fc.newBandwidthEvaluator(nexit.SideB, prefBound, false)
 			neg, err := nexit.Negotiate(cfg, evalA, evalB, fc.items, fc.defaults, fc.s2.NumAlternatives())
 			if err != nil {
 				return nil, err

@@ -34,128 +34,86 @@ import (
 	"repro/internal/topology"
 )
 
-// Config controls dataset generation. The zero value is not useful; start
-// from DefaultConfig.
+// Config controls dataset generation: the seed and the universe size.
+// Everything else about the dataset model is fixed by the constants
+// below (DESIGN.md §4).
 type Config struct {
 	Seed    int64 // master RNG seed; everything is derived from it
 	NumISPs int   // number of ISPs to generate
-
-	MinPoPs, MaxPoPs int // PoP count range per ISP (inclusive)
-
-	// PopulationBias is the exponent applied to city population when
-	// sampling PoP locations. 0 is uniform; 1 is proportional. Higher
-	// values concentrate PoPs in the biggest hubs, increasing the number
-	// of interconnections between ISP pairs.
-	PopulationBias float64
-
-	// ShortcutFraction is the number of extra (non-MST) links to attempt
-	// per PoP. Rocketfuel backbones have average degree ~2.5-3.5.
-	ShortcutFraction float64
-
-	// WaxmanAlpha controls how sharply shortcut probability decays with
-	// distance, as a fraction of the ISP's geographic diameter.
-	WaxmanAlpha float64
-
-	// WeightJitter is the +/- fractional jitter applied to link weights
-	// relative to geographic length (IGP weights track distance only
-	// approximately in practice).
-	WeightJitter float64
-
-	// MeshFraction is the fraction of ISPs generated as logical meshes
-	// (every PoP pair directly linked); the paper excludes such ISPs from
-	// distance experiments because mesh edge lengths are not meaningful.
-	MeshFraction float64
-
-	// GlobalFraction is the fraction of ISPs with a worldwide footprint;
-	// the rest are continental carriers that stay in one region with
-	// occasional out-of-region PoPs.
-	GlobalFraction float64
-
-	// OutOfRegionProb is the per-PoP probability that a continental ISP
-	// places a PoP outside its home region (e.g. a European carrier with
-	// a New York PoP).
-	OutOfRegionProb float64
-
-	// HubBias is the per-PoP probability that the city is drawn from the
-	// peering-hub set — the HubCount most-populous cities of the
-	// sampling pool — instead of from the population-biased pool at
-	// large. Concentrating PoPs in shared hub cities is what keeps ISP
-	// pairs meeting in >=2 cities as universes grow past the paper's 65
-	// ISPs: over a large city table, unconcentrated draws spread PoPs so
-	// thin that eligible pair counts collapse. 0 disables the hub draw.
-	// Config v2.
-	HubBias float64
-
-	// HubCount sizes the peering-hub set for HubBias draws (ignored when
-	// HubBias is 0). Config v2.
-	HubCount int
-
-	// TrafficExponent is the exponent applied to metro population when
-	// recording each PoP's gravity weight (topology.PoP.Population),
-	// which the traffic package multiplies pairwise to size flows. 1
-	// records metro populations as-is; >1 makes the resulting gravity
-	// traffic matrices heavy-tailed (a few hub-to-hub elephant flows
-	// dominate); <1 flattens them. Must be positive. Config v2.
-	TrafficExponent float64
 }
 
 // DefaultConfig returns the configuration used by the paper-reproduction
-// experiments: 65 ISPs with size and density ranges matching Rocketfuel.
+// experiments: 65 ISPs, as in the measured dataset.
 func DefaultConfig() Config {
-	return Config{
-		Seed:             1,
-		NumISPs:          65,
-		MinPoPs:          4,
-		MaxPoPs:          36,
-		PopulationBias:   0.75,
-		ShortcutFraction: 0.8,
-		WaxmanAlpha:      0.35,
-		WeightJitter:     0.25,
-		MeshFraction:     0.12,
-		GlobalFraction:   0.2,
-		OutOfRegionProb:  0.08,
-		// Hub concentration tuned so the 440-city table keeps the
-		// interconnection density (and thus negotiation quality on
-		// failover) of the historical 155-city universe: 0.5/32 yields
-		// ~540 directly-connected pairs at 65 ISPs, and one-shot
-		// negotiated worst-case MEL stays within the stability bound
-		// of converged reactive routing.
-		HubBias:         0.5,
-		HubCount:        32,
-		TrafficExponent: 1,
-	}
+	return Config{Seed: 1, NumISPs: 65}
 }
 
-// globalSizeBoost is the extra PoPs granted to small global ISPs so a
-// worldwide footprint implies scale (samplePoPs clamps the boosted size
-// to the available city pool).
-const globalSizeBoost = 8
+// The dataset model: size and density ranges matching Rocketfuel.
+const (
+	// minPoPs and maxPoPs bound the PoP count per ISP (inclusive).
+	minPoPs, maxPoPs = 4, 36
+
+	// populationBias is the exponent applied to city population when
+	// sampling PoP locations. 0 would be uniform, 1 proportional;
+	// higher values concentrate PoPs in the biggest hubs, increasing
+	// the number of interconnections between ISP pairs.
+	populationBias = 0.75
+
+	// shortcutFraction is the number of extra (non-MST) links to
+	// attempt per PoP. Rocketfuel backbones have average degree
+	// ~2.5-3.5.
+	shortcutFraction = 0.8
+
+	// waxmanAlpha controls how sharply shortcut probability decays
+	// with distance, as a fraction of the ISP's geographic diameter.
+	waxmanAlpha = 0.35
+
+	// weightJitter is the +/- fractional jitter applied to link
+	// weights relative to geographic length (IGP weights track
+	// distance only approximately in practice).
+	weightJitter = 0.25
+
+	// meshFraction is the fraction of ISPs generated as logical meshes
+	// (every PoP pair directly linked); the paper excludes such ISPs
+	// from distance experiments because mesh edge lengths are not
+	// meaningful.
+	meshFraction = 0.12
+
+	// globalFraction is the fraction of ISPs with a worldwide
+	// footprint; the rest are continental carriers that stay in one
+	// region with occasional out-of-region PoPs.
+	globalFraction = 0.2
+
+	// outOfRegionProb is the per-PoP probability that a continental
+	// ISP places a PoP outside its home region (e.g. a European
+	// carrier with a New York PoP).
+	outOfRegionProb = 0.08
+
+	// hubBias is the per-PoP probability that the city is drawn from
+	// the peering-hub set — the hubCount most-populous cities of the
+	// sampling pool — instead of from the population-biased pool at
+	// large. Concentrating PoPs in shared hub cities is what keeps ISP
+	// pairs meeting in >=2 cities as universes grow past the paper's
+	// 65 ISPs: over a large city table, unconcentrated draws spread
+	// PoPs so thin that eligible pair counts collapse. The values keep
+	// the 440-city table at the interconnection density (and thus
+	// negotiation quality on failover) of the historical 155-city
+	// universe: 0.5/32 yields ~540 directly-connected pairs at 65
+	// ISPs, and one-shot negotiated worst-case MEL stays within the
+	// stability bound of converged reactive routing.
+	hubBias  = 0.5
+	hubCount = 32
+
+	// globalSizeBoost is the extra PoPs granted to small global ISPs so
+	// a worldwide footprint implies scale (samplePoPs clamps the
+	// boosted size to the available city pool).
+	globalSizeBoost = 8
+)
 
 // Validate checks the configuration for obvious mistakes.
 func (c Config) Validate() error {
 	if c.NumISPs <= 0 {
 		return fmt.Errorf("gen: NumISPs must be positive")
-	}
-	if c.MinPoPs < 2 || c.MaxPoPs < c.MinPoPs {
-		return fmt.Errorf("gen: need 2 <= MinPoPs <= MaxPoPs")
-	}
-	if c.MaxPoPs > len(worldCities) {
-		return fmt.Errorf("gen: MaxPoPs %d exceeds city table size %d", c.MaxPoPs, len(worldCities))
-	}
-	if c.PopulationBias < 0 || c.WeightJitter < 0 || c.WeightJitter >= 1 {
-		return fmt.Errorf("gen: PopulationBias must be >= 0 and WeightJitter in [0,1)")
-	}
-	if c.MeshFraction < 0 || c.MeshFraction > 1 || c.GlobalFraction < 0 || c.GlobalFraction > 1 {
-		return fmt.Errorf("gen: fractions must be in [0,1]")
-	}
-	if c.HubBias < 0 || c.HubBias > 1 {
-		return fmt.Errorf("gen: HubBias must be in [0,1]")
-	}
-	if c.HubBias > 0 && c.HubCount <= 0 {
-		return fmt.Errorf("gen: HubBias %g needs a positive HubCount", c.HubBias)
-	}
-	if c.TrafficExponent <= 0 {
-		return fmt.Errorf("gen: TrafficExponent must be positive (1 = metro populations as-is)")
 	}
 	return nil
 }
@@ -230,9 +188,8 @@ func GenerateWorkers(cfg Config, workers int) ([]*topology.ISP, error) {
 // the peering-hub walk. It is read-only once built, so the workers
 // share it.
 type tables struct {
-	cfg     Config
-	bias    []float64 // Pow(Population, PopulationBias) per table city
-	traffic []float64 // Pow(Population, TrafficExponent) per table city
+	cfg  Config
+	bias []float64 // Pow(Population, populationBias) per table city
 	// byPopulation lists table indices most populous first, table order
 	// breaking ties (a stable sort of the table).
 	byPopulation []int
@@ -242,12 +199,10 @@ func newTables(cfg Config) *tables {
 	t := &tables{
 		cfg:          cfg,
 		bias:         make([]float64, len(worldCities)),
-		traffic:      make([]float64, len(worldCities)),
 		byPopulation: make([]int, len(worldCities)),
 	}
 	for k, c := range worldCities {
-		t.bias[k] = math.Pow(c.Population, cfg.PopulationBias)
-		t.traffic[k] = math.Pow(c.Population, cfg.TrafficExponent)
+		t.bias[k] = math.Pow(c.Population, populationBias)
 		t.byPopulation[k] = k
 	}
 	sort.SliceStable(t.byPopulation, func(a, b int) bool {
@@ -260,24 +215,18 @@ func newTables(cfg Config) *tables {
 // (cfg, index): all randomness comes from the ISP's private stream, so
 // ISPs can generate concurrently in any order.
 func (t *tables) generateISP(index int) *topology.ISP {
-	cfg := t.cfg
-	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, index)))
+	rng := rand.New(rand.NewSource(streamSeed(t.cfg.Seed, index)))
 	isp := &topology.ISP{
 		Name: fmt.Sprintf("isp%02d", index),
 		ASN:  7000 + index,
 	}
 
-	global := rng.Float64() < cfg.GlobalFraction
+	global := rng.Float64() < globalFraction
 	home := drawRegion(rng)
 	// Size: log-uniform so small ISPs are common, like Rocketfuel.
-	span := math.Log(float64(cfg.MaxPoPs)) - math.Log(float64(cfg.MinPoPs))
-	n := int(math.Round(math.Exp(math.Log(float64(cfg.MinPoPs)) + rng.Float64()*span)))
-	if n < cfg.MinPoPs {
-		n = cfg.MinPoPs
-	}
-	if n > cfg.MaxPoPs {
-		n = cfg.MaxPoPs
-	}
+	span := math.Log(maxPoPs) - math.Log(minPoPs)
+	n := int(math.Round(math.Exp(math.Log(minPoPs) + rng.Float64()*span)))
+	n = min(max(n, minPoPs), maxPoPs)
 	// Global ISPs skew larger.
 	if global && n < 12 {
 		n += globalSizeBoost
@@ -287,19 +236,14 @@ func (t *tables) generateISP(index int) *topology.ISP {
 	isp.PoPs = make([]topology.PoP, len(cities))
 	for i, k := range cities {
 		c := &worldCities[k]
-		isp.PoPs[i] = topology.PoP{
-			ID: i, City: c.Name, Loc: c.Loc,
-			// math.Pow(x, 1) == x exactly, so the default exponent
-			// records metro populations unchanged.
-			Population: t.traffic[k],
-		}
+		isp.PoPs[i] = topology.PoP{ID: i, City: c.Name, Loc: c.Loc, Population: c.Population}
 	}
 
 	dist := distances(isp.PoPs)
-	if rng.Float64() < cfg.MeshFraction {
-		buildMesh(isp, cfg, rng, dist)
+	if rng.Float64() < meshFraction {
+		buildMesh(isp, rng, dist)
 	} else {
-		buildBackbone(isp, cfg, rng, dist)
+		buildBackbone(isp, rng, dist)
 	}
 	return isp
 }
@@ -336,17 +280,16 @@ func drawRegion(rng *rand.Rand) Region {
 // samplePoPs draws n distinct cities, as table indices, with
 // probability proportional to population^bias, restricted to the home
 // region for continental ISPs (with occasional out-of-region PoPs).
-// With probability HubBias each draw comes from the pool's peering-hub
-// set instead (the HubCount most-populous cities), concentrating
+// With probability hubBias each draw comes from the pool's peering-hub
+// set instead (the hubCount most-populous cities), concentrating
 // interconnection points the way real ISPs concentrate peering in a
 // handful of hub metros. If n exceeds the pool — a boosted global ISP
 // against a small table, or a widened region — it is clamped to the
 // pool size rather than running the without-replacement draw dry.
 func (t *tables) samplePoPs(rng *rand.Rand, home Region, global bool, n int) []int {
-	cfg := t.cfg
 	pool := make([]int, 0, len(worldCities))
 	for k, c := range worldCities {
-		if global || c.Region == home || rng.Float64() < cfg.OutOfRegionProb {
+		if global || c.Region == home || rng.Float64() < outOfRegionProb {
 			pool = append(pool, k)
 		}
 	}
@@ -366,11 +309,11 @@ func (t *tables) samplePoPs(rng *rand.Rand, home Region, global bool, n int) []i
 		weights[i] = t.bias[k]
 	}
 	all := newWeightedSampler(weights)
-	hubs := newWeightedSampler(t.hubWeights(pool, weights, cfg.HubCount))
+	hubs := newWeightedSampler(t.hubWeights(pool, weights, hubCount))
 	out := make([]int, 0, n)
 	for len(out) < n {
 		var i int
-		if cfg.HubBias > 0 && hubs.Total() > 0 && rng.Float64() < cfg.HubBias {
+		if hubs.Total() > 0 && rng.Float64() < hubBias {
 			i = hubs.Draw(rng)
 		} else {
 			i = all.Draw(rng)
@@ -404,7 +347,7 @@ func (t *tables) hubWeights(pool []int, weights []float64, count int) []float64 
 
 // buildBackbone constructs a geographic MST plus Waxman shortcuts.
 // distMatrix is the PoPs' distance matrix from distances.
-func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand, distMatrix []float64) {
+func buildBackbone(isp *topology.ISP, rng *rand.Rand, distMatrix []float64) {
 	n := len(isp.PoPs)
 	dist := func(i, j int) float64 { return distMatrix[i*n+j] }
 
@@ -435,7 +378,7 @@ func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand, distMatrix []f
 		if d < 1 {
 			d = 1 // co-located PoPs still cost something to connect
 		}
-		jitter := 1 + (rng.Float64()*2-1)*cfg.WeightJitter
+		jitter := 1 + (rng.Float64()*2-1)*weightJitter
 		isp.Links = append(isp.Links, topology.Link{
 			A: a, B: b, Weight: d * jitter, LengthKm: d,
 		})
@@ -471,15 +414,15 @@ func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand, distMatrix []f
 	if diameter <= 0 {
 		diameter = 1
 	}
-	attempts := int(cfg.ShortcutFraction * float64(n) * 3)
+	attempts := int(shortcutFraction * float64(n) * 3)
 	added := 0
-	budget := int(cfg.ShortcutFraction * float64(n))
+	budget := int(shortcutFraction * float64(n))
 	for t := 0; t < attempts && added < budget; t++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a == b {
 			continue
 		}
-		p := math.Exp(-dist(a, b) / (cfg.WaxmanAlpha * diameter))
+		p := math.Exp(-dist(a, b) / (waxmanAlpha * diameter))
 		if rng.Float64() < p {
 			before := len(isp.Links)
 			addLink(a, b)
@@ -493,7 +436,7 @@ func buildBackbone(isp *topology.ISP, cfg Config, rng *rand.Rand, distMatrix []f
 // buildMesh links every pair of PoPs directly, producing a logical-mesh
 // topology like the eight the paper excludes. dist is the PoPs'
 // distance matrix from distances.
-func buildMesh(isp *topology.ISP, cfg Config, rng *rand.Rand, dist []float64) {
+func buildMesh(isp *topology.ISP, rng *rand.Rand, dist []float64) {
 	n := len(isp.PoPs)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -501,7 +444,7 @@ func buildMesh(isp *topology.ISP, cfg Config, rng *rand.Rand, dist []float64) {
 			if d < 1 {
 				d = 1
 			}
-			jitter := 1 + (rng.Float64()*2-1)*cfg.WeightJitter
+			jitter := 1 + (rng.Float64()*2-1)*weightJitter
 			isp.Links = append(isp.Links, topology.Link{
 				A: a, B: b, Weight: d * jitter, LengthKm: d,
 			})

@@ -27,30 +27,10 @@ func TestDefaultConfigValid(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"zero isps", func(c *Config) { c.NumISPs = 0 }},
-		{"min pops too small", func(c *Config) { c.MinPoPs = 1 }},
-		{"max below min", func(c *Config) { c.MaxPoPs = c.MinPoPs - 1 }},
-		{"max pops beyond table", func(c *Config) { c.MaxPoPs = 10000 }},
-		{"negative bias", func(c *Config) { c.PopulationBias = -1 }},
-		{"jitter too large", func(c *Config) { c.WeightJitter = 1.5 }},
-		{"bad mesh fraction", func(c *Config) { c.MeshFraction = 2 }},
-		{"bad global fraction", func(c *Config) { c.GlobalFraction = -0.1 }},
-		{"hub bias above one", func(c *Config) { c.HubBias = 1.5 }},
-		{"negative hub bias", func(c *Config) { c.HubBias = -0.1 }},
-		{"hub bias without hubs", func(c *Config) { c.HubBias = 0.5; c.HubCount = 0 }},
-		{"zero traffic exponent", func(c *Config) { c.TrafficExponent = 0 }},
-		{"negative traffic exponent", func(c *Config) { c.TrafficExponent = -2 }},
-	}
-	for _, c := range cases {
-		cfg := DefaultConfig()
-		c.mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a bad config", c.name)
-		}
+	cfg := DefaultConfig()
+	cfg.NumISPs = 0
+	if err := cfg.Validate(); err == nil {
+		t.Error("Validate accepted zero ISPs")
 	}
 }
 
@@ -199,14 +179,13 @@ func TestGenerateAllValid(t *testing.T) {
 	if len(isps) != 65 {
 		t.Fatalf("generated %d ISPs, want 65", len(isps))
 	}
-	cfg := DefaultConfig()
 	meshes := 0
 	for _, isp := range isps {
 		if err := isp.Validate(); err != nil {
 			t.Errorf("%s: %v", isp.Name, err)
 		}
-		if n := isp.NumPoPs(); n < cfg.MinPoPs || n > cfg.MaxPoPs+globalSizeBoost {
-			t.Errorf("%s: %d PoPs outside [%d,%d+%d]", isp.Name, n, cfg.MinPoPs, cfg.MaxPoPs, globalSizeBoost)
+		if n := isp.NumPoPs(); n < minPoPs || n > maxPoPs+globalSizeBoost {
+			t.Errorf("%s: %d PoPs outside [%d,%d+%d]", isp.Name, n, minPoPs, maxPoPs, globalSizeBoost)
 		}
 		if isp.IsMesh() {
 			meshes++
@@ -324,20 +303,23 @@ func TestCitiesTable(t *testing.T) {
 }
 
 // TestSamplePoPsRegionWidening covers the small-region fallback: when the
-// home region has fewer cities than requested, the pool widens to the
-// whole table and still yields n distinct cities.
+// home region plus its out-of-region draws has fewer cities than
+// requested, the pool widens to the whole table and still yields n
+// distinct cities.
 func TestSamplePoPsRegionWidening(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OutOfRegionProb = 0 // pool is exactly the home region
-	oceania := 0
+	// Replay samplePoPs' pool draws on the same seed to size the pool
+	// it will build: Oceania plus the seeded out-of-region cities.
+	const seed = 7
+	rng := rand.New(rand.NewSource(seed))
+	pool := 0
 	for _, c := range worldCities {
-		if c.Region == Oceania {
-			oceania++
+		if c.Region == Oceania || rng.Float64() < outOfRegionProb {
+			pool++
 		}
 	}
-	n := oceania + 10
-	rng := rand.New(rand.NewSource(7))
-	got := newTables(cfg).samplePoPs(rng, Oceania, false, n)
+	n := pool + 10
+	rng = rand.New(rand.NewSource(seed))
+	got := newTables(DefaultConfig()).samplePoPs(rng, Oceania, false, n)
 	if len(got) != n {
 		t.Fatalf("widened draw returned %d cities, want %d", len(got), n)
 	}
@@ -396,7 +378,7 @@ func hubWeightsByStableSort(pool []City, weights []float64, count int) []float64
 
 // TestHubWeightsMatchesStableSort checks the population-order walk
 // against the per-pool stable sort on random region pools, on the
-// widened full table, at hub counts of 0, HubCount and beyond the pool,
+// widened full table, at hub counts of 0, hubCount and beyond the pool,
 // and on a table with tied populations (ties must break by table
 // order, as the stable sort breaks them by pool order).
 func TestHubWeightsMatchesStableSort(t *testing.T) {
@@ -414,7 +396,7 @@ func TestHubWeightsMatchesStableSort(t *testing.T) {
 		}
 	}
 	counts := func(pool []int) []int {
-		return []int{0, 1, DefaultConfig().HubCount, len(pool) - 1, len(pool), len(pool) + 7}
+		return []int{0, 1, hubCount, len(pool) - 1, len(pool), len(pool) + 7}
 	}
 	all := make([]int, len(worldCities))
 	for k := range all {
@@ -527,7 +509,7 @@ func TestWeightedSamplerPanics(t *testing.T) {
 // (like 0.1) that are not exactly representable and so can leave a tiny
 // floating-point residue. Callers guard hub-pool draws with
 // `Total() > 0`; a residue sneaking through that guard used to reach
-// Draw's "unreachable" panic on large universes with high HubBias.
+// Draw's "unreachable" panic on large universes with a high hub bias.
 func TestWeightedSamplerExhaustionExact(t *testing.T) {
 	weights := []float64{0.1, 0.2, 0.3, 0.7, 0.9, 1.1, 0.1, 0.3}
 	s := newWeightedSampler(weights)

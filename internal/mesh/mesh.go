@@ -260,7 +260,7 @@ func Run(opt Options) (*Result, error) {
 			if mp.i != i && mp.j != i {
 				continue
 			}
-			ctl, err := continuous.NewWithMetricShared(pairsim.New(mp.pair, cache), opt.P, opt.Metric, caps)
+			ctl, err := continuous.NewWithMetric(pairsim.New(mp.pair, cache), opt.P, opt.Metric, caps)
 			if err != nil {
 				return err
 			}
@@ -445,7 +445,7 @@ func RunSerial(opt Options) (*Result, error) {
 	seen := make(map[int]bool)
 	for _, mp := range pairs {
 		seen[mp.i], seen[mp.j] = true, true
-		ctl, err := continuous.NewWithMetricShared(pairsim.New(mp.pair, cache), opt.P, opt.Metric, caps)
+		ctl, err := continuous.NewWithMetric(pairsim.New(mp.pair, cache), opt.P, opt.Metric, caps)
 		if err != nil {
 			return nil, err
 		}

@@ -11,65 +11,6 @@ import (
 	"repro/internal/topology"
 )
 
-// Mapping selects how an ISP's internal metric deltas are mapped to
-// preference classes. The paper notes ISPs can reduce information
-// disclosure by using ordinal preferences or fewer classes (§4).
-type Mapping int
-
-// Preference mappings.
-const (
-	// Cardinal maps metric deltas linearly onto [-P, P] with floor
-	// rounding (a class is a lower bound on the real improvement).
-	Cardinal Mapping = iota
-	// Ordinal discloses only the rank of each alternative relative to
-	// the default: better alternatives get +1, +2, ... in order of
-	// improvement, worse ones -1, -2, ...; magnitudes carry no metric
-	// information beyond order.
-	Ordinal
-)
-
-// Scale selects the normalization denominator for the Cardinal mapping.
-// Both modes pick one unit for the whole table a Prefs call maps (every
-// item, every alternative), so within a call one class is the same real
-// quantity for every flow.
-type Scale int
-
-// Scaling modes.
-const (
-	// ScalePerFlow normalizes by the table's largest absolute delta: the
-	// single biggest gain or loss maps to ±P, and a flow whose deltas are
-	// all small next to it gets small classes, possibly 0. It is the
-	// default. The name is historical; the unit is not chosen per flow.
-	ScalePerFlow Scale = iota
-	// ScaleGlobal normalizes by the 90th percentile of the table's
-	// non-zero absolute deltas, so outliers saturate at ±P and the bulk
-	// of flows keeps resolution. MapDeltas uses it. The ablation bench
-	// compares the two.
-	ScaleGlobal
-)
-
-// String names the scale mode.
-func (s Scale) String() string {
-	if s == ScalePerFlow {
-		return "per-flow"
-	}
-	if s == ScaleGlobal {
-		return "global"
-	}
-	return fmt.Sprintf("scale(%d)", int(s))
-}
-
-// String names the mapping.
-func (m Mapping) String() string {
-	if m == Cardinal {
-		return "cardinal"
-	}
-	if m == Ordinal {
-		return "ordinal"
-	}
-	return fmt.Sprintf("mapping(%d)", int(m))
-}
-
 // view resolves items to path endpoints within one ISP's own network.
 type view struct {
 	side  Side
@@ -97,33 +38,32 @@ func (v view) upstream(it Item) bool {
 	return (v.side == SideA && it.Dir == AtoB) || (v.side == SideB && it.Dir == BtoA)
 }
 
-// cardinalDenominator picks the normalization unit for cardinal classes:
-// the table's largest absolute delta under ScalePerFlow, the 90th
-// percentile of its non-zero absolute deltas under ScaleGlobal (outliers
-// saturate at +/-P) so the bulk of flows retain resolution. buf is the
-// reusable sort buffer (its backing array is grown once and then reused
-// across calls). NaN deltas count in neither mode: they fail both a > 0
-// and a > max.
-func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float64 {
-	if scale == ScalePerFlow {
-		max := 0.0
-		for _, ds := range deltas {
-			for _, d := range ds {
-				if a := math.Abs(d); a > max {
-					max = a
-				}
+// maxMagnitude is the evaluators' class unit: the table's largest
+// absolute delta. The single biggest gain or loss maps to ±P, and a
+// flow whose deltas are all small next to it gets small classes,
+// possibly 0. NaN deltas do not count: they fail a > max.
+func maxMagnitude(deltas [][]float64) float64 {
+	max := 0.0
+	for _, ds := range deltas {
+		for _, d := range ds {
+			if a := math.Abs(d); a > max {
+				max = a
 			}
 		}
-		return max
 	}
+	return max
+}
+
+// q90Magnitude is MapDeltas' class unit: the 90th percentile of the
+// table's non-zero absolute deltas, so outliers saturate at ±P and the
+// bulk of flows keeps resolution. NaN deltas do not count: they fail
+// a > 0.
+func q90Magnitude(deltas [][]float64) float64 {
 	size := 0
 	for _, ds := range deltas {
 		size += len(ds)
 	}
-	if cap(*buf) < size {
-		*buf = make([]float64, 0, size)
-	}
-	mags := (*buf)[:0]
+	mags := make([]float64, 0, size)
 	for _, ds := range deltas {
 		for _, d := range ds {
 			if a := math.Abs(d); a > 0 {
@@ -131,106 +71,66 @@ func cardinalDenominator(deltas [][]float64, scale Scale, buf *[]float64) float6
 			}
 		}
 	}
-	*buf = mags
 	if len(mags) == 0 {
 		return 0
 	}
 	sort.Float64s(mags)
-	i := int(0.9 * float64(len(mags)-1))
-	d := mags[i]
-	if d == 0 {
-		d = mags[len(mags)-1]
-	}
-	return d
+	return mags[int(0.9*float64(len(mags)-1))]
 }
 
 // mapDeltas converts per-item, per-alternative metric deltas (positive =
-// better than default) to preference classes. The returned rows live on
-// the scratch and are valid only until the next mapDeltas call with the
-// same scratch.
-func mapDeltas(deltas [][]float64, p int, mapping Mapping, scale Scale, s *evalScratch) [][]int {
+// better than default) to preference classes in units of denom: one
+// unit for the whole table, so one class is the same real quantity for
+// every flow. The returned rows live on the scratch and are valid only
+// until the next mapDeltas call with the same scratch.
+func mapDeltas(deltas [][]float64, p int, denom float64, s *evalScratch) [][]int {
 	out := s.intRows(deltas)
-	switch mapping {
-	case Ordinal:
-		for i, ds := range deltas {
-			for k, d := range ds {
-				// Rank = number of strictly-between deltas of the same
-				// sign plus one, clamped to P.
-				if d == 0 {
-					out[i][k] = 0
-					continue
-				}
-				rank := 1
-				for _, e := range ds {
-					if d > 0 && e > 0 && e < d {
-						rank++
-					}
-					if d < 0 && e < 0 && e > d {
-						rank++
-					}
-				}
-				if rank > p {
-					rank = p
-				}
-				if d > 0 {
-					out[i][k] = rank
-				} else {
-					out[i][k] = -rank
-				}
-			}
-		}
-		return out
-	default: // Cardinal
-		denom := cardinalDenominator(deltas, scale, &s.mags)
-		if denom == 0 {
-			for _, row := range out {
-				clear(row)
-			}
-			return out
-		}
-		for i, ds := range deltas {
-			row := out[i][:len(ds)]
-			for k, d := range ds {
-				// Floor rounding throughout: a class is a certified
-				// LOWER bound on the real improvement, for losses and
-				// gains alike. Summing bounds, a non-negative cumulative
-				// class gain implies the real metric change is bounded
-				// below by the (one-class-unit) deficit allowance — the
-				// engine-level mechanism behind the paper's "negotiating
-				// carries no risk" (Figure 4b shows no negotiated
-				// losses). Round-to-nearest on gains would leak half a
-				// unit per traded flow, which accumulates into real
-				// losses over hundreds of flows.
-				cls := int(math.Floor(float64(p) * d / denom))
-				if cls > p {
-					cls = p
-				}
-				if cls < -p {
-					cls = -p
-				}
-				row[k] = cls
-			}
+	if denom == 0 {
+		for _, row := range out {
+			clear(row)
 		}
 		return out
 	}
+	for i, ds := range deltas {
+		row := out[i][:len(ds)]
+		for k, d := range ds {
+			// Floor rounding throughout: a class is a certified LOWER
+			// bound on the real improvement, for losses and gains
+			// alike. Summing bounds, a non-negative cumulative class
+			// gain implies the real metric change is bounded below by
+			// the (one-class-unit) deficit allowance — the engine-level
+			// mechanism behind the paper's "negotiating carries no
+			// risk" (Figure 4b shows no negotiated losses).
+			// Round-to-nearest on gains would leak half a unit per
+			// traded flow, which accumulates into real losses over
+			// hundreds of flows.
+			cls := int(math.Floor(float64(p) * d / denom))
+			if cls > p {
+				cls = p
+			}
+			if cls < -p {
+				cls = -p
+			}
+			row[k] = cls
+		}
+	}
+	return out
 }
 
-// MapDeltas quantizes raw metric deltas to preference classes with the
-// default cardinal mapping (floor rounding, q90 scaling). It is exported
-// for evaluators composed outside this package and returns freshly
-// allocated rows (a scratch of its own, so no ownership caveats).
+// MapDeltas quantizes raw metric deltas to preference classes with
+// floor rounding in q90Magnitude units, for evaluators composed outside
+// this package (the destination-based experiment sums evaluator deltas
+// per destination first). It returns freshly allocated rows.
 func MapDeltas(deltas [][]float64, p int) [][]int {
-	return mapDeltas(deltas, p, Cardinal, ScaleGlobal, &evalScratch{})
+	return mapDeltas(deltas, p, q90Magnitude(deltas), &evalScratch{})
 }
 
 // evaluator is the body the three metric evaluators share: a metric
 // contributes only fn, which fills one item's row of deltas from its
 // per-alternative cost.
 type evaluator struct {
-	view    view
-	P       int
-	Mapping Mapping
-	Scale   Scale
+	view view
+	P    int
 	// scratch comes from the free list at construction and goes back to
 	// it on Release; nil after Release.
 	scratch *evalScratch
@@ -247,7 +147,8 @@ type evaluator struct {
 // live on the evaluator's scratch: they are valid until the next Prefs
 // or RawDeltas call on this evaluator (see evalScratch).
 func (e *evaluator) Prefs(items []Item, defaults []int) [][]int {
-	return mapDeltas(e.RawDeltas(items, defaults), e.P, e.Mapping, e.Scale, e.scratch)
+	deltas := e.RawDeltas(items, defaults)
+	return mapDeltas(deltas, e.P, maxMagnitude(deltas), e.scratch)
 }
 
 // RawDeltas returns the unquantized per-alternative metric improvements

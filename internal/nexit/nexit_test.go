@@ -257,7 +257,6 @@ func TestStringers(t *testing.T) {
 		AtoB.String(), BtoA.String(), SideA.String(), SideB.String(),
 		StopAllNegotiated.String(), StopNoJointGain.String(),
 		StopSideCannotGain.String(),
-		Cardinal.String(), Ordinal.String(),
 	}
 	for i, n := range names {
 		if n == "" {
@@ -336,49 +335,34 @@ func TestDistanceEvaluatorReverseDirection(t *testing.T) {
 	}
 }
 
-func TestOrdinalMapping(t *testing.T) {
-	deltas := [][]float64{{0, -3, 5, 2, -8}}
-	prefs := mapDeltas(deltas, 10, Ordinal, ScalePerFlow, &evalScratch{})
-	want := []int{0, -1, 2, 1, -2}
-	for k, w := range want {
-		if prefs[0][k] != w {
-			t.Errorf("ordinal[%d] = %d, want %d", k, prefs[0][k], w)
-		}
-	}
-	// Clamped at P.
-	prefs = mapDeltas([][]float64{{0, 1, 2, 3}}, 2, Ordinal, ScalePerFlow, &evalScratch{})
-	if prefs[0][3] != 2 {
-		t.Errorf("ordinal clamp = %d, want 2", prefs[0][3])
-	}
-}
-
 func TestCardinalMappingScale(t *testing.T) {
 	// Non-zero magnitudes {50, 100, 25}: the q90 denominator is 50, so
 	// +50 maps to the full +10, -100 saturates at -10 (outliers clamp),
 	// and +25 maps to +5.
 	deltas := [][]float64{{0, 50, -100}, {0, 25, 0}}
-	prefs := mapDeltas(deltas, 10, Cardinal, ScaleGlobal, &evalScratch{})
+	prefs := MapDeltas(deltas, 10)
 	if prefs[0][1] != 10 || prefs[0][2] != -10 || prefs[1][1] != 5 {
 		t.Errorf("cardinal mapping = %v", prefs)
 	}
 	// All-zero deltas map to all-zero prefs.
-	zero := mapDeltas([][]float64{{0, 0}}, 10, Cardinal, ScaleGlobal, &evalScratch{})
+	zero := MapDeltas([][]float64{{0, 0}}, 10)
 	if zero[0][0] != 0 || zero[0][1] != 0 {
 		t.Error("zero deltas should map to zero prefs")
 	}
 	// Asymmetric rounding: losses are never underestimated (floor), so
 	// any strictly negative delta gets a class <= -1, while a tiny gain
 	// rounds to 0.
-	asym := mapDeltas([][]float64{{0, -1, 100, 4}, {0, 100, 100, 100}, {0, 100, 100, 100}, {0, 100, 100, 100}}, 10, Cardinal, ScaleGlobal, &evalScratch{})
+	asym := MapDeltas([][]float64{{0, -1, 100, 4}, {0, 100, 100, 100}, {0, 100, 100, 100}, {0, 100, 100, 100}}, 10)
 	if asym[0][1] != -1 {
 		t.Errorf("tiny loss mapped to class %d, want -1", asym[0][1])
 	}
 	if asym[0][3] != 0 {
 		t.Errorf("tiny gain mapped to class %d, want 0", asym[0][3])
 	}
-	// ScalePerFlow's unit is the table's largest magnitude, not each
+	// The evaluators' unit is the table's largest magnitude, not each
 	// flow's own: the flow whose best gain is 1 gets class 1, not P.
-	tableMax := mapDeltas([][]float64{{0, 1}, {0, 10}}, 10, Cardinal, ScalePerFlow, &evalScratch{})
+	flows := [][]float64{{0, 1}, {0, 10}}
+	tableMax := mapDeltas(flows, 10, maxMagnitude(flows), &evalScratch{})
 	if tableMax[0][1] != 1 || tableMax[1][1] != 10 {
 		t.Errorf("table-max classes = %v, want [[0 1] [0 10]]", tableMax)
 	}

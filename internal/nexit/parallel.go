@@ -48,11 +48,10 @@ func forEachItem(n, perItem int, fn func(i int)) {
 }
 
 // evalScratch is the per-evaluator buffer set reused across Prefs and
-// RawDeltas calls: the delta matrix, the class matrix, and the
-// cardinalDenominator sort buffer. Backing arrays grow to the largest
-// shape seen and are then reused, also by the next evaluator once this
-// one is released, so steady-state preference evaluation allocates
-// nothing.
+// RawDeltas calls: the delta matrix and the class matrix. Backing
+// arrays grow to the largest shape seen and are then reused, also by
+// the next evaluator once this one is released, so steady-state
+// preference evaluation allocates nothing.
 //
 // Ownership contract: rows handed out by Prefs/RawDeltas point into the
 // scratch and stay valid only until the NEXT Prefs or RawDeltas call on
@@ -64,7 +63,6 @@ type evalScratch struct {
 	deltaRows [][]float64
 	intFlat   []int
 	intRows_  [][]int
-	mags      []float64
 
 	// items/defaults are the per-call view read by the metric's row
 	// method (evaluator.fn): binding it once at construction and passing

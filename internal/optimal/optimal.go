@@ -19,6 +19,7 @@ package optimal
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/pairsim"
 	"repro/internal/simplex"
 	"repro/internal/traffic"
@@ -63,9 +64,8 @@ func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 		return nil, fmt.Errorf("optimal: pair has no interconnections")
 	}
 	if nf == 0 {
-		r := &BandwidthResult{}
-		r.MEL, r.MELUp, r.MELDown = fixedMELs(fixedUp, fixedDown, capUp, capDown)
-		return r, nil
+		up, down := metrics.MEL(fixedUp, capUp), metrics.MEL(fixedDown, capDown)
+		return &BandwidthResult{MEL: max(up, down), MELUp: up, MELDown: down}, nil
 	}
 
 	nUp := len(capUp)
@@ -239,8 +239,8 @@ func bandwidth(s *pairsim.System, flows []traffic.Flow, fixedUp, fixedDown, capU
 			}
 		}
 	}
-	res.MELUp = melOf(loadUp, capUp)
-	res.MELDown = melOf(loadDown, capDown)
+	res.MELUp = metrics.MEL(loadUp, capUp)
+	res.MELDown = metrics.MEL(loadDown, capDown)
 	return res, nil
 }
 
@@ -273,27 +273,4 @@ func (p pathLinks) each(nUp int, fn func(l int)) {
 	for _, l := range p.down {
 		fn(nUp + int(l))
 	}
-}
-
-func melOf(load, capv []float64) float64 {
-	var m float64
-	for i := range load {
-		if capv[i] <= 0 {
-			continue
-		}
-		if r := load[i] / capv[i]; r > m {
-			m = r
-		}
-	}
-	return m
-}
-
-func fixedMELs(fixedUp, fixedDown, capUp, capDown []float64) (all, up, down float64) {
-	up = melOf(fixedUp, capUp)
-	down = melOf(fixedDown, capDown)
-	all = up
-	if down > all {
-		all = down
-	}
-	return all, up, down
 }

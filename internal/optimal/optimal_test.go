@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/metrics"
 	"repro/internal/pairsim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -73,20 +74,28 @@ func TestDistanceIsPerFlowOptimal(t *testing.T) {
 	}
 }
 
+// TestBandwidthEmptyFlows covers the no-LP path: with nothing to
+// reroute, the MELs are the fixed loads', and the joint MEL is the
+// larger side's, whichever side that is.
 func TestBandwidthEmptyFlows(t *testing.T) {
 	pair := linePair(3)
 	s := pairsim.New(pair, nil)
-	fixedUp := make([]float64, len(pair.A.Links))
-	fixedDown := make([]float64, len(pair.B.Links))
 	capUp := []float64{1, 1}
-	capDown := []float64{1, 1}
-	fixedUp[0] = 0.5
-	res, err := Bandwidth(s, nil, fixedUp, fixedDown, capUp, capDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MEL != 0.5 || res.MELUp != 0.5 || res.MELDown != 0 {
-		t.Errorf("fixed-only MELs wrong: %+v", res)
+	capDown := []float64{1, 2}
+	for _, tc := range []struct {
+		fixedUp, fixedDown []float64
+		want               BandwidthResult
+	}{
+		{[]float64{0.5, 0}, []float64{0, 0}, BandwidthResult{MEL: 0.5, MELUp: 0.5}},
+		{[]float64{0.25, 0}, []float64{0, 1.5}, BandwidthResult{MEL: 0.75, MELUp: 0.25, MELDown: 0.75}},
+	} {
+		res, err := Bandwidth(s, nil, tc.fixedUp, tc.fixedDown, capUp, capDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MEL != tc.want.MEL || res.MELUp != tc.want.MELUp || res.MELDown != tc.want.MELDown || res.Fractions != nil {
+			t.Errorf("fixed %v/%v: MELs %+v, want %+v", tc.fixedUp, tc.fixedDown, res, tc.want)
+		}
 	}
 }
 
@@ -99,8 +108,8 @@ func integralMEL(s *pairsim.System, flows []traffic.Flow, assign []int, fixedUp,
 		s.Up.AddLoad(loadUp, f.Src, ix.APoP, f.Size)
 		s.Down.AddLoad(loadDown, ix.BPoP, f.Dst, f.Size)
 	}
-	m := melOf(loadUp, capUp)
-	if d := melOf(loadDown, capDown); d > m {
+	m := metrics.MEL(loadUp, capUp)
+	if d := metrics.MEL(loadDown, capDown); d > m {
 		m = d
 	}
 	return m

@@ -63,8 +63,9 @@ type Result struct {
 }
 
 // Simulator runs best-response dynamics between two ISPs over a set of
-// flows: in alternating rounds, one ISP moves the single flow that most
-// reduces its own MEL, ignoring the other ISP entirely.
+// flows: in alternating rounds, downstream first, one ISP moves the
+// single flow that most reduces its own MEL, ignoring the other ISP
+// entirely.
 type Simulator struct {
 	S                  *pairsim.System
 	Flows              []traffic.Flow
@@ -72,10 +73,6 @@ type Simulator struct {
 	CapUp, CapDown     []float64
 	// MaxRounds bounds the simulation (default 64).
 	MaxRounds int
-	// DownstreamFirst has the downstream ISP react first (the paper's
-	// incident: the downstream shifted traffic with MEDs in response to
-	// the upstream's post-failure reroute).
-	DownstreamFirst bool
 
 	// load is ownMEL's buffer, reused across its calls: a replay prices
 	// every candidate move with one, and fresh copies let the heap, and
@@ -108,10 +105,10 @@ func (sim *Simulator) Run(initial []int) *Result {
 			res.FinalWorstMEL = sim.worstMEL(assign)
 			return res
 		}
-		actingUpstream := round%2 == 0
-		if sim.DownstreamFirst {
-			actingUpstream = !actingUpstream
-		}
+		// The downstream ISP reacts first, as in the paper's incident:
+		// the downstream shifted traffic with MEDs in response to the
+		// upstream's post-failure reroute.
+		actingUpstream := round%2 == 1
 		if !sim.bestResponse(assign, actingUpstream) {
 			// Give the other side one chance before declaring a fixed
 			// point.

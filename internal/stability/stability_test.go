@@ -73,11 +73,11 @@ func TestOscillatesUnderConflict(t *testing.T) {
 		// A's backbone is partially loaded; B's south entry is tight.
 		FixedUp: []float64{0.5, 0.6}, FixedDown: []float64{0, 0},
 		CapUp: []float64{1.2, 1.0}, CapDown: []float64{2.0, 1.0},
-		// B reacts first, as in the paper's incident; from its local
-		// view f2 and f3 are identical, and it keeps picking the one A
-		// must push back.
-		DownstreamFirst: true,
 	}
+	// B, downstream, reacts first, as in the paper's incident; from its
+	// local view f2 and f3 are identical, and it keeps picking the one
+	// A must push back.
+	//
 	// Start from both flows entering south (the early-exit default).
 	south := 1
 	if s.Pair.Interconnections[1].City != "south" {

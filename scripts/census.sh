@@ -3,9 +3,9 @@
 #
 # Builds every cmd/ and examples/ main with statement coverage over the
 # whole module, runs the workloads CI's smokes run (plus the default
-# `nexitsim -fig all`), merges the counters and prints, for each
-# internal/ package, the share of statements executed and the functions
-# never executed. A function listed here is reachable only from tests.
+# `nexitsim -fig all` and a `topogen -out` / `nexitsim -dataset` round
+# trip), merges the counters and prints, for each internal/ package, the
+# share of statements executed and the functions never executed. A function listed here is reachable only from tests.
 #
 # Run from the repository root: `make census` (about a minute on two
 # cores). It writes only to a temporary directory, removed on exit, and
@@ -18,7 +18,9 @@ cleanup() {
 	for p in $pids; do kill "$p" 2>/dev/null || true; done
 	rm -rf "$work"
 }
-trap cleanup EXIT INT TERM
+trap cleanup EXIT
+# A trapped signal would otherwise resume the script after cleanup.
+trap 'exit 130' INT TERM
 
 bin=$work/bin cov=$work/cov run=$work/run
 mkdir -p "$bin" "$cov" "$run"
@@ -36,6 +38,10 @@ for e in continuousnegotiation diversecriteria failover meshnegotiation quicksta
 	"$bin/$e" > /dev/null
 done
 "$bin/topogen" -isps 12 -inventory > /dev/null
+
+# The .topo codec: a generated dataset written out and read back.
+"$bin/topogen" -isps 12 -out ds.topo
+"$bin/nexitsim" -dataset ds.topo -fig 4 -max-pairs 2 > /dev/null
 
 # Figure mode on the default dataset, and CI's streaming, fold and
 # shard-merge smokes.
