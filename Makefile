@@ -10,8 +10,8 @@ test:
 # CI's mesh-smoke job: the daemon path end to end, including the
 # fault-injection / epoch-resync recovery variants (replay and
 # snapshot-based), the mid-run status consistent-cut check, and short
-# snapshot, wire, workload hash, .topo, pair
-# enumeration, engine, distance evaluator, load evaluator, LP kernel, LP
+# snapshot, wire, workload hash, .topo, pair enumeration, engine,
+# proposal index, distance evaluator, load evaluator, LP kernel, LP
 # held-pivot, watch-mode status and NDJSON fold fuzz bursts, plus the LP
 # digest, the factor-column read and solves on reused tableau storage at
 # GOMAXPROCS 1 and 4.
@@ -27,6 +27,7 @@ smoke:
 	go test -run '^$$' -fuzz 'FuzzTopologyRead' -fuzztime 20s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzAllPairs' -fuzztime 20s -fuzzminimizetime 2s ./internal/topology/
 	go test -run '^$$' -fuzz 'FuzzNegotiateMatchesReference' -fuzztime 20s ./internal/nexit/
+	go test -run '^$$' -fuzz 'FuzzPickMatchesBruteForce' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzDistanceEvaluatorMatchesOracle' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzLoadRowsMatchOracle' -fuzztime 20s ./internal/nexit/
 	go test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime 20s ./internal/simplex/

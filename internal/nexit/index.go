@@ -1,6 +1,9 @@
 package nexit
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // proposalIndex is the one structure proposal selection and the stop
 // check read. Whether an (item, alternative) entry may be proposed is a
@@ -8,32 +11,37 @@ import "math/bits"
 // alternative, and of the current cumulative gains (see gate) — so
 // entries are bucketed into cells keyed by (classA, classB, is-default),
 // at most (2P+1)² × 2 of them, and a whole cell is admitted or rejected
-// at once. Inside a cell the combined sum and both classes are constant,
-// so what is left of the selection rule is its tie-break: items in
-// descending order of their best combined sum, then ascending ID, then
-// ascending alternative. Cells hold their entries in exactly that order
-// (a counting sort on the best sum, then one CSR fill), which makes "the
-// first live entry of the first admitted cell" the proposal a direct scan
-// over all entries would choose.
+// at once. Only an off-default entry of negative combined sum is never
+// admitted, whatever the gains; those stay out of the index. Inside a
+// cell the combined sum and both classes are constant, so what is left
+// of the selection rule is its tie-break: items in descending order of
+// their best combined sum, then ascending ID, then ascending
+// alternative. Cells hold their entries in exactly that order (a
+// counting sort on the best sum, then one CSR fill), which makes "the
+// first live entry of the first admitted cell" the proposal a direct
+// scan over all entries would choose.
 //
 // Which cell is first is read from occupancy bitsets. Each proposer
-// ranks the class pairs in rows of bits, both in its order of
-// preference (see rank): a row is a combined sum s and a bit the
-// proposer's own class o (the other's is s − o). Per proposer and row
-// there is one bitset for off-default cells and one for default cells,
-// with a bit set while its cell holds a live entry. The gate is one
-// interval of bits per row: a default cell is admitted iff
-// o ∈ [floorOwn, s − floorOther]. An off-default cell needs the same, and
-// also s > 0, or else s = 0 with o ∈ [evenOwn, −evenOther]; so s < 0
-// admits off-default cells nowhere, and no cell below
-// s = floorOwn + floorOther at all.
+// ranks the class pairs in rows of words, in its order of preference
+// (see slot): row r holds the combined sum s = 2P − r, and in it bit
+// 2(P + t) + d stands for the cell of the other side's class t (own class
+// s − t) and kind d (1 for the default alternative), set while the cell
+// holds a live entry. So a row's bits run from the proposer's highest own
+// class down, and the two kinds of one class pair sit side by side. A
+// cell is admitted iff t ≥ floorOther and s − t ≥ floorOwn: in bits, a
+// lower bound that is the same in every row and an upper bound that
+// falls by one bit pair per row. An off-default cell at s = 0 also needs
+// t ∈ [evenOther, −evenOwn]. No row below s = floorOwn + floorOther
+// admits anything.
 //
-// So the first admitted live cell of a row is the lowest set bit of its
-// occupancy inside the interval, and the first row that has one holds
-// the proposal. When its off-default and default cells are the same
-// class pair, the tie-break order (before) decides between their first
-// live entries. A recovery pick (floor 1 on the deficit side) is just a
-// narrower interval.
+// pick therefore computes the lower bound's word and mask once, and in
+// each row that holds a live cell (liveRows) takes the lowest set bit
+// from the lower bound on: the row holds the proposal iff that bit is
+// inside the row's upper bound, one comparison. Only the row s = 0 masks
+// its off-default bits as well. When the off-default and default cells
+// of the class pair found both hold an entry, the tie-break order
+// (before) decides between their first live entries. A recovery pick
+// (floor 1 on the deficit side) is just a tighter pair of bounds.
 //
 // Two operations maintain it. build recomputes everything from the
 // preference tables, the veto set and the items on the table, after a
@@ -46,7 +54,7 @@ import "math/bits"
 // did not accept return to the table only behind the veto that cut the
 // plan short, and that veto rebuilds. The same two operations keep the
 // stop check's histograms: the classes each item on the table has at its
-// selected (best-sum) alternative.
+// selected (best-sum) alternative, indexed or not.
 type proposalIndex struct {
 	width int // 2P+1: classes per side
 
@@ -55,18 +63,23 @@ type proposalIndex struct {
 	// vetoed) and that sum (noSum when all are vetoed).
 	bestAlt, bestSum []int32
 
+	// entCell holds each flat entry's cell, -1 for one vetoed or never
+	// admitted: build computes it once, and its fill and take read it
+	// back. Entries of items off the table hold what the last build left.
+	entCell []int32
+
 	// CSR cells: ents[start[c]:start[c+1]] are cell c's entries in
 	// tie-break order, head[c] is the first position not known dead and
 	// live[c] the number of entries whose item is on the table.
 	start, head, live []int32
 	ents              []entry
 
-	// occ holds the occupancy bitsets: for each proposer side, rows rows,
-	// each an off-default and a default bitset of words words (see
-	// occRow). firstRow[side] is the first row not yet found empty.
+	// occ holds the occupancy rows: for each proposer side, rows rows of
+	// words words (see slot). Bit r of liveRows is set while row r holds
+	// a live cell; both sides' rows r hold the same cells.
 	rows, words int
 	occ         []uint64
-	firstRow    [2]int
+	liveRows    []uint64
 
 	// histA/histB count items on the table by class at bestAlt (index
 	// class+P).
@@ -87,13 +100,15 @@ func (n *negotiation) newIndex() {
 	x.width = 2*p + 1
 	cells := 2 * x.width * x.width
 	x.bestAlt, x.bestSum = resize(x.bestAlt, len(n.items)), resize(x.bestSum, len(n.items))
+	x.entCell = resize(x.entCell, size)
 	x.start, x.head, x.live = resize(x.start, cells+1), resize(x.head, cells), resize(x.live, cells)
 	x.start[0] = 0 // build writes only start[1:]
 	x.ents = resize(x.ents, size)
 	x.histA, x.histB = resize(x.histA, x.width), resize(x.histB, x.width)
 	x.sumOff, x.byRank = resize(x.sumOff, 4*p+1), resize(x.byRank, len(n.items))
-	x.rows, x.words = 4*p+1, (x.width+63)/64
-	x.occ = resize(x.occ, 2*2*x.rows*x.words)
+	x.rows, x.words = 4*p+1, (2*x.width+63)/64
+	x.occ = resize(x.occ, 2*x.rows*x.words)
+	x.liveRows = resize(x.liveRows, (x.rows+63)/64)
 }
 
 // cell returns the cell of classes (a, b): the off-default one, with the
@@ -102,93 +117,108 @@ func (n *negotiation) cell(a, b int) int {
 	return 2 * ((a+n.cfg.PrefBound)*n.idx.width + b + n.cfg.PrefBound)
 }
 
-// cellOf returns the cell of flat entry e (item*numAlts + alt).
-func (n *negotiation) cellOf(e int, isDefault bool) int {
-	c := n.cell(int(n.prefsA[e]), int(n.prefsB[e]))
-	if isDefault {
-		c++
-	}
-	return c
-}
-
-// rank places the class pair (a, b) in proposer side's order of
-// preference, as a row and a bit within it; lower is preferred: by
-// combined sum, then own class.
-func (n *negotiation) rank(side Side, a, b int) (row, bit int) {
-	p, own := n.cfg.PrefBound, a
+// slot places the cell of classes (a, b) and kind d (1 for the default
+// alternative) in proposer side's order of preference, as a row and a
+// bit within it; lower is preferred: by combined sum, then own class.
+func (n *negotiation) slot(side Side, a, b, d int) (row, bit int) {
+	p, other := n.cfg.PrefBound, b
 	if side == SideB {
-		own = b
+		other = a
 	}
-	return 2*p - a - b, p - own
+	return 2*p - a - b, 2*(other+p) + d
 }
 
-// classesAt inverts rank.
-func (n *negotiation) classesAt(side Side, row, bit int) (a, b int) {
-	p := n.cfg.PrefBound
-	own, other := p-bit, p-row+bit
-	if side == SideB {
-		return other, own
-	}
-	return own, other
-}
-
-// occRow returns proposer side's occupancy row r: the off-default
-// cells' bitset, then the default cells'.
-func (x *proposalIndex) occRow(side Side, r int) (off, def []uint64) {
-	i := (int(side)*x.rows + r) * 2 * x.words
-	return x.occ[i : i+x.words], x.occ[i+x.words : i+2*x.words]
-}
-
-// mark sets (on) or clears cell c's bit in both proposers' rows.
-func (n *negotiation) mark(c int, on bool) {
-	x, p := &n.idx, n.cfg.PrefBound
-	a, b := c/2/x.width-p, c/2%x.width-p
-	for _, side := range [2]Side{SideA, SideB} {
-		r, bit := n.rank(side, a, b)
-		row, def := x.occRow(side, r)
-		if c%2 == 1 {
-			row = def
-		}
+// mark sets (on) or clears the bit of the cell of classes (a, b) and
+// kind d in both proposers' rows, and keeps liveRows in step.
+func (n *negotiation) mark(a, b, d int, on bool) {
+	x := &n.idx
+	r, _ := n.slot(SideA, a, b, d)
+	for side := range 2 {
+		_, bit := n.slot(Side(side), a, b, d)
+		i := (side*x.rows+r)*x.words + bit/64
 		if on {
-			row[bit/64] |= 1 << (bit % 64)
+			x.occ[i] |= 1 << (bit % 64)
 		} else {
-			row[bit/64] &^= 1 << (bit % 64)
+			x.occ[i] &^= 1 << (bit % 64)
 		}
+	}
+	switch {
+	case on:
+		x.liveRows[r/64] |= 1 << (r % 64)
+	case slices.Max(x.occ[r*x.words:][:x.words]) == 0:
+		x.liveRows[r/64] &^= 1 << (r % 64)
 	}
 }
 
-// build indexes every non-vetoed alternative of every item on the table.
+// nextRow returns the first row from r on that holds a live cell, or
+// rows if none does.
+func (x *proposalIndex) nextRow(r int) int {
+	for w := r / 64; w < len(x.liveRows); w++ {
+		if word := x.liveRows[w] & (^uint64(0) << (r % 64)); word != 0 {
+			return 64*w + bits.TrailingZeros64(word)
+		}
+		r = 0
+	}
+	return x.rows
+}
+
+// build indexes every alternative a gate can admit (neither vetoed nor
+// off the default at a negative sum) of every item on the table.
 func (n *negotiation) build() {
-	x, na := &n.idx, n.numAlts
+	x, na, p := &n.idx, n.numAlts, n.cfg.PrefBound
 	clear(x.histA)
 	clear(x.histB)
 	clear(x.sumOff)
 	clear(x.live)
 	clear(x.occ)
+	clear(x.liveRows)
+	// cell's formula, 2((a+P)·width + b + P) + d, with the P terms folded
+	// into origin. Honest tables put nearly every default alternative in
+	// the one default cell of classes (0, 0); its count stays in a
+	// register.
+	w := x.width
+	origin := 2 * (p*w + p)
+	zero, zeros := int32(origin+1), int32(0)
 	for id, live := range n.remaining {
 		if !live {
 			continue
 		}
 		base, def := id*na, n.defaults[id]
+		prefsA, prefsB, vetoed := n.prefsA[base:base+na], n.prefsB[base:base+na], n.vetoed[base:base+na]
+		cells := x.entCell[base : base+na]
 		best, sum := def, noSum
-		for k := 0; k < na; k++ {
-			if n.vetoed[base+k] {
+		for k := range cells {
+			if vetoed[k] {
+				cells[k] = -1
 				continue
 			}
-			if s := int(n.prefsA[base+k]) + int(n.prefsB[base+k]); s > sum {
-				best, sum = k, s
+			a, b := int(prefsA[k]), int(prefsB[k])
+			if a+b > sum {
+				best, sum = k, a+b
 			}
-			c := n.cellOf(base+k, k == def)
-			if x.live[c]++; x.live[c] == 1 {
-				n.mark(c, true)
+			if a+b < 0 && k != def {
+				cells[k] = -1
+				continue
+			}
+			c := int32(2*(a*w+b) + origin)
+			if k == def {
+				c++
+			}
+			cells[k] = c
+			if c == zero {
+				zeros++
+			} else {
+				x.live[c]++
 			}
 		}
 		x.bestAlt[id], x.bestSum[id] = int32(best), int32(sum)
-		n.count(id, 1)
+		x.histA[int(prefsA[best])+p]++
+		x.histB[int(prefsB[best])+p]++
 		if sum != noSum {
-			x.sumOff[sum+2*n.cfg.PrefBound]++
+			x.sumOff[sum+2*p]++
 		}
 	}
+	x.live[zero] += zeros
 	// Items by (best sum descending, ID ascending): a counting sort, whose
 	// bucket sizes sumOff now holds.
 	ranked := int32(0)
@@ -199,53 +229,53 @@ func (n *negotiation) build() {
 	}
 	for id, live := range n.remaining {
 		if live && x.bestSum[id] != noSum {
-			s := int(x.bestSum[id]) + 2*n.cfg.PrefBound
+			s := int(x.bestSum[id]) + 2*p
 			x.byRank[x.sumOff[s]] = int32(id)
 			x.sumOff[s]++
 		}
 	}
-	// CSR fill in that order; head doubles as the fill cursor.
-	for c, l := range x.live {
-		x.start[c+1] = x.start[c] + l
+	// CSR offsets and occupancy bits, cell by cell in cell order.
+	c := 0
+	for a := -p; a <= p; a++ {
+		for b := -p; b <= p; b++ {
+			for d := range 2 {
+				l := x.live[c]
+				x.start[c+1] = x.start[c] + l
+				if l > 0 {
+					n.mark(a, b, d, true)
+				}
+				c++
+			}
+		}
 	}
+	// CSR fill in rank order; head doubles as the fill cursor.
 	copy(x.head, x.start)
 	for _, id := range x.byRank[:ranked] {
-		base, def := int(id)*na, n.defaults[id]
-		for k := 0; k < na; k++ {
-			if n.vetoed[base+k] {
-				continue
+		base := int(id) * na
+		for k, c := range x.entCell[base : base+na] {
+			if c >= 0 {
+				x.ents[x.head[c]] = entry{id, int32(k)}
+				x.head[c]++
 			}
-			c := n.cellOf(base+k, k == def)
-			x.ents[x.head[c]] = entry{id, int32(k)}
-			x.head[c]++
 		}
 	}
 	copy(x.head, x.start)
-	x.firstRow = [2]int{}
-}
-
-// count adds item id to (d = 1) or removes it from (d = -1) the
-// histograms.
-func (n *negotiation) count(id int, d int32) {
-	x, p := &n.idx, n.cfg.PrefBound
-	e := id*n.numAlts + int(x.bestAlt[id])
-	x.histA[int(n.prefsA[e])+p] += d
-	x.histB[int(n.prefsB[e])+p] += d
 }
 
 // take removes item id from the table: planned or committed.
 func (n *negotiation) take(id int) {
 	n.remaining[id] = false
 	n.numRemaining--
-	n.count(id, -1)
-	x, base, def := &n.idx, id*n.numAlts, n.defaults[id]
-	for k := 0; k < n.numAlts; k++ {
-		if n.vetoed[base+k] {
+	x, base, na, p := &n.idx, id*n.numAlts, n.numAlts, n.cfg.PrefBound
+	e := base + int(x.bestAlt[id])
+	x.histA[int(n.prefsA[e])+p]--
+	x.histB[int(n.prefsB[e])+p]--
+	for k, c := range x.entCell[base : base+na] {
+		if c < 0 {
 			continue
 		}
-		c := n.cellOf(base+k, k == def)
 		if x.live[c]--; x.live[c] == 0 {
-			n.mark(c, false)
+			n.mark(int(n.prefsA[base+k]), int(n.prefsB[base+k]), int(c%2), false)
 		}
 	}
 }
@@ -273,36 +303,6 @@ func (n *negotiation) before(e, f entry) bool {
 		return e.item < f.item
 	}
 	return e.alt < f.alt
-}
-
-// lowest returns the lowest set bit of row within [lo, hi], -1 if none.
-func lowest(row []uint64, lo, hi int) int {
-	lo, hi = max(lo, 0), min(hi, 64*len(row)-1)
-	if lo > hi {
-		return -1
-	}
-	last, mask := uint(hi)/64, ^uint64(0)<<(uint(lo)%64)
-	for w := uint(lo) / 64; w <= last; w++ {
-		word := row[w] & mask
-		if w == last {
-			word &= ^uint64(0) >> (63 - uint(hi)%64)
-		}
-		if word != 0 {
-			return int(64*w) + bits.TrailingZeros64(word)
-		}
-		mask = ^uint64(0)
-	}
-	return -1
-}
-
-// empty reports whether no bit of row is set.
-func empty(row []uint64) bool {
-	for _, w := range row {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // top returns the highest index of hist with a positive count, -1 if

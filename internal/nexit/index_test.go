@@ -2,6 +2,7 @@ package nexit
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -125,5 +126,157 @@ func TestPickMatchesBruteForce(t *testing.T) {
 	}
 	if picks < 1000 {
 		t.Fatalf("only %d picks found an entry; the states no longer exercise pick", picks)
+	}
+}
+
+// indexState returns a negotiation whose index is built over a random
+// table, drawn the way TestPickMatchesBruteForce draws its own: classes
+// from a small palette so cells hold many entries, nonzero default
+// classes, a tenth of the entries vetoed and a fifth of the items off the
+// table. intn(k) returns a draw from [0, k).
+func indexState(p int, intn func(int) int) *negotiation {
+	na, items := 1+intn(6), 1+intn(60)
+	palette := make([]int32, 2+intn(6))
+	for i := range palette {
+		palette[i] = int32(intn(2*p+1) - p)
+	}
+	n := &negotiation{
+		cfg:     Config{PrefBound: p},
+		numAlts: na, defaults: make([]int, items),
+		prefsA: make([]int32, items*na), prefsB: make([]int32, items*na),
+		vetoed: make([]bool, items*na), remaining: make([]bool, items),
+	}
+	n.items = make([]Item, items)
+	for i := range n.items {
+		n.items[i].ID, n.defaults[i] = i, intn(na)
+		n.remaining[i] = intn(5) != 0
+		if n.remaining[i] {
+			n.numRemaining++
+		}
+	}
+	for e := range n.prefsA {
+		n.prefsA[e], n.prefsB[e] = palette[intn(len(palette))], palette[intn(len(palette))]
+		n.vetoed[e] = intn(10) == 0
+	}
+	n.newIndex()
+	n.build()
+	return n
+}
+
+// takeAny takes an item on the table, the first from a random ID on.
+func takeAny(n *negotiation, intn func(int) int) {
+	id := intn(len(n.items))
+	for !n.remaining[id] {
+		id = (id + 1) % len(n.items)
+	}
+	n.take(id)
+}
+
+// FuzzPickMatchesBruteForce holds pick to bruteForcePick as
+// TestPickMatchesBruteForce does, on index states and operation
+// sequences decoded from the input: the first byte picks P in 1..127, so
+// rows of one to eight words occur, the next two seed the table's draws,
+// and every later byte is one operation — a take, a veto and rebuild, or
+// a pick under a plain or recovery gate read from the bytes after it.
+func FuzzPickMatchesBruteForce(f *testing.F) {
+	rng := rand.New(rand.NewSource(53))
+	for _, p := range []byte{0, 2, 9, 30, 31, 49, 63, 99, 126} {
+		for range 4 {
+			seed := []byte{p, byte(rng.Intn(256)), byte(rng.Intn(256))}
+			for i := rng.Intn(1500); i > 0; i-- {
+				seed = append(seed, byte(rng.Intn(256)))
+			}
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		intn := func(k int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % k
+		}
+		p := 1 + intn(127)
+		table := rand.New(rand.NewSource(int64(intn(256)<<8 | intn(256))))
+		n := indexState(p, table.Intn)
+		for step := 0; len(data) > 0; step++ {
+			switch r := intn(8); {
+			case r < 2 && n.numRemaining > 0:
+				takeAny(n, intn)
+			case r == 2:
+				n.vetoed[intn(len(n.vetoed))] = true
+				n.build()
+			default:
+				g := gate{
+					floorA: intn(2*p+4) - p - 3, floorB: intn(2*p+4) - p - 3,
+					evenA: intn(4*p+5) - 2*p - 2, evenB: intn(4*p+5) - 2*p - 2,
+				}
+				switch intn(4) {
+				case 0:
+					g.floorA = max(g.floorA, 1)
+				case 1:
+					g.floorB = max(g.floorB, 1)
+				case 2:
+					g.floorA, g.floorB = -1<<20, -1<<20
+				}
+				proposer := Side(intn(2))
+				wantID, wantAlt, wantOK := bruteForcePick(n, proposer, &g)
+				if id, alt, ok := n.pick(proposer, &g); id != wantID || alt != wantAlt || ok != wantOK {
+					t.Fatalf("step %d (P=%d, proposer %v, gate %+v): pick = (%d, %d, %v), brute force (%d, %d, %v)",
+						step, p, proposer, g, id, alt, ok, wantID, wantAlt, wantOK)
+				}
+			}
+		}
+	})
+}
+
+// TestTakeMatchesRebuild holds the index that take maintains to a fresh
+// build over the same items: after every take, the live count of every
+// cell, every occupancy word, the live rows and both stop-check
+// histograms must equal those of an index built from scratch. A stale
+// live-row bit only costs pick a visit, so no pick oracle would see it.
+// Vetoes rebuild between takes.
+func TestTakeMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, p := range []int{1, 10, 15, 16, 31, 32, 50, 100} {
+		for trial := 0; trial < 40; trial++ {
+			n := indexState(p, rng.Intn)
+			for n.numRemaining > 0 {
+				if rng.Intn(6) == 0 {
+					n.vetoed[rng.Intn(len(n.vetoed))] = true
+					n.build()
+				}
+				takeAny(n, rng.Intn)
+				fresh := &negotiation{
+					cfg: n.cfg, items: n.items, defaults: n.defaults, numAlts: n.numAlts,
+					prefsA: n.prefsA, prefsB: n.prefsB, vetoed: n.vetoed,
+					remaining: n.remaining, numRemaining: n.numRemaining,
+				}
+				fresh.newIndex()
+				fresh.build()
+				x, y := &n.idx, &fresh.idx
+				for _, c := range []struct {
+					name      string
+					got, want []int32
+				}{{"live", x.live, y.live}, {"histA", x.histA, y.histA}, {"histB", x.histB, y.histB}} {
+					if !slices.Equal(c.got, c.want) {
+						t.Fatalf("P=%d trial %d, %d items left: %s after takes %v, rebuilt %v",
+							p, trial, n.numRemaining, c.name, c.got, c.want)
+					}
+				}
+				for i := range x.occ {
+					if x.occ[i] != y.occ[i] {
+						t.Fatalf("P=%d trial %d, %d items left: occupancy word %d is %#x after takes, %#x rebuilt",
+							p, trial, n.numRemaining, i, x.occ[i], y.occ[i])
+					}
+				}
+				if !slices.Equal(x.liveRows, y.liveRows) {
+					t.Fatalf("P=%d trial %d, %d items left: live rows %#x after takes, %#x rebuilt",
+						p, trial, n.numRemaining, x.liveRows, y.liveRows)
+				}
+			}
+		}
 	}
 }

@@ -568,15 +568,17 @@ func (n *negotiation) shouldStop(t *tally, id, alt int) (StopReason, bool) {
 	// what makes the truthful ISP walk away — its favorable alternatives
 	// are still on the table but the distorted sums ensure they are never
 	// selected (paper §5.4: "the negotiation terminates prematurely as the
-	// truthful ISP stops when it sees no benefit for itself").
-	walkA := top(n.idx.histA)-p <= 0 && pA < 0
+	// truthful ISP stops when it sees no benefit for itself"). Only a
+	// proposal negative for the side can make it walk, so its sign is
+	// tested before the histogram is scanned.
+	walkA := pA < 0 && top(n.idx.histA)-p <= 0
 	if walkA && n.cfg.ExtraDeficitA > 0 {
 		// The side is repaying credit banked in earlier sessions
 		// (internal/credits): it keeps conceding down to its extended
 		// deficit bound instead of stopping at its peak.
 		walkA = t.gainA+pA < -n.cfg.ExtraDeficitA
 	}
-	walkB := top(n.idx.histB)-p <= 0 && pB < 0
+	walkB := pB < 0 && top(n.idx.histB)-p <= 0
 	if walkB && n.cfg.ExtraDeficitB > 0 {
 		walkB = t.gainB+pB < -n.cfg.ExtraDeficitB
 	}

@@ -1,5 +1,7 @@
 package nexit
 
+import "math/bits"
+
 // The round protocol's rules (paper §4). The paper lists alternatives for
 // each step; its experiments (§5) run one combination, and so does this
 // engine: the ISPs take turns, A first (the tally's turn); the proposer
@@ -14,7 +16,8 @@ package nexit
 // from, given the cumulative gains: a cell of classes (a, b) is admitted
 // when a ≥ floorA and b ≥ floorB and, for an off-default move, the joint
 // gain allows it (a+b > 0, or a+b = 0 with a ≥ evenA and b ≥ evenB). pick
-// reads this rule as one interval per index row.
+// reads this rule as a lower bound fixed for the pick and an upper bound
+// per index row.
 type gate struct {
 	// floorA and floorB are the lowest class each side can take.
 	//
@@ -76,47 +79,67 @@ func (n *negotiation) propose(t *tally, proposer Side) (id, alt int, ok bool) {
 }
 
 // pick returns the first live entry of the first cell the gate admits,
-// in the proposer's order of preference. It visits the index's rows in
-// that order and, in each, intersects the occupancy bitsets with the
-// gate's interval for the row (see proposalIndex); the first row with a
-// bit left holds the answer. The off-default and default cells of one
-// class pair rank equally, so the earlier of their two heads in the
-// tie-break order wins.
+// in the proposer's order of preference. It visits the index's rows that
+// hold a live cell in that order and, in each, takes the lowest occupied
+// bit from the gate's lower bound on; the first row where that bit is
+// inside the row's upper bound holds the answer (see proposalIndex). The
+// off-default and default cells of one class pair rank equally, so the
+// earlier of their two heads in the tie-break order wins.
 func (n *negotiation) pick(proposer Side, g *gate) (id, alt int, ok bool) {
-	x, p := &n.idx, n.cfg.PrefBound
+	x, p, words := &n.idx, n.cfg.PrefBound, n.idx.words
 	floorOwn, floorOther, evenOwn, evenOther := g.floorA, g.floorB, g.evenA, g.evenB
 	if proposer == SideB {
 		floorOwn, floorOther, evenOwn, evenOther = g.floorB, g.floorA, g.evenB, g.evenA
 	}
-	last := min(x.rows-1, 2*p-floorOwn-floorOther)
-	for r := x.firstRow[proposer]; r <= last; r++ {
-		off, def := x.occRow(proposer, r)
-		if r == x.firstRow[proposer] && empty(off) && empty(def) {
-			x.firstRow[proposer]++ // nothing comes back before the next build
+	// In row r, pair j (the other side's class j − P, own class
+	// 3P − r − j; bits 2j and 2j+1) is admitted from bit lo on, the same
+	// in every row, and while the own class reaches floorOwn: while
+	// j + r ≤ reach.
+	lo, reach := 2*max(0, p+floorOther), 3*p-floorOwn
+	if lo >= 2*x.width {
+		return -1, -1, false
+	}
+	loWord, loMask := lo/64, ^uint64(0)<<(lo%64)
+	last := min(x.rows-1, reach-lo/2)
+	occ := x.occ[int(proposer)*x.rows*words:][:x.rows*words]
+	for r := x.nextRow(0); r <= last; r = x.nextRow(r + 1) {
+		// Row r starts at word at; top is the last bit its upper bound
+		// admits.
+		at, top := r*words, 2*(reach-r)+1
+		w, end, mask, word := at+loWord, at+min(words-1, top>>6), loMask, uint64(0)
+		for {
+			word = occ[w] & mask
+			if r == 2*p {
+				// At s = 0 only the off-default cells whose other class
+				// is in [evenOther, −evenOwn] pass.
+				word &= defaultBits | span(2*(p+evenOther), 2*(p-evenOwn), w-at)&^defaultBits
+			}
+			if word != 0 || w == end {
+				break
+			}
+			w, mask = w+1, ^uint64(0)
+		}
+		if word == 0 {
 			continue
 		}
-		// The gate's intervals of bits (P minus a class; see rank) for
-		// the row's default and off-default cells.
-		s := 2*p - r
-		lo, hi := p-s+floorOther, p-floorOwn
-		offLo, offHi := lo, hi
-		switch {
-		case s == 0:
-			offLo, offHi = max(lo, p+evenOther), min(hi, p-evenOwn)
-		case s < 0:
-			offLo, offHi = 1, 0
+		b := bits.TrailingZeros64(word)
+		bit := 64*(w-at) + b
+		if bit > top {
+			continue
 		}
-		bo, bd := lowest(off, offLo, offHi), lowest(def, lo, hi)
+		j := bit / 2
+		own, other := 3*p-r-j, j-p
+		c := n.cell(own, other)
+		if proposer == SideB {
+			c = n.cell(other, own)
+		}
 		var e entry
 		switch {
-		case bo < 0 && bd < 0:
-			continue
-		case bd < 0 || (bo >= 0 && bo < bd):
-			e, _ = n.first(n.cell(n.classesAt(proposer, r, bo)))
-		case bo < 0 || bd < bo:
-			e, _ = n.first(n.cell(n.classesAt(proposer, r, bd)) + 1)
+		case b%2 == 1:
+			e, _ = n.first(c + 1)
+		case word>>(b+1)&1 == 0:
+			e, _ = n.first(c)
 		default:
-			c := n.cell(n.classesAt(proposer, r, bo))
 			e, _ = n.first(c)
 			if f, _ := n.first(c + 1); n.before(f, e) {
 				e = f
@@ -125,4 +148,16 @@ func (n *negotiation) pick(proposer Side, g *gate) (id, alt int, ok bool) {
 		return int(e.item), int(e.alt), true
 	}
 	return -1, -1, false
+}
+
+// defaultBits are the default cells' bits of an occupancy word.
+const defaultBits uint64 = 0xaaaa_aaaa_aaaa_aaaa
+
+// span returns word w of the bitset whose bits lo to hi are set.
+func span(lo, hi, w int) uint64 {
+	lo, hi = max(lo-64*w, 0), min(hi-64*w, 63)
+	if lo > hi {
+		return 0
+	}
+	return ^uint64(0) << lo & (^uint64(0) >> (63 - hi))
 }

@@ -41,8 +41,9 @@ func forEachGridTrial(fn func(trial int, g gridTrial)) {
 	}, fn)
 }
 
-// wideBounds are preference bounds whose index rows (2P+1 bits) end just
-// below, just past and well past a 64-bit word: one to four words.
+// wideBounds are preference bounds whose index rows (4P+2 bits: both
+// kinds of 2P+1 class pairs) end just below and just past two 64-bit
+// words (P = 31, 32) and well past them: two to seven words.
 var wideBounds = []int{31, 32, 50, 64, 100}
 
 // gridTrials generates trials of the engine grid from seed, trial i at
