@@ -16,7 +16,7 @@ test:
 # digest, the factor-column read and solves on reused tableau storage at
 # GOMAXPROCS 1 and 4.
 smoke:
-	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshNeighborGraph|TestMeshRecovery' ./internal/mesh/...
+	go test -short -race -run 'TestMeshMatchesSerial/distance|TestMeshOverTCP|TestMeshRecovery' ./internal/mesh/...
 	go test -short -race -run 'TestMeshMatchesSerial/bandwidth' ./internal/mesh/...
 	go test -race -count=10 -run 'TestStatusIsConsistentCut' ./internal/agentd/
 	go test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapshot/

@@ -8,12 +8,14 @@
 // Each neighbor pair is oriented by dataset index: the lower-index
 // agent initiates the pair's sessions, the higher-index one serves
 // them. Peers this agent initiates to need an address; peers that dial
-// in are listed bare. All daemons of a mesh must share -seed, -isps,
-// -p, and -volatility so they derive identical negotiation universes
-// (in deployment this agreement comes from observing the same flows;
-// see DESIGN.md §6). A three-ISP mesh on one machine (ISPs 1, 2, and 3
-// of the 12-ISP dataset are mutual neighbors; not every index pair
-// shares the >=2 interconnections a pair needs):
+// in are listed bare. All daemons of a mesh must share -seed and -isps
+// so they derive identical negotiation universes (in deployment this
+// agreement comes from observing the same flows; see DESIGN.md §6).
+// The class bound (the paper's P = 10) and the traffic drift are
+// constants, so no two daemons can disagree on them. A three-ISP mesh
+// on one machine (ISPs 1, 2, and 3 of the 12-ISP dataset are mutual
+// neighbors; not every index pair shares the >=2 interconnections a
+// pair needs):
 //
 //	nexitagent -isp 3 -isps 12 -listen 127.0.0.1:4181 -peer 1 -peer 2 -epochs 8
 //	nexitagent -isp 2 -isps 12 -listen 127.0.0.1:4180 -peer 1 -peer 3=127.0.0.1:4181 -epochs 8
@@ -93,10 +95,8 @@ func main() {
 		listen     = flag.String("listen", "", "listen address for inbound peers (required when any peer dials in)")
 		seed       = flag.Int64("seed", 1, "dataset seed (must match all neighbors)")
 		isps       = flag.Int("isps", 65, "dataset size (must match all neighbors)")
-		pBound     = flag.Int("p", 10, "preference class bound P")
 		epochs     = flag.Int("epochs", 8, "negotiation epochs to run (0 = until interrupted)")
 		interval   = flag.Duration("interval", 0, "pause between epochs (set identically on serving daemons so their idle window covers the cadence)")
-		volatility = flag.Float64("volatility", 0.25, "per-epoch traffic drift (must match all neighbors)")
 		metricFlag = flag.String("metric", "distance", "negotiation objective for every peer: distance, bandwidth, or fortz-thorup (override per peer with -peer index/metric)")
 		maxSess    = flag.Int("max-sessions", 0, "bound on concurrent sessions per direction (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-exchange wire deadline")
@@ -195,7 +195,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("peer %d: %w", spec.index, err))
 		}
-		ctl, err := continuous.NewWithMetric(pairsim.New(pair, cache), *pBound, metric, nil)
+		ctl, err := continuous.NewWithMetric(pairsim.New(pair, cache), nexit.DefaultDistanceConfig().PrefBound, metric, nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -204,7 +204,7 @@ func main() {
 			Name:      agentd.AgentName(spec.index),
 			Side:      side,
 			Ctl:       ctl,
-			Workloads: agentd.EpochWorkloads(pair, *seed, key, *volatility),
+			Workloads: agentd.EpochWorkloads(pair, *seed, key),
 		}
 		if side == nexit.SideA {
 			if spec.addr == "" {

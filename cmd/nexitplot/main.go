@@ -45,7 +45,6 @@ import (
 
 func main() {
 	var (
-		points   = flag.Int("points", 16, "points per CDF series (match nexitsim -points)")
 		watch    = flag.String("watch", "", "comma-separated agentd debug addresses to poll instead of folding NDJSON")
 		interval = flag.Duration("interval", 2*time.Second, "watch poll interval")
 		polls    = flag.Int("polls", 0, "stop watching after N polls (0 = until interrupted)")
@@ -62,7 +61,7 @@ func main() {
 		return
 	}
 
-	fold := plot.NewFold(*points)
+	fold := plot.NewFold()
 	if flag.NArg() == 0 {
 		if err := fold.ReadLines(os.Stdin); err != nil {
 			fatal(fmt.Errorf("stdin: %w", err))

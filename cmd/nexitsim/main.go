@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nexitsim [-fig all|4|5|6|7|8|9|10|11|extras] [-max-pairs N]
-//	         [-max-failures N] [-seed N] [-points N] [-workers N]
+//	         [-max-failures N] [-seed N] [-workers N]
 //	         [-dataset FILE] [-isps N] [-inventory]
 //	         [-stream] [-out FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -54,7 +54,6 @@ func main() {
 		maxPairs    = flag.Int("max-pairs", 0, "limit ISP pairs (0 = all)")
 		maxFailures = flag.Int("max-failures", 0, "limit bandwidth failure cases (0 = all)")
 		seed        = flag.Int64("seed", 1, "experiment seed")
-		points      = flag.Int("points", 16, "points per CDF series")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"goroutines evaluating ISP pairs (results are identical for any value)")
 		dataset   = flag.String("dataset", "", "load .topo dataset instead of generating")
@@ -155,7 +154,7 @@ func main() {
 
 	// Figure mode folds the same records the streaming mode emits
 	// through the fold nexitplot uses.
-	fold := plot.NewFold(*points)
+	fold := plot.NewFold()
 	err = runExperiments(ds, *fig, opt, bopt, sinks{
 		distance:    fold.AddDistance,
 		bandwidth:   fold.AddBandwidth,

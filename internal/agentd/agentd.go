@@ -306,7 +306,7 @@ func (a *Agent) AddPeer(p Peer) error {
 		return fmt.Errorf("agentd: duplicate peer %s", p.Name)
 	}
 	ps := &peerState{Peer: p, initiate: p.Side == nexit.SideA}
-	ps.stats.lat = telemetry.NewHistogram(nil)
+	ps.stats.lat = telemetry.NewHistogram()
 	a.peers[p.Name] = ps
 	// A freshly registered peer resumes from its newest persisted
 	// snapshot (a restarted daemon with -state-dir): the resync

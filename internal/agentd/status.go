@@ -120,7 +120,7 @@ type PeerStatus struct {
 	LastError     string `json:"last_error,omitempty"`
 	// Latency is the peer's session-latency histogram
 	// (agentd_session_seconds{peer=...}): mergeable across peers and
-	// agents, shared bucket ladder (telemetry.DefaultLatencyBuckets).
+	// agents, since every telemetry.Histogram uses the one latency ladder.
 	Latency *telemetry.HistogramSnapshot `json:"latency,omitempty"`
 }
 

@@ -21,6 +21,11 @@ func AgentName(i int) string { return fmt.Sprintf("isp%03d", i) }
 // reference — must use the same key.
 func PairKey(i, j, numISPs int) int { return i*numISPs + j }
 
+// volatility is the per-epoch multiplicative traffic drift of every
+// pair's workloads. Both daemons of a pair derive the same workloads
+// from it, so it is one constant rather than a per-daemon setting.
+const volatility = 0.25
+
 // EpochWorkloads returns the WorkloadFunc of one neighbor pair: each
 // epoch's directional workloads are the gravity-model base traffic
 // perturbed by the epoch's private drift stream. The stream depends only
@@ -35,7 +40,7 @@ func PairKey(i, j, numISPs int) int { return i*numISPs + j }
 // both endpoints of a pair and the derivation is exactly-once per pair
 // per run even when they race, and nothing outlives the run. The cached
 // workloads are shared read-only (Drift copies the flows it perturbs).
-func EpochWorkloads(pair *topology.Pair, seed int64, key int, volatility float64) WorkloadFunc {
+func EpochWorkloads(pair *topology.Pair, seed int64, key int) WorkloadFunc {
 	var (
 		once           sync.Once
 		baseAB, baseBA *traffic.Workload

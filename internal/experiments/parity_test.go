@@ -39,7 +39,7 @@ func parityOpts(workers int) experiments.Options {
 func assertFoldParity(t *testing.T, name, section string, run func(f *plot.Fold, workers int) error) {
 	t.Helper()
 	render := func(workers int) string {
-		f := plot.NewFold(16)
+		f := plot.NewFold()
 		if err := run(f, workers); err != nil {
 			t.Fatal(err)
 		}

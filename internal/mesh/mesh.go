@@ -1,10 +1,10 @@
 // Package mesh spins up a whole neighborhood of negotiation daemons in
 // one process and drives them to convergence: one internal/agentd Agent
-// per ISP, wired into an all-pairs (or topology-filtered) mesh over
-// in-memory pipes or loopback TCP, negotiating concurrent epochs of
-// drifting traffic. Options.Metric selects the negotiation objective
-// mesh-wide (distance, bandwidth, Fortz–Thorup), making the harness a
-// multi-workload testbed for the daemon path.
+// per ISP, wired into an all-pairs mesh over in-memory pipes or
+// loopback TCP, negotiating concurrent epochs of drifting traffic.
+// Options.Metric selects the negotiation objective mesh-wide (distance,
+// bandwidth, Fortz–Thorup), making the harness a multi-workload testbed
+// for the daemon path.
 //
 // It is the test and benchmark harness for the §6 deployment model,
 // and the keeper of its central invariant: Run's concurrent wire
@@ -33,14 +33,15 @@ import (
 	"repro/internal/topology"
 )
 
-// Options configures a mesh run.
+// Options configures a mesh run. What both daemons of a pair must
+// agree on and the Hello does not check is not an option: every pair
+// negotiates at the paper's P = 10 (nexit.DefaultDistanceConfig) under
+// agentd's fixed traffic drift, exactly as cmd/nexitagent daemons do.
 type Options struct {
 	// NumISPs sizes the generated dataset (default 10).
 	NumISPs int
 	// Seed roots the dataset and every drift stream (default 1).
 	Seed int64
-	// P is the preference class bound (default 10).
-	P int
 	// Metric is the negotiation objective every pair drives (default
 	// continuous.MetricDistance). It parameterizes the controllers on
 	// both sides and travels in every wire Hello.
@@ -53,13 +54,6 @@ type Options struct {
 	// (0 = GOMAXPROCS). Results are identical for every bound; only
 	// wall-clock changes.
 	Sessions int
-	// Volatility is the per-epoch multiplicative traffic drift
-	// (default 0.25).
-	Volatility float64
-	// Neighbors, when non-nil, restricts the mesh to pairs whose
-	// dataset indices it approves (i < j); nil keeps every eligible
-	// pair — the paper's all-pairs evaluation.
-	Neighbors func(i, j int) bool
 	// UseTCP moves the transport from in-memory pipes to loopback TCP.
 	UseTCP bool
 	// Timeout bounds each wire exchange (nexitwire default when zero).
@@ -81,8 +75,6 @@ type Options struct {
 	// (agentd.DefaultSnapshotInterval when zero; ignored without
 	// StateDir).
 	SnapshotInterval int
-	// Logf, when non-nil, receives agent diagnostics.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -92,20 +84,17 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.P == 0 {
-		o.P = 10
-	}
 	if o.Metric == "" {
 		o.Metric = continuous.MetricDistance
 	}
 	if o.Epochs == 0 {
 		o.Epochs = 4
 	}
-	if o.Volatility == 0 {
-		o.Volatility = 0.25
-	}
 	return o
 }
+
+// prefBound is the class bound P every controller negotiates at.
+var prefBound = nexit.DefaultDistanceConfig().PrefBound
 
 // PairResult is one neighbor pair's trajectory through the run.
 type PairResult struct {
@@ -161,9 +150,6 @@ func buildPairs(opt Options) ([]*topology.ISP, []meshPair, error) {
 	var pairs []meshPair
 	for _, p := range topology.AllPairs(isps, 2, true) {
 		i, j := index[p.A], index[p.B]
-		if opt.Neighbors != nil && !opt.Neighbors(i, j) {
-			continue
-		}
 		if opt.MaxPairs > 0 && len(pairs) >= opt.MaxPairs {
 			break
 		}
@@ -171,7 +157,7 @@ func buildPairs(opt Options) ([]*topology.ISP, []meshPair, error) {
 		key := agentd.PairKey(i, j, opt.NumISPs)
 		pairs = append(pairs, meshPair{
 			i: i, j: j, pair: p,
-			wl: agentd.EpochWorkloads(p, opt.Seed, key, opt.Volatility),
+			wl: agentd.EpochWorkloads(p, opt.Seed, key),
 		})
 	}
 	if len(pairs) == 0 {
@@ -242,7 +228,6 @@ func Run(opt Options) (*Result, error) {
 			Name:        agentd.AgentName(i),
 			MaxSessions: opt.Sessions,
 			Timeout:     opt.Timeout,
-			Logf:        opt.Logf,
 		}
 		if opt.StateDir != "" {
 			// One store per agent, keyed by name, exactly as the daemon's
@@ -260,7 +245,7 @@ func Run(opt Options) (*Result, error) {
 			if mp.i != i && mp.j != i {
 				continue
 			}
-			ctl, err := continuous.NewWithMetric(pairsim.New(mp.pair, cache), opt.P, opt.Metric, caps)
+			ctl, err := continuous.NewWithMetric(pairsim.New(mp.pair, cache), prefBound, opt.Metric, caps)
 			if err != nil {
 				return err
 			}
@@ -445,7 +430,7 @@ func RunSerial(opt Options) (*Result, error) {
 	seen := make(map[int]bool)
 	for _, mp := range pairs {
 		seen[mp.i], seen[mp.j] = true, true
-		ctl, err := continuous.NewWithMetric(pairsim.New(mp.pair, cache), opt.P, opt.Metric, caps)
+		ctl, err := continuous.NewWithMetric(pairsim.New(mp.pair, cache), prefBound, opt.Metric, caps)
 		if err != nil {
 			return nil, err
 		}

@@ -365,31 +365,6 @@ func TestMeshOverTCP(t *testing.T) {
 	checkParity(t, serial, wire)
 }
 
-// TestMeshNeighborGraph restricts the mesh to a sparse neighbor graph
-// and checks only approved pairs negotiate.
-func TestMeshNeighborGraph(t *testing.T) {
-	opt := testOptions()
-	opt.Epochs = 2
-	opt.Neighbors = func(i, j int) bool { return j-i <= 2 }
-	wire, err := Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wire.Pairs) == 0 {
-		t.Fatal("neighbor graph filtered out every pair")
-	}
-	for _, p := range wire.Pairs {
-		if p.J-p.I > 2 {
-			t.Errorf("pair (%d,%d) negotiated despite the neighbor graph", p.I, p.J)
-		}
-	}
-	serial, err := RunSerial(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkParity(t, serial, wire)
-}
-
 // TestPairsCollectableAfterRun pins the lifetime of the base-workload
 // memo behind agentd.EpochWorkloads: it belongs to the run's pairs, so
 // once a run's wiring is dropped its pairs (and the gravity workloads

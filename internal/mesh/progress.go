@@ -31,8 +31,8 @@ type Progress struct {
 	EpochMin int `json:"epoch_min"`
 	EpochMax int `json:"epoch_max"`
 	// Latency merges every agent's per-peer session-latency histogram
-	// (both sides of every pair share telemetry.DefaultLatencyBuckets,
-	// so the snapshots always merge on an un-tampered mesh).
+	// (every telemetry.Histogram uses the one latency ladder, so the
+	// snapshots always merge on an un-tampered mesh).
 	Latency telemetry.HistogramSnapshot `json:"latency"`
 }
 

@@ -63,7 +63,6 @@ func upperMedian(c *stats.CDF) float64 {
 // summary lines, from one run or from many shards of the same run) via
 // AddLine or ReadLines, then Render the figure tables.
 type Fold struct {
-	points int
 	// curves holds the figure lines and the extras' summary lines by
 	// name.
 	curves map[string]*exactCurve
@@ -104,11 +103,14 @@ type Fold struct {
 	Unknown int
 }
 
-// NewFold returns an empty fold rendering n-point series (nexitsim's
-// -points).
-func NewFold(n int) *Fold {
+// seriesPoints is how many points every rendered CDF series has. One
+// value serves every fold, so a figure run and the fold of its stream
+// always print the same tables.
+const seriesPoints = 16
+
+// NewFold returns an empty fold.
+func NewFold() *Fold {
 	return &Fold{
-		points:  n,
 		curves:  map[string]*exactCurve{},
 		byIx:    map[int]*exactCurve{},
 		byBound: map[int]*exactCurve{},
@@ -400,7 +402,7 @@ func (f *Fold) Render(w io.Writer, fig string) error {
 		for name, key := range keys {
 			curves[name] = f.curve(key).sorted()
 		}
-		fmt.Fprint(bw, stats.FormatSeries(xLabel, min, max, f.points, curves, order))
+		fmt.Fprint(bw, stats.FormatSeries(xLabel, min, max, seriesPoints, curves, order))
 		for _, name := range order {
 			fmt.Fprintf(bw, "  %s: %s\n", name, stats.Summary(curves[name]))
 		}

@@ -98,7 +98,7 @@ func emitStream[R any](t *testing.T, lines *[][]byte, exp string, run func(sink 
 // foldLines folds lines into a fresh fold.
 func foldLines(t *testing.T, lines [][]byte) *Fold {
 	t.Helper()
-	f := NewFold(16)
+	f := NewFold()
 	for _, line := range lines {
 		if err := f.AddLine(line); err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestFoldReproducesBatchFigures(t *testing.T) {
 	ds := testDataset(t)
 	opt, bopt := testOpts()
 
-	direct := NewFold(16)
+	direct := NewFold()
 	if err := experiments.DistanceStream(ds, opt, direct.AddDistance); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestFoldRefusesRefoldedRecords(t *testing.T) {
 		{"whole run twice", slices.Concat(lines, lines), lines},
 		{"two runs of one experiment", slices.Concat(lines, rerun), rerun},
 	} {
-		f := NewFold(16)
+		f := NewFold()
 		var err error
 		for _, line := range c.lines {
 			if err = f.AddLine(line); err != nil {
@@ -332,7 +332,7 @@ func TestFoldAcceptsLegacySummary(t *testing.T) {
 // Lines from unknown experiments, records and summaries alike, are
 // skipped and counted, never fatal.
 func TestFoldUnknownExperiment(t *testing.T) {
-	f := NewFold(8)
+	f := NewFold()
 	for _, line := range []string{
 		`{"experiment":"hyperspace","index":0,"data":{"x":1}}`,
 		`{"experiment":"hyperspace","results":3}`,
@@ -378,7 +378,7 @@ func FuzzFoldLine(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		fold := NewFold(8)
+		fold := NewFold()
 		if fold.AddLine(line) == nil {
 			if err := fold.AddLine(line); err != nil && !strings.Contains(err.Error(), " already folded") {
 				t.Fatalf("a line folded once was refused with an unlabelled error: %v", err)

@@ -14,7 +14,7 @@ import (
 // The progress line carries the frontier, the health counters, and the
 // latency profile; the rate only when a previous poll exists.
 func TestFormatProgressAndRate(t *testing.T) {
-	lat := telemetry.NewHistogram(nil)
+	lat := telemetry.NewHistogram()
 	lat.Observe(0.004)
 	lat.Observe(0.004)
 
@@ -101,7 +101,7 @@ func TestAggregateMalformedLatency(t *testing.T) {
 func FuzzWatchStatus(f *testing.F) {
 	f.Add([]byte(malformedStatuses[0]), []byte(malformedStatuses[1]))
 	f.Add([]byte(malformedStatuses[1]), []byte(malformedStatuses[0]))
-	lat := telemetry.NewHistogram(nil)
+	lat := telemetry.NewHistogram()
 	lat.Observe(0.003)
 	snap := lat.Snapshot()
 	st := agentd.Status{Name: "isp001", Counters: agentd.Counters{SessionsInitiated: 3, Wire: agentd.WireStatus{PrefsUs: 9}},

@@ -57,47 +57,32 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// DefaultLatencyBuckets is the histogram bound ladder used for session
-// latencies, in seconds: roughly exponential from 500µs to 10s, which
-// brackets everything a wire session does — an in-memory mesh session
-// runs low milliseconds, a TCP one tens of milliseconds, and anything
-// beyond seconds is a stall about to hit the exchange deadline.
-// Everything in a mesh must share one ladder or the per-peer snapshots
-// stop merging, so it is a package constant, not per-call tuning.
-var DefaultLatencyBuckets = []float64{
+// latencyBuckets is the histogram bound ladder, in seconds: roughly
+// exponential from 500µs to 10s, which brackets everything a wire
+// session does — an in-memory mesh session runs low milliseconds, a TCP
+// one tens of milliseconds, and anything beyond seconds is a stall
+// about to hit the exchange deadline. Everything in a mesh must share
+// one ladder or the per-peer snapshots stop merging, so every
+// Histogram uses it.
+var latencyBuckets = [...]float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Histogram counts observations into fixed buckets. Bucket i counts
-// observations <= Bounds[i] (and greater than Bounds[i-1]); one
-// overflow bucket counts the rest. Bounds are fixed at construction —
-// there is no rebucketing, which is what makes snapshots from
-// different processes mergeable and Observe a single atomic add after
-// a short scan of a pre-sized array.
+// Histogram counts observations into the latency ladder's buckets.
+// Bucket i counts observations <= latencyBuckets[i] (and greater than
+// the bound before it); one overflow bucket counts the rest. The ladder
+// is fixed — there is no rebucketing, which is what makes snapshots
+// from different processes mergeable and Observe a single atomic add
+// after a short scan of a fixed array.
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
+	counts [len(latencyBuckets) + 1]atomic.Int64 // last is overflow
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// NewHistogram builds a histogram over the given ascending upper
-// bounds. Nil or empty bounds select DefaultLatencyBuckets.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram bounds not ascending at %d", i))
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-}
+// NewHistogram returns an empty histogram over the latency ladder.
+func NewHistogram() *Histogram { return new(Histogram) }
 
 // Observe records one observation. NaN observations are dropped (they
 // would poison the sum and fit no bucket).
@@ -106,7 +91,7 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(latencyBuckets) && v > latencyBuckets[i] {
 		i++
 	}
 	h.counts[i].Add(1)
@@ -130,7 +115,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // observations — both only ever grow.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Bounds: h.bounds, // immutable after construction; shared
+		Bounds: latencyBuckets[:], // never written; shared
 		Counts: make([]int64, len(h.counts)),
 		Count:  h.count.Load(),
 		Sum:    h.Sum(),

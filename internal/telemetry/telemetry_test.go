@@ -26,12 +26,24 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 3, 100, math.NaN()} {
+	for i := 1; i < len(latencyBuckets); i++ {
+		if latencyBuckets[i] <= latencyBuckets[i-1] {
+			t.Fatalf("latency ladder not ascending at %d: %v", i, latencyBuckets)
+		}
+	}
+	h := NewHistogram()
+	obs := []float64{0.0004, 0.0005, 0.0007, 0.002, 100}
+	for _, v := range append(obs, math.NaN()) {
 		h.Observe(v)
 	}
 	s := h.Snapshot()
-	want := []int64{2, 1, 1, 1} // <=1: {0.5, 1}; <=2: {1.5}; <=4: {3}; overflow: {100}
+	// <=0.0005: {0.0004, 0.0005}; <=0.001: {0.0007}; <=0.0025: {0.002};
+	// overflow: {100}.
+	want := make([]int64, len(latencyBuckets)+1)
+	want[0], want[1], want[2], want[len(latencyBuckets)] = 2, 1, 1, 1
+	if len(s.Counts) != len(want) {
+		t.Fatalf("%d buckets, want %d", len(s.Counts), len(want))
+	}
 	for i, w := range want {
 		if s.Counts[i] != w {
 			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
@@ -40,25 +52,29 @@ func TestHistogramBuckets(t *testing.T) {
 	if s.Count != 5 {
 		t.Fatalf("count = %d, want 5 (NaN dropped)", s.Count)
 	}
-	if s.Sum != 0.5+1+1.5+3+100 {
-		t.Fatalf("sum = %v", s.Sum)
+	var sum float64
+	for _, v := range obs {
+		sum += v
+	}
+	if s.Sum != sum {
+		t.Fatalf("sum = %v, want %v", s.Sum, sum)
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	h := NewHistogram()
 	for i := 0; i < 50; i++ {
-		h.Observe(0.5) // first bucket
+		h.Observe(0.0004) // first bucket
 	}
 	for i := 0; i < 50; i++ {
-		h.Observe(3) // third bucket
+		h.Observe(0.002) // third bucket
 	}
 	s := h.Snapshot()
-	if q := s.Quantile(0.25); q != 1 {
-		t.Fatalf("p25 = %v, want 1", q)
+	if q := s.Quantile(0.25); q != 0.0005 {
+		t.Fatalf("p25 = %v, want 0.0005", q)
 	}
-	if q := s.Quantile(0.9); q != 4 {
-		t.Fatalf("p90 = %v, want 4", q)
+	if q := s.Quantile(0.9); q != 0.0025 {
+		t.Fatalf("p90 = %v, want 0.0025", q)
 	}
 	var empty HistogramSnapshot
 	if q := empty.Quantile(0.5); q != 0 {
@@ -67,13 +83,10 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestHistogramSnapshotMergeAndJSON(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	a.Observe(3)
-	b.Observe(1.5)
-
-	sa, sb := a.Snapshot(), b.Snapshot()
+	// Snapshots decoded from another process may carry any ladder, so
+	// the merge cases build them directly.
+	sa := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []int64{1, 0, 1}, Count: 2, Sum: 3.5}
+	sb := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []int64{0, 1, 0}, Count: 1, Sum: 1.5}
 	if err := sa.Merge(sb); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +117,7 @@ func TestHistogramSnapshotMergeAndJSON(t *testing.T) {
 	}
 
 	// Mismatched bounds refuse to merge.
-	c := NewHistogram([]float64{1, 3}).Snapshot()
+	c := HistogramSnapshot{Bounds: []float64{1, 3}, Counts: []int64{0, 0, 0}}
 	if err := sa.Merge(c); err == nil {
 		t.Fatal("merge across different bounds did not error")
 	}
@@ -131,7 +144,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	var g Gauge
 	g.Add(1)
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(5)
@@ -157,8 +170,8 @@ func TestWritePrometheus(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "agentd_session_seconds_bucket{"); n != len(DefaultLatencyBuckets)+1 {
-		t.Fatalf("%d bucket lines, want %d:\n%s", n, len(DefaultLatencyBuckets)+1, out)
+	if n := strings.Count(out, "agentd_session_seconds_bucket{"); n != len(latencyBuckets)+1 {
+		t.Fatalf("%d bucket lines, want %d:\n%s", n, len(latencyBuckets)+1, out)
 	}
 }
 
@@ -168,7 +181,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	obs := []float64{3, 0.5, 100, 1.5, 0.25}
 	render := func(order []float64) string {
-		h := NewHistogram([]float64{1, 2, 4})
+		h := NewHistogram()
 		for _, v := range order {
 			h.Observe(v)
 		}
@@ -177,9 +190,20 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		return sb.String()
 	}
 	got := render(obs)
-	want := "m_seconds_bucket{le=\"1\"} 2\n" +
-		"m_seconds_bucket{le=\"2\"} 3\n" +
-		"m_seconds_bucket{le=\"4\"} 4\n" +
+	want := "m_seconds_bucket{le=\"0.0005\"} 0\n" +
+		"m_seconds_bucket{le=\"0.001\"} 0\n" +
+		"m_seconds_bucket{le=\"0.0025\"} 0\n" +
+		"m_seconds_bucket{le=\"0.005\"} 0\n" +
+		"m_seconds_bucket{le=\"0.01\"} 0\n" +
+		"m_seconds_bucket{le=\"0.025\"} 0\n" +
+		"m_seconds_bucket{le=\"0.05\"} 0\n" +
+		"m_seconds_bucket{le=\"0.1\"} 0\n" +
+		"m_seconds_bucket{le=\"0.25\"} 1\n" +
+		"m_seconds_bucket{le=\"0.5\"} 2\n" +
+		"m_seconds_bucket{le=\"1\"} 2\n" +
+		"m_seconds_bucket{le=\"2.5\"} 3\n" +
+		"m_seconds_bucket{le=\"5\"} 4\n" +
+		"m_seconds_bucket{le=\"10\"} 4\n" +
 		"m_seconds_bucket{le=\"+Inf\"} 5\n" +
 		"m_seconds_sum 105.25\n" +
 		"m_seconds_count 5\n"
@@ -200,7 +224,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 // final state must account for every event.
 func TestConcurrentObserve(t *testing.T) {
 	var c Counter
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	const writers, events = 4, 1000
 
 	stop := make(chan struct{})
@@ -271,7 +295,7 @@ func TestConcurrentObserve(t *testing.T) {
 // Histogram.Observe allocate nothing.
 func BenchmarkHotPath(b *testing.B) {
 	var c Counter
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
